@@ -21,11 +21,12 @@ offending token.  Trees are immutable; evaluation is pure.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import jets
-from .errors import ExprSyntaxError
+from .errors import DomainError, ExprSyntaxError
 from .jets import Jet2
 
 
@@ -225,6 +226,259 @@ def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
                 return a / b
             return jets.powj(a, b)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ------------------------------------------------------------ jet kernels
+#
+# ``compile_jet2`` writes the jet arithmetic of several trees out as one
+# straight-line Python function (forward-mode Taylor arithmetic, as in
+# Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every line
+# repeats an operation of ``jets.Jet2`` on the same operands in the same
+# grouping, with no algebraic folding, so the kernel's floats are
+# bit-identical to ``eval_jet2`` and its DomainErrors (type and message)
+# arise in the same post-order.  Structurally identical operations are
+# emitted once: the same operations on the same inputs give the same bits.
+# Constants are bound by name in the kernel's namespace, never written as
+# source literals; the source holds only generated identifiers.
+
+# Per elementary function: statements, then the chain-rule factors
+# (f0, f1, f2) at the argument value {x}, mirroring the function of the
+# same name in ``jets``.  {p} prefixes the node's temporaries.
+_OVERFLOW = (
+    "try:",
+    "    {p}s = sinh({x})",
+    "    {p}c = cosh({x})",
+    "except OverflowError as exc:",
+    "    raise DomainError('overflow in {fn}') from exc",
+)
+_CHAIN_SRC = {
+    "sin": (("{p}s = sin({x})", "{p}c = cos({x})"), ("{p}s", "{p}c", "-{p}s")),
+    "cos": (("{p}s = sin({x})", "{p}c = cos({x})"), ("{p}c", "-{p}s", "-{p}c")),
+    "tan": (
+        ("{p}t = tan({x})", "{p}d = 1.0 + {p}t * {p}t"),
+        ("{p}t", "{p}d", "2.0 * {p}t * {p}d"),
+    ),
+    "sinh": (_OVERFLOW, ("{p}s", "{p}c", "{p}s")),
+    "cosh": (_OVERFLOW, ("{p}c", "{p}s", "{p}c")),
+    "tanh": (
+        ("{p}t = tanh({x})", "{p}d = 1.0 - {p}t * {p}t"),
+        ("{p}t", "{p}d", "-2.0 * {p}t * {p}d"),
+    ),
+    "exp": (
+        (
+            "try:",
+            "    {p}e = exp({x})",
+            "except OverflowError as exc:",
+            "    raise DomainError('overflow in exp') from exc",
+        ),
+        ("{p}e", "{p}e", "{p}e"),
+    ),
+    "log": (
+        (
+            "if {x} <= 0.0:",
+            "    raise DomainError(f'log of non-positive value {{{x}!r}}')",
+            "{p}i = 1.0 / {x}",
+        ),
+        ("log({x})", "{p}i", "-{p}i * {p}i"),
+    ),
+    "sqrt": (
+        (
+            "if {x} <= 0.0:",
+            "    raise DomainError(f'sqrt of non-positive value {{{x}!r}}')",
+            "{p}r = sqrt({x})",
+            "{p}d = 0.5 / {p}r",
+        ),
+        ("{p}r", "{p}d", "-0.5 * {p}d / {x}"),
+    ),
+    "abs": (
+        (
+            "if {x} == 0.0:",
+            "    raise DomainError('abs is not differentiable at 0')",
+            "{p}s = 1.0 if {x} > 0.0 else -1.0",
+        ),
+        ("abs({x})", "{p}s", "0.0"),
+    ),
+    "recip": (
+        (
+            "if {x} == 0.0:",
+            "    raise DomainError('division by zero')",
+            "{p}i = 1.0 / {x}",
+        ),
+        ("{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i"),
+    ),
+}
+
+
+def _powj_flat(*c: float) -> tuple[float, ...]:
+    """``jets.powj`` on two jets given as 12 floats."""
+    r = jets.powj(Jet2(*c[:6]), Jet2(*c[6:]))
+    return r.val, r.du, r.dv, r.duu, r.duv, r.dvv
+
+
+def _static_int_exponent(e: Expr) -> int | None:
+    """The exponent ``jets.powj`` hands to ``pow_int`` when the exponent
+    node is a constant, else None (the decision then waits for run time)."""
+    if not isinstance(e, Const):
+        return None
+    try:
+        if float(e.value).is_integer() and abs(e.value) <= 1024:
+            return int(e.value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+class _KernelWriter:
+    """Emits the lines of one kernel; a jet is the tuple of the six names
+    holding (val, du, dv, duu, duv, dvv)."""
+
+    ZERO = ("ZERO",) * 5
+    ONE = ("ONE",) + ZERO
+    U = ("U", "ONE", "ZERO", "ZERO", "ZERO", "ZERO")  # jets.seed_u
+    V = ("V", "ZERO", "ONE", "ZERO", "ZERO", "ZERO")  # jets.seed_v
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {
+            "ZERO": 0.0,
+            "ONE": 1.0,
+            "DomainError": DomainError,
+            "_powj": _powj_flat,
+            **{name: getattr(math, name) for name in
+               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
+        }
+        self.emitted: dict[tuple, tuple[str, ...]] = {}
+
+    def node(self, key: tuple, emit) -> tuple[str, ...]:
+        """The jet for ``key``, emitting it on first use only."""
+        jet = self.emitted.get(key)
+        if jet is None:
+            p = f"j{len(self.emitted)}_"
+            jet = emit(p)
+            self.emitted[key] = jet
+        return jet
+
+    def lines_for(self, p: str, exprs: list[str]) -> tuple[str, ...]:
+        names = tuple(f"{p}{k}" for k in range(6))
+        self.lines.extend(f"{n} = {x}" for n, x in zip(names, exprs))
+        return names
+
+    def const(self, value) -> tuple[str, ...]:
+        # floats are shared by bit pattern (0.0 and -0.0 differ); any other
+        # number type keeps its own slot, since Jet2 keeps the type
+        if type(value) is float:
+            key = ("const", struct.pack("<d", value))
+        else:
+            key = ("const", len(self.emitted))
+
+        def emit(p: str) -> tuple[str, ...]:
+            self.namespace[f"{p}k"] = value
+            return (f"{p}k",) + self.ZERO
+
+        return self.node(key, emit)
+
+    def elementwise(self, op: str, a, b=None) -> tuple[str, ...]:
+        if op == "neg":
+            return self.node(
+                ("neg", a), lambda p: self.lines_for(p, [f"-{x}" for x in a])
+            )
+        return self.node(
+            (op, a, b),
+            lambda p: self.lines_for(p, [f"{x} {op} {y}" for x, y in zip(a, b)]),
+        )
+
+    def mul(self, a, b) -> tuple[str, ...]:
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        return self.node(("*", a, b), lambda p: self.lines_for(p, [
+            f"{a0} * {b0}",
+            f"{a1} * {b0} + {a0} * {b1}",
+            f"{a2} * {b0} + {a0} * {b2}",
+            f"({a3} * {b0} + {a0} * {b3}) + 2.0 * ({a1} * {b1})",
+            f"({a4} * {b0} + {a0} * {b4}) + ({a1} * {b2} + {a2} * {b1})",
+            f"({a5} * {b0} + {a0} * {b5}) + 2.0 * ({a2} * {b2})",
+        ]))
+
+    def chain(self, fn: str, a) -> tuple[str, ...]:
+        statements, factors = _CHAIN_SRC[fn]
+
+        def emit(p: str) -> tuple[str, ...]:
+            a0, a1, a2, a3, a4, a5 = a
+            fill = {"p": p, "x": a0, "fn": fn}
+            self.lines.extend(s.format(**fill) for s in statements)
+            f0, f1, f2 = (f.format(**fill) for f in factors)
+            self.lines.append(f"{p}f1 = {f1}")
+            self.lines.append(f"{p}f2 = {f2}")
+            f1, f2 = f"{p}f1", f"{p}f2"
+            return self.lines_for(p, [
+                f0,
+                f"{f1} * {a1}",
+                f"{f1} * {a2}",
+                f"{f2} * ({a1} * {a1}) + {f1} * {a3}",
+                f"{f2} * ({a1} * {a2}) + {f1} * {a4}",
+                f"{f2} * ({a2} * {a2}) + {f1} * {a5}",
+            ])
+
+        return self.node((fn, a), emit)
+
+    def pow_int(self, a, n: int) -> tuple[str, ...]:
+        if n < 0:
+            return self.chain("recip", self.pow_int(a, -n))
+        result, base = self.ONE, a
+        while n:
+            if n & 1:
+                result = self.mul(result, base)
+            n >>= 1
+            # jets.pow_int also squares once after the last bit; that
+            # product is unused and cannot raise, so it is left out
+            if n:
+                base = self.mul(base, base)
+        return result
+
+    def powj(self, a, b) -> tuple[str, ...]:
+        def emit(p: str) -> tuple[str, ...]:
+            names = tuple(f"{p}{k}" for k in range(6))
+            self.lines.append(f"{', '.join(names)} = _powj({', '.join(a + b)})")
+            return names
+
+        return self.node(("^", a, b), emit)
+
+    def expr(self, e: Expr) -> tuple[str, ...]:
+        match e:
+            case Const(value):
+                return self.const(value)
+            case Var(name):
+                return self.U if name == "u" else self.V
+            case Unary(op, arg):
+                if op not in jets.UNARY:
+                    raise KeyError(op)
+                a = self.expr(arg)
+                return self.elementwise("neg", a) if op == "neg" else self.chain(op, a)
+            case Binary(op, left, right):
+                a = self.expr(left)
+                b = self.expr(right)
+                if op in ("+", "-"):
+                    return self.elementwise(op, a, b)
+                if op == "*":
+                    return self.mul(a, b)
+                if op == "/":
+                    return self.mul(a, self.chain("recip", b))
+                n = _static_int_exponent(right)
+                return self.powj(a, b) if n is None else self.pow_int(a, n)
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_jet2(exprs) -> Callable[[float, float], tuple[float, ...]]:
+    """One function ``(u, v) -> floats`` giving, for each tree in order,
+    the value and partials (val, du, dv, duu, duv, dvv) that
+    ``eval_jet2`` gives, bit for bit; the same DomainError is raised as
+    when the trees are walked one after the other."""
+    writer = _KernelWriter()
+    outputs = [name for e in exprs for name in writer.expr(e)]
+    body = ["U = float(u)", "V = float(v)", *writer.lines, f"return ({', '.join(outputs)},)"]
+    source = "def kernel(u, v):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<jet kernel>", "exec"), writer.namespace)
+    return writer.namespace["kernel"]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -30,6 +30,7 @@ operator acting on coordinate columns is ``-a_mat.T``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,7 +48,7 @@ from .isotropy import (
     dot_background,
     norm_euclid,
 )
-from .jets import Jet2Vec3
+from .jets import Jet2, Jet2Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
 
@@ -69,12 +70,16 @@ class SurfacePatch:
     name: str = "parametric"
     params: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def jet_kernel(self):
+        """``(u, v) ->`` the 18 floats (val, du, dv, duu, duv, dvv) of x, y
+        and z, bit-identical to ``eval_jet2`` on each expression; compiled
+        on first use and kept on this patch."""
+        return ex.compile_jet2((self.x_expr, self.y_expr, self.z_expr))
+
     def evaluate(self, u: float, v: float) -> Jet2Vec3:
-        return Jet2Vec3(
-            ex.eval_jet2(self.x_expr, u, v),
-            ex.eval_jet2(self.y_expr, u, v),
-            ex.eval_jet2(self.z_expr, u, v),
-        )
+        r = self.jet_kernel(u, v)
+        return Jet2Vec3(Jet2(*r[0:6]), Jet2(*r[6:12]), Jet2(*r[12:18]))
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.domain
@@ -172,15 +177,20 @@ class AdmissibilityReport:
 
 
 def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
-    jv = s.evaluate(u, v)
+    (
+        px, xu, xv, xuu, xuv, xvv,
+        py, yu, yv, yuu, yuv, yvv,
+        pz, zu, zv, zuu, zuv, zvv,
+    ) = s.jet_kernel(u, v)
     swapped = False
-    m12 = jv.x.du * jv.y.dv - jv.x.dv * jv.y.du
+    m12 = xu * yv - xv * yu
     if m12 < 0.0:
-        jv = jv.swap_params()
+        xu, xv, yu, yv, zu, zv = xv, xu, yv, yu, zv, zu
+        xuu, xvv, yuu, yvv, zuu, zvv = xvv, xuu, yvv, yuu, zvv, zuu
         swapped = True
         m12 = -m12
 
-    x1, x2 = jv.d1(), jv.d2()
+    x1, x2 = Vec3(xu, yu, zu), Vec3(xv, yv, zv)
     scale = 1.0 + norm_euclid(x1) * norm_euclid(x2)
     if abs(m12) <= ADMISSIBILITY_RTOL * scale:
         raise NotAdmissible(u, v, m12)
@@ -206,7 +216,7 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
     else:
         xi = Vec3(a, b, 0.5 * (1.0 - (a * a - b * b)))
 
-    x11, x12, x22 = jv.d11(), jv.d12(), jv.d22()
+    x11, x12, x22 = Vec3(xuu, yuu, zuu), Vec3(xuv, yuv, zuv), Vec3(xvv, yvv, zvv)
     h = np.array(
         [
             [dot_background(s.kind, n_h, x11), dot_background(s.kind, n_h, x12)],
@@ -220,7 +230,7 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
         u=u,
         v=v,
         swapped=swapped,
-        position=jv.position(),
+        position=Vec3(px, py, pz),
         x1=x1,
         x2=x2,
         x11=x11,
