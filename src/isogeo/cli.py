@@ -45,7 +45,13 @@ from .errors import (
 )
 from .geodesic import GeodesicKind, integrate
 from .isotropy import SpaceKind
-from .surface import SurfacePatch, curvatures_at, frame_at, graph_patch, parametric_patch
+from .surface import (
+    SurfacePatch,
+    curvatures_of_frame,
+    frame_at,
+    graph_patch,
+    parametric_patch,
+)
 from .verify_defaults import DEFAULT_FD_STEP
 
 EXIT_OK = 0
@@ -162,11 +168,11 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
         for v in _grid_values(v0, v1, nv):
             try:
                 f = frame_at(patch, u, v)
-                rep = curvatures_at(patch, u, v)
             except NotAdmissible:
                 lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,inadmissible,,,")
                 continue
             p = f.position
+            rep = curvatures_of_frame(f)
             lines.append(
                 ",".join(
                     [
@@ -325,6 +331,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             gkind = GeodesicKind.RELATIVE if args.type == "r" else GeodesicKind.LEVI_CIVITA
             start = _parse_pair(args.start, "--start")
             velocity = _parse_pair(args.velocity, "--velocity")
+            for flag, values in (
+                ("--start", start), ("--velocity", velocity),
+                ("--t-end", (args.t_end,)), ("--step", (args.step,)),
+            ):
+                if not all(math.isfinite(x) for x in values):
+                    raise SpecError(f"{flag} must be finite, got {values!r}")
             if args.t_end <= 0.0:
                 raise SpecError("--t-end must be positive")
             return cmd_geodesic(

@@ -22,8 +22,9 @@ Curvature tensors use the pattern
     R^l_ijk = C_ij,k^l - C_ik,j^l + C_ij^s C_ks^l - C_ik^s C_js^l
 
 for either family of coefficients C.  Coefficient derivatives are
-second-order central differences with a caller-controlled step, taken
-by re-deriving the coefficients from scratch at the stencil points.
+fourth-order central differences (a 9-point stencil: steps of h and 2h
+along each parameter) with a caller-controlled step h, taken by
+re-deriving the coefficients from scratch at the stencil points.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LightlikePoint, StencilOutsideDomain
+from .errors import LightlikePoint, StencilOrientationFlip, StencilOutsideDomain
 from .isotropy import SpaceKind
 from .surface import PointFrame, SurfacePatch, frame_at
 
@@ -71,6 +72,30 @@ def denom_of_frame(f: PointFrame) -> float:
 
 def denom_at(s: SurfacePatch, u: float, v: float) -> float:
     return denom_of_frame(frame_at(s, u, v))
+
+
+def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
+    """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
+    coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
+    derivatives are needed, and the 2-jet gives those."""
+    x1, x2 = f.x1.as_tuple(), f.x2.as_tuple()
+
+    def d_minor(i: int, j: int, d1: tuple, d2: tuple) -> float:
+        # derivative of x1_i x2_j - x1_j x2_i, given the derivatives d1, d2
+        # of x1 and x2 along one coordinate
+        return d1[i] * x2[j] + x1[i] * d2[j] - d1[j] * x2[i] - x1[j] * d2[i]
+
+    a = f.m23 / f.m12
+    b = f.m31 / f.m12  # B up to sign; denom depends on B^2 only
+    sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
+    grad = []
+    for d1, d2 in ((f.x11, f.x12), (f.x12, f.x22)):
+        d1, d2 = d1.as_tuple(), d2.as_tuple()
+        dm12 = d_minor(0, 1, d1, d2)
+        da = (d_minor(1, 2, d1, d2) - a * dm12) / f.m12
+        db = (d_minor(2, 0, d1, d2) - b * dm12) / f.m12
+        grad.append(a * da + sign * b * db)
+    return grad[0], grad[1]
 
 
 def gamma_of_frame(f: PointFrame) -> np.ndarray:
@@ -147,34 +172,32 @@ class _Stencil:
 
 def _stencil(s: SurfacePatch, u: float, v: float, fd_step: float | None) -> _Stencil:
     step = default_fd_step(s) if fd_step is None else fd_step
-    pts = [(u, v), (u + step, v), (u - step, v), (u, v + step), (u, v - step)]
+    # center, then u + h, u - h, u + 2h, u - 2h, then the same along v
+    offsets = (step, -step, 2.0 * step, -2.0 * step)
+    pts = [(u, v)] + [(u + d, v) for d in offsets] + [(u, v + d) for d in offsets]
     for uu, vv in pts:
         if not s.contains(uu, vv):
             raise StencilOutsideDomain(
                 f"stencil point ({uu!r}, {vv!r}) outside domain {s.domain!r}"
             )
-    center, up, um, vp, vm = (coeffs_at(s, uu, vv) for uu, vv in pts)
-    flags = {c.frame.swapped for c in (center, up, um, vp, vm)}
-    if len(flags) != 1:
-        raise NotImplementedError(
-            "orientation flips across the stencil; the point is too close "
-            "to an inadmissible locus for finite differencing"
+    coeffs = [coeffs_at(s, uu, vv) for uu, vv in pts]
+    if len({c.frame.swapped for c in coeffs}) != 1:
+        raise StencilOrientationFlip(
+            f"orientation flips across the stencil at ({u!r}, {v!r}); the point "
+            "is too close to an inadmissible locus for finite differencing"
+        )
+    center = coeffs[0]
+
+    def along(p1, m1, p2, m2):
+        """Fourth-order central differences of gamma, xi, rho and h."""
+        fields = lambda c: (c.gamma, c.xi_coeffs, c.rho, c.frame.h)
+        return tuple(
+            (8.0 * (a - b) - (c - d)) / (12.0 * step)
+            for a, b, c, d in zip(fields(p1), fields(m1), fields(p2), fields(m2))
         )
 
-    inv = 0.5 / step
-    du = lambda plus, minus: (plus - minus) * inv
-    along_u = (
-        du(up.gamma, um.gamma),
-        du(up.xi_coeffs, um.xi_coeffs),
-        du(up.rho, um.rho),
-        du(up.frame.h, um.frame.h),
-    )
-    along_v = (
-        du(vp.gamma, vm.gamma),
-        du(vp.xi_coeffs, vm.xi_coeffs),
-        du(vp.rho, vm.rho),
-        du(vp.frame.h, vm.frame.h),
-    )
+    along_u = along(*coeffs[1:5])
+    along_v = along(*coeffs[5:9])
     # in a swapped frame the first coordinate is the caller's v
     first, second_ = (along_v, along_u) if center.frame.swapped else (along_u, along_v)
     return _Stencil(

@@ -235,9 +235,11 @@ def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
 # Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every line
 # repeats an operation of ``jets.Jet2`` on the same operands in the same
 # grouping, with no algebraic folding, so the kernel's floats are
-# bit-identical to ``eval_jet2`` and its DomainErrors (type and message)
-# arise in the same post-order.  Structurally identical operations are
-# emitted once: the same operations on the same inputs give the same bits.
+# bit-identical to ``eval_jet2`` (NaN sign and payload aside, which
+# CPython's own float arithmetic does not keep stable) and its
+# DomainErrors (type and message) arise in the same post-order.
+# Structurally identical operations are emitted once: the same
+# operations on the same inputs give the same bits.
 # Constants are bound by name in the kernel's namespace, never written as
 # source literals; the source holds only generated identifiers.
 
@@ -315,19 +317,6 @@ def _powj_flat(*c: float) -> tuple[float, ...]:
     return r.val, r.du, r.dv, r.duu, r.duv, r.dvv
 
 
-def _static_int_exponent(e: Expr) -> int | None:
-    """The exponent ``jets.powj`` hands to ``pow_int`` when the exponent
-    node is a constant, else None (the decision then waits for run time)."""
-    if not isinstance(e, Const):
-        return None
-    try:
-        if float(e.value).is_integer() and abs(e.value) <= 1024:
-            return int(e.value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return None
-
-
 class _KernelWriter:
     """Emits the lines of one kernel; a jet is the tuple of the six names
     holding (val, du, dv, duu, duv, dvv)."""
@@ -377,11 +366,10 @@ class _KernelWriter:
 
         return self.node(key, emit)
 
-    def elementwise(self, op: str, a, b=None) -> tuple[str, ...]:
-        if op == "neg":
-            return self.node(
-                ("neg", a), lambda p: self.lines_for(p, [f"-{x}" for x in a])
-            )
+    def neg(self, a) -> tuple[str, ...]:
+        return self.node(("neg", a), lambda p: self.lines_for(p, [f"-{x}" for x in a]))
+
+    def add_sub(self, op: str, a, b) -> tuple[str, ...]:
         return self.node(
             (op, a, b),
             lambda p: self.lines_for(p, [f"{x} {op} {y}" for x, y in zip(a, b)]),
@@ -394,9 +382,10 @@ class _KernelWriter:
             f"{a0} * {b0}",
             f"{a1} * {b0} + {a0} * {b1}",
             f"{a2} * {b0} + {a0} * {b2}",
-            f"({a3} * {b0} + {a0} * {b3}) + 2.0 * ({a1} * {b1})",
-            f"({a4} * {b0} + {a0} * {b4}) + ({a1} * {b2} + {a2} * {b1})",
-            f"({a5} * {b0} + {a0} * {b5}) + 2.0 * ({a2} * {b2})",
+            # "+" groups to the left, as the parentheses in Jet2.__mul__ do
+            f"{a3} * {b0} + {a0} * {b3} + 2.0 * ({a1} * {b1})",
+            f"{a4} * {b0} + {a0} * {b4} + ({a1} * {b2} + {a2} * {b1})",
+            f"{a5} * {b0} + {a0} * {b5} + 2.0 * ({a2} * {b2})",
         ]))
 
     def chain(self, fn: str, a) -> tuple[str, ...]:
@@ -407,9 +396,13 @@ class _KernelWriter:
             fill = {"p": p, "x": a0, "fn": fn}
             self.lines.extend(s.format(**fill) for s in statements)
             f0, f1, f2 = (f.format(**fill) for f in factors)
-            self.lines.append(f"{p}f1 = {f1}")
-            self.lines.append(f"{p}f2 = {f2}")
-            f1, f2 = f"{p}f1", f"{p}f2"
+            # f1 and f2 are evaluated once each, as the arguments of _chain
+            if not f1.isidentifier():
+                self.lines.append(f"{p}f1 = {f1}")
+                f1 = f"{p}f1"
+            if not f2.isidentifier():
+                self.lines.append(f"{p}f2 = {f2}")
+                f2 = f"{p}f2"
             return self.lines_for(p, [
                 f0,
                 f"{f1} * {a1}",
@@ -429,8 +422,9 @@ class _KernelWriter:
             if n & 1:
                 result = self.mul(result, base)
             n >>= 1
-            # jets.pow_int also squares once after the last bit; that
-            # product is unused and cannot raise, so it is left out
+            # jets.pow_int squares once more after the last bit; that
+            # product is unused and cannot raise where result * base did
+            # not, so it is left out
             if n:
                 base = self.mul(base, base)
         return result
@@ -453,18 +447,25 @@ class _KernelWriter:
                 if op not in jets.UNARY:
                     raise KeyError(op)
                 a = self.expr(arg)
-                return self.elementwise("neg", a) if op == "neg" else self.chain(op, a)
+                return self.neg(a) if op == "neg" else self.chain(op, a)
             case Binary(op, left, right):
                 a = self.expr(left)
                 b = self.expr(right)
                 if op in ("+", "-"):
-                    return self.elementwise(op, a, b)
+                    return self.add_sub(op, a, b)
                 if op == "*":
                     return self.mul(a, b)
                 if op == "/":
                     return self.mul(a, self.chain("recip", b))
-                n = _static_int_exponent(right)
-                return self.powj(a, b) if n is None else self.pow_int(a, n)
+                # a constant exponent takes jets.powj's branch at compile
+                # time; any other waits for the values at run time
+                if (
+                    isinstance(right, Const)
+                    and float(right.value).is_integer()
+                    and abs(right.value) <= 1024
+                ):
+                    return self.pow_int(a, int(right.value))
+                return self.powj(a, b)
         raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -474,11 +475,12 @@ def compile_jet2(exprs) -> Callable[[float, float], tuple[float, ...]]:
     ``eval_jet2`` gives, bit for bit; the same DomainError is raised as
     when the trees are walked one after the other."""
     writer = _KernelWriter()
-    outputs = [name for e in exprs for name in writer.expr(e)]
-    body = ["U = float(u)", "V = float(v)", *writer.lines, f"return ({', '.join(outputs)},)"]
+    outputs = "".join(f"{name}, " for e in exprs for name in writer.expr(e))
+    body = ["U = float(u)", "V = float(v)", *writer.lines, f"return ({outputs})"]
     source = "def kernel(u, v):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<jet kernel>", "exec"), writer.namespace)
-    return writer.namespace["kernel"]
+    # popped, so that the kernel and its namespace form no reference cycle
+    return writer.namespace.pop("kernel")
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

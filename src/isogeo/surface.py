@@ -77,6 +77,11 @@ class SurfacePatch:
         on first use and kept on this patch."""
         return ex.compile_jet2((self.x_expr, self.y_expr, self.z_expr))
 
+    def __getstate__(self) -> dict:
+        # the kernel is generated code that pickle cannot name; a copy
+        # compiles its own on first use
+        return {k: v for k, v in self.__dict__.items() if k != "jet_kernel"}
+
     def evaluate(self, u: float, v: float) -> Jet2Vec3:
         r = self.jet_kernel(u, v)
         return Jet2Vec3(Jet2(*r[0:6]), Jet2(*r[6:12]), Jet2(*r[12:18]))

@@ -17,12 +17,14 @@ bit-reproducible) and checks one family of identities:
 
 Sampling near the lightlike locus is excluded for the finite-difference
 relative-connection suites: the coefficients blow up like 1/denom there
-and second-order central differences lose the identities in truncation
-noise.  Closeness to the locus is measured in gradient units,
+and central differences lose the identities in truncation noise.
+Closeness to the locus is measured in gradient units,
 |denom| / max(1, |grad denom|), since a small denom with a steep
-gradient means the singular set is a short parameter distance away.
-Those suites also difference at a quarter of the base step, which buys
-a 16x truncation reduction while staying far above cancellation noise.
+gradient means the singular set is a short parameter distance away; the
+gradient is exact, from the 2-jet at the candidate point.  Those suites
+also difference at a quarter of the base step, which cuts the
+fourth-order truncation 256-fold while staying far above cancellation
+noise.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .connection import (
     codazzi_residual,
     curvature_tensors_at,
     denom_at,
+    denom_gradient_of_frame,
+    denom_of_frame,
     egregium_check,
     gauss_equation_rhs,
 )
@@ -104,16 +108,11 @@ def _guarded_denom_ok(
 ) -> bool:
     """True when the point is far from the lightlike locus in gradient
     units: |denom| >= guard * max(1, |grad denom|)."""
-    d0 = denom_at(patch, u, v)
+    f = frame_at(patch, u, v)
+    d0 = denom_of_frame(f)
     if abs(d0) < guard:
         return False
-    span_u = patch.domain[1] - patch.domain[0]
-    span_v = patch.domain[3] - patch.domain[2]
-    dp_u = 1e-3 * span_u
-    dp_v = 1e-3 * span_v
-    gu = (denom_at(patch, u + dp_u, v) - denom_at(patch, u - dp_u, v)) / (2.0 * dp_u)
-    gv = (denom_at(patch, u, v + dp_v) - denom_at(patch, u, v - dp_v)) / (2.0 * dp_v)
-    return abs(d0) >= guard * max(1.0, math.hypot(gu, gv))
+    return abs(d0) >= guard * max(1.0, math.hypot(*denom_gradient_of_frame(f)))
 
 
 def _sample_points(

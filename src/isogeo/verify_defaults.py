@@ -13,8 +13,8 @@ RELATIVE_DENOM_GUARD = 0.3
 
 # The relative coefficients vary faster than the metric ones (they carry
 # the 1/denom factor), so the identity suites difference them at a
-# fraction of the base step; truncation drops 16x while cancellation
-# noise stays far below the tolerances.
+# fraction of the base step; fourth-order truncation drops 256x while
+# cancellation noise stays far below the tolerances.
 RELATIVE_FD_FACTOR = 0.25
 
 # Light guard for suites that only need the coefficients to exist.

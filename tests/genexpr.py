@@ -1,14 +1,21 @@
-"""Seeded random expressions for AD-vs-finite-difference checks.
+"""Seeded random expressions for AD-vs-finite-difference checks and for
+differential tests of the compiled jet kernels.
 
-The grammar is restricted to operations that are smooth on all of R^2
-(sums, differences, products, small integer powers, sin/cos/exp/
-sinh/cosh/tanh) so that rejection sampling only has to guard against
-magnitude blow-ups, never against domain boundaries.  Points whose jet
-fields exceed 1e4 are redrawn, and a partial derivative is compared
-against finite differences only when it is large enough relative to the
-function value for the comparison to sit above central-difference
-round-off (step 1e-5 leaves ~1e-9 relative head-room for first
-derivatives and ~1e-5 for second ones at those thresholds).
+For finite differences, ``random_expr`` restricts the grammar to
+operations that are smooth on all of R^2 (sums, differences, products,
+small integer powers, sin/cos/exp/sinh/cosh/tanh) so that rejection
+sampling only has to guard against magnitude blow-ups, never against
+domain boundaries.  Points whose jet fields exceed 1e4 are redrawn, and
+a partial derivative is compared against finite differences only when
+it is large enough relative to the function value for the comparison to
+sit above central-difference round-off (step 1e-5 leaves ~1e-9 relative
+head-room for first derivatives and ~1e-5 for second ones at those
+thresholds).
+
+``random_expr_full`` draws from the whole language instead, including
+the operations with domain boundaries (division, log, sqrt, abs, tan)
+and integer, negative and non-integer exponents, for tests that compare
+two evaluators point by point, DomainErrors included.
 """
 
 from __future__ import annotations
@@ -37,6 +44,35 @@ def random_expr(rng: SplitMix64, depth: int) -> Expr:
         return Binary("^", random_expr(rng, depth - 1), Const(float(2 + rng.randint(2))))
     op = _BINARY[rng.randint(len(_BINARY))]
     return Binary(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+_UNARY_FULL = _UNARY + ("tan", "log", "sqrt", "abs")
+_BINARY_FULL = _BINARY + ("/",)
+# constant exponents: pow_int's repeated squaring for the integral ones
+# (negative ones through a reciprocal), exp(b log a) for the others
+_EXPONENTS = (0.0, 1.0, 2.0, 3.0, 5.0, -1.0, -2.0, 0.5, 1.5, -0.5, 2.25)
+
+
+def random_expr_full(rng: SplitMix64, depth: int) -> Expr:
+    if depth == 0:
+        return _leaf(rng)
+    r = rng.random()
+    if r < 0.25:
+        return _leaf(rng)
+    if r < 0.55:
+        return Unary(_UNARY_FULL[rng.randint(len(_UNARY_FULL))], random_expr_full(rng, depth - 1))
+    if r < 0.70:
+        q = rng.random()
+        if q < 0.6:
+            exponent = Const(_EXPONENTS[rng.randint(len(_EXPONENTS))])
+        elif q < 0.8:
+            # as the parser spells "a^-2": decided when the jets are known
+            exponent = Unary("neg", Const(float(1 + rng.randint(3))))
+        else:
+            exponent = random_expr_full(rng, depth - 1)
+        return Binary("^", random_expr_full(rng, depth - 1), exponent)
+    op = _BINARY_FULL[rng.randint(len(_BINARY_FULL))]
+    return Binary(op, random_expr_full(rng, depth - 1), random_expr_full(rng, depth - 1))
 
 
 def _leaf(rng: SplitMix64) -> Expr:

@@ -316,3 +316,46 @@ def test_geodesic_trace_stops_with_warning(tmp_path, capsys):
     assert "stopped" in capsys.readouterr().err
     rows = read_rows(out)
     assert float(rows[-1]["t"]) <= 1.01
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--t-end", "inf"),
+        ("--t-end", "nan"),
+        ("--step", "nan"),
+        ("--step", "inf"),
+        ("--start", "nan,0"),
+        ("--start", "0,-inf"),
+        ("--velocity", "nan,0"),
+        ("--velocity", "0,inf"),
+    ],
+)
+def test_geodesic_rejects_non_finite_input(tmp_path, capsys, flag, value):
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    out = tmp_path / "geo.csv"
+    args = {"--start": "0,0", "--velocity": "1,0", "--t-end": "1", "--step": "0.01"}
+    args[flag] = value
+    argv = ["geodesic", spec, "--out", str(out)]
+    for key, text in args.items():
+        argv.append(f"{key}={text}")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_verify_codazzi_seed_0_passes(capsys):
+    # with second-order differences the wave surface's relative Codazzi
+    # residual reached 1.85e-6 at this seed, above its tolerance of 1e-6
+    code = cli.main(
+        ["verify", "--all-catalog", "--suite", "codazzi", "--samples", "100", "--seed", "0"]
+    )
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] == "pass"
+    assert code == 0
+    wave = next(
+        c for c in report["checks"]
+        if c["name"] == "codazzi" and c["surface"] == "minimal_wave[ip3]"
+    )
+    assert wave["max_residual"] <= 1e-7

@@ -4,7 +4,12 @@ import pytest
 from isogeo import catalog
 from isogeo import connection as con
 from isogeo import surface as srf
-from isogeo.errors import LightlikePoint, StencilOutsideDomain
+from isogeo.errors import (
+    IsoGeoError,
+    LightlikePoint,
+    StencilOrientationFlip,
+    StencilOutsideDomain,
+)
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
 
@@ -180,12 +185,43 @@ def test_gauss_equation_fd_tensor_matches_rhs():
     assert float(np.max(np.abs(sample.r_rel - rhs1))) < 1e-6
 
 
-def test_fd_convergence_is_second_order():
-    hel = catalog.make("helicoid", IP3, {"c": 1.0})
-    coarse = float(np.max(np.abs(con.curvature_tensors_at(hel, 1.7, 0.4, 1e-4).r_lc)))
-    fine = float(np.max(np.abs(con.curvature_tensors_at(hel, 1.7, 0.4, 5e-5).r_lc)))
+def test_fd_convergence_is_fourth_order():
+    # the Codazzi residual on the wave surface is pure truncation at these
+    # steps: halving h divides it by 2^4 = 16
+    wave = catalog.make(
+        "minimal_wave", IP3, {"f": "0.3*u^3 - 0.2*u", "g": "0.25*u^3 + 0.1*u^2"}
+    )
+    u, v = 1.3364082314029715, 1.4921403754248024
+    coarse = con.codazzi_residual(wave, u, v, 2e-3).relative
+    fine = con.codazzi_residual(wave, u, v, 1e-3).relative
     assert coarse > 0.0 and fine > 0.0
-    assert 2.8 <= coarse / fine <= 5.5
+    assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_orientation_flip_across_stencil_is_typed():
+    # m12 = 2u changes sign between u - h and u + h
+    folded = srf.parametric_patch(I3, "u^2", "v", "u*v", (-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(StencilOrientationFlip) as raised:
+        con.codazzi_residual(folded, 5e-4, 0.3, 1e-3)
+    assert isinstance(raised.value, IsoGeoError)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_denom_gradient_matches_central_differences(seed):
+    rng = SplitMix64(seed)
+    patches = catalog_patches() + [
+        srf.parametric_patch(IP3, "v", "u", "u^3/3 + u*v^2", (-2, 2, -2, 2)),  # swapped
+    ]
+    h = 1e-5
+    for patch in patches:
+        for u, v in _interior_points(patch, rng, 4):
+            f = srf.frame_at(patch, u, v)
+            g1, g2 = con.denom_gradient_of_frame(f)
+            gu, gv = (g2, g1) if f.swapped else (g1, g2)
+            fd_u = (con.denom_at(patch, u + h, v) - con.denom_at(patch, u - h, v)) / (2 * h)
+            fd_v = (con.denom_at(patch, u, v + h) - con.denom_at(patch, u, v - h)) / (2 * h)
+            scale = 1.0 + abs(fd_u) + abs(fd_v)
+            assert abs(gu - fd_u) <= 1e-7 * scale and abs(gv - fd_v) <= 1e-7 * scale, patch.name
 
 
 def test_lightlike_point_raises():
