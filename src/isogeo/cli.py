@@ -36,6 +36,7 @@ from typing import Optional
 from . import catalog, verify
 from .errors import (
     BadParam,
+    DomainError,
     ExprSyntaxError,
     IsoGeoError,
     LeftDomain,
@@ -52,7 +53,7 @@ from .surface import (
     graph_patch,
     parametric_patch,
 )
-from .verify_defaults import DEFAULT_FD_STEP
+from .verify import DEFAULT_FD_STEP
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -170,6 +171,9 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
                 f = frame_at(patch, u, v)
             except NotAdmissible:
                 lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,inadmissible,,,")
+                continue
+            except DomainError:
+                lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,undefined,,,")
                 continue
             p = f.position
             rep = curvatures_of_frame(f)

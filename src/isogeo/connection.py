@@ -31,12 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LightlikePoint, StencilOrientationFlip, StencilOutsideDomain
 from .isotropy import SpaceKind
-from .surface import PointFrame, SurfacePatch, frame_at
+from .surface import (
+    PointFrame,
+    SurfacePatch,
+    _read_only,
+    frame_at,
+    gaussian_curvature,
+)
 
 LIGHTLIKE_HARD_TOL = 1e-10
 LIGHTLIKE_GUARD_BAND = 1e-6
@@ -48,14 +55,43 @@ def default_fd_step(s: SurfacePatch) -> float:
     return 1e-4 * s.domain_diameter()
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    gamma: np.ndarray  # [i, j, k] -> gamma_ij^k, symmetric in i, j
-    xi_coeffs: np.ndarray  # [i, j, k] -> xi_ij^k
-    rho: np.ndarray  # [i, j], symmetric
+# C_ij^k of a connection, symmetric in i, j, as the six floats
+# (C_11^1, C_11^2, C_12^1, C_12^2, C_22^1, C_22^2)
+Coeffs6 = tuple[float, float, float, float, float, float]
+
+
+# position of C_ij^k in a Coeffs6, and of rho_ij in (rho_11, rho_12, rho_22)
+_COEFF_INDEX = np.array([[[0, 1], [2, 3]], [[2, 3], [4, 5]]])
+_RHO_INDEX = np.array([[0, 1], [1, 2]])
+
+
+def coeff_array(c: Coeffs6) -> np.ndarray:
+    """[i, j, k] -> C_ij^k as a read-only (2, 2, 2) array."""
+    return _read_only(np.array(c)[_COEFF_INDEX])
+
+
+class ConnectionCoeffs(NamedTuple):
+    """Both connections at one point, as Python floats; ``gamma``,
+    ``xi_coeffs`` and ``rho`` are read-only arrays built on each access."""
+
+    gamma6: Coeffs6  # Levi-Civita gamma_ij^k
+    xi6: Coeffs6  # relative xi_ij^k
+    rho3: tuple[float, float, float]  # (rho_11, rho_12, rho_22)
     denom: float
     unreliable: bool  # inside the near-lightlike guard band
     frame: PointFrame
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return coeff_array(self.gamma6)
+
+    @property
+    def xi_coeffs(self) -> np.ndarray:
+        return coeff_array(self.xi6)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return _read_only(np.array(self.rho3)[_RHO_INDEX])
 
 
 def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
@@ -98,38 +134,47 @@ def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
     return grad[0], grad[1]
 
 
-def gamma_of_frame(f: PointFrame) -> np.ndarray:
+def gamma6_of_frame(f: PointFrame) -> Coeffs6:
     """Levi-Civita coefficients alone; regular even at lightlike points."""
     # top-view solve: [x1_top x2_top] @ (gamma_ij^1, gamma_ij^2) = (x_ij)_top
     det = f.m12
-    gamma = np.zeros((2, 2, 2))
-    second = {(0, 0): f.x11, (0, 1): f.x12, (1, 1): f.x22}
-    for (i, j), xij in second.items():
-        g1 = (xij.x * f.x2.y - xij.y * f.x2.x) / det
-        g2 = (f.x1.x * xij.y - f.x1.y * xij.x) / det
-        gamma[i, j, 0] = gamma[j, i, 0] = g1
-        gamma[i, j, 1] = gamma[j, i, 1] = g2
-    return gamma
+    x1x, x1y, x2x, x2y = f.x1.x, f.x1.y, f.x2.x, f.x2.y
+    p, q, r = f.x11, f.x12, f.x22
+    return (
+        (p.x * x2y - p.y * x2x) / det, (x1x * p.y - x1y * p.x) / det,
+        (q.x * x2y - q.y * x2x) / det, (x1x * q.y - x1y * q.x) / det,
+        (r.x * x2y - r.y * x2x) / det, (x1x * r.y - x1y * r.x) / det,
+    )
+
+
+def gamma_of_frame(f: PointFrame) -> np.ndarray:
+    """Levi-Civita coefficients as a (2, 2, 2) array."""
+    return coeff_array(gamma6_of_frame(f))
 
 
 def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
-    gamma = gamma_of_frame(f)
-
+    """Both connections at a frame; raises LightlikePoint where the
+    relative one is singular (denom vanishes)."""
+    gamma6 = gamma6_of_frame(f)
     denom = denom_of_frame(f)
     if abs(denom) <= LIGHTLIKE_HARD_TOL:
         raise LightlikePoint(
             f"relative connection singular at (u={f.u!r}, v={f.v!r})"
         )
-
-    rho = f.h / denom
-    xz = np.array([f.x1.z, f.x2.z])
-    correction = f.g_inv @ xz  # g^{kl} (x_l)_z
-    xi_coeffs = gamma + correction[np.newaxis, np.newaxis, :] * rho[:, :, np.newaxis]
-
+    r11, r12, r22 = f.h11 / denom, f.h12 / denom, f.h22 / denom
+    # g^{kl} (x_l)_z
+    inv11, inv12, inv22 = f.g22 / f.det_g, -f.g12 / f.det_g, f.g11 / f.det_g
+    c1 = inv11 * f.x1.z + inv12 * f.x2.z
+    c2 = inv12 * f.x1.z + inv22 * f.x2.z
+    g111, g112, g121, g122, g221, g222 = gamma6
     return ConnectionCoeffs(
-        gamma=gamma,
-        xi_coeffs=xi_coeffs,
-        rho=rho,
+        gamma6=gamma6,
+        xi6=(
+            g111 + c1 * r11, g112 + c2 * r11,
+            g121 + c1 * r12, g122 + c2 * r12,
+            g221 + c1 * r22, g222 + c2 * r22,
+        ),
+        rho3=(r11, r12, r22),
         denom=denom,
         unreliable=abs(denom) < LIGHTLIKE_GUARD_BAND,
         frame=f,
@@ -263,7 +308,7 @@ def egregium_check(
     sample = curvature_tensors_at(s, u, v, fd_step)
     f = sample.coeffs.frame
     k_tensor = sample.coeffs.denom * sample.r_lowered[1, 0, 0, 1] / f.det_g
-    k_ext = (f.h[0, 0] * f.h[1, 1] - f.h[0, 1] ** 2) / f.det_g
+    k_ext = gaussian_curvature(f)
     abs_err = abs(k_tensor - k_ext)
     rel_err = abs_err / abs(k_ext) if k_ext != 0.0 else math.inf
     return EgregiumResult(k_tensor, k_ext, rel_err, abs_err)

@@ -68,6 +68,10 @@ class StepNotPositive(IsoGeoError):
     """Integration step must be strictly positive."""
 
 
+class TooManySteps(IsoGeoError):
+    """t_end / step is not finite or exceeds the integrator's step bound."""
+
+
 class BadParam(IsoGeoError):
     """Catalog constructor received an out-of-range or missing parameter."""
 

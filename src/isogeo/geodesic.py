@@ -45,7 +45,7 @@ from .connection import (
     LIGHTLIKE_GUARD_BAND,
     coeffs_of_frame,
     denom_of_frame,
-    gamma_of_frame,
+    gamma6_of_frame,
 )
 from .errors import (
     DegenerateBranch,
@@ -54,9 +54,14 @@ from .errors import (
     LightlikePointHit,
     NotAdmissible,
     StepNotPositive,
+    TooManySteps,
 )
 from .isotropy import E3, SpaceKind, Vec3, cross_background, norm_euclid
 from .surface import SurfacePatch, frame_at, graph_patch
+
+
+# upper bound on the RK4 steps of one trace; each step keeps a sample
+MAX_STEPS = 1_000_000
 
 
 class GeodesicKind(Enum):
@@ -93,7 +98,8 @@ class _Halt(Exception):
 
 
 def _eval_point(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float):
-    """Frame and connection coefficients used by the ODE at one point."""
+    """Frame and the connection's six coefficients C_ij^k used by the ODE
+    at one point (see ``connection.Coeffs6``)."""
     if not s.contains(u, v):
         raise _Halt("left_domain")
     try:
@@ -101,19 +107,19 @@ def _eval_point(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float):
     except NotAdmissible:
         raise _Halt("inadmissible")
     if gkind is GeodesicKind.LEVI_CIVITA:
-        return f, gamma_of_frame(f)
+        return f, gamma6_of_frame(f)
     try:
-        return f, coeffs_of_frame(f).xi_coeffs
+        return f, coeffs_of_frame(f).xi6
     except LightlikePoint:
         raise _Halt("lightlike")
 
 
 def _rhs(s, gkind, state):
     u, v, du, dv = state
-    f, coef = _eval_point(s, gkind, u, v)
+    f, (c111, c112, c121, c122, c221, c222) = _eval_point(s, gkind, u, v)
     w1, w2 = (dv, du) if f.swapped else (du, dv)
-    a1 = -(coef[0, 0, 0] * w1 * w1 + 2.0 * coef[0, 1, 0] * w1 * w2 + coef[1, 1, 0] * w2 * w2)
-    a2 = -(coef[0, 0, 1] * w1 * w1 + 2.0 * coef[0, 1, 1] * w1 * w2 + coef[1, 1, 1] * w2 * w2)
+    a1 = -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2)
+    a2 = -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2)
     au, av = (a2, a1) if f.swapped else (a1, a2)
     return (du, dv, au, av), f
 
@@ -135,6 +141,19 @@ def _parallel_residual(kind: SpaceKind, gdd: Vec3, reference: Vec3) -> float:
     return norm_euclid(cross_background(kind, gdd, reference)) / mag
 
 
+def _step_count(t_end: float, step: float) -> int:
+    """Number of fixed steps covering [0, t_end], checked before any
+    sample is allocated."""
+    if step <= 0.0:
+        raise StepNotPositive(f"step must be > 0, got {step!r}")
+    ratio = t_end / step
+    if not ratio <= MAX_STEPS:  # also rejects inf and nan
+        raise TooManySteps(
+            f"t_end/step = {ratio!r} steps; at most {MAX_STEPS} are allowed"
+        )
+    return max(1, round(ratio))
+
+
 def integrate(
     s: SurfacePatch,
     gkind: GeodesicKind,
@@ -145,8 +164,7 @@ def integrate(
     t_end: float,
     step: float,
 ) -> GeodesicTrace:
-    if step <= 0.0:
-        raise StepNotPositive(f"step must be > 0, got {step!r}")
+    n_steps = _step_count(t_end, step)
     if not s.contains(u0, v0):
         raise LeftDomain(f"start point ({u0!r}, {v0!r}) outside domain {s.domain!r}")
     # invalid starts are errors; later failures merely flag the trace
@@ -168,7 +186,6 @@ def integrate(
         )
 
     # the step is nudged to divide t_end evenly (no-op for exact multiples)
-    n_steps = max(1, round(t_end / step))
     step = t_end / n_steps
     samples: list[TraceSample] = []
     residuals: list[float] = []
@@ -454,7 +471,7 @@ def cross_check_sphere_geodesic(
     """Integrate the autoparallel ODE from the section's initial data and
     compare against the closed-form plane section."""
     ps = make_plane_section(kind, p, a, b, theta0, theta_dot0)
-    n_steps = max(1, round(t_end / step))
+    n_steps = _step_count(t_end, step)
     t_grid = [k * step for k in range(n_steps + 1)]
     section = plane_section(ps, t_grid)
 

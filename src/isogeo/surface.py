@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .isotropy import (
     SpaceKind,
     Vec3,
     dot,
-    dot_background,
     norm_euclid,
 )
 from .jets import Jet2, Jet2Vec3
@@ -94,10 +93,6 @@ class SurfacePatch:
         u0, u1, v0, v1 = self.domain
         return math.hypot(u1 - u0, v1 - v0)
 
-    @property
-    def is_graph(self) -> bool:
-        return self.x_expr == ex.Var("u") and self.y_expr == ex.Var("v")
-
 
 def graph_patch(
     kind: SpaceKind,
@@ -125,8 +120,20 @@ def parametric_patch(
     return SurfacePatch(kind, conv(x), conv(y), conv(z), domain, name, params or {})
 
 
-@dataclass(frozen=True)
-class PointFrame:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class PointFrame(NamedTuple):
+    """Everything pointwise at one admissible point, as Python floats.
+
+    The metric and the second fundamental form are stored as their three
+    independent entries (both are symmetric); ``g``, ``g_inv``, ``h`` and
+    ``a_mat`` are read-only 2x2 arrays built from them on each access.
+    A NamedTuple rather than a frozen dataclass: building one is a
+    single tuple allocation, which matters once per RK4 stage."""
+
     kind: SpaceKind
     u: float
     v: float
@@ -140,14 +147,40 @@ class PointFrame:
     m12: float
     m23: float
     m31: float
-    m13: float
-    g: np.ndarray  # 2x2 induced metric
-    g_inv: np.ndarray
+    g11: float  # induced metric
+    g12: float
+    g22: float
     det_g: float
-    n_h: Vec3
     xi: Vec3
-    h: np.ndarray  # 2x2 second fundamental form
-    a_mat: np.ndarray  # h = -(a_mat @ g)
+    h11: float  # second fundamental form
+    h12: float
+    h22: float
+
+    @property
+    def m13(self) -> float:
+        return -self.m31
+
+    @property
+    def n_h(self) -> Vec3:
+        return Vec3(self.xi.x, self.xi.y, 1.0)
+
+    @property
+    def g(self) -> np.ndarray:
+        return _read_only(np.array([[self.g11, self.g12], [self.g12, self.g22]]))
+
+    @property
+    def g_inv(self) -> np.ndarray:
+        adj = np.array([[self.g22, -self.g12], [-self.g12, self.g11]])
+        return _read_only(adj / self.det_g)
+
+    @property
+    def h(self) -> np.ndarray:
+        return _read_only(np.array([[self.h11, self.h12], [self.h12, self.h22]]))
+
+    @property
+    def a_mat(self) -> np.ndarray:
+        """h = -(a_mat @ g)."""
+        return _read_only(-(self.h @ self.g_inv))
 
     def shape_operator(self) -> np.ndarray:
         """Matrix of L on coordinate columns: (L w)^k = M[k, i] w^i."""
@@ -195,40 +228,40 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
         swapped = True
         m12 = -m12
 
-    x1, x2 = Vec3(xu, yu, zu), Vec3(xv, yv, zv)
-    scale = 1.0 + norm_euclid(x1) * norm_euclid(x2)
+    scale = 1.0 + math.sqrt(xu * xu + yu * yu + zu * zu) * math.sqrt(
+        xv * xv + yv * yv + zv * zv
+    )
     if abs(m12) <= ADMISSIBILITY_RTOL * scale:
         raise NotAdmissible(u, v, m12)
 
-    m23 = x1.y * x2.z - x1.z * x2.y
-    m31 = x1.z * x2.x - x1.x * x2.z
-    m13 = -m31
-
-    g = np.array(
-        [
-            [dot(s.kind, x1, x1), dot(s.kind, x1, x2)],
-            [dot(s.kind, x2, x1), dot(s.kind, x2, x2)],
-        ]
-    )
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
-
+    m23 = yu * zv - zu * yv
+    m31 = zu * xv - xu * zv
     a = m23 / m12
-    b = (m31 if s.kind is SpaceKind.SIMPLY_ISOTROPIC else m13) / m12
-    n_h = Vec3(a, b, 1.0)
     if s.kind is SpaceKind.SIMPLY_ISOTROPIC:
-        xi = Vec3(a, b, 0.5 * (1.0 - (a * a + b * b)))
+        b = m31 / m12
+        g11 = xu * xu + yu * yu
+        g12 = xu * xv + yu * yv
+        g22 = xv * xv + yv * yv
+        xi_z = 0.5 * (1.0 - (a * a + b * b))
+        # h_ij = <n_h, x_ij>, Euclidean, with n_h = (a, b, 1)
+        h11 = a * xuu + b * yuu + zuu
+        h12 = a * xuv + b * yuv + zuv
+        h22 = a * xvv + b * yvv + zvv
     else:
-        xi = Vec3(a, b, 0.5 * (1.0 - (a * a - b * b)))
-
-    x11, x12, x22 = Vec3(xuu, yuu, zuu), Vec3(xuv, yuv, zuv), Vec3(xvv, yvv, zvv)
-    h = np.array(
-        [
-            [dot_background(s.kind, n_h, x11), dot_background(s.kind, n_h, x12)],
-            [dot_background(s.kind, n_h, x12), dot_background(s.kind, n_h, x22)],
-        ]
-    )
-    a_mat = -(h @ g_inv)
+        b = -m31 / m12  # m13 / m12
+        g11 = xu * xu - yu * yu
+        g12 = xu * xv - yu * yv
+        g22 = xv * xv - yv * yv
+        xi_z = 0.5 * (1.0 - (a * a - b * b))
+        # h_ij = <n_h, x_ij>, Lorentzian
+        h11 = a * xuu - b * yuu + zuu
+        h12 = a * xuv - b * yuv + zuv
+        h22 = a * xvv - b * yvv + zvv
+    det_g = g11 * g22 - g12 * g12
+    if det_g == 0.0:
+        # det g = +/- m12^2 in exact arithmetic; a zero here means m12 is
+        # lost in the rounding of g, and nothing dividing by det g exists
+        raise NotAdmissible(u, v, m12)
 
     return PointFrame(
         kind=s.kind,
@@ -236,22 +269,22 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
         v=v,
         swapped=swapped,
         position=Vec3(px, py, pz),
-        x1=x1,
-        x2=x2,
-        x11=x11,
-        x12=x12,
-        x22=x22,
+        x1=Vec3(xu, yu, zu),
+        x2=Vec3(xv, yv, zv),
+        x11=Vec3(xuu, yuu, zuu),
+        x12=Vec3(xuv, yuv, zuv),
+        x22=Vec3(xvv, yvv, zvv),
         m12=m12,
         m23=m23,
         m31=m31,
-        m13=m13,
-        g=g,
-        g_inv=g_inv,
+        g11=g11,
+        g12=g12,
+        g22=g22,
         det_g=det_g,
-        n_h=n_h,
-        xi=xi,
-        h=h,
-        a_mat=a_mat,
+        xi=Vec3(a, b, xi_z),
+        h11=h11,
+        h12=h12,
+        h22=h22,
     )
 
 
@@ -265,11 +298,20 @@ def curvatures_at(
     return curvatures_of_frame(f, tol)
 
 
+def gaussian_curvature(f: PointFrame) -> float:
+    """K = det h / det g."""
+    try:
+        # libm's pow, which does not always round like h12 * h12
+        h12_sq = f.h12**2
+    except OverflowError:
+        h12_sq = math.inf
+    return (f.h11 * f.h22 - h12_sq) / f.det_g
+
+
 def curvatures_of_frame(f: PointFrame, tol: float = 1e-9) -> CurvatureReport:
-    k = (f.h[0, 0] * f.h[1, 1] - f.h[0, 1] ** 2) / f.det_g
-    h_mean = (
-        f.g[0, 0] * f.h[1, 1] - 2.0 * f.g[0, 1] * f.h[0, 1] + f.g[1, 1] * f.h[0, 0]
-    ) / (2.0 * f.det_g)
+    g11, g12, g22, h11, h12, h22 = f.g11, f.g12, f.g22, f.h11, f.h12, f.h22
+    k = gaussian_curvature(f)
+    h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * f.det_g)
     disc = h_mean * h_mean - k
     if disc > tol:
         root = math.sqrt(disc)
@@ -279,8 +321,14 @@ def curvatures_of_frame(f: PointFrame, tol: float = 1e-9) -> CurvatureReport:
         )
     if disc < -tol:
         return CurvatureReport(k, h_mean, disc, CurvatureClass.COMPLEX_PRINCIPAL)
-    dev = f.h - h_mean * f.g
-    if np.max(np.abs(dev)) <= tol * max(1.0, float(np.max(np.abs(f.g)))):
+    # umbilic iff h = H g up to tol, relative to the size of g; a NaN
+    # entry fails every comparison and so is never umbilic
+    bound = tol * max(1.0, abs(g11), abs(g12), abs(g22))
+    if (
+        abs(h11 - h_mean * g11) <= bound
+        and abs(h12 - h_mean * g12) <= bound
+        and abs(h22 - h_mean * g22) <= bound
+    ):
         return CurvatureReport(
             k, h_mean, disc, CurvatureClass.UMBILIC,
             kappa1=h_mean, kappa2=h_mean, umbilic_factor=h_mean,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isogeo import cli
+from isogeo import cli, geodesic
 
 SPHERE_SPEC = {
     "space": "i3",
@@ -343,6 +343,46 @@ def test_geodesic_rejects_non_finite_input(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not out.exists()
+
+
+def _no_points(*args):
+    raise AssertionError("a point was evaluated")
+
+
+@pytest.mark.parametrize("step", ["1e-320", "5e-324", "1e-7"])
+def test_geodesic_rejects_unbounded_step_count(tmp_path, capsys, monkeypatch, step):
+    # 1/1e-320 overflows to inf; 1e7 steps is finite but above the bound.
+    # The count is checked before the first point is evaluated.
+    monkeypatch.setattr(geodesic, "frame_at", _no_points)
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    out = tmp_path / "geo.csv"
+    argv = [
+        "geodesic", spec, "--start", "0,0", "--velocity", "1,0",
+        "--t-end", "1", "--step", step, "--out", str(out),
+    ]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end/step = ") and "at most 1000000" in err
+    assert not out.exists()
+
+
+def test_curvature_domain_errors_give_undefined_rows(tmp_path):
+    spec = write_spec(
+        tmp_path,
+        {"space": "i3", "surface": {"kind": "graph", "f": "log(u) + v^2"}, "domain": [-1, 1, -1, 1]},
+    )
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "5x5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 25
+    for line in lines:
+        u = float(line.split(",")[0])
+        if u <= 0.0:  # log of a non-positive value
+            assert line == f"{u!r},{line.split(',')[1]},,,,,,,undefined,,,"
+        else:
+            row = line.split(",")
+            assert row[8] == "diagonalizable"  # K = -2/u^2 < 0
+            assert all(row[k] != "" for k in range(12))
 
 
 def test_verify_codazzi_seed_0_passes(capsys):

@@ -10,6 +10,7 @@ from isogeo.errors import (
     LeftDomain,
     LightlikePointHit,
     StepNotPositive,
+    TooManySteps,
 )
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import SpaceKind, norm_euclid
@@ -177,6 +178,22 @@ def test_integration_guards():
         geo.integrate(plane, RELATIVE, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(LeftDomain):
         geo.integrate(plane, RELATIVE, 99.0, 0.0, 1.0, 0.0, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("t_end, step", [(1.0, 1e-320), (1.0, 1e-7), (math.nan, 1e-3)])
+def test_step_count_is_bounded_before_integrating(t_end, step):
+    sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
+    with pytest.raises(TooManySteps):
+        geo.integrate(sphere, RELATIVE, 0.0, 0.0, 1.0, 0.0, t_end, step)
+    with pytest.raises(TooManySteps):
+        geo.cross_check_sphere_geodesic(2.0, 0.0, 0.0, I3, t_end, step)
+
+
+def test_step_count_bound_is_inclusive():
+    assert geo._step_count(1.0, 1.0 / geo.MAX_STEPS) == geo.MAX_STEPS
+    with pytest.raises(TooManySteps):
+        geo._step_count(1.0, 0.99 / geo.MAX_STEPS)
+    assert geo._step_count(1.0, 3.0) == 1  # at least one step
 
 
 def test_trace_flags_domain_exit():
