@@ -12,7 +12,6 @@ from .connection import (
     codazzi_residual,
     coeffs_at,
     curvature_tensors_at,
-    default_fd_step,
     egregium_check,
     gauss_equation_rhs,
 )

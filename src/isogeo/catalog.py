@@ -22,6 +22,7 @@ verification suites.  Entries:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -61,6 +62,8 @@ def _num(params: dict, key: str, name: str) -> float:
     value = _need(params, key, name)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise BadParam(f"{name} parameter {key!r} must be a number")
+    if not math.isfinite(value):
+        raise BadParam(f"{name} parameter {key!r} must be finite, got {value!r}")
     return float(value)
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -53,7 +52,6 @@ from .surface import (
     graph_patch,
     parametric_patch,
 )
-from .verify import DEFAULT_FD_STEP
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -87,6 +85,8 @@ def parse_surface_spec(spec: dict) -> SurfacePatch:
         ):
             raise SpecError("'domain' must be [u0, u1, v0, v1]")
         domain = tuple(float(x) for x in domain)
+        if not all(map(math.isfinite, domain)):
+            raise SpecError(f"'domain' must be finite, got {domain!r}")
         if not (domain[0] < domain[1] and domain[2] < domain[3]):
             raise SpecError(f"empty domain {domain!r}")
 
@@ -169,6 +169,7 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
         for v in _grid_values(v0, v1, nv):
             try:
                 f = frame_at(patch, u, v)
+                rep = curvatures_of_frame(f)
             except NotAdmissible:
                 lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,inadmissible,,,")
                 continue
@@ -176,7 +177,6 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
                 lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,undefined,,,")
                 continue
             p = f.position
-            rep = curvatures_of_frame(f)
             lines.append(
                 ",".join(
                     [
@@ -258,19 +258,8 @@ def cmd_verify(
     tol: Optional[float],
     out_path: Optional[str],
 ) -> int:
-    fd_step = DEFAULT_FD_STEP
-    env = os.environ.get("ISOGEO_FD_STEP")
-    if env:
-        try:
-            fd_step = float(env)
-        except ValueError as err:
-            raise SpecError(f"ISOGEO_FD_STEP must be a number, got {env!r}") from err
-        if not (fd_step > 0.0 and math.isfinite(fd_step)):
-            raise SpecError(f"ISOGEO_FD_STEP must be positive, got {env!r}")
     suites = list(verify.SUITES) if suite == "all" else [suite]
-    report = verify.run_verify(
-        None if patch is None else [patch], suites, samples, seed, fd_step, tol
-    )
+    report = verify.run_verify(None if patch is None else [patch], suites, samples, seed, tol)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if out_path:

@@ -21,10 +21,16 @@ Curvature tensors use the pattern
 
     R^l_ijk = C_ij,k^l - C_ik,j^l + C_ij^s C_ks^l - C_ik^s C_js^l
 
-for either family of coefficients C.  Coefficient derivatives are
-fourth-order central differences (a 9-point stencil: steps of h and 2h
-along each parameter) with a caller-controlled step h, taken by
-re-deriving the coefficients from scratch at the stencil points.
+for either family of coefficients C.  The coefficient derivatives are
+exact, from the third partials x_ijk of the patch's order-3 jet kernel;
+with M = [x1_top x2_top], w = M^-1 xi_top (so xi_ij = gamma_ij - rho_ij w)
+and S = diag(1, +/-1):
+
+    d_k gamma_ij = M^-1 ((x_ijk)_top - gamma_ij^l (x_lk)_top)
+    d_k h_ij     = (x_ijk)_z - d_k gamma_ij^l (x_l)_z - gamma_ij^l (x_lk)_z
+    d_k rho_ij   = (d_k h_ij - rho_ij d_k denom) / denom
+    d_k xi_ij    = d_k gamma_ij - d_k rho_ij w - rho_ij M^-1 (d_k xi_top - w^l (x_lk)_top)
+    d_k xi_top   = -S M^-T h_k
 """
 
 from __future__ import annotations
@@ -35,24 +41,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LightlikePoint, StencilOrientationFlip, StencilOutsideDomain
+from .errors import LightlikePoint
 from .isotropy import SpaceKind
 from .surface import (
     PointFrame,
     SurfacePatch,
     _read_only,
     frame_at,
+    frame_of_jet,
     gaussian_curvature,
 )
 
 LIGHTLIKE_HARD_TOL = 1e-10
 LIGHTLIKE_GUARD_BAND = 1e-6
-
-
-def default_fd_step(s: SurfacePatch) -> float:
-    """1e-4 of the domain diameter; balances truncation against
-    cancellation for 64-bit floats."""
-    return 1e-4 * s.domain_diameter()
 
 
 # C_ij^k of a connection, symmetric in i, j, as the six floats
@@ -147,11 +148,6 @@ def gamma6_of_frame(f: PointFrame) -> Coeffs6:
     )
 
 
-def gamma_of_frame(f: PointFrame) -> np.ndarray:
-    """Levi-Civita coefficients as a (2, 2, 2) array."""
-    return coeff_array(gamma6_of_frame(f))
-
-
 def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
     """Both connections at a frame; raises LightlikePoint where the
     relative one is singular (denom vanishes)."""
@@ -181,93 +177,73 @@ def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
     )
 
 
+def _frame_arrays(f: PointFrame) -> tuple[np.ndarray, np.ndarray]:
+    """x_l as [l, component] and x_ij as [i, j, component]."""
+    x12 = f.x12.as_tuple()
+    x_ij = np.array([[f.x11.as_tuple(), x12], [x12, f.x22.as_tuple()]])
+    return np.array([f.x1.as_tuple(), f.x2.as_tuple()]), x_ij
+
+
 def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
     """Max reconstruction error of x_ij from each decomposition; both are
     ~1e-10 at healthy points and validate the coefficient formulas."""
-    f = c.frame
-    basis = [f.x1, f.x2]
-    second = {(0, 0): f.x11, (0, 1): f.x12, (1, 1): f.x22}
-    err_lc = 0.0
-    err_rel = 0.0
-    for (i, j), xij in second.items():
-        for comp in range(3):
-            x_val = xij.as_tuple()[comp]
-            lc = sum(c.gamma[i, j, k] * basis[k].as_tuple()[comp] for k in range(2))
-            if comp == 2:
-                lc += c.rho[i, j] * c.denom  # h_ij
-            rel = sum(
-                c.xi_coeffs[i, j, k] * basis[k].as_tuple()[comp] for k in range(2)
-            )
-            rel += c.rho[i, j] * f.xi.as_tuple()[comp]
-            err_lc = max(err_lc, abs(lc - x_val))
-            err_rel = max(err_rel, abs(rel - x_val))
-    return err_lc, err_rel
+    x1, x2 = _frame_arrays(c.frame)
+    lc = np.einsum("ijk,kc->ijc", c.gamma, x1)
+    lc[..., 2] += c.rho * c.denom  # h_ij
+    rel = np.einsum("ijk,kc->ijc", c.xi_coeffs, x1) + c.rho[..., None] * c.frame.xi.as_tuple()
+    return float(np.abs(lc - x2).max()), float(np.abs(rel - x2).max())
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    center: ConnectionCoeffs
-    # derivative arrays along the frame's own coordinate order
-    d_gamma: tuple[np.ndarray, np.ndarray]
-    d_xi: tuple[np.ndarray, np.ndarray]
-    d_rho: tuple[np.ndarray, np.ndarray]
-    d_h: tuple[np.ndarray, np.ndarray]
-    fd_step: float
+# [i, j, k] -> position of x_ijk among the third partials (uuu, uuv, uvv, vvv)
+_THIRD_INDEX = np.indices((2, 2, 2)).sum(axis=0)
 
 
-def _stencil(s: SurfacePatch, u: float, v: float, fd_step: float | None) -> _Stencil:
-    step = default_fd_step(s) if fd_step is None else fd_step
-    # center, then u + h, u - h, u + 2h, u - 2h, then the same along v
-    offsets = (step, -step, 2.0 * step, -2.0 * step)
-    pts = [(u, v)] + [(u + d, v) for d in offsets] + [(u, v + d) for d in offsets]
-    for uu, vv in pts:
-        if not s.contains(uu, vv):
-            raise StencilOutsideDomain(
-                f"stencil point ({uu!r}, {vv!r}) outside domain {s.domain!r}"
-            )
-    coeffs = [coeffs_at(s, uu, vv) for uu, vv in pts]
-    if len({c.frame.swapped for c in coeffs}) != 1:
-        raise StencilOrientationFlip(
-            f"orientation flips across the stencil at ({u!r}, {v!r}); the point "
-            "is too close to an inadmissible locus for finite differencing"
-        )
-    center = coeffs[0]
+class CoeffDerivatives(NamedTuple):
+    """Both connections at one point, with exact partials in frame coordinates."""
 
-    def along(p1, m1, p2, m2):
-        """Fourth-order central differences of gamma, xi, rho and h."""
-        fields = lambda c: (c.gamma, c.xi_coeffs, c.rho, c.frame.h)
-        return tuple(
-            (8.0 * (a - b) - (c - d)) / (12.0 * step)
-            for a, b, c, d in zip(fields(p1), fields(m1), fields(p2), fields(m2))
-        )
+    coeffs: ConnectionCoeffs
+    d_gamma: np.ndarray  # [i, j, k, l] = d_k gamma_ij^l
+    d_xi: np.ndarray  # [i, j, k, l] = d_k xi_ij^l
+    d_rho: np.ndarray  # [i, j, k] = d_k rho_ij
+    d_h: np.ndarray  # [i, j, k] = d_k h_ij
 
-    along_u = along(*coeffs[1:5])
-    along_v = along(*coeffs[5:9])
-    # in a swapped frame the first coordinate is the caller's v
-    first, second_ = (along_v, along_u) if center.frame.swapped else (along_u, along_v)
-    return _Stencil(
-        center=center,
-        d_gamma=(first[0], second_[0]),
-        d_xi=(first[1], second_[1]),
-        d_rho=(first[2], second_[2]),
-        d_h=(first[3], second_[3]),
-        fd_step=step,
+
+def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
+    """One order-3 jet at (u, v) and the formulas of the module docstring;
+    raises LightlikePoint where ``coeffs_of_frame`` does."""
+    jet = s.jet3_kernel(u, v)
+    f = frame_of_jet(s.kind, u, v, jet[:18])
+    c = coeffs_of_frame(f)
+    third = np.array(jet[18:]).reshape(3, 4)  # [component, number of v's]
+    if f.swapped:
+        third = third[:, ::-1]
+    x3 = np.moveaxis(third[:, _THIRD_INDEX], 0, -1)  # [i, j, k, component]
+    x1, x2 = _frame_arrays(f)
+    m_inv = np.array([[f.x2.y, -f.x2.x], [-f.x1.y, f.x1.x]]) / f.m12
+    gamma, rho = c.gamma, c.rho
+
+    d_gamma = np.einsum(
+        "lm,ijkm->ijkl", m_inv, x3[..., :2] - np.einsum("ijm,mkn->ijkn", gamma, x2[..., :2])
     )
+    d_h = (
+        x3[..., 2]
+        - np.einsum("ijkl,l->ijk", d_gamma, x1[:, 2])
+        - np.einsum("ijl,lk->ijk", gamma, x2[..., 2])
+    )
+    d_rho = (d_h - rho[:, :, None] * np.array(denom_gradient_of_frame(f))) / c.denom
+    w = m_inv @ np.array([f.xi.x, f.xi.y])
+    # (n_h)_k is (d_k xi_top, 0) and <n_h, x_l> = 0, so <(n_h)_k, x_l> = -h_lk
+    sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
+    d_xi_top = -np.einsum("lm,lk->km", m_inv, f.h) * (1.0, sign)
+    d_w = np.einsum("lm,km->kl", m_inv, d_xi_top - np.einsum("m,mkn->kn", w, x2[..., :2]))
+    d_xi = d_gamma - d_rho[..., None] * w - rho[:, :, None, None] * d_w
+    return CoeffDerivatives(c, d_gamma, d_xi, d_rho, d_h)
 
 
-def _curvature_tensor(coef: np.ndarray, dcoef: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """R[l, i, j, k] from coefficients and their partials."""
-    r = np.zeros((2, 2, 2, 2))
-    for l in range(2):
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    term = dcoef[k][i, j, l] - dcoef[j][i, k, l]
-                    for sdx in range(2):
-                        term += coef[i, j, sdx] * coef[k, sdx, l]
-                        term -= coef[i, k, sdx] * coef[j, sdx, l]
-                    r[l, i, j, k] = term
-    return r
+def _curvature_tensor(coef: np.ndarray, d_coef: np.ndarray) -> np.ndarray:
+    """R[l, i, j, k] from coefficients C[i, j, l] and d_coef[i, j, k, l]."""
+    t = np.einsum("ijkl->lijk", d_coef) + np.einsum("ijs,ksl->lijk", coef, coef)
+    return t - t.swapaxes(2, 3)
 
 
 @dataclass(frozen=True)
@@ -275,21 +251,15 @@ class CurvatureTensorSample:
     r_lc: np.ndarray  # [l, i, j, k] Levi-Civita curvature tensor
     r_rel: np.ndarray  # [l, i, j, k] relative curvature tensor
     r_lowered: np.ndarray  # [d, a, b, c] = g_ed R^e_abc (relative)
-    fd_step: float
     coeffs: ConnectionCoeffs
 
 
-def curvature_tensors_at(
-    s: SurfacePatch, u: float, v: float, fd_step: float | None = None
-) -> CurvatureTensorSample:
-    st = _stencil(s, u, v, fd_step)
-    r_lc = _curvature_tensor(st.center.gamma, st.d_gamma)
-    r_rel = _curvature_tensor(st.center.xi_coeffs, st.d_xi)
-    g = st.center.frame.g
-    r_low = np.einsum("ed,eabc->dabc", g, r_rel)
-    return CurvatureTensorSample(
-        r_lc=r_lc, r_rel=r_rel, r_lowered=r_low, fd_step=st.fd_step, coeffs=st.center
-    )
+def curvature_tensors_at(s: SurfacePatch, u: float, v: float) -> CurvatureTensorSample:
+    d = coeff_derivatives_at(s, u, v)
+    r_lc = _curvature_tensor(d.coeffs.gamma, d.d_gamma)
+    r_rel = _curvature_tensor(d.coeffs.xi_coeffs, d.d_xi)
+    r_low = np.einsum("ed,eabc->dabc", d.coeffs.frame.g, r_rel)
+    return CurvatureTensorSample(r_lc=r_lc, r_rel=r_rel, r_lowered=r_low, coeffs=d.coeffs)
 
 
 @dataclass(frozen=True)
@@ -300,12 +270,10 @@ class EgregiumResult:
     abs_err: float
 
 
-def egregium_check(
-    s: SurfacePatch, u: float, v: float, fd_step: float | None = None
-) -> EgregiumResult:
+def egregium_check(s: SurfacePatch, u: float, v: float) -> EgregiumResult:
     """Both sides of K = denom * R_2112 / det(g): the left uses only the
     relative connection and Gauss map, the right the extrinsic forms."""
-    sample = curvature_tensors_at(s, u, v, fd_step)
+    sample = curvature_tensors_at(s, u, v)
     f = sample.coeffs.frame
     k_tensor = sample.coeffs.denom * sample.r_lowered[1, 0, 0, 1] / f.det_g
     k_ext = gaussian_curvature(f)
@@ -320,27 +288,19 @@ class CodazziResiduals:
     levi_civita: float  # max |h_ab,c - h_ac,b + gamma_ab^d h_dc - gamma_ac^d h_db|
 
 
-def codazzi_residual(
-    s: SurfacePatch, u: float, v: float, fd_step: float | None = None
-) -> CodazziResiduals:
-    st = _stencil(s, u, v, fd_step)
-    xi_c = st.center.xi_coeffs
-    gam = st.center.gamma
-    rho = st.center.rho
-    h = st.center.frame.h
-    worst_rel = 0.0
-    worst_lc = 0.0
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                res_rel = st.d_rho[c][a, b] - st.d_rho[b][a, c]
-                res_lc = st.d_h[c][a, b] - st.d_h[b][a, c]
-                for d in range(2):
-                    res_rel += xi_c[a, b, d] * rho[c, d] - xi_c[a, c, d] * rho[b, d]
-                    res_lc += gam[a, b, d] * h[d, c] - gam[a, c, d] * h[d, b]
-                worst_rel = max(worst_rel, abs(res_rel))
-                worst_lc = max(worst_lc, abs(res_lc))
-    return CodazziResiduals(relative=worst_rel, levi_civita=worst_lc)
+def _codazzi(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> float:
+    """max over a, b, c of |F_ab,c - F_ac,b + C_ab^d F_cd - C_ac^d F_bd|."""
+    t = d_form + np.einsum("abd,cd->abc", coef, form)
+    return float(np.abs(t - t.swapaxes(1, 2)).max())
+
+
+def codazzi_residual(s: SurfacePatch, u: float, v: float) -> CodazziResiduals:
+    d = coeff_derivatives_at(s, u, v)
+    c = d.coeffs
+    return CodazziResiduals(
+        relative=_codazzi(d.d_rho, c.xi_coeffs, c.rho),
+        levi_civita=_codazzi(d.d_h, c.gamma, c.frame.h),
+    )
 
 
 def gauss_equation_rhs(
@@ -354,26 +314,10 @@ def gauss_equation_rhs(
         (rho_ab rho_cd - rho_ac rho_bd) g^{ed} * denom
     """
     c = coeffs_at(s, u, v)
-    f = c.frame
-    g_inv = f.g_inv
-    h = f.h
-    rho = c.rho
+    g_inv, h, rho = c.frame.g_inv, c.frame.h, c.rho
 
-    def build(left: np.ndarray, right: np.ndarray, scale: float) -> np.ndarray:
-        out = np.zeros((2, 2, 2, 2))
-        for e in range(2):
-            for a in range(2):
-                for b in range(2):
-                    for cc in range(2):
-                        acc = 0.0
-                        for d in range(2):
-                            acc += (
-                                left[a, b] * right[cc, d] - left[a, cc] * right[b, d]
-                            ) * g_inv[e, d]
-                        out[e, a, b, cc] = scale * acc
-        return out
+    def form(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        t = np.einsum("ab,cd,ed->eabc", left, right, g_inv)
+        return t - t.swapaxes(2, 3)
 
-    rhs_rho_h = build(rho, h, 1.0)
-    rhs_hh = build(h, h, 1.0 / c.denom)
-    rhs_rho_rho = build(rho, rho, c.denom)
-    return rhs_rho_h, rhs_hh, rhs_rho_rho
+    return form(rho, h), form(h, h) / c.denom, form(rho, rho) * c.denom

@@ -50,16 +50,6 @@ class LightlikeDirection(IsoGeoError):
     space; no normal curvature can be assigned to it."""
 
 
-class StencilOutsideDomain(IsoGeoError):
-    """A finite-difference stencil point falls outside the parameter domain."""
-
-
-class StencilOrientationFlip(IsoGeoError):
-    """The parameter swap that makes m12 > 0 differs between points of a
-    finite-difference stencil: the point is too close to an inadmissible
-    locus for the coefficients to be differenced."""
-
-
 class LeftDomain(IsoGeoError):
     """Requested start point lies outside the parameter domain."""
 

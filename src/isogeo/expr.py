@@ -230,22 +230,25 @@ def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
 
 # ------------------------------------------------------------ jet kernels
 #
-# ``compile_jet2`` writes the jet arithmetic of several trees out as one
+# ``compile_jet`` writes the jet arithmetic of several trees out as one
 # straight-line Python function (forward-mode Taylor arithmetic, as in
-# Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every line
-# repeats an operation of ``jets.Jet2`` on the same operands in the same
-# grouping, with no algebraic folding, so the kernel's floats are
+# Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every order-2
+# line repeats an operation of ``jets.Jet2`` on the same operands in the
+# same grouping, with no algebraic folding, so the kernel's floats are
 # bit-identical to ``eval_jet2`` (NaN sign and payload aside, which
 # CPython's own float arithmetic does not keep stable) and its
-# DomainErrors (type and message) arise in the same post-order.
+# DomainErrors (type and message) arise in the same post-order.  Order 3
+# adds third partials after each node's order-2 lines, lines that cannot
+# raise, so it fails where order 2 fails and otherwise repeats its floats.
 # Structurally identical operations are emitted once: the same
 # operations on the same inputs give the same bits.
 # Constants are bound by name in the kernel's namespace, never written as
 # source literals; the source holds only generated identifiers.
 
 # Per elementary function: statements, then the chain-rule factors
-# (f0, f1, f2) at the argument value {x}, mirroring the function of the
-# same name in ``jets``.  {p} prefixes the node's temporaries.
+# (f0, f1, f2, f3) at the argument value {x}, mirroring the function of
+# the same name in ``jets``; f3 is read at order 3 only.  {p} prefixes
+# the node's temporaries.
 _OVERFLOW = (
     "try:",
     "    {p}s = sinh({x})",
@@ -253,18 +256,20 @@ _OVERFLOW = (
     "except OverflowError as exc:",
     "    raise DomainError('overflow in {fn}') from exc",
 )
+_NON_FINITE = ("if not isfinite({x}):", "    raise DomainError(f'{fn} of non-finite value {{{x}!r}}')")
+_SIN_COS = (*_NON_FINITE, "{p}s = sin({x})", "{p}c = cos({x})")
 _CHAIN_SRC = {
-    "sin": (("{p}s = sin({x})", "{p}c = cos({x})"), ("{p}s", "{p}c", "-{p}s")),
-    "cos": (("{p}s = sin({x})", "{p}c = cos({x})"), ("{p}c", "-{p}s", "-{p}c")),
+    "sin": (_SIN_COS, ("{p}s", "{p}c", "-{p}s", "-{p}c")),
+    "cos": (_SIN_COS, ("{p}c", "-{p}s", "-{p}c", "{p}s")),
     "tan": (
-        ("{p}t = tan({x})", "{p}d = 1.0 + {p}t * {p}t"),
-        ("{p}t", "{p}d", "2.0 * {p}t * {p}d"),
+        (*_NON_FINITE, "{p}t = tan({x})", "{p}d = 1.0 + {p}t * {p}t"),
+        ("{p}t", "{p}d", "2.0 * {p}t * {p}d", "2.0 * {p}d * ({p}d + 2.0 * ({p}t * {p}t))"),
     ),
-    "sinh": (_OVERFLOW, ("{p}s", "{p}c", "{p}s")),
-    "cosh": (_OVERFLOW, ("{p}c", "{p}s", "{p}c")),
+    "sinh": (_OVERFLOW, ("{p}s", "{p}c", "{p}s", "{p}c")),
+    "cosh": (_OVERFLOW, ("{p}c", "{p}s", "{p}c", "{p}s")),
     "tanh": (
         ("{p}t = tanh({x})", "{p}d = 1.0 - {p}t * {p}t"),
-        ("{p}t", "{p}d", "-2.0 * {p}t * {p}d"),
+        ("{p}t", "{p}d", "-2.0 * {p}t * {p}d", "2.0 * {p}d * (2.0 * ({p}t * {p}t) - {p}d)"),
     ),
     "exp": (
         (
@@ -273,7 +278,7 @@ _CHAIN_SRC = {
             "except OverflowError as exc:",
             "    raise DomainError('overflow in exp') from exc",
         ),
-        ("{p}e", "{p}e", "{p}e"),
+        ("{p}e", "{p}e", "{p}e", "{p}e"),
     ),
     "log": (
         (
@@ -281,7 +286,7 @@ _CHAIN_SRC = {
             "    raise DomainError(f'log of non-positive value {{{x}!r}}')",
             "{p}i = 1.0 / {x}",
         ),
-        ("log({x})", "{p}i", "-{p}i * {p}i"),
+        ("log({x})", "{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i"),
     ),
     "sqrt": (
         (
@@ -290,7 +295,8 @@ _CHAIN_SRC = {
             "{p}r = sqrt({x})",
             "{p}d = 0.5 / {p}r",
         ),
-        ("{p}r", "{p}d", "-0.5 * {p}d / {x}"),
+        # {x} > 0, so neither division can divide by zero
+        ("{p}r", "{p}d", "-0.5 * {p}d / {x}", "0.75 * {p}d / {x} / {x}"),
     ),
     "abs": (
         (
@@ -298,7 +304,7 @@ _CHAIN_SRC = {
             "    raise DomainError('abs is not differentiable at 0')",
             "{p}s = 1.0 if {x} > 0.0 else -1.0",
         ),
-        ("abs({x})", "{p}s", "0.0"),
+        ("abs({x})", "{p}s", "0.0", "0.0"),
     ),
     "recip": (
         (
@@ -306,7 +312,7 @@ _CHAIN_SRC = {
             "    raise DomainError('division by zero')",
             "{p}i = 1.0 / {x}",
         ),
-        ("{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i"),
+        ("{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i", "-6.0 * {p}i * {p}i * {p}i * {p}i"),
     ),
 }
 
@@ -317,24 +323,58 @@ def _powj_flat(*c: float) -> tuple[float, ...]:
     return r.val, r.du, r.dv, r.duu, r.duv, r.dvv
 
 
+def _pow_int_factors(x: float, n: int) -> tuple[float, float, float]:
+    """(f1, f2, f3) of t -> t^n at x.  f1 and f2 come from ``jets.pow_int``
+    on the values the order-2 part multiplied, so they raise nowhere it did
+    not (it raised for 0^n, n < 0); f3 = (n - 2) f2 / x divides by x != 0."""
+    t = jets.pow_int(Jet2(x, 1.0), n)
+    return t.du, t.duu, (n - 2) * t.duu / x if x != 0.0 else (6.0 if n == 3 else 0.0)
+
+
+def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
+    """Partials of f(a) given the derivatives f1, f2 (and f3) of f at a."""
+    a0, a1, a2, a3, a4, a5, *third = a
+    terms = [
+        f"{f1} * {a1}",
+        f"{f1} * {a2}",
+        f"{f2} * ({a1} * {a1}) + {f1} * {a3}",
+        f"{f2} * ({a1} * {a2}) + {f1} * {a4}",
+        f"{f2} * ({a2} * {a2}) + {f1} * {a5}",
+    ]
+    if third:
+        a6, a7, a8, a9 = third
+        terms += [
+            f"{f3} * ({a1} * {a1} * {a1}) + 3.0 * {f2} * ({a1} * {a3}) + {f1} * {a6}",
+            f"{f3} * ({a1} * {a1} * {a2}) + {f2} * ({a3} * {a2} + 2.0 * ({a1} * {a4})) + {f1} * {a7}",
+            f"{f3} * ({a1} * {a2} * {a2}) + {f2} * ({a5} * {a1} + 2.0 * ({a2} * {a4})) + {f1} * {a8}",
+            f"{f3} * ({a2} * {a2} * {a2}) + 3.0 * {f2} * ({a2} * {a5}) + {f1} * {a9}",
+        ]
+    return terms
+
+
 class _KernelWriter:
-    """Emits the lines of one kernel; a jet is the tuple of the six names
-    holding (val, du, dv, duu, duv, dvv)."""
+    """Emits the lines of one kernel of the given order; a jet is the tuple
+    of the names holding (val, du, dv, duu, duv, dvv), followed at order 3
+    by (duuu, duuv, duvv, dvvv)."""
 
-    ZERO = ("ZERO",) * 5
-    ONE = ("ONE",) + ZERO
-    U = ("U", "ONE", "ZERO", "ZERO", "ZERO", "ZERO")  # jets.seed_u
-    V = ("V", "ZERO", "ONE", "ZERO", "ZERO", "ZERO")  # jets.seed_v
-
-    def __init__(self) -> None:
+    def __init__(self, order: int, namespace: dict | None = None, prefix: str = "j") -> None:
+        self.order = order
+        self.ZERO = zeros = ("ZERO",) * (4 * order - 3)  # 5 at order 2, 9 at order 3
+        self.ONE = ("ONE",) + zeros
+        self.U = ("U", "ONE") + zeros[1:]  # jets.seed_u
+        self.V = ("V", "ZERO", "ONE") + zeros[2:]  # jets.seed_v
+        self.prefix = prefix
         self.lines: list[str] = []
-        self.namespace: dict[str, object] = {
+        self.namespace: dict[str, object] = namespace if namespace is not None else {
             "ZERO": 0.0,
             "ONE": 1.0,
             "DomainError": DomainError,
+            "Jet2": Jet2,
             "_powj": _powj_flat,
+            "_integer_exponent": jets.integer_exponent,
+            "_pow_int_factors": _pow_int_factors,
             **{name: getattr(math, name) for name in
-               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
+               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "isfinite")},
         }
         self.emitted: dict[tuple, tuple[str, ...]] = {}
 
@@ -342,13 +382,13 @@ class _KernelWriter:
         """The jet for ``key``, emitting it on first use only."""
         jet = self.emitted.get(key)
         if jet is None:
-            p = f"j{len(self.emitted)}_"
+            p = f"{self.prefix}{len(self.emitted)}_"
             jet = emit(p)
             self.emitted[key] = jet
         return jet
 
     def lines_for(self, p: str, exprs: list[str]) -> tuple[str, ...]:
-        names = tuple(f"{p}{k}" for k in range(6))
+        names = tuple(f"{p}{k}" for k in range(len(exprs)))
         self.lines.extend(f"{n} = {x}" for n, x in zip(names, exprs))
         return names
 
@@ -376,9 +416,9 @@ class _KernelWriter:
         )
 
     def mul(self, a, b) -> tuple[str, ...]:
-        a0, a1, a2, a3, a4, a5 = a
-        b0, b1, b2, b3, b4, b5 = b
-        return self.node(("*", a, b), lambda p: self.lines_for(p, [
+        a0, a1, a2, a3, a4, a5 = a[:6]
+        b0, b1, b2, b3, b4, b5 = b[:6]
+        terms = [
             f"{a0} * {b0}",
             f"{a1} * {b0} + {a0} * {b1}",
             f"{a2} * {b0} + {a0} * {b2}",
@@ -386,31 +426,33 @@ class _KernelWriter:
             f"{a3} * {b0} + {a0} * {b3} + 2.0 * ({a1} * {b1})",
             f"{a4} * {b0} + {a0} * {b4} + ({a1} * {b2} + {a2} * {b1})",
             f"{a5} * {b0} + {a0} * {b5} + 2.0 * ({a2} * {b2})",
-        ]))
+        ]
+        if self.order == 3:  # Leibniz's rule
+            a6, a7, a8, a9 = a[6:]
+            b6, b7, b8, b9 = b[6:]
+            terms += [
+                f"{a6} * {b0} + {a0} * {b6} + 3.0 * ({a3} * {b1} + {a1} * {b3})",
+                f"{a7} * {b0} + {a0} * {b7} + ({a3} * {b2} + {a2} * {b3})"
+                f" + 2.0 * ({a4} * {b1} + {a1} * {b4})",
+                f"{a8} * {b0} + {a0} * {b8} + ({a5} * {b1} + {a1} * {b5})"
+                f" + 2.0 * ({a4} * {b2} + {a2} * {b4})",
+                f"{a9} * {b0} + {a0} * {b9} + 3.0 * ({a5} * {b2} + {a2} * {b5})",
+            ]
+        return self.node(("*", a, b), lambda p: self.lines_for(p, terms))
 
     def chain(self, fn: str, a) -> tuple[str, ...]:
         statements, factors = _CHAIN_SRC[fn]
 
         def emit(p: str) -> tuple[str, ...]:
-            a0, a1, a2, a3, a4, a5 = a
-            fill = {"p": p, "x": a0, "fn": fn}
+            fill = {"p": p, "x": a[0], "fn": fn}
             self.lines.extend(s.format(**fill) for s in statements)
-            f0, f1, f2 = (f.format(**fill) for f in factors)
-            # f1 and f2 are evaluated once each, as the arguments of _chain
-            if not f1.isidentifier():
-                self.lines.append(f"{p}f1 = {f1}")
-                f1 = f"{p}f1"
-            if not f2.isidentifier():
-                self.lines.append(f"{p}f2 = {f2}")
-                f2 = f"{p}f2"
-            return self.lines_for(p, [
-                f0,
-                f"{f1} * {a1}",
-                f"{f1} * {a2}",
-                f"{f2} * ({a1} * {a1}) + {f1} * {a3}",
-                f"{f2} * ({a1} * {a2}) + {f1} * {a4}",
-                f"{f2} * ({a2} * {a2}) + {f1} * {a5}",
-            ])
+            f0, *fs = (f.format(**fill) for f in factors[: self.order + 1])
+            # f1, f2 (and f3) are evaluated once each, as the arguments of _chain
+            for k, fk in enumerate(fs):
+                if not fk.isidentifier():
+                    self.lines.append(f"{p}f{k + 1} = {fk}")
+                    fs[k] = f"{p}f{k + 1}"
+            return self.lines_for(p, [f0, *_chain_terms(a, *fs)])
 
         return self.node((fn, a), emit)
 
@@ -431,11 +473,30 @@ class _KernelWriter:
 
     def powj(self, a, b) -> tuple[str, ...]:
         def emit(p: str) -> tuple[str, ...]:
-            names = tuple(f"{p}{k}" for k in range(6))
-            self.lines.append(f"{', '.join(names)} = _powj({', '.join(a + b)})")
+            names = tuple(f"{p}{k}" for k in range(len(a)))
+            self.lines.append(f"{', '.join(names[:6])} = _powj({', '.join(a[:6] + b[:6])})")
+            if self.order == 3:
+                self.third_of_power(p, a, b, names[6:])
             return names
 
         return self.node(("^", a, b), emit)
+
+    def third_of_power(self, p: str, a, b, out) -> None:
+        """Third partials of a ** b on the branch ``jets.powj`` took for
+        the order-2 part; exp(b * log(a)) gets a writer of its own, so
+        that no name defined inside the branch is shared outside it."""
+        sub = _KernelWriter(3, self.namespace, f"{p}x")
+        e = sub.chain("exp", sub.mul(b, sub.chain("log", a)))
+        f1, f2, f3 = f"{p}f1", f"{p}f2", f"{p}f3"
+        self.lines += [
+            f"{p}n = _integer_exponent(Jet2({', '.join(b[:6])}))",
+            f"if {p}n is not None:",
+            f"    {f1}, {f2}, {f3} = _pow_int_factors({a[0]}, {p}n)",
+            *(f"    {o} = {t}" for o, t in zip(out, _chain_terms(a, f1, f2, f3)[5:])),
+            "else:",
+            *(f"    {line}" for line in sub.lines),
+            f"    {', '.join(out)} = {', '.join(e[6:])}",
+        ]
 
     def expr(self, e: Expr) -> tuple[str, ...]:
         match e:
@@ -459,23 +520,25 @@ class _KernelWriter:
                     return self.mul(a, self.chain("recip", b))
                 # a constant exponent takes jets.powj's branch at compile
                 # time; any other waits for the values at run time
-                if (
-                    isinstance(right, Const)
-                    and float(right.value).is_integer()
-                    and abs(right.value) <= 1024
-                ):
-                    return self.pow_int(a, int(right.value))
+                if isinstance(right, Const):
+                    n = jets.integer_exponent(Jet2(right.value))
+                    if n is not None:
+                        return self.pow_int(a, n)
                 return self.powj(a, b)
         raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_jet2(exprs) -> Callable[[float, float], tuple[float, ...]]:
-    """One function ``(u, v) -> floats`` giving, for each tree in order,
-    the value and partials (val, du, dv, duu, duv, dvv) that
-    ``eval_jet2`` gives, bit for bit; the same DomainError is raised as
-    when the trees are walked one after the other."""
-    writer = _KernelWriter()
-    outputs = "".join(f"{name}, " for e in exprs for name in writer.expr(e))
+def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]]:
+    """One function ``(u, v) -> floats``.  At order 2 it gives, for each
+    tree in order, the value and partials (val, du, dv, duu, duv, dvv)
+    that ``eval_jet2`` gives, bit for bit, and raises the same DomainError
+    as when the trees are walked one after the other.  At order 3 the
+    same floats are followed by the third partials (duuu, duuv, duvv,
+    dvvv) of each tree in order."""
+    writer = _KernelWriter(order)
+    results = [writer.expr(e) for e in exprs]
+    outputs = "".join(f"{name}, " for r in results for name in r[:6])
+    outputs += "".join(f"{name}, " for r in results for name in r[6:])
     body = ["U = float(u)", "V = float(v)", *writer.lines, f"return ({outputs})"]
     source = "def kernel(u, v):\n" + "".join(f"    {line}\n" for line in body)
     exec(compile(source, "<jet kernel>", "exec"), writer.namespace)

@@ -80,12 +80,6 @@ def dot_lorentz(u: Vec3, v: Vec3) -> float:
     return u.x * v.x - u.y * v.y + u.z * v.z
 
 
-def dot_background(kind: SpaceKind, u: Vec3, v: Vec3) -> float:
-    if kind is SpaceKind.SIMPLY_ISOTROPIC:
-        return dot_euclid(u, v)
-    return dot_lorentz(u, v)
-
-
 def norm_euclid(u: Vec3) -> float:
     return math.sqrt(u.x * u.x + u.y * u.y + u.z * u.z)
 

@@ -138,17 +138,26 @@ def recip(a: Jet2) -> Jet2:
     return _chain(a, inv, -inv * inv, 2.0 * inv * inv * inv)
 
 
+def _finite(fn: str, a: Jet2) -> None:
+    # math.sin and friends raise a bare ValueError at infinity
+    if not math.isfinite(a.val):
+        raise DomainError(f"{fn} of non-finite value {a.val!r}")
+
+
 def sin(a: Jet2) -> Jet2:
+    _finite("sin", a)
     s, c = math.sin(a.val), math.cos(a.val)
     return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2) -> Jet2:
+    _finite("cos", a)
     s, c = math.sin(a.val), math.cos(a.val)
     return _chain(a, c, -s, -c)
 
 
 def tan(a: Jet2) -> Jet2:
+    _finite("tan", a)
     t = math.tan(a.val)
     d = 1.0 + t * t
     return _chain(a, t, d, 2.0 * t * d)
@@ -220,9 +229,17 @@ def pow_int(a: Jet2, n: int) -> Jet2:
     return result
 
 
-def powj(a: Jet2, b: Jet2) -> Jet2:
+def integer_exponent(b: Jet2) -> int | None:
+    """The n for which ``powj(a, b)`` is ``pow_int(a, n)``, else None."""
     if b.is_constant() and float(b.val).is_integer() and abs(b.val) <= 1024:
-        return pow_int(a, int(b.val))
+        return int(b.val)
+    return None
+
+
+def powj(a: Jet2, b: Jet2) -> Jet2:
+    n = integer_exponent(b)
+    if n is not None:
+        return pow_int(a, n)
     if a.val <= 0.0:
         raise DomainError(
             f"power with non-integer exponent needs a positive base, got {a.val!r}"
@@ -262,14 +279,8 @@ class Jet2Vec3:
     def d2(self) -> Vec3:
         return Vec3(self.x.dv, self.y.dv, self.z.dv)
 
-    def d11(self) -> Vec3:
-        return Vec3(self.x.duu, self.y.duu, self.z.duu)
-
     def d12(self) -> Vec3:
         return Vec3(self.x.duv, self.y.duv, self.z.duv)
-
-    def d22(self) -> Vec3:
-        return Vec3(self.x.dvv, self.y.dvv, self.z.dvv)
 
     def swap_params(self) -> "Jet2Vec3":
         """Relabel the two parameters (u <-> v) in every component."""

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import LightlikeDirection, NotAdmissible, WrongSpace
+from .errors import DomainError, LightlikeDirection, NotAdmissible, WrongSpace
 from .isotropy import (
     Motion,
     SpaceKind,
@@ -74,12 +74,19 @@ class SurfacePatch:
         """``(u, v) ->`` the 18 floats (val, du, dv, duu, duv, dvv) of x, y
         and z, bit-identical to ``eval_jet2`` on each expression; compiled
         on first use and kept on this patch."""
-        return ex.compile_jet2((self.x_expr, self.y_expr, self.z_expr))
+        return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 2)
+
+    @functools.cached_property
+    def jet3_kernel(self):
+        """``(u, v) ->`` the 18 floats of ``jet_kernel``, bit for bit,
+        followed by the third partials (duuu, duuv, duvv, dvvv) of x, y
+        and z; compiled on first use, by the curvature-tensor code only."""
+        return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 3)
 
     def __getstate__(self) -> dict:
-        # the kernel is generated code that pickle cannot name; a copy
+        # kernels are generated code that pickle cannot name; a copy
         # compiles its own on first use
-        return {k: v for k, v in self.__dict__.items() if k != "jet_kernel"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("jet_kernel", "jet3_kernel")}
 
     def evaluate(self, u: float, v: float) -> Jet2Vec3:
         r = self.jet_kernel(u, v)
@@ -88,10 +95,6 @@ class SurfacePatch:
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.domain
         return u0 <= u <= u1 and v0 <= v <= v1
-
-    def domain_diameter(self) -> float:
-        u0, u1, v0, v1 = self.domain
-        return math.hypot(u1 - u0, v1 - v0)
 
 
 def graph_patch(
@@ -215,11 +218,16 @@ class AdmissibilityReport:
 
 
 def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
+    return frame_of_jet(s.kind, u, v, s.jet_kernel(u, v))
+
+
+def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
+    """The frame at (u, v) from the 18 floats of ``jet_kernel`` there."""
     (
         px, xu, xv, xuu, xuv, xvv,
         py, yu, yv, yuu, yuv, yvv,
         pz, zu, zv, zuu, zuv, zvv,
-    ) = s.jet_kernel(u, v)
+    ) = jet
     swapped = False
     m12 = xu * yv - xv * yu
     if m12 < 0.0:
@@ -237,7 +245,7 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
     m23 = yu * zv - zu * yv
     m31 = zu * xv - xu * zv
     a = m23 / m12
-    if s.kind is SpaceKind.SIMPLY_ISOTROPIC:
+    if kind is SpaceKind.SIMPLY_ISOTROPIC:
         b = m31 / m12
         g11 = xu * xu + yu * yu
         g12 = xu * xv + yu * yv
@@ -264,7 +272,7 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
         raise NotAdmissible(u, v, m12)
 
     return PointFrame(
-        kind=s.kind,
+        kind=kind,
         u=u,
         v=v,
         swapped=swapped,
@@ -312,6 +320,10 @@ def curvatures_of_frame(f: PointFrame, tol: float = 1e-9) -> CurvatureReport:
     g11, g12, g22, h11, h12, h22 = f.g11, f.g12, f.g22, f.h11, f.h12, f.h22
     k = gaussian_curvature(f)
     h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * f.det_g)
+    # NaN fails every comparison below and would land in some class;
+    # xi.z = (1 - (A^2 +/- B^2)) / 2 is finite only where A and B are
+    if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(f.xi.z)):
+        raise DomainError(f"K={k!r}, H={h_mean!r} or xi not finite at ({f.u!r}, {f.v!r})")
     disc = h_mean * h_mean - k
     if disc > tol:
         root = math.sqrt(disc)

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from isogeo import cli, geodesic
+from isogeo import cli, expr, geodesic, verify
 
 SPHERE_SPEC = {
     "space": "i3",
@@ -196,20 +197,6 @@ def test_verify_requires_one_target(tmp_path, capsys):
     assert cli.main(["verify", spec, "--all-catalog"]) == 2
 
 
-def test_verify_env_var_overrides_fd_step(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ISOGEO_FD_STEP", "0.0002")
-    code = cli.main(
-        ["verify", "--all-catalog", "--suite", "umbilic", "--samples", "5", "--seed", "1"]
-    )
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert report["fd_step"] == 0.0002
-    monkeypatch.setenv("ISOGEO_FD_STEP", "banana")
-    assert (
-        cli.main(["verify", "--all-catalog", "--suite", "umbilic", "--samples", "5"]) == 2
-    )
-
-
 def test_sample_obj_counts(tmp_path):
     spec = write_spec(tmp_path, SPHERE_SPEC)
     out = tmp_path / "mesh.obj"
@@ -399,3 +386,71 @@ def test_verify_codazzi_seed_0_passes(capsys):
         if c["name"] == "codazzi" and c["surface"] == "minimal_wave[ip3]"
     )
     assert wave["max_residual"] <= 1e-7
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+def test_trig_of_an_overflowing_argument_is_a_domain_error(tmp_path, capsys, fn):
+    # 1e308 * 10 is inf, where math.sin and friends raise a bare ValueError
+    spec = write_spec(
+        tmp_path,
+        {"space": "i3", "surface": {"kind": "graph", "f": f"{fn}(1e308*10*u)"}, "domain": [0.5, 2, 0, 1]},
+    )
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 0
+    assert [row["class"] for row in read_rows(out)] == ["undefined"] * 9
+    code = cli.main(
+        ["geodesic", spec, "--start", "1,0.5", "--velocity", "1,0", "--t-end", "0.1",
+         "--out", str(tmp_path / "geo.csv")]
+    )
+    assert code == 2
+    assert f"{fn} of non-finite value inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_spec_numbers_are_rejected(tmp_path, capsys, value):
+    # json writes and reads these as Infinity, -Infinity and NaN
+    domain_spec = dict(SPHERE_SPEC, domain=[0, value, 0, 1])
+    param_spec = dict(SPHERE_SPEC, surface=dict(SPHERE_SPEC["surface"], params={"p": value}))
+    for spec, message in ((domain_spec, "'domain' must be finite"), (param_spec, "parameter 'p' must be finite")):
+        path = write_spec(tmp_path, spec)
+        assert "Infinity" in open(path).read() or "NaN" in open(path).read()
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["curvature", path, "--grid", "3x3", "--out", str(out)],
+            ["geodesic", path, "--start", "0.5,0.5", "--velocity", "1,0", "--t-end", "0.1",
+             "--out", str(out)],
+        ):
+            assert cli.main(argv) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_non_finite_curvature_gives_undefined_rows(tmp_path):
+    # u^1e300 has a finite frame at u = 0.5 (z = 0) but z_uu = 0 * inf = nan,
+    # so K and H are nan there; beyond u = 1 exp overflows
+    spec = write_spec(
+        tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "u^1e300"}, "domain": [0.5, 2, 0, 1]}
+    )
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 0
+    assert [row["class"] for row in read_rows(out)] == ["undefined"] * 9
+
+
+def test_verify_builds_the_catalog_patches_once(monkeypatch):
+    args = (None, ["flatness", "egregium", "codazzi", "minimal"], 18, 4)
+    first = verify.run_verify(*args)
+    compiled = []
+    real = expr.compile_jet
+
+    def counting(exprs, order):
+        compiled.append(exprs)
+        return real(exprs, order)
+
+    monkeypatch.setattr(expr, "compile_jet", counting)
+    assert verify.run_verify(*args) == first
+    catalog_exprs = {
+        id(e) for p in verify.verification_patches() for e in (p.x_expr, p.y_expr, p.z_expr)
+    }
+    # only the minimal suite's seeded random waves are new patches
+    assert len(compiled) == 5
+    assert not any(id(e) in catalog_exprs for exprs in compiled for e in exprs)

@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
+from fdstencil import codazzi, curvature_tensor, gauss_form, stencil_derivatives
 from isogeo import catalog
 from isogeo import connection as con
 from isogeo import surface as srf
-from isogeo.errors import (
-    IsoGeoError,
-    LightlikePoint,
-    StencilOrientationFlip,
-    StencilOutsideDomain,
-)
+from isogeo import verify
+from isogeo.errors import LightlikePoint
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
 
 I3 = SpaceKind.SIMPLY_ISOTROPIC
 IP3 = SpaceKind.PSEUDO_ISOTROPIC
-
-FD = 1e-4
 
 
 def catalog_patches():
@@ -120,13 +115,13 @@ def test_flatness_across_catalog():
     rng = SplitMix64(7)
     for patch in catalog_patches():
         for u, v in _interior_points(patch, rng, 6):
-            sample = con.curvature_tensors_at(patch, u, v, FD)
+            sample = con.curvature_tensors_at(patch, u, v)
             assert float(np.max(np.abs(sample.r_lc))) <= 1e-6
 
 
 def test_sphere_apex_lowered_tensor():
     sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
-    sample = con.curvature_tensors_at(sphere, 0.0, 0.0, FD)
+    sample = con.curvature_tensors_at(sphere, 0.0, 0.0)
     assert abs(sample.r_lowered[1, 0, 0, 1] - 0.5) < 1e-6
     # antisymmetry in the last index pair is structural
     assert np.max(np.abs(sample.r_rel + np.swapaxes(sample.r_rel, 2, 3))) < 1e-12
@@ -134,36 +129,36 @@ def test_sphere_apex_lowered_tensor():
 
 def test_egregium_examples():
     sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
-    res = con.egregium_check(sphere, 0.0, 0.0, FD)
+    res = con.egregium_check(sphere, 0.0, 0.0)
     assert abs(res.k_extrinsic - 0.25) < 1e-12
     assert res.rel_err <= 1e-5
 
     hel = catalog.make("helicoid", IP3, {"c": 1.0})
-    res = con.egregium_check(hel, 2.0, 0.3, FD)
+    res = con.egregium_check(hel, 2.0, 0.3)
     assert abs(res.k_extrinsic - 0.0625) < 1e-12
     assert abs(res.k_from_tensor - 0.0625) < 1e-5 * 0.0625 * 10
     assert res.rel_err <= 1e-5
 
     plane = catalog.make("plane", I3, {"a": 0.1, "b": 0.2, "c": 0.3})
-    res = con.egregium_check(plane, 0.5, 0.5, FD)
+    res = con.egregium_check(plane, 0.5, 0.5)
     assert res.k_extrinsic == 0.0 and res.abs_err < 1e-12
 
 
 def test_codazzi_residuals():
     plane = catalog.make("plane", IP3, {"a": 0.1, "b": 0.2, "c": 0.3})
-    res = con.codazzi_residual(plane, 0.5, -0.5, FD)
+    res = con.codazzi_residual(plane, 0.5, -0.5)
     assert res.relative == 0.0 and res.levi_civita == 0.0
 
     rng = SplitMix64(13)
     sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
     for u, v in _interior_points(sphere, rng, 5):
-        res = con.codazzi_residual(sphere, u, v, FD)
+        res = con.codazzi_residual(sphere, u, v)
         assert res.relative <= 1e-6
         assert res.levi_civita <= 1e-6
 
     poly = srf.graph_patch(I3, "0.3*u^3 - 0.2*u*v^2 + 0.1*v^3", (-2, 2, -2, 2))
     for u, v in _interior_points(poly, rng, 5):
-        res = con.codazzi_residual(poly, u, v, FD)
+        res = con.codazzi_residual(poly, u, v)
         assert res.relative <= 1e-5
         assert res.levi_civita <= 1e-5
 
@@ -180,30 +175,98 @@ def test_gauss_equation_rhs_forms_agree():
 
 def test_gauss_equation_fd_tensor_matches_rhs():
     hel = catalog.make("helicoid", IP3, {"c": 1.0})
-    sample = con.curvature_tensors_at(hel, 2.0, 0.3, FD)
+    sample = con.curvature_tensors_at(hel, 2.0, 0.3)
     rhs1, _, _ = con.gauss_equation_rhs(hel, 2.0, 0.3)
     assert float(np.max(np.abs(sample.r_rel - rhs1))) < 1e-6
 
 
 def test_fd_convergence_is_fourth_order():
-    # the Codazzi residual on the wave surface is pure truncation at these
-    # steps: halving h divides it by 2^4 = 16
+    # the reference stencil's error against the exact partials is pure
+    # truncation at these steps: halving h divides it by 2^4 = 16
     wave = catalog.make(
         "minimal_wave", IP3, {"f": "0.3*u^3 - 0.2*u", "g": "0.25*u^3 + 0.1*u^2"}
     )
     u, v = 1.3364082314029715, 1.4921403754248024
-    coarse = con.codazzi_residual(wave, u, v, 2e-3).relative
-    fine = con.codazzi_residual(wave, u, v, 1e-3).relative
+    exact = con.coeff_derivatives_at(wave, u, v).d_rho
+    coarse = np.abs(stencil_derivatives(wave, u, v, 2e-3)[3] - exact).max()
+    fine = np.abs(stencil_derivatives(wave, u, v, 1e-3)[3] - exact).max()
     assert coarse > 0.0 and fine > 0.0
     assert 12.0 <= coarse / fine <= 20.0
 
 
-def test_orientation_flip_across_stencil_is_typed():
-    # m12 = 2u changes sign between u - h and u + h
+def _guarded_points(patch, rng, n):
+    """Interior points where the relative suites would sample."""
+    out = []
+    while len(out) < n:
+        u, v = _interior_points(patch, rng, 1, margin=0.1)[0]
+        if verify._guarded_denom_ok(patch, u, v, verify.RELATIVE_DENOM_GUARD):
+            out.append((u, v))
+    return out
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_exact_partials_match_the_reference_stencil(seed):
+    rng = SplitMix64(seed)
+    patches = list(verify.verification_patches()) + [
+        srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1 + u^3/9", (-4, 4, -4, 4)),  # swapped
+    ]
+    for patch in patches:
+        for u, v in _guarded_points(patch, rng, 4):
+            exact = con.coeff_derivatives_at(patch, u, v)
+            center, *reference = stencil_derivatives(patch, u, v, 2.5e-5)
+            assert exact.coeffs == center
+            got = (exact.d_gamma, exact.d_xi, exact.d_rho, exact.d_h)
+            for name, a, b in zip(("gamma", "xi", "rho", "h"), got, reference):
+                assert a.shape == b.shape
+                scale = 1.0 + float(np.abs(b).max())
+                assert float(np.abs(a - b).max()) <= 1e-8 * scale, (patch.name, name, u, v)
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_einsum_forms_match_index_loops(seed):
+    # tensors, Codazzi residuals and Gauss-equation forms against plain
+    # loops over the same exact partials, and the relative tensor against
+    # loops over the reference stencil's partials
+    rng = SplitMix64(seed)
+    for patch in verify.verification_patches():
+        for u, v in _guarded_points(patch, rng, 3):
+            d = con.coeff_derivatives_at(patch, u, v)
+            c = d.coeffs
+            sample = con.curvature_tensors_at(patch, u, v)
+            for got, want in (
+                (sample.r_lc, curvature_tensor(c.gamma, d.d_gamma)),
+                (sample.r_rel, curvature_tensor(c.xi_coeffs, d.d_xi)),
+            ):
+                assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+            fd_rel = curvature_tensor(c.xi_coeffs, stencil_derivatives(patch, u, v, 2.5e-5)[2])
+            assert np.abs(sample.r_rel - fd_rel).max() <= 1e-8 * (1.0 + np.abs(fd_rel).max())
+
+            cod = con.codazzi_residual(patch, u, v)
+            assert abs(cod.relative - codazzi(d.d_rho, c.xi_coeffs, c.rho)) <= 1e-13
+            assert abs(cod.levi_civita - codazzi(d.d_h, c.gamma, c.frame.h)) <= 1e-13
+
+            h, rho, g_inv = c.frame.h, c.rho, c.frame.g_inv
+            expected = (
+                gauss_form(rho, h, g_inv, 1.0),
+                gauss_form(h, h, g_inv, 1.0 / c.denom),
+                gauss_form(rho, rho, g_inv, c.denom),
+            )
+            for got, want in zip(con.gauss_equation_rhs(patch, u, v), expected):
+                assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_tensors_exact_beside_a_fold():
+    # m12 = 2u changes sign at u = 0; a stencil of step 1e-3 straddled the
+    # fold here, the exact partials need only the point itself
     folded = srf.parametric_patch(I3, "u^2", "v", "u*v", (-1.0, 1.0, -1.0, 1.0))
-    with pytest.raises(StencilOrientationFlip) as raised:
-        con.codazzi_residual(folded, 5e-4, 0.3, 1e-3)
-    assert isinstance(raised.value, IsoGeoError)
+    u, v = 5e-4, 0.3
+    sample = con.curvature_tensors_at(folded, u, v)
+    scale = float(np.abs(sample.coeffs.gamma).max()) ** 2
+    assert float(np.abs(sample.r_lc).max()) <= 1e-14 * scale
+    res = con.egregium_check(folded, u, v)
+    assert res.rel_err <= 1e-12
+    cod = con.codazzi_residual(folded, u, v)
+    assert cod.relative <= 1e-14 * scale and cod.levi_civita <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -238,11 +301,14 @@ def test_near_lightlike_flagged_unreliable():
     assert not far.unreliable
 
 
-def test_stencil_outside_domain():
+def test_tensors_exact_at_domain_edge():
+    # the partials come from the jet at the point, so the border of the
+    # domain needs no room for stencil points
     sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
-    u_edge = sphere.domain[1]
-    with pytest.raises(StencilOutsideDomain):
-        con.curvature_tensors_at(sphere, u_edge, 0.0, 1e-3)
+    u_edge, v_edge = sphere.domain[1], sphere.domain[2]
+    res = con.egregium_check(sphere, u_edge, v_edge)
+    assert abs(res.k_extrinsic - 0.25) < 1e-12 and res.rel_err <= 1e-12
+    assert float(np.max(np.abs(con.curvature_tensors_at(sphere, u_edge, v_edge).r_lc))) == 0.0
 
 
 def test_swapped_parameterization_keeps_identities():
@@ -250,18 +316,13 @@ def test_swapped_parameterization_keeps_identities():
     # must survive the index relabeling, including the FD direction map
     swapped = srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1", (-4, 4, -4, 4))
     assert srf.frame_at(swapped, 1.0, -0.7).swapped
-    res = con.egregium_check(swapped, 1.0, -0.7, FD)
+    res = con.egregium_check(swapped, 1.0, -0.7)
     assert abs(res.k_extrinsic - 0.25) < 1e-12
     assert res.rel_err <= 1e-5
-    sample = con.curvature_tensors_at(swapped, 1.0, -0.7, FD)
+    sample = con.curvature_tensors_at(swapped, 1.0, -0.7)
     assert float(np.max(np.abs(sample.r_lc))) <= 1e-6
-    cod = con.codazzi_residual(swapped, 1.0, -0.7, FD)
+    cod = con.codazzi_residual(swapped, 1.0, -0.7)
     assert cod.relative <= 1e-6 and cod.levi_civita <= 1e-6
     c = con.coeffs_at(swapped, 1.0, -0.7)
     err_lc, err_rel = con.reassemble_second_derivatives(c)
     assert err_lc < 1e-10 and err_rel < 1e-10
-
-
-def test_default_fd_step_scales_with_domain():
-    sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
-    assert abs(con.default_fd_step(sphere) - 1e-4 * sphere.domain_diameter()) < 1e-18

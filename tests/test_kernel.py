@@ -14,8 +14,11 @@ import math
 import pickle
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from genexpr import random_expr_full
+from genexpr import random_expr, random_expr_full
+from jet3 import walk3
 from isogeo import expr as ex
 from isogeo import surface as srf
 from isogeo.errors import DomainError
@@ -42,13 +45,16 @@ def walk(exprs, u, v):
 def outcome(fn, *args):
     try:
         return "ok", bits(fn(*args))
-    except (DomainError, ValueError) as err:  # ValueError: e.g. sin(inf)
+    except DomainError as err:
         return type(err), str(err)
 
 
 def assert_same(exprs, u, v):
-    kernel = ex.compile_jet2(exprs)
-    assert outcome(kernel, u, v) == outcome(walk, exprs, u, v), (exprs, u, v)
+    expected = outcome(walk, exprs, u, v)
+    assert outcome(ex.compile_jet(exprs, 2), u, v) == expected, (exprs, u, v)
+    # the order-3 kernel starts with the same 18 floats, or fails alike
+    first18 = lambda u, v: ex.compile_jet(exprs, 3)(u, v)[:18]
+    assert outcome(first18, u, v) == expected, (exprs, u, v)
 
 
 def test_random_expressions_match_tree_walk():
@@ -56,7 +62,7 @@ def test_random_expressions_match_tree_walk():
     seen = {"ok": 0, "error": 0}
     for _ in range(600):
         exprs = [random_expr_full(rng, 4) for _ in range(3)]
-        kernel = ex.compile_jet2(exprs)
+        kernel = ex.compile_jet(exprs, 2)
         for _ in range(4):
             # exact zeros hit log, sqrt, abs and division at their boundary
             u = 0.0 if rng.random() < 0.1 else rng.uniform(-2.0, 2.0)
@@ -82,7 +88,7 @@ def test_special_constants_keep_their_bits(value):
 
 
 def test_signed_zeros_are_not_shared():
-    kernel = ex.compile_jet2([Const(0.0), Const(-0.0), Binary("+", Const(-0.0), Const(-0.0))])
+    kernel = ex.compile_jet([Const(0.0), Const(-0.0), Binary("+", Const(-0.0), Const(-0.0))], 2)
     values = kernel(1.0, 2.0)
     assert bits(values) == bits(walk([Const(0.0), Const(-0.0), Binary("+", Const(-0.0), Const(-0.0))], 1.0, 2.0))
     assert math.copysign(1.0, values[6]) == -1.0 and math.copysign(1.0, values[12]) == -1.0
@@ -109,7 +115,7 @@ def test_first_domain_error_in_post_order_wins():
         Binary("/", U, Binary("-", V, V)),
     ]
     with pytest.raises(DomainError, match="sqrt of non-positive value -1.0"):
-        ex.compile_jet2(exprs)(-1.0, -2.0)
+        ex.compile_jet(exprs, 2)(-1.0, -2.0)
     assert_same(exprs, -1.0, -2.0)
     assert_same(exprs, 1.0, -2.0)  # log fails
     assert_same(exprs, 1.0, 2.0)  # division by zero
@@ -120,7 +126,19 @@ def test_overflow_becomes_domain_error():
         exprs = [U, Unary(fn, Binary("*", Const(1000.0), U)), V]
         assert_same(exprs, 1.0, 0.0)
         with pytest.raises(DomainError, match=f"overflow in {fn}"):
-            ex.compile_jet2(exprs)(1.0, 0.0)
+            ex.compile_jet(exprs, 2)(1.0, 0.0)
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+def test_trig_of_a_non_finite_value_is_a_domain_error(fn):
+    # math.sin(inf) raises a bare ValueError, math.sin(nan) returns nan
+    overflow = Binary("*", Const(1e308), Binary("*", Const(10.0), U))
+    not_a_number = Binary("*", Const(math.inf), Binary("-", U, U))
+    for arg, u, value in ((overflow, 1.0, "inf"), (overflow, -1.0, "-inf"), (not_a_number, 1.0, "nan")):
+        exprs = [U, Unary(fn, arg), V]
+        assert_same(exprs, u, 0.5)
+        with pytest.raises(DomainError, match=f"{fn} of non-finite value {value}"):
+            ex.compile_jet(exprs, 3)(u, 0.5)
 
 
 def test_deeply_nested_expression():
@@ -137,7 +155,7 @@ def test_operator_text_never_reaches_the_source():
     odd = Binary("); import os #", U, V)
     assert_same([odd, U, V], 1.5, 0.25)
     with pytest.raises(KeyError):
-        ex.compile_jet2([Unary("os.system", U)])
+        ex.compile_jet([Unary("os.system", U)], 2)
 
 
 def test_catalog_kernel_shares_structurally_identical_subtrees():
@@ -157,13 +175,13 @@ def test_catalog_kernel_shares_structurally_identical_subtrees():
 
 def test_kernel_compiled_once_per_patch_and_not_at_construction(monkeypatch):
     calls = []
-    real = ex.compile_jet2
+    real = ex.compile_jet
 
-    def counting(exprs):
+    def counting(exprs, order):
         calls.append(exprs)
-        return real(exprs)
+        return real(exprs, order)
 
-    monkeypatch.setattr(ex, "compile_jet2", counting)
+    monkeypatch.setattr(ex, "compile_jet", counting)
     patch = srf.graph_patch(SpaceKind.SIMPLY_ISOTROPIC, "(u^2 + v^2)/4 - 1", (-2.0, 2.0, -2.0, 2.0))
     assert calls == [] and "jet_kernel" not in vars(patch)
     for u in (0.1, 0.2, 0.3):
@@ -183,3 +201,90 @@ def test_patch_with_compiled_kernel_still_pickles():
     copy = pickle.loads(pickle.dumps(patch))
     assert copy == patch and "jet_kernel" not in vars(copy)
     assert srf.frame_at(copy, 1.5, 0.2).xi == before.xi
+
+
+# ------------------------------------------------------------ order 3
+
+_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_seeds = st.integers(0, 2**64 - 1)
+# exact zeros hit log, sqrt, abs and division at their boundary
+_coords = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@_settings
+@given(_seeds, _coords, _coords)
+def test_order3_kernel_extends_the_order2_kernel(seed, u, v):
+    rng = SplitMix64(seed)
+    exprs = [random_expr_full(rng, 4) for _ in range(3)]
+    order2 = outcome(ex.compile_jet(exprs, 2), u, v)
+    order3 = outcome(ex.compile_jet(exprs, 3), u, v)
+    if order2[0] == "ok":
+        assert order3[0] == "ok" and order3[1][:18] == order2[1], exprs
+    else:
+        assert order3 == order2, exprs
+
+
+@_settings
+@given(_seeds, _coords, _coords)
+def test_order3_kernel_matches_reference_jets(seed, u, v):
+    rng = SplitMix64(seed)
+    exprs = [random_expr_full(rng, 4) for _ in range(3)]
+    assert outcome(ex.compile_jet(exprs, 3), u, v) == outcome(walk3, exprs, u, v), exprs
+
+
+@_settings
+@given(_seeds, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_third_partials_are_differences_of_exact_second_partials(seed, u, v):
+    # smooth trees only; central differences of duu, duv and dvv, with
+    # step 1e-5, carry ~1e-10 truncation and ~1e-11 relative round-off
+    e = random_expr(SplitMix64(seed), 4)
+    h = 1e-5
+    try:
+        third = ex.compile_jet([e], 3)(u, v)[6:]
+        plus_u, minus_u = ex.eval_jet2(e, u + h, v), ex.eval_jet2(e, u - h, v)
+        plus_v, minus_v = ex.eval_jet2(e, u, v + h), ex.eval_jet2(e, u, v - h)
+    except DomainError:
+        return
+    second = (plus_u.duu, plus_u.duv, plus_u.dvv, plus_v.duu, plus_v.duv, plus_v.dvv)
+    assume(all(math.isfinite(x) and abs(x) <= 1e4 for x in second + tuple(third)))
+    scale = 1.0 + max(abs(x) for x in second)
+    fd = {
+        "uuu": [(plus_u.duu - minus_u.duu) / (2 * h)],
+        "uuv": [(plus_v.duu - minus_v.duu) / (2 * h), (plus_u.duv - minus_u.duv) / (2 * h)],
+        "uvv": [(plus_u.dvv - minus_u.dvv) / (2 * h), (plus_v.duv - minus_v.duv) / (2 * h)],
+        "vvv": [(plus_v.dvv - minus_v.dvv) / (2 * h)],
+    }
+    for exact, (name, estimates) in zip(third, fd.items()):
+        for estimate in estimates:
+            assert abs(exact - estimate) <= 1e-6 * scale, (e, name, exact, estimate)
+
+
+@pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3, 4, 7])
+def test_pow_int_factors(n):
+    for x in (-1.5, 0.75, 2.0):
+        want = (n * x ** (n - 1), n * (n - 1) * x ** (n - 2), n * (n - 1) * (n - 2) * x ** (n - 3))
+        got = ex._pow_int_factors(x, n)
+        assert all(abs(g - w) <= 1e-14 * (1.0 + abs(w)) for g, w in zip(got, want)), (x, n, got)
+    if n >= 0:  # at 0 a factor is 0 or n!, never a division
+        assert ex._pow_int_factors(0.0, n) == tuple(
+            float(math.perm(n, k)) if n == k else 0.0 for k in (1, 2, 3)
+        )
+    assert ex._pow_int_factors(1e200, 7)[0] == math.inf  # overflow, not OverflowError
+
+
+def test_runtime_integer_power_raises_only_where_order_2_does():
+    # 1e-62^5 is subnormal, 1e-62^6 underflows to 0: the order-2 part of
+    # u^-5 divides by the former only, and so must the order-3 part
+    e = ex.parse("u ^ -5")
+    assert bits(ex.compile_jet([e], 3)(1e-62, 0.0)[:6]) == bits(ex.compile_jet([e], 2)(1e-62, 0.0))
+
+
+def test_third_partials_of_a_runtime_integer_power():
+    # "u ^ -2" parses with a negated constant exponent, which the kernel
+    # decides at run time; negative bases stay legal on that branch
+    e = ex.parse("(u*v) ^ -2 + v ^ (1 + 1)")
+    for u, v in ((-1.25, 0.5), (0.75, -2.0)):
+        got = ex.compile_jet([e], 3)(u, v)[6:]
+        # d^3/du^3 (uv)^-2 = -24 v^-2 u^-5, and so on
+        want = (-24.0 * u**-5 * v**-2, -12.0 * u**-4 * v**-3, -12.0 * u**-3 * v**-4, -24.0 * u**-2 * v**-5)
+        assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want)), (u, v, got)
