@@ -62,9 +62,13 @@ def _num(params: dict, key: str, name: str) -> float:
     value = _need(params, key, name)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise BadParam(f"{name} parameter {key!r} must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise BadParam(f"{name} parameter {key!r} is out of range") from None
+    if not math.isfinite(number):
         raise BadParam(f"{name} parameter {key!r} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _expr_param(params: dict, key: str, name: str) -> ex.Expr:

@@ -50,6 +50,7 @@ from .surface import (
     curvatures_of_frame,
     frame_at,
     graph_patch,
+    grid_values,
     parametric_patch,
 )
 
@@ -84,7 +85,10 @@ def parse_surface_spec(spec: dict) -> SurfacePatch:
             or not all(isinstance(x, (int, float)) for x in domain)
         ):
             raise SpecError("'domain' must be [u0, u1, v0, v1]")
-        domain = tuple(float(x) for x in domain)
+        try:
+            domain = tuple(float(x) for x in domain)
+        except OverflowError:  # an int beyond the float range
+            raise SpecError("'domain' entries must fit in a float") from None
         if not all(map(math.isfinite, domain)):
             raise SpecError(f"'domain' must be finite, got {domain!r}")
         if not (domain[0] < domain[1] and domain[2] < domain[3]):
@@ -158,15 +162,11 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         raise SpecError(f"{what} must be two numbers, got {text!r}") from err
 
 
-def _grid_values(lo: float, hi: float, n: int) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
     lines = ["u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"]
     u0, u1, v0, v1 = patch.domain
-    for u in _grid_values(u0, u1, nu):
-        for v in _grid_values(v0, v1, nv):
+    for u in grid_values(u0, u1, nu):
+        for v in grid_values(v0, v1, nv):
             try:
                 f = frame_at(patch, u, v)
                 rep = curvatures_of_frame(f)
@@ -176,14 +176,13 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
             except DomainError:
                 lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,undefined,,,")
                 continue
-            p = f.position
             lines.append(
                 ",".join(
                     [
-                        _fmt(u), _fmt(v), _fmt(p.x), _fmt(p.y), _fmt(p.z),
+                        _fmt(u), _fmt(v), _fmt(f.p_x), _fmt(f.p_y), _fmt(f.p_z),
                         _fmt(rep.K), _fmt(rep.H), _fmt(rep.discriminant),
                         rep.label.value,
-                        _fmt(f.xi.x), _fmt(f.xi.y), _fmt(f.xi.z),
+                        _fmt(f.xi_x), _fmt(f.xi_y), _fmt(f.xi_z),
                     ]
                 )
             )
@@ -225,7 +224,7 @@ def cmd_geodesic(
 
 def cmd_sample(patch: SurfacePatch, nu: int, nv: int, fmt: str, out_path: str) -> int:
     u0, u1, v0, v1 = patch.domain
-    us, vs = _grid_values(u0, u1, nu), _grid_values(v0, v1, nv)
+    us, vs = grid_values(u0, u1, nu), grid_values(v0, v1, nv)
     positions = [patch.evaluate(u, v).position() for u in us for v in vs]
     if fmt == "csv":
         lines = ["u,v,x,y,z"]

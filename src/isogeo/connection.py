@@ -39,18 +39,19 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import LightlikePoint
 from .isotropy import SpaceKind
 from .surface import (
     PointFrame,
     SurfacePatch,
+    _LazyNumpy,
     _read_only,
     frame_at,
     frame_of_jet,
     gaussian_curvature,
 )
+
+np = _LazyNumpy(globals())
 
 LIGHTLIKE_HARD_TOL = 1e-10
 LIGHTLIKE_GUARD_BAND = 1e-6
@@ -61,9 +62,11 @@ LIGHTLIKE_GUARD_BAND = 1e-6
 Coeffs6 = tuple[float, float, float, float, float, float]
 
 
-# position of C_ij^k in a Coeffs6, and of rho_ij in (rho_11, rho_12, rho_22)
-_COEFF_INDEX = np.array([[[0, 1], [2, 3]], [[2, 3], [4, 5]]])
-_RHO_INDEX = np.array([[0, 1], [1, 2]])
+# position of C_ij^k in a Coeffs6, and of rho_ij in (rho_11, rho_12, rho_22),
+# as lists: numpy takes a list as an index array, and a module-level
+# array would import numpy with this module
+_COEFF_INDEX = [[[0, 1], [2, 3]], [[2, 3], [4, 5]]]
+_RHO_INDEX = [[0, 1], [1, 2]]
 
 
 def coeff_array(c: Coeffs6) -> np.ndarray:
@@ -103,8 +106,8 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
 def denom_of_frame(f: PointFrame) -> float:
     """|xi_top|^2 + xi_z without solving for the coefficients."""
     if f.kind is SpaceKind.SIMPLY_ISOTROPIC:
-        return f.xi.x * f.xi.x + f.xi.y * f.xi.y + f.xi.z
-    return f.xi.x * f.xi.x - f.xi.y * f.xi.y + f.xi.z
+        return f.xi_x * f.xi_x + f.xi_y * f.xi_y + f.xi_z
+    return f.xi_x * f.xi_x - f.xi_y * f.xi_y + f.xi_z
 
 
 def denom_at(s: SurfacePatch, u: float, v: float) -> float:
@@ -115,7 +118,7 @@ def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
     """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
     coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
     derivatives are needed, and the 2-jet gives those."""
-    x1, x2 = f.x1.as_tuple(), f.x2.as_tuple()
+    x1, x2 = (f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)
 
     def d_minor(i: int, j: int, d1: tuple, d2: tuple) -> float:
         # derivative of x1_i x2_j - x1_j x2_i, given the derivatives d1, d2
@@ -126,8 +129,9 @@ def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
     b = f.m31 / f.m12  # B up to sign; denom depends on B^2 only
     sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
     grad = []
-    for d1, d2 in ((f.x11, f.x12), (f.x12, f.x22)):
-        d1, d2 = d1.as_tuple(), d2.as_tuple()
+    x11, x12 = (f.x11_x, f.x11_y, f.x11_z), (f.x12_x, f.x12_y, f.x12_z)
+    x22 = (f.x22_x, f.x22_y, f.x22_z)
+    for d1, d2 in ((x11, x12), (x12, x22)):
         dm12 = d_minor(0, 1, d1, d2)
         da = (d_minor(1, 2, d1, d2) - a * dm12) / f.m12
         db = (d_minor(2, 0, d1, d2) - b * dm12) / f.m12
@@ -139,12 +143,12 @@ def gamma6_of_frame(f: PointFrame) -> Coeffs6:
     """Levi-Civita coefficients alone; regular even at lightlike points."""
     # top-view solve: [x1_top x2_top] @ (gamma_ij^1, gamma_ij^2) = (x_ij)_top
     det = f.m12
-    x1x, x1y, x2x, x2y = f.x1.x, f.x1.y, f.x2.x, f.x2.y
-    p, q, r = f.x11, f.x12, f.x22
+    x1x, x1y, x2x, x2y = f.x1_x, f.x1_y, f.x2_x, f.x2_y
+    px, py, qx, qy, rx, ry = f.x11_x, f.x11_y, f.x12_x, f.x12_y, f.x22_x, f.x22_y
     return (
-        (p.x * x2y - p.y * x2x) / det, (x1x * p.y - x1y * p.x) / det,
-        (q.x * x2y - q.y * x2x) / det, (x1x * q.y - x1y * q.x) / det,
-        (r.x * x2y - r.y * x2x) / det, (x1x * r.y - x1y * r.x) / det,
+        (px * x2y - py * x2x) / det, (x1x * py - x1y * px) / det,
+        (qx * x2y - qy * x2x) / det, (x1x * qy - x1y * qx) / det,
+        (rx * x2y - ry * x2x) / det, (x1x * ry - x1y * rx) / det,
     )
 
 
@@ -160,8 +164,8 @@ def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
     r11, r12, r22 = f.h11 / denom, f.h12 / denom, f.h22 / denom
     # g^{kl} (x_l)_z
     inv11, inv12, inv22 = f.g22 / f.det_g, -f.g12 / f.det_g, f.g11 / f.det_g
-    c1 = inv11 * f.x1.z + inv12 * f.x2.z
-    c2 = inv12 * f.x1.z + inv22 * f.x2.z
+    c1 = inv11 * f.x1_z + inv12 * f.x2_z
+    c2 = inv12 * f.x1_z + inv22 * f.x2_z
     g111, g112, g121, g122, g221, g222 = gamma6
     return ConnectionCoeffs(
         gamma6=gamma6,
@@ -179,9 +183,9 @@ def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
 
 def _frame_arrays(f: PointFrame) -> tuple[np.ndarray, np.ndarray]:
     """x_l as [l, component] and x_ij as [i, j, component]."""
-    x12 = f.x12.as_tuple()
-    x_ij = np.array([[f.x11.as_tuple(), x12], [x12, f.x22.as_tuple()]])
-    return np.array([f.x1.as_tuple(), f.x2.as_tuple()]), x_ij
+    x12 = (f.x12_x, f.x12_y, f.x12_z)
+    x_ij = np.array([[(f.x11_x, f.x11_y, f.x11_z), x12], [x12, (f.x22_x, f.x22_y, f.x22_z)]])
+    return np.array([(f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)]), x_ij
 
 
 def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
@@ -195,7 +199,7 @@ def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
 
 
 # [i, j, k] -> position of x_ijk among the third partials (uuu, uuv, uvv, vvv)
-_THIRD_INDEX = np.indices((2, 2, 2)).sum(axis=0)
+_THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
 
 class CoeffDerivatives(NamedTuple):
@@ -219,7 +223,7 @@ def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivative
         third = third[:, ::-1]
     x3 = np.moveaxis(third[:, _THIRD_INDEX], 0, -1)  # [i, j, k, component]
     x1, x2 = _frame_arrays(f)
-    m_inv = np.array([[f.x2.y, -f.x2.x], [-f.x1.y, f.x1.x]]) / f.m12
+    m_inv = np.array([[f.x2_y, -f.x2_x], [-f.x1_y, f.x1_x]]) / f.m12
     gamma, rho = c.gamma, c.rho
 
     d_gamma = np.einsum(
@@ -231,7 +235,7 @@ def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivative
         - np.einsum("ijl,lk->ijk", gamma, x2[..., 2])
     )
     d_rho = (d_h - rho[:, :, None] * np.array(denom_gradient_of_frame(f))) / c.denom
-    w = m_inv @ np.array([f.xi.x, f.xi.y])
+    w = m_inv @ np.array([f.xi_x, f.xi_y])
     # (n_h)_k is (d_k xi_top, 0) and <n_h, x_l> = 0, so <(n_h)_k, x_l> = -h_lk
     sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
     d_xi_top = -np.einsum("lm,lk->km", m_inv, f.h) * (1.0, sign)
@@ -295,7 +299,10 @@ def _codazzi(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> float:
 
 
 def codazzi_residual(s: SurfacePatch, u: float, v: float) -> CodazziResiduals:
-    d = coeff_derivatives_at(s, u, v)
+    return _codazzi_of_derivatives(coeff_derivatives_at(s, u, v))
+
+
+def _codazzi_of_derivatives(d: CoeffDerivatives) -> CodazziResiduals:
     c = d.coeffs
     return CodazziResiduals(
         relative=_codazzi(d.d_rho, c.xi_coeffs, c.rho),
@@ -313,7 +320,10 @@ def gauss_equation_rhs(
         (h_ab   h_cd  - h_ac   h_bd ) g^{ed} / denom
         (rho_ab rho_cd - rho_ac rho_bd) g^{ed} * denom
     """
-    c = coeffs_at(s, u, v)
+    return _gauss_rhs_of_coeffs(coeffs_at(s, u, v))
+
+
+def _gauss_rhs_of_coeffs(c: ConnectionCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g_inv, h, rho = c.frame.g_inv, c.frame.h, c.rho
 
     def form(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -125,12 +125,13 @@ def _rhs(s, gkind, state):
 
 
 def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> Vec3:
-    return (
-        f.x1.scaled(a1)
-        + f.x2.scaled(a2)
-        + f.x11.scaled(w1 * w1)
-        + f.x12.scaled(2.0 * w1 * w2)
-        + f.x22.scaled(w2 * w2)
+    """x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, summed left to
+    right, one component at a time."""
+    s11, s12, s22 = w1 * w1, 2.0 * w1 * w2, w2 * w2
+    return Vec3(
+        a1 * f.x1_x + a2 * f.x2_x + s11 * f.x11_x + s12 * f.x12_x + s22 * f.x22_x,
+        a1 * f.x1_y + a2 * f.x2_y + s11 * f.x11_y + s12 * f.x12_y + s22 * f.x22_y,
+        a1 * f.x1_z + a2 * f.x2_z + s11 * f.x11_z + s12 * f.x12_z + s22 * f.x22_z,
     )
 
 

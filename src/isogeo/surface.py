@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import expr as ex
 from .errors import DomainError, LightlikeDirection, NotAdmissible, WrongSpace
 from .isotropy import (
@@ -50,6 +48,27 @@ from .isotropy import (
 from .jets import Jet2, Jet2Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
+
+
+class _LazyNumpy:
+    """Stands in for a module's ``np`` until the first array is built.
+
+    The first attribute read imports numpy and rebinds the owning
+    module's global ``np`` to it, so later reads cost what they would
+    after a plain ``import numpy as np``.  Commands that compute only
+    with floats never pay for the import."""
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -131,22 +150,38 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class PointFrame(NamedTuple):
     """Everything pointwise at one admissible point, as Python floats.
 
-    The metric and the second fundamental form are stored as their three
-    independent entries (both are symmetric); ``g``, ``g_inv``, ``h`` and
-    ``a_mat`` are read-only 2x2 arrays built from them on each access.
-    A NamedTuple rather than a frozen dataclass: building one is a
-    single tuple allocation, which matters once per RK4 stage."""
+    Vectors are stored as their three components (``x1_x, x1_y, x1_z``
+    for x1, and so on), in the frame's own parameter order; ``position``,
+    ``x1``, ``x2``, ``x11``, ``x12``, ``x22``, ``xi`` and ``n_h`` build a
+    ``Vec3`` from them on each access.  The metric and the second
+    fundamental form are stored as their three independent entries (both
+    are symmetric); ``g``, ``g_inv``, ``h`` and ``a_mat`` are read-only
+    2x2 arrays built from them on each access.  A NamedTuple of floats
+    rather than a frozen dataclass of vectors: building one is a single
+    tuple allocation, which matters once per RK4 stage."""
 
     kind: SpaceKind
     u: float
     v: float
     swapped: bool  # parameters were exchanged to make m12 > 0
-    position: Vec3
-    x1: Vec3
-    x2: Vec3
-    x11: Vec3
-    x12: Vec3
-    x22: Vec3
+    p_x: float  # position
+    p_y: float
+    p_z: float
+    x1_x: float  # first partials
+    x1_y: float
+    x1_z: float
+    x2_x: float
+    x2_y: float
+    x2_z: float
+    x11_x: float  # second partials
+    x11_y: float
+    x11_z: float
+    x12_x: float
+    x12_y: float
+    x12_z: float
+    x22_x: float
+    x22_y: float
+    x22_z: float
     m12: float
     m23: float
     m31: float
@@ -154,10 +189,40 @@ class PointFrame(NamedTuple):
     g12: float
     g22: float
     det_g: float
-    xi: Vec3
+    xi_x: float  # Gauss map
+    xi_y: float
+    xi_z: float
     h11: float  # second fundamental form
     h12: float
     h22: float
+
+    @property
+    def position(self) -> Vec3:
+        return Vec3(self.p_x, self.p_y, self.p_z)
+
+    @property
+    def x1(self) -> Vec3:
+        return Vec3(self.x1_x, self.x1_y, self.x1_z)
+
+    @property
+    def x2(self) -> Vec3:
+        return Vec3(self.x2_x, self.x2_y, self.x2_z)
+
+    @property
+    def x11(self) -> Vec3:
+        return Vec3(self.x11_x, self.x11_y, self.x11_z)
+
+    @property
+    def x12(self) -> Vec3:
+        return Vec3(self.x12_x, self.x12_y, self.x12_z)
+
+    @property
+    def x22(self) -> Vec3:
+        return Vec3(self.x22_x, self.x22_y, self.x22_z)
+
+    @property
+    def xi(self) -> Vec3:
+        return Vec3(self.xi_x, self.xi_y, self.xi_z)
 
     @property
     def m13(self) -> float:
@@ -165,7 +230,7 @@ class PointFrame(NamedTuple):
 
     @property
     def n_h(self) -> Vec3:
-        return Vec3(self.xi.x, self.xi.y, 1.0)
+        return Vec3(self.xi_x, self.xi_y, 1.0)
 
     @property
     def g(self) -> np.ndarray:
@@ -272,27 +337,17 @@ def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
         raise NotAdmissible(u, v, m12)
 
     return PointFrame(
-        kind=kind,
-        u=u,
-        v=v,
-        swapped=swapped,
-        position=Vec3(px, py, pz),
-        x1=Vec3(xu, yu, zu),
-        x2=Vec3(xv, yv, zv),
-        x11=Vec3(xuu, yuu, zuu),
-        x12=Vec3(xuv, yuv, zuv),
-        x22=Vec3(xvv, yvv, zvv),
-        m12=m12,
-        m23=m23,
-        m31=m31,
-        g11=g11,
-        g12=g12,
-        g22=g22,
-        det_g=det_g,
-        xi=Vec3(a, b, xi_z),
-        h11=h11,
-        h12=h12,
-        h22=h22,
+        kind, u, v, swapped,
+        px, py, pz,
+        xu, yu, zu,
+        xv, yv, zv,
+        xuu, yuu, zuu,
+        xuv, yuv, zuv,
+        xvv, yvv, zvv,
+        m12, m23, m31,
+        g11, g12, g22, det_g,
+        a, b, xi_z,
+        h11, h12, h22,
     )
 
 
@@ -322,7 +377,7 @@ def curvatures_of_frame(f: PointFrame, tol: float = 1e-9) -> CurvatureReport:
     h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * f.det_g)
     # NaN fails every comparison below and would land in some class;
     # xi.z = (1 - (A^2 +/- B^2)) / 2 is finite only where A and B are
-    if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(f.xi.z)):
+    if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(f.xi_z)):
         raise DomainError(f"K={k!r}, H={h_mean!r} or xi not finite at ({f.u!r}, {f.v!r})")
     disc = h_mean * h_mean - k
     if disc > tol:
@@ -368,12 +423,19 @@ def normal_curvature(
     return float(wv @ f.h @ wv)
 
 
+def grid_values(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced values from lo to hi, the grid of every scan and of
+    the CLI's grids; the last value is lo + (hi - lo), which may differ
+    from hi in its last bit."""
+    return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
+
+
 def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityReport:
     """Scan a grid: minimum |m12| and, in pseudo-isotropic space, whether
     the induced metric is timelike (det g < 0) wherever admissible."""
     u0, u1, v0, v1 = s.domain
-    us = np.linspace(u0, u1, nu)
-    vs = np.linspace(v0, v1, nv)
+    us = grid_values(u0, u1, nu)
+    vs = grid_values(v0, v1, nv)
     min_abs = math.inf
     bad: list[tuple[float, float]] = []
     timelike: Optional[bool] = (
@@ -381,13 +443,13 @@ def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityR
     )
     for uu in us:
         for vv in vs:
-            jv = s.evaluate(float(uu), float(vv))
+            jv = s.evaluate(uu, vv)
             x1, x2 = jv.d1(), jv.d2()
             m12 = x1.x * x2.y - x1.y * x2.x
             scale = 1.0 + norm_euclid(x1) * norm_euclid(x2)
             min_abs = min(min_abs, abs(m12))
             if abs(m12) <= ADMISSIBILITY_RTOL * scale:
-                bad.append((float(uu), float(vv)))
+                bad.append((uu, vv))
             elif s.kind is SpaceKind.PSEUDO_ISOTROPIC:
                 det_g = dot(s.kind, x1, x1) * dot(s.kind, x2, x2) - dot(
                     s.kind, x1, x2
@@ -422,8 +484,8 @@ def lightlike_points(
     if s.kind is not SpaceKind.PSEUDO_ISOTROPIC:
         raise WrongSpace("lightlike points exist only in pseudo-isotropic space")
     u0, u1, v0, v1 = s.domain
-    us = [u0 + (u1 - u0) * i / (nu - 1) for i in range(nu)]
-    vs = [v0 + (v1 - v0) * j / (nv - 1) for j in range(nv)]
+    us = grid_values(u0, u1, nu)
+    vs = grid_values(v0, v1, nv)
     vals = [[lightlike_condition(s, uu, vv) for vv in vs] for uu in us]
     found: dict[tuple[float, float], tuple[float, float]] = {}
 

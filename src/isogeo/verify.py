@@ -35,13 +35,14 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .connection import (
-    codazzi_residual,
+    _codazzi_of_derivatives,
+    _gauss_rhs_of_coeffs,
+    coeff_derivatives_at,
     curvature_tensors_at,
     denom_at,
     denom_gradient_of_frame,
     denom_of_frame,
     egregium_check,
-    gauss_equation_rhs,
 )
 from .errors import IsoGeoError
 from .geodesic import cross_check_sphere_geodesic
@@ -229,10 +230,13 @@ def suite_codazzi(
     for patch in patches:
         worst_rel = worst_lc = worst_gauss = 0.0
         for u, v in _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-            res = codazzi_residual(patch, u, v)
+            # one order-3 jet per point; its first 18 floats are the
+            # order-2 jet's, so the Gauss sides match gauss_equation_rhs
+            d = coeff_derivatives_at(patch, u, v)
+            res = _codazzi_of_derivatives(d)
             worst_rel = max(worst_rel, res.relative)
             worst_lc = max(worst_lc, res.levi_civita)
-            rhs1, rhs2, rhs3 = gauss_equation_rhs(patch, u, v)
+            rhs1, rhs2, rhs3 = _gauss_rhs_of_coeffs(d.coeffs)
             worst_gauss = max(
                 worst_gauss,
                 float(abs(rhs1 - rhs2).max()),

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isogeo
 from isogeo import cli, expr, geodesic, verify
 
 SPHERE_SPEC = {
@@ -454,3 +459,64 @@ def test_verify_builds_the_catalog_patches_once(monkeypatch):
     # only the minimal suite's seeded random waves are new patches
     assert len(compiled) == 5
     assert not any(id(e) in catalog_exprs for exprs in compiled for e in exprs)
+
+
+def test_huge_json_integers_are_spec_errors(tmp_path, capsys):
+    # json reads a 401-digit literal as an int that no float can hold
+    huge = 10**400
+    domain_spec = dict(SPHERE_SPEC, domain=[0, huge, 0, 1])
+    param_spec = dict(SPHERE_SPEC, surface=dict(SPHERE_SPEC["surface"], params={"p": huge}))
+    for spec, message in ((domain_spec, "'domain' entries must fit in a float"),
+                          (param_spec, "parabolic_sphere parameter 'p' is out of range")):
+        path = write_spec(tmp_path, spec)
+        out = tmp_path / "out.csv"
+        assert cli.main(["curvature", path, "--grid", "3x3", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+_IMPORT_PATH_SCRIPT = """\
+import contextlib, io, json, sys
+steps = []
+import isogeo
+steps.append(["import isogeo", 0, "numpy" in sys.modules])
+import isogeo.cli as cli
+steps.append(["import isogeo.cli", 0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_float_commands_never_import_numpy(tmp_path):
+    sphere = write_spec(tmp_path, SPHERE_SPEC, "sphere.json")
+    helicoid = write_spec(
+        tmp_path,
+        {"space": "ip3", "surface": {"kind": "builtin", "name": "helicoid", "params": {"c": 1}}},
+        "helicoid.json",
+    )
+    out = str(tmp_path / "out")
+    geodesic_args = ["--start", "1.5,0.2", "--velocity", "0.3,0.1", "--t-end", "0.05",
+                     "--step", "0.01", "--out", out]
+    float_only = [
+        ["curvature", sphere, "--grid", "3x3", "--out", out],
+        ["geodesic", sphere, "--type", "r", *geodesic_args],
+        ["geodesic", sphere, "--type", "lc", *geodesic_args],
+        ["geodesic", helicoid, "--type", "r", *geodesic_args],
+        ["sample", helicoid, "--grid", "3x3", "--out", out],
+        ["verify", "--all-catalog", "--suite", "umbilic", "--samples", "9"],
+        ["verify", "--all-catalog", "--suite", "minimal", "--samples", "9"],
+    ]
+    flatness = ["verify", "--all-catalog", "--suite", "flatness", "--samples", "9"]
+    env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, json.dumps(float_only + [flatness])],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 2 + len(float_only) + 1
+    assert all(code == 0 for _, code, _ in steps), steps
+    assert not any(loaded for _, _, loaded in steps[:-1]), steps
+    assert steps[-1][2]  # the tensor suites build arrays

@@ -326,3 +326,20 @@ def test_swapped_parameterization_keeps_identities():
     c = con.coeffs_at(swapped, 1.0, -0.7)
     err_lc, err_rel = con.reassemble_second_derivatives(c)
     assert err_lc < 1e-10 and err_rel < 1e-10
+
+
+def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
+    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    u, v = 1.3, 0.2
+    expected = [arr.tolist() for arr in con.gauss_equation_rhs(patch, u, v)]
+    d = con.coeff_derivatives_at(patch, u, v)
+    assert [arr.tolist() for arr in con._gauss_rhs_of_coeffs(d.coeffs)] == expected
+    assert con._codazzi_of_derivatives(d) == con.codazzi_residual(patch, u, v)
+
+    def second_frame(*args):
+        raise AssertionError("the codazzi suite built a second frame")
+
+    monkeypatch.setattr(con, "frame_at", second_frame)
+    checks = verify.suite_codazzi([patch], 6, 7, verify.DEFAULT_FD_STEP)
+    assert [c.points for c in checks] == [6, 6, 6]
+    assert all(c.passed for c in checks)

@@ -21,7 +21,7 @@ from isogeo import geodesic as geo
 from isogeo import surface as srf
 from isogeo.errors import IsoGeoError, LightlikePoint, NotAdmissible
 from isogeo.expr import Binary, Var
-from isogeo.isotropy import SpaceKind
+from isogeo.isotropy import SpaceKind, Vec3
 from isogeo.rng import SplitMix64
 
 I3 = SpaceKind.SIMPLY_ISOTROPIC
@@ -300,3 +300,35 @@ def test_per_point_path_builds_no_ndarray(monkeypatch):
     for gkind in geo.GeodesicKind:
         trace = geo.integrate(patch, gkind, 2.0, 0.1, 0.3, -0.25, 0.1, 1e-2)
         assert trace.completed
+
+
+@pytest.mark.parametrize("kind", [I3, IP3])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_vector_properties_are_the_stored_floats(kind, swapped):
+    x, y = "u + 0.1*v^2", "v - 0.2*u*v"
+    if swapped:  # m12 < 0, so the frame exchanges u and v
+        x, y = y, x
+    patch = srf.parametric_patch(kind, x, y, "u^3*v + cos(u*v)", (0.1, 1.0, 0.1, 1.0))
+    f = srf.frame_at(patch, 0.4, 0.7)
+    assert f.swapped is swapped
+    jet = patch.jet_kernel(0.4, 0.7)  # (val, du, dv, duu, duv, dvv) of x, y, z
+
+    def partial(i):
+        return tuple(jet[6 * c + i] for c in range(3))
+
+    d1, d2, d11, d22 = (2, 1, 5, 3) if swapped else (1, 2, 3, 5)
+    expected = {
+        "position": ("p", partial(0)),
+        "x1": ("x1", partial(d1)),
+        "x2": ("x2", partial(d2)),
+        "x11": ("x11", partial(d11)),
+        "x12": ("x12", partial(4)),
+        "x22": ("x22", partial(d22)),
+        "xi": ("xi", (f.m23 / f.m12, (1.0 if kind is I3 else -1.0) * f.m31 / f.m12, f.xi_z)),
+    }
+    for name, (prefix, floats) in expected.items():
+        vec = getattr(f, name)
+        assert type(vec) is Vec3
+        stored = tuple(getattr(f, f"{prefix}_{c}") for c in "xyz")
+        assert vec.as_tuple() == stored == floats, name
+    assert f.n_h.as_tuple() == (f.xi_x, f.xi_y, 1.0)
