@@ -60,9 +60,10 @@ EXIT_IO = 3
 EXIT_BAD_START = 4
 EXIT_VERIFY_FAIL = 5
 
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# upper bounds on the grid points of curvature and sample and on verify's
+# --samples, checked before any point is evaluated
+MAX_GRID_POINTS = 1_000_000
+MAX_SAMPLES = 1_000_000
 
 
 def parse_surface_spec(spec: dict) -> SurfacePatch:
@@ -91,6 +92,9 @@ def parse_surface_spec(spec: dict) -> SurfacePatch:
             raise SpecError("'domain' entries must fit in a float") from None
         if not all(map(math.isfinite, domain)):
             raise SpecError(f"'domain' must be finite, got {domain!r}")
+        # grid values are u0 + (u1 - u0) * i / (n - 1)
+        if not (math.isfinite(domain[1] - domain[0]) and math.isfinite(domain[3] - domain[2])):
+            raise SpecError(f"'domain' widths must be finite, got {domain!r}")
         if not (domain[0] < domain[1] and domain[2] < domain[3]):
             raise SpecError(f"empty domain {domain!r}")
 
@@ -149,6 +153,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise SpecError(f"grid must look like 20x20, got {text!r}") from err
     if nu < 2 or nv < 2:
         raise SpecError("grid needs at least 2 points per axis")
+    if nu * nv > MAX_GRID_POINTS:
+        raise SpecError(f"grid {nu}x{nv} has more than {MAX_GRID_POINTS} points")
     return nu, nv
 
 
@@ -163,28 +169,26 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
 
 
 def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
+    # every value written is a Python float, so repr is its shortest
+    # round-trip form; each grid value is formatted once
     lines = ["u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"]
     u0, u1, v0, v1 = patch.domain
+    vs = [(v, repr(v)) for v in grid_values(v0, v1, nv)]
     for u in grid_values(u0, u1, nu):
-        for v in grid_values(v0, v1, nv):
+        su = repr(u)
+        for v, sv in vs:
             try:
                 f = frame_at(patch, u, v)
                 rep = curvatures_of_frame(f)
             except NotAdmissible:
-                lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,inadmissible,,,")
+                lines.append(f"{su},{sv},,,,,,,inadmissible,,,")
                 continue
             except DomainError:
-                lines.append(f"{_fmt(u)},{_fmt(v)},,,,,,,undefined,,,")
+                lines.append(f"{su},{sv},,,,,,,undefined,,,")
                 continue
             lines.append(
-                ",".join(
-                    [
-                        _fmt(u), _fmt(v), _fmt(f.p_x), _fmt(f.p_y), _fmt(f.p_z),
-                        _fmt(rep.K), _fmt(rep.H), _fmt(rep.discriminant),
-                        rep.label.value,
-                        _fmt(f.xi_x), _fmt(f.xi_y), _fmt(f.xi_z),
-                    ]
-                )
+                f"{su},{sv},{f.p_x!r},{f.p_y!r},{f.p_z!r},{rep.K!r},{rep.H!r},"
+                f"{rep.discriminant!r},{rep.label.value},{f.xi_x!r},{f.xi_y!r},{f.xi_z!r}"
             )
     _write_text(out_path, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -203,16 +207,8 @@ def cmd_geodesic(
         patch, gkind, start[0], start[1], velocity[0], velocity[1], t_end, step
     )
     lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
-    for smp, res in zip(trace.samples, trace.residuals["parallel"]):
-        p = smp.position
-        lines.append(
-            ",".join(
-                [
-                    _fmt(smp.t), _fmt(smp.u), _fmt(smp.v), _fmt(smp.du), _fmt(smp.dv),
-                    _fmt(p.x), _fmt(p.y), _fmt(p.z), _fmt(res),
-                ]
-            )
-        )
+    for (t, u, v, du, dv, p), res in zip(trace.samples, trace.residuals["parallel"]):
+        lines.append(f"{t!r},{u!r},{v!r},{du!r},{dv!r},{p.x!r},{p.y!r},{p.z!r},{res!r}")
     _write_text(out_path, "\n".join(lines) + "\n")
     if not trace.completed:
         print(
@@ -223,22 +219,25 @@ def cmd_geodesic(
 
 
 def cmd_sample(patch: SurfacePatch, nu: int, nv: int, fmt: str, out_path: str) -> int:
+    # entries 0, 6 and 12 of the jet are the position's x, y and z
+    kernel = patch.jet_kernel
     u0, u1, v0, v1 = patch.domain
     us, vs = grid_values(u0, u1, nu), grid_values(v0, v1, nv)
-    positions = [patch.evaluate(u, v).position() for u in us for v in vs]
     if fmt == "csv":
         lines = ["u,v,x,y,z"]
-        idx = 0
+        svs = [repr(v) for v in vs]
         for u in us:
-            for v in vs:
-                p = positions[idx]
-                idx += 1
-                lines.append(
-                    f"{_fmt(u)},{_fmt(v)},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}"
-                )
+            su = repr(u)
+            for v, sv in zip(vs, svs):
+                jet = kernel(u, v)
+                lines.append(f"{su},{sv},{jet[0]!r},{jet[6]!r},{jet[12]!r}")
         _write_text(out_path, "\n".join(lines) + "\n")
         return EXIT_OK
-    lines = [f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}" for p in positions]
+    lines = []
+    for u in us:
+        for v in vs:
+            jet = kernel(u, v)
+            lines.append(f"v {jet[0]!r} {jet[6]!r} {jet[12]!r}")
     for i in range(nu - 1):
         for j in range(nv - 1):
             a = i * nv + j + 1  # OBJ indices are 1-based
@@ -338,8 +337,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.all_catalog == (args.spec is not None):
                 raise SpecError("verify needs exactly one of SPEC or --all-catalog")
             patch = None if args.all_catalog else load_spec_file(args.spec)
-            if args.samples < 1:
-                raise SpecError("--samples must be >= 1")
+            if not 1 <= args.samples <= MAX_SAMPLES:
+                raise SpecError(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
             return cmd_verify(patch, args.suite, args.samples, args.seed, args.tol, args.out)
         if args.command == "sample":
             patch = load_spec_file(args.spec)

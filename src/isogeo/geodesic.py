@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .connection import (
     LIGHTLIKE_GUARD_BAND,
@@ -69,8 +69,7 @@ class GeodesicKind(Enum):
     RELATIVE = "r"
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     t: float
     u: float
     v: float
@@ -97,9 +96,10 @@ class _Halt(Exception):
         self.reason = reason
 
 
-def _eval_point(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float):
-    """Frame and the connection's six coefficients C_ij^k used by the ODE
-    at one point (see ``connection.Coeffs6``)."""
+def _rhs(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float, du: float, dv: float):
+    """(u'', v'', frame) of the geodesic ODE at the state (u, v, u', v'),
+    in the caller's parameter order; the connection's six coefficients
+    C_ij^k (see ``connection.Coeffs6``) are in the frame's."""
     if not s.contains(u, v):
         raise _Halt("left_domain")
     try:
@@ -107,21 +107,16 @@ def _eval_point(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float):
     except NotAdmissible:
         raise _Halt("inadmissible")
     if gkind is GeodesicKind.LEVI_CIVITA:
-        return f, gamma6_of_frame(f)
-    try:
-        return f, coeffs_of_frame(f).xi6
-    except LightlikePoint:
-        raise _Halt("lightlike")
-
-
-def _rhs(s, gkind, state):
-    u, v, du, dv = state
-    f, (c111, c112, c121, c122, c221, c222) = _eval_point(s, gkind, u, v)
+        c111, c112, c121, c122, c221, c222 = gamma6_of_frame(f)
+    else:
+        try:
+            c111, c112, c121, c122, c221, c222 = coeffs_of_frame(f).xi6
+        except LightlikePoint:
+            raise _Halt("lightlike")
     w1, w2 = (dv, du) if f.swapped else (du, dv)
     a1 = -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2)
     a2 = -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2)
-    au, av = (a2, a1) if f.swapped else (a1, a2)
-    return (du, dv, au, av), f
+    return (a2, a1, f) if f.swapped else (a1, a2, f)
 
 
 def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> Vec3:
@@ -170,7 +165,7 @@ def integrate(
         raise LeftDomain(f"start point ({u0!r}, {v0!r}) outside domain {s.domain!r}")
     # invalid starts are errors; later failures merely flag the trace
     try:
-        start_frame, _ = _eval_point(s, gkind, u0, v0)
+        _, _, start_frame = _rhs(s, gkind, u0, v0, du0, dv0)
     except _Halt as halt:
         if halt.reason == "lightlike":
             raise LightlikePointHit(
@@ -196,56 +191,47 @@ def integrate(
         gkind is GeodesicKind.RELATIVE and s.kind is SpaceKind.PSEUDO_ISOTROPIC
     )
     prev_denom: Optional[float] = None
-    state = (u0, v0, du0, dv0)
+    u, v, du, dv = u0, v0, du0, dv0
+    half, sixth = 0.5 * step, step / 6.0
     t = 0.0
-    for k in range(n_steps + 1):
-        try:
-            deriv, f = _rhs(s, gkind, state)
-        except _Halt as halt:
-            trace.stopped_reason = halt.reason
-            trace.stop_time = t
-            return trace
-        if watch_lightlike:
-            # the connection is singular on the lightlike locus; stop when
-            # entering the guard band or stepping across a sign change
-            denom = denom_of_frame(f)
-            if abs(denom) < LIGHTLIKE_GUARD_BAND or (
-                prev_denom is not None and (denom < 0.0) != (prev_denom < 0.0)
-            ):
-                trace.stopped_reason = "lightlike"
-                trace.stop_time = t
-                return trace
-            prev_denom = denom
-        u, v, du, dv = state
-        samples.append(TraceSample(t, u, v, du, dv, f.position))
-        w1, w2 = (dv, du) if f.swapped else (du, dv)
-        a1, a2 = (deriv[3], deriv[2]) if f.swapped else (deriv[2], deriv[3])
-        gdd = _ambient_acceleration(f, w1, w2, a1, a2)
-        ref = f.xi if gkind is GeodesicKind.RELATIVE else E3
-        residuals.append(_parallel_residual(s.kind, gdd, ref))
-        if k == n_steps:
-            break
-        try:
-            state = _rk4_step(s, gkind, state, step, deriv)
-        except _Halt as halt:
-            trace.stopped_reason = halt.reason
-            trace.stop_time = t
-            return trace
-        t = (k + 1) * step
+    try:
+        for k in range(n_steps + 1):
+            au, av, f = _rhs(s, gkind, u, v, du, dv)
+            if watch_lightlike:
+                # the connection is singular on the lightlike locus; stop when
+                # entering the guard band or stepping across a sign change
+                denom = denom_of_frame(f)
+                if abs(denom) < LIGHTLIKE_GUARD_BAND or (
+                    prev_denom is not None and (denom < 0.0) != (prev_denom < 0.0)
+                ):
+                    raise _Halt("lightlike")
+                prev_denom = denom
+            samples.append(TraceSample(t, u, v, du, dv, f.position))
+            w1, w2, a1, a2 = (dv, du, av, au) if f.swapped else (du, dv, au, av)
+            gdd = _ambient_acceleration(f, w1, w2, a1, a2)
+            ref = f.xi if gkind is GeodesicKind.RELATIVE else E3
+            residuals.append(_parallel_residual(s.kind, gdd, ref))
+            if k == n_steps:
+                break
+            # classic RK4: stage n has the state derivative (dun, dvn, aun,
+            # avn), and each sum keeps the operation order of the 4-vector form
+            du2, dv2 = du + half * au, dv + half * av
+            au2, av2, _ = _rhs(s, gkind, u + half * du, v + half * dv, du2, dv2)
+            du3, dv3 = du + half * au2, dv + half * av2
+            au3, av3, _ = _rhs(s, gkind, u + half * du2, v + half * dv2, du3, dv3)
+            du4, dv4 = du + step * au3, dv + step * av3
+            au4, av4, _ = _rhs(s, gkind, u + step * du3, v + step * dv3, du4, dv4)
+            u, v, du, dv = (
+                u + sixth * (du + 2.0 * du2 + 2.0 * du3 + du4),
+                v + sixth * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4),
+                du + sixth * (au + 2.0 * au2 + 2.0 * au3 + au4),
+                dv + sixth * (av + 2.0 * av2 + 2.0 * av3 + av4),
+            )
+            t = (k + 1) * step
+    except _Halt as halt:
+        trace.stopped_reason = halt.reason
+        trace.stop_time = t
     return trace
-
-
-def _rk4_step(s, gkind, y, h, k1):
-    def shifted(base, slope, scale):
-        return tuple(base[i] + scale * slope[i] for i in range(4))
-
-    k2, _ = _rhs(s, gkind, shifted(y, k1, 0.5 * h))
-    k3, _ = _rhs(s, gkind, shifted(y, k2, 0.5 * h))
-    k4, _ = _rhs(s, gkind, shifted(y, k3, h))
-    return tuple(
-        y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(4)
-    )
 
 
 class SectionBranch(Enum):

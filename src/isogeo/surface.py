@@ -262,8 +262,7 @@ class CurvatureClass(Enum):
     UMBILIC = "umbilic"
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     K: float
     H: float
     discriminant: float  # H^2 - K

@@ -9,6 +9,8 @@ import pytest
 
 import isogeo
 from isogeo import cli, expr, geodesic, verify
+from isogeo import surface as srf
+from isogeo.errors import DomainError, NotAdmissible
 
 SPHERE_SPEC = {
     "space": "i3",
@@ -418,7 +420,7 @@ def test_non_finite_spec_numbers_are_rejected(tmp_path, capsys, value):
     param_spec = dict(SPHERE_SPEC, surface=dict(SPHERE_SPEC["surface"], params={"p": value}))
     for spec, message in ((domain_spec, "'domain' must be finite"), (param_spec, "parameter 'p' must be finite")):
         path = write_spec(tmp_path, spec)
-        assert "Infinity" in open(path).read() or "NaN" in open(path).read()
+        assert "Infinity" in Path(path).read_text() or "NaN" in Path(path).read_text()
         out = tmp_path / "out.csv"
         for argv in (
             ["curvature", path, "--grid", "3x3", "--out", str(out)],
@@ -520,3 +522,93 @@ def test_float_commands_never_import_numpy(tmp_path):
     assert all(code == 0 for _, code, _ in steps), steps
     assert not any(loaded for _, _, loaded in steps[:-1]), steps
     assert steps[-1][2]  # the tensor suites build arrays
+
+
+@pytest.mark.parametrize("domain", [[-1e308, 1e308, 0, 1], [0, 1, -1e308, 1e308]])
+def test_domain_with_an_overflowing_width_is_rejected(tmp_path, capsys, domain):
+    # every entry is finite, but u1 - u0 (or v1 - v0) overflows to inf, so
+    # the grid values u0 + (u1 - u0) * i / (n - 1) would be inf and nan
+    path = write_spec(tmp_path, dict(SPHERE_SPEC, domain=domain))
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["curvature", path, "--grid", "3x3", "--out", str(out)],
+        ["sample", path, "--grid", "3x3", "--format", "csv", "--out", str(out)],
+        ["geodesic", path, "--start", "0.5,0.5", "--velocity", "1,0", "--t-end", "0.1",
+         "--out", str(out)],
+    ):
+        assert cli.main(argv) == 2
+        assert "'domain' widths must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_grid_and_samples_are_bounded_before_any_point(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "frame_at", _no_points)
+    monkeypatch.setattr(cli, "grid_values", _no_points)
+    monkeypatch.setattr(verify, "run_verify", _no_points)
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    out = tmp_path / "out"
+    for grid in ("1001x1000", "2x500001", "1000000x1000000"):
+        for command in ("curvature", "sample"):
+            assert cli.main([command, spec, "--grid", grid, "--out", str(out)]) == 2
+            assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+    assert cli._parse_grid("1000x1000") == (1000, 1000)  # the bound is inclusive
+    for samples in ("1000001", "0"):
+        assert cli.main(["verify", "--all-catalog", "--samples", samples]) == 2
+        assert f"--samples must be in [1, {cli.MAX_SAMPLES}]" in capsys.readouterr().err
+    assert not out.exists()
+
+    seen = []
+    monkeypatch.setattr(verify, "run_verify", lambda *args: seen.append(args) or {"overall": "pass"})
+    assert cli.main(["verify", "--all-catalog", "--suite", "umbilic", "--samples", "1000000"]) == 0
+    assert seen[0][2] == cli.MAX_SAMPLES
+
+
+def _repr_row(values):
+    return ",".join(repr(float(x)) for x in values)
+
+
+def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
+    # m12 = u + 1 vanishes on u = -1 (inadmissible) and log(v + 0.5) has
+    # no value for v <= -0.5 (undefined); x = u and g12 = u (u + 1) v
+    surface = {"kind": "parametric", "x": "u", "y": "u*v + v", "z": "log(v + 0.5) + u*v"}
+    spec = {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]}
+    path = write_spec(tmp_path, spec)
+    patch = cli.load_spec_file(path)
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", path, "--grid", "9x8", "--out", str(out)]) == 0
+    expected = ["u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"]
+    for u in srf.grid_values(-1.0, 1.0, 9):
+        for v in srf.grid_values(-1.0, 1.0, 8):
+            try:
+                f = srf.frame_at(patch, u, v)
+                rep = srf.curvatures_of_frame(f)
+            except NotAdmissible:
+                expected.append(_repr_row((u, v)) + ",,,,,,,inadmissible,,,")
+                continue
+            except DomainError:
+                expected.append(_repr_row((u, v)) + ",,,,,,,undefined,,,")
+                continue
+            expected.append(
+                ",".join([
+                    _repr_row((u, v) + f.position.as_tuple() + (rep.K, rep.H, rep.discriminant)),
+                    rep.label.value,
+                    _repr_row(f.xi.as_tuple()),
+                ])
+            )
+    assert out.read_text() == "\n".join(expected) + "\n"
+    classes = {line.split(",")[8] for line in expected[1:]}
+    assert {"inadmissible", "undefined"} < classes and len(classes) >= 3
+
+    path = write_spec(tmp_path, dict(spec, domain=[-1, 1, -0.25, 1]))
+    patch = cli.load_spec_file(path)
+    points = [
+        (u, v, patch.evaluate(u, v).position())
+        for u in srf.grid_values(-1.0, 1.0, 7)
+        for v in srf.grid_values(-0.25, 1.0, 5)
+    ]
+    assert cli.main(["sample", path, "--grid", "7x5", "--format", "csv", "--out", str(out)]) == 0
+    rows = ["u,v,x,y,z"] + [_repr_row((u, v) + p.as_tuple()) for u, v, p in points]
+    assert out.read_text() == "\n".join(rows) + "\n"
+    assert cli.main(["sample", path, "--grid", "7x5", "--format", "obj", "--out", str(out)]) == 0
+    vertices = [f"v {' '.join(repr(float(x)) for x in p.as_tuple())}" for _, _, p in points]
+    assert out.read_text().splitlines()[: len(points)] == vertices

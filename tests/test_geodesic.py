@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import rk4ref
 from isogeo import catalog
 from isogeo import geodesic as geo
 from isogeo import surface as srf
@@ -233,3 +234,48 @@ def test_relative_trace_halts_at_lightlike_locus():
     trace = geo.integrate(sphere, RELATIVE, 0.0, 0.0, 0.0, 1.0, 3.0, 1e-2)
     assert not trace.completed
     assert trace.stopped_reason == "lightlike"
+
+
+def _rk4_cases():
+    helicoid = catalog.make("helicoid", IP3, {"c": 0.6})
+    sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
+    sheared = ("u + 0.3*v", "v + 0.2*u*v", "sin(u)*cos(v)")  # g12 != 0
+    box = (-2.0, 2.0, -2.0, 2.0)
+    walk = (0.1, 0.2, 0.5, 0.3, 1.0, 1e-2)
+    cases = []
+    for gkind in (RELATIVE, LEVI_CIVITA):
+        cases += [
+            ("helicoid", helicoid, gkind, (2.0, 0.1, 0.3, -0.25, 1.0, 1e-2), None),
+            ("sphere", sphere, gkind, (0.3, -0.2, 0.7, 0.4, 1.0, 1e-2), None),
+            ("sheared-i3", srf.parametric_patch(I3, *sheared, box), gkind, walk, None),
+            ("sheared-ip3", srf.parametric_patch(IP3, *sheared, box), gkind, walk, None),
+            # m12 = -1, so the frame swaps the parameters; g12 = 0.3
+            ("swapped", srf.parametric_patch(I3, "v + 0.3*u", "u", "u^2/3 + u*v/5", box), gkind, walk, None),
+            # the fourth stage of the step from u = 0.95 lands on u = 1.05
+            ("left", srf.graph_patch(I3, "0.1*u", (0.0, 1.0, 0.0, 1.0)), gkind,
+             (0.55, 0.5, 1.0, 0.0, 1.0, 0.1), "left_domain"),
+        ]
+    # the second stage of the first step lands on (0, 1), on the lightlike
+    # locus u^2 - v^2 = -1, where the relative connection is singular
+    lightlike = catalog.make("parabolic_sphere", IP3, {"p": 1.0})
+    cases.append(("lightlike", lightlike, RELATIVE, (0.0, 0.5, 0.0, 1.0, 1.0, 1.0), "lightlike"))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "patch, gkind, args, reason",
+    [case[1:] for case in _rk4_cases()],
+    ids=[f"{case[0]}-{case[2].value}" for case in _rk4_cases()],
+)
+def test_integrate_matches_the_tuple_form_reference(patch, gkind, args, reason):
+    got = geo.integrate(patch, gkind, *args)
+    rows, residuals, ref_reason, ref_stop = rk4ref.trace(patch, gkind, *args)
+    assert got.stopped_reason == ref_reason == reason
+    assert repr(got.stop_time) == repr(ref_stop)
+    assert len(got.samples) == len(rows) >= 1
+    for smp, row in zip(got.samples, rows):
+        values = (smp.t, smp.u, smp.v, smp.du, smp.dv) + smp.position.as_tuple()
+        assert list(map(repr, values)) == list(map(repr, row))
+    assert list(map(repr, got.residuals["parallel"])) == list(map(repr, residuals))
+    if reason is not None:  # the halt came inside a step, after a sample
+        assert len(rows) >= 1 and got.stop_time == rows[-1][0]
