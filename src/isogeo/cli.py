@@ -18,7 +18,8 @@ SPEC is a JSON file:
      "domain": [u0, u1, v0, v1]}          (optional for builtins)
 
 Exit codes: 0 success, 2 spec/usage error, 3 output I/O error,
-4 geodesic started on an invalid point (lightlike or inadmissible),
+4 geodesic started on an invalid point (lightlike, inadmissible, or
+where the geodesic equation is not finite),
 5 verification failure.  CSV and JSON floats use shortest round-trip
 formatting, and verify sampling is splitmix64-seeded, so identical
 invocations produce byte-identical outputs.
@@ -40,6 +41,7 @@ from .errors import (
     IsoGeoError,
     LeftDomain,
     LightlikePointHit,
+    NonFiniteStart,
     NotAdmissible,
     SpecError,
 )
@@ -168,29 +170,54 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         raise SpecError(f"{what} must be two numbers, got {text!r}") from err
 
 
-def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
+CURVATURE_HEADER = "u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"
+
+
+def _curvature_rows(patch: SurfacePatch, us: list[float], vs: list[tuple[float, str]]) -> str:
+    """The CSV rows of the grid points (u, v), u in ``us`` and (v, repr(v))
+    in ``vs``, as one text with a newline after each row."""
     # every value written is a Python float, so repr is its shortest
     # round-trip form; each grid value is formatted once
-    lines = ["u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"]
-    u0, u1, v0, v1 = patch.domain
-    vs = [(v, repr(v)) for v in grid_values(v0, v1, nv)]
-    for u in grid_values(u0, u1, nu):
+    lines = []
+    for u in us:
         su = repr(u)
         for v, sv in vs:
             try:
                 f = frame_at(patch, u, v)
                 rep = curvatures_of_frame(f)
             except NotAdmissible:
-                lines.append(f"{su},{sv},,,,,,,inadmissible,,,")
+                lines.append(f"{su},{sv},,,,,,,inadmissible,,,\n")
                 continue
             except DomainError:
-                lines.append(f"{su},{sv},,,,,,,undefined,,,")
+                lines.append(f"{su},{sv},,,,,,,undefined,,,\n")
                 continue
             lines.append(
                 f"{su},{sv},{f.p_x!r},{f.p_y!r},{f.p_z!r},{rep.K!r},{rep.H!r},"
-                f"{rep.discriminant!r},{rep.label.value},{f.xi_x!r},{f.xi_y!r},{f.xi_z!r}"
+                f"{rep.discriminant!r},{rep.label.value},{f.xi_x!r},{f.xi_y!r},{f.xi_z!r}\n"
             )
-    _write_text(out_path, "\n".join(lines) + "\n")
+    return "".join(lines)
+
+
+def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
+    # imported here, so that only this command loads the fork machinery
+    from .forkmap import fork_map, worker_count
+
+    # the u rows are split into one contiguous block per worker process;
+    # every block runs the same row loop, so the bytes do not depend on
+    # the number of workers
+    u0, u1, v0, v1 = patch.domain
+    us = grid_values(u0, u1, nu)
+    vs = [(v, repr(v)) for v in grid_values(v0, v1, nv)]
+    workers = worker_count(nu)
+    bounds = [nu * i // workers for i in range(workers + 1)]
+    texts = fork_map(
+        lambda block: _curvature_rows(patch, block, vs),
+        [us[a:b] for a, b in zip(bounds, bounds[1:])],
+    )
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CURVATURE_HEADER + "\n")
+        for text in texts:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -345,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             nu, nv = _parse_grid(args.grid)
             return cmd_sample(patch, nu, nv, args.format, args.out)
         raise SpecError(f"unknown command {args.command!r}")
-    except (LightlikePointHit, LeftDomain) as err:
+    except (LightlikePointHit, LeftDomain, NonFiniteStart) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_START
     except NotAdmissible as err:

@@ -45,6 +45,11 @@ class LightlikePointHit(IsoGeoError):
     """A geodesic was started on (or asked to start on) a lightlike point."""
 
 
+class NonFiniteStart(IsoGeoError):
+    """The geodesic equation is not finite at the start point: the start
+    velocity or the connection coefficients there are not finite."""
+
+
 class LightlikeDirection(IsoGeoError):
     """Tangent direction with vanishing induced length in pseudo-isotropic
     space; no normal curvature can be assigned to it."""

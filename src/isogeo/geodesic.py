@@ -8,8 +8,9 @@ with C the Levi-Civita or the relative coefficients.  The system is
 integrated by classic fixed-step RK4 on (u, v, u', v'); fixed steps keep
 convergence-order tests clean.  Integration halts with a flagged trace
 (rather than extrapolating) when the trajectory leaves the parameter
-domain or, for the relative connection in pseudo-isotropic space,
-reaches a lightlike point.
+domain, reaches an inadmissible point or, for the relative connection
+in pseudo-isotropic space, a lightlike point, or when its state or
+connection coefficients stop being finite.
 
 Every sample carries a parallelism residual: for relative geodesics the
 ambient acceleration must be parallel to the Gauss map, measured as
@@ -52,6 +53,7 @@ from .errors import (
     LeftDomain,
     LightlikePoint,
     LightlikePointHit,
+    NonFiniteStart,
     NotAdmissible,
     StepNotPositive,
     TooManySteps,
@@ -101,11 +103,12 @@ def _rhs(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float, du: float, dv
     in the caller's parameter order; the connection's six coefficients
     C_ij^k (see ``connection.Coeffs6``) are in the frame's."""
     if not s.contains(u, v):
-        raise _Halt("left_domain")
+        # an overflowed state is outside every domain; say which it was
+        raise _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
     try:
         f = frame_at(s, u, v)
-    except NotAdmissible:
-        raise _Halt("inadmissible")
+    except NotAdmissible as err:
+        raise _Halt("inadmissible") from err
     if gkind is GeodesicKind.LEVI_CIVITA:
         c111, c112, c121, c122, c221, c222 = gamma6_of_frame(f)
     else:
@@ -165,13 +168,18 @@ def integrate(
         raise LeftDomain(f"start point ({u0!r}, {v0!r}) outside domain {s.domain!r}")
     # invalid starts are errors; later failures merely flag the trace
     try:
-        _, _, start_frame = _rhs(s, gkind, u0, v0, du0, dv0)
+        au, av, start_frame = _rhs(s, gkind, u0, v0, du0, dv0)
     except _Halt as halt:
         if halt.reason == "lightlike":
             raise LightlikePointHit(
                 f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
             ) from None
-        raise NotAdmissible(u0, v0, 0.0) from None
+        raise halt.__cause__ from None  # the frame's NotAdmissible, with its minor
+    if not (math.isfinite(au) and math.isfinite(av)):
+        raise NonFiniteStart(
+            f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
+            f"acceleration ({au!r}, {av!r})"
+        )
     if (
         gkind is GeodesicKind.RELATIVE
         and s.kind is SpaceKind.PSEUDO_ISOTROPIC
@@ -197,6 +205,10 @@ def integrate(
     try:
         for k in range(n_steps + 1):
             au, av, f = _rhs(s, gkind, u, v, du, dv)
+            # once per step: a non-finite velocity or coefficient at any stage
+            # reaches this step's state, so the next check here sees it
+            if not (math.isfinite(au) and math.isfinite(av)):
+                raise _Halt("non_finite")
             if watch_lightlike:
                 # the connection is singular on the lightlike locus; stop when
                 # entering the guard band or stepping across a sign change

@@ -43,7 +43,6 @@ from .isotropy import (
     SpaceKind,
     Vec3,
     dot,
-    norm_euclid,
 )
 from .jets import Jet2, Jet2Vec3
 
@@ -300,9 +299,11 @@ def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
         swapped = True
         m12 = -m12
 
-    scale = 1.0 + math.sqrt(xu * xu + yu * yu + zu * zu) * math.sqrt(
-        xv * xv + yv * yv + zv * zv
-    )
+    # m12 is a minor of the top views alone, so it is judged against their
+    # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
+    # enter.  hypot does not overflow, so a zero top view gives a scale
+    # of 1, never 0 * inf = nan
+    scale = 1.0 + math.hypot(xu, yu) * math.hypot(xv, yv)
     if abs(m12) <= ADMISSIBILITY_RTOL * scale:
         raise NotAdmissible(u, v, m12)
 
@@ -445,7 +446,7 @@ def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityR
             jv = s.evaluate(uu, vv)
             x1, x2 = jv.d1(), jv.d2()
             m12 = x1.x * x2.y - x1.y * x2.x
-            scale = 1.0 + norm_euclid(x1) * norm_euclid(x2)
+            scale = 1.0 + math.hypot(x1.x, x1.y) * math.hypot(x2.x, x2.y)  # as frame_of_jet
             min_abs = min(min_abs, abs(m12))
             if abs(m12) <= ADMISSIBILITY_RTOL * scale:
                 bad.append((uu, vv))

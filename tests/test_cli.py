@@ -612,3 +612,31 @@ def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
     assert cli.main(["sample", path, "--grid", "7x5", "--format", "obj", "--out", str(out)]) == 0
     vertices = [f"v {' '.join(repr(float(x)) for x in p.as_tuple())}" for _, _, p in points]
     assert out.read_text().splitlines()[: len(points)] == vertices
+
+
+def test_geodesic_where_the_equation_overflows(tmp_path, capsys):
+    # z = exp(u): |xi|^2 overflows past u ~ 354.9 (see test_geodesic)
+    spec = write_spec(
+        tmp_path,
+        {"space": "i3", "surface": {"kind": "graph", "f": "exp(u)"}, "domain": [0, 1000, 0, 1]},
+    )
+    out = tmp_path / "trace.csv"
+    argv = ["geodesic", spec, "--type", "r", "--velocity", "1,0", "--t-end", "1", "--out", str(out)]
+    assert cli.main(argv + ["--start", "356,0.5"]) == cli.EXIT_BAD_START
+    assert "error: geodesic equation not finite at the start (356.0, 0.5)" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--start", "354.6,0.5"]) == 0
+    assert capsys.readouterr().err == "warning: trace stopped at t=0.395 (non_finite)\n"
+    rows = read_rows(out)
+    assert len(rows) == 396
+    assert all(math.isfinite(float(row[k])) for row in rows for k in ("u", "v", "du", "dv", "z"))
+
+
+def test_geodesic_inadmissible_start_reports_the_minor(tmp_path, capsys):
+    surface = {"kind": "parametric", "x": "u + v", "y": "u + 1.0000000000001*v", "z": "u*v"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [0, 1, 0, 1]})
+    argv = ["geodesic", spec, "--start", "0.3,0.2", "--velocity", "1,0", "--t-end", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "trace.csv")]) == cli.EXIT_BAD_START
+    assert capsys.readouterr().err == (
+        "error: surface not admissible at (u=0.3, v=0.2): top-view minor 9.992007221626409e-14\n"
+    )

@@ -42,9 +42,8 @@ def reference(patch, u, v, tol=1e-9):
     if swapped:
         x1, x2, x11, x22 = x2, x1, x22, x11
     m23, m31, m12 = np.cross(x1, x2)
-    scale = 1.0 + math.sqrt(float((x1 * x1)[0] + (x1 * x1)[1] + (x1 * x1)[2])) * math.sqrt(
-        float((x2 * x2)[0] + (x2 * x2)[1] + (x2 * x2)[2])
-    )
+    # m12 is judged against the lengths of the top views only
+    scale = 1.0 + math.hypot(float(x1[0]), float(x1[1])) * math.hypot(float(x2[0]), float(x2[1]))
     if abs(m12) <= srf.ADMISSIBILITY_RTOL * scale:
         raise NotAdmissible(u, v, float(m12))
 

@@ -10,6 +10,8 @@ from isogeo.errors import (
     DegenerateBranch,
     LeftDomain,
     LightlikePointHit,
+    NonFiniteStart,
+    NotAdmissible,
     StepNotPositive,
     TooManySteps,
 )
@@ -279,3 +281,65 @@ def test_integrate_matches_the_tuple_form_reference(patch, gkind, args, reason):
     assert list(map(repr, got.residuals["parallel"])) == list(map(repr, residuals))
     if reason is not None:  # the halt came inside a step, after a sample
         assert len(rows) >= 1 and got.stop_time == rows[-1][0]
+
+
+def test_relative_trace_halts_where_the_connection_overflows():
+    # z = exp(u): |xi|^2 overflows past u ~ 354.9, and the relative
+    # coefficients there are nan; u'' = -2 u'^2 carries the trace across
+    steep = srf.graph_patch(I3, "exp(u)", (0.0, 1000.0, 0.0, 1.0))
+    trace = geo.integrate(steep, RELATIVE, 354.6, 0.5, 1.0, 0.0, 1.0, 1e-3)
+    assert trace.stopped_reason == "non_finite"
+    assert 0.3 < trace.stop_time < 0.5
+    # a stage of the step from stop_time overflowed; its samples are finite
+    assert len(trace.samples) == round(trace.stop_time / 1e-3) + 1
+    assert all(math.isfinite(x) for smp in trace.samples for x in smp[:5])
+    # the Levi-Civita connection does not involve xi
+    assert geo.integrate(steep, LEVI_CIVITA, 354.6, 0.5, 1.0, 0.0, 1.0, 1e-3).completed
+    with pytest.raises(NonFiniteStart, match=r"not finite at the start \(356.0, 0.5\)"):
+        geo.integrate(steep, RELATIVE, 356.0, 0.5, 1.0, 0.0, 1.0, 1e-3)
+
+
+def test_non_finite_start_velocity_is_rejected():
+    plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
+    for velocity in ((math.inf, 0.0), (0.0, math.nan)):
+        for gkind in (RELATIVE, LEVI_CIVITA):
+            with pytest.raises(NonFiniteStart):
+                geo.integrate(plane, gkind, 0.1, 0.2, *velocity, 1.0, 1e-2)
+
+
+def test_a_stage_that_overflows_the_position_halts_as_non_finite(monkeypatch):
+    # a stage position of inf or nan is outside the domain, but says more
+    plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
+    with pytest.raises(geo._Halt) as halt:
+        geo._rhs(plane, RELATIVE, math.nan, 0.2, 1.0, 0.0)
+    assert halt.value.reason == "non_finite"
+    with pytest.raises(geo._Halt) as halt:
+        geo._rhs(plane, RELATIVE, 1e300, 0.2, 1.0, 0.0)
+    assert halt.value.reason == "left_domain"
+
+
+def test_inadmissible_start_reports_the_frame_minor():
+    # m12 = 1e-13 (rounded) against a top-view scale of about 3
+    patch = srf.parametric_patch(
+        I3, "u + v", "u + 1.0000000000001*v", "u*v", (0.0, 1.0, 0.0, 1.0)
+    )
+    with pytest.raises(NotAdmissible) as err:
+        geo.integrate(patch, RELATIVE, 0.3, 0.2, 1.0, 0.0, 1.0, 1e-2)
+    assert err.value.minor == 1.0000000000001 - 1.0
+    assert "top-view minor 9.992007221626409e-14" in str(err.value)
+
+
+def test_a_non_finite_stage_acceleration_halts_before_its_sample(monkeypatch):
+    # the last stage of the step from u = 0.55 reaches u = 0.56, where the
+    # acceleration is nan: u stays finite, u' does not
+    plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
+    real_rhs = geo._rhs
+
+    def overflowing_past(s, gkind, u, v, du, dv):
+        au, av, f = real_rhs(s, gkind, u, v, du, dv)
+        return (math.nan, av, f) if u > 0.5575 else (au, av, f)
+
+    monkeypatch.setattr(geo, "_rhs", overflowing_past)
+    trace = geo.integrate(plane, RELATIVE, 0.1, 0.2, 1.0, 0.0, 1.0, 1e-2)
+    assert (trace.stopped_reason, len(trace.samples)) == ("non_finite", 46)
+    assert all(math.isfinite(x) for smp in trace.samples for x in smp[:5])

@@ -326,3 +326,31 @@ def test_minimal_surfaces_have_zero_mean_curvature():
         u, v = rng.uniform(-1.8, 1.8), rng.uniform(-1.8, 1.8)
         assert abs(srf.curvatures_at(wave, u, v).H) < 1e-10
         assert abs(srf.curvatures_at(harmonic, u, v).H) < 1e-8
+
+
+def test_admissibility_is_judged_on_the_top_view():
+    # m12 has no z-part, so steep z-derivatives do not make a point
+    # inadmissible: at (30, 0.5), |x1| |x2| = e^30 but m12 = 1
+    steep = srf.graph_patch(I3, "exp(u)", (0.0, 1000.0, 0.0, 1.0))
+    assert srf.frame_at(steep, 30.0, 0.5).m12 == 1.0
+    report = srf.is_admissible(srf.graph_patch(I3, "exp(u)", (0.0, 300.0, 0.0, 1.0)))
+    assert report.admissible_everywhere and report.min_abs_m12 == 1.0
+
+
+@pytest.mark.parametrize("kind", [I3, IP3])
+def test_admissibility_is_invariant_under_an_isotropic_shear(kind):
+    # z -> z + c1 x is an isotropic motion: it changes z-derivatives only
+    domain = (0.0, 1e13, 0.0, 1.0)
+    for f in ("u^2/2", "u^2/2 - 3e12*u"):
+        frame = srf.frame_at(srf.graph_patch(kind, f, domain), 3e12, 0.5)
+        assert frame.m12 == 1.0
+        assert srf.is_admissible(srf.graph_patch(kind, f, domain), 4, 4).admissible_everywhere
+
+
+def test_a_top_view_scale_that_would_overflow_is_still_a_number():
+    # |x1_top|^2 overflows and x2 = 0: a scale of inf * 0 = nan once let
+    # m12 = 0 through to a division by zero
+    patch = srf.parametric_patch(I3, "1e200*u", "1e200*u", "v*0", (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(NotAdmissible):
+        srf.frame_at(patch, 0.5, 0.5)
+    assert not srf.is_admissible(patch, 3, 3).admissible_everywhere
