@@ -15,7 +15,7 @@ from .connection import (
     egregium_check,
     gauss_equation_rhs,
 )
-from .expr import Expr, eval_jet2, parse, to_source
+from .expr import Expr, parse, to_source
 from .geodesic import (
     GeodesicKind,
     GeodesicTrace,
@@ -44,7 +44,7 @@ from .isotropy import (
     norm,
     top_view,
 )
-from .jets import Jet2, Jet2Vec3
+from .jets import Jet2
 from .surface import (
     AdmissibilityReport,
     CurvatureClass,

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 from . import expr as ex
 from .errors import BadParam
 from .isotropy import SpaceKind
-from .surface import SurfacePatch, graph_patch, parametric_patch
+from .surface import SurfacePatch, graph_patch, grid_values, parametric_patch
 
 BOTH = (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC)
 PSEUDO_ONLY = (SpaceKind.PSEUDO_ISOTROPIC,)
@@ -165,22 +165,20 @@ def _build_minimal_wave(kind, params, domain):
 
 def _build_minimal_harmonic(kind, params, domain):
     f_expr = _expr_param(params, "f", "minimal_harmonic")
+    patch = graph_patch(
+        kind, f_expr, domain, "minimal_harmonic", {"f": ex.to_source(f_expr)}
+    )
     u0, u1, v0, v1 = domain
     worst = 0.0
-    n = 15
-    for i in range(n):
-        for j in range(n):
-            uu = u0 + (u1 - u0) * i / (n - 1)
-            vv = v0 + (v1 - v0) * j / (n - 1)
-            jet = ex.eval_jet2(f_expr, uu, vv)
-            worst = max(worst, abs(jet.duu + jet.dvv))
+    for uu in grid_values(u0, u1, 15):
+        for vv in grid_values(v0, v1, 15):
+            jet = patch.jet_kernel(uu, vv)
+            worst = max(worst, abs(jet[15] + jet[17]))  # f_uu + f_vv
     if worst > 1e-8:
         raise BadParam(
             f"minimal_harmonic profile is not harmonic: max |laplacian| = {worst!r}"
         )
-    return graph_patch(
-        kind, f_expr, domain, "minimal_harmonic", {"f": ex.to_source(f_expr)}
-    )
+    return patch
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -266,11 +264,11 @@ def oracles_for(patch: SurfacePatch) -> Optional[CurvatureOracles]:
             k=lambda u, v: c * c / u**4, h=lambda u, v: 0.0
         )
     if patch.name == "revolution":
-        z_expr = ex.parse(p["z"])
+        z_jet = ex.compile_jet((ex.parse(p["z"]),), 2)
 
         def derivs(u: float) -> tuple[float, float]:
-            jet = ex.eval_jet2(z_expr, u, 0.0)
-            return jet.du, jet.duu
+            jet = z_jet(u, 0.0)
+            return jet[1], jet[3]  # z', z''
 
         def k_fn(u: float, v: float) -> float:
             z1, z2 = derivs(u)

@@ -166,29 +166,6 @@ def integrate(
     n_steps = _step_count(t_end, step)
     if not s.contains(u0, v0):
         raise LeftDomain(f"start point ({u0!r}, {v0!r}) outside domain {s.domain!r}")
-    # invalid starts are errors; later failures merely flag the trace
-    try:
-        au, av, start_frame = _rhs(s, gkind, u0, v0, du0, dv0)
-    except _Halt as halt:
-        if halt.reason == "lightlike":
-            raise LightlikePointHit(
-                f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
-            ) from None
-        raise halt.__cause__ from None  # the frame's NotAdmissible, with its minor
-    if not (math.isfinite(au) and math.isfinite(av)):
-        raise NonFiniteStart(
-            f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
-            f"acceleration ({au!r}, {av!r})"
-        )
-    if (
-        gkind is GeodesicKind.RELATIVE
-        and s.kind is SpaceKind.PSEUDO_ISOTROPIC
-        and abs(denom_of_frame(start_frame)) < LIGHTLIKE_GUARD_BAND
-    ):
-        raise LightlikePointHit(
-            f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
-        )
-
     # the step is nudged to divide t_end evenly (no-op for exact multiples)
     step = t_end / n_steps
     samples: list[TraceSample] = []
@@ -241,6 +218,19 @@ def integrate(
             )
             t = (k + 1) * step
     except _Halt as halt:
+        # a halt before the first sample is an invalid start, an error;
+        # later halts merely flag the trace
+        if not samples:
+            if halt.reason == "lightlike":
+                raise LightlikePointHit(
+                    f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
+                ) from None
+            if halt.reason == "non_finite":
+                raise NonFiniteStart(
+                    f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
+                    f"acceleration ({au!r}, {av!r})"
+                ) from None
+            raise halt.__cause__ from None  # the frame's NotAdmissible, with its minor
         trace.stopped_reason = halt.reason
         trace.stop_time = t
     return trace

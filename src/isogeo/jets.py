@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .isotropy import Vec3
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,34 +259,3 @@ UNARY = {
     "sqrt": sqrt,
     "abs": absj,
 }
-
-
-@dataclass(frozen=True, slots=True)
-class Jet2Vec3:
-    """Jets of the three coordinates of an immersion x(u, v)."""
-
-    x: Jet2
-    y: Jet2
-    z: Jet2
-
-    def position(self) -> Vec3:
-        return Vec3(self.x.val, self.y.val, self.z.val)
-
-    def d1(self) -> Vec3:
-        return Vec3(self.x.du, self.y.du, self.z.du)
-
-    def d2(self) -> Vec3:
-        return Vec3(self.x.dv, self.y.dv, self.z.dv)
-
-    def d12(self) -> Vec3:
-        return Vec3(self.x.duv, self.y.duv, self.z.duv)
-
-    def swap_params(self) -> "Jet2Vec3":
-        """Relabel the two parameters (u <-> v) in every component."""
-        return Jet2Vec3(
-            _swap_jet(self.x), _swap_jet(self.y), _swap_jet(self.z)
-        )
-
-
-def _swap_jet(a: Jet2) -> Jet2:
-    return Jet2(a.val, a.dv, a.du, a.dvv, a.duv, a.duu)

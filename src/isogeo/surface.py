@@ -38,13 +38,7 @@ from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .errors import DomainError, LightlikeDirection, NotAdmissible, WrongSpace
-from .isotropy import (
-    Motion,
-    SpaceKind,
-    Vec3,
-    dot,
-)
-from .jets import Jet2, Jet2Vec3
+from .isotropy import Motion, SpaceKind, Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
 
@@ -90,8 +84,8 @@ class SurfacePatch:
     @functools.cached_property
     def jet_kernel(self):
         """``(u, v) ->`` the 18 floats (val, du, dv, duu, duv, dvv) of x, y
-        and z, bit-identical to ``eval_jet2`` on each expression; compiled
-        on first use and kept on this patch."""
+        and z, bit-identical to the reference tree walk of ``expr`` on each
+        expression; compiled on first use and kept on this patch."""
         return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 2)
 
     @functools.cached_property
@@ -105,10 +99,6 @@ class SurfacePatch:
         # kernels are generated code that pickle cannot name; a copy
         # compiles its own on first use
         return {k: v for k, v in self.__dict__.items() if k not in ("jet_kernel", "jet3_kernel")}
-
-    def evaluate(self, u: float, v: float) -> Jet2Vec3:
-        r = self.jet_kernel(u, v)
-        return Jet2Vec3(Jet2(*r[0:6]), Jet2(*r[6:12]), Jet2(*r[12:18]))
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.domain
@@ -431,31 +421,25 @@ def grid_values(lo: float, hi: float, n: int) -> list[float]:
 
 
 def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityReport:
-    """Scan a grid: minimum |m12| and, in pseudo-isotropic space, whether
-    the induced metric is timelike (det g < 0) wherever admissible."""
+    """Scan a grid of frames: minimum |m12| and, in pseudo-isotropic space,
+    whether the induced metric is timelike (det g < 0) wherever admissible."""
     u0, u1, v0, v1 = s.domain
-    us = grid_values(u0, u1, nu)
-    vs = grid_values(v0, v1, nv)
     min_abs = math.inf
     bad: list[tuple[float, float]] = []
     timelike: Optional[bool] = (
         True if s.kind is SpaceKind.PSEUDO_ISOTROPIC else None
     )
-    for uu in us:
-        for vv in vs:
-            jv = s.evaluate(uu, vv)
-            x1, x2 = jv.d1(), jv.d2()
-            m12 = x1.x * x2.y - x1.y * x2.x
-            scale = 1.0 + math.hypot(x1.x, x1.y) * math.hypot(x2.x, x2.y)  # as frame_of_jet
-            min_abs = min(min_abs, abs(m12))
-            if abs(m12) <= ADMISSIBILITY_RTOL * scale:
+    for uu in grid_values(u0, u1, nu):
+        for vv in grid_values(v0, v1, nv):
+            try:
+                f = frame_at(s, uu, vv)
+            except NotAdmissible as err:
+                min_abs = min(min_abs, abs(err.minor))
                 bad.append((uu, vv))
-            elif s.kind is SpaceKind.PSEUDO_ISOTROPIC:
-                det_g = dot(s.kind, x1, x1) * dot(s.kind, x2, x2) - dot(
-                    s.kind, x1, x2
-                ) ** 2
-                if det_g >= 0.0:
-                    timelike = False
+                continue
+            min_abs = min(min_abs, f.m12)
+            if timelike and f.det_g >= 0.0:
+                timelike = False
     return AdmissibilityReport(
         admissible_everywhere=not bad,
         min_abs_m12=min_abs,
@@ -466,12 +450,13 @@ def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityR
 
 
 def lightlike_condition(s: SurfacePatch, u: float, v: float) -> float:
-    """(m23)^2 - (m13)^2 + (m12)^2; zero exactly at lightlike points."""
-    jv = s.evaluate(u, v)
-    x1, x2 = jv.d1(), jv.d2()
-    m12 = x1.x * x2.y - x1.y * x2.x
-    m23 = x1.y * x2.z - x1.z * x2.y
-    m13 = x1.x * x2.z - x1.z * x2.x
+    """(m23)^2 - (m13)^2 + (m12)^2; zero exactly at lightlike points.
+    Read from the jet, not the frame: it is defined where m12 = 0 too."""
+    jet = s.jet_kernel(u, v)
+    xu, xv, yu, yv, zu, zv = jet[1], jet[2], jet[7], jet[8], jet[13], jet[14]
+    m12 = xu * yv - yu * xv
+    m23 = yu * zv - zu * yv
+    m13 = xu * zv - zu * xv
     return m23 * m23 - m13 * m13 + m12 * m12
 
 

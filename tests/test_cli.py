@@ -602,15 +602,15 @@ def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
     path = write_spec(tmp_path, dict(spec, domain=[-1, 1, -0.25, 1]))
     patch = cli.load_spec_file(path)
     points = [
-        (u, v, patch.evaluate(u, v).position())
+        (u, v, patch.jet_kernel(u, v)[0:18:6])  # x, y, z
         for u in srf.grid_values(-1.0, 1.0, 7)
         for v in srf.grid_values(-0.25, 1.0, 5)
     ]
     assert cli.main(["sample", path, "--grid", "7x5", "--format", "csv", "--out", str(out)]) == 0
-    rows = ["u,v,x,y,z"] + [_repr_row((u, v) + p.as_tuple()) for u, v, p in points]
+    rows = ["u,v,x,y,z"] + [_repr_row((u, v) + p) for u, v, p in points]
     assert out.read_text() == "\n".join(rows) + "\n"
     assert cli.main(["sample", path, "--grid", "7x5", "--format", "obj", "--out", str(out)]) == 0
-    vertices = [f"v {' '.join(repr(float(x)) for x in p.as_tuple())}" for _, _, p in points]
+    vertices = [f"v {' '.join(repr(float(x)) for x in p)}" for _, _, p in points]
     assert out.read_text().splitlines()[: len(points)] == vertices
 
 
@@ -640,3 +640,46 @@ def test_geodesic_inadmissible_start_reports_the_minor(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: surface not admissible at (u=0.3, v=0.2): top-view minor 9.992007221626409e-14\n"
     )
+
+
+def test_the_program_evaluates_points_through_the_jet_kernel_only(tmp_path, monkeypatch, capsys):
+    # expr.eval_jet2 is the tests' reference tree walk; no command and no
+    # catalog entry walks a tree of its own
+    import functools
+
+    from isogeo import catalog
+    from isogeo.isotropy import SpaceKind
+
+    def tree_walk(*args):
+        raise AssertionError("expr.eval_jet2 called")
+
+    monkeypatch.setattr(expr, "eval_jet2", tree_walk)
+    # a fresh cache, so that verify builds its catalog patches under the patch
+    fresh = functools.cache(verify.verification_patches.__wrapped__)
+    monkeypatch.setattr(verify, "verification_patches", fresh)
+    params = {
+        "parabolic_sphere": {"p": 2.0},
+        "cylindrical_sphere": {"r": 1.0},
+        "plane": {"a": 0.3, "b": -0.2, "c": 0.7},
+        "ruled_nondiag": {"b": 2.0},
+        "helicoid": {"c": 1.0},
+        "revolution": {"z": "log(u)"},
+        "minimal_wave": {"f": "0.3*u^3", "g": "0.1*u^2"},
+        "minimal_harmonic": {"f": "exp(u) * sin(v)"},
+    }
+    assert sorted(params) == catalog.catalog_names()
+    for name, entry in catalog.CATALOG.items():
+        for kind in entry.kinds:
+            patch = catalog.make(name, kind, params[name])
+            oracles = catalog.oracles_for(patch)
+            if oracles is not None and oracles.discriminant is not None:
+                assert math.isfinite(oracles.discriminant(1.5, 0.0))
+    spec = write_spec(tmp_path, {"space": "ip3", "surface": {"kind": "builtin", "name": "helicoid", "params": {"c": 1}}})
+    out = str(tmp_path / "out")
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", out]) == 0
+    assert cli.main(["geodesic", spec, "--start", "1.5,0.1", "--velocity", "0.3,0.1", "--t-end", "0.1", "--out", out]) == 0
+    for fmt in ("csv", "obj"):
+        assert cli.main(["sample", spec, "--grid", "3x3", "--format", fmt, "--out", out]) == 0
+    assert cli.main(["verify", "--all-catalog", "--suite", "all", "--samples", "10"]) == 0
+    assert fresh.cache_info().currsize == 1
+    capsys.readouterr()

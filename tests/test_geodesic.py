@@ -343,3 +343,29 @@ def test_a_non_finite_stage_acceleration_halts_before_its_sample(monkeypatch):
     trace = geo.integrate(plane, RELATIVE, 0.1, 0.2, 1.0, 0.0, 1.0, 1e-2)
     assert (trace.stopped_reason, len(trace.samples)) == ("non_finite", 46)
     assert all(math.isfinite(x) for smp in trace.samples for x in smp[:5])
+
+
+def test_a_start_inside_the_guard_band_is_a_lightlike_start():
+    # denom = -1e-7 at (0, 1 + 1e-7): the coefficients exist, but the start
+    # is inside the band in which a trace would halt as lightlike
+    sphere = catalog.make("parabolic_sphere", IP3, {"p": 1.0})
+    with pytest.raises(LightlikePointHit, match=r"lightlike point at \(0.0, 1.0000001\)"):
+        geo.integrate(sphere, RELATIVE, 0.0, 1.0 + 1e-7, 1.0, 0.0, 0.5, 1e-2)
+
+
+@pytest.mark.parametrize("gkind", [RELATIVE, LEVI_CIVITA])
+def test_a_completed_trace_builds_four_frames_per_step_and_one_more(monkeypatch, gkind):
+    # the start point is the first stage of the first step, evaluated once
+    calls = []
+    real = geo.frame_at
+
+    def counting(s, u, v):
+        calls.append((u, v))
+        return real(s, u, v)
+
+    monkeypatch.setattr(geo, "frame_at", counting)
+    helicoid = catalog.make("helicoid", IP3, {"c": 0.6})
+    trace = geo.integrate(helicoid, gkind, 2.0, 0.1, 0.3, -0.25, 1.0, 1e-3)
+    assert trace.completed and len(trace.samples) == 1001
+    assert len(calls) == 4 * 1000 + 1
+    assert calls[0] == (2.0, 0.1)

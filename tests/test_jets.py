@@ -147,17 +147,3 @@ def test_chain_rule_against_finite_differences():
         for ad, fd in ((jet.duu, fd_uu), (jet.duv, fd_uv), (jet.dvv, fd_vv)):
             if abs(ad) >= 0.1:
                 assert abs(fd - ad) / abs(ad) < 1e-4
-
-
-def test_jet2vec3_accessors_and_swap():
-    from isogeo.jets import Jet2Vec3
-
-    vec = Jet2Vec3(jets.seed_u(1.0), jets.seed_v(2.0), jets.seed_u(3.0) * jets.seed_v(4.0))
-    assert vec.position().as_tuple() == (1.0, 2.0, 12.0)
-    assert vec.d1().as_tuple() == (1.0, 0.0, 4.0)
-    assert vec.d2().as_tuple() == (0.0, 1.0, 3.0)
-    assert vec.d12().as_tuple() == (0.0, 0.0, 1.0)
-    swapped = vec.swap_params()
-    assert swapped.d1().as_tuple() == (0.0, 1.0, 3.0)
-    assert swapped.d2().as_tuple() == (1.0, 0.0, 4.0)
-    assert swapped.d12().as_tuple() == (0.0, 0.0, 1.0)

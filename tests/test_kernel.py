@@ -185,11 +185,11 @@ def test_kernel_compiled_once_per_patch_and_not_at_construction(monkeypatch):
     patch = srf.graph_patch(SpaceKind.SIMPLY_ISOTROPIC, "(u^2 + v^2)/4 - 1", (-2.0, 2.0, -2.0, 2.0))
     assert calls == [] and "jet_kernel" not in vars(patch)
     for u in (0.1, 0.2, 0.3):
-        patch.evaluate(u, 0.5)
+        patch.jet_kernel(u, 0.5)
         srf.frame_at(patch, u, -0.5)
     assert len(calls) == 1
     other = srf.graph_patch(SpaceKind.SIMPLY_ISOTROPIC, "(u^2 + v^2)/4 - 1", (-2.0, 2.0, -2.0, 2.0))
-    other.evaluate(0.0, 0.0)
+    other.jet_kernel(0.0, 0.0)
     assert len(calls) == 2  # no cache shared between patches
 
 

@@ -274,8 +274,8 @@ def test_transform_patch_moves_positions():
     m = Motion(I3, a=1.0, b=-2.0, c=0.5, c1=0.3, c2=-0.1, phi=0.7)
     patch = sphere_i3()
     moved = srf.transform_patch(patch, m)
-    p = patch.evaluate(1.2, 0.4).position()
-    q = moved.evaluate(1.2, 0.4).position()
+    p = srf.frame_at(patch, 1.2, 0.4).position
+    q = srf.frame_at(moved, 1.2, 0.4).position
     assert iso.norm_euclid(q - iso.apply_motion(m, p)) < 1e-12
 
 
@@ -354,3 +354,58 @@ def test_a_top_view_scale_that_would_overflow_is_still_a_number():
     with pytest.raises(NotAdmissible):
         srf.frame_at(patch, 0.5, 0.5)
     assert not srf.is_admissible(patch, 3, 3).admissible_everywhere
+
+
+def _reference_scan(s, nu, nv):
+    """``is_admissible`` as a scan of its own over the reference tree walk:
+    the m12 formula, the top-view scale and a Gram det g."""
+    u0, u1, v0, v1 = s.domain
+    min_abs, bad = math.inf, []
+    timelike = True if s.kind is IP3 else None
+    for u in srf.grid_values(u0, u1, nu):
+        for v in srf.grid_values(v0, v1, nv):
+            jx, jy, jz = (ex.eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
+            x1, x2 = Vec3(jx.du, jy.du, jz.du), Vec3(jx.dv, jy.dv, jz.dv)
+            m12 = x1.x * x2.y - x1.y * x2.x
+            min_abs = min(min_abs, abs(m12))
+            scale = 1.0 + math.hypot(x1.x, x1.y) * math.hypot(x2.x, x2.y)
+            if abs(m12) <= srf.ADMISSIBILITY_RTOL * scale:
+                bad.append((u, v))
+            elif s.kind is IP3:
+                gram = iso.dot(IP3, x1, x1) * iso.dot(IP3, x2, x2) - iso.dot(IP3, x1, x2) ** 2
+                if gram >= 0.0:
+                    timelike = False
+    return srf.AdmissibilityReport(not bad, min_abs, nu * nv, bad, timelike)
+
+
+def _reference_lightlike_condition(s, u, v):
+    """<n, n> with n = x1 x x2, Lorentzian, from the reference tree walk."""
+    jx, jy, jz = (ex.eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
+    n = iso.cross_lorentz(Vec3(jx.du, jy.du, jz.du), Vec3(jx.dv, jy.dv, jz.dv))
+    return iso.dot_lorentz(n, n)
+
+
+def _scanned_patches():
+    from isogeo import verify
+
+    extra = [catalog.make("cylindrical_sphere", kind, {"r": 1.5}) for kind in (I3, IP3)]
+    for kind in (I3, IP3):
+        # m12 = 3e-9: admissible, with a Gram det g that cancels
+        extra.append(srf.parametric_patch(kind, "u + v", "u + (1 + 3e-9) * v", "u * v", (0, 1, 0, 1)))
+    return list(verify.verification_patches()) + extra
+
+
+def test_scans_equal_their_reference_on_the_catalog(monkeypatch):
+    patches = _scanned_patches()
+    for s in patches:
+        for n in (7, 20):
+            assert srf.is_admissible(s, n, n + 1) == _reference_scan(s, n, n + 1), s.name
+    pseudo = [s for s in patches if s.kind is IP3]
+    found = [srf.lightlike_points(s, n, n + 1) for s in pseudo for n in (7, 20)]
+    assert any(found)
+    for s in pseudo:
+        for u, v in ((0.7, 0.3), (1.2, -0.4)):
+            if s.contains(u, v):
+                assert srf.lightlike_condition(s, u, v) == _reference_lightlike_condition(s, u, v)
+    monkeypatch.setattr(srf, "lightlike_condition", _reference_lightlike_condition)
+    assert found == [srf.lightlike_points(s, n, n + 1) for s in pseudo for n in (7, 20)]
