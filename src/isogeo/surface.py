@@ -267,7 +267,9 @@ class AdmissibilityReport:
     min_abs_m12: float
     points: int
     inadmissible: list[tuple[float, float]]
-    timelike_everywhere: Optional[bool]  # pseudo only, None in simply isotropic
+    # pseudo only, None in simply isotropic; always True, since det g =
+    # -m12^2 < 0 at every admissible point
+    timelike_everywhere: Optional[bool]
 
 
 def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
@@ -300,11 +302,16 @@ def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
     m23 = yu * zv - zu * yv
     m31 = zu * xv - xu * zv
     a = m23 / m12
+    # det g = g11 g22 - g12^2 = +/- m12^2 by the Lagrange identity; the
+    # square is exact to one rounding where the Gram form cancels, and
+    # never 0 at an admissible point (so the pseudo-isotropic metric is
+    # timelike by construction)
     if kind is SpaceKind.SIMPLY_ISOTROPIC:
         b = m31 / m12
         g11 = xu * xu + yu * yu
         g12 = xu * xv + yu * yv
         g22 = xv * xv + yv * yv
+        det_g = m12 * m12
         xi_z = 0.5 * (1.0 - (a * a + b * b))
         # h_ij = <n_h, x_ij>, Euclidean, with n_h = (a, b, 1)
         h11 = a * xuu + b * yuu + zuu
@@ -315,16 +322,12 @@ def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
         g11 = xu * xu - yu * yu
         g12 = xu * xv - yu * yv
         g22 = xv * xv - yv * yv
+        det_g = -(m12 * m12)
         xi_z = 0.5 * (1.0 - (a * a - b * b))
         # h_ij = <n_h, x_ij>, Lorentzian
         h11 = a * xuu - b * yuu + zuu
         h12 = a * xuv - b * yuv + zuv
         h22 = a * xvv - b * yvv + zvv
-    det_g = g11 * g22 - g12 * g12
-    if det_g == 0.0:
-        # det g = +/- m12^2 in exact arithmetic; a zero here means m12 is
-        # lost in the rounding of g, and nothing dividing by det g exists
-        raise NotAdmissible(u, v, m12)
 
     return PointFrame(
         kind, u, v, swapped,
@@ -421,31 +424,25 @@ def grid_values(lo: float, hi: float, n: int) -> list[float]:
 
 
 def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityReport:
-    """Scan a grid of frames: minimum |m12| and, in pseudo-isotropic space,
-    whether the induced metric is timelike (det g < 0) wherever admissible."""
+    """Scan a grid of frames for the minimum |m12| and the inadmissible
+    points."""
     u0, u1, v0, v1 = s.domain
     min_abs = math.inf
     bad: list[tuple[float, float]] = []
-    timelike: Optional[bool] = (
-        True if s.kind is SpaceKind.PSEUDO_ISOTROPIC else None
-    )
     for uu in grid_values(u0, u1, nu):
         for vv in grid_values(v0, v1, nv):
             try:
-                f = frame_at(s, uu, vv)
+                m12 = frame_at(s, uu, vv).m12
             except NotAdmissible as err:
-                min_abs = min(min_abs, abs(err.minor))
+                m12 = abs(err.minor)
                 bad.append((uu, vv))
-                continue
-            min_abs = min(min_abs, f.m12)
-            if timelike and f.det_g >= 0.0:
-                timelike = False
+            min_abs = min(min_abs, m12)
     return AdmissibilityReport(
         admissible_everywhere=not bad,
         min_abs_m12=min_abs,
         points=nu * nv,
         inadmissible=bad,
-        timelike_everywhere=timelike,
+        timelike_everywhere=True if s.kind is SpaceKind.PSEUDO_ISOTROPIC else None,
     )
 
 

@@ -51,9 +51,7 @@ def reference(patch, u, v, tol=1e-9):
     top = np.array([x1[:2], x2[:2]])
     prod = top[:, None, :] * top[None, :, :]  # [i, j, c]
     g = prod[:, :, 0] + sig * prod[:, :, 1]
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det_g == 0.0:
-        raise NotAdmissible(u, v, float(m12))
+    det_g = sig * (m12 * m12)  # the Lagrange identity
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
 
     a = m23 / m12
@@ -213,13 +211,23 @@ def test_umbilic_test_matches_reference(kind, eps, label):
     assert got["curvature"][-1] is label
 
 
-def test_metric_rounding_to_singular_is_inadmissible():
-    # m12 = 1e-9 passes the minor's own test, but det g = m12^2 is lost
-    # in rounding g11 g22 - g12^2 to zero, so nothing can divide by it
-    patch = srf.parametric_patch(I3, "u + v", "u + (1 + 1e-9)*v", "u*v", (-1, 1, -1, 1))
-    got = outcome(from_frame, patch, 0.3, 0.2)
-    assert got == outcome(reference, patch, 0.3, 0.2)
-    assert "top-view minor 1.0000000" in got
+@pytest.mark.parametrize("kind, sign", [(I3, 1.0), (IP3, -1.0)])
+@pytest.mark.parametrize("eps", [3e-9, 1e-9])
+def test_det_g_is_exact_where_the_gram_determinant_cancels(kind, sign, eps):
+    # x1 and x2 are nearly parallel, so in the simply isotropic space
+    # g11 g22 - g12^2 cancels: at (0.3, 0.2) it gives -8.9e-16 for
+    # eps = 3e-9 (negative, so K was +1.1e15) and 0 for eps = 1e-9 (an
+    # inadmissible point), where det g = m12^2 ~ 1e-17
+    patch = srf.parametric_patch(kind, "u + v", f"u + (1 + {eps!r})*v", "u*v", (-1, 1, -1, 1))
+    assert outcome(from_frame, patch, 0.3, 0.2) == outcome(reference, patch, 0.3, 0.2)
+    f = srf.frame_at(patch, 0.3, 0.2)
+    assert f.m12 == (1 + eps) - 1.0
+    assert f.det_g == sign * (f.m12 * f.m12)
+    # h = [[0, 1], [1, 0]] exactly, so K = -1/det g: -1/m12^2 in I3, the
+    # Hessian of z = uv carried to top-view coordinates
+    assert srf.curvatures_of_frame(f).K == -1.0 / f.det_g
+    if kind is I3:
+        assert f.g11 * f.g22 - f.g12 * f.g12 <= 0.0 < f.det_g
 
 
 def test_frame_arrays_are_read_only():
