@@ -246,31 +246,49 @@ def cmd_geodesic(
 
 
 def cmd_sample(patch: SurfacePatch, nu: int, nv: int, fmt: str, out_path: str) -> int:
-    # entries 0, 6 and 12 of the jet are the position's x, y and z
-    kernel = patch.jet_kernel
     u0, u1, v0, v1 = patch.domain
     us, vs = grid_values(u0, u1, nu), grid_values(v0, v1, nv)
+    # each grid point's position, u-major; None where it is undefined: its
+    # jet raises DomainError or the position is not finite
+    points: list[Optional[tuple[float, float, float]]] = []
+    kernel = patch.jet_kernel
+    for u in us:
+        for v in vs:
+            try:
+                jet = kernel(u, v)
+            except DomainError:
+                points.append(None)
+                continue
+            x, y, z = jet[0], jet[6], jet[12]
+            finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+            points.append((x, y, z) if finite else None)
     if fmt == "csv":
         lines = ["u,v,x,y,z"]
         svs = [repr(v) for v in vs]
+        rows = iter(points)
         for u in us:
             su = repr(u)
-            for v, sv in zip(vs, svs):
-                jet = kernel(u, v)
-                lines.append(f"{su},{sv},{jet[0]!r},{jet[6]!r},{jet[12]!r}")
+            for sv in svs:
+                p = next(rows)
+                lines.append(f"{su},{sv},{p[0]!r},{p[1]!r},{p[2]!r}" if p else f"{su},{sv},,,")
         _write_text(out_path, "\n".join(lines) + "\n")
         return EXIT_OK
+    # an undefined point has no vertex, and no face uses it; index[k] is the
+    # 1-based OBJ index of grid point k's vertex, 0 where it has none
     lines = []
-    for u in us:
-        for v in vs:
-            jet = kernel(u, v)
-            lines.append(f"v {jet[0]!r} {jet[6]!r} {jet[12]!r}")
+    index = []
+    for p in points:
+        if p:
+            lines.append(f"v {p[0]!r} {p[1]!r} {p[2]!r}")
+        index.append(len(lines) if p else 0)
     for i in range(nu - 1):
         for j in range(nv - 1):
-            a = i * nv + j + 1  # OBJ indices are 1-based
-            b = a + nv
-            lines.append(f"f {a} {b} {b + 1}")
-            lines.append(f"f {a} {b + 1} {a + 1}")
+            k = i * nv + j
+            a, b, c, d = index[k], index[k + nv], index[k + nv + 1], index[k + 1]
+            if a and b and c:
+                lines.append(f"f {a} {b} {c}")
+            if a and c and d:
+                lines.append(f"f {a} {c} {d}")
     _write_text(out_path, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -683,3 +683,33 @@ def test_the_program_evaluates_points_through_the_jet_kernel_only(tmp_path, monk
     assert cli.main(["verify", "--all-catalog", "--suite", "all", "--samples", "10"]) == 0
     assert fresh.cache_info().currsize == 1
     capsys.readouterr()
+
+
+def test_sample_leaves_out_undefined_points(tmp_path):
+    # sqrt(v) is undefined (DomainError) at v <= 0: v = -1, -0.5 and 0 of
+    # the 5 grid values
+    spec = write_spec(tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "sqrt(v)"}, "domain": [0, 1, -1, 1]})
+    out = tmp_path / "mesh"
+    assert cli.main(["sample", spec, "--grid", "3x5", "--format", "csv", "--out", str(out)]) == 0
+    rows = ["u,v,x,y,z"]
+    for u in (0.0, 0.5, 1.0):
+        rows += [f"{u!r},{v!r},,," for v in (-1.0, -0.5, 0.0)]
+        rows += [f"{u!r},{v!r},{u!r},{v!r},{math.sqrt(v)!r}" for v in (0.5, 1.0)]
+    assert out.read_text() == "\n".join(rows) + "\n"
+    assert cli.main(["sample", spec, "--grid", "3x5", "--format", "obj", "--out", str(out)]) == 0
+    vertices = [f"v {u!r} {v!r} {math.sqrt(v)!r}" for u in (0.0, 0.5, 1.0) for v in (0.5, 1.0)]
+    # the only cells with four defined corners lie between v = 0.5 and 1
+    faces = ["f 1 3 4", "f 1 4 2", "f 3 5 6", "f 3 6 4"]
+    assert out.read_text() == "\n".join(vertices + faces) + "\n"
+
+
+def test_sample_leaves_out_non_finite_positions(tmp_path):
+    # (u * 1e300) * 1e300 is 0 at u = 0 and overflows to inf at u = 1
+    spec = write_spec(tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "u * 1e300 * 1e300"}, "domain": [0, 1, 0, 1]})
+    out = tmp_path / "mesh"
+    assert cli.main(["sample", spec, "--grid", "2x2", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "u,v,x,y,z", "0.0,0.0,0.0,0.0,0.0", "0.0,1.0,0.0,1.0,0.0", "1.0,0.0,,,", "1.0,1.0,,,",
+    ]
+    assert cli.main(["sample", spec, "--grid", "2x2", "--format", "obj", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["v 0.0 0.0 0.0", "v 0.0 1.0 0.0"]
