@@ -556,13 +556,18 @@ def _prec(e: Expr) -> int:
             return _PREC[op]
         case Unary("neg", _):
             return _PREC["neg"]
+        case Const(value) if math.copysign(1.0, value) < 0.0:
+            return _PREC["neg"]  # printed with its sign, it reads as a negation
         case _:
             return _ATOM_PREC
 
 
 def to_source(e: Expr) -> str:
-    """Print with minimal parentheses; re-parsing the output rebuilds a
-    structurally identical tree."""
+    """Print with minimal parentheses.  ``parse(to_source(e)) == e`` for
+    every tree that ``parse`` builds from finite literals.  ``parse`` never
+    builds a negative constant: ``Const(c)`` with c < 0 (or c = -0.0)
+    prints with its sign and comes back as ``neg(Const(-c))``.  inf and
+    nan print as names that ``parse`` does not know."""
     match e:
         case Const(value):
             return repr(value)

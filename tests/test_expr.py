@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genexpr import fd_check, random_expr, sample_checkable_pairs
+from genexpr import fd_check, random_expr, random_expr_full, sample_checkable_pairs
 from isogeo import expr as ex
 from isogeo.errors import DomainError, ExprSyntaxError
 from isogeo.rng import SplitMix64
@@ -99,6 +101,45 @@ def test_print_parse_round_trip_random():
     for _ in range(300):
         e = random_expr(rng, 4)
         assert ex.parse(ex.to_source(e)) == e
+
+
+def _as_parsed(e):
+    """e with every negative constant Const(c) spelled neg(Const(-c)), the
+    only way ``parse`` builds one."""
+    match e:
+        case ex.Const(c) if math.copysign(1.0, c) < 0.0:
+            return ex.Unary("neg", ex.Const(-c))
+        case ex.Unary(op, arg):
+            return ex.Unary(op, _as_parsed(arg))
+        case ex.Binary(op, left, right):
+            return ex.Binary(op, _as_parsed(left), _as_parsed(right))
+    return e
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5))
+def test_print_parse_round_trip_over_the_whole_language(seed, depth):
+    # random_expr_full has negative constant exponents, Const(-0.5) and
+    # the like, which parse never builds
+    e = random_expr_full(SplitMix64(seed), depth)
+    parsed = _as_parsed(e)
+    assert ex.parse(ex.to_source(e)) == parsed
+    assert ex.parse(ex.to_source(parsed)) == parsed
+
+
+@pytest.mark.parametrize("c", [-2.0, -0.5, -0.0])
+def test_a_negative_constant_prints_as_a_negation(c):
+    u, k = ex.Var("u"), ex.Const(c)
+    neg = ex.Unary("neg", ex.Const(-c))
+    for e, text in (
+        (ex.Binary("^", k, u), f"({c!r}) ^ u"),  # -2.0 ^ u would read -(2.0 ^ u)
+        (ex.Binary("^", u, k), f"u ^ ({c!r})"),
+        (ex.Binary("-", u, k), f"u - {c!r}"),
+        (ex.Unary("neg", k), f"-{c!r}"),
+    ):
+        assert ex.to_source(e) == text
+        assert ex.parse(text) == _as_parsed(e)
+    assert _as_parsed(k) == neg
 
 
 def test_sum_product_homomorphism_exact():
