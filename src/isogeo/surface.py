@@ -427,10 +427,11 @@ def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityR
     """Scan a grid of frames for the minimum |m12| and the inadmissible
     points."""
     u0, u1, v0, v1 = s.domain
+    vs = grid_values(v0, v1, nv)
     min_abs = math.inf
     bad: list[tuple[float, float]] = []
     for uu in grid_values(u0, u1, nu):
-        for vv in grid_values(v0, v1, nv):
+        for vv in vs:
             try:
                 m12 = frame_at(s, uu, vv).m12
             except NotAdmissible as err:
@@ -451,7 +452,7 @@ def lightlike_condition(s: SurfacePatch, u: float, v: float) -> float:
     Read from the jet, not the frame: it is defined where m12 = 0 too."""
     jet = s.jet_kernel(u, v)
     xu, xv, yu, yv, zu, zv = jet[1], jet[2], jet[7], jet[8], jet[13], jet[14]
-    m12 = xu * yv - yu * xv
+    m12 = xu * yv - xv * yu
     m23 = yu * zv - zu * yv
     m13 = xu * zv - zu * xv
     return m23 * m23 - m13 * m13 + m12 * m12
