@@ -702,6 +702,15 @@ def test_sample_leaves_out_undefined_points(tmp_path):
     faces = ["f 1 3 4", "f 1 4 2", "f 3 5 6", "f 3 6 4"]
     assert out.read_text() == "\n".join(vertices + faces) + "\n"
 
+    # log(0) at the centre of a 3x3 grid: the vertices after it move down
+    # by one, and of the 8 triangles only the 2 without it remain
+    hole = {"space": "i3", "surface": {"kind": "graph", "f": "log((u-0.5)^2 + (v-0.5)^2)"}, "domain": [0, 1, 0, 1]}
+    spec = write_spec(tmp_path, hole)
+    assert cli.main(["sample", spec, "--grid", "3x3", "--format", "obj", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 10 and lines[3] == f"v 0.5 0.0 {math.log(0.25)!r}"
+    assert lines[8:] == ["f 2 5 3", "f 4 6 7"]
+
 
 def test_sample_leaves_out_non_finite_positions(tmp_path):
     # (u * 1e300) * 1e300 is 0 at u = 0 and overflows to inf at u = 1
