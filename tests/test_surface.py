@@ -7,6 +7,7 @@ from isogeo import catalog
 from isogeo import expr as ex
 from isogeo import isotropy as iso
 from isogeo import surface as srf
+from isogeo import verify
 from isogeo.errors import LightlikeDirection, NotAdmissible, WrongSpace
 from isogeo.isotropy import Motion, SpaceKind, Vec3
 from isogeo.rng import SplitMix64
@@ -385,18 +386,12 @@ def _reference_lightlike_condition(s, u, v):
     return iso.dot_lorentz(n, n)
 
 
-def _scanned_patches():
-    from isogeo import verify
-
-    extra = [catalog.make("cylindrical_sphere", kind, {"r": 1.5}) for kind in (I3, IP3)]
-    for kind in (I3, IP3):
-        # m12 = 3e-9: admissible, with a Gram det g that cancels
-        extra.append(srf.parametric_patch(kind, "u + v", "u + (1 + 3e-9) * v", "u * v", (0, 1, 0, 1)))
-    return list(verify.verification_patches()) + extra
-
-
 def test_scans_equal_their_reference_on_the_catalog(monkeypatch):
-    patches = _scanned_patches()
+    patches = list(verify.verification_patches())
+    for kind in (I3, IP3):
+        patches.append(catalog.make("cylindrical_sphere", kind, {"r": 1.5}))
+        # m12 = 3e-9: admissible, with a Gram det g that cancels
+        patches.append(srf.parametric_patch(kind, "u + v", "u + (1 + 3e-9) * v", "u * v", (0, 1, 0, 1)))
     for s in patches:
         for n in (7, 20):
             assert srf.is_admissible(s, n, n + 1) == _reference_scan(s, n, n + 1), s.name
