@@ -37,15 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
+from . import expr as ex
 from .errors import LightlikePoint
 from .isotropy import SpaceKind
 from .surface import (
+    FRAME_NAMES,
     PointFrame,
     SurfacePatch,
     _LazyNumpy,
     _read_only,
+    by_kind,
     frame_at,
     frame_of_jet,
     gaussian_curvature,
@@ -103,13 +106,6 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
     return coeffs_of_frame(f)
 
 
-def denom_of_frame(f: PointFrame) -> float:
-    """|xi_top|^2 + xi_z without solving for the coefficients."""
-    if f.kind is SpaceKind.SIMPLY_ISOTROPIC:
-        return f.xi_x * f.xi_x + f.xi_y * f.xi_y + f.xi_z
-    return f.xi_x * f.xi_x - f.xi_y * f.xi_y + f.xi_z
-
-
 def denom_at(s: SurfacePatch, u: float, v: float) -> float:
     return denom_of_frame(frame_at(s, u, v))
 
@@ -139,46 +135,66 @@ def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
     return grad[0], grad[1]
 
 
-def gamma6_of_frame(f: PointFrame) -> Coeffs6:
-    """Levi-Civita coefficients alone; regular even at lightlike points."""
-    # top-view solve: [x1_top x2_top] @ (gamma_ij^1, gamma_ij^2) = (x_ij)_top
-    det = f.m12
-    x1x, x1y, x2x, x2y = f.x1_x, f.x1_y, f.x2_x, f.x2_y
-    px, py, qx, qy, rx, ry = f.x11_x, f.x11_y, f.x12_x, f.x12_y, f.x22_x, f.x22_y
+# The connections' arithmetic as source lines, from the frame lines' names
+# (``surface.frame_lines``); the only copy, run by the functions below and
+# by the compiled geodesic stages.  Levi-Civita: the top-view solve
+# [x1_top x2_top] @ (ga_ij^1, ga_ij^2) = (x_ij)_top, regular even at
+# lightlike points
+GAMMA_LINES = (
+    "ga111, ga112 = (xuu * yv - yuu * xv) / m12, (xu * yuu - yu * xuu) / m12",
+    "ga121, ga122 = (xuv * yv - yuv * xv) / m12, (xu * yuv - yu * xuv) / m12",
+    "ga221, ga222 = (xvv * yv - yvv * xv) / m12, (xu * yvv - yu * xvv) / m12",
+)
+RELATIVE_GLOBALS = {"LIGHTLIKE_HARD_TOL": LIGHTLIKE_HARD_TOL, "LightlikePoint": LightlikePoint}
+
+
+def denom_lines(kind: SpaceKind) -> tuple[str, ...]:
+    """denom = |xi_top|^2 + xi_z."""
+    return (f"denom = a * a {'+' if kind is SpaceKind.SIMPLY_ISOTROPIC else '-'} b * b + xi_z",)
+
+
+def relative_lines(kind: SpaceKind) -> tuple[str, ...]:
+    """rho, denom and the relative coefficients xi111 ... xi222, after
+    ``GAMMA_LINES``; LightlikePoint where denom vanishes."""
     return (
-        (px * x2y - py * x2x) / det, (x1x * py - x1y * px) / det,
-        (qx * x2y - qy * x2x) / det, (x1x * qy - x1y * qx) / det,
-        (rx * x2y - ry * x2x) / det, (x1x * ry - x1y * rx) / det,
+        *denom_lines(kind),
+        "if abs(denom) <= LIGHTLIKE_HARD_TOL:",
+        "    raise LightlikePoint(f'relative connection singular at (u={u!r}, v={v!r})')",
+        "r11, r12, r22 = h11 / denom, h12 / denom, h22 / denom",
+        # g^{kl} (x_l)_z
+        "inv11, inv12, inv22 = g22 / det_g, -g12 / det_g, g11 / det_g",
+        "c1 = inv11 * zu + inv12 * zv",
+        "c2 = inv12 * zu + inv22 * zv",
+        "xi111, xi121, xi221 = ga111 + c1 * r11, ga121 + c1 * r12, ga221 + c1 * r22",
+        "xi112, xi122, xi222 = ga112 + c2 * r11, ga122 + c2 * r12, ga222 + c2 * r22",
     )
 
 
-def coeffs_of_frame(f: PointFrame) -> ConnectionCoeffs:
-    """Both connections at a frame; raises LightlikePoint where the
-    relative one is singular (denom vanishes)."""
-    gamma6 = gamma6_of_frame(f)
-    denom = denom_of_frame(f)
-    if abs(denom) <= LIGHTLIKE_HARD_TOL:
-        raise LightlikePoint(
-            f"relative connection singular at (u={f.u!r}, v={f.v!r})"
-        )
-    r11, r12, r22 = f.h11 / denom, f.h12 / denom, f.h22 / denom
-    # g^{kl} (x_l)_z
-    inv11, inv12, inv22 = f.g22 / f.det_g, -f.g12 / f.det_g, f.g11 / f.det_g
-    c1 = inv11 * f.x1_z + inv12 * f.x2_z
-    c2 = inv12 * f.x1_z + inv22 * f.x2_z
-    g111, g112, g121, g122, g221, g222 = gamma6
-    return ConnectionCoeffs(
-        gamma6=gamma6,
-        xi6=(
-            g111 + c1 * r11, g112 + c2 * r11,
-            g121 + c1 * r12, g122 + c2 * r12,
-            g221 + c1 * r22, g222 + c2 * r22,
-        ),
-        rho3=(r11, r12, r22),
-        denom=denom,
-        unreliable=abs(denom) < LIGHTLIKE_GUARD_BAND,
-        frame=f,
-    )
+def _of_frame(doc: str, signature: str, *lines: str) -> Callable:
+    """A function of the frame ``f`` that runs ``lines`` on its fields."""
+    namespace = {
+        **RELATIVE_GLOBALS, "SpaceKind": SpaceKind, "ConnectionCoeffs": ConnectionCoeffs,
+        "LIGHTLIKE_GUARD_BAND": LIGHTLIKE_GUARD_BAND,
+    }
+    return ex.compile_function(signature, [repr(doc), f"{FRAME_NAMES} = f", *lines], namespace)
+
+
+denom_of_frame = _of_frame(
+    "|xi_top|^2 + xi_z without solving for the coefficients.",
+    "denom_of_frame(f)", *by_kind(denom_lines), "return denom",
+)
+gamma6_of_frame = _of_frame(
+    "Levi-Civita coefficients alone; regular even at lightlike points.",
+    "gamma6_of_frame(f)", *GAMMA_LINES, "return (ga111, ga112, ga121, ga122, ga221, ga222)",
+)
+coeffs_of_frame = _of_frame(
+    "Both connections at a frame; raises LightlikePoint where the relative\n"
+    "one is singular (denom vanishes).",
+    "coeffs_of_frame(f)", *GAMMA_LINES, *by_kind(relative_lines),
+    "return ConnectionCoeffs((ga111, ga112, ga121, ga122, ga221, ga222),"
+    " (xi111, xi112, xi121, xi122, xi221, xi222), (r11, r12, r22), denom,"
+    " abs(denom) < LIGHTLIKE_GUARD_BAND, f)",
+)
 
 
 def _frame_arrays(f: PointFrame) -> tuple[np.ndarray, np.ndarray]:

@@ -528,22 +528,39 @@ class _KernelWriter:
         raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]]:
+def compile_jet(
+    exprs, order: int, *, args: str = "u, v", head=(), bind=(), tail=(), env=None
+) -> Callable[..., tuple[float, ...]]:
     """One function ``(u, v) -> floats``.  At order 2 it gives, for each
     tree in order, the value and partials (val, du, dv, duu, duv, dvv)
     that ``eval_jet2`` gives, bit for bit, and raises the same DomainError
     as when the trees are walked one after the other.  At order 3 the
     same floats are followed by the third partials (duuu, duuv, duvv,
-    dvvv) of each tree in order."""
+    dvvv) of each tree in order.
+
+    A kernel with ``tail`` lines does not return the floats: it binds
+    them in order to the names ``bind`` and runs ``tail``, which returns.
+    It takes the arguments ``args``, which begin with u and v, runs the
+    ``head`` lines before the jet, and its lines see ``env``'s names."""
     writer = _KernelWriter(order)
     results = [writer.expr(e) for e in exprs]
-    outputs = "".join(f"{name}, " for r in results for name in r[:6])
-    outputs += "".join(f"{name}, " for r in results for name in r[6:])
-    body = ["U = float(u)", "V = float(v)", *writer.lines, f"return ({outputs})"]
-    source = "def kernel(u, v):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(source, "<jet kernel>", "exec"), writer.namespace)
-    # popped, so that the kernel and its namespace form no reference cycle
-    return writer.namespace.pop("kernel")
+    outputs = [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
+    body = [*head, "U = float(u)", "V = float(v)", *writer.lines]
+    if tail:
+        body += [f"{name} = {out}" for name, out in zip(bind, outputs, strict=True)] + list(tail)
+    else:
+        body.append(f"return ({''.join(f'{name}, ' for name in outputs)})")
+    return compile_function(f"kernel({args})", body, {**writer.namespace, **(env or {})})
+
+
+def compile_function(signature: str, lines, namespace: dict) -> Callable:
+    """``def signature:`` with the given body lines, compiled with
+    ``namespace`` as its globals."""
+    name = signature.partition("(")[0]
+    source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    # popped, so that the function and its namespace form no reference cycle
+    return namespace.pop(name)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -42,11 +42,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from . import expr as ex
 from .connection import (
+    GAMMA_LINES,
     LIGHTLIKE_GUARD_BAND,
+    RELATIVE_GLOBALS,
     coeffs_of_frame,
     denom_of_frame,
     gamma6_of_frame,
+    relative_lines,
 )
 from .errors import (
     DegenerateBranch,
@@ -59,7 +63,7 @@ from .errors import (
     TooManySteps,
 )
 from .isotropy import E3, SpaceKind, Vec3, cross_background, norm_euclid
-from .surface import SurfacePatch, frame_at, graph_patch
+from .surface import FRAME_GLOBALS, JET_NAMES, SurfacePatch, frame_at, frame_lines, graph_patch
 
 
 # upper bound on the RK4 steps of one trace; each step keeps a sample
@@ -98,28 +102,61 @@ class _Halt(Exception):
         self.reason = reason
 
 
+# the halt reasons of the typed errors that a frame or a connection raises
+_REASONS = {NotAdmissible: "inadmissible", LightlikePoint: "lightlike"}
+
+
+def _outside(u: float, v: float) -> _Halt:
+    # an overflowed state is outside every domain; say which it was
+    return _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
+
+
+def _accel_lines(c: str) -> tuple[str, ...]:
+    """(u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter order, from
+    the coefficients C_ij^k named ``c`` + ijk in the frame's order."""
+    return (
+        "w1, w2 = (dv, du) if swapped else (du, dv)",
+        f"a1 = -({c}111 * w1 * w1 + 2.0 * {c}121 * w1 * w2 + {c}221 * w2 * w2)",
+        f"a2 = -({c}112 * w1 * w1 + 2.0 * {c}122 * w1 * w2 + {c}222 * w2 * w2)",
+        "return (a2, a1) if swapped else (a1, a2)",
+    )
+
+
+_acceleration = ex.compile_function(
+    "_acceleration(swapped, c111, c112, c121, c122, c221, c222, du, dv)", _accel_lines("c"), {}
+)
+
+
 def _rhs(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float, du: float, dv: float):
     """(u'', v'', frame) of the geodesic ODE at the state (u, v, u', v'),
-    in the caller's parameter order; the connection's six coefficients
-    C_ij^k (see ``connection.Coeffs6``) are in the frame's."""
+    in the caller's parameter order.  Raises _Halt outside the domain, the
+    frame's NotAdmissible and the relative connection's LightlikePoint."""
     if not s.contains(u, v):
-        # an overflowed state is outside every domain; say which it was
-        raise _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
-    try:
-        f = frame_at(s, u, v)
-    except NotAdmissible as err:
-        raise _Halt("inadmissible") from err
-    if gkind is GeodesicKind.LEVI_CIVITA:
-        c111, c112, c121, c122, c221, c222 = gamma6_of_frame(f)
-    else:
-        try:
-            c111, c112, c121, c122, c221, c222 = coeffs_of_frame(f).xi6
-        except LightlikePoint:
-            raise _Halt("lightlike")
-    w1, w2 = (dv, du) if f.swapped else (du, dv)
-    a1 = -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2)
-    a2 = -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2)
-    return (a2, a1, f) if f.swapped else (a1, a2, f)
+        raise _outside(u, v)
+    f = frame_at(s, u, v)
+    c6 = gamma6_of_frame(f) if gkind is GeodesicKind.LEVI_CIVITA else coeffs_of_frame(f).xi6
+    return (*_acceleration(f.swapped, *c6, du, dv), f)
+
+
+def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
+    """``(u, v, du, dv) -> (u'', v'')``, ``_rhs`` without the frame, for the
+    RK4 stages that need only the acceleration: the jet, frame,
+    coefficient and acceleration lines as one function, with ``_rhs``'s
+    halts in its order and its floats bit for bit.  Compiled on first use,
+    once per patch and connection."""
+    kernel = s.accel_kernels.get(gkind)
+    if kernel is None:
+        relative = gkind is GeodesicKind.RELATIVE
+        tail = (*frame_lines(s.kind), *GAMMA_LINES, *(relative_lines(s.kind) if relative else ()))
+        u_lo, u_hi, v_lo, v_hi = s.domain
+        env = {"_outside": _outside, "u_lo": u_lo, "u_hi": u_hi, "v_lo": v_lo, "v_hi": v_hi}
+        kernel = s.accel_kernels[gkind] = ex.compile_jet(
+            (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv",
+            head=("if not (u_lo <= u <= u_hi and v_lo <= v <= v_hi):", "    raise _outside(u, v)"),
+            bind=JET_NAMES, tail=(*tail, *_accel_lines("xi" if relative else "ga")),
+            env={**FRAME_GLOBALS, **RELATIVE_GLOBALS, **env},
+        )
+    return kernel
 
 
 def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> Vec3:
@@ -176,6 +213,7 @@ def integrate(
         gkind is GeodesicKind.RELATIVE and s.kind is SpaceKind.PSEUDO_ISOTROPIC
     )
     prev_denom: Optional[float] = None
+    accel = _accel_kernel(s, gkind)
     u, v, du, dv = u0, v0, du0, dv0
     half, sixth = 0.5 * step, step / 6.0
     t = 0.0
@@ -205,11 +243,11 @@ def integrate(
             # classic RK4: stage n has the state derivative (dun, dvn, aun,
             # avn), and each sum keeps the operation order of the 4-vector form
             du2, dv2 = du + half * au, dv + half * av
-            au2, av2, _ = _rhs(s, gkind, u + half * du, v + half * dv, du2, dv2)
+            au2, av2 = accel(u + half * du, v + half * dv, du2, dv2)
             du3, dv3 = du + half * au2, dv + half * av2
-            au3, av3, _ = _rhs(s, gkind, u + half * du2, v + half * dv2, du3, dv3)
+            au3, av3 = accel(u + half * du2, v + half * dv2, du3, dv3)
             du4, dv4 = du + step * au3, dv + step * av3
-            au4, av4, _ = _rhs(s, gkind, u + step * du3, v + step * dv3, du4, dv4)
+            au4, av4 = accel(u + step * du3, v + step * dv3, du4, dv4)
             u, v, du, dv = (
                 u + sixth * (du + 2.0 * du2 + 2.0 * du3 + du4),
                 v + sixth * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4),
@@ -217,21 +255,22 @@ def integrate(
                 dv + sixth * (av + 2.0 * av2 + 2.0 * av3 + av4),
             )
             t = (k + 1) * step
-    except _Halt as halt:
+    except (_Halt, NotAdmissible, LightlikePoint) as halt:
+        reason = halt.reason if isinstance(halt, _Halt) else _REASONS[type(halt)]
         # a halt before the first sample is an invalid start, an error;
         # later halts merely flag the trace
         if not samples:
-            if halt.reason == "lightlike":
+            if reason == "lightlike":
                 raise LightlikePointHit(
                     f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
                 ) from None
-            if halt.reason == "non_finite":
+            if reason == "non_finite":
                 raise NonFiniteStart(
                     f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
                     f"acceleration ({au!r}, {av!r})"
                 ) from None
-            raise halt.__cause__ from None  # the frame's NotAdmissible, with its minor
-        trace.stopped_reason = halt.reason
+            raise halt from None  # the frame's NotAdmissible, with its minor
+        trace.stopped_reason = reason
         trace.stop_time = t
     return trace
 

@@ -95,10 +95,17 @@ class SurfacePatch:
         and z; compiled on first use, by the curvature-tensor code only."""
         return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 3)
 
+    @functools.cached_property
+    def accel_kernels(self) -> dict:
+        """The geodesic stage kernels of this patch by connection, which
+        ``geodesic`` compiles on first use."""
+        return {}
+
     def __getstate__(self) -> dict:
         # kernels are generated code that pickle cannot name; a copy
         # compiles its own on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("jet_kernel", "jet3_kernel")}
+        kernels = ("jet_kernel", "jet3_kernel", "accel_kernels")
+        return {k: v for k, v in self.__dict__.items() if k not in kernels}
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.domain
@@ -276,72 +283,69 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
     return frame_of_jet(s.kind, u, v, s.jet_kernel(u, v))
 
 
-def frame_of_jet(kind: SpaceKind, u: float, v: float, jet) -> PointFrame:
-    """The frame at (u, v) from the 18 floats of ``jet_kernel`` there."""
-    (
-        px, xu, xv, xuu, xuv, xvv,
-        py, yu, yv, yuu, yuv, yvv,
-        pz, zu, zv, zuu, zuv, zvv,
-    ) = jet
-    swapped = False
-    m12 = xu * yv - xv * yu
-    if m12 < 0.0:
-        xu, xv, yu, yv, zu, zv = xv, xu, yv, yu, zv, zu
-        xuu, xvv, yuu, yvv, zuu, zvv = xvv, xuu, yvv, yuu, zvv, zuu
-        swapped = True
-        m12 = -m12
+# the 18 floats of ``jet_kernel``, and PointFrame's fields, as the frame
+# lines name them
+JET_NAMES = "px xu xv xuu xuv xvv py yu yv yuu yuv yvv pz zu zv zuu zuv zvv".split()
+FRAME_NAMES = (
+    "kind, u, v, swapped, px, py, pz, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, "
+    "xuv, yuv, zuv, xvv, yvv, zvv, m12, m23, m31, g11, g12, g22, det_g, a, b, xi_z, h11, h12, h22"
+)
+FRAME_GLOBALS = {"math": math, "ADMISSIBILITY_RTOL": ADMISSIBILITY_RTOL, "NotAdmissible": NotAdmissible}
 
-    # m12 is a minor of the top views alone, so it is judged against their
-    # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
-    # enter.  hypot does not overflow, so a zero top view gives a scale
-    # of 1, never 0 * inf = nan
-    scale = 1.0 + math.hypot(xu, yu) * math.hypot(xv, yv)
-    if abs(m12) <= ADMISSIBILITY_RTOL * scale:
-        raise NotAdmissible(u, v, m12)
 
-    m23 = yu * zv - zu * yv
-    m31 = zu * xv - xu * zv
-    a = m23 / m12
-    # det g = g11 g22 - g12^2 = +/- m12^2 by the Lagrange identity; the
-    # square is exact to one rounding where the Gram form cancels, and
-    # never 0 at an admissible point (so the pseudo-isotropic metric is
-    # timelike by construction)
-    if kind is SpaceKind.SIMPLY_ISOTROPIC:
-        b = m31 / m12
-        g11 = xu * xu + yu * yu
-        g12 = xu * xv + yu * yv
-        g22 = xv * xv + yv * yv
-        det_g = m12 * m12
-        xi_z = 0.5 * (1.0 - (a * a + b * b))
-        # h_ij = <n_h, x_ij>, Euclidean, with n_h = (a, b, 1)
-        h11 = a * xuu + b * yuu + zuu
-        h12 = a * xuv + b * yuv + zuv
-        h22 = a * xvv + b * yvv + zvv
-    else:
-        b = -m31 / m12  # m13 / m12
-        g11 = xu * xu - yu * yu
-        g12 = xu * xv - yu * yv
-        g22 = xv * xv - yv * yv
-        det_g = -(m12 * m12)
-        xi_z = 0.5 * (1.0 - (a * a - b * b))
-        # h_ij = <n_h, x_ij>, Lorentzian
-        h11 = a * xuu - b * yuu + zuu
-        h12 = a * xuv - b * yuv + zuv
-        h22 = a * xvv - b * yvv + zvv
-
-    return PointFrame(
-        kind, u, v, swapped,
-        px, py, pz,
-        xu, yu, zu,
-        xv, yv, zv,
-        xuu, yuu, zuu,
-        xuv, yuv, zuv,
-        xvv, yvv, zvv,
-        m12, m23, m31,
-        g11, g12, g22, det_g,
-        a, b, xi_z,
-        h11, h12, h22,
+def frame_lines(kind: SpaceKind) -> tuple[str, ...]:
+    """The frame's arithmetic in ``kind``'s space, as source lines from the
+    ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only copy:
+    ``frame_of_jet`` runs these lines, and so do the compiled geodesic
+    stages."""
+    pm = "+" if kind is SpaceKind.SIMPLY_ISOTROPIC else "-"
+    return (
+        "swapped = False",
+        "m12 = xu * yv - xv * yu",
+        "if m12 < 0.0:",
+        "    xu, xv, yu, yv, zu, zv = xv, xu, yv, yu, zv, zu",
+        "    xuu, xvv, yuu, yvv, zuu, zvv = xvv, xuu, yvv, yuu, zvv, zuu",
+        "    swapped = True",
+        "    m12 = -m12",
+        # m12 is a minor of the top views alone, so it is judged against
+        # their lengths; z-derivatives (and isotropic shears z -> z + c1 x)
+        # do not enter.  hypot does not overflow, so a zero top view gives
+        # a scale of 1, never 0 * inf = nan
+        "scale = 1.0 + math.hypot(xu, yu) * math.hypot(xv, yv)",
+        "if abs(m12) <= ADMISSIBILITY_RTOL * scale:",
+        "    raise NotAdmissible(u, v, m12)",
+        "m23 = yu * zv - zu * yv",
+        "m31 = zu * xv - xu * zv",
+        # A = m23/m12; B = m31/m12 (simply isotropic) or m13/m12
+        f"a, b = m23 / m12, {'' if pm == '+' else '-'}m31 / m12",
+        f"g11, g12, g22 = xu * xu {pm} yu * yu, xu * xv {pm} yu * yv, xv * xv {pm} yv * yv",
+        # det g = g11 g22 - g12^2 = +/- m12^2 by the Lagrange identity; the
+        # square is exact to one rounding where the Gram form cancels, and
+        # never 0 at an admissible point (so the pseudo-isotropic metric is
+        # timelike by construction)
+        f"det_g = {'m12 * m12' if pm == '+' else '-(m12 * m12)'}",
+        f"xi_z = 0.5 * (1.0 - (a * a {pm} b * b))",
+        # h_ij = <n_h, x_ij>, Euclidean or Lorentzian, with n_h = (a, b, 1)
+        f"h11 = a * xuu {pm} b * yuu + zuu",
+        f"h12 = a * xuv {pm} b * yuv + zuv",
+        f"h22 = a * xvv {pm} b * yvv + zvv",
     )
+
+
+def by_kind(lines_of) -> list[str]:
+    """Lines that run ``lines_of(kind)`` for the run-time ``kind``."""
+    i3, ip3 = (lines_of(kind) for kind in (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC))
+    return ["if kind is SpaceKind.SIMPLY_ISOTROPIC:", *(f"    {x}" for x in i3), "else:", *(f"    {x}" for x in ip3)]
+
+
+frame_of_jet = ex.compile_function(
+    "frame_of_jet(kind, u, v, jet)",
+    [
+        '"""The frame at (u, v) in ``kind``\'s space from the 18 floats of ``jet_kernel`` there."""',
+        f"{', '.join(JET_NAMES)} = jet", *by_kind(frame_lines), f"return PointFrame({FRAME_NAMES})",
+    ],
+    {**FRAME_GLOBALS, "SpaceKind": SpaceKind, "PointFrame": PointFrame},
+)
 
 
 def curvatures_at(

@@ -1,13 +1,19 @@
+import itertools
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import genexpr
 import rk4ref
 from isogeo import catalog
 from isogeo import geodesic as geo
 from isogeo import surface as srf
 from isogeo.errors import (
     DegenerateBranch,
+    DomainError,
     LeftDomain,
     LightlikePointHit,
     NonFiniteStart,
@@ -17,6 +23,7 @@ from isogeo.errors import (
 )
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import SpaceKind, norm_euclid
+from isogeo.rng import SplitMix64
 
 I3 = SpaceKind.SIMPLY_ISOTROPIC
 IP3 = SpaceKind.PSEUDO_ISOTROPIC
@@ -308,14 +315,17 @@ def test_non_finite_start_velocity_is_rejected():
 
 
 def test_a_stage_that_overflows_the_position_halts_as_non_finite(monkeypatch):
-    # a stage position of inf or nan is outside the domain, but says more
+    # a stage position of inf or nan is outside the domain, but says more;
+    # the first stage of a step goes through _rhs, the others through the
+    # compiled stage kernel, which halt alike
     plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
-    with pytest.raises(geo._Halt) as halt:
-        geo._rhs(plane, RELATIVE, math.nan, 0.2, 1.0, 0.0)
-    assert halt.value.reason == "non_finite"
-    with pytest.raises(geo._Halt) as halt:
-        geo._rhs(plane, RELATIVE, 1e300, 0.2, 1.0, 0.0)
-    assert halt.value.reason == "left_domain"
+    for gkind in (RELATIVE, LEVI_CIVITA):
+        kernel = geo._accel_kernel(plane, gkind)
+        stages = (lambda *a: geo._rhs(plane, gkind, *a), kernel)
+        for stage, (u, reason) in itertools.product(stages, [(math.nan, "non_finite"), (1e300, "left_domain")]):
+            with pytest.raises(geo._Halt) as halt:
+                stage(u, 0.2, 1.0, 0.0)
+            assert halt.value.reason == reason
 
 
 def test_inadmissible_start_reports_the_frame_minor():
@@ -329,17 +339,15 @@ def test_inadmissible_start_reports_the_frame_minor():
     assert "top-view minor 9.992007221626409e-14" in str(err.value)
 
 
-def test_a_non_finite_stage_acceleration_halts_before_its_sample(monkeypatch):
-    # the last stage of the step from u = 0.55 reaches u = 0.56, where the
-    # acceleration is nan: u stays finite, u' does not
-    plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
-    real_rhs = geo._rhs
-
-    def overflowing_past(s, gkind, u, v, du, dv):
-        au, av, f = real_rhs(s, gkind, u, v, du, dv)
-        return (math.nan, av, f) if u > 0.5575 else (au, av, f)
-
-    monkeypatch.setattr(geo, "_rhs", overflowing_past)
+def test_a_non_finite_stage_acceleration_halts_before_its_sample():
+    # the plane z = 0.4 u - 0.7 v + 1 plus 0 * t, where t overflows to inf
+    # between u = 0.555 and u = 0.56: there the jet, and so the relative
+    # acceleration, is nan.  The last stage of the step from u = 0.55
+    # reaches u = 0.56: u stays finite, u' does not
+    plane = srf.graph_patch(I3, "0.4*u - 0.7*v + 1 + 0*((u/0.538)^1000)^20", (0.0, 1.0, 0.0, 1.0))
+    stage = geo._accel_kernel(plane, RELATIVE)
+    assert stage(0.555, 0.2, 1.0, 0.0) == (-0.0, -0.0)
+    assert all(math.isnan(a) for a in stage(0.56, 0.2, 1.0, 0.0))
     trace = geo.integrate(plane, RELATIVE, 0.1, 0.2, 1.0, 0.0, 1.0, 1e-2)
     assert (trace.stopped_reason, len(trace.samples)) == ("non_finite", 46)
     assert all(math.isfinite(x) for smp in trace.samples for x in smp[:5])
@@ -355,17 +363,100 @@ def test_a_start_inside_the_guard_band_is_a_lightlike_start():
 
 @pytest.mark.parametrize("gkind", [RELATIVE, LEVI_CIVITA])
 def test_a_completed_trace_builds_four_frames_per_step_and_one_more(monkeypatch, gkind):
-    # the start point is the first stage of the first step, evaluated once
-    calls = []
-    real = geo.frame_at
-
-    def counting(s, u, v):
-        calls.append((u, v))
-        return real(s, u, v)
-
-    monkeypatch.setattr(geo, "frame_at", counting)
+    # four jet evaluations per step and one more (the start point is the
+    # first stage of the first step, evaluated once), but one frame per
+    # step: the first stage builds the sample's frame, and the other three
+    # run the compiled stage kernel, which builds none
     helicoid = catalog.make("helicoid", IP3, {"c": 0.6})
+    frames, stages = [], []
+    real_frame_at, real_kernel = geo.frame_at, geo._accel_kernel
+
+    def counting_frame_at(s, u, v):
+        frames.append((u, v))
+        return real_frame_at(s, u, v)
+
+    def counting_kernel(s, g):
+        kernel = real_kernel(s, g)
+
+        def stage(u, v, du, dv):
+            stages.append((u, v))
+            return kernel(u, v, du, dv)
+
+        return stage
+
+    monkeypatch.setattr(geo, "frame_at", counting_frame_at)
+    monkeypatch.setattr(geo, "_accel_kernel", counting_kernel)
     trace = geo.integrate(helicoid, gkind, 2.0, 0.1, 0.3, -0.25, 1.0, 1e-3)
     assert trace.completed and len(trace.samples) == 1001
-    assert len(calls) == 4 * 1000 + 1
-    assert calls[0] == (2.0, 0.1)
+    assert len(frames) == 1000 + 1 and len(frames) + len(stages) == 4 * 1000 + 1
+    assert frames[0] == (2.0, 0.1)
+    assert "accel_kernels" not in vars(pickle.loads(pickle.dumps(helicoid)))
+
+
+def _reference(patch, gkind, args):
+    try:
+        return rk4ref.trace(patch, gkind, *args)
+    except DomainError as err:
+        return type(err), str(err)
+
+
+_SHAPES = {
+    # lightlike where u^2 - v^2 = -1 in ip3
+    "sphere": lambda space, z: ("u", "v", "(u^2 + v^2)/2" if space is I3 else "(u^2 - v^2)/2"),
+    # m12 = 3 u^2: inadmissible near u = 0
+    "fold": lambda space, z: ("u^3", "v", z),
+    # |xi|^2 overflows past u ~ 0.95, where the relative acceleration is nan
+    "steep": lambda space, z: ("u", "v", "1e153*exp(2*u)"),
+}
+
+
+@st.composite
+def _stage_cases(draw):
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    space = draw(st.sampled_from([I3, IP3]))
+    x, y, z = (genexpr.random_expr_full(rng, 3) for _ in range(3))
+    shape = draw(st.sampled_from(["graph", "parametric", *_SHAPES]))
+    if shape == "graph":
+        x, y = "u", "v"
+    elif shape != "parametric":
+        x, y, z = _SHAPES[shape](space, z)
+    patch = srf.parametric_patch(space, x, y, z, (-2.0, 2.0, -2.0, 2.0))
+    # dyadic values, and a second stage aimed at (0, 0) or (0, +-1), put
+    # stages exactly where a jet raises (log, sqrt, abs and division at
+    # 0), where m12 vanishes or where the sphere is lightlike
+    coords = st.one_of(st.floats(-1.5, 1.5), st.integers(-12, 12).map(lambda k: k / 8.0))
+    u0, v0, du0, dv0 = (draw(coords) for _ in range(4))
+    step = draw(st.sampled_from([0.02, 0.1, 0.125, 0.25, 0.5, 1.0]))
+    half = 0.5 * step
+    target = draw(st.sampled_from([None, 0.0, 1.0, -1.0]))
+    if target is not None:
+        u0, v0 = -(half * du0), target - half * dv0
+    t_end = step * draw(st.integers(1, 12))
+    return patch, draw(st.sampled_from([RELATIVE, LEVI_CIVITA])), (u0, v0, du0, dv0, t_end, step)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_stage_cases())
+def test_compiled_stages_match_the_tuple_form_reference(case):
+    # the stage kernel against the reference's frame-building stages, on
+    # random surfaces: the same rows and residuals, the same halt at the
+    # same time, and the same DomainError where a stage's jet raises
+    patch, gkind, args = case
+    try:
+        got = geo.integrate(patch, gkind, *args)
+    except (LightlikePointHit, NotAdmissible, NonFiniteStart):
+        return  # the start checks, which the reference leaves out
+    except DomainError as err:
+        assert _reference(patch, gkind, args) == (type(err), str(err))
+        return
+    ref = _reference(patch, gkind, args)
+    if got.stopped_reason == "non_finite":
+        # the reference has no non-finite halt, and agrees up to it
+        if len(ref) == 2:
+            return  # it went on past a non-finite state, into a DomainError
+        ref = (ref[0][: len(got.samples)], ref[1][: len(got.samples)], "non_finite", got.stop_time)
+    rows, residuals, reason, stop_time = ref
+    assert (got.stopped_reason, repr(got.stop_time)) == (reason, repr(stop_time))
+    values = [(smp.t, smp.u, smp.v, smp.du, smp.dv) + smp.position.as_tuple() for smp in got.samples]
+    assert [list(map(repr, row)) for row in values] == [list(map(repr, row)) for row in rows]
+    assert list(map(repr, got.residuals["parallel"])) == list(map(repr, residuals))
