@@ -10,10 +10,12 @@ valid start the two must agree bit for bit.
 
 from __future__ import annotations
 
+import math
+
 from isogeo.connection import LIGHTLIKE_GUARD_BAND, coeffs_of_frame, denom_of_frame, gamma6_of_frame
 from isogeo.errors import LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
-from isogeo.isotropy import E3, SpaceKind, Vec3, cross_background, norm_euclid
+from isogeo.isotropy import E3, SpaceKind, Vec3, cross_background
 from isogeo.surface import frame_at
 
 
@@ -70,10 +72,11 @@ def ambient_acceleration(f, w1, w2, a1, a2) -> Vec3:
 
 
 def parallel_residual(kind, gdd, reference) -> float:
-    mag = norm_euclid(gdd)
+    mag = math.hypot(gdd.x, gdd.y, gdd.z)
     if mag <= 1e-10:
         return 0.0
-    return norm_euclid(cross_background(kind, gdd, reference)) / mag
+    c = cross_background(kind, Vec3(gdd.x / mag, gdd.y / mag, gdd.z / mag), reference)
+    return math.hypot(c.x, c.y, c.z)
 
 
 def trace(s, gkind, u0, v0, du0, dv0, t_end, step):

@@ -312,6 +312,21 @@ def test_geodesic_trace_stops_with_warning(tmp_path, capsys):
     assert float(rows[-1]["t"]) <= 1.01
 
 
+def test_geodesic_parallel_residual_is_finite_where_the_gauss_map_is_huge(tmp_path, capsys):
+    # z = exp(u) at u = 354: |xi| ~ 1.5e307 and |gamma''| ~ 5.5e159, so the
+    # unscaled cross product overflows; its residual was written as nan
+    spec = write_spec(
+        tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "exp(u)"}, "domain": [0, 400, 0, 1]}
+    )
+    out = tmp_path / "geo.csv"
+    argv = ["geodesic", spec, "--type", "r", "--start", "354.0,0.5", "--velocity", "1000,0",
+            "--t-end", "0.001", "--step", "1e-3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "(non_finite)" in capsys.readouterr().err
+    rows = read_rows(out)
+    assert len(rows) == 1 and math.isfinite(float(rows[0]["parallel_residual"]))
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

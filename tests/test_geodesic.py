@@ -22,7 +22,7 @@ from isogeo.errors import (
     TooManySteps,
 )
 from isogeo.geodesic import GeodesicKind
-from isogeo.isotropy import SpaceKind, norm_euclid
+from isogeo.isotropy import SpaceKind, Vec3, cross_background, norm_euclid
 from isogeo.rng import SplitMix64
 
 I3 = SpaceKind.SIMPLY_ISOTROPIC
@@ -304,6 +304,21 @@ def test_relative_trace_halts_where_the_connection_overflows():
     assert geo.integrate(steep, LEVI_CIVITA, 354.6, 0.5, 1.0, 0.0, 1.0, 1e-3).completed
     with pytest.raises(NonFiniteStart, match=r"not finite at the start \(356.0, 0.5\)"):
         geo.integrate(steep, RELATIVE, 356.0, 0.5, 1.0, 0.0, 1.0, 1e-3)
+
+
+def test_parallel_residual_scales_before_it_multiplies():
+    # |gamma''| |reference| overflows here, and the unscaled form gave nan.
+    # The residual is of degree 1 in the reference, where a power of two
+    # scales exactly, and of degree 0 in gamma''; the unscaled form holds
+    # on vectors small enough for it
+    gdd = Vec3(3.0e159, -2.0e158, 5.5e159)
+    for kind, ref in ((I3, Vec3(-5.5e153, 0.25, -1.5e307)), (IP3, Vec3(7.0e153, -3.0e153, -1.2e307))):
+        got = geo._parallel_residual(kind, gdd, ref)
+        assert math.isfinite(got)
+        assert got == geo._parallel_residual(kind, gdd, ref.scaled(2.0**-900)) * 2.0**900
+        g, r = gdd.scaled(2.0**-500), ref.scaled(2.0**-900)
+        unscaled = norm_euclid(cross_background(kind, g, r)) / norm_euclid(g)
+        assert got == pytest.approx(unscaled * 2.0**900, rel=1e-15)
 
 
 def test_non_finite_start_velocity_is_rejected():
