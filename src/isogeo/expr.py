@@ -160,7 +160,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if value == math.inf:  # a literal cannot be nan or negative
+                raise ExprSyntaxError(f"number {tok.text!r} overflows a float", tok.pos)
+            return Const(value)
         if tok.kind == "name":
             if tok.text in VARIABLES:
                 return Var(tok.text)
@@ -581,10 +584,10 @@ def _prec(e: Expr) -> int:
 
 def to_source(e: Expr) -> str:
     """Print with minimal parentheses.  ``parse(to_source(e)) == e`` for
-    every tree that ``parse`` builds from finite literals.  ``parse`` never
-    builds a negative constant: ``Const(c)`` with c < 0 (or c = -0.0)
-    prints with its sign and comes back as ``neg(Const(-c))``.  inf and
-    nan print as names that ``parse`` does not know."""
+    every tree that ``parse`` builds.  ``parse`` never builds a negative
+    or a non-finite constant: ``Const(c)`` with c < 0 (or c = -0.0)
+    prints with its sign and comes back as ``neg(Const(-c))``, and inf
+    and nan print as names that ``parse`` does not know."""
     match e:
         case Const(value):
             return repr(value)

@@ -87,6 +87,13 @@ def test_random_waves_are_minimal():
             assert abs(srf.curvatures_at(patch, u, v).H) <= 1e-10
 
 
+def test_an_overflowing_literal_in_an_expression_parameter_is_a_bad_param():
+    # it was kept as the source "inf * u + u ^ 2.0", which oracles_for
+    # could not parse back
+    with pytest.raises(BadParam, match=r"'z': number '1e400' overflows a float \(at offset 0\)"):
+        catalog.make("revolution", IP3, {"z": "1e400*u + u^2"})
+
+
 def test_bad_params():
     with pytest.raises(BadParam):
         catalog.make("parabolic_sphere", I3, {"p": 0.0})

@@ -262,6 +262,17 @@ def test_spec_validation_errors(tmp_path):
         assert cli.main(["curvature", path, "--out", str(tmp_path / "o.csv")]) == 2, spec
 
 
+def test_a_spec_with_an_overflowing_literal_is_a_spec_error(tmp_path, capsys):
+    # 1e400*u*0 was inf * u * 0 = nan at every point: a grid of undefined rows
+    spec = write_spec(
+        tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "1e400*u*0 + u^2"}, "domain": [0, 1, 0, 1]}
+    )
+    out = tmp_path / "o.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 2
+    assert "number '1e400' overflows a float (at offset 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_io_error(tmp_path):
     spec = write_spec(tmp_path, SPHERE_SPEC)
     missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"

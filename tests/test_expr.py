@@ -82,6 +82,20 @@ def test_syntax_errors_carry_offsets(source, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "source, offset", [("1e400", 0), ("u + 1e400", 4), ("2*1.8e308*u", 2), ("u^(v - 99999e999)", 7)]
+)
+def test_a_literal_that_overflows_a_float_is_a_syntax_error(source, offset):
+    # it would parse to Const(inf), which to_source prints as "inf"
+    with pytest.raises(ExprSyntaxError, match="overflows a float") as err:
+        ex.parse(source)
+    assert err.value.offset == offset
+    # the largest float and an underflow to 0 are finite
+    assert ex.parse("1.7976931348623157e308 - 1e-400") == ex.Binary(
+        "-", ex.Const(1.7976931348623157e308), ex.Const(0.0)
+    )
+
+
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
         ex.eval_jet2(ex.parse("log(u)"), -1.0, 0.0)
