@@ -172,10 +172,13 @@ def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> Vec3
 
 def _parallel_residual(kind: SpaceKind, gdd: Vec3, reference: Vec3) -> float:
     # gamma'' is scaled to unit length before the product, and both lengths
-    # are hypots, so neither overflows where |gamma''| |reference| would
+    # are hypots, so neither overflows where |gamma''| |reference| would; a
+    # gamma'' that overflowed itself has no direction, and reads inf
     mag = math.hypot(gdd.x, gdd.y, gdd.z)
     if mag <= 1e-10:
         return 0.0
+    if not math.isfinite(mag):
+        return math.inf
     c = cross_background(kind, Vec3(gdd.x / mag, gdd.y / mag, gdd.z / mag), reference)
     return math.hypot(c.x, c.y, c.z)
 

@@ -75,6 +75,8 @@ def parallel_residual(kind, gdd, reference) -> float:
     mag = math.hypot(gdd.x, gdd.y, gdd.z)
     if mag <= 1e-10:
         return 0.0
+    if not math.isfinite(mag):
+        return math.inf
     c = cross_background(kind, Vec3(gdd.x / mag, gdd.y / mag, gdd.z / mag), reference)
     return math.hypot(c.x, c.y, c.z)
 

@@ -1,6 +1,6 @@
 """Fuzzing the CLI over spec JSON: every input ends in a documented exit
-code, never in a traceback, and a curvature row that carries a class
-carries no nan.
+code, never in a traceback, a curvature row that carries a class carries
+no nan, and a geodesic trace writes no nan.
 
 Specs mix well-formed and malformed pieces: both spaces and unknown
 ones; graph, parametric and builtin surfaces; expressions from
@@ -8,6 +8,8 @@ ones; graph, parametric and builtin surfaces; expressions from
 hand-picked overflowing ones; domains with ``Infinity``, ``NaN``, huge
 integers and widths that overflow.  ``curvature`` runs its forked row
 blocks on every example with more than one u row and more than one CPU.
+``geodesic`` draws its start (inside the domain, mostly), velocity,
+``--t-end`` and ``--step`` with the spec, for both connections.
 """
 
 import json
@@ -25,6 +27,7 @@ from isogeo.rng import SplitMix64
 
 CLASSES = {"diagonalizable", "non_diagonalizable_real", "complex_principal", "umbilic"}
 DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_SPEC}  # curvature and sample
+GEODESIC_EXITS = {cli.EXIT_OK, cli.EXIT_SPEC, cli.EXIT_BAD_START}
 
 # inputs that overflow, leave a function's domain or do not parse
 _WILD_EXPRS = (
@@ -126,3 +129,63 @@ def test_cli_on_fuzzed_specs(spec, nu, nv, command):
         if command == "curvature":
             check_curvature_csv(text)
             assert len(text.splitlines()) == 1 + nu * nv
+
+
+@st.composite
+def geodesic_specs(draw):
+    """The specs above, or (half the time) a well-formed one: a graph or
+    parametric surface over a finite domain, so that most traces run."""
+    if draw(st.booleans()):
+        return draw(specs())
+    if draw(st.integers(0, 3)):  # a graph is admissible everywhere
+        surface = {"kind": "graph", "f": draw(expressions())}
+    else:
+        surface = {"kind": "parametric", **{c: draw(expressions()) for c in ("x", "y", "z")}}
+    u0, v0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    domain = [u0, u0 + draw(st.floats(0.1, 4.0)), v0, v0 + draw(st.floats(0.1, 4.0))]
+    return {"space": draw(st.sampled_from(["i3", "ip3"])), "surface": surface, "domain": domain}
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and abs(x) < 1e308 and math.isfinite(x)
+
+
+@st.composite
+def geodesic_args(draw, spec):
+    """--start, --velocity, --t-end and --step: mostly a start inside the
+    spec's domain, where that is four finite numbers, and at most 40
+    steps."""
+    domain = spec.get("domain")
+    start = [draw(numbers), draw(numbers)]
+    if isinstance(domain, list) and len(domain) == 4 and all(map(_finite, domain)) and draw(st.integers(0, 4)):
+        u0, u1, v0, v1 = map(float, domain)
+        start = [lo + (hi - lo) * draw(st.floats(0.0, 1.0)) for lo, hi in ((u0, u1), (v0, v1))]
+    # one value in six is wild
+    tame = lambda lo, hi: draw(st.floats(lo, hi) if draw(st.integers(0, 5)) else numbers)
+    velocity = [tame(-3.0, 3.0), tame(-3.0, 3.0)]
+    t_end = tame(1e-3, 2.0)
+    if isinstance(t_end, float) and draw(st.integers(0, 5)):
+        step = t_end / draw(st.integers(1, 40))
+    else:
+        step = draw(st.one_of(numbers, st.sampled_from([0.0, -0.1, 1e-300])))
+    pair = lambda xy: f"{xy[0]!r},{xy[1]!r}"
+    return [f"--start={pair(start)}", f"--velocity={pair(velocity)}", f"--t-end={t_end!r}", f"--step={step!r}"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data(), geodesic_specs(), st.sampled_from(["r", "lc"]))
+def test_geodesic_on_fuzzed_specs(data, spec, gtype):
+    args = data.draw(geodesic_args(spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, out = Path(tmp) / "spec.json", Path(tmp) / "out.csv"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["geodesic", str(spec_path), "--type", gtype, *args, "--out", str(out)])
+        assert code in GEODESIC_EXITS
+        if code != cli.EXIT_OK:
+            assert not out.exists()
+            return
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,u,v,du,dv,x,y,z,parallel_residual" and len(lines) >= 2
+        for line in lines[1:]:
+            row = [float(x) for x in line.split(",")]
+            assert len(row) == 9 and not any(math.isnan(x) for x in row), line

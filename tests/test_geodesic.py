@@ -321,6 +321,14 @@ def test_parallel_residual_scales_before_it_multiplies():
         assert got == pytest.approx(unscaled * 2.0**900, rel=1e-15)
 
 
+def test_a_gamma_dd_that_overflows_reads_an_infinite_residual():
+    # (v')^2 overflows where x22 = 0, so gamma'' = 0 * inf has no direction;
+    # the acceleration itself is finite (its coefficients are 0)
+    steep = srf.graph_patch(I3, "exp(u)", (0.0, 1.0, 0.0, 1.0))
+    trace = geo.integrate(steep, RELATIVE, 0.0, 0.0, 0.0, 1.3407807929942597e154, 1.0, 1.0)
+    assert trace.stopped_reason == "left_domain" and trace.residuals["parallel"] == [math.inf]
+
+
 def test_non_finite_start_velocity_is_rejected():
     plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
     for velocity in ((math.inf, 0.0), (0.0, math.nan)):
