@@ -148,13 +148,11 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
         tail = (*frame_lines(s.kind), *GAMMA_LINES, *(relative_lines(s.kind) if relative else ()))
-        u_lo, u_hi, v_lo, v_hi = s.domain
-        env = {"_outside": _outside, "u_lo": u_lo, "u_hi": u_hi, "v_lo": v_lo, "v_hi": v_hi}
         kernel = s.accel_kernels[gkind] = ex.compile_jet(
             (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv",
-            head=("if not (u_lo <= u <= u_hi and v_lo <= v <= v_hi):", "    raise _outside(u, v)"),
+            head=("if not contains(u, v):", "    raise _outside(u, v)"),
             bind=JET_NAMES, tail=(*tail, *_accel_lines("xi" if relative else "ga")),
-            env={**FRAME_GLOBALS, **RELATIVE_GLOBALS, **env},
+            env={**FRAME_GLOBALS, **RELATIVE_GLOBALS, "contains": s.contains, "_outside": _outside},
         )
     return kernel
 
