@@ -135,7 +135,8 @@ def _rhs(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float, du: float, dv
         raise _outside(u, v)
     f = frame_at(s, u, v)
     c6 = gamma6_of_frame(f) if gkind is GeodesicKind.LEVI_CIVITA else coeffs_of_frame(f).xi6
-    return (*_acceleration(f.swapped, *c6, du, dv), f)
+    au, av = _acceleration(f.swapped, *c6, du, dv)
+    return au, av, f
 
 
 def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
@@ -157,27 +158,28 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     return kernel
 
 
-def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> Vec3:
+def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> tuple[float, float, float]:
     """x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, summed left to
     right, one component at a time."""
     s11, s12, s22 = w1 * w1, 2.0 * w1 * w2, w2 * w2
-    return Vec3(
+    return (
         a1 * f.x1_x + a2 * f.x2_x + s11 * f.x11_x + s12 * f.x12_x + s22 * f.x22_x,
         a1 * f.x1_y + a2 * f.x2_y + s11 * f.x11_y + s12 * f.x12_y + s22 * f.x22_y,
         a1 * f.x1_z + a2 * f.x2_z + s11 * f.x11_z + s12 * f.x12_z + s22 * f.x22_z,
     )
 
 
-def _parallel_residual(kind: SpaceKind, gdd: Vec3, reference: Vec3) -> float:
+def _parallel_residual(kind: SpaceKind, gx: float, gy: float, gz: float, reference: Vec3) -> float:
+    """|gamma'' x reference| / |gamma''| of gamma'' = (gx, gy, gz)."""
     # gamma'' is scaled to unit length before the product, and both lengths
     # are hypots, so neither overflows where |gamma''| |reference| would; a
     # gamma'' that overflowed itself has no direction, and reads inf
-    mag = math.hypot(gdd.x, gdd.y, gdd.z)
+    mag = math.hypot(gx, gy, gz)
     if mag <= 1e-10:
         return 0.0
     if not math.isfinite(mag):
         return math.inf
-    c = cross_background(kind, Vec3(gdd.x / mag, gdd.y / mag, gdd.z / mag), reference)
+    c = cross_background(kind, Vec3(gx / mag, gy / mag, gz / mag), reference)
     return math.hypot(c.x, c.y, c.z)
 
 
@@ -239,9 +241,8 @@ def integrate(
                 prev_denom = denom
             samples.append(TraceSample(t, u, v, du, dv, f.position))
             w1, w2, a1, a2 = (dv, du, av, au) if f.swapped else (du, dv, au, av)
-            gdd = _ambient_acceleration(f, w1, w2, a1, a2)
             ref = f.xi if gkind is GeodesicKind.RELATIVE else E3
-            residuals.append(_parallel_residual(s.kind, gdd, ref))
+            residuals.append(_parallel_residual(s.kind, *_ambient_acceleration(f, w1, w2, a1, a2), ref))
             if k == n_steps:
                 break
             # classic RK4: stage n has the state derivative (dun, dvn, aun,
@@ -425,7 +426,7 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
         theta_dd = -const * d_dd / (dd * dd) * theta_dot
         gdd = _section_d2(ps, theta).scaled(theta_dot * theta_dot) + d1.scaled(theta_dd)
         parallel_res.append(
-            _parallel_residual(ps.kind, gdd, pos.scaled(1.0 / ps.p))
+            _parallel_residual(ps.kind, gdd.x, gdd.y, gdd.z, pos.scaled(1.0 / ps.p))
         )
         if idx + 1 == len(t_grid):
             break
