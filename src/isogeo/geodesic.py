@@ -149,11 +149,17 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
         tail = (*frame_lines(s.kind), *GAMMA_LINES, *(relative_lines(s.kind) if relative else ()))
+        u0, u1, v0, v1 = s.domain
         kernel = s.accel_kernels[gkind] = ex.compile_jet(
             (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv",
-            head=("if not contains(u, v):", "    raise _outside(u, v)"),
+            # SurfacePatch.contains, inlined: a method call would cost each
+            # stage more than the comparison does
+            head=("if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)"),
             bind=JET_NAMES, tail=(*tail, *_accel_lines("xi" if relative else "ga")),
-            env={**FRAME_GLOBALS, **RELATIVE_GLOBALS, "contains": s.contains, "_outside": _outside},
+            env={
+                **FRAME_GLOBALS, **RELATIVE_GLOBALS, "_outside": _outside,
+                "u0": u0, "u1": u1, "v0": v0, "v1": v1,
+            },
         )
     return kernel
 
