@@ -62,7 +62,7 @@ from .errors import (
     StepNotPositive,
     TooManySteps,
 )
-from .isotropy import E3, SpaceKind, Vec3, cross_background, norm_euclid
+from .isotropy import SpaceKind, Vec3, cross_xyz, norm_euclid
 from .surface import FRAME_GLOBALS, JET_NAMES, SurfacePatch, frame_at, frame_lines, graph_patch
 
 
@@ -175,18 +175,19 @@ def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> tupl
     )
 
 
-def _parallel_residual(kind: SpaceKind, gx: float, gy: float, gz: float, reference: Vec3) -> float:
-    """|gamma'' x reference| / |gamma''| of gamma'' = (gx, gy, gz)."""
+def _parallel_residual(gx: float, gy: float, gz: float, rx: float, ry: float, rz: float) -> float:
+    """|gamma'' x r| / |gamma''| for gamma'' = (gx, gy, gz) and r = (rx, ry,
+    rz).  The Lorentzian product differs from the Euclidean one only in the
+    sign of its middle component, so one length serves both spaces."""
     # gamma'' is scaled to unit length before the product, and both lengths
-    # are hypots, so neither overflows where |gamma''| |reference| would; a
-    # gamma'' that overflowed itself has no direction, and reads inf
+    # are hypots, so neither overflows where |gamma''| |r| would; a gamma''
+    # that overflowed itself has no direction, and reads inf
     mag = math.hypot(gx, gy, gz)
     if mag <= 1e-10:
         return 0.0
     if not math.isfinite(mag):
         return math.inf
-    c = cross_background(kind, Vec3(gx / mag, gy / mag, gz / mag), reference)
-    return math.hypot(c.x, c.y, c.z)
+    return math.hypot(*cross_xyz(gx / mag, gy / mag, gz / mag, rx, ry, rz))
 
 
 def _step_count(t_end: float, step: float) -> int:
@@ -247,8 +248,8 @@ def integrate(
                 prev_denom = denom
             samples.append(TraceSample(t, u, v, du, dv, f.position))
             w1, w2, a1, a2 = (dv, du, av, au) if f.swapped else (du, dv, au, av)
-            ref = f.xi if gkind is GeodesicKind.RELATIVE else E3
-            residuals.append(_parallel_residual(s.kind, *_ambient_acceleration(f, w1, w2, a1, a2), ref))
+            ref = (f.xi_x, f.xi_y, f.xi_z) if gkind is GeodesicKind.RELATIVE else (0.0, 0.0, 1.0)
+            residuals.append(_parallel_residual(*_ambient_acceleration(f, w1, w2, a1, a2), *ref))
             if k == n_steps:
                 break
             # classic RK4: stage n has the state derivative (dun, dvn, aun,
@@ -432,7 +433,7 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
         theta_dd = -const * d_dd / (dd * dd) * theta_dot
         gdd = _section_d2(ps, theta).scaled(theta_dot * theta_dot) + d1.scaled(theta_dd)
         parallel_res.append(
-            _parallel_residual(ps.kind, gdd.x, gdd.y, gdd.z, pos.scaled(1.0 / ps.p))
+            _parallel_residual(*gdd.as_tuple(), *pos.scaled(1.0 / ps.p).as_tuple())
         )
         if idx + 1 == len(t_grid):
             break

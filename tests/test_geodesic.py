@@ -309,16 +309,17 @@ def test_relative_trace_halts_where_the_connection_overflows():
 def test_parallel_residual_scales_before_it_multiplies():
     # |gamma''| |reference| overflows here, and the unscaled form gave nan.
     # The residual is of degree 1 in the reference, where a power of two
-    # scales exactly, and of degree 0 in gamma''; the unscaled form holds
-    # on vectors small enough for it
+    # scales exactly, and of degree 0 in gamma''; the unscaled form, with
+    # either space's vector product, holds on vectors small enough for it
     gdd = Vec3(3.0e159, -2.0e158, 5.5e159)
-    for kind, ref in ((I3, Vec3(-5.5e153, 0.25, -1.5e307)), (IP3, Vec3(7.0e153, -3.0e153, -1.2e307))):
-        got = geo._parallel_residual(kind, *gdd.as_tuple(), ref)
+    for ref in (Vec3(-5.5e153, 0.25, -1.5e307), Vec3(7.0e153, -3.0e153, -1.2e307)):
+        got = geo._parallel_residual(*gdd.as_tuple(), *ref.as_tuple())
         assert math.isfinite(got)
-        assert got == geo._parallel_residual(kind, *gdd.as_tuple(), ref.scaled(2.0**-900)) * 2.0**900
+        assert got == geo._parallel_residual(*gdd.as_tuple(), *ref.scaled(2.0**-900).as_tuple()) * 2.0**900
         g, r = gdd.scaled(2.0**-500), ref.scaled(2.0**-900)
-        unscaled = norm_euclid(cross_background(kind, g, r)) / norm_euclid(g)
-        assert got == pytest.approx(unscaled * 2.0**900, rel=1e-15)
+        for kind in (I3, IP3):
+            unscaled = norm_euclid(cross_background(kind, g, r)) / norm_euclid(g)
+            assert got == pytest.approx(unscaled * 2.0**900, rel=1e-15)
 
 
 def test_a_gamma_dd_that_overflows_reads_an_infinite_residual():
