@@ -34,6 +34,7 @@ import sys
 from typing import Optional
 
 from . import catalog, verify
+from . import expr as ex
 from .errors import (
     BadParam,
     DomainError,
@@ -48,9 +49,13 @@ from .errors import (
 from .geodesic import GeodesicKind, integrate
 from .isotropy import SpaceKind
 from .surface import (
+    CURVATURE_GLOBALS,
+    CURVATURE_LINES,
+    FRAME_GLOBALS,
+    JET_NAMES,
+    CurvatureClass,
     SurfacePatch,
-    curvatures_of_frame,
-    frame_at,
+    frame_lines,
     graph_patch,
     grid_values,
     parametric_patch,
@@ -173,28 +178,38 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
 CURVATURE_HEADER = "u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"
 
 
-def _curvature_rows(patch: SurfacePatch, us: list[float], vs: list[tuple[float, str]]) -> str:
+def _row_kernel(patch: SurfacePatch):
+    """``(u, v, su, sv) ->`` the CSV row of the point (u, v), whose reprs
+    are su and sv: the jet, frame and curvature lines of ``surface`` as one
+    function, which raises what ``frame_at`` and ``curvatures_of_frame``
+    raise there.  Every value written is a Python float, so repr is its
+    shortest round-trip form."""
+    return ex.compile_jet(
+        (patch.x_expr, patch.y_expr, patch.z_expr), 2, args="u, v, su, sv", bind=JET_NAMES,
+        tail=(
+            *frame_lines(patch.kind), *CURVATURE_LINES,
+            'return f"{su},{sv},{px!r},{py!r},{pz!r},{k!r},{h_mean!r},{disc!r},'
+            '{label},{a!r},{b!r},{xi_z!r}\\n"',
+        ),
+        env={**FRAME_GLOBALS, **CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}},
+    )
+
+
+def _curvature_rows(kernel, us: list[float], vs: list[tuple[float, str]]) -> str:
     """The CSV rows of the grid points (u, v), u in ``us`` and (v, repr(v))
-    in ``vs``, as one text with a newline after each row."""
-    # every value written is a Python float, so repr is its shortest
-    # round-trip form; each grid value is formatted once
+    in ``vs``, as one text with a newline after each row; ``kernel`` is the
+    patch's ``_row_kernel``."""
+    # each grid value is formatted once
     lines = []
     for u in us:
         su = repr(u)
         for v, sv in vs:
             try:
-                f = frame_at(patch, u, v)
-                rep = curvatures_of_frame(f)
+                lines.append(kernel(u, v, su, sv))
             except NotAdmissible:
                 lines.append(f"{su},{sv},,,,,,,inadmissible,,,\n")
-                continue
             except DomainError:
                 lines.append(f"{su},{sv},,,,,,,undefined,,,\n")
-                continue
-            lines.append(
-                f"{su},{sv},{f.p_x!r},{f.p_y!r},{f.p_z!r},{rep.K!r},{rep.H!r},"
-                f"{rep.discriminant!r},{rep.label.value},{f.xi_x!r},{f.xi_y!r},{f.xi_z!r}\n"
-            )
     return "".join(lines)
 
 
@@ -210,8 +225,10 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
     vs = [(v, repr(v)) for v in grid_values(v0, v1, nv)]
     workers = worker_count(nu)
     bounds = [nu * i // workers for i in range(workers + 1)]
+    # compiled before the fork, so that every child inherits it
+    kernel = _row_kernel(patch)
     texts = fork_map(
-        lambda block: _curvature_rows(patch, block, vs),
+        lambda block: _curvature_rows(kernel, block, vs),
         [us[a:b] for a, b in zip(bounds, bounds[1:])],
     )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -41,6 +41,7 @@ from .errors import DomainError, LightlikeDirection, NotAdmissible, WrongSpace
 from .isotropy import Motion, SpaceKind, Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
+CURVATURE_TOL = 1e-9  # the class boundaries' width in disc and in h - H g
 
 
 class _LazyNumpy:
@@ -349,7 +350,7 @@ frame_of_jet = ex.compile_function(
 
 
 def curvatures_at(
-    s: SurfacePatch, u: float, v: float, tol: float = 1e-9
+    s: SurfacePatch, u: float, v: float, tol: float = CURVATURE_TOL
 ) -> CurvatureReport:
     """Gaussian and mean curvature plus the diagonalizability trichotomy
     of the shape operator (read off the characteristic polynomial
@@ -358,46 +359,63 @@ def curvatures_at(
     return curvatures_of_frame(f, tol)
 
 
-def gaussian_curvature(f: PointFrame) -> float:
-    """K = det h / det g."""
-    try:
-        # libm's pow, which does not always round like h12 * h12
-        h12_sq = f.h12**2
-    except OverflowError:
-        h12_sq = math.inf
-    return (f.h11 * f.h22 - h12_sq) / f.det_g
-
-
-def curvatures_of_frame(f: PointFrame, tol: float = 1e-9) -> CurvatureReport:
-    g11, g12, g22, h11, h12, h22 = f.g11, f.g12, f.g22, f.h11, f.h12, f.h22
-    k = gaussian_curvature(f)
-    h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * f.det_g)
+# The curvatures' arithmetic as source lines, from the frame lines' names
+# to k, h_mean, disc, label, kappa1, kappa2 and umbilic_factor; the only
+# copy, run by the two functions below and by the CLI's compiled
+# curvature rows.  ``label`` is bound to the global named after the
+# CurvatureClass member: the member itself in ``curvatures_of_frame``,
+# its value where a row is written.  K = det h / det g.
+GAUSSIAN_LINES = (
+    "try:",
+    # libm's pow, which does not always round like h12 * h12
+    "    h12_sq = h12**2",
+    "except OverflowError:",
+    "    h12_sq = math.inf",
+    "k = (h11 * h22 - h12_sq) / det_g",
+)
+CURVATURE_LINES = (
+    *GAUSSIAN_LINES,
+    "h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g)",
     # NaN fails every comparison below and would land in some class;
     # xi.z = (1 - (A^2 +/- B^2)) / 2 is finite only where A and B are
-    if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(f.xi_z)):
-        raise DomainError(f"K={k!r}, H={h_mean!r} or xi not finite at ({f.u!r}, {f.v!r})")
-    disc = h_mean * h_mean - k
-    if disc > tol:
-        root = math.sqrt(disc)
-        return CurvatureReport(
-            k, h_mean, disc, CurvatureClass.DIAGONALIZABLE,
-            kappa1=h_mean + root, kappa2=h_mean - root,
-        )
-    if disc < -tol:
-        return CurvatureReport(k, h_mean, disc, CurvatureClass.COMPLEX_PRINCIPAL)
+    "if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(xi_z)):",
+    "    raise DomainError(f'K={k!r}, H={h_mean!r} or xi not finite at ({u!r}, {v!r})')",
+    "disc = h_mean * h_mean - k",
+    "kappa1 = kappa2 = umbilic_factor = None",
+    "if disc > tol:",
+    "    root = math.sqrt(disc)",
+    "    label, kappa1, kappa2 = DIAGONALIZABLE, h_mean + root, h_mean - root",
+    "elif disc < -tol:",
+    "    label = COMPLEX_PRINCIPAL",
+    "else:",
     # umbilic iff h = H g up to tol, relative to the size of g; a NaN
     # entry fails every comparison and so is never umbilic
-    bound = tol * max(1.0, abs(g11), abs(g12), abs(g22))
-    if (
-        abs(h11 - h_mean * g11) <= bound
-        and abs(h12 - h_mean * g12) <= bound
-        and abs(h22 - h_mean * g22) <= bound
-    ):
-        return CurvatureReport(
-            k, h_mean, disc, CurvatureClass.UMBILIC,
-            kappa1=h_mean, kappa2=h_mean, umbilic_factor=h_mean,
-        )
-    return CurvatureReport(k, h_mean, disc, CurvatureClass.NON_DIAGONALIZABLE_REAL)
+    "    bound = tol * max(1.0, abs(g11), abs(g12), abs(g22))",
+    "    if (abs(h11 - h_mean * g11) <= bound and abs(h12 - h_mean * g12) <= bound",
+    "            and abs(h22 - h_mean * g22) <= bound):",
+    "        label, kappa1, kappa2, umbilic_factor = UMBILIC, h_mean, h_mean, h_mean",
+    "    else:",
+    "        label = NON_DIAGONALIZABLE_REAL",
+)
+# ``tol`` is the default, which a ``tol`` argument shadows
+CURVATURE_GLOBALS = {"math": math, "DomainError": DomainError, "tol": CURVATURE_TOL}
+
+gaussian_curvature = ex.compile_function(
+    "gaussian_curvature(f)",
+    ['"""K = det h / det g."""', f"{FRAME_NAMES} = f", *GAUSSIAN_LINES, "return k"],
+    {**CURVATURE_GLOBALS},
+)
+curvatures_of_frame = ex.compile_function(
+    f"curvatures_of_frame(f, tol={CURVATURE_TOL!r})",
+    [
+        '"""K, H, disc and the class at a frame; DomainError where K, H or xi is not finite."""',
+        f"{FRAME_NAMES} = f", *CURVATURE_LINES,
+        "return CurvatureReport(k, h_mean, disc, label, kappa1, kappa2, umbilic_factor)",
+    ],
+    {
+        **CURVATURE_GLOBALS, "CurvatureReport": CurvatureReport, **{c.name: c for c in CurvatureClass},
+    },
+)
 
 
 def normal_curvature(

@@ -6,11 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isogeo
+from genexpr import random_expr_full
 from isogeo import cli, expr, geodesic, verify
 from isogeo import surface as srf
 from isogeo.errors import DomainError, NotAdmissible
+from isogeo.expr import Binary, Var
+from isogeo.isotropy import SpaceKind
+from isogeo.rng import SplitMix64
 
 SPHERE_SPEC = {
     "space": "i3",
@@ -568,7 +574,7 @@ def test_domain_with_an_overflowing_width_is_rejected(tmp_path, capsys, domain):
 
 
 def test_grid_and_samples_are_bounded_before_any_point(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "frame_at", _no_points)
+    monkeypatch.setattr(cli, "_row_kernel", _no_points)
     monkeypatch.setattr(cli, "grid_values", _no_points)
     monkeypatch.setattr(verify, "run_verify", _no_points)
     spec = write_spec(tmp_path, SPHERE_SPEC)
@@ -748,3 +754,121 @@ def test_sample_leaves_out_non_finite_positions(tmp_path):
     ]
     assert cli.main(["sample", spec, "--grid", "2x2", "--format", "obj", "--out", str(out)]) == 0
     assert out.read_text().splitlines() == ["v 0.0 0.0 0.0", "v 0.0 1.0 0.0"]
+
+
+# ------------------------------------------------------- row kernel
+
+I3, IP3 = SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC
+_TOL = srf.CURVATURE_TOL
+_ROOT_TOL = math.sqrt(_TOL)
+
+
+def reference_row(patch, u, v, su, sv):
+    """The row of (u, v) from the frame and the curvature report."""
+    f = srf.frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+    rep = srf.curvatures_of_frame(f)
+    numbers = (f.p_x, f.p_y, f.p_z, rep.K, rep.H, rep.discriminant)
+    return ",".join([su, sv, *map(repr, numbers), rep.label.value, *map(repr, (f.xi_x, f.xi_y, f.xi_z))]) + "\n"
+
+
+def row_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotAdmissible, DomainError) as err:
+        return type(err).__name__, str(err)
+
+
+def _quadric(kind, a, b, c):
+    """The graph z = (a u^2 + 2 b uv + c v^2) / 2; at the origin h = [[a, b],
+    [b, c]] and g = diag(1, +/-1), so disc = (a - c)^2/4 + b^2 in I3 and
+    (a + c)^2/4 - b^2 in Ip3."""
+    return srf.graph_patch(kind, f"({a!r}*u^2 + 2*{b!r}*u*v + {c!r}*v^2)/2", (-2, 2, -2, 2))
+
+
+def _graph(kind, f):
+    return srf.graph_patch(kind, f, (-2, 2, -2, 2))
+
+
+# the origin of surfaces built from a factor e within 1e-6 of 1, by the
+# outcomes the point may have there: each class boundary approached from
+# both sides, and the points where the kernel must raise what the frame
+# or the report raises
+_SPECIAL = {
+    # disc = tol e^2 against tol; h - H g is far beyond its bound
+    "diagonalizable|non_diagonalizable_real": lambda kind, e: (
+        _quadric(kind, 1.0 + 2.0 * _ROOT_TOL * e, 0.0, 1.0) if kind is I3
+        else _quadric(kind, _ROOT_TOL * e, 0.0, _ROOT_TOL * e)
+    ),
+    # disc = -tol e^2 against -tol (Ip3 only: in I3, disc >= 0)
+    "complex_principal|non_diagonalizable_real": lambda kind, e: _quadric(IP3, 0.0, _ROOT_TOL * e, 0.0),
+    # disc within tol; |h12 - H g12| = tol e against its bound tol
+    "umbilic|non_diagonalizable_real": lambda kind, e: _quadric(kind, 1.0 if kind is I3 else 0.0, _TOL * e, 1.0 if kind is I3 else 0.0),
+    # h12^2 overflows, so K = -inf
+    "undefined:h12": lambda kind, e: _quadric(kind, 0.0, 1e200 * e, 0.0),
+    # h11 h22 overflows, so K = inf
+    "undefined:h11 h22": lambda kind, e: _quadric(kind, 1e300 * e, 0.0, 1e300),
+    # A^2 overflows where K = H = 0, so xi is not finite
+    "undefined:xi": lambda kind, e: _graph(kind, f"{1e160 * e!r}*(u + v)"),
+    # the jet itself raises at u = 0
+    "undefined:jet": lambda kind, e: _graph(kind, f"log(u) + {e!r}*v"),
+    # m12 = e u vanishes at u = 0
+    "inadmissible": lambda kind, e: srf.parametric_patch(kind, "u", f"{e!r}*u*v", "v^2", (-2, 2, -2, 2)),
+}
+
+
+@st.composite
+def row_cases(draw):
+    """(patch, u, v, the classes allowed there, or None for any): random
+    graph and parametric patches from ``genexpr`` in both spaces, with
+    both parameter orders, or the origin of a ``_SPECIAL`` surface."""
+    kind = draw(st.sampled_from([I3, IP3]))
+    if draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(sorted(_SPECIAL)))
+        jitter = draw(st.floats(1e-12, 1e-6))
+        patch = _SPECIAL[name](kind, 1.0 + jitter if draw(st.booleans()) else 1.0 - jitter)
+        return patch, 0.0, 0.0, name.split(":")[0].split("|")
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    if draw(st.booleans()):
+        patch = _graph(kind, random_expr_full(rng, 4))
+    else:
+        s, t = (Var("u"), Var("v")) if draw(st.booleans()) else (Var("v"), Var("u"))
+        x = Binary("+", random_expr_full(rng, 2), s)
+        y = Binary("+", random_expr_full(rng, 2), t)
+        patch = srf.parametric_patch(kind, x, y, random_expr_full(rng, 4), (-2, 2, -2, 2))
+    # exact zeros hit log, sqrt, abs and division at their boundary
+    coord = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    return patch, draw(coord), draw(coord), None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(row_cases())
+def test_row_kernel_matches_the_frame_and_report_rows(case):
+    patch, u, v, allowed = case
+    su, sv = repr(u), repr(v)
+    kernel = cli._row_kernel(patch)
+    # the row, or the error and its message
+    assert row_outcome(kernel, u, v, su, sv) == row_outcome(reference_row, patch, u, v, su, sv), (patch, u, v)
+    if allowed is not None:
+        row = cli._curvature_rows(kernel, [u], [(v, sv)])
+        assert row.split(",")[8] in allowed, (patch, row)
+
+
+def test_curvature_builds_no_frame(tmp_path, monkeypatch):
+    # m12 = u^2 - 1/4 vanishes on u = +-0.5 (inadmissible); log(v + 0.5)
+    # has no value for v <= -0.5 (undefined)
+    surface = {"kind": "parametric", "x": "u", "y": "u^2*v - 0.25*v", "z": "log(v + 0.5) + u*v"}
+    spec = write_spec(tmp_path, {"space": "ip3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    out = tmp_path / "curv.csv"
+    argv = ["curvature", spec, "--grid", "9x8", "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    out.unlink()
+
+    def no_frame(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(srf, "frame_of_jet", no_frame)
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == before
+    classes = {row["class"] for row in read_rows(out)}
+    assert {"inadmissible", "undefined"} < classes and len(classes) >= 3

@@ -57,6 +57,24 @@ def serial_bytes(monkeypatch, spec_path, tmp_path):
     return out.read_bytes()
 
 
+def inject(monkeypatch, fault):
+    """Make every curvature point call ``fault(u)`` before its row is
+    computed, in whichever process computes it: the row kernel is wrapped
+    where it is built, before the fork, so the children inherit the wrapper."""
+    real_row_kernel = cli._row_kernel
+
+    def faulty_row_kernel(patch):
+        kernel = real_row_kernel(patch)
+
+        def faulty(u, v, su, sv):
+            fault(u)
+            return kernel(u, v, su, sv)
+
+        return faulty
+
+    monkeypatch.setattr(cli, "_row_kernel", faulty_row_kernel)
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -128,14 +146,12 @@ def _raised():
 def test_a_failing_child_has_its_block_recomputed(monkeypatch, tmp_path, spec_path, failure):
     serial = serial_bytes(monkeypatch, spec_path, tmp_path)
     parent = os.getpid()
-    real_frame_at = cli.frame_at
 
-    def failing_in_children(patch, u, v):
+    def failing_in_children(u):
         if os.getpid() != parent:
             failure()
-        return real_frame_at(patch, u, v)
 
-    monkeypatch.setattr(cli, "frame_at", failing_in_children)
+    inject(monkeypatch, failing_in_children)
     force_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
     out = tmp_path / "parallel.csv"
@@ -167,14 +183,11 @@ def test_a_fork_that_fails_leaves_its_block_to_the_parent(monkeypatch, tmp_path,
 def test_an_error_in_every_process_is_the_serial_error(
     monkeypatch, tmp_path, spec_path, capsys, error
 ):
-    real_frame_at = cli.frame_at
-
-    def failing(patch, u, v):
+    def failing(u):
         if u == 0.75:  # row 7 of 9: the last block of any split
             raise error
-        return real_frame_at(patch, u, v)
 
-    monkeypatch.setattr(cli, "frame_at", failing)
+    inject(monkeypatch, failing)
     outcomes = []
     for cpus in (1, 3):
         force_cpus(monkeypatch, cpus)
@@ -197,12 +210,12 @@ def test_an_error_in_every_process_is_the_serial_error(
 def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp_path, spec_path):
     parent = os.getpid()
 
-    def interrupted_in_parent(patch, u, v):
+    def interrupted_in_parent(u):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60.0)  # a child still busy: only a kill ends it soon
 
-    monkeypatch.setattr(cli, "frame_at", interrupted_in_parent)
+    inject(monkeypatch, interrupted_in_parent)
     force_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
     out = tmp_path / "parallel.csv"
