@@ -251,8 +251,8 @@ def cmd_geodesic(
         patch, gkind, start[0], start[1], velocity[0], velocity[1], t_end, step
     )
     lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
-    for (t, u, v, du, dv, p), res in zip(trace.samples, trace.residuals["parallel"]):
-        lines.append(f"{t!r},{u!r},{v!r},{du!r},{dv!r},{p.x!r},{p.y!r},{p.z!r},{res!r}")
+    for (t, u, v, du, dv, x, y, z), res in zip(trace.samples, trace.residuals["parallel"]):
+        lines.append(f"{t!r},{u!r},{v!r},{du!r},{dv!r},{x!r},{y!r},{z!r},{res!r}")
     _write_text(out_path, "\n".join(lines) + "\n")
     if not trace.completed:
         print(

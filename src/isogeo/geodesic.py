@@ -76,12 +76,21 @@ class GeodesicKind(Enum):
 
 
 class TraceSample(NamedTuple):
+    """One sample of a trace; the position is stored as its three
+    components, and ``position`` builds a ``Vec3`` from them on access."""
+
     t: float
     u: float
     v: float
     du: float
     dv: float
-    position: Vec3
+    p_x: float
+    p_y: float
+    p_z: float
+
+    @property
+    def position(self) -> Vec3:
+        return Vec3(self.p_x, self.p_y, self.p_z)
 
 
 @dataclass
@@ -246,7 +255,7 @@ def integrate(
                 ):
                     raise _Halt("lightlike")
                 prev_denom = denom
-            samples.append(TraceSample(t, u, v, du, dv, f.position))
+            samples.append(TraceSample(t, u, v, du, dv, f.p_x, f.p_y, f.p_z))
             w1, w2, a1, a2 = (dv, du, av, au) if f.swapped else (du, dv, au, av)
             ref = (f.xi_x, f.xi_y, f.xi_z) if gkind is GeodesicKind.RELATIVE else (0.0, 0.0, 1.0)
             residuals.append(_parallel_residual(*_ambient_acceleration(f, w1, w2, a1, a2), *ref))
@@ -418,7 +427,7 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
         pos = _section_point(ps, theta)
         d1 = _section_d1(ps, theta)
         samples.append(
-            TraceSample(float(t), pos.x, pos.y, d1.x * theta_dot, d1.y * theta_dot, pos)
+            TraceSample(float(t), pos.x, pos.y, d1.x * theta_dot, d1.y * theta_dot, pos.x, pos.y, pos.z)
         )
         p_res, s_res = section_residuals(ps, pos)
         plane_res.append(p_res)
@@ -463,7 +472,7 @@ def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, Geo
         for t in t_grid:
             pos = origin + direction.scaled(float(t))
             samples.append(
-                TraceSample(float(t), pos.x, pos.y, direction.x, direction.y, pos)
+                TraceSample(float(t), pos.x, pos.y, direction.x, direction.y, pos.x, pos.y, pos.z)
             )
             p_res, s_res = section_residuals(ps, pos)
             plane_res.append(p_res)
