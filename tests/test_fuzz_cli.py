@@ -10,8 +10,12 @@ integers and widths that overflow.  ``curvature`` runs its forked row
 blocks on every example with more than one u row and more than one CPU.
 ``geodesic`` draws its start (inside the domain, mostly), velocity,
 ``--t-end`` and ``--step`` with the spec, for both connections.
+``verify`` runs one spec-driven suite with a few samples, a seed and now
+and then a ``--tol``.
 """
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -28,6 +32,7 @@ from isogeo.rng import SplitMix64
 CLASSES = {"diagonalizable", "non_diagonalizable_real", "complex_principal", "umbilic"}
 DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_SPEC}  # curvature and sample
 GEODESIC_EXITS = {cli.EXIT_OK, cli.EXIT_SPEC, cli.EXIT_BAD_START}
+VERIFY_EXITS = {cli.EXIT_OK, cli.EXIT_SPEC, cli.EXIT_VERIFY_FAIL}
 
 # inputs that overflow, leave a function's domain or do not parse
 _WILD_EXPRS = (
@@ -189,3 +194,44 @@ def test_geodesic_on_fuzzed_specs(data, spec, gtype):
         for line in lines[1:]:
             row = [float(x) for x in line.split(",")]
             assert len(row) == 9 and not any(math.isnan(x) for x in row), line
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+# the suites that read the spec; sphere-geodesics checks fixed spheres
+# only, and costs more than the rest together
+SPEC_SUITES = ["flatness", "egregium", "codazzi", "umbilic", "minimal"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    specs(), st.sampled_from(SPEC_SUITES), st.integers(1, 6), st.integers(0, 2**64 - 1),
+    st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e-6)),
+)
+def test_verify_on_fuzzed_specs(spec, suite, samples, seed, tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, out = Path(tmp) / "spec.json", Path(tmp) / "report.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["verify", str(spec_path), "--suite", suite, "--samples", str(samples),
+                "--seed", str(seed), "--out", str(out)]
+        if tol is not None:
+            argv += ["--tol", repr(tol)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        assert code in VERIFY_EXITS
+        if code == cli.EXIT_SPEC:
+            assert not out.exists() and stdout.getvalue() == ""
+            return
+        text = out.read_text()
+        assert stdout.getvalue() == text
+        report = json.loads(text)
+        assert report["overall"] == ("pass" if code == cli.EXIT_OK else "fail")
+        assert not any(math.isnan(x) for x in _numbers(report)), text
