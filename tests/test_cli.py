@@ -801,8 +801,9 @@ _SPECIAL = {
     ),
     # disc = -tol e^2 against -tol (Ip3 only: in I3, disc >= 0)
     "complex_principal|non_diagonalizable_real": lambda kind, e: _quadric(IP3, 0.0, _ROOT_TOL * e, 0.0),
-    # disc within tol; |h12 - H g12| = tol e against its bound tol
-    "umbilic|non_diagonalizable_real": lambda kind, e: _quadric(kind, 1.0 if kind is I3 else 0.0, _TOL * e, 1.0 if kind is I3 else 0.0),
+    # h = g + tol e [[0, 1], [1, 0]], so H = 1, disc = +/-(tol e)^2 is
+    # within tol, and |h12 - H g12| = tol e is against its bound tol
+    "umbilic|non_diagonalizable_real": lambda kind, e: _quadric(kind, 1.0, _TOL * e, 1.0 if kind is I3 else -1.0),
     # h12^2 overflows, so K = -inf
     "undefined:h12": lambda kind, e: _quadric(kind, 0.0, 1e200 * e, 0.0),
     # h11 h22 overflows, so K = inf
