@@ -44,7 +44,6 @@ from .isotropy import (
     norm,
     top_view,
 )
-from .jets import Jet2
 from .surface import (
     AdmissibilityReport,
     CurvatureClass,

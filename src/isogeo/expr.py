@@ -10,9 +10,10 @@ Grammar, lowest to highest binding:
              | FUNC "(" expr ")" | "(" expr ")"
 
 FUNC is one of sin cos tan sinh cosh tanh exp log sqrt abs; u and v are
-the only variables.  ``^`` with a constant integer exponent is evaluated
-by repeated multiplication so negative bases work; any other exponent
-goes through exp(b*log(a)) and requires a positive base.
+the only variables.  ``^`` with an exponent whose partials vanish and
+whose value is an integer n, |n| <= 1024, is evaluated by repeated
+squaring so negative bases work; any other exponent goes through
+exp(b*log(a)) and requires a positive base.
 
 Parsing is total: the first error aborts with the byte offset of the
 offending token.  Trees are immutable; evaluation is pure.
@@ -25,9 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from . import jets
 from .errors import DomainError, ExprSyntaxError
-from .jets import Jet2
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,55 +202,28 @@ def parse(source: str) -> Expr:
     return node
 
 
-def eval_jet2(e: Expr, u: float, v: float) -> Jet2:
-    """Value and all partials through second order at (u, v)."""
-    return _eval(e, jets.seed_u(u), jets.seed_v(v))
-
-
-def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
-    match e:
-        case Const(value):
-            return Jet2(value)
-        case Var(name):
-            return ju if name == "u" else jv
-        case Unary(op, arg):
-            return jets.UNARY[op](_eval(arg, ju, jv))
-        case Binary(op, left, right):
-            a = _eval(left, ju, jv)
-            b = _eval(right, ju, jv)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            return jets.powj(a, b)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ------------------------------------------------------------ jet kernels
 #
 # ``compile_jet`` writes the jet arithmetic of several trees out as one
 # straight-line Python function (forward-mode Taylor arithmetic, as in
 # Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every order-2
-# line repeats an operation of ``jets.Jet2`` on the same operands in the
-# same grouping, with no algebraic folding, so the kernel's floats are
-# bit-identical to ``eval_jet2`` (NaN sign and payload aside, which
-# CPython's own float arithmetic does not keep stable) and its
-# DomainErrors (type and message) arise in the same post-order.  Order 3
-# adds third partials after each node's order-2 lines, lines that cannot
-# raise, so it fails where order 2 fails and otherwise repeats its floats.
-# Structurally identical operations are emitted once: the same
-# operations on the same inputs give the same bits.
+# line is one operation of second-order jet arithmetic in a fixed
+# grouping, with no algebraic folding, so the floats are those of a tree
+# walk that does the same operations in the same grouping (the tests keep
+# one as the reference), NaN sign and payload aside, which CPython's own
+# float arithmetic does not keep stable.  DomainErrors (type and message)
+# arise in the tree's post-order.  Order 3 adds third partials after each
+# node's order-2 lines, lines that cannot raise, so it fails where order
+# 2 fails and otherwise repeats its floats.  Structurally identical
+# operations are emitted once: the same operations on the same inputs
+# give the same bits.  A kernel calls no helper: only ``math`` functions,
+# the builtins float, int and abs, and DomainError.
 # Constants are bound by name in the kernel's namespace, never written as
 # source literals; the source holds only generated identifiers.
 
 # Per elementary function: statements, then the chain-rule factors
-# (f0, f1, f2, f3) at the argument value {x}, mirroring the function of
-# the same name in ``jets``; f3 is read at order 3 only.  {p} prefixes
-# the node's temporaries.
+# (f0, f1, f2, f3) at the argument value {x}; f3 is read at order 3 only.
+# {p} prefixes the node's temporaries.
 _OVERFLOW = (
     "try:",
     "    {p}s = sinh({x})",
@@ -320,18 +292,11 @@ _CHAIN_SRC = {
 }
 
 
-def _powj_flat(*c: float) -> tuple[float, ...]:
-    """``jets.powj`` on two jets given as 12 floats."""
-    r = jets.powj(Jet2(*c[:6]), Jet2(*c[6:]))
-    return r.val, r.du, r.dv, r.duu, r.duv, r.dvv
-
-
-def _pow_int_factors(x: float, n: int) -> tuple[float, float, float]:
-    """(f1, f2, f3) of t -> t^n at x.  f1 and f2 come from ``jets.pow_int``
-    on the values the order-2 part multiplied, so they raise nowhere it did
-    not (it raised for 0^n, n < 0); f3 = (n - 2) f2 / x divides by x != 0."""
-    t = jets.pow_int(Jet2(x, 1.0), n)
-    return t.du, t.duu, (n - 2) * t.duu / x if x != 0.0 else (6.0 if n == 3 else 0.0)
+def _integer_exponent(value) -> int | None:
+    """The n for which a ** value is the integer power a^n, else None: an
+    integral value with |n| <= 1024.  ``_KernelWriter.powj`` writes the
+    same test out for an exponent known only at run time."""
+    return int(value) if float(value).is_integer() and abs(value) <= 1024 else None
 
 
 def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
@@ -364,18 +329,14 @@ class _KernelWriter:
         self.order = order
         self.ZERO = zeros = ("ZERO",) * (4 * order - 3)  # 5 at order 2, 9 at order 3
         self.ONE = ("ONE",) + zeros
-        self.U = ("U", "ONE") + zeros[1:]  # jets.seed_u
-        self.V = ("V", "ZERO", "ONE") + zeros[2:]  # jets.seed_v
+        self.U = ("U", "ONE") + zeros[1:]
+        self.V = ("V", "ZERO", "ONE") + zeros[2:]
         self.prefix = prefix
         self.lines: list[str] = []
         self.namespace: dict[str, object] = namespace if namespace is not None else {
             "ZERO": 0.0,
             "ONE": 1.0,
             "DomainError": DomainError,
-            "Jet2": Jet2,
-            "_powj": _powj_flat,
-            "_integer_exponent": jets.integer_exponent,
-            "_pow_int_factors": _pow_int_factors,
             **{name: getattr(math, name) for name in
                ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "isfinite")},
         }
@@ -397,7 +358,7 @@ class _KernelWriter:
 
     def const(self, value) -> tuple[str, ...]:
         # floats are shared by bit pattern (0.0 and -0.0 differ); any other
-        # number type keeps its own slot, since Jet2 keeps the type
+        # number type keeps its own slot, since the arithmetic keeps the type
         if type(value) is float:
             key = ("const", struct.pack("<d", value))
         else:
@@ -425,7 +386,7 @@ class _KernelWriter:
             f"{a0} * {b0}",
             f"{a1} * {b0} + {a0} * {b1}",
             f"{a2} * {b0} + {a0} * {b2}",
-            # "+" groups to the left, as the parentheses in Jet2.__mul__ do
+            # "+" groups to the left: (a3 b0 + a0 b3) + 2 (a1 b1)
             f"{a3} * {b0} + {a0} * {b3} + 2.0 * ({a1} * {b1})",
             f"{a4} * {b0} + {a0} * {b4} + ({a1} * {b2} + {a2} * {b1})",
             f"{a5} * {b0} + {a0} * {b5} + 2.0 * ({a2} * {b2})",
@@ -450,7 +411,7 @@ class _KernelWriter:
             fill = {"p": p, "x": a[0], "fn": fn}
             self.lines.extend(s.format(**fill) for s in statements)
             f0, *fs = (f.format(**fill) for f in factors[: self.order + 1])
-            # f1, f2 (and f3) are evaluated once each, as the arguments of _chain
+            # f1, f2 (and f3) are evaluated once each, before any term uses them
             for k, fk in enumerate(fs):
                 if not fk.isidentifier():
                     self.lines.append(f"{p}f{k + 1} = {fk}")
@@ -460,6 +421,8 @@ class _KernelWriter:
         return self.node((fn, a), emit)
 
     def pow_int(self, a, n: int) -> tuple[str, ...]:
+        """a^n for an int n known when the kernel is written, by repeated
+        squaring, with a reciprocal for n < 0; negative bases stay legal."""
         if n < 0:
             return self.chain("recip", self.pow_int(a, -n))
         result, base = self.ONE, a
@@ -467,39 +430,89 @@ class _KernelWriter:
             if n & 1:
                 result = self.mul(result, base)
             n >>= 1
-            # jets.pow_int squares once more after the last bit; that
-            # product is unused and cannot raise where result * base did
-            # not, so it is left out
+            # no square after the last bit: it would go unused, and a
+            # product of floats cannot raise
             if n:
                 base = self.mul(base, base)
         return result
 
-    def powj(self, a, b) -> tuple[str, ...]:
+    def pow_int_loop(self, a, n: str) -> tuple[str, ...]:
+        """The order-2 part of a^n for the int held in the name ``n``:
+        ``pow_int``'s multiplications in its order, as a loop over the bits
+        of |n| whose steps are written by ``mul`` and ``chain``."""
+
         def emit(p: str) -> tuple[str, ...]:
-            names = tuple(f"{p}{k}" for k in range(len(a)))
-            self.lines.append(f"{', '.join(names[:6])} = _powj({', '.join(a[:6] + b[:6])})")
+            r, q = (tuple(f"{p}{c}{k}" for k in range(6)) for c in "rq")
+
+            def step(tag: str, target, op) -> list[str]:
+                # a writer of its own, so that no temporary leaves the step
+                sub = _KernelWriter(2, self.namespace, f"{p}{tag}")
+                names = op(sub)
+                return [*sub.lines, f"{', '.join(target)} = {', '.join(names)}"]
+
+            self.lines += [
+                f"{p}m = -{n} if {n} < 0 else {n}",
+                f"{', '.join(r)} = {', '.join(self.ONE[:6])}",
+                f"{', '.join(q)} = {', '.join(a[:6])}",
+                f"while {p}m:",
+                f"    if {p}m & 1:",
+                *(f"        {x}" for x in step("a", r, lambda w: w.mul(r, q))),
+                f"    {p}m >>= 1",
+                f"    if {p}m:",
+                *(f"        {x}" for x in step("b", q, lambda w: w.mul(q, q))),
+                f"if {n} < 0:",
+                *(f"    {x}" for x in step("c", r, lambda w: w.chain("recip", r))),
+            ]
+            return r
+
+        return self.node(("pow_int", a[:6], n), emit)
+
+    def pow_int_factors(self, x: str, n: str, f3: str) -> tuple[str, str, str]:
+        """The names of (f1, f2, f3), the derivatives of t -> t^n at x for
+        the int held in ``n``; f3 is bound to the name ``f3``.  f1 and f2
+        are the partials of ``pow_int_loop`` on the jet of t at x, whose
+        values are those the order-2 part of x^n multiplied, so they raise
+        nowhere it did not (it raised for 0^n, n < 0)."""
+        t = self.pow_int_loop((x, "ONE") + self.ZERO[:4], n)
+        # f3 = (n - 2) f2 / x divides by x != 0 only
+        self.lines.append(
+            f"{f3} = ({n} - 2) * {t[3]} / {x} if {x} != 0.0 else (6.0 if {n} == 3 else 0.0)"
+        )
+        return t[1], t[3], f3
+
+    def powj(self, a, b) -> tuple[str, ...]:
+        """a ** b with the branch taken at run time: an exponent with no
+        partials whose value passes ``_integer_exponent``'s test takes the
+        integer power, any other exp(b * log(a)), which needs a positive
+        base.  Each branch has writers of its own, so that no name defined
+        inside a branch is shared outside it."""
+
+        def emit(p: str) -> tuple[str, ...]:
+            out = tuple(f"{p}{k}" for k in range(len(a)))
+            n = f"{p}n"
+            integral = _KernelWriter(self.order, self.namespace, f"{p}i")
+            power = integral.pow_int_loop(a, n)
             if self.order == 3:
-                self.third_of_power(p, a, b, names[6:])
-            return names
+                factors = integral.pow_int_factors(a[0], n, f"{p}f3")
+                power += tuple(_chain_terms(a, *factors)[5:])
+            real = _KernelWriter(self.order, self.namespace, f"{p}x")
+            e = real.chain("exp", real.mul(b, real.chain("log", a)))
+            self.lines += [
+                f"if {' and '.join(f'{x} == 0.0' for x in b[1:6])}"
+                f" and float({b[0]}).is_integer() and abs({b[0]}) <= 1024:",
+                f"    {n} = int({b[0]})",
+                *(f"    {x}" for x in integral.lines),
+                f"    {', '.join(out)} = {', '.join(power)}",
+                "else:",
+                f"    if {a[0]} <= 0.0:",
+                "        raise DomainError("
+                f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
+                *(f"    {x}" for x in real.lines),
+                f"    {', '.join(out)} = {', '.join(e)}",
+            ]
+            return out
 
         return self.node(("^", a, b), emit)
-
-    def third_of_power(self, p: str, a, b, out) -> None:
-        """Third partials of a ** b on the branch ``jets.powj`` took for
-        the order-2 part; exp(b * log(a)) gets a writer of its own, so
-        that no name defined inside the branch is shared outside it."""
-        sub = _KernelWriter(3, self.namespace, f"{p}x")
-        e = sub.chain("exp", sub.mul(b, sub.chain("log", a)))
-        f1, f2, f3 = f"{p}f1", f"{p}f2", f"{p}f3"
-        self.lines += [
-            f"{p}n = _integer_exponent(Jet2({', '.join(b[:6])}))",
-            f"if {p}n is not None:",
-            f"    {f1}, {f2}, {f3} = _pow_int_factors({a[0]}, {p}n)",
-            *(f"    {o} = {t}" for o, t in zip(out, _chain_terms(a, f1, f2, f3)[5:])),
-            "else:",
-            *(f"    {line}" for line in sub.lines),
-            f"    {', '.join(out)} = {', '.join(e[6:])}",
-        ]
 
     def expr(self, e: Expr) -> tuple[str, ...]:
         match e:
@@ -508,7 +521,7 @@ class _KernelWriter:
             case Var(name):
                 return self.U if name == "u" else self.V
             case Unary(op, arg):
-                if op not in jets.UNARY:
+                if op != "neg" and op not in FUNCTIONS:
                     raise KeyError(op)
                 a = self.expr(arg)
                 return self.neg(a) if op == "neg" else self.chain(op, a)
@@ -521,10 +534,11 @@ class _KernelWriter:
                     return self.mul(a, b)
                 if op == "/":
                     return self.mul(a, self.chain("recip", b))
-                # a constant exponent takes jets.powj's branch at compile
-                # time; any other waits for the values at run time
+                # a constant integral exponent is known to take the integer
+                # branch when the kernel is written; any other waits for
+                # the values at run time
                 if isinstance(right, Const):
-                    n = jets.integer_exponent(Jet2(right.value))
+                    n = _integer_exponent(right.value)
                     if n is not None:
                         return self.pow_int(a, n)
                 return self.powj(a, b)
@@ -535,11 +549,11 @@ def compile_jet(
     exprs, order: int, *, args: str = "u, v", head=(), bind=(), tail=(), env=None
 ) -> Callable[..., tuple[float, ...]]:
     """One function ``(u, v) -> floats``.  At order 2 it gives, for each
-    tree in order, the value and partials (val, du, dv, duu, duv, dvv)
-    that ``eval_jet2`` gives, bit for bit, and raises the same DomainError
-    as when the trees are walked one after the other.  At order 3 the
-    same floats are followed by the third partials (duuu, duuv, duvv,
-    dvvv) of each tree in order.
+    tree in order, the value and partials (val, du, dv, duu, duv, dvv),
+    and raises the DomainError of the first failing node, the trees taken
+    one after the other, each in post-order.  At order 3 the same floats
+    are followed by the third partials (duuu, duuv, duvv, dvvv) of each
+    tree in order.
 
     A kernel with ``tail`` lines does not return the floats: it binds
     them in order to the names ``bind`` and runs ``tail``, which returns.
@@ -564,6 +578,17 @@ def compile_function(signature: str, lines, namespace: dict) -> Callable:
     exec(compile(source, f"<{name}>", "exec"), namespace)
     # popped, so that the function and its namespace form no reference cycle
     return namespace.pop(name)
+
+
+def _compile_pow_int_factors() -> Callable[[float, int], tuple[float, float, float]]:
+    writer = _KernelWriter(2)
+    factors = writer.pow_int_factors("x", "n", "f3")
+    doc = repr("(f1, f2, f3) of t -> t^n at x, by the lines of a kernel's run-time integer power.")
+    lines = [doc, *writer.lines, f"return {', '.join(factors)}"]
+    return compile_function("_pow_int_factors(x, n)", lines, writer.namespace)
+
+
+_pow_int_factors = _compile_pow_int_factors()
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -44,7 +44,7 @@ from .connection import (
     denom_of_frame,
     egregium_check,
 )
-from .errors import IsoGeoError
+from .errors import IsoGeoError, SpecError
 from .geodesic import cross_check_sphere_geodesic
 from .isotropy import SpaceKind
 from .rng import SplitMix64
@@ -134,7 +134,8 @@ def _sample_points(
     denom_guard: Optional[float],
 ) -> list[tuple[float, float]]:
     """Seeded admissible points, ``border`` plus 2 % of each side inside
-    the domain; points violating the lightlike guard are redrawn."""
+    the domain; points violating the lightlike guard are redrawn.  Gives
+    up after 200 * count + 200 draws, or after 400 if none was accepted."""
     u0, u1, v0, v1 = patch.domain
     mu = 0.02 * (u1 - u0) + border
     mv = 0.02 * (v1 - v0) + border
@@ -142,7 +143,7 @@ def _sample_points(
     attempts = 0
     while len(points) < count:
         attempts += 1
-        if attempts > 200 * count + 200:
+        if attempts > 200 * count + 200 or (attempts > 400 and not points):
             raise IsoGeoError(
                 f"could not sample {count} guarded points on {_label(patch)}"
             )
@@ -388,7 +389,9 @@ def run_verify(
 ) -> dict:
     """Run the requested suites and assemble the report dict.  A tolerance
     override replaces every check's default tolerance (blunt, but gives a
-    single reproducibility knob)."""
+    single reproducibility knob).  Suites that produce no check, such as
+    ``minimal`` on a surface that is not a minimal catalog entry, raise
+    SpecError rather than pass vacuously."""
     target = verification_patches() if patches is None else patches
     fd_step = DEFAULT_FD_STEP
     user_supplied = patches is not None
@@ -415,6 +418,8 @@ def run_verify(
             checks += suite_sphere_geodesics()
         else:
             raise IsoGeoError(f"unknown suite {suite!r}; known: {SUITES}")
+    if not checks:
+        raise SpecError(f"no check of the suite(s) {', '.join(suites)} applies to this surface")
     if tol_override is not None:
         for chk in checks:
             chk.tolerance = tol_override

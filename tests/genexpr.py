@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 
+from jet2ref import eval_jet2
 from isogeo.errors import DomainError
-from isogeo.expr import Binary, Const, Expr, Unary, Var, eval_jet2
+from isogeo.expr import Binary, Const, Expr, Unary, Var
 from isogeo.rng import SplitMix64
 
 _UNARY = ("sin", "cos", "exp", "sinh", "cosh", "tanh")

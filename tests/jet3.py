@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 
-from isogeo import jets
+import jets
+from jets import Jet2
 from isogeo.expr import Binary, Const, Expr, Unary, Var, _pow_int_factors
-from isogeo.jets import Jet2
 
 
 def _pair(a, b):

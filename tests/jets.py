@@ -1,4 +1,6 @@
-"""Second-order forward-mode jets in two parameters.
+"""Second-order forward-mode jets in two parameters: the tests' reference
+arithmetic for the order-2 part of ``isogeo.expr.compile_jet``'s kernels
+(``jet2ref`` walks expression trees with it).
 
 A ``Jet2`` carries a value together with its first and second partial
 derivatives with respect to two scalar parameters (u, v).  Propagating
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from isogeo.errors import DomainError
 
 
 @dataclass(frozen=True, slots=True)

@@ -210,6 +210,41 @@ def test_verify_requires_one_target(tmp_path, capsys):
     assert cli.main(["verify", spec, "--all-catalog"]) == 2
 
 
+def test_verify_with_no_applicable_check_is_a_spec_error(tmp_path, capsys):
+    # minimal checks only the minimal catalog entries: on any other
+    # surface the run has nothing to report, and must not pass vacuously
+    surface = {"kind": "graph", "f": "u^2 + v^2"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", spec, "--suite", "minimal", "--out", str(out)]) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: no check of the suite(s) minimal applies to this surface\n"
+    assert cli.main(["verify", spec, "--suite", "all", "--samples", "2"]) == cli.EXIT_OK
+
+
+def test_sampler_gives_up_after_a_fixed_number_of_empty_draws(tmp_path, monkeypatch, capsys):
+    # log(-1 - u^2) is defined nowhere: the sampler accepts no point, and
+    # how long it tries must not grow with --samples
+    surface = {"kind": "graph", "f": "log(-1 - u^2)"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    draws = []
+    uniform = SplitMix64.uniform
+
+    def counting(self, lo, hi):
+        draws.append((lo, hi))
+        return uniform(self, lo, hi)
+
+    monkeypatch.setattr(SplitMix64, "uniform", counting)
+    counts = []
+    for samples in ("1", "1000000"):
+        draws.clear()
+        assert cli.main(["verify", spec, "--suite", "umbilic", "--samples", samples]) == cli.EXIT_SPEC
+        assert capsys.readouterr().err == f"error: could not sample {samples} guarded points on graph[i3]\n"
+        counts.append(len(draws))
+    assert counts == [800, 800]  # 400 draws of (u, v)
+
+
 def test_sample_obj_counts(tmp_path):
     spec = write_spec(tmp_path, SPHERE_SPEC)
     out = tmp_path / "mesh.obj"
@@ -675,18 +710,19 @@ def test_geodesic_inadmissible_start_reports_the_minor(tmp_path, capsys):
 
 
 def test_the_program_evaluates_points_through_the_jet_kernel_only(tmp_path, monkeypatch, capsys):
-    # expr.eval_jet2 is the tests' reference tree walk; no command and no
-    # catalog entry walks a tree of its own
+    # the compiled kernel is the program's one jet implementation: the
+    # tree walk and the jet arithmetic it is checked against live in the
+    # tests, and every command and catalog entry runs without them
     import functools
+    import importlib
 
     from isogeo import catalog
     from isogeo.isotropy import SpaceKind
 
-    def tree_walk(*args):
-        raise AssertionError("expr.eval_jet2 called")
-
-    monkeypatch.setattr(expr, "eval_jet2", tree_walk)
-    # a fresh cache, so that verify builds its catalog patches under the patch
+    assert not hasattr(expr, "eval_jet2")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("isogeo.jets")
+    # a fresh cache, so that verify builds its catalog patches in this test
     fresh = functools.cache(verify.verification_patches.__wrapped__)
     monkeypatch.setattr(verify, "verification_patches", fresh)
     params = {

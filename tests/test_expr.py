@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genexpr import fd_check, random_expr, random_expr_full, sample_checkable_pairs
+from jet2ref import eval_jet2
 from isogeo import expr as ex
 from isogeo.errors import DomainError, ExprSyntaxError
 from isogeo.rng import SplitMix64
@@ -21,28 +22,28 @@ def test_atoms():
 
 
 def test_power_right_associative():
-    jet = ex.eval_jet2(ex.parse("2^3^2"), 0.7, -0.3)
+    jet = eval_jet2(ex.parse("2^3^2"), 0.7, -0.3)
     assert jet.val == 512.0
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert ex.eval_jet2(ex.parse("-2^2"), 0.0, 0.0).val == -4.0
-    assert ex.eval_jet2(ex.parse("(-2)^2"), 0.0, 0.0).val == 4.0
+    assert eval_jet2(ex.parse("-2^2"), 0.0, 0.0).val == -4.0
+    assert eval_jet2(ex.parse("(-2)^2"), 0.0, 0.0).val == 4.0
 
 
 def test_unary_minus_in_products():
-    assert ex.eval_jet2(ex.parse("2*-3"), 0.0, 0.0).val == -6.0
-    assert ex.eval_jet2(ex.parse("--2"), 0.0, 0.0).val == 2.0
+    assert eval_jet2(ex.parse("2*-3"), 0.0, 0.0).val == -6.0
+    assert eval_jet2(ex.parse("--2"), 0.0, 0.0).val == 2.0
 
 
 def test_subtraction_left_associative():
-    assert ex.eval_jet2(ex.parse("2-3-4"), 0.0, 0.0).val == -5.0
+    assert eval_jet2(ex.parse("2-3-4"), 0.0, 0.0).val == -5.0
 
 
 def test_parabolic_sphere_expression():
     e = ex.parse("(u^2+v^2)/4 - 1")
     assert ex.parse(ex.to_source(e)) == e
-    jet = ex.eval_jet2(e, 2.0, 0.0)
+    jet = eval_jet2(e, 2.0, 0.0)
     assert abs(jet.val) < 1e-15
     assert abs(jet.du - 1.0) < 1e-15
     assert jet.dv == 0.0
@@ -52,12 +53,12 @@ def test_parabolic_sphere_expression():
 
 
 def test_bilinear_monomial():
-    jet = ex.eval_jet2(ex.parse("u*v"), 2.0, 3.0)
+    jet = eval_jet2(ex.parse("u*v"), 2.0, 3.0)
     assert (jet.val, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv) == (6.0, 3.0, 2.0, 0.0, 1.0, 0.0)
 
 
 def test_sin_jet():
-    jet = ex.eval_jet2(ex.parse("sin(u)"), 0.0, 1.7)
+    jet = eval_jet2(ex.parse("sin(u)"), 0.0, 1.7)
     assert jet.val == 0.0 and jet.du == 1.0 and jet.duu == 0.0
 
 
@@ -98,16 +99,16 @@ def test_a_literal_that_overflows_a_float_is_a_syntax_error(source, offset):
 
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
-        ex.eval_jet2(ex.parse("log(u)"), -1.0, 0.0)
+        eval_jet2(ex.parse("log(u)"), -1.0, 0.0)
     with pytest.raises(DomainError):
-        ex.eval_jet2(ex.parse("u/v"), 1.0, 0.0)
+        eval_jet2(ex.parse("u/v"), 1.0, 0.0)
 
 
 def test_functions_round_trip_values():
-    assert abs(ex.eval_jet2(ex.parse("exp(log(u))"), 3.0, 0.0).val - 3.0) < 1e-12
-    assert abs(ex.eval_jet2(ex.parse("sqrt(u)^2"), 7.0, 0.0).val - 7.0) < 1e-12
-    assert abs(ex.eval_jet2(ex.parse("tan(u)"), 0.4, 0.0).val - math.tan(0.4)) < 1e-15
-    assert abs(ex.eval_jet2(ex.parse("abs(v)"), 0.0, -2.5).val - 2.5) < 1e-15
+    assert abs(eval_jet2(ex.parse("exp(log(u))"), 3.0, 0.0).val - 3.0) < 1e-12
+    assert abs(eval_jet2(ex.parse("sqrt(u)^2"), 7.0, 0.0).val - 7.0) < 1e-12
+    assert abs(eval_jet2(ex.parse("tan(u)"), 0.4, 0.0).val - math.tan(0.4)) < 1e-15
+    assert abs(eval_jet2(ex.parse("abs(v)"), 0.0, -2.5).val - 2.5) < 1e-15
 
 
 def test_print_parse_round_trip_random():
@@ -165,10 +166,10 @@ def test_sum_product_homomorphism_exact():
         b = random_expr(rng, 3)
         u, v = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
         try:
-            ja = ex.eval_jet2(a, u, v)
-            jb = ex.eval_jet2(b, u, v)
-            jsum = ex.eval_jet2(ex.Binary("+", a, b), u, v)
-            jprod = ex.eval_jet2(ex.Binary("*", a, b), u, v)
+            ja = eval_jet2(a, u, v)
+            jb = eval_jet2(b, u, v)
+            jsum = eval_jet2(ex.Binary("+", a, b), u, v)
+            jprod = eval_jet2(ex.Binary("*", a, b), u, v)
         except DomainError:
             continue
         if not all(
@@ -199,7 +200,7 @@ def test_first_and_second_partials_match_finite_differences():
 def test_substitute():
     f = ex.parse("u^3 - u")
     composed = ex.substitute(f, {"u": ex.parse("u + v")})
-    jet = ex.eval_jet2(composed, 0.5, 0.25)
+    jet = eval_jet2(composed, 0.5, 0.25)
     s = 0.75
     assert abs(jet.val - (s**3 - s)) < 1e-15
     assert abs(jet.du - (3 * s**2 - 1)) < 1e-12

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from isogeo import jets
+import jets
+from jets import Jet2
 from isogeo.errors import DomainError
-from isogeo.jets import Jet2
 from isogeo.rng import SplitMix64
 
 

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genexpr import random_expr, random_expr_full
+from jet2ref import eval_jet2
 from jet3 import walk3
 from isogeo import expr as ex
 from isogeo import surface as srf
@@ -37,7 +38,7 @@ def walk(exprs, u, v):
     """Reference: the tree walk of each expression in turn."""
     out = []
     for e in exprs:
-        j = ex.eval_jet2(e, u, v)
+        j = eval_jet2(e, u, v)
         out += [j.val, j.du, j.dv, j.duu, j.duv, j.dvv]
     return out
 
@@ -241,8 +242,8 @@ def test_third_partials_are_differences_of_exact_second_partials(seed, u, v):
     h = 1e-5
     try:
         third = ex.compile_jet([e], 3)(u, v)[6:]
-        plus_u, minus_u = ex.eval_jet2(e, u + h, v), ex.eval_jet2(e, u - h, v)
-        plus_v, minus_v = ex.eval_jet2(e, u, v + h), ex.eval_jet2(e, u, v - h)
+        plus_u, minus_u = eval_jet2(e, u + h, v), eval_jet2(e, u - h, v)
+        plus_v, minus_v = eval_jet2(e, u, v + h), eval_jet2(e, u, v - h)
     except DomainError:
         return
     second = (plus_u.duu, plus_u.duv, plus_u.dvv, plus_v.duu, plus_v.duv, plus_v.dvv)
@@ -288,3 +289,54 @@ def test_third_partials_of_a_runtime_integer_power():
         # d^3/du^3 (uv)^-2 = -24 v^-2 u^-5, and so on
         want = (-24.0 * u**-5 * v**-2, -12.0 * u**-4 * v**-3, -12.0 * u**-3 * v**-4, -24.0 * u**-2 * v**-5)
         assert all(abs(g - w) <= 1e-13 * abs(w) for g, w in zip(got, want)), (u, v, got)
+
+
+# ------------------------------------------------------------ run-time powers
+
+
+RUNTIME_POWERS = [
+    pytest.param(ex.parse("u^-2"), id="u^-2"),
+    # exponents whose partials vanish only at run time
+    *(pytest.param(ex.parse(f"u^(v - v + {n})"), id=f"u^(v-v{n:+d})")
+      for n in (-1025, -1024, -3, -1, 0, 1, 2, 1024, 1025)),
+    pytest.param(ex.parse("(u - u)^(v - v - 1)"), id="zero-base"),
+    pytest.param(ex.parse("(-u)^(v - v + 0.5)"), id="negative-base"),
+    pytest.param(ex.parse("u^(v - v + 800.5)"), id="exp-overflow"),
+]
+
+
+@pytest.mark.parametrize("e", RUNTIME_POWERS)
+def test_runtime_powers_match_the_reference(e):
+    for u in (1.0005, 0.75, 3.0, -1.25, 0.0):
+        exprs = [e, Binary("*", U, V), V]
+        assert_same(exprs, u, 0.5)
+        assert outcome(ex.compile_jet(exprs, 3), u, 0.5) == outcome(walk3, exprs, u, 0.5), (e, u)
+
+
+def test_runtime_power_errors():
+    cases = [
+        ("(u - u)^(v - v - 1)", "division by zero"),
+        ("(-u)^(v - v + 0.5)", "power with non-integer exponent needs a positive base, got -3.0"),
+        ("u^(v - v + 800.5)", "overflow in exp"),
+    ]
+    for source, message in cases:
+        for order in (2, 3):
+            with pytest.raises(DomainError) as err:
+                ex.compile_jet([ex.parse(source)], order)(3.0, 0.5)
+            assert str(err.value) == message
+
+
+def test_kernels_call_nothing_but_math_functions():
+    # every operation is written out as kernel lines: the only callables a
+    # kernel can reach through its globals are math's and DomainError
+    exprs = [ex.parse(s) for s in (
+        "u^-2 + v^(u - u + 3) * (u*v)^0.5", "sin(u) / cos(v) + tan(u*v) - log(u) * sqrt(v)",
+        "sinh(u)^cosh(v) - tanh(v) * exp(u) + abs(u - v)",
+    )]
+    patch = srf.graph_patch(SpaceKind.SIMPLY_ISOTROPIC, "u^(v - v - 1) + v^2.5", (0.5, 2.0, 0.5, 2.0))
+    kernels = [ex.compile_jet(exprs, order) for order in (2, 3)] + [patch.jet_kernel, patch.jet3_kernel]
+    for kernel in kernels:
+        kernel(1.25, 0.75)
+        for name, value in kernel.__globals__.items():
+            if callable(value):
+                assert value is DomainError or getattr(value, "__module__", None) == "math", name

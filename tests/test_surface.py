@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from jet2ref import eval_jet2
 from isogeo import catalog
-from isogeo import expr as ex
 from isogeo import isotropy as iso
 from isogeo import surface as srf
 from isogeo import verify
@@ -151,7 +151,7 @@ def test_graph_closed_forms_random_polynomials():
         for kind in (I3, IP3):
             patch = _poly_graph(kind, rng)
             u, v = rng.uniform(-1.8, 1.8), rng.uniform(-1.8, 1.8)
-            jet = ex.eval_jet2(patch.z_expr, u, v)
+            jet = eval_jet2(patch.z_expr, u, v)
             rep = srf.curvatures_at(patch, u, v)
             if kind is I3:
                 k_ref = jet.duu * jet.dvv - jet.duv**2
@@ -365,7 +365,7 @@ def _reference_scan(s, nu, nv):
     timelike = True if s.kind is IP3 else None
     for u in srf.grid_values(u0, u1, nu):
         for v in srf.grid_values(v0, v1, nv):
-            jx, jy, jz = (ex.eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
+            jx, jy, jz = (eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
             x1, x2 = Vec3(jx.du, jy.du, jz.du), Vec3(jx.dv, jy.dv, jz.dv)
             m12 = x1.x * x2.y - x1.y * x2.x
             min_abs = min(min_abs, abs(m12))
@@ -381,7 +381,7 @@ def _reference_scan(s, nu, nv):
 
 def _reference_lightlike_condition(s, u, v):
     """<n, n> with n = x1 x x2, Lorentzian, from the reference tree walk."""
-    jx, jy, jz = (ex.eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
+    jx, jy, jz = (eval_jet2(e, u, v) for e in (s.x_expr, s.y_expr, s.z_expr))
     n = iso.cross_lorentz(Vec3(jx.du, jy.du, jz.du), Vec3(jx.dv, jy.dv, jz.dv))
     return iso.dot_lorentz(n, n)
 
