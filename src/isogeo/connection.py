@@ -31,13 +31,19 @@ and S = diag(1, +/-1):
     d_k rho_ij   = (d_k h_ij - rho_ij d_k denom) / denom
     d_k xi_ij    = d_k gamma_ij - d_k rho_ij w - rho_ij M^-1 (d_k xi_top - w^l (x_lk)_top)
     d_k xi_top   = -S M^-T h_k
+
+These formulas, the tensors, the Codazzi residuals and the Gauss sides
+are one numpy call each on arrays with a leading point axis: at the
+points of one patch (``coeff_derivatives``), or at one point as a batch
+of one.  The bits of a point do not depend on the batch around it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import expr as ex
 from .errors import LightlikePoint
@@ -102,8 +108,7 @@ class ConnectionCoeffs(NamedTuple):
 
 
 def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
-    f = frame_at(s, u, v)
-    return coeffs_of_frame(f)
+    return coeffs_of_frame(frame_at(s, u, v))
 
 
 def denom_at(s: SurfacePatch, u: float, v: float) -> float:
@@ -197,17 +202,21 @@ coeffs_of_frame = _of_frame(
 )
 
 
-def _frame_arrays(f: PointFrame) -> tuple[np.ndarray, np.ndarray]:
-    """x_l as [l, component] and x_ij as [i, j, component]."""
-    x12 = (f.x12_x, f.x12_y, f.x12_z)
-    x_ij = np.array([[(f.x11_x, f.x11_y, f.x11_z), x12], [x12, (f.x22_x, f.x22_y, f.x22_z)]])
-    return np.array([(f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)]), x_ij
+# column of each PointFrame field in an array of frames, which drops ``kind``
+_COLUMN = {name: i for i, name in enumerate(PointFrame._fields[1:])}
+
+
+def _frame_arrays(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_l as [..., l, component] and x_ij as [..., i, j, component], from
+    PointFrame fields after ``kind`` along the last axis."""
+    x = frames[..., _COLUMN["x1_x"]:_COLUMN["x22_z"] + 1].reshape(*frames.shape[:-1], 5, 3)
+    return x[..., :2, :], x[..., [[2, 3], [3, 4]], :]
 
 
 def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
     """Max reconstruction error of x_ij from each decomposition; both are
     ~1e-10 at healthy points and validate the coefficient formulas."""
-    x1, x2 = _frame_arrays(c.frame)
+    x1, x2 = _frame_arrays(np.array(c.frame[1:]))
     lc = np.einsum("ijk,kc->ijc", c.gamma, x1)
     lc[..., 2] += c.rho * c.denom  # h_ij
     rel = np.einsum("ijk,kc->ijc", c.xi_coeffs, x1) + c.rho[..., None] * c.frame.xi.as_tuple()
@@ -218,52 +227,82 @@ def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
 _THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
 
-class CoeffDerivatives(NamedTuple):
-    """Both connections at one point, with exact partials in frame coordinates."""
+# Both connections with exact partials in frame coordinates, at one point
+# or, behind a leading point axis, at each point of a batch, whose
+# ``coeffs`` is a list: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
+# d_rho and d_h [i, j, k] = d_k F_ij, gamma and xi [i, j, k] = C_ij^k, rho,
+# h, g and g_inv [i, j], and det_g and denom have no index.
+CoeffDerivatives = namedtuple(
+    "CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h gamma xi rho h g g_inv det_g denom"
+)
 
-    coeffs: ConnectionCoeffs
-    d_gamma: np.ndarray  # [i, j, k, l] = d_k gamma_ij^l
-    d_xi: np.ndarray  # [i, j, k, l] = d_k xi_ij^l
-    d_rho: np.ndarray  # [i, j, k] = d_k rho_ij
-    d_h: np.ndarray  # [i, j, k] = d_k h_ij
 
+def coeff_derivatives(s: SurfacePatch, points: Sequence[tuple[float, float]]) -> CoeffDerivatives:
+    """One order-3 jet, frame and set of coefficients per point, as floats
+    and in point order, so the first point that is not admissible or is
+    lightlike raises as it would alone; then each formula of the module
+    docstring as one numpy call for all the points."""
+    coeffs, thirds, grads = [], [], []
+    for u, v in points:
+        jet = s.jet3_kernel(u, v)
+        f = frame_of_jet(s.kind, u, v, jet[:18])
+        coeffs.append(coeffs_of_frame(f))
+        thirds.append(jet[18:])
+        grads.append(denom_gradient_of_frame(f))
+    frames = np.array([c.frame[1:] for c in coeffs])
 
-def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
-    """One order-3 jet at (u, v) and the formulas of the module docstring;
-    raises LightlikePoint where ``coeffs_of_frame`` does."""
-    jet = s.jet3_kernel(u, v)
-    f = frame_of_jet(s.kind, u, v, jet[:18])
-    c = coeffs_of_frame(f)
-    third = np.array(jet[18:]).reshape(3, 4)  # [component, number of v's]
-    if f.swapped:
-        third = third[:, ::-1]
-    x3 = np.moveaxis(third[:, _THIRD_INDEX], 0, -1)  # [i, j, k, component]
-    x1, x2 = _frame_arrays(f)
-    m_inv = np.array([[f.x2_y, -f.x2_x], [-f.x1_y, f.x1_x]]) / f.m12
-    gamma, rho = c.gamma, c.rho
+    def fields(first: str, last: str) -> np.ndarray:
+        return frames[:, _COLUMN[first]:_COLUMN[last] + 1]
+
+    third = np.array(thirds).reshape(-1, 3, 4)  # [point, component, number of v's]
+    swapped = [c.frame.swapped for c in coeffs]  # whose first coordinate is v
+    third[swapped] = third[swapped, :, ::-1]
+    x3 = np.moveaxis(third[..., _THIRD_INDEX], -4, -1)  # [point, i, j, k, component]
+    x1, x2 = _frame_arrays(frames)
+    g, h = fields("g11", "g22")[:, _RHO_INDEX], fields("h11", "h22")[:, _RHO_INDEX]
+    det_g, m12 = frames[:, _COLUMN["det_g"]], frames[:, _COLUMN["m12"]]
+    # the adjugates [[x2_y, -x2_x], [-x1_y, x1_x]] and [[g22, -g12], [-g12, g11]]
+    m_inv = x1[:, ::-1, 1::-1] * [[1.0, -1.0], [-1.0, 1.0]] / m12[:, None, None]
+    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det_g[:, None, None]
+    gamma = np.array([c.gamma6 for c in coeffs])[:, _COEFF_INDEX]
+    xi = np.array([c.xi6 for c in coeffs])[:, _COEFF_INDEX]
+    rho = np.array([c.rho3 for c in coeffs])[:, _RHO_INDEX]
+    denom = np.array([c.denom for c in coeffs])
 
     d_gamma = np.einsum(
-        "lm,ijkm->ijkl", m_inv, x3[..., :2] - np.einsum("ijm,mkn->ijkn", gamma, x2[..., :2])
+        "...lm,...ijkm->...ijkl",
+        m_inv, x3[..., :2] - np.einsum("...ijm,...mkn->...ijkn", gamma, x2[..., :2]),
     )
     d_h = (
         x3[..., 2]
-        - np.einsum("ijkl,l->ijk", d_gamma, x1[:, 2])
-        - np.einsum("ijl,lk->ijk", gamma, x2[..., 2])
+        - np.einsum("...ijkl,...l->...ijk", d_gamma, x1[..., 2])
+        - np.einsum("...ijl,...lk->...ijk", gamma, x2[..., 2])
     )
-    d_rho = (d_h - rho[:, :, None] * np.array(denom_gradient_of_frame(f))) / c.denom
-    w = m_inv @ np.array([f.xi_x, f.xi_y])
+    d_rho = (d_h - rho[..., None] * np.array(grads)[:, None, None]) / denom[:, None, None, None]
+    # a stacked matmul, not an einsum: it rounds as the product at one point does
+    w = (m_inv @ fields("xi_x", "xi_y")[..., None])[..., 0]
     # (n_h)_k is (d_k xi_top, 0) and <n_h, x_l> = 0, so <(n_h)_k, x_l> = -h_lk
-    sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
-    d_xi_top = -np.einsum("lm,lk->km", m_inv, f.h) * (1.0, sign)
-    d_w = np.einsum("lm,km->kl", m_inv, d_xi_top - np.einsum("m,mkn->kn", w, x2[..., :2]))
-    d_xi = d_gamma - d_rho[..., None] * w - rho[:, :, None, None] * d_w
-    return CoeffDerivatives(c, d_gamma, d_xi, d_rho, d_h)
+    sign = 1.0 if s.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
+    d_xi_top = -np.einsum("...lm,...lk->...km", m_inv, h) * (1.0, sign)
+    d_w = np.einsum("...lm,...km->...kl", m_inv, d_xi_top - np.einsum("...m,...mkn->...kn", w, x2[..., :2]))
+    d_xi = d_gamma - d_rho[..., None] * w[:, None, None, None] - rho[..., None, None] * d_w[:, None, None]
+    return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom)
+
+
+def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
+    """``coeff_derivatives`` at the one point (u, v)."""
+    return CoeffDerivatives(*(field[0] for field in coeff_derivatives(s, [(u, v)])))
+
+
+def _point_max(a: np.ndarray, rank: int) -> np.ndarray:
+    """max |a| over its last ``rank`` axes: one value per point."""
+    return np.abs(a).max(axis=tuple(range(-rank, 0)))
 
 
 def _curvature_tensor(coef: np.ndarray, d_coef: np.ndarray) -> np.ndarray:
-    """R[l, i, j, k] from coefficients C[i, j, l] and d_coef[i, j, k, l]."""
-    t = np.einsum("ijkl->lijk", d_coef) + np.einsum("ijs,ksl->lijk", coef, coef)
-    return t - t.swapaxes(2, 3)
+    """R[..., l, i, j, k] from coefficients C[..., i, j, l] and d_coef[..., i, j, k, l]."""
+    t = np.einsum("...ijkl->...lijk", d_coef) + np.einsum("...ijs,...ksl->...lijk", coef, coef)
+    return t - t.swapaxes(-2, -1)
 
 
 @dataclass(frozen=True)
@@ -276,10 +315,9 @@ class CurvatureTensorSample:
 
 def curvature_tensors_at(s: SurfacePatch, u: float, v: float) -> CurvatureTensorSample:
     d = coeff_derivatives_at(s, u, v)
-    r_lc = _curvature_tensor(d.coeffs.gamma, d.d_gamma)
-    r_rel = _curvature_tensor(d.coeffs.xi_coeffs, d.d_xi)
-    r_low = np.einsum("ed,eabc->dabc", d.coeffs.frame.g, r_rel)
-    return CurvatureTensorSample(r_lc=r_lc, r_rel=r_rel, r_lowered=r_low, coeffs=d.coeffs)
+    r_rel = _curvature_tensor(d.xi, d.d_xi)
+    r_lowered = np.einsum("...ed,...eabc->...dabc", d.g, r_rel)  # g_ed R^e_abc
+    return CurvatureTensorSample(_curvature_tensor(d.gamma, d.d_gamma), r_rel, r_lowered, d.coeffs)
 
 
 @dataclass(frozen=True)
@@ -290,16 +328,19 @@ class EgregiumResult:
     abs_err: float
 
 
+def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
+    """Both sides of K = denom * R_2112 / det(g) at each point of the batch
+    ``b``: the left uses only the relative connection and Gauss map, the
+    right the extrinsic forms."""
+    r_lowered = np.einsum("...ed,...eabc->...dabc", b.g, _curvature_tensor(b.xi, b.d_xi))
+    for k_tensor, c in zip((b.denom * r_lowered[:, 1, 0, 0, 1] / b.det_g).tolist(), b.coeffs):
+        k_ext = gaussian_curvature(c.frame)
+        abs_err = abs(k_tensor - k_ext)
+        yield EgregiumResult(k_tensor, k_ext, abs_err / abs(k_ext) if k_ext != 0.0 else math.inf, abs_err)
+
+
 def egregium_check(s: SurfacePatch, u: float, v: float) -> EgregiumResult:
-    """Both sides of K = denom * R_2112 / det(g): the left uses only the
-    relative connection and Gauss map, the right the extrinsic forms."""
-    sample = curvature_tensors_at(s, u, v)
-    f = sample.coeffs.frame
-    k_tensor = sample.coeffs.denom * sample.r_lowered[1, 0, 0, 1] / f.det_g
-    k_ext = gaussian_curvature(f)
-    abs_err = abs(k_tensor - k_ext)
-    rel_err = abs_err / abs(k_ext) if k_ext != 0.0 else math.inf
-    return EgregiumResult(k_tensor, k_ext, rel_err, abs_err)
+    return next(egregium_checks(coeff_derivatives(s, [(u, v)])))
 
 
 @dataclass(frozen=True)
@@ -308,10 +349,10 @@ class CodazziResiduals:
     levi_civita: float  # max |h_ab,c - h_ac,b + gamma_ab^d h_dc - gamma_ac^d h_db|
 
 
-def _codazzi(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> float:
-    """max over a, b, c of |F_ab,c - F_ac,b + C_ab^d F_cd - C_ac^d F_bd|."""
-    t = d_form + np.einsum("abd,cd->abc", coef, form)
-    return float(np.abs(t - t.swapaxes(1, 2)).max())
+def _codazzi(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """max over a, b, c of |F_ab,c - F_ac,b + C_ab^d F_cd - C_ac^d F_bd|, per point."""
+    t = d_form + np.einsum("...abd,...cd->...abc", coef, form)
+    return _point_max(t - t.swapaxes(-2, -1), 3)
 
 
 def codazzi_residual(s: SurfacePatch, u: float, v: float) -> CodazziResiduals:
@@ -319,11 +360,7 @@ def codazzi_residual(s: SurfacePatch, u: float, v: float) -> CodazziResiduals:
 
 
 def _codazzi_of_derivatives(d: CoeffDerivatives) -> CodazziResiduals:
-    c = d.coeffs
-    return CodazziResiduals(
-        relative=_codazzi(d.d_rho, c.xi_coeffs, c.rho),
-        levi_civita=_codazzi(d.d_h, c.gamma, c.frame.h),
-    )
+    return CodazziResiduals(float(_codazzi(d.d_rho, d.xi, d.rho)), float(_codazzi(d.d_h, d.gamma, d.h)))
 
 
 def gauss_equation_rhs(
@@ -340,10 +377,17 @@ def gauss_equation_rhs(
 
 
 def _gauss_rhs_of_coeffs(c: ConnectionCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g_inv, h, rho = c.frame.g_inv, c.frame.h, c.rho
+    return _gauss_rhs(c.frame.g_inv, c.frame.h, c.rho, np.asarray(c.denom))
+
+
+def _gauss_rhs(
+    g_inv: np.ndarray, h: np.ndarray, rho: np.ndarray, denom: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gauss_equation_rhs`` from the forms, indexed [..., e, a, b, c]."""
 
     def form(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        t = np.einsum("ab,cd,ed->eabc", left, right, g_inv)
-        return t - t.swapaxes(2, 3)
+        t = np.einsum("...ab,...cd,...ed->...eabc", left, right, g_inv)
+        return t - t.swapaxes(-2, -1)
 
-    return form(rho, h), form(h, h) / c.denom, form(rho, rho) * c.denom
+    denom = denom[..., None, None, None, None]
+    return form(rho, h), form(h, h) / denom, form(rho, rho) * denom

@@ -480,23 +480,34 @@ class _KernelWriter:
         )
         return t[1], t[3], f3
 
-    def powj(self, a, b) -> tuple[str, ...]:
+    def powj(self, a, b, run_time_test: bool = True) -> tuple[str, ...]:
         """a ** b with the branch taken at run time: an exponent with no
         partials whose value passes ``_integer_exponent``'s test takes the
         integer power, any other exp(b * log(a)), which needs a positive
-        base.  Each branch has writers of its own, so that no name defined
-        inside a branch is shared outside it."""
+        base; without ``run_time_test`` only the latter is written.  Each
+        branch has writers of its own, so that no name defined inside a
+        branch is shared outside it."""
 
         def emit(p: str) -> tuple[str, ...]:
             out = tuple(f"{p}{k}" for k in range(len(a)))
+            real = _KernelWriter(self.order, self.namespace, f"{p}x")
+            e = real.chain("exp", real.mul(b, real.chain("log", a)))
+            branch = [
+                f"if {a[0]} <= 0.0:",
+                "    raise DomainError("
+                f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
+                *real.lines,
+                f"{', '.join(out)} = {', '.join(e)}",
+            ]
+            if not run_time_test:
+                self.lines += branch
+                return out
             n = f"{p}n"
             integral = _KernelWriter(self.order, self.namespace, f"{p}i")
             power = integral.pow_int_loop(a, n)
             if self.order == 3:
                 factors = integral.pow_int_factors(a[0], n, f"{p}f3")
                 power += tuple(_chain_terms(a, *factors)[5:])
-            real = _KernelWriter(self.order, self.namespace, f"{p}x")
-            e = real.chain("exp", real.mul(b, real.chain("log", a)))
             self.lines += [
                 f"if {' and '.join(f'{x} == 0.0' for x in b[1:6])}"
                 f" and float({b[0]}).is_integer() and abs({b[0]}) <= 1024:",
@@ -504,11 +515,7 @@ class _KernelWriter:
                 *(f"    {x}" for x in integral.lines),
                 f"    {', '.join(out)} = {', '.join(power)}",
                 "else:",
-                f"    if {a[0]} <= 0.0:",
-                "        raise DomainError("
-                f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
-                *(f"    {x}" for x in real.lines),
-                f"    {', '.join(out)} = {', '.join(e)}",
+                *(f"    {x}" for x in branch),
             ]
             return out
 
@@ -534,13 +541,11 @@ class _KernelWriter:
                     return self.mul(a, b)
                 if op == "/":
                     return self.mul(a, self.chain("recip", b))
-                # a constant integral exponent is known to take the integer
-                # branch when the kernel is written; any other waits for
-                # the values at run time
+                # a constant exponent's branch is known when the kernel is
+                # written; any other waits for the values at run time
                 if isinstance(right, Const):
                     n = _integer_exponent(right.value)
-                    if n is not None:
-                        return self.pow_int(a, n)
+                    return self.powj(a, b, run_time_test=False) if n is None else self.pow_int(a, n)
                 return self.powj(a, b)
         raise TypeError(f"not an expression node: {e!r}")
 

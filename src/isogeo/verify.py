@@ -35,14 +35,15 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .connection import (
-    _codazzi_of_derivatives,
-    _gauss_rhs_of_coeffs,
-    coeff_derivatives_at,
-    curvature_tensors_at,
+    _codazzi,
+    _curvature_tensor,
+    _gauss_rhs,
+    _point_max,
+    coeff_derivatives,
     denom_at,
     denom_gradient_of_frame,
     denom_of_frame,
-    egregium_check,
+    egregium_checks,
 )
 from .errors import IsoGeoError, SpecError
 from .geodesic import cross_check_sphere_geodesic
@@ -63,6 +64,10 @@ RELATIVE_DENOM_GUARD = 0.3
 
 # Light guard for suites that only need the coefficients to exist.
 BASIC_DENOM_GUARD = 1e-3
+
+# Points per batch of the tensor suites: their memory does not grow with
+# --samples, and their bits do not depend on it.
+POINT_BLOCK = 256
 
 SUITES = ("flatness", "egregium", "codazzi", "umbilic", "minimal", "sphere-geodesics")
 
@@ -163,6 +168,12 @@ def _sample_points(
     return points
 
 
+def _blocks(patch: SurfacePatch, points: list[tuple[float, float]]):
+    """``coeff_derivatives`` of ``points``, POINT_BLOCK points at a time."""
+    for start in range(0, len(points), POINT_BLOCK):
+        yield coeff_derivatives(patch, points[start:start + POINT_BLOCK])
+
+
 def _per_patch(total: int, n_patches: int) -> int:
     return max(1, math.ceil(total / n_patches))
 
@@ -176,9 +187,8 @@ def suite_flatness(
     for patch in patches:
         worst = 0.0
         pts = _sample_points(patch, n, rng, 2.0 * fd_step, BASIC_DENOM_GUARD)
-        for u, v in pts:
-            sample = curvature_tensors_at(patch, u, v)
-            worst = max(worst, float(abs(sample.r_lc).max()))
+        for b in _blocks(patch, pts):
+            worst = max(worst, *_point_max(_curvature_tensor(b.gamma, b.d_gamma), 4).tolist())
         out.append(CheckResult("flatness", _label(patch), n, worst, tol, worst <= tol))
     return out
 
@@ -198,8 +208,8 @@ def suite_egregium(
         worst_rel = 0.0
         worst_abs = 0.0
         n_rel = n_abs = 0
-        for u, v in _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-            res = egregium_check(patch, u, v)
+        pts = _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD)
+        for res in (res for b in _blocks(patch, pts) for res in egregium_checks(b)):
             if abs(res.k_extrinsic) > 1e-6:
                 worst_rel = max(worst_rel, res.rel_err)
                 n_rel += 1
@@ -230,20 +240,15 @@ def suite_codazzi(
     n = _per_patch(samples, len(patches))
     for patch in patches:
         worst_rel = worst_lc = worst_gauss = 0.0
-        for u, v in _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD):
+        for b in _blocks(patch, _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD)):
             # one order-3 jet per point; its first 18 floats are the
             # order-2 jet's, so the Gauss sides match gauss_equation_rhs
-            d = coeff_derivatives_at(patch, u, v)
-            res = _codazzi_of_derivatives(d)
-            worst_rel = max(worst_rel, res.relative)
-            worst_lc = max(worst_lc, res.levi_civita)
-            rhs1, rhs2, rhs3 = _gauss_rhs_of_coeffs(d.coeffs)
-            worst_gauss = max(
-                worst_gauss,
-                float(abs(rhs1 - rhs2).max()),
-                float(abs(rhs2 - rhs3).max()),
-                float(abs(rhs1 - rhs3).max()),
-            )
+            rhs1, rhs2, rhs3 = _gauss_rhs(b.g_inv, b.h, b.rho, b.denom)
+            pairs = ((rhs1, rhs2), (rhs2, rhs3), (rhs1, rhs3))
+            gauss = zip(*(_point_max(x - y, 4).tolist() for x, y in pairs))
+            worst_rel = max(worst_rel, *_codazzi(b.d_rho, b.xi, b.rho).tolist())
+            worst_lc = max(worst_lc, *_codazzi(b.d_h, b.gamma, b.h).tolist())
+            worst_gauss = max(worst_gauss, *(r for point in gauss for r in point))
         label = _label(patch)
         out.append(CheckResult("codazzi", label, n, worst_rel, tol, worst_rel <= tol))
         out.append(CheckResult("codazzi_lc", label, n, worst_lc, tol, worst_lc <= tol))

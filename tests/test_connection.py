@@ -1,12 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tensorref
 from fdstencil import codazzi, curvature_tensor, gauss_form, stencil_derivatives
-from isogeo import catalog
+from genexpr import random_expr
+from isogeo import catalog, cli
 from isogeo import connection as con
 from isogeo import surface as srf
 from isogeo import verify
-from isogeo.errors import LightlikePoint
+from isogeo.errors import IsoGeoError, LightlikePoint
+from isogeo.expr import Binary, Var
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
 
@@ -343,3 +350,180 @@ def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
     checks = verify.suite_codazzi([patch], 6, 7, verify.DEFAULT_FD_STEP)
     assert [c.points for c in checks] == [6, 6, 6]
     assert all(c.passed for c in checks)
+
+
+# ---------------------------------------------------------------- batches
+# The batched tensor code against tests/tensorref.py, its per-point
+# reference, point by point and bit for bit.
+
+
+def _per_point(patch, points):
+    """The per-point reference at each point, or the first error's type
+    and message, as a loop over the points raises it."""
+    try:
+        return [tensorref.coeff_derivatives_at(patch, u, v) for u, v in points]
+    except IsoGeoError as err:
+        return type(err), str(err)
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def _bits(result):
+    """A result dataclass's fields by ``repr``: the per-point code gives
+    numpy floats where the batch gives Python floats of the same bits."""
+    return [repr(float(x)) for x in dataclasses.astuple(result)]
+
+
+@np.errstate(all="ignore")  # where the reference overflows, so does the batch
+def _assert_batch_matches_reference(patch, points):
+    expected = _per_point(patch, points)
+    try:
+        b = con.coeff_derivatives(patch, points)
+    except IsoGeoError as err:
+        assert (type(err), str(err)) == expected
+        return None
+    assert not isinstance(expected, tuple), expected
+    rhs = con._gauss_rhs(b.g_inv, b.h, b.rho, b.denom)
+    r_lc, r_rel = con._curvature_tensor(b.gamma, b.d_gamma), con._curvature_tensor(b.xi, b.d_xi)
+    egregium = list(con.egregium_checks(b))
+    for i, d in enumerate(expected):
+        c = d.coeffs
+        assert repr(b.coeffs[i]) == repr(c)
+        for got, want in zip((b.d_gamma, b.d_xi, b.d_rho, b.d_h), d[1:]):
+            assert _same(got[i], want)
+        assert _same(r_lc[i], tensorref.curvature_tensor(c.gamma, d.d_gamma))
+        assert _same(r_rel[i], tensorref.curvature_tensor(c.xi_coeffs, d.d_xi))
+        assert _bits(egregium[i]) == _bits(tensorref.egregium_check(patch, *points[i]))
+        want = tensorref.codazzi_of_derivatives(d)
+        assert repr(float(con._codazzi(b.d_rho, b.xi, b.rho)[i])) == repr(want.relative)
+        assert repr(float(con._codazzi(b.d_h, b.gamma, b.h)[i])) == repr(want.levi_civita)
+        for got, want in zip(rhs, tensorref.gauss_rhs_of_coeffs(c)):
+            assert _same(got[i], want)
+    # the one-point entry points are the batch of one
+    u, v = points[0]
+    got, want = con.curvature_tensors_at(patch, u, v), tensorref.curvature_tensors_at(patch, u, v)
+    assert all(_same(getattr(got, k), getattr(want, k)) for k in ("r_lc", "r_rel", "r_lowered"))
+    assert _bits(con.egregium_check(patch, u, v)) == _bits(tensorref.egregium_check(patch, u, v))
+    assert _bits(con.codazzi_residual(patch, u, v)) == _bits(tensorref.codazzi_residual(patch, u, v))
+    pairs = zip(con.gauss_equation_rhs(patch, u, v), tensorref.gauss_equation_rhs(patch, u, v))
+    assert all(_same(got, want) for got, want in pairs)
+    return b
+
+
+def _random_patch(seed, kind, graph, swap):
+    """``tests/genexpr.py`` surfaces as in test_frame.py: the graph of a
+    random expression, or x = e1 + s, y = e2 + t with (s, t) = (v, u)
+    when ``swap``, which makes most frames swapped."""
+    rng = SplitMix64(seed)
+    term = lambda: Binary("*", random_expr(rng, 2), random_expr(rng, 2))
+    z = Binary("+", term(), random_expr(rng, 3))
+    if graph:
+        return srf.graph_patch(kind, z, (-1.5, 1.5, -1.5, 1.5))
+    s, t = (Var("v"), Var("u")) if swap else (Var("u"), Var("v"))
+    x, y = Binary("+", term(), s), Binary("+", term(), t)
+    return srf.parametric_patch(kind, x, y, z, (-1.5, 1.5, -1.5, 1.5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**64 - 1), st.sampled_from([I3, IP3]), st.booleans(), st.booleans(),
+    st.integers(0, 2**64 - 1), st.sampled_from([1, 2]),
+)
+def test_batch_matches_the_per_point_reference(seed, kind, graph, swap, point_seed, size):
+    patch = _random_patch(seed, kind, graph, swap)
+    rng = SplitMix64(point_seed)
+    points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(size)]
+    _assert_batch_matches_reference(patch, points)
+
+
+def test_batch_one_past_the_block_matches_the_per_point_reference():
+    rng = SplitMix64(23)
+    n = verify.POINT_BLOCK + 1
+    cases = [(patch, _guarded_points(patch, rng, n)) for patch in verify.verification_patches()]
+    for patch in (_random_patch(3, IP3, False, True), _random_patch(4, I3, True, False)):
+        points = []
+        while len(points) < n:
+            u, v = rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)
+            if not isinstance(_per_point(patch, [(u, v)]), tuple):
+                points.append((u, v))
+        cases.append((patch, points))
+    swapped = 0
+    for patch, points in cases:
+        b = _assert_batch_matches_reference(patch, points)
+        assert b.d_xi.shape == (n, 2, 2, 2, 2)
+        swapped += sum(c.frame.swapped for c in b.coeffs)
+    assert swapped > 0
+
+
+@pytest.mark.parametrize(
+    "patch, bad",
+    [
+        (catalog.make("helicoid", IP3, {"c": 1.0}), (1.0, 0.3)),  # lightlike: denom = 0 at u = c
+        (srf.graph_patch(I3, "u*v + sqrt(v)", (-1.0, 1.0, -1.0, 1.0)), (0.4, -0.5)),  # undefined
+        (srf.parametric_patch(I3, "u^2", "v", "u*v", (-1.0, 1.0, -1.0, 1.0)), (0.0, 0.3)),  # fold
+    ],
+    ids=["lightlike", "undefined", "inadmissible"],
+)
+def test_batch_raises_as_the_per_point_loop(patch, bad):
+    good = [(0.6, 0.2), (0.9, 0.7)]
+    for points in ([bad], [good[0], bad], [good[0], bad, good[1], bad]):
+        expected = _per_point(patch, points)
+        assert isinstance(expected, tuple), expected
+        assert _assert_batch_matches_reference(patch, points) is None
+    assert _assert_batch_matches_reference(patch, good) is not None
+
+
+def _count_einsums(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append([a.shape for a in args if isinstance(a, np.ndarray)])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return calls
+
+
+# numpy.einsum calls per block of the codazzi suite: seven for the partials,
+# two Codazzi residuals and three Gauss-equation sides
+EINSUMS_PER_BLOCK = 12
+
+
+def test_codazzi_suite_calls_einsum_a_fixed_number_of_times_per_patch(monkeypatch, capsys):
+    calls = _count_einsums(monkeypatch)
+    counts = []
+    for samples in (9, 90):
+        calls.clear()
+        argv = ["verify", "--all-catalog", "--suite", "codazzi", "--samples", str(samples), "--seed", "3"]
+        assert cli.main(argv) == cli.EXIT_OK
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] <= EINSUMS_PER_BLOCK * len(verify.verification_patches())
+
+
+def test_batches_stay_within_the_block(monkeypatch):
+    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    suites = (verify.suite_flatness, verify.suite_egregium, verify.suite_codazzi)
+    samples = verify.POINT_BLOCK + 40
+    plain = [suite([patch], samples, 5, verify.DEFAULT_FD_STEP) for suite in suites]
+    calls = _count_einsums(monkeypatch)
+    sizes = []
+    batch = verify.coeff_derivatives
+
+    def recorded(s, points):
+        b = batch(s, points)
+        sizes.extend(len(a) for a in b)
+        return b
+
+    monkeypatch.setattr(verify, "coeff_derivatives", recorded)
+    for block in (verify.POINT_BLOCK, 7):
+        monkeypatch.setattr(verify, "POINT_BLOCK", block)
+        calls.clear()
+        sizes.clear()
+        # the reports do not depend on the block size
+        assert [suite([patch], samples, 5, verify.DEFAULT_FD_STEP) for suite in suites] == plain
+        assert max(sizes) == block
+        assert max(shape[0] for shapes in calls for shape in shapes) == block

@@ -340,3 +340,21 @@ def test_kernels_call_nothing_but_math_functions():
         for name, value in kernel.__globals__.items():
             if callable(value):
                 assert value is DomainError or getattr(value, "__module__", None) == "math", name
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.5, 2.25, 1024.5, 1025.0, -3000.0, math.inf, math.nan])
+def test_constant_non_integral_exponent_writes_the_real_branch_only(exponent):
+    # _integer_exponent rejects the constant when the kernel is written, so
+    # the run-time test could never pass: no integer power is written
+    e = Binary("^", Binary("+", U, Binary("*", U, V)), Const(exponent))
+    for order in (2, 3):
+        writer = ex._KernelWriter(order)
+        writer.expr(e)
+        assert not any("is_integer" in line or "while" in line for line in writer.lines)
+    exprs = [e, Binary("*", U, V), V]
+    for u in (1.5, 0.25, 0.0, -0.75, -2.0):
+        assert_same(exprs, u, 0.5)
+        assert outcome(ex.compile_jet(exprs, 3), u, 0.5) == outcome(walk3, exprs, u, 0.5), (exponent, u)
+    with pytest.raises(DomainError) as err:
+        ex.compile_jet(exprs, 3)(-2.0, 0.5)
+    assert str(err.value) == "power with non-integer exponent needs a positive base, got -3.0"
