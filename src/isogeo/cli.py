@@ -401,6 +401,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             patch = None if args.all_catalog else load_spec_file(args.spec)
             if not 1 <= args.samples <= MAX_SAMPLES:
                 raise SpecError(f"--samples must be in [1, {MAX_SAMPLES}], got {args.samples}")
+            if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+                raise SpecError(f"--tol must be finite and non-negative, got {args.tol!r}")
             return cmd_verify(patch, args.suite, args.samples, args.seed, args.tol, args.out)
         if args.command == "sample":
             patch = load_spec_file(args.spec)

@@ -34,7 +34,8 @@ and S = diag(1, +/-1):
 
 These formulas, the tensors, the Codazzi residuals and the Gauss sides
 are one numpy call each on arrays with a leading point axis: at the
-points of one patch (``coeff_derivatives``), or at one point as a batch
+points of one patch (``coeff_derivatives``, from the frame and order-3
+jet the sampler of ``verify`` built at each), or at one point as a batch
 of one.  The bits of a point do not depend on the batch around it.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import expr as ex
 from .errors import LightlikePoint
@@ -237,15 +238,13 @@ CoeffDerivatives = namedtuple(
 )
 
 
-def coeff_derivatives(s: SurfacePatch, points: Sequence[tuple[float, float]]) -> CoeffDerivatives:
-    """One order-3 jet, frame and set of coefficients per point, as floats
-    and in point order, so the first point that is not admissible or is
-    lightlike raises as it would alone; then each formula of the module
-    docstring as one numpy call for all the points."""
+def coeff_derivatives(sampled: Iterable[tuple[PointFrame, Sequence[float]]]) -> CoeffDerivatives:
+    """The coefficients at each (frame, order-3 jet) pair of one patch, as
+    floats and in point order, so the first lightlike point raises as it
+    would alone; then each formula of the module docstring as one numpy
+    call for all the points."""
     coeffs, thirds, grads = [], [], []
-    for u, v in points:
-        jet = s.jet3_kernel(u, v)
-        f = frame_of_jet(s.kind, u, v, jet[:18])
+    for f, jet in sampled:
         coeffs.append(coeffs_of_frame(f))
         thirds.append(jet[18:])
         grads.append(denom_gradient_of_frame(f))
@@ -282,16 +281,22 @@ def coeff_derivatives(s: SurfacePatch, points: Sequence[tuple[float, float]]) ->
     # a stacked matmul, not an einsum: it rounds as the product at one point does
     w = (m_inv @ fields("xi_x", "xi_y")[..., None])[..., 0]
     # (n_h)_k is (d_k xi_top, 0) and <n_h, x_l> = 0, so <(n_h)_k, x_l> = -h_lk
-    sign = 1.0 if s.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
+    sign = 1.0 if coeffs[0].frame.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
     d_xi_top = -np.einsum("...lm,...lk->...km", m_inv, h) * (1.0, sign)
     d_w = np.einsum("...lm,...km->...kl", m_inv, d_xi_top - np.einsum("...m,...mkn->...kn", w, x2[..., :2]))
     d_xi = d_gamma - d_rho[..., None] * w[:, None, None, None] - rho[..., None, None] * d_w[:, None, None]
     return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom)
 
 
+def _sampled_at(s: SurfacePatch, u: float, v: float) -> tuple[PointFrame, tuple]:
+    """The (frame, order-3 jet) pair of ``coeff_derivatives`` at (u, v)."""
+    jet = s.jet3_kernel(u, v)
+    return frame_of_jet(s.kind, u, v, jet[:18]), jet
+
+
 def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
     """``coeff_derivatives`` at the one point (u, v)."""
-    return CoeffDerivatives(*(field[0] for field in coeff_derivatives(s, [(u, v)])))
+    return CoeffDerivatives(*(field[0] for field in coeff_derivatives([_sampled_at(s, u, v)])))
 
 
 def _point_max(a: np.ndarray, rank: int) -> np.ndarray:
@@ -340,7 +345,7 @@ def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
 
 
 def egregium_check(s: SurfacePatch, u: float, v: float) -> EgregiumResult:
-    return next(egregium_checks(coeff_derivatives(s, [(u, v)])))
+    return next(egregium_checks(coeff_derivatives([_sampled_at(s, u, v)])))
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,17 @@ them and a fixed absolute tolerance stops meaning the same thing.
 Closeness to the locus is measured in gradient units,
 |denom| / max(1, |grad denom|), since a small denom with a steep
 gradient means the singular set is a short parameter distance away; the
-gradient is exact, from the 2-jet at the candidate point.
+gradient is exact, from the 2-jet at the candidate point.  Each draw is
+evaluated once: the suites take the frame and jet the sampler built.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import catalog
 from .connection import (
@@ -40,7 +42,6 @@ from .connection import (
     _gauss_rhs,
     _point_max,
     coeff_derivatives,
-    denom_at,
     denom_gradient_of_frame,
     denom_of_frame,
     egregium_checks,
@@ -49,10 +50,10 @@ from .errors import IsoGeoError, SpecError
 from .geodesic import cross_check_sphere_geodesic
 from .isotropy import SpaceKind
 from .rng import SplitMix64
-from .surface import CurvatureClass, SurfacePatch, curvatures_at, frame_at
+from .surface import CurvatureClass, PointFrame, SurfacePatch, curvatures_of_frame, frame_of_jet
 
 # The ``fd_step`` of every suite and of the report.  It only widens the
-# sampler's border margin (see ``_sample_points``), so it decides which
+# sampler's border margin (see ``_sample``), so it decides which
 # points a seeded run draws and nothing else.
 DEFAULT_FD_STEP = 1e-4
 
@@ -119,59 +120,50 @@ def _label(patch: SurfacePatch) -> str:
     return f"{patch.name}[{patch.kind.value}]"
 
 
-def _guarded_denom_ok(
-    patch: SurfacePatch, u: float, v: float, guard: float
-) -> bool:
-    """True when the point is far from the lightlike locus in gradient
-    units: |denom| >= guard * max(1, |grad denom|)."""
-    f = frame_at(patch, u, v)
-    d0 = denom_of_frame(f)
-    if abs(d0) < guard:
-        return False
-    return abs(d0) >= guard * max(1.0, math.hypot(*denom_gradient_of_frame(f)))
-
-
-def _sample_points(
+def _sample(
     patch: SurfacePatch,
     count: int,
     rng: SplitMix64,
     border: float,
     denom_guard: Optional[float],
-) -> list[tuple[float, float]]:
-    """Seeded admissible points, ``border`` plus 2 % of each side inside
-    the domain; points violating the lightlike guard are redrawn.  Gives
-    up after 200 * count + 200 draws, or after 400 if none was accepted."""
+    kernel: Callable,
+) -> Iterator[tuple[PointFrame, tuple]]:
+    """``count`` seeded points, ``border`` plus 2 % of each side inside the
+    domain, as (frame, jet) pairs: one ``kernel`` call and one frame per
+    draw.  A draw is redrawn where the jet is undefined, the frame is not
+    admissible, a float of either is not finite, or |denom| < denom_guard,
+    in units of max(1, |grad denom|) for a guard above BASIC_DENOM_GUARD.
+    Gives up after 200 * count + 200 draws, or after 400 if none was
+    accepted."""
     u0, u1, v0, v1 = patch.domain
     mu = 0.02 * (u1 - u0) + border
     mv = 0.02 * (v1 - v0) + border
-    points: list[tuple[float, float]] = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count + 200 or (attempts > 400 and not points):
-            raise IsoGeoError(
-                f"could not sample {count} guarded points on {_label(patch)}"
-            )
+    accepted = draws = 0
+    while accepted < count:
+        draws += 1
+        if draws > 200 * count + 200 or (draws > 400 and not accepted):
+            raise IsoGeoError(f"could not sample {count} guarded points on {_label(patch)}")
         u = rng.uniform(u0 + mu, u1 - mu)
         v = rng.uniform(v0 + mv, v1 - mv)
         try:
-            if denom_guard is None:
-                frame_at(patch, u, v)
-            elif denom_guard <= BASIC_DENOM_GUARD:
-                if abs(denom_at(patch, u, v)) < denom_guard:
-                    continue
-            elif not _guarded_denom_ok(patch, u, v, denom_guard):
-                continue
+            jet = kernel(u, v)
+            f = frame_of_jet(patch.kind, u, v, jet[:18])
         except IsoGeoError:
             continue
-        points.append((u, v))
-    return points
+        if not all(map(math.isfinite, (*f[4:], *jet[18:]))):
+            continue
+        if denom_guard is not None:
+            grad = math.hypot(*denom_gradient_of_frame(f)) if denom_guard > BASIC_DENOM_GUARD else 0.0
+            if not abs(denom_of_frame(f)) >= denom_guard * max(1.0, grad):
+                continue
+        accepted += 1
+        yield f, jet
 
 
-def _blocks(patch: SurfacePatch, points: list[tuple[float, float]]):
-    """``coeff_derivatives`` of ``points``, POINT_BLOCK points at a time."""
-    for start in range(0, len(points), POINT_BLOCK):
-        yield coeff_derivatives(patch, points[start:start + POINT_BLOCK])
+def _blocks(sampled: Iterator[tuple[PointFrame, tuple]]):
+    """``coeff_derivatives`` of the sampled pairs, POINT_BLOCK at a time."""
+    while block := list(itertools.islice(sampled, POINT_BLOCK)):
+        yield coeff_derivatives(block)
 
 
 def _per_patch(total: int, n_patches: int) -> int:
@@ -186,8 +178,7 @@ def suite_flatness(
     n = _per_patch(samples, len(patches))
     for patch in patches:
         worst = 0.0
-        pts = _sample_points(patch, n, rng, 2.0 * fd_step, BASIC_DENOM_GUARD)
-        for b in _blocks(patch, pts):
+        for b in _blocks(_sample(patch, n, rng, 2.0 * fd_step, BASIC_DENOM_GUARD, patch.jet3_kernel)):
             worst = max(worst, *_point_max(_curvature_tensor(b.gamma, b.d_gamma), 4).tolist())
         out.append(CheckResult("flatness", _label(patch), n, worst, tol, worst <= tol))
     return out
@@ -208,8 +199,8 @@ def suite_egregium(
         worst_rel = 0.0
         worst_abs = 0.0
         n_rel = n_abs = 0
-        pts = _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD)
-        for res in (res for b in _blocks(patch, pts) for res in egregium_checks(b)):
+        sampled = _sample(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD, patch.jet3_kernel)
+        for res in (res for b in _blocks(sampled) for res in egregium_checks(b)):
             if abs(res.k_extrinsic) > 1e-6:
                 worst_rel = max(worst_rel, res.rel_err)
                 n_rel += 1
@@ -240,7 +231,8 @@ def suite_codazzi(
     n = _per_patch(samples, len(patches))
     for patch in patches:
         worst_rel = worst_lc = worst_gauss = 0.0
-        for b in _blocks(patch, _sample_points(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD)):
+        sampled = _sample(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD, patch.jet3_kernel)
+        for b in _blocks(sampled):
             # one order-3 jet per point; its first 18 floats are the
             # order-2 jet's, so the Gauss sides match gauss_equation_rhs
             rhs1, rhs2, rhs3 = _gauss_rhs(b.g_inv, b.h, b.rho, b.denom)
@@ -275,9 +267,8 @@ def suite_umbilic(
     for patch in patches:
         expected = UMBILIC_EXPECTATION.get(patch.name)
         umbilic_count = 0
-        for u, v in _sample_points(patch, n, rng, 2.0 * fd_step, None):
-            report = curvatures_at(patch, u, v)
-            if report.label is CurvatureClass.UMBILIC:
+        for f, _ in _sample(patch, n, rng, 2.0 * fd_step, None, patch.jet_kernel):
+            if curvatures_of_frame(f).label is CurvatureClass.UMBILIC:
                 umbilic_count += 1
         if expected is None:
             # informational for user-supplied surfaces
@@ -329,8 +320,8 @@ def suite_minimal(
     for idx, patch in enumerate(targets):
         tol = wave_tol if patch.name == "minimal_wave" else harmonic_tol
         worst = 0.0
-        for u, v in _sample_points(patch, n, rng, 2.0 * fd_step, None):
-            worst = max(worst, abs(curvatures_at(patch, u, v).H))
+        for f, _ in _sample(patch, n, rng, 2.0 * fd_step, None, patch.jet_kernel):
+            worst = max(worst, abs(curvatures_of_frame(f).H))
         out.append(
             CheckResult("minimal", f"{_label(patch)}#{idx}", n, worst, tol, worst <= tol)
         )

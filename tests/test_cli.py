@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import isogeo
 from genexpr import random_expr_full
 from isogeo import cli, expr, geodesic, verify
+from isogeo import connection as con
 from isogeo import surface as srf
-from isogeo.errors import DomainError, NotAdmissible
+from isogeo.errors import DomainError, IsoGeoError, NotAdmissible
 from isogeo.expr import Binary, Var
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
@@ -204,6 +205,15 @@ def test_verify_tol_override_can_force_failure(tmp_path, capsys):
     assert all(c["tolerance"] == 1e-30 for c in report["checks"])
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_verify_rejects_a_non_finite_or_negative_tol(capsys, tol):
+    argv = ["verify", "--all-catalog", "--suite", "flatness", "--samples", "9", f"--tol={tol}"]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be finite and non-negative, got {float(tol)!r}\n"
+
+
 def test_verify_requires_one_target(tmp_path, capsys):
     assert cli.main(["verify"]) == 2
     spec = write_spec(tmp_path, SPHERE_SPEC)
@@ -243,6 +253,58 @@ def test_sampler_gives_up_after_a_fixed_number_of_empty_draws(tmp_path, monkeypa
         assert capsys.readouterr().err == f"error: could not sample {samples} guarded points on graph[i3]\n"
         counts.append(len(draws))
     assert counts == [800, 800]  # 400 draws of (u, v)
+
+
+@pytest.mark.parametrize("suite", ["flatness", "umbilic"])
+def test_sampler_redraws_non_finite_draws(tmp_path, capsys, suite):
+    # 1e200 * 1e200 is inf, so every frame holds inf or nan: no draw is a
+    # point, where flatness used to pass on nan residuals and umbilic to
+    # abort at the first one
+    surface = {"kind": "graph", "f": "1e200*1e200*u*v"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    out = tmp_path / "report.json"
+    argv = ["verify", spec, "--suite", suite, "--samples", "3", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: could not sample 3 guarded points on graph[i3]\n"
+
+
+def test_sampler_redraws_draws_whose_third_partials_are_not_finite():
+    patch = verify.verification_patches()[0]
+
+    def kernel(u, v):
+        jet = patch.jet3_kernel(u, v)
+        return (*jet[:18], math.inf, *jet[19:])
+
+    with pytest.raises(IsoGeoError, match="could not sample 1 guarded points"):
+        next(verify._sample(patch, 1, SplitMix64(1), 0.0, None, kernel))
+
+
+@pytest.mark.parametrize("suite", ["codazzi", "umbilic"])
+def test_verify_evaluates_each_draw_once(monkeypatch, capsys, suite):
+    # one jet kernel call and one frame per sampler draw: the tensor suites
+    # take the sampler's frames and order-3 jets, and no frame_at runs
+    counts = {"kernel": 0, "uniform": 0, "frame_at": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for patch in verify.verification_patches():
+        for kernel in ("jet_kernel", "jet3_kernel"):
+            monkeypatch.setitem(patch.__dict__, kernel, counted("kernel", getattr(patch, kernel)))
+    monkeypatch.setattr(SplitMix64, "uniform", counted("uniform", SplitMix64.uniform))
+    frame_at = counted("frame_at", srf.frame_at)
+    for module in (srf, con, verify):
+        monkeypatch.setattr(module, "frame_at", frame_at, raising=False)
+    argv = ["verify", "--all-catalog", "--suite", suite, "--samples", "100", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert counts["frame_at"] == 0
+    assert counts["kernel"] == counts["uniform"] // 2 > 0
 
 
 def test_sample_obj_counts(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,12 +204,8 @@ def test_fd_convergence_is_fourth_order():
 
 def _guarded_points(patch, rng, n):
     """Interior points where the relative suites would sample."""
-    out = []
-    while len(out) < n:
-        u, v = _interior_points(patch, rng, 1, margin=0.1)[0]
-        if verify._guarded_denom_ok(patch, u, v, verify.RELATIVE_DENOM_GUARD):
-            out.append((u, v))
-    return out
+    sampled = verify._sample(patch, n, rng, 0.0, verify.RELATIVE_DENOM_GUARD, patch.jet_kernel)
+    return [(f.u, f.v) for f, _ in sampled]
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -380,7 +377,7 @@ def _bits(result):
 def _assert_batch_matches_reference(patch, points):
     expected = _per_point(patch, points)
     try:
-        b = con.coeff_derivatives(patch, points)
+        b = con.coeff_derivatives(con._sampled_at(patch, u, v) for u, v in points)
     except IsoGeoError as err:
         assert (type(err), str(err)) == expected
         return None
@@ -513,8 +510,8 @@ def test_batches_stay_within_the_block(monkeypatch):
     sizes = []
     batch = verify.coeff_derivatives
 
-    def recorded(s, points):
-        b = batch(s, points)
+    def recorded(sampled):
+        b = batch(sampled)
         sizes.extend(len(a) for a in b)
         return b
 
@@ -527,3 +524,18 @@ def test_batches_stay_within_the_block(monkeypatch):
         assert [suite([patch], samples, 5, verify.DEFAULT_FD_STEP) for suite in suites] == plain
         assert max(sizes) == block
         assert max(shape[0] for shapes in calls for shape in shapes) == block
+
+
+def test_suite_memory_does_not_grow_with_the_samples(monkeypatch):
+    # the sampler streams its pairs into the blocks, so no list of a
+    # patch's points is built; a small block keeps the traced runs short
+    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    monkeypatch.setattr(verify, "POINT_BLOCK", 32)
+    verify.suite_flatness([patch], 50, 5, verify.DEFAULT_FD_STEP)  # compiles the kernel
+    peaks = []
+    for samples in (200, 2000):
+        tracemalloc.start()
+        verify.suite_flatness([patch], samples, 5, verify.DEFAULT_FD_STEP)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]

@@ -213,7 +213,10 @@ SPEC_SUITES = ["flatness", "egregium", "codazzi", "umbilic", "minimal"]
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     specs(), st.sampled_from(SPEC_SUITES), st.integers(1, 6), st.integers(0, 2**64 - 1),
-    st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e-6)),
+    st.one_of(
+        st.none(), st.just(0.0), st.floats(0.0, 1e-6),
+        st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300),
+    ),
 )
 def test_verify_on_fuzzed_specs(spec, suite, samples, seed, tol):
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,11 +225,13 @@ def test_verify_on_fuzzed_specs(spec, suite, samples, seed, tol):
         argv = ["verify", str(spec_path), "--suite", suite, "--samples", str(samples),
                 "--seed", str(seed), "--out", str(out)]
         if tol is not None:
-            argv += ["--tol", repr(tol)]
+            argv.append(f"--tol={tol!r}")  # "--tol", "-1e-05" would read as two flags
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main(argv)
         assert code in VERIFY_EXITS
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+            assert code == cli.EXIT_SPEC
         if code == cli.EXIT_SPEC:
             assert not out.exists() and stdout.getvalue() == ""
             return
