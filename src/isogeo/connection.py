@@ -112,10 +112,6 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
     return coeffs_of_frame(frame_at(s, u, v))
 
 
-def denom_at(s: SurfacePatch, u: float, v: float) -> float:
-    return denom_of_frame(frame_at(s, u, v))
-
-
 def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
     """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
     coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
@@ -212,16 +208,6 @@ def _frame_arrays(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     PointFrame fields after ``kind`` along the last axis."""
     x = frames[..., _COLUMN["x1_x"]:_COLUMN["x22_z"] + 1].reshape(*frames.shape[:-1], 5, 3)
     return x[..., :2, :], x[..., [[2, 3], [3, 4]], :]
-
-
-def reassemble_second_derivatives(c: ConnectionCoeffs) -> tuple[float, float]:
-    """Max reconstruction error of x_ij from each decomposition; both are
-    ~1e-10 at healthy points and validate the coefficient formulas."""
-    x1, x2 = _frame_arrays(np.array(c.frame[1:]))
-    lc = np.einsum("ijk,kc->ijc", c.gamma, x1)
-    lc[..., 2] += c.rho * c.denom  # h_ij
-    rel = np.einsum("ijk,kc->ijc", c.xi_coeffs, x1) + c.rho[..., None] * c.frame.xi.as_tuple()
-    return float(np.abs(lc - x2).max()), float(np.abs(rel - x2).max())
 
 
 # [i, j, k] -> position of x_ijk among the third partials (uuu, uuv, uvv, vvv)

@@ -299,31 +299,91 @@ def _integer_exponent(value) -> int | None:
     return int(value) if float(value).is_integer() and abs(value) <= 1024 else None
 
 
+class _Src:
+    """The kernel source of one float expression, built with Python's own
+    operators, so that a template reads as the arithmetic it writes and
+    groups as Python does.  The names ZERO and ONE are structural: they
+    hold a slot known to be 0 or 1 when the kernel is written.  A product
+    with ZERO is ZERO, a factor ONE is dropped, and so is a term ZERO of a
+    sum or difference; ``tests/jets.py`` keeps the same rule on floats."""
+
+    __slots__ = ("text", "prec")  # prec: 1 sum, 2 product, 3 atom
+
+    def __init__(self, text, prec: int = 3) -> None:
+        self.text = text if isinstance(text, str) else repr(text)
+        self.prec = prec
+
+    def __str__(self) -> str:
+        return self.text
+
+    def _operand(self, prec: int) -> str:
+        return self.text if self.prec >= prec else f"({self.text})"
+
+    def __mul__(self, other) -> "_Src":
+        other = _src(other)
+        if "ZERO" in (self.text, other.text):
+            return _Src("ZERO")
+        if self.text == "ONE":
+            return other
+        if other.text == "ONE":
+            return self
+        return _Src(f"{self._operand(2)} * {other._operand(3)}", 2)
+
+    def __rmul__(self, other) -> "_Src":
+        return _src(other) * self
+
+    def __add__(self, other) -> "_Src":
+        other = _src(other)
+        if self.text == "ZERO":
+            return other
+        if other.text == "ZERO":
+            return self
+        return _Src(f"{self.text} + {other._operand(2)}", 1)
+
+    def __sub__(self, other) -> "_Src":
+        other = _src(other)
+        if other.text == "ZERO":
+            return self
+        if self.text == "ZERO":
+            return -other
+        return _Src(f"{self.text} - {other._operand(2)}", 1)
+
+    def __neg__(self) -> "_Src":
+        return self if self.text == "ZERO" else _Src(f"-{self._operand(3)}")
+
+
+def _src(x) -> _Src:
+    return x if isinstance(x, _Src) else _Src(x)
+
+
 def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
     """Partials of f(a) given the derivatives f1, f2 (and f3) of f at a."""
-    a0, a1, a2, a3, a4, a5, *third = a
+    a0, a1, a2, a3, a4, a5, *third = map(_Src, a)
+    f1, f2, f3 = _Src(f1), _Src(f2), _Src(f3)
     terms = [
-        f"{f1} * {a1}",
-        f"{f1} * {a2}",
-        f"{f2} * ({a1} * {a1}) + {f1} * {a3}",
-        f"{f2} * ({a1} * {a2}) + {f1} * {a4}",
-        f"{f2} * ({a2} * {a2}) + {f1} * {a5}",
+        f1 * a1,
+        f1 * a2,
+        f2 * (a1 * a1) + f1 * a3,
+        f2 * (a1 * a2) + f1 * a4,
+        f2 * (a2 * a2) + f1 * a5,
     ]
     if third:
         a6, a7, a8, a9 = third
         terms += [
-            f"{f3} * ({a1} * {a1} * {a1}) + 3.0 * {f2} * ({a1} * {a3}) + {f1} * {a6}",
-            f"{f3} * ({a1} * {a1} * {a2}) + {f2} * ({a3} * {a2} + 2.0 * ({a1} * {a4})) + {f1} * {a7}",
-            f"{f3} * ({a1} * {a2} * {a2}) + {f2} * ({a5} * {a1} + 2.0 * ({a2} * {a4})) + {f1} * {a8}",
-            f"{f3} * ({a2} * {a2} * {a2}) + 3.0 * {f2} * ({a2} * {a5}) + {f1} * {a9}",
+            f3 * (a1 * a1 * a1) + 3.0 * f2 * (a1 * a3) + f1 * a6,
+            f3 * (a1 * a1 * a2) + f2 * (a3 * a2 + 2.0 * (a1 * a4)) + f1 * a7,
+            f3 * (a1 * a2 * a2) + f2 * (a5 * a1 + 2.0 * (a2 * a4)) + f1 * a8,
+            f3 * (a2 * a2 * a2) + 3.0 * f2 * (a2 * a5) + f1 * a9,
         ]
-    return terms
+    return [str(t) for t in terms]
 
 
 class _KernelWriter:
     """Emits the lines of one kernel of the given order; a jet is the tuple
     of the names holding (val, du, dv, duu, duv, dvv), followed at order 3
-    by (duuu, duuv, duvv, dvvv)."""
+    by (duuu, duuv, duvv, dvvv).  A slot may be the structural name ZERO
+    or ONE (see ``_Src``): a constant's partials, a variable's, and what
+    the jet rules make of them."""
 
     def __init__(self, order: int, namespace: dict | None = None, prefix: str = "j") -> None:
         self.order = order
@@ -351,10 +411,16 @@ class _KernelWriter:
             self.emitted[key] = jet
         return jet
 
-    def lines_for(self, p: str, exprs: list[str]) -> tuple[str, ...]:
-        names = tuple(f"{p}{k}" for k in range(len(exprs)))
-        self.lines.extend(f"{n} = {x}" for n, x in zip(names, exprs))
-        return names
+    def lines_for(self, p: str, exprs) -> tuple[str, ...]:
+        """A name for each expression: a new line for it, unless it is a
+        name already, such as ZERO or ONE."""
+        names = []
+        for k, x in enumerate(map(str, exprs)):
+            if not x.isidentifier():
+                self.lines.append(f"{p}{k} = {x}")
+                x = f"{p}{k}"
+            names.append(x)
+        return tuple(names)
 
     def const(self, value) -> tuple[str, ...]:
         # floats are shared by bit pattern (0.0 and -0.0 differ); any other
@@ -371,36 +437,34 @@ class _KernelWriter:
         return self.node(key, emit)
 
     def neg(self, a) -> tuple[str, ...]:
-        return self.node(("neg", a), lambda p: self.lines_for(p, [f"-{x}" for x in a]))
+        return self.node(("neg", a), lambda p: self.lines_for(p, [-_Src(x) for x in a]))
 
     def add_sub(self, op: str, a, b) -> tuple[str, ...]:
-        return self.node(
-            (op, a, b),
-            lambda p: self.lines_for(p, [f"{x} {op} {y}" for x, y in zip(a, b)]),
-        )
+        def emit(p: str) -> tuple[str, ...]:
+            pairs = zip(map(_Src, a), map(_Src, b))
+            return self.lines_for(p, [x + y if op == "+" else x - y for x, y in pairs])
+
+        return self.node((op, a, b), emit)
 
     def mul(self, a, b) -> tuple[str, ...]:
-        a0, a1, a2, a3, a4, a5 = a[:6]
-        b0, b1, b2, b3, b4, b5 = b[:6]
+        a0, a1, a2, a3, a4, a5, *a_third = map(_Src, a)
+        b0, b1, b2, b3, b4, b5, *b_third = map(_Src, b)
         terms = [
-            f"{a0} * {b0}",
-            f"{a1} * {b0} + {a0} * {b1}",
-            f"{a2} * {b0} + {a0} * {b2}",
-            # "+" groups to the left: (a3 b0 + a0 b3) + 2 (a1 b1)
-            f"{a3} * {b0} + {a0} * {b3} + 2.0 * ({a1} * {b1})",
-            f"{a4} * {b0} + {a0} * {b4} + ({a1} * {b2} + {a2} * {b1})",
-            f"{a5} * {b0} + {a0} * {b5} + 2.0 * ({a2} * {b2})",
+            a0 * b0,
+            a1 * b0 + a0 * b1,
+            a2 * b0 + a0 * b2,
+            a3 * b0 + a0 * b3 + 2.0 * (a1 * b1),
+            a4 * b0 + a0 * b4 + (a1 * b2 + a2 * b1),
+            a5 * b0 + a0 * b5 + 2.0 * (a2 * b2),
         ]
         if self.order == 3:  # Leibniz's rule
-            a6, a7, a8, a9 = a[6:]
-            b6, b7, b8, b9 = b[6:]
+            a6, a7, a8, a9 = a_third
+            b6, b7, b8, b9 = b_third
             terms += [
-                f"{a6} * {b0} + {a0} * {b6} + 3.0 * ({a3} * {b1} + {a1} * {b3})",
-                f"{a7} * {b0} + {a0} * {b7} + ({a3} * {b2} + {a2} * {b3})"
-                f" + 2.0 * ({a4} * {b1} + {a1} * {b4})",
-                f"{a8} * {b0} + {a0} * {b8} + ({a5} * {b1} + {a1} * {b5})"
-                f" + 2.0 * ({a4} * {b2} + {a2} * {b4})",
-                f"{a9} * {b0} + {a0} * {b9} + 3.0 * ({a5} * {b2} + {a2} * {b5})",
+                a6 * b0 + a0 * b6 + 3.0 * (a3 * b1 + a1 * b3),
+                a7 * b0 + a0 * b7 + (a3 * b2 + a2 * b3) + 2.0 * (a4 * b1 + a1 * b4),
+                a8 * b0 + a0 * b8 + (a5 * b1 + a1 * b5) + 2.0 * (a4 * b2 + a2 * b4),
+                a9 * b0 + a0 * b9 + 3.0 * (a5 * b2 + a2 * b5),
             ]
         return self.node(("*", a, b), lambda p: self.lines_for(p, terms))
 
@@ -486,7 +550,8 @@ class _KernelWriter:
         integer power, any other exp(b * log(a)), which needs a positive
         base; without ``run_time_test`` only the latter is written.  Each
         branch has writers of its own, so that no name defined inside a
-        branch is shared outside it."""
+        branch is shared outside it, and the result of a run-time branch
+        holds no structural slot."""
 
         def emit(p: str) -> tuple[str, ...]:
             out = tuple(f"{p}{k}" for k in range(len(a)))
@@ -497,29 +562,30 @@ class _KernelWriter:
                 "    raise DomainError("
                 f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
                 *real.lines,
-                f"{', '.join(out)} = {', '.join(e)}",
             ]
             if not run_time_test:
                 self.lines += branch
-                return out
+                return e
             n = f"{p}n"
             integral = _KernelWriter(self.order, self.namespace, f"{p}i")
             power = integral.pow_int_loop(a, n)
             if self.order == 3:
                 factors = integral.pow_int_factors(a[0], n, f"{p}f3")
                 power += tuple(_chain_terms(a, *factors)[5:])
+            # a structural zero passes the test by construction
+            tests = [f"{x} == 0.0" for x in b[1:6] if x != "ZERO"]
             self.lines += [
-                f"if {' and '.join(f'{x} == 0.0' for x in b[1:6])}"
-                f" and float({b[0]}).is_integer() and abs({b[0]}) <= 1024:",
+                f"if {' and '.join(tests + [f'float({b[0]}).is_integer()'])} and abs({b[0]}) <= 1024:",
                 f"    {n} = int({b[0]})",
                 *(f"    {x}" for x in integral.lines),
                 f"    {', '.join(out)} = {', '.join(power)}",
                 "else:",
                 *(f"    {x}" for x in branch),
+                f"    {', '.join(out)} = {', '.join(e)}",
             ]
             return out
 
-        return self.node(("^", a, b), emit)
+        return self.node(("^", a, b, run_time_test), emit)
 
     def expr(self, e: Expr) -> tuple[str, ...]:
         match e:

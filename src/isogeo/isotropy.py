@@ -47,8 +47,6 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-E1 = Vec3(1.0, 0.0, 0.0)
-E2 = Vec3(0.0, 1.0, 0.0)
 E3 = Vec3(0.0, 0.0, 1.0)  # the isotropic direction
 
 
@@ -103,12 +101,6 @@ def cross_lorentz(u: Vec3, v: Vec3) -> Vec3:
         u.x * v.z - u.z * v.x,
         u.x * v.y - u.y * v.x,
     )
-
-
-def cross_background(kind: SpaceKind, u: Vec3, v: Vec3) -> Vec3:
-    if kind is SpaceKind.SIMPLY_ISOTROPIC:
-        return cross_euclid(u, v)
-    return cross_lorentz(u, v)
 
 
 @dataclass(frozen=True, slots=True)

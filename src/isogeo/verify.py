@@ -120,6 +120,14 @@ def _label(patch: SurfacePatch) -> str:
     return f"{patch.name}[{patch.kind.value}]"
 
 
+def _margin(lo: float, hi: float, border: float) -> float:
+    """``border`` plus 2 % of the side [lo, hi], or a quarter of the side
+    where that would leave no interval to draw from (a side narrower than
+    about border / 0.48): the draws stay inside the domain."""
+    margin = 0.02 * (hi - lo) + border
+    return margin if lo + margin <= hi - margin else 0.25 * (hi - lo)
+
+
 def _sample(
     patch: SurfacePatch,
     count: int,
@@ -128,16 +136,16 @@ def _sample(
     denom_guard: Optional[float],
     kernel: Callable,
 ) -> Iterator[tuple[PointFrame, tuple]]:
-    """``count`` seeded points, ``border`` plus 2 % of each side inside the
-    domain, as (frame, jet) pairs: one ``kernel`` call and one frame per
-    draw.  A draw is redrawn where the jet is undefined, the frame is not
+    """``count`` seeded points, ``_margin`` inside each side of the domain,
+    as (frame, jet) pairs: one ``kernel`` call and one frame per draw.  A
+    draw is redrawn where the jet is undefined, the frame is not
     admissible, a float of either is not finite, or |denom| < denom_guard,
     in units of max(1, |grad denom|) for a guard above BASIC_DENOM_GUARD.
     Gives up after 200 * count + 200 draws, or after 400 if none was
     accepted."""
     u0, u1, v0, v1 = patch.domain
-    mu = 0.02 * (u1 - u0) + border
-    mv = 0.02 * (v1 - v0) + border
+    mu = _margin(u0, u1, border)
+    mv = _margin(v0, v1, border)
     accepted = draws = 0
     while accepted < count:
         draws += 1

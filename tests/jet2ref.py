@@ -34,5 +34,10 @@ def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
                 return a * b
             if op == "/":
                 return a / b
+            # a constant exponent's branch is known when the kernel is
+            # written, and keeps its structural slots
+            if isinstance(right, Const):
+                n = jets.integer_exponent(b)
+                return jets.real_power(a, b) if n is None else jets.pow_int(a, n)
             return jets.powj(a, b)
     raise TypeError(f"not an expression node: {e!r}")

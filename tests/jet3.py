@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import jets
-from jets import Jet2
+from jets import ONE, ZERO, Jet2
 from isogeo.expr import Binary, Const, Expr, Unary, Var, _pow_int_factors
 
 
@@ -28,7 +28,7 @@ def _order2(j: Jet2) -> tuple:
 
 
 def const(c: float) -> tuple:
-    return (c,) + (0.0,) * 9
+    return (c,) + (ZERO,) * 9
 
 
 def add(a, b):
@@ -109,7 +109,7 @@ def chain(fn: str, a):
 def pow_int(a, n: int):
     if n < 0:
         return chain("recip", pow_int(a, -n))
-    result, base = const(1.0), a
+    result, base = (ONE,) + (ZERO,) * 9, a
     while n:
         if n & 1:
             result = mul(result, base)
@@ -119,12 +119,19 @@ def pow_int(a, n: int):
     return result
 
 
-def powj(a, b):
-    low = _order2(jets.powj(*_pair(a, b)))
-    n = jets.integer_exponent(Jet2(*b[:6]))
-    if n is not None:
-        return low + _third(a, *_pow_int_factors(a[0], n))
+def real_power(a, b):
+    low = _order2(jets.real_power(*_pair(a, b)))
     return low + chain("exp", mul(b, chain("log", a)))[6:]
+
+
+def powj(a, b):
+    """a ** b with the branch taken at run time; the result holds no
+    structural slot (see ``jets.powj``)."""
+    n = jets.integer_exponent(Jet2(*b[:6]))
+    if n is None:
+        return tuple(map(float, real_power(a, b)))
+    low = _order2(jets.powj(*_pair(a, b)))
+    return low + tuple(map(float, _third(a, *_pow_int_factors(float(a[0]), n))))
 
 
 def eval_jet3(e: Expr, u: float, v: float) -> tuple:
@@ -132,7 +139,7 @@ def eval_jet3(e: Expr, u: float, v: float) -> tuple:
         case Const(value):
             return const(value)
         case Var(name):
-            return (float(u), 1.0) + (0.0,) * 8 if name == "u" else (float(v), 0.0, 1.0) + (0.0,) * 7
+            return (float(u), ONE) + (ZERO,) * 8 if name == "u" else (float(v), ZERO, ONE) + (ZERO,) * 7
         case Unary(op, arg):
             a = eval_jet3(arg, u, v)
             return neg(a) if op == "neg" else chain(op, a)
@@ -149,8 +156,7 @@ def eval_jet3(e: Expr, u: float, v: float) -> tuple:
                 return mul(a, chain("recip", b))
             if isinstance(right, Const):
                 n = jets.integer_exponent(Jet2(right.value))
-                if n is not None:
-                    return pow_int(a, n)
+                return real_power(a, b) if n is None else pow_int(a, n)
             return powj(a, b)
     raise TypeError(f"not an expression node: {e!r}")
 

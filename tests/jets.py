@@ -19,6 +19,13 @@ arithmetic is 64-bit binary floating point.
 
 Products are written with symmetric grouping so that ``a * b`` and
 ``b * a`` produce bit-identical results.
+
+A partial known to be 0 or 1 before any value is, such as a constant's
+or a seed's, is the structural ``ZERO`` or ``ONE``.  Arithmetic skips
+it as the kernels' writer does: a product with ``ZERO`` is ``ZERO``, a
+factor ``ONE`` is dropped, and so is a term ``ZERO`` of a sum or a
+difference.  So ``0 * u`` has the partial 0.0 even at u = inf, and a
+skipped zero never decides the sign of a zero.
 """
 
 from __future__ import annotations
@@ -29,14 +36,50 @@ from dataclasses import dataclass
 from isogeo.errors import DomainError
 
 
+class _Structural(float):
+    """The float of a structural ``ZERO`` or ``ONE``; the result of any
+    operation that does not skip it is a plain float."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if self is ZERO or other is ZERO:
+            return ZERO
+        return other  # self is ONE
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if self is ZERO:
+            return other
+        return self if other is ZERO else float.__add__(self, other)
+
+    __radd__ = __add__  # float addition commutes, signed zeros included
+
+    def __sub__(self, other):
+        if other is ZERO:
+            return self
+        return -other if self is ZERO else float.__sub__(self, other)
+
+    def __rsub__(self, other):
+        return other if self is ZERO else float.__rsub__(self, other)
+
+    def __neg__(self):
+        return ZERO if self is ZERO else -1.0
+
+
+ZERO = _Structural(0.0)
+ONE = _Structural(1.0)
+
+
 @dataclass(frozen=True, slots=True)
 class Jet2:
     val: float
-    du: float = 0.0
-    dv: float = 0.0
-    duu: float = 0.0
-    duv: float = 0.0
-    dvv: float = 0.0
+    du: float = ZERO
+    dv: float = ZERO
+    duu: float = ZERO
+    duv: float = ZERO
+    dvv: float = ZERO
 
     def __add__(self, other):
         o = _coerce(other)
@@ -90,6 +133,11 @@ class Jet2:
     def __pow__(self, other):
         return powj(self, _coerce(other))
 
+    def plain(self) -> Jet2:
+        """The same floats with no structural slot, as a kernel's run-time
+        names hold them."""
+        return Jet2(*map(float, (self.val, self.du, self.dv, self.duu, self.duv, self.dvv)))
+
     def is_constant(self) -> bool:
         return (
             self.du == 0.0
@@ -113,11 +161,11 @@ def const(val: float) -> Jet2:
 
 
 def seed_u(val: float) -> Jet2:
-    return Jet2(float(val), du=1.0)
+    return Jet2(float(val), du=ONE)
 
 
 def seed_v(val: float) -> Jet2:
-    return Jet2(float(val), dv=1.0)
+    return Jet2(float(val), dv=ONE)
 
 
 def _chain(a: Jet2, f0: float, f1: float, f2: float) -> Jet2:
@@ -216,11 +264,12 @@ def absj(a: Jet2) -> Jet2:
     return _chain(a, abs(a.val), s, 0.0)
 
 
-def pow_int(a: Jet2, n: int) -> Jet2:
-    """Integer power by repeated squaring; negative bases stay legal."""
+def pow_int(a: Jet2, n: int, start: Jet2 = Jet2(ONE)) -> Jet2:
+    """Integer power by repeated squaring; negative bases stay legal.  The
+    products start from ``start``, the structural one by default."""
     if n < 0:
-        return recip(pow_int(a, -n))
-    result = Jet2(1.0)
+        return recip(pow_int(a, -n, start))
+    result = start
     base = a
     while n:
         if n & 1:
@@ -237,15 +286,24 @@ def integer_exponent(b: Jet2) -> int | None:
     return None
 
 
-def powj(a: Jet2, b: Jet2) -> Jet2:
-    n = integer_exponent(b)
-    if n is not None:
-        return pow_int(a, n)
+def real_power(a: Jet2, b: Jet2) -> Jet2:
+    """exp(b log(a)), which needs a positive base: the only branch of a
+    constant exponent that ``integer_exponent`` rejects."""
     if a.val <= 0.0:
         raise DomainError(
             f"power with non-integer exponent needs a positive base, got {a.val!r}"
         )
     return exp(b * log(a))
+
+
+def powj(a: Jet2, b: Jet2) -> Jet2:
+    """a ** b with the branch taken on the values, as a kernel takes it at
+    run time: its integer power multiplies plain floats from a plain 1, and
+    the result holds no structural slot."""
+    n = integer_exponent(b)
+    if n is not None:
+        return pow_int(a.plain(), n, Jet2(1.0).plain())
+    return real_power(a, b).plain()
 
 
 UNARY = {

@@ -15,8 +15,15 @@ import math
 from isogeo.connection import LIGHTLIKE_GUARD_BAND, coeffs_of_frame, denom_of_frame, gamma6_of_frame
 from isogeo.errors import LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
-from isogeo.isotropy import E3, SpaceKind, Vec3, cross_background
+from isogeo.isotropy import E3, SpaceKind, Vec3, cross_euclid, cross_lorentz
 from isogeo.surface import frame_at
+
+
+def cross_background(kind: SpaceKind, u: Vec3, v: Vec3) -> Vec3:
+    """The cross product of the background metric of the space ``kind``."""
+    if kind is SpaceKind.SIMPLY_ISOTROPIC:
+        return cross_euclid(u, v)
+    return cross_lorentz(u, v)
 
 
 class Halt(Exception):

@@ -21,9 +21,10 @@ from isogeo.connection import (
     coeffs_at,
     coeffs_of_frame,
     denom_gradient_of_frame,
+    denom_of_frame,
 )
 from isogeo.isotropy import SpaceKind
-from isogeo.surface import frame_of_jet, gaussian_curvature
+from isogeo.surface import frame_at, frame_of_jet, gaussian_curvature
 
 CoeffDerivatives = namedtuple("CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h")
 
@@ -33,6 +34,21 @@ def _frame_arrays(f):
     x12 = (f.x12_x, f.x12_y, f.x12_z)
     x_ij = np.array([[(f.x11_x, f.x11_y, f.x11_z), x12], [x12, (f.x22_x, f.x22_y, f.x22_z)]])
     return np.array([(f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)]), x_ij
+
+
+def denom_at(s, u: float, v: float) -> float:
+    return denom_of_frame(frame_at(s, u, v))
+
+
+def reassemble_second_derivatives(c) -> tuple[float, float]:
+    """Max reconstruction error of x_ij from each decomposition of the
+    coefficients ``c``; both are ~1e-10 at healthy points and validate the
+    coefficient formulas."""
+    x1, x2 = _frame_arrays(c.frame)
+    lc = np.einsum("ijk,kc->ijc", c.gamma, x1)
+    lc[..., 2] += c.rho * c.denom  # h_ij
+    rel = np.einsum("ijk,kc->ijc", c.xi_coeffs, x1) + c.rho[..., None] * c.frame.xi.as_tuple()
+    return float(np.abs(lc - x2).max()), float(np.abs(rel - x2).max())
 
 
 def coeff_derivatives_at(s, u: float, v: float) -> CoeffDerivatives:

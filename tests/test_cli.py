@@ -281,6 +281,30 @@ def test_sampler_redraws_draws_whose_third_partials_are_not_finite():
         next(verify._sample(patch, 1, SplitMix64(1), 0.0, None, kernel))
 
 
+def test_sampler_draws_inside_a_domain_narrower_than_its_border(tmp_path, monkeypatch, capsys):
+    # border plus 2 % of a side 1e-4 wide is more than half of it: the
+    # draws come from the middle half of each side instead of a reversed
+    # interval that reaches outside the domain
+    drawn = []
+
+    def recording(kind, u, v, jet):
+        drawn.append((u, v))
+        return srf.frame_of_jet(kind, u, v, jet)
+
+    monkeypatch.setattr(verify, "frame_of_jet", recording)
+    surface = {"kind": "graph", "f": "u*v + u^2"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [0, 1e-4, 0, 1e-4]})
+    out = tmp_path / "report.json"
+    argv = ["verify", spec, "--suite", "flatness", "--samples", "5", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["overall"] == "pass"
+    assert len(drawn) == 5
+    assert all(2.5e-5 <= u <= 7.5e-5 and 2.5e-5 <= v <= 7.5e-5 for u, v in drawn), drawn
+    # a side with room for the margin keeps it, and so every earlier draw
+    assert verify._margin(-2.0, 2.0, 2e-4) == 0.02 * 4.0 + 2e-4
+
+
 @pytest.mark.parametrize("suite", ["codazzi", "umbilic"])
 def test_verify_evaluates_each_draw_once(monkeypatch, capsys, suite):
     # one jet kernel call and one frame per sampler draw: the tensor suites
@@ -950,6 +974,21 @@ def test_row_kernel_matches_the_frame_and_report_rows(case):
     if allowed is not None:
         row = cli._curvature_rows(kernel, [u], [(v, sv)])
         assert row.split(",")[8] in allowed, (patch, row)
+
+
+def test_curvature_keeps_the_admissibility_guard_of_an_overflowing_cylinder(tmp_path, capsys):
+    # r = 1e308: the jet's structural zeros meet partials near overflow;
+    # the frame lines' guard still decides u = 0, and K is undefined at
+    # u = +-2, as before the jet lines skipped them
+    surface = {"kind": "builtin", "name": "cylindrical_sphere", "params": {"r": 1e308}}
+    spec = write_spec(tmp_path, {"space": "ip3", "surface": surface})
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [cli.CURVATURE_HEADER]
+    for u, label in ((-2.0, "undefined"), (0.0, "inadmissible"), (2.0, "undefined")):
+        rows += [f"{u!r},{v!r},,,,,,,{label},,," for v in (-1.0, 0.0, 1.0)]
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 def test_curvature_builds_no_frame(tmp_path, monkeypatch):

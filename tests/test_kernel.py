@@ -12,6 +12,7 @@ change sign between two calls of the same function.
 import dis
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from genexpr import random_expr, random_expr_full
 from jet2ref import eval_jet2
 from jet3 import walk3
+from isogeo import catalog, cli
 from isogeo import expr as ex
+from isogeo import geodesic as geo
 from isogeo import surface as srf
 from isogeo.errors import DomainError
 from isogeo.expr import Binary, Const, Unary, Var
@@ -96,10 +99,17 @@ def test_signed_zeros_are_not_shared():
 
 
 def test_no_algebraic_folding():
-    # 0 * x is -0.0 for negative x and NaN for infinite x
+    # a value is never folded: 0 * u is -0.0 at u = -3 and NaN at u = inf;
+    # a partial skips only the structural zeros and ones of the constant's
+    # and the variable's partials, so d(0 * u)/du is the constant 0.0
     times_zero = Binary("*", Const(0.0), U)
+    exprs = [times_zero, Binary("*", Const(1.0), V), Binary("^", U, Const(0.0))]
     for u in (-3.0, math.inf, 2.0):
-        assert_same([times_zero, Binary("*", Const(1.0), V), Binary("^", U, Const(0.0))], u, -1.5)
+        assert_same(exprs, u, -1.5)
+    kernel = ex.compile_jet(exprs, 2)
+    assert bits(kernel(-3.0, -1.5)[:6]) == ["-0.0"] + ["0.0"] * 5
+    assert bits(kernel(math.inf, -1.5)[:6]) == ["nan"] + ["0.0"] * 5
+    assert bits(kernel(math.inf, -1.5)[6:]) == ["-1.5", "0.0", "1.0", "0.0", "0.0", "0.0"] + ["1.0"] + ["0.0"] * 5
 
 
 @pytest.mark.parametrize("n", [1024.0, -1024.0, 1025.0, -1025.0, 4096.0])
@@ -358,3 +368,68 @@ def test_constant_non_integral_exponent_writes_the_real_branch_only(exponent):
     with pytest.raises(DomainError) as err:
         ex.compile_jet(exprs, 3)(-2.0, 0.5)
     assert str(err.value) == "power with non-integer exponent needs a positive base, got -3.0"
+
+
+def test_a_constant_and_a_run_time_exponent_do_not_share_a_node():
+    # 0.5 ^ 1 has the jet of the constant 0.5, but its power is decided at
+    # run time: that branch's result holds no structural slot, while the
+    # constant exponent's keeps them, so the two powers are two nodes
+    e = ex.parse("2^0.5 * (1e308*10*u) + 2^(0.5^1) * (1e308*10*u)")
+    for exprs in ([e, U, V], [Binary("+", e.right, e.left), U, V]):
+        assert_same(exprs, 1.0, 0.5)
+        assert outcome(ex.compile_jet(exprs, 3), 1.0, 0.5) == outcome(walk3, exprs, 1.0, 0.5)
+
+
+# ------------------------------------------------------------ structural zeros and ones
+
+CATALOG_PARAMS = {
+    "parabolic_sphere": {"p": 2.0},
+    "cylindrical_sphere": {"r": 1.0},
+    "plane": {"a": 0.3, "b": -0.2, "c": 0.7},
+    "ruled_nondiag": {"b": 2.0},
+    "helicoid": {"c": 1.0},
+    "revolution": {"z": "log(u)"},
+    "minimal_wave": {"f": "0.3*u^3 - 0.2*u", "g": "0.25*u^3 + 0.1*u^2"},
+    "minimal_harmonic": {"f": "exp(u) * sin(v)"},
+}
+CATALOG_CASES = [
+    pytest.param(name, kind, id=f"{name}[{kind.value}]")
+    for name, entry in catalog.CATALOG.items() for kind in entry.kinds
+]
+# a product with ZERO or ONE, or a sum or difference with ZERO
+STRUCTURAL_ARITHMETIC = re.compile(r"\b(ZERO|ONE)\s*\*|\*\s*(ZERO|ONE)\b|[-+]\s*ZERO\b|\bZERO\s*[-+]")
+
+
+@pytest.mark.parametrize("name, kind", CATALOG_CASES)
+def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind):
+    sources = []
+    real = ex.compile_function
+
+    def recording(signature, lines, namespace):
+        sources.append(list(lines))
+        return real(signature, lines, namespace)
+
+    monkeypatch.setattr(ex, "compile_function", recording)
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
+    builders = {
+        "jet2": lambda: ex.compile_jet(exprs, 2),
+        "jet3": lambda: ex.compile_jet(exprs, 3),
+        "stage r": lambda: geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE),
+        "stage lc": lambda: geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA),
+        "row": lambda: cli._row_kernel(patch),
+    }
+    for label, build in builders.items():
+        sources.clear()
+        build()
+        (lines,) = sources
+        folded = [line for line in lines if STRUCTURAL_ARITHMETIC.search(line)]
+        assert folded == [], (label, folded)
+
+
+def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
+    # d/dx log(x) at x = 5e-324 is inf, and inf * 0.0 is NaN: the partials
+    # of log(5e-324) are structural zeros instead, so z = log(5e-324) u + u v
+    # has the finite partials of a plane with a saddle, not NaN
+    jet = ex.compile_jet([ex.parse("log(5e-324) * u + u*v"), U, V], 2)(1.0, -1.0)
+    assert bits(jet[:6]) == bits([math.log(5e-324) - 1.0, math.log(5e-324) - 1.0, 1.0, 0.0, 1.0, 0.0])
