@@ -208,10 +208,12 @@ def parse(source: str) -> Expr:
 # straight-line Python function (forward-mode Taylor arithmetic, as in
 # Griewank & Walther, "Evaluating Derivatives", ch. 13).  Every order-2
 # line is one operation of second-order jet arithmetic in a fixed
-# grouping, with no algebraic folding, so the floats are those of a tree
-# walk that does the same operations in the same grouping (the tests keep
-# one as the reference), NaN sign and payload aside, which CPython's own
-# float arithmetic does not keep stable.  DomainErrors (type and message)
+# grouping, with no algebraic folding beyond the structural zeros and
+# ones of the partials (see ``_Src``; the sparse forward mode of the same
+# book), so the floats are those of a tree walk that does the same
+# operations in the same grouping and skips the same slots (the tests
+# keep one as the reference), NaN sign and payload aside, which CPython's
+# own float arithmetic does not keep stable.  DomainErrors (type and message)
 # arise in the tree's post-order.  Order 3 adds third partials after each
 # node's order-2 lines, lines that cannot raise, so it fails where order
 # 2 fails and otherwise repeats its floats.  Structurally identical

@@ -412,14 +412,14 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
     monkeypatch.setattr(ex, "compile_function", recording)
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
     exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
-    builders = {
+    compilers = {
         "jet2": lambda: ex.compile_jet(exprs, 2),
         "jet3": lambda: ex.compile_jet(exprs, 3),
         "stage r": lambda: geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE),
         "stage lc": lambda: geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA),
         "row": lambda: cli._row_kernel(patch),
     }
-    for label, build in builders.items():
+    for label, build in compilers.items():
         sources.clear()
         build()
         (lines,) = sources
