@@ -23,8 +23,7 @@ verification suites.  Entries:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import expr as ex
 from .errors import BadParam
@@ -36,15 +35,13 @@ PSEUDO_ONLY = (SpaceKind.PSEUDO_ISOTROPIC,)
 SIMPLY_ONLY = (SpaceKind.SIMPLY_ISOTROPIC,)
 
 
-@dataclass(frozen=True)
-class CurvatureOracles:
+class CurvatureOracles(NamedTuple):
     k: Optional[Callable[[float, float], float]]
     h: Optional[Callable[[float, float], float]]
     discriminant: Optional[Callable[[float, float], float]] = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kinds: tuple[SpaceKind, ...]
     required: tuple[str, ...]

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import expr as ex
@@ -296,8 +295,7 @@ def _curvature_tensor(coef: np.ndarray, d_coef: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(-2, -1)
 
 
-@dataclass(frozen=True)
-class CurvatureTensorSample:
+class CurvatureTensorSample(NamedTuple):
     r_lc: np.ndarray  # [l, i, j, k] Levi-Civita curvature tensor
     r_rel: np.ndarray  # [l, i, j, k] relative curvature tensor
     r_lowered: np.ndarray  # [d, a, b, c] = g_ed R^e_abc (relative)
@@ -311,8 +309,7 @@ def curvature_tensors_at(s: SurfacePatch, u: float, v: float) -> CurvatureTensor
     return CurvatureTensorSample(_curvature_tensor(d.gamma, d.d_gamma), r_rel, r_lowered, d.coeffs)
 
 
-@dataclass(frozen=True)
-class EgregiumResult:
+class EgregiumResult(NamedTuple):
     k_from_tensor: float
     k_extrinsic: float
     rel_err: float
@@ -334,8 +331,7 @@ def egregium_check(s: SurfacePatch, u: float, v: float) -> EgregiumResult:
     return next(egregium_checks(coeff_derivatives([_sampled_at(s, u, v)])))
 
 
-@dataclass(frozen=True)
-class CodazziResiduals:
+class CodazziResiduals(NamedTuple):
     relative: float  # max |rho_ab,c - rho_ac,b + xi_ab^d rho_cd - xi_ac^d rho_bd|
     levi_civita: float  # max |h_ab,c - h_ac,b + gamma_ab^d h_dc - gamma_ac^d h_db|
 

@@ -23,33 +23,38 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExprSyntaxError
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     name: str  # "u" or "v"
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # "neg" or a function name
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
+
+
+def _node_eq(self, other) -> bool:
+    # a node equals only a node of its own type, never a plain tuple;
+    # equal nodes keep equal tuple hashes
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+for _node in (Const, Var, Unary, Binary):
+    _node.__eq__, _node.__ne__ = _node_eq, lambda self, other: not _node_eq(self, other)
 
 
 Expr = Union[Const, Var, Unary, Binary]
@@ -59,8 +64,7 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("u", "v")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | lparen | rparen | end
     text: str
     pos: int

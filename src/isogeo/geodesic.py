@@ -38,7 +38,6 @@ straight lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -93,8 +92,7 @@ class TraceSample(NamedTuple):
         return Vec3(self.p_x, self.p_y, self.p_z)
 
 
-@dataclass
-class GeodesicTrace:
+class GeodesicTrace(NamedTuple):
     kind: GeodesicKind
     samples: list[TraceSample]
     residuals: dict[str, list[float]]
@@ -229,7 +227,7 @@ def integrate(
     step = t_end / n_steps
     samples: list[TraceSample] = []
     residuals: list[float] = []
-    trace = GeodesicTrace(gkind, samples, {"parallel": residuals})
+    stopped_reason = stop_time = None
 
     watch_lightlike = (
         gkind is GeodesicKind.RELATIVE and s.kind is SpaceKind.PSEUDO_ISOTROPIC
@@ -277,23 +275,22 @@ def integrate(
             )
             t = (k + 1) * step
     except (_Halt, NotAdmissible, LightlikePoint) as halt:
-        reason = halt.reason if isinstance(halt, _Halt) else _REASONS[type(halt)]
+        stopped_reason = halt.reason if isinstance(halt, _Halt) else _REASONS[type(halt)]
         # a halt before the first sample is an invalid start, an error;
         # later halts merely flag the trace
         if not samples:
-            if reason == "lightlike":
+            if stopped_reason == "lightlike":
                 raise LightlikePointHit(
                     f"geodesic started on a lightlike point at ({u0!r}, {v0!r})"
                 ) from None
-            if reason == "non_finite":
+            if stopped_reason == "non_finite":
                 raise NonFiniteStart(
                     f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
                     f"acceleration ({au!r}, {av!r})"
                 ) from None
             raise halt from None  # the frame's NotAdmissible, with its minor
-        trace.stopped_reason = reason
-        trace.stop_time = t
-    return trace
+        stop_time = t
+    return GeodesicTrace(gkind, samples, {"parallel": residuals}, stopped_reason, stop_time)
 
 
 class SectionBranch(Enum):
@@ -303,8 +300,7 @@ class SectionBranch(Enum):
     LINE_PAIR = "line_pair"
 
 
-@dataclass(frozen=True)
-class PlaneSection:
+class PlaneSection(NamedTuple):
     """Section of the sphere z = p/2 - (x^2 +/- y^2)/2p by the plane
     z = -a x - b y (simply isotropic) or z = -a x + b y (pseudo)."""
 
@@ -496,8 +492,7 @@ def section_sphere_patch(ps: PlaneSection) -> SurfacePatch:
     return graph_patch(ps.kind, f_src, (0.0, 0.0, 0.0, 0.0), name="section_sphere")
 
 
-@dataclass(frozen=True)
-class SphereGeodesicCheck:
+class SphereGeodesicCheck(NamedTuple):
     max_deviation: float
     integrated_plane_residual: float
     integrated_sphere_residual: float

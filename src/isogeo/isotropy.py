@@ -16,8 +16,8 @@ linear-independence checks, not as part of the isotropic structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class SpaceKind(Enum):
@@ -25,8 +25,7 @@ class SpaceKind(Enum):
     PSEUDO_ISOTROPIC = "ip3"
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
+class Vec3(NamedTuple):
     x: float
     y: float
     z: float
@@ -103,8 +102,7 @@ def cross_lorentz(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Motion:
+class Motion(NamedTuple):
     """Rigid motion of the chosen space.
 
     The xy-part is a rotation by ``phi`` (simply isotropic) or a boost by

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -65,22 +64,36 @@ class _LazyNumpy:
 np = _LazyNumpy(globals())
 
 
-@dataclass(frozen=True)
 class SurfacePatch:
     """Evaluatable immersion of a rectangle into one of the two spaces.
 
     Graph patches keep x = u and y = v identically; parametric patches
     carry arbitrary component expressions.  Builtin catalog surfaces are
-    parametric patches with a name and parameter dict attached.
+    parametric patches with a name and parameter dict attached.  The
+    fields: ``kind`` (a SpaceKind), the ``ex.Expr`` trees ``x_expr``,
+    ``y_expr`` and ``z_expr``, ``domain`` = (u0, u1, v0, v1), ``name`` and
+    ``params`` (a dict), set once; the kernels are cached on first use.
     """
 
-    kind: SpaceKind
-    x_expr: ex.Expr
-    y_expr: ex.Expr
-    z_expr: ex.Expr
-    domain: tuple[float, float, float, float]  # (u0, u1, v0, v1)
-    name: str = "parametric"
-    params: dict = field(default_factory=dict)
+    __match_args__ = ("kind", "x_expr", "y_expr", "z_expr", "domain", "name", "params")
+
+    def __init__(self, kind, x_expr, y_expr, z_expr, domain, name="parametric", params=None):
+        values = (kind, x_expr, y_expr, z_expr, domain, name, {} if params is None else params)
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"SurfacePatch is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self.__match_args__)
+
+    def __eq__(self, other) -> bool:  # unhashable, as params is a dict
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"SurfacePatch{self._values()!r}"
 
     @functools.cached_property
     def jet_kernel(self):
@@ -269,8 +282,7 @@ class CurvatureReport(NamedTuple):
     umbilic_factor: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible_everywhere: bool
     min_abs_m12: float
     points: int
@@ -310,10 +322,10 @@ def frame_lines(kind: SpaceKind) -> tuple[str, ...]:
         "    m12 = -m12",
         # m12 is a minor of the top views alone, so it is judged against
         # their lengths; z-derivatives (and isotropic shears z -> z + c1 x)
-        # do not enter.  hypot does not overflow, so a zero top view gives
-        # a scale of 1, never 0 * inf = nan
+        # do not enter.  A zero minor fails at any scale, also at the nan
+        # scale inf * 0 of a top view whose length overflows and a zero one
         "scale = 1.0 + math.hypot(xu, yu) * math.hypot(xv, yv)",
-        "if abs(m12) <= ADMISSIBILITY_RTOL * scale:",
+        "if m12 == 0.0 or abs(m12) <= ADMISSIBILITY_RTOL * scale:",
         "    raise NotAdmissible(u, v, m12)",
         "m23 = yu * zv - zu * yv",
         "m31 = zu * xv - xu * zv",

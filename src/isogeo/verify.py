@@ -32,8 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
@@ -73,8 +72,7 @@ POINT_BLOCK = 256
 SUITES = ("flatness", "egregium", "codazzi", "umbilic", "minimal", "sphere-geodesics")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     surface: str
     points: int
@@ -425,9 +423,8 @@ def run_verify(
     if not checks:
         raise SpecError(f"no check of the suite(s) {', '.join(suites)} applies to this surface")
     if tol_override is not None:
-        for chk in checks:
-            chk.tolerance = tol_override
-            chk.passed = chk.max_residual <= tol_override
+        tol = tol_override
+        checks = [c._replace(tolerance=tol, passed=c.max_residual <= tol) for c in checks]
     overall = all(chk.passed for chk in checks)
     return {
         "overall": "pass" if overall else "fail",

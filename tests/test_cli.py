@@ -991,6 +991,36 @@ def test_curvature_keeps_the_admissibility_guard_of_an_overflowing_cylinder(tmp_
     assert out.read_text() == "\n".join(rows) + "\n"
 
 
+def test_a_zero_minor_is_inadmissible_where_a_top_view_length_overflows(tmp_path, capsys):
+    # r = 1e308: at u = +-1 the top view of x_u is finite but its length is
+    # not, and x_v's is 0, so the guard's scale is inf * 0 = nan; the minor
+    # m12 = 0 must fail the guard there, as it does at r = 1, rather than
+    # divide by zero (u = +-2 stay undefined: there m12 itself is nan)
+    surface = {"kind": "builtin", "name": "cylindrical_sphere", "params": {"r": 1e308}}
+    spec = write_spec(tmp_path, {"space": "ip3", "surface": surface})
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "5x3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    labels = ["undefined"] + ["inadmissible"] * 3 + ["undefined"]
+    assert [row["class"] for row in read_rows(out)] == [label for label in labels for _ in range(3)]
+
+    trace = str(tmp_path / "trace.csv")
+    argv = ["geodesic", spec, "--start=1.0,0.0", "--velocity=0.0,1.0", "--t-end", "0.1", "--out", trace]
+    assert cli.main(argv) == cli.EXIT_BAD_START
+    assert capsys.readouterr().err == (
+        "error: surface not admissible at (u=1.0, v=0.0): top-view minor 0.0\n"
+    )
+    patch = cli.load_spec_file(spec)
+    for gkind in geodesic.GeodesicKind:  # the RK4 stage kernels run the same guard
+        with pytest.raises(NotAdmissible):
+            geodesic._accel_kernel(patch, gkind)(-1.0, 0.5, 0.0, 1.0)
+
+    assert cli.main(["verify", spec, "--suite", "umbilic", "--samples", "5"]) == cli.EXIT_SPEC
+    assert capsys.readouterr().err == (
+        "error: could not sample 5 guarded points on cylindrical_sphere[ip3]\n"
+    )
+
+
 def test_curvature_builds_no_frame(tmp_path, monkeypatch):
     # m12 = u^2 - 1/4 vanishes on u = +-0.5 (inadmissible); log(v + 0.5)
     # has no value for v <= -0.5 (undefined)

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -368,9 +367,9 @@ def _same(a, b):
 
 
 def _bits(result):
-    """A result dataclass's fields by ``repr``: the per-point code gives
-    numpy floats where the batch gives Python floats of the same bits."""
-    return [repr(float(x)) for x in dataclasses.astuple(result)]
+    """A result record's fields, in order, by ``repr``: the per-point code
+    gives numpy floats where the batch gives Python floats of the same bits."""
+    return [repr(float(getattr(result, name))) for name in result._fields]
 
 
 @np.errstate(all="ignore")  # where the reference overflows, so does the batch
