@@ -13,6 +13,7 @@ import pytest
 
 from isogeo.expr import Binary, Const, Unary, Var, parse
 from isogeo.isotropy import SpaceKind, Vec3
+from isogeo.surface import SurfacePatch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -95,7 +96,7 @@ def test_records_are_immutable(module, name, fields):
 
 
 def test_surface_patch_keeps_a_fresh_params_dict_and_rejects_new_attributes():
-    a, b = (_record("surface", "SurfacePatch")(SpaceKind.SIMPLY_ISOTROPIC, *"uvw", ()) for _ in "ab")
+    a, b = (SurfacePatch(SpaceKind.SIMPLY_ISOTROPIC, *"uvw", ()) for _ in "ab")
     assert a.params == {} and a.params is not b.params
     with pytest.raises(AttributeError):
         a.extra = 1
