@@ -60,7 +60,7 @@ class LeftDomain(IsoGeoError):
 
 
 class StepNotPositive(IsoGeoError):
-    """Integration step must be strictly positive."""
+    """Integration step and end time must be strictly positive."""
 
 
 class TooManySteps(IsoGeoError):

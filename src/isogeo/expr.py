@@ -78,22 +78,22 @@ def _tokenize(source: str) -> list[_Token]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             # consume an exponent only when digits actually follow
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j].isdecimal():
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i].isdecimal():
                         i += 1
             tokens.append(_Token("num", source[start:i], start))
             continue
@@ -120,7 +120,19 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+# The deepest nesting ``parse`` accepts.  A parenthesis, a function call, a
+# negation and an exponent each nest the parser one level further, and the
+# tree it returns, through which the kernel writer and ``to_source`` recurse,
+# may be at most this many nodes deep (a sum of n terms is n deep).  At five
+# frames a level, the parser stays well inside the recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Each rule takes the ``level`` it parses at, the depth of its node in
+    the tree with each enclosing parenthesis counted as one more, and
+    returns the node with its height."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
@@ -133,59 +145,69 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
+    @staticmethod
+    def bounded(depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth
+
+    def expr(self, level: int) -> tuple[Expr, int]:
+        node, height = self.term(level)
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, h = self.term(level)
+            node, height = Binary(tok.text, node, right), self.bounded(1 + max(height, h), tok)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self, level: int) -> tuple[Expr, int]:
+        node, height = self.factor(level)
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, h = self.factor(level)
+            node, height = Binary(tok.text, node, right), self.bounded(1 + max(height, h), tok)
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self, level: int) -> tuple[Expr, int]:
         if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
+            tok = self.advance()
+            arg, h = self.factor(self.bounded(level + 1, tok))
+            return Unary("neg", arg), self.bounded(1 + h, tok)
+        return self.power(level)
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, level: int) -> tuple[Expr, int]:
+        base, height = self.atom(level)
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return Binary("^", base, self.factor())
-        return base
+            tok = self.advance()
+            exponent, h = self.factor(self.bounded(level + 1, tok))
+            return Binary("^", base, exponent), self.bounded(1 + max(height, h), tok)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self, level: int) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
             value = float(tok.text)
             if value == math.inf:  # a literal cannot be nan or negative
                 raise ExprSyntaxError(f"number {tok.text!r} overflows a float", tok.pos)
-            return Const(value)
+            return Const(value), 1
         if tok.kind == "name":
             if tok.text in VARIABLES:
-                return Var(tok.text)
+                return Var(tok.text), 1
             if tok.text in CONSTANTS:
-                return Const(CONSTANTS[tok.text])
+                return Const(CONSTANTS[tok.text]), 1
             if tok.text in FUNCTIONS:
                 opening = self.advance()
                 if opening.kind != "lparen":
                     raise ExprSyntaxError(
                         f"expected '(' after function {tok.text!r}", opening.pos
                     )
-                arg = self.expr()
+                arg, h = self.expr(self.bounded(level + 1, tok))
                 closing = self.advance()
                 if closing.kind != "rparen":
                     raise ExprSyntaxError("unbalanced parenthesis", closing.pos)
-                return Unary(tok.text, arg)
+                return Unary(tok.text, arg), self.bounded(1 + h, tok)
             raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "lparen":
-            node = self.expr()
+            node = self.expr(self.bounded(level + 1, tok))
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ExprSyntaxError("unbalanced parenthesis", closing.pos)
@@ -199,7 +221,7 @@ def parse(source: str) -> Expr:
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.expr()
+    node, _ = parser.expr(1)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)

@@ -42,15 +42,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .connection import (
-    GAMMA_LINES,
-    LIGHTLIKE_GUARD_BAND,
-    RELATIVE_GLOBALS,
-    coeffs_of_frame,
-    denom_of_frame,
-    gamma6_of_frame,
-    relative_lines,
-)
+from .connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, RELATIVE_GLOBALS, relative_lines
 from .errors import (
     DegenerateBranch,
     LeftDomain,
@@ -61,8 +53,8 @@ from .errors import (
     StepNotPositive,
     TooManySteps,
 )
-from .isotropy import SpaceKind, Vec3, cross_xyz, norm_euclid
-from .surface import FRAME_GLOBALS, JET_NAMES, SurfacePatch, frame_at, frame_lines, graph_patch
+from .isotropy import SpaceKind, Vec3, cross_xyz
+from .surface import FRAME_GLOBALS, JET_NAMES, SurfacePatch, frame_lines, graph_patch
 
 
 # upper bound on the RK4 steps of one trace; each step keeps a sample
@@ -118,68 +110,58 @@ def _outside(u: float, v: float) -> _Halt:
     return _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
 
 
-def _accel_lines(c: str) -> tuple[str, ...]:
+def _accel_lines(relative: bool) -> tuple[str, ...]:
     """(u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter order, from
-    the coefficients C_ij^k named ``c`` + ijk in the frame's order."""
+    the coefficients C_ij^k in the frame's order: the relative ones xi_ijk
+    or the Levi-Civita ones ga_ijk.  With ``sample``, also the position, the
+    parallel residual of gamma'' against xi or (0, 0, 1) and, for the
+    relative connection, denom (None for Levi-Civita)."""
+    c = "xi" if relative else "ga"
     return (
         "w1, w2 = (dv, du) if swapped else (du, dv)",
         f"a1 = -({c}111 * w1 * w1 + 2.0 * {c}121 * w1 * w2 + {c}221 * w2 * w2)",
         f"a2 = -({c}112 * w1 * w1 + 2.0 * {c}122 * w1 * w2 + {c}222 * w2 * w2)",
-        "return (a2, a1) if swapped else (a1, a2)",
+        "au, av = (a2, a1) if swapped else (a1, a2)",
+        "if not sample:",
+        "    return au, av",
+        # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
+        # component summed left to right
+        "s11, s12, s22 = w1 * w1, 2.0 * w1 * w2, w2 * w2",
+        "residual = _parallel_residual(",
+        "    a1 * xu + a2 * xv + s11 * xuu + s12 * xuv + s22 * xvv,",
+        "    a1 * yu + a2 * yv + s11 * yuu + s12 * yuv + s22 * yvv,",
+        "    a1 * zu + a2 * zv + s11 * zuu + s12 * zuv + s22 * zvv,",
+        f"    {'a, b, xi_z' if relative else '0.0, 0.0, 1.0'},",
+        ")",
+        f"return au, av, px, py, pz, residual, {'denom' if relative else 'None'}",
     )
 
 
-_acceleration = ex.compile_function(
-    "_acceleration(swapped, c111, c112, c121, c122, c221, c222, du, dv)", _accel_lines("c"), {}
-)
-
-
-def _rhs(s: SurfacePatch, gkind: GeodesicKind, u: float, v: float, du: float, dv: float):
-    """(u'', v'', frame) of the geodesic ODE at the state (u, v, u', v'),
-    in the caller's parameter order.  Raises _Halt outside the domain, the
-    frame's NotAdmissible and the relative connection's LightlikePoint."""
-    if not s.contains(u, v):
-        raise _outside(u, v)
-    f = frame_at(s, u, v)
-    c6 = gamma6_of_frame(f) if gkind is GeodesicKind.LEVI_CIVITA else coeffs_of_frame(f).xi6
-    au, av = _acceleration(f.swapped, *c6, du, dv)
-    return au, av, f
-
-
 def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
-    """``(u, v, du, dv) -> (u'', v'')``, ``_rhs`` without the frame, for the
-    RK4 stages that need only the acceleration: the jet, frame,
-    coefficient and acceleration lines as one function, with ``_rhs``'s
-    halts in its order and its floats bit for bit.  Compiled on first use,
-    once per patch and connection."""
+    """``(u, v, du, dv, sample=False) -> (u'', v'')`` of the geodesic ODE,
+    or with ``sample`` the tuple of ``_accel_lines``: the jet, frame,
+    coefficient and acceleration lines as one function, which builds no
+    frame.  Raises _Halt outside the domain, the jet's DomainError, the
+    frame's NotAdmissible and the relative connection's LightlikePoint, in
+    that order.  Compiled on first use, once per patch and connection."""
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
         tail = (*frame_lines(s.kind), *GAMMA_LINES, *(relative_lines(s.kind) if relative else ()))
         u0, u1, v0, v1 = s.domain
         kernel = s.accel_kernels[gkind] = ex.compile_jet(
-            (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv",
+            (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv, sample=False",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
             head=("if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)"),
-            bind=JET_NAMES, tail=(*tail, *_accel_lines("xi" if relative else "ga")),
+            bind=JET_NAMES, tail=(*tail, *_accel_lines(relative)),
             env={
                 **FRAME_GLOBALS, **RELATIVE_GLOBALS, "_outside": _outside,
+                "_parallel_residual": _parallel_residual,
                 "u0": u0, "u1": u1, "v0": v0, "v1": v1,
             },
         )
     return kernel
-
-
-def _ambient_acceleration(f, w1: float, w2: float, a1: float, a2: float) -> tuple[float, float, float]:
-    """x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, summed left to
-    right, one component at a time."""
-    s11, s12, s22 = w1 * w1, 2.0 * w1 * w2, w2 * w2
-    return (
-        a1 * f.x1_x + a2 * f.x2_x + s11 * f.x11_x + s12 * f.x12_x + s22 * f.x22_x,
-        a1 * f.x1_y + a2 * f.x2_y + s11 * f.x11_y + s12 * f.x12_y + s22 * f.x22_y,
-        a1 * f.x1_z + a2 * f.x2_z + s11 * f.x11_z + s12 * f.x12_z + s22 * f.x22_z,
-    )
 
 
 def _parallel_residual(gx: float, gy: float, gz: float, rx: float, ry: float, rz: float) -> float:
@@ -207,6 +189,8 @@ def _step_count(t_end: float, step: float) -> int:
         raise TooManySteps(
             f"t_end/step = {ratio!r} steps; at most {MAX_STEPS} are allowed"
         )
+    if t_end <= 0.0:
+        raise StepNotPositive(f"t_end must be > 0, got {t_end!r}")
     return max(1, round(ratio))
 
 
@@ -239,7 +223,7 @@ def integrate(
     t = 0.0
     try:
         for k in range(n_steps + 1):
-            au, av, f = _rhs(s, gkind, u, v, du, dv)
+            au, av, px, py, pz, residual, denom = accel(u, v, du, dv, True)
             # once per step: a non-finite velocity or coefficient at any stage
             # reaches this step's state, so the next check here sees it
             if not (math.isfinite(au) and math.isfinite(av)):
@@ -247,16 +231,13 @@ def integrate(
             if watch_lightlike:
                 # the connection is singular on the lightlike locus; stop when
                 # entering the guard band or stepping across a sign change
-                denom = denom_of_frame(f)
                 if abs(denom) < LIGHTLIKE_GUARD_BAND or (
                     prev_denom is not None and (denom < 0.0) != (prev_denom < 0.0)
                 ):
                     raise _Halt("lightlike")
                 prev_denom = denom
-            samples.append(TraceSample(t, u, v, du, dv, f.p_x, f.p_y, f.p_z))
-            w1, w2, a1, a2 = (dv, du, av, au) if f.swapped else (du, dv, au, av)
-            ref = (f.xi_x, f.xi_y, f.xi_z) if gkind is GeodesicKind.RELATIVE else (0.0, 0.0, 1.0)
-            residuals.append(_parallel_residual(*_ambient_acceleration(f, w1, w2, a1, a2), *ref))
+            samples.append(TraceSample(t, u, v, du, dv, px, py, pz))
+            residuals.append(residual)
             if k == n_steps:
                 break
             # classic RK4: stage n has the state derivative (dun, dvn, aun,
@@ -338,59 +319,42 @@ def make_plane_section(
     return PlaneSection(kind, p, a, b, branch, r, theta0, theta_dot0)
 
 
-def _section_point(ps: PlaneSection, theta: float) -> Vec3:
+# The non-degenerate branches by the functions (X, Y) of theta that place
+# the section point, with X' = sign * Y and Y' = X
+_BRANCHES = {
+    SectionBranch.TRIG: (math.cos, math.sin, -1.0),
+    SectionBranch.HYPERBOLIC_COSH: (math.cosh, math.sinh, 1.0),
+    SectionBranch.HYPERBOLIC_SINH: (math.sinh, math.cosh, 1.0),
+}
+
+
+def _section_jet(ps: PlaneSection, theta: float):
+    """(P, P', P'', D, D') at theta: the section point and its first two
+    derivatives as (x, y, z) tuples, then the angular-speed denominator D
+    and its derivative."""
+    x_of, y_of, sign = _BRANCHES[ps.branch]
     p, a, b, r = ps.p, ps.a, ps.b, ps.r_value
-    if ps.branch is SectionBranch.TRIG:
-        c, s = math.cos(theta), math.sin(theta)
-        return Vec3(p * (r * c + a), p * (r * s + b), p * (-a * a - b * b - r * (a * c + b * s)))
-    if ps.branch is SectionBranch.HYPERBOLIC_COSH:
-        ch, sh = math.cosh(theta), math.sinh(theta)
-        return Vec3(p * (r * ch + a), p * (r * sh + b), p * (-a * a + b * b - r * (a * ch - b * sh)))
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    return Vec3(p * (r * sh + a), p * (r * ch + b), p * (-a * a + b * b - r * (a * sh - b * ch)))
+    bp = b if ps.kind is SpaceKind.SIMPLY_ISOTROPIC else -b  # the plane is z = -a x - bp y
+    x, y = x_of(theta), y_of(theta)
+    dx, dy, ddx, ddy = sign * y, x, sign * x, sign * y
+    pr = p * r
+    point = (p * (r * x + a), p * (r * y + b), p * (-a * a - bp * b - r * (a * x + bp * y)))
+    d1 = (pr * dx, pr * dy, pr * (-a * dx - bp * dy))
+    d2 = (pr * ddx, pr * ddy, pr * (-a * ddx - bp * ddy))
+    if ps.branch is SectionBranch.HYPERBOLIC_SINH:
+        # R^2 < 0: D = r - (a X + bp Y), with the b term summed first
+        return point, d1, d2, r + b * y - a * x, b * dy - a * dx
+    return point, d1, d2, r + a * x + bp * y, a * dx + bp * dy
 
 
-def _section_d1(ps: PlaneSection, theta: float) -> Vec3:
-    p, a, b, r = ps.p, ps.a, ps.b, ps.r_value
-    if ps.branch is SectionBranch.TRIG:
-        c, s = math.cos(theta), math.sin(theta)
-        return Vec3(-p * r * s, p * r * c, p * r * (a * s - b * c))
-    if ps.branch is SectionBranch.HYPERBOLIC_COSH:
-        ch, sh = math.cosh(theta), math.sinh(theta)
-        return Vec3(p * r * sh, p * r * ch, p * r * (-a * sh + b * ch))
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    return Vec3(p * r * ch, p * r * sh, p * r * (-a * ch + b * sh))
-
-
-def _section_d2(ps: PlaneSection, theta: float) -> Vec3:
-    p, a, b, r = ps.p, ps.a, ps.b, ps.r_value
-    if ps.branch is SectionBranch.TRIG:
-        c, s = math.cos(theta), math.sin(theta)
-        return Vec3(-p * r * c, -p * r * s, p * r * (a * c + b * s))
-    if ps.branch is SectionBranch.HYPERBOLIC_COSH:
-        ch, sh = math.cosh(theta), math.sinh(theta)
-        return Vec3(p * r * ch, p * r * sh, p * r * (-a * ch + b * sh))
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    return Vec3(p * r * sh, p * r * ch, p * r * (-a * sh + b * ch))
-
-
-def _section_denominator(ps: PlaneSection, theta: float) -> float:
-    a, b, r = ps.a, ps.b, ps.r_value
-    if ps.branch is SectionBranch.TRIG:
-        return r + a * math.cos(theta) + b * math.sin(theta)
-    if ps.branch is SectionBranch.HYPERBOLIC_COSH:
-        return r + a * math.cosh(theta) - b * math.sinh(theta)
-    return r + b * math.cosh(theta) - a * math.sinh(theta)
-
-
-def section_residuals(ps: PlaneSection, pos: Vec3) -> tuple[float, float]:
-    """(plane residual, sphere residual) of an ambient point."""
+def section_residuals(ps: PlaneSection, x: float, y: float, z: float) -> tuple[float, float]:
+    """(plane residual, sphere residual) of the ambient point (x, y, z)."""
     if ps.kind is SpaceKind.SIMPLY_ISOTROPIC:
-        plane = abs(pos.z + ps.a * pos.x + ps.b * pos.y)
-        sphere = abs(pos.z - ps.p / 2.0 + (pos.x**2 + pos.y**2) / (2.0 * ps.p))
+        plane = abs(z + ps.a * x + ps.b * y)
+        sphere = abs(z - ps.p / 2.0 + (x**2 + y**2) / (2.0 * ps.p))
     else:
-        plane = abs(pos.z + ps.a * pos.x - ps.b * pos.y)
-        sphere = abs(pos.z - ps.p / 2.0 + (pos.x**2 - pos.y**2) / (2.0 * ps.p))
+        plane = abs(z + ps.a * x - ps.b * y)
+        sphere = abs(z - ps.p / 2.0 + (x**2 - y**2) / (2.0 * ps.p))
     return plane, sphere
 
 
@@ -402,53 +366,41 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
         raise DegenerateBranch(
             "R = 0: the section is a pair of straight lines; use line_pair()"
         )
-    const = ps.theta_dot0 * _section_denominator(ps, ps.theta0)
+    const = ps.theta_dot0 * _section_jet(ps, ps.theta0)[3]
 
     def f_theta(theta: float) -> float:
-        return const / _section_denominator(ps, theta)
+        return const / _section_jet(ps, theta)[3]
 
     samples: list[TraceSample] = []
     plane_res: list[float] = []
     sphere_res: list[float] = []
     parallel_res: list[float] = []
-    trace = GeodesicTrace(
-        GeodesicKind.RELATIVE,
-        samples,
-        {"plane": plane_res, "sphere": sphere_res, "parallel": parallel_res},
-    )
-
+    inv_p = 1.0 / ps.p
     theta = ps.theta0
     for idx, t in enumerate(t_grid):
-        theta_dot = f_theta(theta)
-        pos = _section_point(ps, theta)
-        d1 = _section_d1(ps, theta)
-        samples.append(
-            TraceSample(float(t), pos.x, pos.y, d1.x * theta_dot, d1.y * theta_dot, pos.x, pos.y, pos.z)
-        )
-        p_res, s_res = section_residuals(ps, pos)
+        (px, py, pz), (d1x, d1y, d1z), (d2x, d2y, d2z), dd, d_dd = _section_jet(ps, theta)
+        theta_dot = const / dd
+        samples.append(TraceSample(float(t), px, py, d1x * theta_dot, d1y * theta_dot, px, py, pz))
+        p_res, s_res = section_residuals(ps, px, py, pz)
         plane_res.append(p_res)
         sphere_res.append(s_res)
         # gamma'' = P'' theta'^2 + P' theta'' with theta'' = F'(theta) F(theta)
-        dd = _section_denominator(ps, theta)
-        d_dd = {
-            SectionBranch.TRIG: -ps.a * math.sin(theta) + ps.b * math.cos(theta),
-            SectionBranch.HYPERBOLIC_COSH: ps.a * math.sinh(theta) - ps.b * math.cosh(theta),
-            SectionBranch.HYPERBOLIC_SINH: ps.b * math.sinh(theta) - ps.a * math.cosh(theta),
-        }[ps.branch]
         theta_dd = -const * d_dd / (dd * dd) * theta_dot
-        gdd = _section_d2(ps, theta).scaled(theta_dot * theta_dot) + d1.scaled(theta_dd)
-        parallel_res.append(
-            _parallel_residual(*gdd.as_tuple(), *pos.scaled(1.0 / ps.p).as_tuple())
-        )
+        sq = theta_dot * theta_dot
+        parallel_res.append(_parallel_residual(
+            sq * d2x + theta_dd * d1x, sq * d2y + theta_dd * d1y, sq * d2z + theta_dd * d1z,
+            inv_p * px, inv_p * py, inv_p * pz,
+        ))
         if idx + 1 == len(t_grid):
             break
         h = float(t_grid[idx + 1]) - float(t)
-        k1 = f_theta(theta)
-        k2 = f_theta(theta + 0.5 * h * k1)
+        k2 = f_theta(theta + 0.5 * h * theta_dot)
         k3 = f_theta(theta + 0.5 * h * k2)
         k4 = f_theta(theta + h * k3)
-        theta += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return trace
+        theta += (h / 6.0) * (theta_dot + 2.0 * k2 + 2.0 * k3 + k4)
+    return GeodesicTrace(
+        GeodesicKind.RELATIVE, samples, {"plane": plane_res, "sphere": sphere_res, "parallel": parallel_res}
+    )
 
 
 def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, GeodesicTrace]:
@@ -470,7 +422,7 @@ def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, Geo
             samples.append(
                 TraceSample(float(t), pos.x, pos.y, direction.x, direction.y, pos.x, pos.y, pos.z)
             )
-            p_res, s_res = section_residuals(ps, pos)
+            p_res, s_res = section_residuals(ps, *pos.as_tuple())
             plane_res.append(p_res)
             sphere_res.append(s_res)
             parallel_res.append(0.0)  # gamma'' = 0 on a line
@@ -542,14 +494,15 @@ def cross_check_sphere_geodesic(
 
     deviation = 0.0
     for smp_int, smp_sec in zip(integrated.samples, section.samples):
-        deviation = max(deviation, norm_euclid(smp_int.position - smp_sec.position))
+        dx, dy, dz = smp_int.p_x - smp_sec.p_x, smp_int.p_y - smp_sec.p_y, smp_int.p_z - smp_sec.p_z
+        deviation = max(deviation, math.sqrt(dx * dx + dy * dy + dz * dz))
     if len(integrated.samples) < len(section.samples):
         deviation = math.inf
 
     int_plane = 0.0
     int_sphere = 0.0
     for smp in integrated.samples:
-        p_res, s_res = section_residuals(ps, smp.position)
+        p_res, s_res = section_residuals(ps, smp.p_x, smp.p_y, smp.p_z)
         int_plane = max(int_plane, p_res)
         int_sphere = max(int_sphere, s_res)
 

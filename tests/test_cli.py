@@ -400,6 +400,30 @@ def test_a_spec_with_an_overflowing_literal_is_a_spec_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("+".join(["u"] * 1000), "expression nested deeper than 100 levels (at offset 199)"),
+        ("(" * 250 + "u" + ")" * 250, "expression nested deeper than 100 levels (at offset 99)"),
+        ("u^\u00b2", "unexpected character '\u00b2' (at offset 2)"),
+    ],
+    ids=["long-sum", "parens", "superscript"],
+)
+def test_an_expression_the_parser_cannot_take_is_a_spec_error(tmp_path, f, message):
+    # each once ended in a traceback and exit 1: a RecursionError, or a
+    # ValueError from float("\u00b2")
+    spec = write_spec(tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": f}, "domain": [0, 1, 0, 1]})
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "isogeo", "curvature", spec, "--grid", "3x3", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1])),
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_output_io_error(tmp_path):
     spec = write_spec(tmp_path, SPHERE_SPEC)
     missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
@@ -500,7 +524,7 @@ def _no_points(*args):
 def test_geodesic_rejects_unbounded_step_count(tmp_path, capsys, monkeypatch, step):
     # 1/1e-320 overflows to inf; 1e7 steps is finite but above the bound.
     # The count is checked before the first point is evaluated.
-    monkeypatch.setattr(geodesic, "frame_at", _no_points)
+    monkeypatch.setattr(geodesic, "_accel_kernel", _no_points)
     spec = write_spec(tmp_path, SPHERE_SPEC)
     out = tmp_path / "geo.csv"
     argv = [

@@ -97,6 +97,43 @@ def test_a_literal_that_overflows_a_float_is_a_syntax_error(source, offset):
     )
 
 
+_BOUND = ex.MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "at_bound, past_bound, offset",
+    [
+        # parentheses nest the parser but add no node
+        ("(" * (_BOUND - 1) + "u" + ")" * (_BOUND - 1), "(" * _BOUND + "u" + ")" * _BOUND, _BOUND - 1),
+        # a sum of n terms is a left-deep tree n deep; the bound is met at a "+"
+        ("+".join(["u"] * _BOUND), "+".join(["u"] * (_BOUND + 1)), 2 * _BOUND - 1),
+        ("-" * (_BOUND - 1) + "u", "-" * _BOUND + "u", _BOUND - 1),
+        ("sin(" * (_BOUND - 1) + "u" + ")" * (_BOUND - 1), "sin(" * _BOUND + "u" + ")" * _BOUND, 4 * (_BOUND - 1)),
+        ("u^" * (_BOUND - 1) + "u", "u^" * _BOUND + "u", 2 * _BOUND - 1),
+    ],
+    ids=["parens", "sum", "negations", "functions", "powers"],
+)
+def test_nesting_past_the_bound_is_a_syntax_error(at_bound, past_bound, offset):
+    # past the bound the parser, or the kernel writer on the tree, would
+    # overflow the interpreter's stack
+    node = ex.parse(at_bound)
+    assert ex.parse(ex.to_source(node)) == node
+    ex.compile_jet([node], 3)(0.5, 0.25)
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {_BOUND} levels") as err:
+        ex.parse(past_bound)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("source, offset", [("u^\u00b2", 2), ("\u00bd*u", 0), ("2\u2082", 1)])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(source, offset):
+    # float() reads decimal digits only; a superscript two once reached it
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        ex.parse(source)
+    assert err.value.offset == offset
+    # any decimal digit is a number, as float() reads it
+    assert ex.parse("\u0663.5*u") == ex.Binary("*", ex.Const(3.5), ex.Var("u"))
+
+
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
         eval_jet2(ex.parse("log(u)"), -1.0, 0.0)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import genexpr
 import rk4ref
+import sectionref
 from isogeo import catalog
+from isogeo import connection as con
 from isogeo import geodesic as geo
 from isogeo import surface as srf
 from isogeo.errors import (
@@ -143,6 +145,47 @@ def test_cross_check_sphere_geodesics(p, a, b, kind):
     assert chk.max_parallel_residual <= 1e-5
 
 
+def test_plane_sections_match_the_per_branch_reference():
+    # seeded sections in both spaces, over all three branches, against the
+    # helpers that each repeated the branch: the same samples and
+    # residuals, by repr
+    rng = SplitMix64(20181)
+    branches, traced = [], 0
+    for k in range(300):
+        kind = (I3, IP3)[k % 2]
+        p = rng.uniform(0.2, 3.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        ps = geo.make_plane_section(kind, p, a, b, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if ps.branch is geo.SectionBranch.LINE_PAIR:
+            continue
+        branches.append(ps.branch)
+        grid = [j * 0.02 for j in range(40)]
+        got = _outcome(geo.plane_section, ps, grid)
+        assert got == _outcome(sectionref.plane_section, ps, grid)
+        traced += isinstance(got, str)
+    assert min(branches.count(branch) for branch in _BRANCH_KINDS) >= 50
+    assert traced >= 0.9 * len(branches)
+
+
+def _outcome(section, ps, grid):
+    """The trace's samples and residuals by repr, or the error it raised."""
+    try:
+        trace = section(ps, grid)
+    except (OverflowError, ZeroDivisionError) as err:  # theta ran off
+        return type(err), str(err)
+    return repr((trace.samples, trace.residuals))
+
+
+_BRANCH_KINDS = (geo.SectionBranch.TRIG, geo.SectionBranch.HYPERBOLIC_COSH, geo.SectionBranch.HYPERBOLIC_SINH)
+
+
+def test_a_trig_section_far_from_theta_zero_is_traced():
+    # theta past the range of cosh: only the trig functions are evaluated
+    ps = geo.make_plane_section(I3, 1.0, 1.0, 0.5, theta0=800.0)
+    trace = geo.plane_section(ps, [k * 1e-2 for k in range(11)])
+    assert max(trace.residuals["plane"]) <= 1e-9 and max(trace.residuals["sphere"]) <= 1e-9
+
+
 def _sphere_patch_for(ps, pad=6.0):
     base = geo.section_sphere_patch(ps)
     return srf.SurfacePatch(
@@ -197,6 +240,17 @@ def test_step_count_is_bounded_before_integrating(t_end, step):
         geo.integrate(sphere, RELATIVE, 0.0, 0.0, 1.0, 0.0, t_end, step)
     with pytest.raises(TooManySteps):
         geo.cross_check_sphere_geodesic(2.0, 0.0, 0.0, I3, t_end, step)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, -0.0, -math.inf])
+def test_a_non_positive_end_time_is_rejected(t_end):
+    # these once gave a trace ending at t = -1.0, two equal samples at
+    # t = 0, or an OverflowError from round(-inf)
+    plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
+    with pytest.raises(StepNotPositive, match=r"t_end must be > 0"):
+        geo.integrate(plane, RELATIVE, 0.0, 0.0, 1.0, 0.0, t_end, 0.1)
+    # a positive end time whose ratio to the step underflows is one step
+    assert [smp.t for smp in geo.integrate(plane, RELATIVE, 0.0, 0.0, 1.0, 0.0, 5e-324, 1.0).samples] == [0.0, 5e-324]
 
 
 def test_step_count_bound_is_inclusive():
@@ -338,17 +392,16 @@ def test_non_finite_start_velocity_is_rejected():
                 geo.integrate(plane, gkind, 0.1, 0.2, *velocity, 1.0, 1e-2)
 
 
-def test_a_stage_that_overflows_the_position_halts_as_non_finite(monkeypatch):
+def test_a_stage_that_overflows_the_position_halts_as_non_finite():
     # a stage position of inf or nan is outside the domain, but says more;
-    # the first stage of a step goes through _rhs, the others through the
-    # compiled stage kernel, which halt alike
+    # the stage kernel halts alike at a step's sample (sample=True) and at
+    # its other three stages
     plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
-    for gkind in (RELATIVE, LEVI_CIVITA):
+    for gkind, sample in itertools.product((RELATIVE, LEVI_CIVITA), (True, False)):
         kernel = geo._accel_kernel(plane, gkind)
-        stages = (lambda *a: geo._rhs(plane, gkind, *a), kernel)
-        for stage, (u, reason) in itertools.product(stages, [(math.nan, "non_finite"), (1e300, "left_domain")]):
+        for u, reason in [(math.nan, "non_finite"), (1e300, "left_domain")]:
             with pytest.raises(geo._Halt) as halt:
-                stage(u, 0.2, 1.0, 0.0)
+                kernel(u, 0.2, 1.0, 0.0, sample)
             assert halt.value.reason == reason
 
 
@@ -386,14 +439,13 @@ def test_a_start_inside_the_guard_band_is_a_lightlike_start():
 
 
 @pytest.mark.parametrize("gkind", [RELATIVE, LEVI_CIVITA])
-def test_a_completed_trace_builds_four_frames_per_step_and_one_more(monkeypatch, gkind):
-    # four jet evaluations per step and one more (the start point is the
-    # first stage of the first step, evaluated once), but one frame per
-    # step: the first stage builds the sample's frame, and the other three
-    # run the compiled stage kernel, which builds none
+def test_a_trace_calls_the_stage_kernel_4n_plus_1_times(monkeypatch, gkind):
+    # four stage kernel calls per step and one more (the start point is the
+    # first stage of the first step, evaluated once); the first stage of
+    # each step, and the end point, also return the sample.  No frame is built
     helicoid = catalog.make("helicoid", IP3, {"c": 0.6})
     frames, stages = [], []
-    real_frame_at, real_kernel = geo.frame_at, geo._accel_kernel
+    real_frame_at, real_kernel = srf.frame_at, geo._accel_kernel
 
     def counting_frame_at(s, u, v):
         frames.append((u, v))
@@ -402,18 +454,19 @@ def test_a_completed_trace_builds_four_frames_per_step_and_one_more(monkeypatch,
     def counting_kernel(s, g):
         kernel = real_kernel(s, g)
 
-        def stage(u, v, du, dv):
-            stages.append((u, v))
-            return kernel(u, v, du, dv)
+        def stage(u, v, du, dv, sample=False):
+            stages.append((u, v, sample))
+            return kernel(u, v, du, dv, sample)
 
         return stage
 
-    monkeypatch.setattr(geo, "frame_at", counting_frame_at)
+    for module in (srf, con, geo):
+        monkeypatch.setattr(module, "frame_at", counting_frame_at, raising=False)
     monkeypatch.setattr(geo, "_accel_kernel", counting_kernel)
     trace = geo.integrate(helicoid, gkind, 2.0, 0.1, 0.3, -0.25, 1.0, 1e-3)
     assert trace.completed and len(trace.samples) == 1001
-    assert len(frames) == 1000 + 1 and len(frames) + len(stages) == 4 * 1000 + 1
-    assert frames[0] == (2.0, 0.1)
+    assert len(stages) == 4 * 1000 + 1 and sum(sample for _, _, sample in stages) == 1000 + 1
+    assert frames == [] and stages[0] == (2.0, 0.1, True)
     assert "accel_kernels" not in vars(pickle.loads(pickle.dumps(helicoid)))
 
 
