@@ -16,7 +16,7 @@ squaring so negative bases work; any other exponent goes through
 exp(b*log(a)) and requires a positive base.
 
 Parsing is total: the first error aborts with the byte offset of the
-offending token.  Trees are immutable; evaluation is pure.
+offending token, and nesting past ``MAX_DEPTH`` is such an error.  Trees are immutable; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    """Each rule takes the ``level`` it parses at, the depth of its node in
-    the tree with each enclosing parenthesis counted as one more, and
-    returns the node with its height."""
+    """Each rule takes the nesting ``level`` it parses at, one more for each
+    enclosing parenthesis, function call, negation and exponent, and
+    returns its node with the node's height."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
