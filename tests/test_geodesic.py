@@ -163,7 +163,7 @@ def test_plane_sections_match_the_per_branch_reference():
         got = _outcome(geo.plane_section, ps, grid)
         assert got == _outcome(sectionref.plane_section, ps, grid)
         traced += isinstance(got, str)
-    assert min(branches.count(branch) for branch in _BRANCH_KINDS) >= 50
+    assert min(branches.count(branch) for branch in geo._BRANCHES) >= 50
     assert traced >= 0.9 * len(branches)
 
 
@@ -174,9 +174,6 @@ def _outcome(section, ps, grid):
     except (OverflowError, ZeroDivisionError) as err:  # theta ran off
         return type(err), str(err)
     return repr((trace.samples, trace.residuals))
-
-
-_BRANCH_KINDS = (geo.SectionBranch.TRIG, geo.SectionBranch.HYPERBOLIC_COSH, geo.SectionBranch.HYPERBOLIC_SINH)
 
 
 def test_a_trig_section_far_from_theta_zero_is_traced():
