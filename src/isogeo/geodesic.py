@@ -378,14 +378,14 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
     inv_p = 1.0 / ps.p
     theta = ps.theta0
     for idx, t in enumerate(t_grid):
-        (px, py, pz), (d1x, d1y, d1z), (d2x, d2y, d2z), dd, d_dd = _section_jet(ps, theta)
-        theta_dot = const / dd
+        (px, py, pz), (d1x, d1y, d1z), (d2x, d2y, d2z), den, den_prime = _section_jet(ps, theta)
+        theta_dot = const / den
         samples.append(TraceSample(float(t), px, py, d1x * theta_dot, d1y * theta_dot, px, py, pz))
         p_res, s_res = section_residuals(ps, px, py, pz)
         plane_res.append(p_res)
         sphere_res.append(s_res)
         # gamma'' = P'' theta'^2 + P' theta'' with theta'' = F'(theta) F(theta)
-        theta_dd = -const * d_dd / (dd * dd) * theta_dot
+        theta_dd = -const * den_prime / (den * den) * theta_dot
         sq = theta_dot * theta_dot
         parallel_res.append(_parallel_residual(
             sq * d2x + theta_dd * d1x, sq * d2y + theta_dd * d1y, sq * d2z + theta_dd * d1z,
