@@ -409,24 +409,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             nu, nv = _parse_grid(args.grid)
             return cmd_sample(patch, nu, nv, args.format, args.out)
         raise SpecError(f"unknown command {args.command!r}")
-    except (LightlikePointHit, LeftDomain, NonFiniteStart) as err:
+    except IsoGeoError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_START
-    except NotAdmissible as err:
-        if args.command == "geodesic":
-            print(f"error: {err}", file=sys.stderr)
+        bad_start = (LightlikePointHit, LeftDomain, NonFiniteStart)
+        if isinstance(err, bad_start) or (isinstance(err, NotAdmissible) and args.command == "geodesic"):
             return EXIT_BAD_START
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SPEC
-    except (SpecError, BadParam, ExprSyntaxError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_SPEC
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except IsoGeoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SPEC
 
 
 def entry() -> None:

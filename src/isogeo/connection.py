@@ -31,6 +31,7 @@ and S = diag(1, +/-1):
     d_k rho_ij   = (d_k h_ij - rho_ij d_k denom) / denom
     d_k xi_ij    = d_k gamma_ij - d_k rho_ij w - rho_ij M^-1 (d_k xi_top - w^l (x_lk)_top)
     d_k xi_top   = -S M^-T h_k
+    d_k denom    = <S xi_top, d_k xi_top>
 
 These formulas, the tensors, the Codazzi residuals and the Gauss sides
 are one numpy call each on arrays with a leading point axis: at the
@@ -111,31 +112,6 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
     return coeffs_of_frame(frame_at(s, u, v))
 
 
-def denom_gradient_of_frame(f: PointFrame) -> tuple[float, float]:
-    """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
-    coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
-    derivatives are needed, and the 2-jet gives those."""
-    x1, x2 = (f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)
-
-    def d_minor(i: int, j: int, d1: tuple, d2: tuple) -> float:
-        # derivative of x1_i x2_j - x1_j x2_i, given the derivatives d1, d2
-        # of x1 and x2 along one coordinate
-        return d1[i] * x2[j] + x1[i] * d2[j] - d1[j] * x2[i] - x1[j] * d2[i]
-
-    a = f.m23 / f.m12
-    b = f.m31 / f.m12  # B up to sign; denom depends on B^2 only
-    sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
-    grad = []
-    x11, x12 = (f.x11_x, f.x11_y, f.x11_z), (f.x12_x, f.x12_y, f.x12_z)
-    x22 = (f.x22_x, f.x22_y, f.x22_z)
-    for d1, d2 in ((x11, x12), (x12, x22)):
-        dm12 = d_minor(0, 1, d1, d2)
-        da = (d_minor(1, 2, d1, d2) - a * dm12) / f.m12
-        db = (d_minor(2, 0, d1, d2) - b * dm12) / f.m12
-        grad.append(a * da + sign * b * db)
-    return grad[0], grad[1]
-
-
 # The connections' arithmetic as source lines, from the frame lines' names
 # (``surface.frame_lines``); the only copy, run by the functions below and
 # by the compiled geodesic stages.  Levi-Civita: the top-view solve
@@ -145,6 +121,12 @@ GAMMA_LINES = (
     "ga111, ga112 = (xuu * yv - yuu * xv) / m12, (xu * yuu - yu * xuu) / m12",
     "ga121, ga122 = (xuv * yv - yuv * xv) / m12, (xu * yuv - yu * xuv) / m12",
     "ga221, ga222 = (xvv * yv - yvv * xv) / m12, (xu * yvv - yu * xvv) / m12",
+)
+# d_k denom, for k = 1, 2, from the formulas of the module docstring: with
+# S^2 = 1 these are the same lines in both spaces, over the frame's a and b
+DENOM_GRADIENT_LINES = (
+    "dd1 = -(a * (yv * h11 - yu * h12) + b * (xu * h12 - xv * h11)) / m12",
+    "dd2 = -(a * (yv * h12 - yu * h22) + b * (xu * h22 - xv * h12)) / m12",
 )
 RELATIVE_GLOBALS = {"LIGHTLIKE_HARD_TOL": LIGHTLIKE_HARD_TOL, "LightlikePoint": LightlikePoint}
 
@@ -184,9 +166,9 @@ denom_of_frame = _of_frame(
     "|xi_top|^2 + xi_z without solving for the coefficients.",
     "denom_of_frame(f)", *by_kind(denom_lines), "return denom",
 )
-gamma6_of_frame = _of_frame(
-    "Levi-Civita coefficients alone; regular even at lightlike points.",
-    "gamma6_of_frame(f)", *GAMMA_LINES, "return (ga111, ga112, ga121, ga122, ga221, ga222)",
+denom_gradient_of_frame = _of_frame(
+    "Exact gradient (d1 denom, d2 denom) in the frame's own coordinates.",
+    "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
 )
 coeffs_of_frame = _of_frame(
     "Both connections at a frame; raises LightlikePoint where the relative\n"
@@ -295,6 +277,17 @@ def _curvature_tensor(coef: np.ndarray, d_coef: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(-2, -1)
 
 
+def _relative_tensors(b: CoeffDerivatives) -> tuple[np.ndarray, np.ndarray]:
+    """The relative curvature tensor R^e_abc and g_ed R^e_abc, [..., d, a, b, c]."""
+    r_rel = _curvature_tensor(b.xi, b.d_xi)
+    return r_rel, np.einsum("...ed,...eabc->...dabc", b.g, r_rel)
+
+
+def flatness_residuals(b: CoeffDerivatives) -> np.ndarray:
+    """max |R^l_ijk| of the Levi-Civita curvature tensor at each point."""
+    return _point_max(_curvature_tensor(b.gamma, b.d_gamma), 4)
+
+
 class CurvatureTensorSample(NamedTuple):
     r_lc: np.ndarray  # [l, i, j, k] Levi-Civita curvature tensor
     r_rel: np.ndarray  # [l, i, j, k] relative curvature tensor
@@ -304,9 +297,7 @@ class CurvatureTensorSample(NamedTuple):
 
 def curvature_tensors_at(s: SurfacePatch, u: float, v: float) -> CurvatureTensorSample:
     d = coeff_derivatives_at(s, u, v)
-    r_rel = _curvature_tensor(d.xi, d.d_xi)
-    r_lowered = np.einsum("...ed,...eabc->...dabc", d.g, r_rel)  # g_ed R^e_abc
-    return CurvatureTensorSample(_curvature_tensor(d.gamma, d.d_gamma), r_rel, r_lowered, d.coeffs)
+    return CurvatureTensorSample(_curvature_tensor(d.gamma, d.d_gamma), *_relative_tensors(d), d.coeffs)
 
 
 class EgregiumResult(NamedTuple):
@@ -320,7 +311,7 @@ def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
     """Both sides of K = denom * R_2112 / det(g) at each point of the batch
     ``b``: the left uses only the relative connection and Gauss map, the
     right the extrinsic forms."""
-    r_lowered = np.einsum("...ed,...eabc->...dabc", b.g, _curvature_tensor(b.xi, b.d_xi))
+    r_lowered = _relative_tensors(b)[1]
     for k_tensor, c in zip((b.denom * r_lowered[:, 1, 0, 0, 1] / b.det_g).tolist(), b.coeffs):
         k_ext = gaussian_curvature(c.frame)
         abs_err = abs(k_tensor - k_ext)
@@ -336,45 +327,45 @@ class CodazziResiduals(NamedTuple):
     levi_civita: float  # max |h_ab,c - h_ac,b + gamma_ab^d h_dc - gamma_ac^d h_db|
 
 
-def _codazzi(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """max over a, b, c of |F_ab,c - F_ac,b + C_ab^d F_cd - C_ac^d F_bd|, per point."""
-    t = d_form + np.einsum("...abd,...cd->...abc", coef, form)
-    return _point_max(t - t.swapaxes(-2, -1), 3)
+def codazzi_residuals(b: CoeffDerivatives) -> CodazziResiduals:
+    """Both Codazzi residuals at each point of the batch ``b``, as arrays."""
+
+    def residual(d_form: np.ndarray, coef: np.ndarray, form: np.ndarray) -> np.ndarray:
+        t = d_form + np.einsum("...abd,...cd->...abc", coef, form)
+        return _point_max(t - t.swapaxes(-2, -1), 3)
+
+    return CodazziResiduals(residual(b.d_rho, b.xi, b.rho), residual(b.d_h, b.gamma, b.h))
 
 
 def codazzi_residual(s: SurfacePatch, u: float, v: float) -> CodazziResiduals:
-    return _codazzi_of_derivatives(coeff_derivatives_at(s, u, v))
+    return CodazziResiduals(*map(float, codazzi_residuals(coeff_derivatives_at(s, u, v))))
 
 
-def _codazzi_of_derivatives(d: CoeffDerivatives) -> CodazziResiduals:
-    return CodazziResiduals(float(_codazzi(d.d_rho, d.xi, d.rho)), float(_codazzi(d.d_h, d.gamma, d.h)))
-
-
-def gauss_equation_rhs(
-    s: SurfacePatch, u: float, v: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gauss_rhs(b: CoeffDerivatives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three equivalent right-hand sides of the Gauss equation for the
-    relative connection, each indexed [e, a, b, c]:
+    relative connection at each point of the batch ``b``, each indexed
+    [..., e, a, b, c]:
 
         (rho_ab h_cd  - rho_ac h_bd ) g^{ed}
         (h_ab   h_cd  - h_ac   h_bd ) g^{ed} / denom
         (rho_ab rho_cd - rho_ac rho_bd) g^{ed} * denom
     """
-    return _gauss_rhs_of_coeffs(coeffs_at(s, u, v))
-
-
-def _gauss_rhs_of_coeffs(c: ConnectionCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _gauss_rhs(c.frame.g_inv, c.frame.h, c.rho, np.asarray(c.denom))
-
-
-def _gauss_rhs(
-    g_inv: np.ndarray, h: np.ndarray, rho: np.ndarray, denom: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``gauss_equation_rhs`` from the forms, indexed [..., e, a, b, c]."""
 
     def form(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        t = np.einsum("...ab,...cd,...ed->...eabc", left, right, g_inv)
+        t = np.einsum("...ab,...cd,...ed->...eabc", left, right, b.g_inv)
         return t - t.swapaxes(-2, -1)
 
-    denom = denom[..., None, None, None, None]
-    return form(rho, h), form(h, h) / denom, form(rho, rho) * denom
+    denom = b.denom[..., None, None, None, None]
+    return form(b.rho, b.h), form(b.h, b.h) / denom, form(b.rho, b.rho) * denom
+
+
+def gauss_equation_rhs(s: SurfacePatch, u: float, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gauss_rhs`` at the one point (u, v), each side indexed [e, a, b, c]."""
+    return gauss_rhs(coeff_derivatives_at(s, u, v))
+
+
+def gauss_residuals(b: CoeffDerivatives) -> np.ndarray:
+    """max |difference| of the Gauss sides (1, 2), (2, 3) and (1, 3), in
+    that order along the last axis, at each point of the batch ``b``."""
+    rhs1, rhs2, rhs3 = gauss_rhs(b)
+    return np.stack([_point_max(x - y, 4) for x, y in ((rhs1, rhs2), (rhs2, rhs3), (rhs1, rhs3))], axis=-1)

@@ -72,8 +72,9 @@ class BadParam(IsoGeoError):
 
 
 class DegenerateBranch(IsoGeoError):
-    """Plane section degenerates to a pair of straight lines (R = 0);
-    use :func:`isogeo.geodesic.line_pair` to obtain them."""
+    """Plane section degenerates to a pair of straight lines (R = 0), for
+    which :func:`isogeo.geodesic.line_pair` gives them, or its parameters
+    define none: p = 0, or p, a, b, theta0 or theta_dot0 not finite."""
 
 
 class SpecError(IsoGeoError):

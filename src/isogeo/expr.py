@@ -679,17 +679,6 @@ def compile_function(signature: str, lines, namespace: dict) -> Callable:
     return namespace.pop(name)
 
 
-def _compile_pow_int_factors() -> Callable[[float, int], tuple[float, float, float]]:
-    writer = _KernelWriter(2)
-    factors = writer.pow_int_factors("x", "n", "f3")
-    doc = repr("(f1, f2, f3) of t -> t^n at x, by the lines of a kernel's run-time integer power.")
-    lines = [doc, *writer.lines, f"return {', '.join(factors)}"]
-    return compile_function("_pow_int_factors(x, n)", lines, writer.namespace)
-
-
-_pow_int_factors = _compile_pow_int_factors()
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _ATOM_PREC = 9
 

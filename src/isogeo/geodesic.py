@@ -305,6 +305,9 @@ def make_plane_section(
 ) -> PlaneSection:
     if p == 0.0:
         raise DegenerateBranch("sphere parameter p must be non-zero")
+    params = (p, a, b, theta0, theta_dot0)
+    if not all(map(math.isfinite, params)):
+        raise DegenerateBranch(f"plane section parameters must be finite, got {params!r}")
     if kind is SpaceKind.SIMPLY_ISOTROPIC:
         r = math.sqrt(1.0 + a * a + b * b)
         branch = SectionBranch.TRIG

@@ -36,14 +36,13 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
-    _codazzi,
-    _curvature_tensor,
-    _gauss_rhs,
-    _point_max,
+    codazzi_residuals,
     coeff_derivatives,
     denom_gradient_of_frame,
     denom_of_frame,
     egregium_checks,
+    flatness_residuals,
+    gauss_residuals,
 )
 from .errors import IsoGeoError, SpecError
 from .geodesic import cross_check_sphere_geodesic
@@ -68,6 +67,10 @@ BASIC_DENOM_GUARD = 1e-3
 # Points per batch of the tensor suites: their memory does not grow with
 # --samples, and their bits do not depend on it.
 POINT_BLOCK = 256
+
+# Random wave-form graphs the minimal suite adds to the catalog's; a
+# user-supplied surface gets none.
+RANDOM_WAVES = 5
 
 SUITES = ("flatness", "egregium", "codazzi", "umbilic", "minimal", "sphere-geodesics")
 
@@ -185,7 +188,7 @@ def suite_flatness(
     for patch in patches:
         worst = 0.0
         for b in _blocks(_sample(patch, n, rng, 2.0 * fd_step, BASIC_DENOM_GUARD, patch.jet3_kernel)):
-            worst = max(worst, *_point_max(_curvature_tensor(b.gamma, b.d_gamma), 4).tolist())
+            worst = max(worst, *flatness_residuals(b).tolist())
         out.append(CheckResult("flatness", _label(patch), n, worst, tol, worst <= tol))
     return out
 
@@ -239,14 +242,10 @@ def suite_codazzi(
         worst_rel = worst_lc = worst_gauss = 0.0
         sampled = _sample(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD, patch.jet3_kernel)
         for b in _blocks(sampled):
-            # one order-3 jet per point; its first 18 floats are the
-            # order-2 jet's, so the Gauss sides match gauss_equation_rhs
-            rhs1, rhs2, rhs3 = _gauss_rhs(b.g_inv, b.h, b.rho, b.denom)
-            pairs = ((rhs1, rhs2), (rhs2, rhs3), (rhs1, rhs3))
-            gauss = zip(*(_point_max(x - y, 4).tolist() for x, y in pairs))
-            worst_rel = max(worst_rel, *_codazzi(b.d_rho, b.xi, b.rho).tolist())
-            worst_lc = max(worst_lc, *_codazzi(b.d_h, b.gamma, b.h).tolist())
-            worst_gauss = max(worst_gauss, *(r for point in gauss for r in point))
+            relative, levi_civita = codazzi_residuals(b)
+            worst_rel = max(worst_rel, *relative.tolist())
+            worst_lc = max(worst_lc, *levi_civita.tolist())
+            worst_gauss = max(worst_gauss, *gauss_residuals(b).ravel().tolist())
         label = _label(patch)
         out.append(CheckResult("codazzi", label, n, worst_rel, tol, worst_rel <= tol))
         out.append(CheckResult("codazzi_lc", label, n, worst_lc, tol, worst_lc <= tol))
@@ -309,7 +308,7 @@ def suite_minimal(
     fd_step: float,
     wave_tol: float = 1e-10,
     harmonic_tol: float = 1e-8,
-    n_random_waves: int = 5,
+    n_random_waves: int = RANDOM_WAVES,
 ) -> list[CheckResult]:
     rng = SplitMix64(seed)
     out = []
@@ -396,26 +395,17 @@ def run_verify(
     SpecError rather than pass vacuously."""
     target = verification_patches() if patches is None else patches
     fd_step = DEFAULT_FD_STEP
-    user_supplied = patches is not None
+    per_patch = {
+        "flatness": suite_flatness, "egregium": suite_egregium,
+        "codazzi": suite_codazzi, "umbilic": suite_umbilic,
+    }
     checks: list[CheckResult] = []
     for suite in suites:
-        if suite == "flatness":
-            checks += suite_flatness(target, samples, seed, fd_step)
-        elif suite == "egregium":
-            checks += suite_egregium(target, samples, seed, fd_step)
-        elif suite == "codazzi":
-            checks += suite_codazzi(target, samples, seed, fd_step)
-        elif suite == "umbilic":
-            checks += suite_umbilic(target, samples, seed, fd_step)
+        if suite in per_patch:
+            checks += per_patch[suite](target, samples, seed, fd_step)
         elif suite == "minimal":
-            if user_supplied:
-                applicable = [
-                    p for p in target if p.name in ("minimal_wave", "minimal_harmonic")
-                ]
-                if applicable:
-                    checks += suite_minimal(applicable, samples, seed, fd_step, n_random_waves=0)
-            else:
-                checks += suite_minimal(target, samples, seed, fd_step)
+            waves = RANDOM_WAVES if patches is None else 0
+            checks += suite_minimal(target, samples, seed, fd_step, n_random_waves=waves)
         elif suite == "sphere-geodesics":
             checks += suite_sphere_geodesics()
         else:

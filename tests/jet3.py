@@ -16,7 +16,18 @@ import math
 
 import jets
 from jets import ONE, ZERO, Jet2
-from isogeo.expr import Binary, Const, Expr, Unary, Var, _pow_int_factors
+from isogeo.expr import Binary, Const, Expr, Unary, Var, _KernelWriter, compile_function
+
+
+def _compile_pow_int_factors():
+    writer = _KernelWriter(2)
+    factors = writer.pow_int_factors("x", "n", "f3")
+    doc = repr("(f1, f2, f3) of t -> t^n at x, by the lines of a kernel's run-time integer power.")
+    lines = [doc, *writer.lines, f"return {', '.join(factors)}"]
+    return compile_function("pow_int_factors(x, n)", lines, writer.namespace)
+
+
+pow_int_factors = _compile_pow_int_factors()
 
 
 def _pair(a, b):
@@ -131,7 +142,7 @@ def powj(a, b):
     if n is None:
         return tuple(map(float, real_power(a, b)))
     low = _order2(jets.powj(*_pair(a, b)))
-    return low + tuple(map(float, _third(a, *_pow_int_factors(float(a[0]), n))))
+    return low + tuple(map(float, _third(a, *pow_int_factors(float(a[0]), n))))
 
 
 def eval_jet3(e: Expr, u: float, v: float) -> tuple:

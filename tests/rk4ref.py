@@ -12,11 +12,16 @@ from __future__ import annotations
 
 import math
 
-from isogeo.connection import LIGHTLIKE_GUARD_BAND, coeffs_of_frame, denom_of_frame, gamma6_of_frame
+from isogeo.connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, _of_frame, coeffs_of_frame, denom_of_frame
 from isogeo.errors import LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import E3, SpaceKind, Vec3, cross_euclid, cross_lorentz
 from isogeo.surface import frame_at
+
+gamma6_of_frame = _of_frame(
+    "Levi-Civita coefficients alone; regular even at lightlike points.",
+    "gamma6_of_frame(f)", *GAMMA_LINES, "return (ga111, ga112, ga121, ga122, ga221, ga222)",
+)
 
 
 def cross_background(kind: SpaceKind, u: Vec3, v: Vec3) -> Vec3:

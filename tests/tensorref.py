@@ -4,6 +4,9 @@ The same formulas as the module docstring there, evaluated one point at a
 time on (2, 2, ...) arrays with no leading point axis, as the package did
 before it batched the points of a patch.  The batched code must match
 these functions bit for bit, errors (type and message) included.
+``denom_gradient_by_minors`` is the gradient of denom as the package
+derived it before it read it off the Gauss map's derivative: from the
+derivatives of the minors, an independent derivation to compare with.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from isogeo.connection import (
     denom_of_frame,
 )
 from isogeo.isotropy import SpaceKind
-from isogeo.surface import frame_at, frame_of_jet, gaussian_curvature
+from isogeo.surface import PointFrame, frame_at, frame_of_jet, gaussian_curvature
 
 CoeffDerivatives = namedtuple("CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h")
 
@@ -38,6 +41,31 @@ def _frame_arrays(f):
 
 def denom_at(s, u: float, v: float) -> float:
     return denom_of_frame(frame_at(s, u, v))
+
+
+def denom_gradient_by_minors(f: PointFrame) -> tuple[float, float]:
+    """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
+    coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
+    derivatives are needed, and the 2-jet gives those."""
+    x1, x2 = (f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)
+
+    def d_minor(i: int, j: int, d1: tuple, d2: tuple) -> float:
+        # derivative of x1_i x2_j - x1_j x2_i, given the derivatives d1, d2
+        # of x1 and x2 along one coordinate
+        return d1[i] * x2[j] + x1[i] * d2[j] - d1[j] * x2[i] - x1[j] * d2[i]
+
+    a = f.m23 / f.m12
+    b = f.m31 / f.m12  # B up to sign; denom depends on B^2 only
+    sign = 1.0 if f.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
+    grad = []
+    x11, x12 = (f.x11_x, f.x11_y, f.x11_z), (f.x12_x, f.x12_y, f.x12_z)
+    x22 = (f.x22_x, f.x22_y, f.x22_z)
+    for d1, d2 in ((x11, x12), (x12, x22)):
+        dm12 = d_minor(0, 1, d1, d2)
+        da = (d_minor(1, 2, d1, d2) - a * dm12) / f.m12
+        db = (d_minor(2, 0, d1, d2) - b * dm12) / f.m12
+        grad.append(a * da + sign * b * db)
+    return grad[0], grad[1]
 
 
 def reassemble_second_derivatives(c) -> tuple[float, float]:

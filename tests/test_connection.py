@@ -290,6 +290,30 @@ def test_denom_gradient_matches_central_differences(seed):
             assert abs(gu - fd_u) <= 1e-7 * scale and abs(gv - fd_v) <= 1e-7 * scale, patch.name
 
 
+@pytest.mark.parametrize("kind", [I3, IP3])
+@pytest.mark.parametrize("graph, swap", [(True, False), (False, False), (False, True)])
+def test_denom_gradient_matches_the_minor_derivatives(kind, graph, swap):
+    # the gradient read off the Gauss map's derivative against the
+    # derivatives of the minors, on random surfaces
+    rng = SplitMix64(41)
+    frames = swapped = 0
+    for seed in range(40):
+        patch = _random_patch(1000 + seed, kind, graph, swap)
+        for _ in range(30):
+            try:
+                f = srf.frame_at(patch, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            except IsoGeoError:
+                continue
+            if not all(map(np.isfinite, f[4:])):
+                continue
+            got, want = con.denom_gradient_of_frame(f), tensorref.denom_gradient_by_minors(f)
+            err = max(abs(g - w) / (1.0 + np.hypot(*want)) for g, w in zip(got, want))
+            assert err <= 1e-12, (patch.name, f.u, f.v, got, want)
+            frames += 1
+            swapped += f.swapped
+    assert frames >= 300 and (swapped > frames // 2 if swap else swapped < frames // 2)
+
+
 def test_lightlike_point_raises():
     hel = catalog.make("helicoid", IP3, {"c": 1.0})
     with pytest.raises(LightlikePoint):
@@ -334,10 +358,12 @@ def test_swapped_parameterization_keeps_identities():
 def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
     patch = catalog.make("helicoid", IP3, {"c": 1.0})
     u, v = 1.3, 0.2
-    expected = [arr.tolist() for arr in con.gauss_equation_rhs(patch, u, v)]
+    # the order-3 jet's first 18 floats are the order-2 jet's, so the
+    # batch's Gauss sides are those of the frame from ``frame_at``
+    expected = [arr.tolist() for arr in tensorref.gauss_equation_rhs(patch, u, v)]
     d = con.coeff_derivatives_at(patch, u, v)
-    assert [arr.tolist() for arr in con._gauss_rhs_of_coeffs(d.coeffs)] == expected
-    assert con._codazzi_of_derivatives(d) == con.codazzi_residual(patch, u, v)
+    assert [arr.tolist() for arr in con.gauss_rhs(d)] == expected
+    assert _bits(con.codazzi_residuals(d)) == _bits(tensorref.codazzi_residual(patch, u, v))
 
     def second_frame(*args):
         raise AssertionError("the codazzi suite built a second frame")
@@ -381,22 +407,26 @@ def _assert_batch_matches_reference(patch, points):
         assert (type(err), str(err)) == expected
         return None
     assert not isinstance(expected, tuple), expected
-    rhs = con._gauss_rhs(b.g_inv, b.h, b.rho, b.denom)
+    rhs, gauss = con.gauss_rhs(b), con.gauss_residuals(b)
     r_lc, r_rel = con._curvature_tensor(b.gamma, b.d_gamma), con._curvature_tensor(b.xi, b.d_xi)
-    egregium = list(con.egregium_checks(b))
+    flat, cod, egregium = con.flatness_residuals(b), con.codazzi_residuals(b), list(con.egregium_checks(b))
     for i, d in enumerate(expected):
         c = d.coeffs
         assert repr(b.coeffs[i]) == repr(c)
         for got, want in zip((b.d_gamma, b.d_xi, b.d_rho, b.d_h), d[1:]):
             assert _same(got[i], want)
         assert _same(r_lc[i], tensorref.curvature_tensor(c.gamma, d.d_gamma))
+        assert repr(float(flat[i])) == repr(float(np.abs(r_lc[i]).max()))
         assert _same(r_rel[i], tensorref.curvature_tensor(c.xi_coeffs, d.d_xi))
         assert _bits(egregium[i]) == _bits(tensorref.egregium_check(patch, *points[i]))
         want = tensorref.codazzi_of_derivatives(d)
-        assert repr(float(con._codazzi(b.d_rho, b.xi, b.rho)[i])) == repr(want.relative)
-        assert repr(float(con._codazzi(b.d_h, b.gamma, b.h)[i])) == repr(want.levi_civita)
-        for got, want in zip(rhs, tensorref.gauss_rhs_of_coeffs(c)):
+        assert repr(float(cod.relative[i])) == repr(want.relative)
+        assert repr(float(cod.levi_civita[i])) == repr(want.levi_civita)
+        sides = tensorref.gauss_rhs_of_coeffs(c)
+        for got, want in zip(rhs, sides):
             assert _same(got[i], want)
+        pairs = ((0, 1), (1, 2), (0, 2))
+        assert repr(gauss[i].tolist()) == repr([float(np.abs(sides[x] - sides[y]).max()) for x, y in pairs])
     # the one-point entry points are the batch of one
     u, v = points[0]
     got, want = con.curvature_tensors_at(patch, u, v), tensorref.curvature_tensors_at(patch, u, v)

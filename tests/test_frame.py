@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import rk4ref
 from genexpr import random_expr
 from isogeo import catalog
 from isogeo import connection as con
@@ -261,7 +262,7 @@ def test_coefficient_arrays_equal_their_tuples_and_are_symmetric():
             assert bits(arr[0, 1]) == bits(arr[1, 0])
         assert bits(c.rho[i, j] for i, j in order) == bits(c.rho3)
         assert bits(c.rho[0, 1:]) == bits(c.rho[1, :1])
-        assert bits(con.gamma6_of_frame(c.frame)) == bits(c.gamma6)
+        assert bits(rk4ref.gamma6_of_frame(c.frame)) == bits(c.gamma6)
         for arr in (c.gamma, c.xi_coeffs, c.rho):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0

@@ -112,6 +112,18 @@ def test_degenerate_branch_errors():
         geo.make_plane_section(I3, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("kind", [I3, IP3])
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_section_parameter_is_a_degenerate_branch(kind, index, bad):
+    # p, a, b, theta0, theta_dot0 of a trig, cosh and sinh section; with
+    # one of them not finite, plane_section gave samples of nan or inf
+    for params in ([1.0, 0.5, 0.2, 0.0, 1.0], [1.0, 2.0, 0.0, 0.3, 1.0], [1.0, 0.0, 2.0, 0.3, 1.0]):
+        params[index] = bad
+        with pytest.raises(DegenerateBranch, match="must be finite"):
+            geo.make_plane_section(kind, *params)
+
+
 def test_line_pair_lies_on_sphere_and_plane():
     lp = geo.make_plane_section(IP3, 1.5, 1.0, math.sqrt(2.0))
     grid = [k * 0.05 - 1.0 for k in range(41)]

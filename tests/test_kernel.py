@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from genexpr import random_expr, random_expr_full
 from jet2ref import eval_jet2
-from jet3 import walk3
+from jet3 import pow_int_factors, walk3
 from isogeo import catalog, cli
 from isogeo import expr as ex
 from isogeo import geodesic as geo
@@ -274,13 +274,13 @@ def test_third_partials_are_differences_of_exact_second_partials(seed, u, v):
 def test_pow_int_factors(n):
     for x in (-1.5, 0.75, 2.0):
         want = (n * x ** (n - 1), n * (n - 1) * x ** (n - 2), n * (n - 1) * (n - 2) * x ** (n - 3))
-        got = ex._pow_int_factors(x, n)
+        got = pow_int_factors(x, n)
         assert all(abs(g - w) <= 1e-14 * (1.0 + abs(w)) for g, w in zip(got, want)), (x, n, got)
     if n >= 0:  # at 0 a factor is 0 or n!, never a division
-        assert ex._pow_int_factors(0.0, n) == tuple(
+        assert pow_int_factors(0.0, n) == tuple(
             float(math.perm(n, k)) if n == k else 0.0 for k in (1, 2, 3)
         )
-    assert ex._pow_int_factors(1e200, 7)[0] == math.inf  # overflow, not OverflowError
+    assert pow_int_factors(1e200, 7)[0] == math.inf  # overflow, not OverflowError
 
 
 def test_runtime_integer_power_raises_only_where_order_2_does():
