@@ -364,45 +364,84 @@ def section_residuals(ps: PlaneSection, x: float, y: float, z: float) -> tuple[f
 def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
     """Trace the section curve over the given times.  The angular speed
     law theta' D(theta) = const is exact; theta(t) itself comes from RK4
-    on theta' = F(theta), one step per grid interval."""
+    on theta' = F(theta), one step per grid interval.  The law has no
+    continuation past a zero of D, so, as ``integrate`` does, the trace
+    keeps the samples before the first step whose sample or stage has a
+    D that is zero or of the other sign from D(theta0), and stops flagged
+    ``lightlike``; where theta or the section overflows it stops
+    ``non_finite``.  A section that cannot be traced from theta0 is a
+    DegenerateBranch."""
     if ps.branch is SectionBranch.LINE_PAIR:
         raise DegenerateBranch(
             "R = 0: the section is a pair of straight lines; use line_pair()"
         )
-    const = ps.theta_dot0 * _section_jet(ps, ps.theta0)[3]
+    try:
+        den0 = _section_jet(ps, ps.theta0)[3]
+    except OverflowError:
+        den0 = math.inf
+    const = ps.theta_dot0 * den0
+    if den0 == 0.0 or not math.isfinite(const):
+        raise DegenerateBranch(
+            f"the angular-speed law theta' D(theta) = const cannot be traced from theta0 = {ps.theta0!r}: "
+            f"D(theta0) = {den0!r}, const = {const!r}"
+        )
+    positive = den0 > 0.0
+
+    def jet(theta: float):
+        if not math.isfinite(theta):
+            raise _Halt("non_finite")
+        j = _section_jet(ps, theta)
+        if not math.isfinite(j[3]):
+            raise _Halt("non_finite")
+        if not (j[3] > 0.0 if positive else j[3] < 0.0):
+            raise _Halt("lightlike")
+        return j
 
     def f_theta(theta: float) -> float:
-        return const / _section_jet(ps, theta)[3]
+        return const / jet(theta)[3]
 
     samples: list[TraceSample] = []
     plane_res: list[float] = []
     sphere_res: list[float] = []
     parallel_res: list[float] = []
+    stopped_reason = stop_time = None
     inv_p = 1.0 / ps.p
     theta = ps.theta0
-    for idx, t in enumerate(t_grid):
-        (px, py, pz), (d1x, d1y, d1z), (d2x, d2y, d2z), den, den_prime = _section_jet(ps, theta)
-        theta_dot = const / den
-        samples.append(TraceSample(float(t), px, py, d1x * theta_dot, d1y * theta_dot, px, py, pz))
-        p_res, s_res = section_residuals(ps, px, py, pz)
-        plane_res.append(p_res)
-        sphere_res.append(s_res)
-        # gamma'' = P'' theta'^2 + P' theta'' with theta'' = F'(theta) F(theta)
-        theta_dd = -const * den_prime / (den * den) * theta_dot
-        sq = theta_dot * theta_dot
-        parallel_res.append(_parallel_residual(
-            sq * d2x + theta_dd * d1x, sq * d2y + theta_dd * d1y, sq * d2z + theta_dd * d1z,
-            inv_p * px, inv_p * py, inv_p * pz,
-        ))
-        if idx + 1 == len(t_grid):
-            break
-        h = float(t_grid[idx + 1]) - float(t)
-        k2 = f_theta(theta + 0.5 * h * theta_dot)
-        k3 = f_theta(theta + 0.5 * h * k2)
-        k4 = f_theta(theta + h * k3)
-        theta += (h / 6.0) * (theta_dot + 2.0 * k2 + 2.0 * k3 + k4)
+    try:
+        for idx, t in enumerate(t_grid):
+            (px, py, pz), (d1x, d1y, d1z), (d2x, d2y, d2z), den, den_prime = jet(theta)
+            theta_dot = const / den
+            # the residuals come first: a sample is kept with all of them
+            p_res, s_res = section_residuals(ps, px, py, pz)
+            # gamma'' = P'' theta'^2 + P' theta'' with theta'' = F'(theta) F(theta)
+            theta_dd = -const * den_prime / (den * den) * theta_dot
+            sq = theta_dot * theta_dot
+            parallel = _parallel_residual(
+                sq * d2x + theta_dd * d1x, sq * d2y + theta_dd * d1y, sq * d2z + theta_dd * d1z,
+                inv_p * px, inv_p * py, inv_p * pz,
+            )
+            samples.append(TraceSample(float(t), px, py, d1x * theta_dot, d1y * theta_dot, px, py, pz))
+            plane_res.append(p_res)
+            sphere_res.append(s_res)
+            parallel_res.append(parallel)
+            if idx + 1 == len(t_grid):
+                break
+            h = float(t_grid[idx + 1]) - float(t)
+            k2 = f_theta(theta + 0.5 * h * theta_dot)
+            k3 = f_theta(theta + 0.5 * h * k2)
+            k4 = f_theta(theta + h * k3)
+            theta += (h / 6.0) * (theta_dot + 2.0 * k2 + 2.0 * k3 + k4)
+    except (_Halt, OverflowError) as halt:  # math.cosh or a square out of range
+        if not samples:
+            raise DegenerateBranch(f"the section overflows at theta0 = {ps.theta0!r}") from None
+        stopped_reason = halt.reason if isinstance(halt, _Halt) else "non_finite"
+        stop_time = float(t)
     return GeodesicTrace(
-        GeodesicKind.RELATIVE, samples, {"plane": plane_res, "sphere": sphere_res, "parallel": parallel_res}
+        GeodesicKind.RELATIVE,
+        samples,
+        {"plane": plane_res, "sphere": sphere_res, "parallel": parallel_res},
+        stopped_reason,
+        stop_time,
     )
 
 
@@ -499,7 +538,7 @@ def cross_check_sphere_geodesic(
     for smp_int, smp_sec in zip(integrated.samples, section.samples):
         dx, dy, dz = smp_int.p_x - smp_sec.p_x, smp_int.p_y - smp_sec.p_y, smp_int.p_z - smp_sec.p_z
         deviation = max(deviation, math.sqrt(dx * dx + dy * dy + dz * dz))
-    if len(integrated.samples) < len(section.samples):
+    if not (integrated.completed and section.completed):
         deviation = math.inf
 
     int_plane = 0.0

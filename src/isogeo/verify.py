@@ -25,6 +25,7 @@ Closeness to the locus is measured in gradient units,
 gradient means the singular set is a short parameter distance away; the
 gradient is exact, from the 2-jet at the candidate point.  Each draw is
 evaluated once: the suites take the frame and jet the sampler built.
+Every check's default tolerance is in ``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .connection import (
     gauss_residuals,
 )
 from .errors import IsoGeoError, SpecError
-from .geodesic import cross_check_sphere_geodesic
+from .geodesic import _step_count, cross_check_sphere_geodesic
 from .isotropy import SpaceKind
 from .rng import SplitMix64
 from .surface import CurvatureClass, PointFrame, SurfacePatch, curvatures_of_frame, frame_of_jet
@@ -71,6 +72,21 @@ POINT_BLOCK = 256
 # Random wave-form graphs the minimal suite adds to the catalog's; a
 # user-supplied surface gets none.
 RANDOM_WAVES = 5
+
+# The default tolerance of every check by name, a ``minimal`` check's by
+# the family of its surface as well.  ``--tol`` replaces them all.
+TOLERANCES = {
+    "flatness": 1e-6,
+    "egregium": 1e-5,
+    "egregium_flat": 1e-6,
+    "codazzi": 1e-6,
+    "codazzi_lc": 1e-6,
+    "gauss_rhs": 1e-8,
+    "minimal": {"minimal_wave": 1e-10, "minimal_harmonic": 1e-8},
+    "umbilic": 0.0,
+    "sphere_geodesic": 1e-6,
+    "sphere_geodesic_parallel": 1e-5,
+}
 
 SUITES = ("flatness", "egregium", "codazzi", "umbilic", "minimal", "sphere-geodesics")
 
@@ -169,89 +185,79 @@ def _sample(
         yield f, jet
 
 
-def _blocks(sampled: Iterator[tuple[PointFrame, tuple]]):
-    """``coeff_derivatives`` of the sampled pairs, POINT_BLOCK at a time."""
-    while block := list(itertools.islice(sampled, POINT_BLOCK)):
-        yield coeff_derivatives(block)
-
-
 def _per_patch(total: int, n_patches: int) -> int:
     return max(1, math.ceil(total / n_patches))
 
 
-def suite_flatness(
-    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float, tol: float = 1e-6
-) -> list[CheckResult]:
-    rng = SplitMix64(seed)
-    out = []
-    n = _per_patch(samples, len(patches))
+def _sampled(
+    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64,
+    border: float, denom_guard: Optional[float], order: int,
+) -> Iterator[tuple[SurfacePatch, Iterator]]:
+    """Each patch with the stream of its ``n`` draws from ``rng``: at
+    order 2 the (frame, jet) pairs of ``_sample``, at order 3 their
+    ``coeff_derivatives``, POINT_BLOCK points at a time.  The patches
+    share ``rng``, so a patch's stream is used up before the next patch."""
     for patch in patches:
+        kernel = patch.jet_kernel if order == 2 else patch.jet3_kernel
+        stream = _sample(patch, n, rng, border, denom_guard, kernel)
+        if order == 3:
+            blocks = iter(lambda pairs=stream: list(itertools.islice(pairs, POINT_BLOCK)), [])
+            stream = map(coeff_derivatives, blocks)
+        yield patch, stream
+
+
+def _check(name: str, label: str, points: int, worst: float, tol: float) -> CheckResult:
+    return CheckResult(name, label, points, worst, tol, worst <= tol)
+
+
+def suite_flatness(
+    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
+) -> list[CheckResult]:
+    n = _per_patch(samples, len(patches))
+    out = []
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD, 3):
         worst = 0.0
-        for b in _blocks(_sample(patch, n, rng, 2.0 * fd_step, BASIC_DENOM_GUARD, patch.jet3_kernel)):
+        for b in blocks:
             worst = max(worst, *flatness_residuals(b).tolist())
-        out.append(CheckResult("flatness", _label(patch), n, worst, tol, worst <= tol))
+        out.append(_check("flatness", _label(patch), n, worst, TOLERANCES["flatness"]))
     return out
 
 
 def suite_egregium(
-    patches: Sequence[SurfacePatch],
-    samples: int,
-    seed: int,
-    fd_step: float,
-    rel_tol: float = 1e-5,
-    abs_tol: float = 1e-6,
+    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
-    rng = SplitMix64(seed)
-    out = []
     n = _per_patch(samples, len(patches))
-    for patch in patches:
-        worst_rel = 0.0
-        worst_abs = 0.0
+    out = []
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD, 3):
+        worst_rel = worst_abs = 0.0
         n_rel = n_abs = 0
-        sampled = _sample(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD, patch.jet3_kernel)
-        for res in (res for b in _blocks(sampled) for res in egregium_checks(b)):
+        for res in (res for b in blocks for res in egregium_checks(b)):
             if abs(res.k_extrinsic) > 1e-6:
                 worst_rel = max(worst_rel, res.rel_err)
                 n_rel += 1
             else:
                 worst_abs = max(worst_abs, res.abs_err)
                 n_abs += 1
-        if n_rel:
-            out.append(
-                CheckResult("egregium", _label(patch), n_rel, worst_rel, rel_tol, worst_rel <= rel_tol)
-            )
-        if n_abs:
-            out.append(
-                CheckResult("egregium_flat", _label(patch), n_abs, worst_abs, abs_tol, worst_abs <= abs_tol)
-            )
+        for name, count, worst in (("egregium", n_rel, worst_rel), ("egregium_flat", n_abs, worst_abs)):
+            if count:
+                out.append(_check(name, _label(patch), count, worst, TOLERANCES[name]))
     return out
 
 
 def suite_codazzi(
-    patches: Sequence[SurfacePatch],
-    samples: int,
-    seed: int,
-    fd_step: float,
-    tol: float = 1e-6,
-    gauss_tol: float = 1e-8,
+    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
-    rng = SplitMix64(seed)
-    out = []
     n = _per_patch(samples, len(patches))
-    for patch in patches:
+    out = []
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD, 3):
         worst_rel = worst_lc = worst_gauss = 0.0
-        sampled = _sample(patch, n, rng, 0.5 * fd_step, RELATIVE_DENOM_GUARD, patch.jet3_kernel)
-        for b in _blocks(sampled):
+        for b in blocks:
             relative, levi_civita = codazzi_residuals(b)
             worst_rel = max(worst_rel, *relative.tolist())
             worst_lc = max(worst_lc, *levi_civita.tolist())
             worst_gauss = max(worst_gauss, *gauss_residuals(b).ravel().tolist())
-        label = _label(patch)
-        out.append(CheckResult("codazzi", label, n, worst_rel, tol, worst_rel <= tol))
-        out.append(CheckResult("codazzi_lc", label, n, worst_lc, tol, worst_lc <= tol))
-        out.append(
-            CheckResult("gauss_rhs", label, n, worst_gauss, gauss_tol, worst_gauss <= gauss_tol)
-        )
+        for name, worst in (("codazzi", worst_rel), ("codazzi_lc", worst_lc), ("gauss_rhs", worst_gauss)):
+            out.append(_check(name, _label(patch), n, worst, TOLERANCES[name]))
     return out
 
 
@@ -266,70 +272,43 @@ UMBILIC_EXPECTATION = {
 def suite_umbilic(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
-    rng = SplitMix64(seed)
-    out = []
     n = _per_patch(samples, len(patches))
-    for patch in patches:
+    out = []
+    for patch, pairs in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, None, 2):
+        umbilic_count = sum(curvatures_of_frame(f).label is CurvatureClass.UMBILIC for f, _ in pairs)
         expected = UMBILIC_EXPECTATION.get(patch.name)
-        umbilic_count = 0
-        for f, _ in _sample(patch, n, rng, 2.0 * fd_step, None, patch.jet_kernel):
-            if curvatures_of_frame(f).label is CurvatureClass.UMBILIC:
-                umbilic_count += 1
-        if expected is None:
-            # informational for user-supplied surfaces
-            finding = (
-                "totally umbilical" if umbilic_count == n
-                else "not totally umbilical" if umbilic_count == 0
-                else "mixed"
-            )
-            out.append(
-                CheckResult(f"umbilic({finding})", _label(patch), n, 0.0, 0.0, True)
-            )
-            continue
-        mismatches = (n - umbilic_count) if expected else umbilic_count
-        name = "umbilic(expected)" if expected else "umbilic(expected-negative)"
-        out.append(
-            CheckResult(name, _label(patch), n, float(mismatches), 0.0, mismatches == 0)
-        )
+        if expected is None:  # informational for user-supplied surfaces
+            finding = {n: "totally umbilical", 0: "not totally umbilical"}.get(umbilic_count, "mixed")
+            name, mismatches = f"umbilic({finding})", 0
+        elif expected:
+            name, mismatches = "umbilic(expected)", n - umbilic_count
+        else:
+            name, mismatches = "umbilic(expected-negative)", umbilic_count
+        out.append(_check(name, _label(patch), n, float(mismatches), TOLERANCES["umbilic"]))
     return out
 
 
 def _random_cubic(rng: SplitMix64) -> str:
-    c3 = rng.uniform(-0.5, 0.5)
-    c2 = rng.uniform(-0.5, 0.5)
-    c1 = rng.uniform(-0.5, 0.5)
+    c3, c2, c1 = (rng.uniform(-0.5, 0.5) for _ in range(3))
     return f"{c3!r}*u^3 + {c2!r}*u^2 + {c1!r}*u"
 
 
 def suite_minimal(
-    patches: Sequence[SurfacePatch],
-    samples: int,
-    seed: int,
-    fd_step: float,
-    wave_tol: float = 1e-10,
-    harmonic_tol: float = 1e-8,
-    n_random_waves: int = RANDOM_WAVES,
+    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float, n_random_waves: int = RANDOM_WAVES
 ) -> list[CheckResult]:
     rng = SplitMix64(seed)
-    out = []
     n = _per_patch(samples, max(1, n_random_waves))
-    targets = [p for p in patches if p.name in ("minimal_wave", "minimal_harmonic")]
-    for k in range(n_random_waves):
-        targets.append(
-            catalog.make(
-                "minimal_wave",
-                SpaceKind.PSEUDO_ISOTROPIC,
-                {"f": _random_cubic(rng), "g": _random_cubic(rng)},
-            )
-        )
-    for idx, patch in enumerate(targets):
-        tol = wave_tol if patch.name == "minimal_wave" else harmonic_tol
+    tolerances = TOLERANCES["minimal"]
+    targets = [p for p in patches if p.name in tolerances]
+    for _ in range(n_random_waves):
+        waves = {"f": _random_cubic(rng), "g": _random_cubic(rng)}
+        targets.append(catalog.make("minimal_wave", SpaceKind.PSEUDO_ISOTROPIC, waves))
+    out = []
+    for idx, (patch, pairs) in enumerate(_sampled(targets, n, rng, 2.0 * fd_step, None, 2)):
         worst = 0.0
-        for f, _ in _sample(patch, n, rng, 2.0 * fd_step, None, patch.jet_kernel):
+        for f, _ in pairs:
             worst = max(worst, abs(curvatures_of_frame(f).H))
-        out.append(
-            CheckResult("minimal", f"{_label(patch)}#{idx}", n, worst, tol, worst <= tol)
-        )
+        out.append(_check("minimal", f"{_label(patch)}#{idx}", n, worst, tolerances[patch.name]))
     return out
 
 
@@ -342,42 +321,25 @@ SPHERE_GEODESIC_CONFIGS = (
 )
 
 
-def suite_sphere_geodesics(
-    t_end: float = 1.0,
-    step: float = 1e-3,
-    tol: float = 1e-6,
-    parallel_tol: float = 1e-5,
-) -> list[CheckResult]:
+def suite_sphere_geodesics(t_end: float = 1.0, step: float = 1e-3) -> list[CheckResult]:
+    # the samples compared per configuration, the steps of both traces
+    points = _step_count(t_end, step) + 1
     out = []
     worst_parallel = 0.0
     for p, a, b, kind in SPHERE_GEODESIC_CONFIGS:
         chk = cross_check_sphere_geodesic(p, a, b, kind, t_end, step)
+        # max_deviation is inf where either trace stopped early, so an
+        # integration that did not complete fails its check
         worst = max(
-            chk.max_deviation,
-            chk.integrated_plane_residual,
-            chk.integrated_sphere_residual,
-            chk.section_plane_residual,
-            chk.section_sphere_residual,
+            chk.max_deviation, chk.integrated_plane_residual, chk.integrated_sphere_residual,
+            chk.section_plane_residual, chk.section_sphere_residual,
         )
         worst_parallel = max(worst_parallel, chk.max_parallel_residual)
-        n = round(t_end / step) + 1
-        out.append(
-            CheckResult(
-                "sphere_geodesic",
-                f"parabolic_sphere(p={p!r},a={a!r},b={b!r})[{kind.value}]",
-                n,
-                worst,
-                tol,
-                worst <= tol and chk.integrated_completed,
-            )
-        )
-    out.append(
-        CheckResult(
-            "sphere_geodesic_parallel", "all-configs",
-            len(SPHERE_GEODESIC_CONFIGS), worst_parallel, parallel_tol,
-            worst_parallel <= parallel_tol,
-        )
-    )
+        label = f"parabolic_sphere(p={p!r},a={a!r},b={b!r})[{kind.value}]"
+        out.append(_check("sphere_geodesic", label, points, worst, TOLERANCES["sphere_geodesic"]))
+    n_configs = len(SPHERE_GEODESIC_CONFIGS)
+    tol = TOLERANCES["sphere_geodesic_parallel"]
+    out.append(_check("sphere_geodesic_parallel", "all-configs", n_configs, worst_parallel, tol))
     return out
 
 
@@ -395,26 +357,23 @@ def run_verify(
     SpecError rather than pass vacuously."""
     target = verification_patches() if patches is None else patches
     fd_step = DEFAULT_FD_STEP
-    per_patch = {
+    waves = RANDOM_WAVES if patches is None else 0
+    # looked up per call, so that a wrapped suite function is the one run
+    runs = {
         "flatness": suite_flatness, "egregium": suite_egregium,
         "codazzi": suite_codazzi, "umbilic": suite_umbilic,
+        "minimal": lambda *args: suite_minimal(*args, waves),
+        "sphere-geodesics": lambda *args: suite_sphere_geodesics(),
     }
     checks: list[CheckResult] = []
     for suite in suites:
-        if suite in per_patch:
-            checks += per_patch[suite](target, samples, seed, fd_step)
-        elif suite == "minimal":
-            waves = RANDOM_WAVES if patches is None else 0
-            checks += suite_minimal(target, samples, seed, fd_step, n_random_waves=waves)
-        elif suite == "sphere-geodesics":
-            checks += suite_sphere_geodesics()
-        else:
+        if suite not in runs:
             raise IsoGeoError(f"unknown suite {suite!r}; known: {SUITES}")
+        checks += runs[suite](target, samples, seed, fd_step)
     if not checks:
         raise SpecError(f"no check of the suite(s) {', '.join(suites)} applies to this surface")
     if tol_override is not None:
-        tol = tol_override
-        checks = [c._replace(tolerance=tol, passed=c.max_residual <= tol) for c in checks]
+        checks = [c._replace(tolerance=tol_override, passed=c.max_residual <= tol_override) for c in checks]
     overall = all(chk.passed for chk in checks)
     return {
         "overall": "pass" if overall else "fail",

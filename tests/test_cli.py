@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -203,6 +204,51 @@ def test_verify_tol_override_can_force_failure(tmp_path, capsys):
     assert code == 5
     assert report["overall"] == "fail"
     assert all(c["tolerance"] == 1e-30 for c in report["checks"])
+
+
+def _default_tolerance(check):
+    """The tolerance that ``verify.TOLERANCES`` gives a report's check."""
+    tol = verify.TOLERANCES[check["name"].split("(")[0]]
+    return tol[check["surface"].split("[")[0]] if isinstance(tol, dict) else tol
+
+
+def test_every_check_takes_its_default_tolerance_from_the_table(capsys):
+    argv = ["verify", "--all-catalog", "--suite", "all", "--samples", "20", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"].split("(")[0] for c in checks} == set(verify.TOLERANCES)
+    assert all(c["tolerance"] == _default_tolerance(c) for c in checks)
+
+
+def test_no_suite_takes_a_tolerance():
+    # the defaults live only in verify.TOLERANCES, and --tol replaces them
+    suites = [fn for name, fn in vars(verify).items() if name.startswith("suite_")]
+    assert len(suites) == len(verify.SUITES)
+    for fn in suites:
+        assert not [p for p in inspect.signature(fn).parameters if "tol" in p], fn.__name__
+
+
+def test_the_readme_lists_every_suite_and_every_default_tolerance():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert all(f"`{suite}`" in readme for suite in verify.SUITES)
+    table = readme.split("| check | default tolerance |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, check, tol, _ = row.split("|")
+        documented[check.strip()] = float(tol)
+    expected = {}
+    for name, tol in verify.TOLERANCES.items():
+        for family, value in tol.items() if isinstance(tol, dict) else [(None, tol)]:
+            expected[f"`{name}` on `{family}`" if family else f"`{name}`"] = value
+    assert documented == expected
+
+
+def test_sphere_geodesic_reports_the_samples_it_compares():
+    # a step longer than t_end is one step, so each trace has two samples
+    checks = verify.suite_sphere_geodesics(t_end=0.1, step=1.0)
+    points = [c.points for c in checks if c.name == "sphere_geodesic"]
+    assert points == [2] * len(verify.SPHERE_GEODESIC_CONFIGS)
+    assert verify.suite_sphere_geodesics(t_end=1.0, step=1e-3)[0].points == 1001
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])

@@ -160,9 +160,10 @@ def test_cross_check_sphere_geodesics(p, a, b, kind):
 def test_plane_sections_match_the_per_branch_reference():
     # seeded sections in both spaces, over all three branches, against the
     # helpers that each repeated the branch: the same samples and
-    # residuals, by repr
+    # residuals, by repr, over the times the section kept (a cosh section
+    # stops where an RK4 stage reaches a zero of D)
     rng = SplitMix64(20181)
-    branches, traced = [], 0
+    branches, completed = [], 0
     for k in range(300):
         kind = (I3, IP3)[k % 2]
         p = rng.uniform(0.2, 3.0) * (1.0 if rng.random() < 0.5 else -1.0)
@@ -172,20 +173,49 @@ def test_plane_sections_match_the_per_branch_reference():
             continue
         branches.append(ps.branch)
         grid = [j * 0.02 for j in range(40)]
-        got = _outcome(geo.plane_section, ps, grid)
-        assert got == _outcome(sectionref.plane_section, ps, grid)
-        traced += isinstance(got, str)
+        got = geo.plane_section(ps, grid)
+        expected = sectionref.plane_section(ps, grid[: len(got.samples)])
+        assert repr((got.samples, got.residuals)) == repr((expected.samples, expected.residuals))
+        completed += got.completed
     assert min(branches.count(branch) for branch in geo._BRANCHES) >= 50
-    assert traced >= 0.9 * len(branches)
+    assert completed >= 0.9 * len(branches)
 
 
-def _outcome(section, ps, grid):
-    """The trace's samples and residuals by repr, or the error it raised."""
-    try:
-        trace = section(ps, grid)
-    except (OverflowError, ZeroDivisionError) as err:  # theta ran off
-        return type(err), str(err)
-    return repr((trace.samples, trace.residuals))
+@pytest.mark.parametrize(
+    "params",
+    [
+        # p, a, b, theta0, theta_dot0 of two cosh sections (ip3) whose RK4
+        # stages reach D = 0; traced on past the zero, the first overflows
+        # math.cosh and the second's top-view speed jumps from 4.8 to 9.9e4
+        (2.3324852225222275, -1.82879672495492, -1.3403367904991015, -1.3203341922413658, 1.787602460866716),
+        (-1.2789319094662126, -2.889209549134061, 1.2173826762034974, 0.8199429631116946, -0.8109068093377738),
+    ],
+)
+def test_a_section_stops_before_a_zero_of_its_denominator(params):
+    ps = geo.make_plane_section(IP3, *params)
+    trace = geo.plane_section(ps, [j * 0.02 for j in range(40)])
+    assert trace.stopped_reason == "lightlike"
+    assert 1 < len(trace.samples) < 40 and trace.stop_time >= trace.samples[-1].t
+    # theta' D(theta) is constant and dv = p r cosh(theta) theta' on this
+    # branch, so D keeps the sign of D(theta0) where dv / p keeps theta_dot0's
+    assert all(smp.dv / ps.p * ps.theta_dot0 > 0.0 for smp in trace.samples)
+
+
+def test_a_section_that_overflows_stops_non_finite():
+    # the first step's RK4 stage puts theta past the range of cosh
+    ps = geo.make_plane_section(IP3, 1.0, 2.0, 0.0, theta0=0.0, theta_dot0=1e5)
+    trace = geo.plane_section(ps, [0.0, 0.02, 0.04])
+    assert (len(trace.samples), trace.stopped_reason, trace.stop_time) == (1, "non_finite", 0.0)
+    assert [len(res) for res in trace.residuals.values()] == [1, 1, 1]
+    # the sum of a trig section's RK4 stages overflows, and cos(inf) is a
+    # ValueError
+    trace = geo.plane_section(geo.make_plane_section(I3, 1.0, 0.1, 0.0, theta_dot0=8e307), [0.0, 0.5, 1.0])
+    assert (len(trace.samples), trace.stopped_reason, trace.stop_time) == (1, "non_finite", 0.5)
+    # where the section or its law overflows at theta0, nothing can be traced
+    for theta0, theta_dot0 in ((709.0, 1.0), (800.0, 1.0), (0.0, 1e308)):
+        ps = geo.make_plane_section(IP3, 1.0, 2.0, 0.0, theta0, theta_dot0)
+        with pytest.raises(DegenerateBranch):
+            geo.plane_section(ps, [0.0])
 
 
 def test_a_trig_section_far_from_theta_zero_is_traced():
