@@ -178,39 +178,69 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
 CURVATURE_HEADER = "u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"
 
 
+# the names of the nine float columns of a row (x, y, z, K, H, disc and
+# xi) in the frame and curvature lines
+_ROW_FLOATS = ("px", "py", "pz", "k", "h_mean", "disc", "a", "b", "xi_z")
+
+
 def _row_kernel(patch: SurfacePatch):
-    """``(u, v, su, sv) ->`` the CSV row of the point (u, v), whose reprs
-    are su and sv: the jet, frame and curvature lines of ``surface`` as one
-    function, which raises what ``frame_at`` and ``curvatures_of_frame``
-    raise there.  Every value written is a Python float, so repr is its
-    shortest round-trip form."""
-    return ex.compile_jet(
-        (patch.x_expr, patch.y_expr, patch.z_expr), 2, args="u, v, su, sv", bind=JET_NAMES,
-        tail=(
-            *frame_lines(patch.kind), *CURVATURE_LINES,
-            'return f"{su},{sv},{px!r},{py!r},{pz!r},{k!r},{h_mean!r},{disc!r},'
-            '{label},{a!r},{b!r},{xi_z!r}\\n"',
-        ),
-        env={**FRAME_GLOBALS, **CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}},
-    )
+    """``(u, su, vs) ->`` the CSV rows of the grid points (u, v), su the
+    repr of u and (v, sv) in ``vs`` with sv the repr of v, as one text with
+    a newline after each row.  Each point runs the jet, frame and
+    curvature lines of ``surface``, which raise what ``frame_at`` and
+    ``curvatures_of_frame`` raise there: NotAdmissible gives the point an
+    ``inadmissible`` row, DomainError an ``undefined`` one, and so does a
+    position that is not finite; any other error propagates.
+
+    Every value written is a Python float, so repr is its shortest
+    round-trip form, and two equal floats that are not zeros (0.0 == -0.0;
+    NaN equals nothing) have the same bits.  So a column whose value
+    equals, and is not zero, the value it last wrote in the row writes
+    that text again instead of a new repr, and the bytes are those of a
+    repr per value."""
+    lines, outputs, namespace = ex.jet_lines((patch.x_expr, patch.y_expr, patch.z_expr), 2)
+    point = [
+        "V = float(v)",
+        *lines,
+        *(f"{name} = {out}" for name, out in zip(JET_NAMES, outputs, strict=True)),
+        *frame_lines(patch.kind),
+        *CURVATURE_LINES,
+        "if not (isfinite(px) and isfinite(py) and isfinite(pz)):",
+        "    raise DomainError(f'position not finite at ({u!r}, {v!r})')",
+    ]
+    # column k keeps the value it last wrote in c{k} and its text in s{k}
+    texts = [
+        line
+        for k, name in enumerate(_ROW_FLOATS)
+        for line in (f"if {name} != c{k} or not {name}:", f"    c{k} = {name}", f"    s{k} = f'{{{name}!r}}'")
+    ]
+    body = [
+        "U = float(u)",
+        f"{' = '.join(f'c{k}' for k in range(len(_ROW_FLOATS)))} = NAN",
+        "rows = []",
+        "row = rows.append",
+        "for v, sv in vs:",
+        "    try:",
+        *(f"        {x}" for x in point),
+        "    except NotAdmissible:",
+        "        row(f'{su},{sv},,,,,,,inadmissible,,,\\n')",
+        "        continue",
+        "    except DomainError:",
+        "        row(f'{su},{sv},,,,,,,undefined,,,\\n')",
+        "        continue",
+        *(f"    {x}" for x in texts),
+        '    row(f"{su},{sv},{s0},{s1},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")',
+        "return ''.join(rows)",
+    ]
+    env = {**FRAME_GLOBALS, **CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}, "NAN": math.nan}
+    return ex.compile_function("kernel(u, su, vs)", body, {**namespace, **env})
 
 
 def _curvature_rows(kernel, us: list[float], vs: list[tuple[float, str]]) -> str:
     """The CSV rows of the grid points (u, v), u in ``us`` and (v, repr(v))
     in ``vs``, as one text with a newline after each row; ``kernel`` is the
     patch's ``_row_kernel``."""
-    # each grid value is formatted once
-    lines = []
-    for u in us:
-        su = repr(u)
-        for v, sv in vs:
-            try:
-                lines.append(kernel(u, v, su, sv))
-            except NotAdmissible:
-                lines.append(f"{su},{sv},,,,,,,inadmissible,,,\n")
-            except DomainError:
-                lines.append(f"{su},{sv},,,,,,,undefined,,,\n")
-    return "".join(lines)
+    return "".join([kernel(u, repr(u), vs) for u in us])
 
 
 def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:

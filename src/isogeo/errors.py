@@ -47,7 +47,8 @@ class LightlikePointHit(IsoGeoError):
 
 class NonFiniteStart(IsoGeoError):
     """The geodesic equation is not finite at the start point: the start
-    velocity or the connection coefficients there are not finite."""
+    velocity, the connection coefficients or the position there are not
+    finite."""
 
 
 class LightlikeDirection(IsoGeoError):

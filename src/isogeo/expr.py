@@ -658,15 +658,24 @@ def compile_jet(
     them in order to the names ``bind`` and runs ``tail``, which returns.
     It takes the arguments ``args``, which begin with u and v, runs the
     ``head`` lines before the jet, and its lines see ``env``'s names."""
-    writer = _KernelWriter(order)
-    results = [writer.expr(e) for e in exprs]
-    outputs = [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
-    body = [*head, "U = float(u)", "V = float(v)", *writer.lines]
+    lines, outputs, namespace = jet_lines(exprs, order)
+    body = [*head, "U = float(u)", "V = float(v)", *lines]
     if tail:
         body += [f"{name} = {out}" for name, out in zip(bind, outputs, strict=True)] + list(tail)
     else:
         body.append(f"return ({''.join(f'{name}, ' for name in outputs)})")
-    return compile_function(f"kernel({args})", body, {**writer.namespace, **(env or {})})
+    return compile_function(f"kernel({args})", body, {**namespace, **(env or {})})
+
+
+def jet_lines(exprs, order: int) -> tuple[list[str], list[str], dict]:
+    """The body of ``compile_jet``'s kernel: its jet lines, which read the
+    floats U and V of u and v and raise what the kernel raises; the names
+    of the floats it returns, in its order; and the namespace the lines
+    read."""
+    writer = _KernelWriter(order)
+    results = [writer.expr(e) for e in exprs]
+    outputs = [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
+    return writer.lines, outputs, writer.namespace
 
 
 def compile_function(signature: str, lines, namespace: dict) -> Callable:

@@ -218,6 +218,7 @@ def integrate(
     )
     prev_denom: Optional[float] = None
     accel = _accel_kernel(s, gkind)
+    isfinite = math.isfinite
     u, v, du, dv = u0, v0, du0, dv0
     half, sixth = 0.5 * step, step / 6.0
     t = 0.0
@@ -225,8 +226,9 @@ def integrate(
         for k in range(n_steps + 1):
             au, av, px, py, pz, residual, denom = accel(u, v, du, dv, True)
             # once per step: a non-finite velocity or coefficient at any stage
-            # reaches this step's state, so the next check here sees it
-            if not (math.isfinite(au) and math.isfinite(av)):
+            # reaches this step's state, so the next check here sees it; a
+            # sample is written only with a finite position
+            if not (isfinite(au) and isfinite(av) and isfinite(px) and isfinite(py) and isfinite(pz)):
                 raise _Halt("non_finite")
             if watch_lightlike:
                 # the connection is singular on the lightlike locus; stop when
@@ -267,7 +269,7 @@ def integrate(
             if stopped_reason == "non_finite":
                 raise NonFiniteStart(
                     f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
-                    f"acceleration ({au!r}, {av!r})"
+                    f"acceleration ({au!r}, {av!r}), position ({px!r}, {py!r}, {pz!r})"
                 ) from None
             raise halt from None  # the frame's NotAdmissible, with its minor
         stop_time = t
@@ -447,7 +449,10 @@ def plane_section(ps: PlaneSection, t_grid: list[float]) -> GeodesicTrace:
 
 def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, GeodesicTrace]:
     """The two straight lines of a degenerate (R = 0) pseudo-isotropic
-    section; straight lines are relative geodesics."""
+    section; straight lines are relative geodesics.  As in
+    ``plane_section``, a line stops ``non_finite`` at the first time
+    where its point or a residual overflows, keeping the samples before
+    it."""
     if ps.branch is not SectionBranch.LINE_PAIR:
         raise DegenerateBranch("section is non-degenerate; use plane_section()")
     p, a, b = ps.p, ps.a, ps.b
@@ -457,14 +462,22 @@ def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, Geo
         plane_res: list[float] = []
         sphere_res: list[float] = []
         parallel_res: list[float] = []
+        stopped_reason = stop_time = None
         direction = Vec3(sign, 1.0, b - sign * a)
         origin = Vec3(a * p, b * p, p * (b * b - a * a))
         for t in t_grid:
             pos = origin + direction.scaled(float(t))
+            try:
+                if not all(map(math.isfinite, pos.as_tuple())):
+                    raise _Halt("non_finite")
+                # the residuals come first: a sample is kept with all of them
+                p_res, s_res = section_residuals(ps, *pos.as_tuple())
+            except (_Halt, OverflowError):  # the point or a square out of range
+                stopped_reason, stop_time = "non_finite", float(t)
+                break
             samples.append(
                 TraceSample(float(t), pos.x, pos.y, direction.x, direction.y, pos.x, pos.y, pos.z)
             )
-            p_res, s_res = section_residuals(ps, *pos.as_tuple())
             plane_res.append(p_res)
             sphere_res.append(s_res)
             parallel_res.append(0.0)  # gamma'' = 0 on a line
@@ -473,6 +486,8 @@ def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, Geo
                 GeodesicKind.RELATIVE,
                 samples,
                 {"plane": plane_res, "sphere": sphere_res, "parallel": parallel_res},
+                stopped_reason,
+                stop_time,
             )
         )
     return traces[0], traces[1]

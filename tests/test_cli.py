@@ -855,6 +855,27 @@ def test_geodesic_where_the_equation_overflows(tmp_path, capsys):
     assert all(math.isfinite(float(row[k])) for row in rows for k in ("u", "v", "du", "dv", "z"))
 
 
+@pytest.mark.parametrize("f, z", [("1e308*10 + u*v", "inf"), ("1e308*10 - 1e308*10 + u*v", "nan")])
+def test_no_command_writes_a_non_finite_position(tmp_path, capsys, f, z):
+    # z is inf or nan everywhere, while its partials, and so the frame and
+    # the curvatures, are finite
+    spec = write_spec(tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": f}, "domain": [0, 1, 0, 1]})
+    out = tmp_path / "out.csv"
+    assert cli.main(["curvature", spec, "--grid", "2x2", "--out", str(out)]) == 0
+    assert [row["class"] for row in read_rows(out)] == ["undefined"] * 4
+    assert cli.main(["sample", spec, "--grid", "2x2", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0.0,0.0,,,", "0.0,1.0,,,", "1.0,0.0,,,", "1.0,1.0,,,"]
+    trace = tmp_path / "trace.csv"
+    for gtype in ("r", "lc"):
+        argv = ["geodesic", spec, "--type", gtype, "--start", "0.5,0.5", "--velocity", "0.1,0",
+                "--t-end", "0.01", "--step", "0.005", "--out", str(trace)]
+        assert cli.main(argv) == cli.EXIT_BAD_START
+        err = capsys.readouterr().err
+        assert err.startswith("error: geodesic equation not finite at the start (0.5, 0.5): ")
+        assert err.endswith(f", position (0.5, 0.5, {z})\n")
+        assert not trace.exists()
+
+
 def test_geodesic_inadmissible_start_reports_the_minor(tmp_path, capsys):
     surface = {"kind": "parametric", "x": "u + v", "y": "u + 1.0000000000001*v", "z": "u*v"}
     spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [0, 1, 0, 1]})
@@ -955,19 +976,29 @@ _TOL = srf.CURVATURE_TOL
 _ROOT_TOL = math.sqrt(_TOL)
 
 
-def reference_row(patch, u, v, su, sv):
-    """The row of (u, v) from the frame and the curvature report."""
-    f = srf.frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
-    rep = srf.curvatures_of_frame(f)
-    numbers = (f.p_x, f.p_y, f.p_z, rep.K, rep.H, rep.discriminant)
-    return ",".join([su, sv, *map(repr, numbers), rep.label.value, *map(repr, (f.xi_x, f.xi_y, f.xi_z))]) + "\n"
-
-
-def row_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (NotAdmissible, DomainError) as err:
-        return type(err).__name__, str(err)
+def reference_rows(patch, u, vs):
+    """The rows of the points (u, v), (v, sv) in ``vs``, one repr per value,
+    from the frame and the curvature report; the class row of the error
+    they raise, or ``undefined`` where the position is not finite."""
+    su = repr(u)
+    rows = []
+    for v, sv in vs:
+        try:
+            f = srf.frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+            rep = srf.curvatures_of_frame(f)
+        except NotAdmissible:
+            rows.append(f"{su},{sv},,,,,,,inadmissible,,,\n")
+            continue
+        except DomainError:
+            rows.append(f"{su},{sv},,,,,,,undefined,,,\n")
+            continue
+        if not all(map(math.isfinite, (f.p_x, f.p_y, f.p_z))):
+            rows.append(f"{su},{sv},,,,,,,undefined,,,\n")
+            continue
+        numbers = (f.p_x, f.p_y, f.p_z, rep.K, rep.H, rep.discriminant)
+        xi = (f.xi_x, f.xi_y, f.xi_z)
+        rows.append(",".join([su, sv, *map(repr, numbers), rep.label.value, *map(repr, xi)]) + "\n")
+    return "".join(rows)
 
 
 def _quadric(kind, a, b, c):
@@ -1037,13 +1068,72 @@ def row_cases(draw):
 @given(row_cases())
 def test_row_kernel_matches_the_frame_and_report_rows(case):
     patch, u, v, allowed = case
-    su, sv = repr(u), repr(v)
-    kernel = cli._row_kernel(patch)
-    # the row, or the error and its message
-    assert row_outcome(kernel, u, v, su, sv) == row_outcome(reference_row, patch, u, v, su, sv), (patch, u, v)
+    vs = [(v, repr(v))]
+    row = cli._row_kernel(patch)(u, repr(u), vs)
+    assert row == reference_rows(patch, u, vs), (patch, u, v)
     if allowed is not None:
-        row = cli._curvature_rows(kernel, [u], [(v, sv)])
         assert row.split(",")[8] in allowed, (patch, row)
+
+
+# surfaces whose rows repeat values (x = u, constant K and H) or meet,
+# mid-row, a point that is undefined, inadmissible or not finite
+_ROW_SURFACES = [
+    srf.graph_patch(I3, "(u^2 + v^2) / 2", (-2, 2, -2, 2)),
+    srf.graph_patch(IP3, "0.5 - (u^2 - v^2) / 3", (-2, 2, -2, 2)),
+    srf.parametric_patch(IP3, "u * cosh(v)", "u * sinh(v)", "v", (0.5, 2, -2, 2)),
+    srf.graph_patch(I3, "0.25*u - 0.5*v", (-2, 2, -2, 2)),
+    # undefined for v <= 0
+    _graph(I3, "log(v) + u*v"),
+    # m12 = 3 v^2: inadmissible at v = 0
+    srf.parametric_patch(IP3, "u", "v^3", "u*v", (-2, 2, -2, 2)),
+    # z = inf from v ~ 0.05 on, where the frame and curvatures are finite
+    _graph(I3, "1e308*(0.9 + 0.9*tanh(100*v)) + u*v"),
+    # on u = 0, H^2 - K overflows: disc = inf
+    _graph(I3, "1e160*u^2 + v"),
+]
+_ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_row_kernel_call_writes_the_rows_of_its_points(data):
+    # rows with repeated values, 0.0 and -0.0, and error points among
+    # defined ones: a value written again keeps the bytes of its repr
+    if data.draw(st.booleans()):
+        patch = data.draw(st.sampled_from(_ROW_SURFACES))
+    else:
+        patch = data.draw(row_cases())[0]
+    u = data.draw(_ROW_VALUES)
+    vs = [(v, repr(v)) for v in data.draw(st.lists(_ROW_VALUES, min_size=1, max_size=12))]
+    assert cli._row_kernel(patch)(u, repr(u), vs) == reference_rows(patch, u, vs), (patch, u, vs)
+
+
+def test_curvature_compiles_once_and_calls_the_kernel_once_per_u_row(tmp_path, monkeypatch):
+    calls, compiled = [], []
+    real_row_kernel, real_compile = cli._row_kernel, expr.compile_function
+
+    def counting_row_kernel(patch):
+        kernel = real_row_kernel(patch)
+
+        def counted(u, su, vs):
+            calls.append((u, su, vs))
+            return kernel(u, su, vs)
+
+        return counted
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return real_compile(*args)
+
+    monkeypatch.setattr(cli, "_row_kernel", counting_row_kernel)
+    monkeypatch.setattr(expr, "compile_function", counting_compile)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every row in this process
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "7x5", "--out", str(out)]) == 0
+    vs = [(v, repr(v)) for v in srf.grid_values(-3.0, 3.0, 5)]
+    assert calls == [(u, repr(u), vs) for u in srf.grid_values(-3.0, 3.0, 7)]
+    assert compiled == ["kernel(u, su, vs)"]
 
 
 def test_curvature_keeps_the_admissibility_guard_of_an_overflowing_cylinder(tmp_path, capsys):

@@ -136,6 +136,19 @@ def test_line_pair_lies_on_sphere_and_plane():
     assert norm_euclid(first.samples[0].position - second.samples[0].position) > 0.1
 
 
+
+def test_a_line_pair_stops_where_its_point_or_a_residual_overflows():
+    # x^2 overflows a float ** past |x| ~ 1.3e154, and t = inf gives an
+    # infinite point; each line keeps the samples before either
+    lp = geo.make_plane_section(IP3, 1.0, 1.0, math.sqrt(2.0))
+    for grid, stop in (([0.0, 1.0, 1e155, 2.0], 1e155), ([0.0, 1.0, math.inf], math.inf)):
+        for trace in geo.line_pair(lp, grid):
+            assert (trace.stopped_reason, trace.stop_time, len(trace.samples)) == ("non_finite", stop, 2)
+            assert [len(res) for res in trace.residuals.values()] == [2, 2, 2]
+            assert all(math.isfinite(x) for smp in trace.samples for x in smp)
+            assert max(trace.residuals["sphere"]) <= 1e-12
+
+
 SPHERE_CONFIGS = [
     (2.0, 0.0, 0.0, I3),
     (1.0, 1.0, 0.0, I3),
@@ -429,6 +442,19 @@ def test_non_finite_start_velocity_is_rejected():
         for gkind in (RELATIVE, LEVI_CIVITA):
             with pytest.raises(NonFiniteStart):
                 geo.integrate(plane, gkind, 0.1, 0.2, *velocity, 1.0, 1e-2)
+
+
+
+def test_a_position_that_overflows_halts_the_trace():
+    # z = (1e308 u) 2 passes the float range at u ~ 0.899, where the
+    # Levi-Civita acceleration, which reads only the top view, stays finite;
+    # the relative connection has xi = inf everywhere, so its start fails
+    steep = srf.graph_patch(I3, "1e308*u*2", (0.0, 1.0, 0.0, 1.0))
+    trace = geo.integrate(steep, LEVI_CIVITA, 0.5, 0.5, 1.0, 0.0, 1.0, 1e-2)
+    assert (trace.stopped_reason, trace.stop_time, len(trace.samples)) == ("non_finite", 0.4, 40)
+    assert all(math.isfinite(x) for smp in trace.samples for x in smp)
+    with pytest.raises(NonFiniteStart, match=r"position \(0.95, 0.5, inf\)"):
+        geo.integrate(steep, LEVI_CIVITA, 0.95, 0.5, 1.0, 0.0, 1.0, 1e-2)
 
 
 def test_a_stage_that_overflows_the_position_halts_as_non_finite():

@@ -58,17 +58,18 @@ def serial_bytes(monkeypatch, spec_path, tmp_path):
 
 
 def inject(monkeypatch, fault):
-    """Make every curvature point call ``fault(u)`` before its row is
-    computed, in whichever process computes it: the row kernel is wrapped
-    where it is built, before the fork, so the children inherit the wrapper."""
+    """Make every u row of the curvature grid call ``fault(u)`` before its
+    rows are computed, in whichever process computes them: the row kernel
+    is wrapped where it is built, before the fork, so the children inherit
+    the wrapper."""
     real_row_kernel = cli._row_kernel
 
     def faulty_row_kernel(patch):
         kernel = real_row_kernel(patch)
 
-        def faulty(u, v, su, sv):
+        def faulty(u, su, vs):
             fault(u)
-            return kernel(u, v, su, sv)
+            return kernel(u, su, vs)
 
         return faulty
 
@@ -95,6 +96,29 @@ def test_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, spec_pat
     assert {"inadmissible", "undefined"} < classes and len(classes) >= 3
     # the inadmissible rows u = -0.5 and u = 0.5 lie in different blocks
     assert {row.split(",")[0] for row in rows if "inadmissible" in row} == {"-0.5", "0.5"}
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_each_block_calls_the_row_kernel_once_per_u_row(monkeypatch, tmp_path, spec_path, cpus):
+    # every process appends (its pid, u) to one file for each kernel call
+    log = tmp_path / "calls"
+
+    def record(u):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {u!r}\n")
+
+    inject(monkeypatch, record)
+    force_cpus(monkeypatch, cpus)
+    assert curvature(spec_path, tmp_path / "out.csv") == 0
+    blocks = {}
+    for line in log.read_text().splitlines():
+        pid, u = line.split()
+        blocks.setdefault(pid, []).append(u)
+    us = [repr(u) for u in cli.grid_values(-1.0, 1.0, 9)]
+    # one contiguous block of u rows per process, each row called once
+    expected = [us[3 * i: 3 * i + 3] for i in range(3)] if cpus == 3 else [us]
+    assert sorted(blocks.values()) == sorted(expected)
     assert_no_children()
 
 
