@@ -33,7 +33,7 @@ import math
 import sys
 from typing import Optional
 
-from . import catalog, verify
+from . import catalog
 from . import expr as ex
 from .errors import (
     BadParam,
@@ -46,7 +46,6 @@ from .errors import (
     NotAdmissible,
     SpecError,
 )
-from .geodesic import GeodesicKind, integrate
 from .isotropy import SpaceKind
 from .surface import (
     CURVATURE_GLOBALS,
@@ -71,6 +70,16 @@ EXIT_VERIFY_FAIL = 5
 # --samples, checked before any point is evaluated
 MAX_GRID_POINTS = 1_000_000
 MAX_SAMPLES = 1_000_000
+
+
+def __getattr__(name: str):
+    # geodesic and verify are imported by the commands that run them, so
+    # that the others do not load them; ``cli.verify`` still resolves
+    if name == "verify":
+        from . import verify
+
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_surface_spec(spec: dict) -> SurfacePatch:
@@ -270,15 +279,18 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
 
 def cmd_geodesic(
     patch: SurfacePatch,
-    gkind: GeodesicKind,
+    gtype: str,
     start: tuple[float, float],
     velocity: tuple[float, float],
     t_end: float,
     step: float,
     out_path: str,
 ) -> int:
+    """``gtype`` is the value of ``--type``: "r" or "lc"."""
+    from .geodesic import GeodesicKind, integrate
+
     trace = integrate(
-        patch, gkind, start[0], start[1], velocity[0], velocity[1], t_end, step
+        patch, GeodesicKind(gtype), start[0], start[1], velocity[0], velocity[1], t_end, step
     )
     lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
     for (t, u, v, du, dv, x, y, z), res in zip(trace.samples, trace.residuals["parallel"]):
@@ -348,6 +360,8 @@ def cmd_verify(
     tol: Optional[float],
     out_path: Optional[str],
 ) -> int:
+    from . import verify
+
     suites = list(verify.SUITES) if suite == "all" else [suite]
     report = verify.run_verify(None if patch is None else [patch], suites, samples, seed, tol)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -378,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     geo = sub.add_parser("geodesic", help="integrate a geodesic to CSV")
     geo.add_argument("spec")
     geo.add_argument("--type", choices=["r", "lc"], default="r")
-    geo.add_argument("--start", required=True)
-    geo.add_argument("--velocity", required=True)
+    # argparse reads "-1,0" as an option, not as a value
+    geo.add_argument("--start", required=True, help="u,v; write --start=-1,0 where u < 0")
+    geo.add_argument("--velocity", required=True, help="du,dv; write --velocity=-1,0 where du < 0")
     geo.add_argument("--t-end", type=float, required=True)
     geo.add_argument("--step", type=float, default=1e-3)
     geo.add_argument("--out", required=True)
@@ -387,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run identity-verification suites")
     ver.add_argument("spec", nargs="?")
     ver.add_argument("--all-catalog", action="store_true")
-    ver.add_argument("--suite", choices=list(verify.SUITES) + ["all"], default="all")
+    # checked by verify.run_verify, so that the parser does not load verify
+    ver.add_argument("--suite", default="all")
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tol", type=float, default=None)
@@ -411,7 +427,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_curvature(patch, nu, nv, args.out)
         if args.command == "geodesic":
             patch = load_spec_file(args.spec)
-            gkind = GeodesicKind.RELATIVE if args.type == "r" else GeodesicKind.LEVI_CIVITA
             start = _parse_pair(args.start, "--start")
             velocity = _parse_pair(args.velocity, "--velocity")
             for flag, values in (
@@ -423,7 +438,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.t_end <= 0.0:
                 raise SpecError("--t-end must be positive")
             return cmd_geodesic(
-                patch, gkind, start, velocity, args.t_end, args.step, args.out
+                patch, args.type, start, velocity, args.t_end, args.step, args.out
             )
         if args.command == "verify":
             if args.all_catalog == (args.spec is not None):

@@ -8,9 +8,10 @@ with C the Levi-Civita or the relative coefficients.  The system is
 integrated by classic fixed-step RK4 on (u, v, u', v'); fixed steps keep
 convergence-order tests clean.  Integration halts with a flagged trace
 (rather than extrapolating) when the trajectory leaves the parameter
-domain, reaches an inadmissible point or, for the relative connection
-in pseudo-isotropic space, a lightlike point, or when its state or
-connection coefficients stop being finite.
+domain, reaches a point where a coordinate expression has no value, an
+inadmissible point or, for the relative connection in pseudo-isotropic
+space, a lightlike point, or when its state or connection coefficients
+stop being finite.
 
 Every sample carries a parallelism residual: for relative geodesics the
 ambient acceleration must be parallel to the Gauss map, measured as
@@ -45,6 +46,7 @@ from . import expr as ex
 from .connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, RELATIVE_GLOBALS, relative_lines
 from .errors import (
     DegenerateBranch,
+    DomainError,
     LeftDomain,
     LightlikePoint,
     LightlikePointHit,
@@ -101,8 +103,8 @@ class _Halt(Exception):
         self.reason = reason
 
 
-# the halt reasons of the typed errors that a frame or a connection raises
-_REASONS = {NotAdmissible: "inadmissible", LightlikePoint: "lightlike"}
+# the halt reasons of the typed errors that a jet, a frame or a connection raises
+_REASONS = {DomainError: "undefined", NotAdmissible: "inadmissible", LightlikePoint: "lightlike"}
 
 
 def _outside(u: float, v: float) -> _Halt:
@@ -257,7 +259,7 @@ def integrate(
                 dv + sixth * (av + 2.0 * av2 + 2.0 * av3 + av4),
             )
             t = (k + 1) * step
-    except (_Halt, NotAdmissible, LightlikePoint) as halt:
+    except (_Halt, DomainError, NotAdmissible, LightlikePoint) as halt:
         stopped_reason = halt.reason if isinstance(halt, _Halt) else _REASONS[type(halt)]
         # a halt before the first sample is an invalid start, an error;
         # later halts merely flag the trace
@@ -271,7 +273,7 @@ def integrate(
                     f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
                     f"acceleration ({au!r}, {av!r}), position ({px!r}, {py!r}, {pz!r})"
                 ) from None
-            raise halt from None  # the frame's NotAdmissible, with its minor
+            raise halt from None  # the jet's DomainError or the frame's NotAdmissible
         stop_time = t
     return GeodesicTrace(gkind, samples, {"parallel": residuals}, stopped_reason, stop_time)
 

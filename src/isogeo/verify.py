@@ -46,7 +46,6 @@ from .connection import (
     gauss_residuals,
 )
 from .errors import IsoGeoError, SpecError
-from .geodesic import _step_count, cross_check_sphere_geodesic
 from .isotropy import SpaceKind
 from .rng import SplitMix64
 from .surface import CurvatureClass, PointFrame, SurfacePatch, curvatures_of_frame, frame_of_jet
@@ -322,6 +321,9 @@ SPHERE_GEODESIC_CONFIGS = (
 
 
 def suite_sphere_geodesics(t_end: float = 1.0, step: float = 1e-3) -> list[CheckResult]:
+    # imported here, so that only this suite loads the integrator
+    from .geodesic import _step_count, cross_check_sphere_geodesic
+
     # the samples compared per configuration, the steps of both traces
     points = _step_count(t_end, step) + 1
     out = []

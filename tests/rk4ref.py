@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from isogeo.connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, _of_frame, coeffs_of_frame, denom_of_frame
-from isogeo.errors import LightlikePoint, NotAdmissible
+from isogeo.errors import DomainError, LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import E3, SpaceKind, Vec3, cross_euclid, cross_lorentz
 from isogeo.surface import frame_at
@@ -41,6 +41,8 @@ def eval_point(s, gkind, u, v):
         raise Halt("left_domain")
     try:
         f = frame_at(s, u, v)
+    except DomainError:
+        raise Halt("undefined")
     except NotAdmissible:
         raise Halt("inadmissible")
     if gkind is GeodesicKind.LEVI_CIVITA:

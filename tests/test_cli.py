@@ -520,6 +520,40 @@ def test_geodesic_trace_stops_with_warning(tmp_path, capsys):
     assert float(rows[-1]["t"]) <= 1.01
 
 
+def test_geodesic_halts_where_the_surface_is_undefined(tmp_path, capsys):
+    # a Levi-Civita geodesic of a graph in I^3 is a straight line in (u, v);
+    # this one reaches u = 0, where log(u) has no value, at t = 0.5
+    spec = write_spec(
+        tmp_path, {"space": "i3", "surface": {"kind": "graph", "f": "log(u) + v"}, "domain": [-1, 1, 0, 1]}
+    )
+    out = tmp_path / "trace.csv"
+    argv = ["geodesic", spec, "--type", "lc", "--velocity=-1,0", "--t-end", "1", "--step", "0.01",
+            "--out", str(out)]
+    assert cli.main(argv + ["--start", "0.5,0.5"]) == 0
+    assert capsys.readouterr().err == "warning: trace stopped at t=0.49 (undefined)\n"
+    rows = read_rows(out)
+    assert len(rows) == 50 and rows[-1]["t"] == "0.49"
+    out.unlink()
+    # at the start point it is an error, and no file is written
+    assert cli.main(argv + ["--start=-0.5,0.5"]) == 2
+    assert capsys.readouterr().err == "error: log of non-positive value -0.5\n"
+    assert not out.exists()
+
+
+def test_negative_start_and_velocity_need_the_equals_form(tmp_path, capsys):
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    out = tmp_path / "trace.csv"
+    argv = ["geodesic", spec, "--t-end", "0.1", "--step", "0.01", "--out", str(out)]
+    assert cli.main(argv + ["--start=-0.5,-0.5", "--velocity=-1,-0.25"]) == 0
+    assert read_rows(out)[0]["u"] == "-0.5" and read_rows(out)[0]["du"] == "-1.0"
+    capsys.readouterr()
+    # without "=", argparse reads "-1,0" as an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--start", "0.5,0.5", "--velocity", "-1,0"])
+    assert exc.value.code == 2
+    assert "argument --velocity: expected one argument" in capsys.readouterr().err
+
+
 def test_geodesic_parallel_residual_is_finite_where_the_gauss_map_is_huge(tmp_path, capsys):
     # z = exp(u) at u = 354: |xi| ~ 1.5e307 and |gamma''| ~ 5.5e159, so the
     # unscaled cross product overflows; its residual was written as nan
@@ -703,19 +737,39 @@ def test_huge_json_integers_are_spec_errors(tmp_path, capsys):
 _IMPORT_PATH_SCRIPT = """\
 import contextlib, io, json, sys
 steps = []
+def step(name, code):
+    loaded = sorted(m[len("isogeo."):] for m in sys.modules if m.startswith("isogeo."))
+    steps.append([name, code, "numpy" in sys.modules, loaded])
 import isogeo
-steps.append(["import isogeo", 0, "numpy" in sys.modules])
+step("import isogeo", 0)
 import isogeo.cli as cli
-steps.append(["import isogeo.cli", 0, "numpy" in sys.modules])
+step("import isogeo.cli", 0)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+    step(" ".join(argv), code)
 print(json.dumps(steps))
 """
 
 
-def test_float_commands_never_import_numpy(tmp_path):
+def _import_path(argvs):
+    """[step, exit code, numpy loaded, isogeo modules loaded] after
+    ``import isogeo``, ``import isogeo.cli`` and each of ``argvs``, run in
+    order in one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 2 + len(argvs)
+    assert all(code == 0 for _, code, _, _ in steps), steps
+    return steps
+
+
+def _import_path_commands(tmp_path):
+    """The float-only commands, geodesic last, and the verify commands,
+    the tensor suite flatness last."""
     sphere = write_spec(tmp_path, SPHERE_SPEC, "sphere.json")
     helicoid = write_spec(
         tmp_path,
@@ -725,26 +779,75 @@ def test_float_commands_never_import_numpy(tmp_path):
     out = str(tmp_path / "out")
     geodesic_args = ["--start", "1.5,0.2", "--velocity", "0.3,0.1", "--t-end", "0.05",
                      "--step", "0.01", "--out", out]
-    float_only = [
+    commands = [
+        ["sample", helicoid, "--grid", "3x3", "--out", out],
         ["curvature", sphere, "--grid", "3x3", "--out", out],
         ["geodesic", sphere, "--type", "r", *geodesic_args],
         ["geodesic", sphere, "--type", "lc", *geodesic_args],
         ["geodesic", helicoid, "--type", "r", *geodesic_args],
-        ["sample", helicoid, "--grid", "3x3", "--out", out],
-        ["verify", "--all-catalog", "--suite", "umbilic", "--samples", "9"],
-        ["verify", "--all-catalog", "--suite", "minimal", "--samples", "9"],
     ]
-    flatness = ["verify", "--all-catalog", "--suite", "flatness", "--samples", "9"]
-    env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, json.dumps(float_only + [flatness])],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    steps = json.loads(proc.stdout)
-    assert len(steps) == 2 + len(float_only) + 1
-    assert all(code == 0 for _, code, _ in steps), steps
-    assert not any(loaded for _, _, loaded in steps[:-1]), steps
+    verify_commands = [
+        ["verify", "--all-catalog", "--suite", suite, "--samples", "9"]
+        for suite in ("umbilic", "minimal", "sphere-geodesics", "flatness")
+    ]
+    return commands, verify_commands
+
+
+def test_float_commands_never_import_numpy(tmp_path):
+    commands, verify_commands = _import_path_commands(tmp_path)
+    steps = _import_path(commands) + _import_path(verify_commands)
+    assert not any(numpy for _, _, numpy, _ in steps[:-1]), steps
     assert steps[-1][2]  # the tensor suites build arrays
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    commands, verify_commands = _import_path_commands(tmp_path)
+    cli_modules = {"catalog", "cli", "errors", "expr", "isotropy", "surface"}
+    # the modules each step loads, on top of the steps before it
+    loaded = [set(modules) for _, _, _, modules in _import_path(commands)]
+    added = [b - a for a, b in zip([set()] + loaded, loaded)]
+    assert added[:4] == [set(), cli_modules, set(), {"forkmap"}]  # import isogeo, cli, sample, curvature
+    assert added[4:] == [{"connection", "geodesic"}, set(), set()]
+    loaded = [set(modules) for _, _, _, modules in _import_path(verify_commands)]
+    added = [b - a for a, b in zip([set()] + loaded, loaded)]
+    assert added[2:] == [{"connection", "rng", "verify"}, set(), {"geodesic"}, set()]
+
+
+# the public names of the package, by the module that defines them
+_PUBLIC_API = {
+    "catalog": "CATALOG CurvatureOracles catalog_names make oracles_for",
+    "connection": "CodazziResiduals ConnectionCoeffs CurvatureTensorSample EgregiumResult "
+    "codazzi_residual coeffs_at curvature_tensors_at egregium_check gauss_equation_rhs",
+    "expr": "Expr parse to_source",
+    "geodesic": "GeodesicKind GeodesicTrace PlaneSection SectionBranch SphereGeodesicCheck "
+    "cross_check_sphere_geodesic induced_speed_profile integrate line_pair "
+    "make_plane_section plane_section",
+    "isotropy": "Motion SpaceKind Vec3 apply_motion codistance compose cross_euclid "
+    "cross_lorentz dot dot_euclid dot_lorentz norm top_view",
+    "surface": "AdmissibilityReport CurvatureClass CurvatureReport PointFrame SurfacePatch "
+    "curvatures_at frame_at graph_patch is_admissible lightlike_points normal_curvature "
+    "parametric_patch transform_patch",
+}
+
+
+def test_the_lazy_namespace_keeps_the_public_api(capsys):
+    import importlib
+
+    listed = dir(isogeo)
+    for module, names in _PUBLIC_API.items():
+        home = importlib.import_module(f"isogeo.{module}")
+        for name in names.split():
+            assert getattr(isogeo, name) is getattr(home, name), name
+            assert name in listed, name
+    assert isogeo.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        isogeo.no_such_name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cli.no_such_name
+    assert cli.verify is isogeo.verify is verify
+    # the parser leaves --suite to verify, which names the suites it knows
+    assert cli.main(["verify", "--all-catalog", "--suite", "nope"]) == 2
+    assert capsys.readouterr().err == f"error: unknown suite 'nope'; known: {verify.SUITES}\n"
 
 
 @pytest.mark.parametrize("domain", [[-1e308, 1e308, 0, 1], [0, 1, -1e308, 1e308]])
