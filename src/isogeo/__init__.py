@@ -4,8 +4,8 @@ operator, Levi-Civita and relative connections with their curvature
 tensors, and geodesic integration.
 
 Every module loads on first use: ``import isogeo`` loads none, and a
-public name or submodule read from the package loads the one module
-that defines it."""
+public name read from the package loads the one module that defines
+it."""
 
 import importlib
 
@@ -27,7 +27,8 @@ _EXPORTS = {
     "parametric_patch transform_patch",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = (*_EXPORTS, "cli", "errors", "forkmap", "rng", "verify")
+# the submodules that resolve as attributes of the package before any import
+_SUBMODULES = (*_EXPORTS, "errors")
 
 
 def __getattr__(name: str):

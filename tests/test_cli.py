@@ -767,9 +767,11 @@ def _import_path(argvs):
     return steps
 
 
-def _import_path_commands(tmp_path):
-    """The float-only commands, geodesic last, and the verify commands,
-    the tensor suite flatness last."""
+@pytest.fixture(scope="module")
+def import_paths(tmp_path_factory):
+    """The ``_import_path`` steps of the float-only commands, geodesic
+    last, and of the verify suites, the tensor suite flatness last."""
+    tmp_path = tmp_path_factory.mktemp("import_path")
     sphere = write_spec(tmp_path, SPHERE_SPEC, "sphere.json")
     helicoid = write_spec(
         tmp_path,
@@ -790,27 +792,26 @@ def _import_path_commands(tmp_path):
         ["verify", "--all-catalog", "--suite", suite, "--samples", "9"]
         for suite in ("umbilic", "minimal", "sphere-geodesics", "flatness")
     ]
-    return commands, verify_commands
+    return _import_path(commands), _import_path(verify_commands)
 
 
-def test_float_commands_never_import_numpy(tmp_path):
-    commands, verify_commands = _import_path_commands(tmp_path)
-    steps = _import_path(commands) + _import_path(verify_commands)
+def test_float_commands_never_import_numpy(import_paths):
+    steps = [step for path in import_paths for step in path]
     assert not any(numpy for _, _, numpy, _ in steps[:-1]), steps
     assert steps[-1][2]  # the tensor suites build arrays
 
 
-def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    commands, verify_commands = _import_path_commands(tmp_path)
-    cli_modules = {"catalog", "cli", "errors", "expr", "isotropy", "surface"}
+def test_each_command_loads_only_the_modules_it_runs(import_paths):
     # the modules each step loads, on top of the steps before it
-    loaded = [set(modules) for _, _, _, modules in _import_path(commands)]
-    added = [b - a for a, b in zip([set()] + loaded, loaded)]
-    assert added[:4] == [set(), cli_modules, set(), {"forkmap"}]  # import isogeo, cli, sample, curvature
-    assert added[4:] == [{"connection", "geodesic"}, set(), set()]
-    loaded = [set(modules) for _, _, _, modules in _import_path(verify_commands)]
-    added = [b - a for a, b in zip([set()] + loaded, loaded)]
-    assert added[2:] == [{"connection", "rng", "verify"}, set(), {"geodesic"}, set()]
+    commands, verify_commands = (
+        [b - a for a, b in zip([set()] + loaded, loaded)]
+        for loaded in ([set(modules) for *_, modules in path] for path in import_paths)
+    )
+    cli_modules = {"catalog", "cli", "errors", "expr", "isotropy", "surface"}
+    assert commands[:4] == [set(), cli_modules, set(), {"forkmap"}]  # import isogeo, cli, sample, curvature
+    assert commands[4:] == [{"connection", "geodesic"}, set(), set()]
+    assert verify_commands[:2] == [set(), cli_modules]
+    assert verify_commands[2:] == [{"connection", "rng", "verify"}, set(), {"geodesic"}, set()]
 
 
 # the public names of the package, by the module that defines them
