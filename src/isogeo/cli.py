@@ -50,14 +50,12 @@ from .isotropy import SpaceKind
 from .surface import (
     CURVATURE_GLOBALS,
     CURVATURE_LINES,
-    FRAME_GLOBALS,
-    JET_NAMES,
     CurvatureClass,
     SurfacePatch,
-    frame_lines,
     graph_patch,
     grid_values,
     parametric_patch,
+    point_lines,
 )
 
 EXIT_OK = 0
@@ -99,7 +97,7 @@ def parse_surface_spec(spec: dict) -> SurfacePatch:
         if (
             not isinstance(domain, (list, tuple))
             or len(domain) != 4
-            or not all(isinstance(x, (int, float)) for x in domain)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)
         ):
             raise SpecError("'domain' must be [u0, u1, v0, v1]")
         try:
@@ -207,12 +205,10 @@ def _row_kernel(patch: SurfacePatch):
     equals, and is not zero, the value it last wrote in the row writes
     that text again instead of a new repr, and the bytes are those of a
     repr per value."""
-    lines, outputs, namespace = ex.jet_lines((patch.x_expr, patch.y_expr, patch.z_expr), 2)
+    prelude, namespace = point_lines(patch)
     point = [
         "V = float(v)",
-        *lines,
-        *(f"{name} = {out}" for name, out in zip(JET_NAMES, outputs, strict=True)),
-        *frame_lines(patch.kind),
+        *prelude,
         *CURVATURE_LINES,
         "if not (isfinite(px) and isfinite(py) and isfinite(pz)):",
         "    raise DomainError(f'position not finite at ({u!r}, {v!r})')",
@@ -241,15 +237,8 @@ def _row_kernel(patch: SurfacePatch):
         '    row(f"{su},{sv},{s0},{s1},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")',
         "return ''.join(rows)",
     ]
-    env = {**FRAME_GLOBALS, **CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}, "NAN": math.nan}
+    env = {**CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}, "NAN": math.nan}
     return ex.compile_function("kernel(u, su, vs)", body, {**namespace, **env})
-
-
-def _curvature_rows(kernel, us: list[float], vs: list[tuple[float, str]]) -> str:
-    """The CSV rows of the grid points (u, v), u in ``us`` and (v, repr(v))
-    in ``vs``, as one text with a newline after each row; ``kernel`` is the
-    patch's ``_row_kernel``."""
-    return "".join([kernel(u, repr(u), vs) for u in us])
 
 
 def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
@@ -267,7 +256,7 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
     # compiled before the fork, so that every child inherits it
     kernel = _row_kernel(patch)
     texts = fork_map(
-        lambda block: _curvature_rows(kernel, block, vs),
+        lambda block: "".join([kernel(u, repr(u), vs) for u in block]),
         [us[a:b] for a, b in zip(bounds, bounds[1:])],
     )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -644,34 +644,23 @@ class _KernelWriter:
         raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_jet(
-    exprs, order: int, *, args: str = "u, v", head=(), bind=(), tail=(), env=None
-) -> Callable[..., tuple[float, ...]]:
+def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]]:
     """One function ``(u, v) -> floats``.  At order 2 it gives, for each
     tree in order, the value and partials (val, du, dv, duu, duv, dvv),
     and raises the DomainError of the first failing node, the trees taken
     one after the other, each in post-order.  At order 3 the same floats
     are followed by the third partials (duuu, duuv, duvv, dvvv) of each
-    tree in order.
-
-    A kernel with ``tail`` lines does not return the floats: it binds
-    them in order to the names ``bind`` and runs ``tail``, which returns.
-    It takes the arguments ``args``, which begin with u and v, runs the
-    ``head`` lines before the jet, and its lines see ``env``'s names."""
+    tree in order."""
     lines, outputs, namespace = jet_lines(exprs, order)
-    body = [*head, "U = float(u)", "V = float(v)", *lines]
-    if tail:
-        body += [f"{name} = {out}" for name, out in zip(bind, outputs, strict=True)] + list(tail)
-    else:
-        body.append(f"return ({''.join(f'{name}, ' for name in outputs)})")
-    return compile_function(f"kernel({args})", body, {**namespace, **(env or {})})
+    body = ["U = float(u)", "V = float(v)", *lines, f"return ({''.join(f'{name}, ' for name in outputs)})"]
+    return compile_function("kernel(u, v)", body, namespace)
 
 
 def jet_lines(exprs, order: int) -> tuple[list[str], list[str], dict]:
-    """The body of ``compile_jet``'s kernel: its jet lines, which read the
-    floats U and V of u and v and raise what the kernel raises; the names
-    of the floats it returns, in its order; and the namespace the lines
-    read."""
+    """The jet lines of ``compile_jet``'s kernel, which read the floats U
+    and V of u and v and raise what the kernel raises; the names of the
+    floats it returns, in its order; and the namespace the lines read.
+    ``surface.point_lines`` writes them into the fused point kernels."""
     writer = _KernelWriter(order)
     results = [writer.expr(e) for e in exprs]
     outputs = [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]

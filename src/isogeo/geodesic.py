@@ -56,7 +56,7 @@ from .errors import (
     TooManySteps,
 )
 from .isotropy import SpaceKind, Vec3, cross_xyz
-from .surface import FRAME_GLOBALS, JET_NAMES, SurfacePatch, frame_lines, graph_patch
+from .surface import SurfacePatch, graph_patch, point_lines
 
 
 # upper bound on the RK4 steps of one trace; each step keeps a sample
@@ -149,16 +149,17 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
-        tail = (*frame_lines(s.kind), *GAMMA_LINES, *(relative_lines(s.kind) if relative else ()))
+        prelude, namespace = point_lines(s)
+        tail = (*GAMMA_LINES, *(relative_lines(s.kind) if relative else ()), *_accel_lines(relative))
         u0, u1, v0, v1 = s.domain
-        kernel = s.accel_kernels[gkind] = ex.compile_jet(
-            (s.x_expr, s.y_expr, s.z_expr), 2, args="u, v, du, dv, sample=False",
+        kernel = s.accel_kernels[gkind] = ex.compile_function(
+            "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
-            head=("if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)"),
-            bind=JET_NAMES, tail=(*tail, *_accel_lines(relative)),
-            env={
-                **FRAME_GLOBALS, **RELATIVE_GLOBALS, "_outside": _outside,
+            ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)",
+             "U = float(u)", "V = float(v)", *prelude, *tail],
+            {
+                **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
                 "_parallel_residual": _parallel_residual,
                 "u0": u0, "u1": u1, "v0": v0, "v1": v1,
             },

@@ -309,8 +309,8 @@ FRAME_GLOBALS = {"math": math, "ADMISSIBILITY_RTOL": ADMISSIBILITY_RTOL, "NotAdm
 def frame_lines(kind: SpaceKind) -> tuple[str, ...]:
     """The frame's arithmetic in ``kind``'s space, as source lines from the
     ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only copy:
-    ``frame_of_jet`` runs these lines, and so do the compiled geodesic
-    stages."""
+    ``frame_of_jet`` runs these lines, and so do the fused point kernels,
+    through ``point_lines``."""
     pm = "+" if kind is SpaceKind.SIMPLY_ISOTROPIC else "-"
     return (
         "swapped = False",
@@ -343,6 +343,17 @@ def frame_lines(kind: SpaceKind) -> tuple[str, ...]:
         f"h12 = a * xuv {pm} b * yuv + zuv",
         f"h22 = a * xvv {pm} b * yvv + zvv",
     )
+
+
+def point_lines(s: SurfacePatch) -> tuple[list[str], dict]:
+    """The prelude of the fused point kernels, the ``curvature`` row kernel
+    and the geodesic stage kernel: ``s``'s order-2 jet lines, which read the
+    floats U and V of u and v, the ``JET_NAMES`` bound to the jet, and
+    ``frame_lines(s.kind)``; with the namespace they read, ``FRAME_GLOBALS``
+    included.  Each kernel adds only its own head and tail lines."""
+    lines, outputs, namespace = ex.jet_lines((s.x_expr, s.y_expr, s.z_expr), 2)
+    binds = [f"{name} = {out}" for name, out in zip(JET_NAMES, outputs, strict=True)]
+    return [*lines, *binds, *frame_lines(s.kind)], {**namespace, **FRAME_GLOBALS}
 
 
 def by_kind(lines_of) -> list[str]:

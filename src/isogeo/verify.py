@@ -357,6 +357,9 @@ def run_verify(
     single reproducibility knob).  Suites that produce no check, such as
     ``minimal`` on a surface that is not a minimal catalog entry, raise
     SpecError rather than pass vacuously."""
+    for suite in suites:  # before any patch is built
+        if suite not in SUITES:
+            raise IsoGeoError(f"unknown suite {suite!r}; known: {SUITES}")
     target = verification_patches() if patches is None else patches
     fd_step = DEFAULT_FD_STEP
     waves = RANDOM_WAVES if patches is None else 0
@@ -369,8 +372,6 @@ def run_verify(
     }
     checks: list[CheckResult] = []
     for suite in suites:
-        if suite not in runs:
-            raise IsoGeoError(f"unknown suite {suite!r}; known: {SUITES}")
         checks += runs[suite](target, samples, seed, fd_step)
     if not checks:
         raise SpecError(f"no check of the suite(s) {', '.join(suites)} applies to this surface")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import isogeo
 from genexpr import random_expr_full
-from isogeo import cli, expr, geodesic, verify
+from isogeo import catalog, cli, expr, geodesic, verify
 from isogeo import connection as con
 from isogeo import surface as srf
 from isogeo.errors import DomainError, IsoGeoError, NotAdmissible
@@ -429,6 +429,8 @@ def test_spec_validation_errors(tmp_path):
         {"space": "i3", "surface": {"kind": "mystery"}, "domain": [0, 1, 0, 1]},
         {"space": "i3", "surface": {"kind": "graph", "f": "u"}, "domain": [1, 0, 0, 1]},
         {"space": "i3", "surface": {"kind": "parametric", "x": "u", "y": "v"}, "domain": [0, 1, 0, 1]},
+        # JSON booleans are not numbers, as in catalog parameters
+        {"space": "i3", "surface": {"kind": "graph", "f": "u"}, "domain": [False, True, 0, 1]},
     ]
     for idx, spec in enumerate(cases):
         path = write_spec(tmp_path, spec, f"bad{idx}.json")
@@ -831,7 +833,7 @@ _PUBLIC_API = {
 }
 
 
-def test_the_lazy_namespace_keeps_the_public_api(capsys):
+def test_the_lazy_namespace_keeps_the_public_api(capsys, monkeypatch):
     import importlib
 
     listed = dir(isogeo)
@@ -847,8 +849,14 @@ def test_the_lazy_namespace_keeps_the_public_api(capsys):
         cli.no_such_name
     assert cli.verify is isogeo.verify is verify
     # the parser leaves --suite to verify, which names the suites it knows
+    # before it builds any catalog patch
+    made = []
+    real_make = catalog.make
+    monkeypatch.setattr(catalog, "make", lambda *args: made.append(args) or real_make(*args))
+    verify.verification_patches.cache_clear()
     assert cli.main(["verify", "--all-catalog", "--suite", "nope"]) == 2
     assert capsys.readouterr().err == f"error: unknown suite 'nope'; known: {verify.SUITES}\n"
+    assert made == []
 
 
 @pytest.mark.parametrize("domain", [[-1e308, 1e308, 0, 1], [0, 1, -1e308, 1e308]])

@@ -9,6 +9,7 @@ once the interpreter specialises a float multiply, ``-nan * nan`` can
 change sign between two calls of the same function.
 """
 
+import ast
 import dis
 import math
 import pickle
@@ -425,6 +426,48 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
         (lines,) = sources
         folded = [line for line in lines if STRUCTURAL_ARITHMETIC.search(line)]
         assert folded == [], (label, folded)
+
+
+def _stored_names(lines) -> set:
+    """The names that the body ``lines`` of a function assign to."""
+    tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in lines))
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+@pytest.mark.parametrize("name, kind", [
+    pytest.param("minimal_harmonic", SpaceKind.SIMPLY_ISOTROPIC, id="minimal_harmonic[i3]"),
+    pytest.param("revolution", SpaceKind.PSEUDO_ISOTROPIC, id="revolution[ip3]"),
+])
+def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
+    # the row kernel and both stage kernels each run surface.point_lines
+    # once, as one contiguous run of their body at one indent, and bind no
+    # jet name outside it
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    prelude, namespace = srf.point_lines(patch)
+    assert srf.FRAME_GLOBALS.items() <= namespace.items()
+    assert set(srf.JET_NAMES) <= _stored_names(prelude)
+    bodies = []
+    real = ex.compile_function
+
+    def recording(signature, lines, namespace):
+        bodies.append(list(lines))
+        return real(signature, lines, namespace)
+
+    monkeypatch.setattr(ex, "compile_function", recording)
+    cli._row_kernel(patch)
+    geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
+    geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
+    assert len(bodies) == 3
+    n = len(prelude)
+    for body in bodies:
+        runs = [
+            (i, line[: -len(prelude[0])]) for i, line in enumerate(body)
+            if line.endswith(prelude[0]) and not line[: -len(prelude[0])].strip()
+            and body[i:i + n] == [line[: -len(prelude[0])] + x for x in prelude]
+        ]
+        ((start, indent),) = runs
+        rest = [*body[:start], f"{indent}pass", *body[start + n:]]
+        assert not _stored_names(rest) & set(srf.JET_NAMES)
 
 
 def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
