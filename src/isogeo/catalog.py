@@ -234,10 +234,14 @@ def make(
     entry = CATALOG[name]
     if kind not in entry.kinds:
         raise BadParam(f"{name} is not defined in space {kind.value!r}")
+    params = params or {}
+    unknown = [key for key in params if key not in entry.required]
+    if unknown:
+        raise BadParam(f"unknown {name} parameter {unknown[0]!r}; known: {list(entry.required)}")
     dom = entry.default_domain(kind) if domain is None else tuple(domain)
     if not (dom[0] < dom[1] and dom[2] < dom[3]):
         raise BadParam(f"empty domain {dom!r}")
-    return entry.build(kind, params or {}, dom)
+    return entry.build(kind, params, dom)
 
 
 def oracles_for(patch: SurfacePatch) -> Optional[CurvatureOracles]:

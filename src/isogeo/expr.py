@@ -10,10 +10,10 @@ Grammar, lowest to highest binding:
              | FUNC "(" expr ")" | "(" expr ")"
 
 FUNC is one of sin cos tan sinh cosh tanh exp log sqrt abs; u and v are
-the only variables.  ``^`` with an exponent whose partials vanish and
-whose value is an integer n, |n| <= 1024, is evaluated by repeated
-squaring so negative bases work; any other exponent goes through
-exp(b*log(a)) and requires a positive base.
+the only variables.  ``^`` with an exponent whose first and second
+partials vanish and whose value is an integer n, |n| <= 1024, is
+evaluated by repeated squaring so negative bases work; any other
+exponent goes through exp(b*log(a)) and requires a positive base.
 
 Parsing is total: the first error aborts with the byte offset of the
 offending token, and nesting past ``MAX_DEPTH`` is such an error.  Trees are immutable; evaluation is pure.
@@ -242,7 +242,9 @@ def parse(source: str) -> Expr:
 # own float arithmetic does not keep stable.  DomainErrors (type and message)
 # arise in the tree's post-order.  Order 3 adds third partials after each
 # node's order-2 lines, lines that cannot raise, so it fails where order
-# 2 fails and otherwise repeats its floats.  Structurally identical
+# 2 fails and otherwise repeats its floats; an integer power multiplies at
+# the kernel's order, its exponent known when the kernel is written or only
+# at run time (see ``powj``).  Structurally identical
 # operations are emitted once: the same operations on the same inputs
 # give the same bits.  A kernel calls no helper: only ``math`` functions,
 # the builtins float, int and abs, and DomainError.
@@ -323,7 +325,8 @@ _CHAIN_SRC = {
 def _integer_exponent(value) -> int | None:
     """The n for which a ** value is the integer power a^n, else None: an
     integral value with |n| <= 1024.  ``_KernelWriter.powj`` writes the
-    same test out for an exponent known only at run time."""
+    same test out for an exponent known only at run time, which also needs
+    the exponent's first and second partials to be 0."""
     return int(value) if float(value).is_integer() and abs(value) <= 1024 else None
 
 
@@ -426,7 +429,7 @@ class _KernelWriter:
             "ONE": 1.0,
             "DomainError": DomainError,
             **{name: getattr(math, name) for name in
-               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "isfinite")},
+               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "isfinite", "nan")},
         }
         self.emitted: dict[tuple, tuple[str, ...]] = {}
 
@@ -529,23 +532,23 @@ class _KernelWriter:
         return result
 
     def pow_int_loop(self, a, n: str) -> tuple[str, ...]:
-        """The order-2 part of a^n for the int held in the name ``n``:
-        ``pow_int``'s multiplications in its order, as a loop over the bits
-        of |n| whose steps are written by ``mul`` and ``chain``."""
+        """a^n for the int held in the name ``n``: ``pow_int``'s
+        multiplications in its order, as a loop over the bits of |n| whose
+        steps are written by ``mul`` and ``chain`` at the writer's order."""
 
         def emit(p: str) -> tuple[str, ...]:
-            r, q = (tuple(f"{p}{c}{k}" for k in range(6)) for c in "rq")
+            r, q = (tuple(f"{p}{c}{k}" for k in range(len(a))) for c in "rq")
 
             def step(tag: str, target, op) -> list[str]:
                 # a writer of its own, so that no temporary leaves the step
-                sub = _KernelWriter(2, self.namespace, f"{p}{tag}")
+                sub = _KernelWriter(self.order, self.namespace, f"{p}{tag}")
                 names = op(sub)
                 return [*sub.lines, f"{', '.join(target)} = {', '.join(names)}"]
 
             self.lines += [
                 f"{p}m = -{n} if {n} < 0 else {n}",
-                f"{', '.join(r)} = {', '.join(self.ONE[:6])}",
-                f"{', '.join(q)} = {', '.join(a[:6])}",
+                f"{', '.join(r)} = {', '.join(self.ONE)}",
+                f"{', '.join(q)} = {', '.join(a)}",
                 f"while {p}m:",
                 f"    if {p}m & 1:",
                 *(f"        {x}" for x in step("a", r, lambda w: w.mul(r, q))),
@@ -557,63 +560,50 @@ class _KernelWriter:
             ]
             return r
 
-        return self.node(("pow_int", a[:6], n), emit)
+        return self.node(("pow_int", a, n), emit)
 
-    def pow_int_factors(self, x: str, n: str, f3: str) -> tuple[str, str, str]:
-        """The names of (f1, f2, f3), the derivatives of t -> t^n at x for
-        the int held in ``n``; f3 is bound to the name ``f3``.  f1 and f2
-        are the partials of ``pow_int_loop`` on the jet of t at x, whose
-        values are those the order-2 part of x^n multiplied, so they raise
-        nowhere it did not (it raised for 0^n, n < 0)."""
-        t = self.pow_int_loop((x, "ONE") + self.ZERO[:4], n)
-        # f3 = (n - 2) f2 / x divides by x != 0 only
-        self.lines.append(
-            f"{f3} = ({n} - 2) * {t[3]} / {x} if {x} != 0.0 else (6.0 if {n} == 3 else 0.0)"
-        )
-        return t[1], t[3], f3
+    def real_power(self, a, b) -> tuple[str, ...]:
+        """exp(b * log(a)), which needs a positive base."""
+        self.lines += [
+            f"if {a[0]} <= 0.0:",
+            "    raise DomainError("
+            f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
+        ]
+        return self.chain("exp", self.mul(b, self.chain("log", a)))
 
-    def powj(self, a, b, run_time_test: bool = True) -> tuple[str, ...]:
-        """a ** b with the branch taken at run time: an exponent with no
-        partials whose value passes ``_integer_exponent``'s test takes the
-        integer power, any other exp(b * log(a)), which needs a positive
-        base; without ``run_time_test`` only the latter is written.  Each
-        branch has writers of its own, so that no name defined inside a
-        branch is shared outside it, and the result of a run-time branch
-        holds no structural slot."""
+    def powj(self, a, b) -> tuple[str, ...]:
+        """a ** b with the branch taken at run time: an exponent whose first
+        and second partials vanish and whose value passes
+        ``_integer_exponent``'s test takes the integer power, any other
+        ``real_power``.  At order 3 the integer power adds a^n ln(a) b_ijk,
+        NaN for a <= 0, to each third partial whose b_ijk is not 0.  Each
+        branch has a writer of its own, so that no name defined inside a
+        branch is shared outside it, and the result holds no structural slot."""
 
         def emit(p: str) -> tuple[str, ...]:
             out = tuple(f"{p}{k}" for k in range(len(a)))
-            real = _KernelWriter(self.order, self.namespace, f"{p}x")
-            e = real.chain("exp", real.mul(b, real.chain("log", a)))
-            branch = [
-                f"if {a[0]} <= 0.0:",
-                "    raise DomainError("
-                f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
-                *real.lines,
-            ]
-            if not run_time_test:
-                self.lines += branch
-                return e
             n = f"{p}n"
             integral = _KernelWriter(self.order, self.namespace, f"{p}i")
             power = integral.pow_int_loop(a, n)
-            if self.order == 3:
-                factors = integral.pow_int_factors(a[0], n, f"{p}f3")
-                power += tuple(_chain_terms(a, *factors)[5:])
-            # a structural zero passes the test by construction
+            real = _KernelWriter(self.order, self.namespace, f"{p}x")
+            e = real.real_power(a, b)
+            # a structural zero passes the test, and adds nothing, by construction
             tests = [f"{x} == 0.0" for x in b[1:6] if x != "ZERO"]
+            third = [(o, x) for o, x in zip(out[6:], b[6:]) if x != "ZERO"]
             self.lines += [
                 f"if {' and '.join(tests + [f'float({b[0]}).is_integer()'])} and abs({b[0]}) <= 1024:",
                 f"    {n} = int({b[0]})",
                 *(f"    {x}" for x in integral.lines),
                 f"    {', '.join(out)} = {', '.join(power)}",
+                *([f"    {p}l = {out[0]} * log({a[0]}) if {a[0]} > 0.0 else nan"] if third else []),
+                *(f"    {o} = {o} + {p}l * {x} if {x} != 0.0 else {o}" for o, x in third),
                 "else:",
-                *(f"    {x}" for x in branch),
+                *(f"    {x}" for x in real.lines),
                 f"    {', '.join(out)} = {', '.join(e)}",
             ]
             return out
 
-        return self.node(("^", a, b, run_time_test), emit)
+        return self.node(("^", a, b), emit)
 
     def expr(self, e: Expr) -> tuple[str, ...]:
         match e:
@@ -639,7 +629,7 @@ class _KernelWriter:
                 # written; any other waits for the values at run time
                 if isinstance(right, Const):
                     n = _integer_exponent(right.value)
-                    return self.powj(a, b, run_time_test=False) if n is None else self.pow_int(a, n)
+                    return self.real_power(a, b) if n is None else self.pow_int(a, n)
                 return self.powj(a, b)
         raise TypeError(f"not an expression node: {e!r}")
 

@@ -168,7 +168,8 @@ class PointFrame(NamedTuple):
     are symmetric); ``g``, ``g_inv``, ``h`` and ``a_mat`` are read-only
     2x2 arrays built from them on each access.  A NamedTuple of floats
     rather than a frozen dataclass of vectors: building one is a single
-    tuple allocation, which matters once per RK4 stage."""
+    tuple allocation, once per ``frame_at`` call and per point that
+    ``verify`` samples."""
 
     kind: SpaceKind
     u: float

@@ -16,18 +16,7 @@ import math
 
 import jets
 from jets import ONE, ZERO, Jet2
-from isogeo.expr import Binary, Const, Expr, Unary, Var, _KernelWriter, compile_function
-
-
-def _compile_pow_int_factors():
-    writer = _KernelWriter(2)
-    factors = writer.pow_int_factors("x", "n", "f3")
-    doc = repr("(f1, f2, f3) of t -> t^n at x, by the lines of a kernel's run-time integer power.")
-    lines = [doc, *writer.lines, f"return {', '.join(factors)}"]
-    return compile_function("pow_int_factors(x, n)", lines, writer.namespace)
-
-
-pow_int_factors = _compile_pow_int_factors()
+from isogeo.expr import Binary, Const, Expr, Unary, Var
 
 
 def _pair(a, b):
@@ -117,10 +106,12 @@ def chain(fn: str, a):
     return _order2(low) + _third(a, *_factors(fn, a[0]))
 
 
-def pow_int(a, n: int):
+def pow_int(a, n: int, start: tuple = (ONE,) + (ZERO,) * 9):
+    """Integer power by repeated squaring from ``start``, the structural
+    one by default."""
     if n < 0:
-        return chain("recip", pow_int(a, -n))
-    result, base = (ONE,) + (ZERO,) * 9, a
+        return chain("recip", pow_int(a, -n, start))
+    result, base = start, a
     while n:
         if n & 1:
             result = mul(result, base)
@@ -136,13 +127,16 @@ def real_power(a, b):
 
 
 def powj(a, b):
-    """a ** b with the branch taken at run time; the result holds no
-    structural slot (see ``jets.powj``)."""
+    """a ** b with the branch taken at run time, as ``jets.powj``: the
+    integer power multiplies plain floats from a plain 1, and the result
+    holds no structural slot.  Each third partial of the exponent that is
+    not 0 adds a^n ln(a) b_ijk, NaN where a <= 0."""
     n = jets.integer_exponent(Jet2(*b[:6]))
     if n is None:
         return tuple(map(float, real_power(a, b)))
-    low = _order2(jets.powj(*_pair(a, b)))
-    return low + tuple(map(float, _third(a, *pow_int_factors(float(a[0]), n))))
+    power = pow_int(tuple(map(float, a)), n, (1.0,) + (0.0,) * 9)
+    term = power[0] * math.log(a[0]) if a[0] > 0.0 else math.nan
+    return power[:6] + tuple(x + term * y if y != 0.0 else x for x, y in zip(power[6:], b[6:]))
 
 
 def eval_jet3(e: Expr, u: float, v: float) -> tuple:

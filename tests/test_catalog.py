@@ -113,6 +113,9 @@ def test_bad_params():
         catalog.make("minimal_wave", IP3, {"f": "u + v", "g": "u"})
     with pytest.raises(BadParam):
         catalog.make("minimal_wave", IP3, {"f": "u^2 +", "g": "u"})  # parse error
+    # an unknown name is rejected before the builder reads any parameter
+    with pytest.raises(BadParam, match=r"^unknown parabolic_sphere parameter 'q'; known: \['p'\]$"):
+        catalog.make("parabolic_sphere", I3, {"p": 0.0, "q": 1})
     with pytest.raises(BadParam):
         catalog.make("minimal_harmonic", I3, {"f": "u^2"})  # not harmonic
     with pytest.raises(BadParam):

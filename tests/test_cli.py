@@ -431,6 +431,8 @@ def test_spec_validation_errors(tmp_path):
         {"space": "i3", "surface": {"kind": "parametric", "x": "u", "y": "v"}, "domain": [0, 1, 0, 1]},
         # JSON booleans are not numbers, as in catalog parameters
         {"space": "i3", "surface": {"kind": "graph", "f": "u"}, "domain": [False, True, 0, 1]},
+        # a parameter the catalog entry does not have
+        {"space": "i3", "surface": {"kind": "builtin", "name": "parabolic_sphere", "params": {"p": 2, "q": 1}}},
     ]
     for idx, spec in enumerate(cases):
         path = write_spec(tmp_path, spec, f"bad{idx}.json")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from genexpr import random_expr, random_expr_full
 from jet2ref import eval_jet2
-from jet3 import pow_int_factors, walk3
+from jet3 import walk3
 from isogeo import catalog, cli
 from isogeo import expr as ex
 from isogeo import geodesic as geo
@@ -273,15 +273,38 @@ def test_third_partials_are_differences_of_exact_second_partials(seed, u, v):
 
 @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3, 4, 7])
 def test_pow_int_factors(n):
+    # du, duu and duuu of u^n, whose exponent the kernel decides at run time
+    kernel = ex.compile_jet([ex.parse(f"u^({n}+0)" if n >= 0 else f"u^-({-n}+0)")], 3)
+
+    def factors(x):
+        jet = kernel(x, 0.5)
+        return jet[1], jet[3], jet[6]
+
     for x in (-1.5, 0.75, 2.0):
         want = (n * x ** (n - 1), n * (n - 1) * x ** (n - 2), n * (n - 1) * (n - 2) * x ** (n - 3))
-        got = pow_int_factors(x, n)
+        got = factors(x)
         assert all(abs(g - w) <= 1e-14 * (1.0 + abs(w)) for g, w in zip(got, want)), (x, n, got)
-    if n >= 0:  # at 0 a factor is 0 or n!, never a division
-        assert pow_int_factors(0.0, n) == tuple(
-            float(math.perm(n, k)) if n == k else 0.0 for k in (1, 2, 3)
-        )
-    assert pow_int_factors(1e200, 7)[0] == math.inf  # overflow, not OverflowError
+    if n >= 0:  # at 0 a factor is 0 or n!, exactly
+        assert factors(0.0) == tuple(float(math.perm(n, k)) if n == k else 0.0 for k in (1, 2, 3))
+    # overflow, not OverflowError
+    assert ex.compile_jet([ex.parse("u^(7+0)")], 3)(1e200, 0.5)[1] == math.inf
+
+
+def test_an_exponent_with_third_partials_adds_its_log_term():
+    # b's first and second partials vanish, so a^b takes the integer
+    # power; its third partials still carry a^n ln(a) b_ijk
+    for source, u, v, want in (
+        ("u^(v^3)", 2.0, 0.0, 6.0 * math.log(2.0)),
+        ("u^(2 + (v - 0.5)^3)", 2.0, 0.5, 24.0 * math.log(2.0)),
+    ):
+        duuu, duuv, duvv, dvvv = ex.compile_jet([ex.parse(source)], 3)(u, v)[6:]
+        assert abs(dvvv - want) <= 1e-14 * want and (duuu, duuv, duvv) == (0.0, 0.0, 0.0), source
+    # ln(a) has no real value for a <= 0: the third partial that needs it is
+    # NaN, and the order-2 part raises nothing and keeps its bits
+    e = [ex.parse("(-u)^(v^3)")]
+    jet = ex.compile_jet(e, 3)(2.0, 0.0)
+    assert bits(jet[:6]) == bits(ex.compile_jet(e, 2)(2.0, 0.0))
+    assert math.isnan(jet[9]) and jet[6:9] == (0.0, 0.0, 0.0)
 
 
 def test_runtime_integer_power_raises_only_where_order_2_does():
@@ -313,6 +336,8 @@ RUNTIME_POWERS = [
     pytest.param(ex.parse("(u - u)^(v - v - 1)"), id="zero-base"),
     pytest.param(ex.parse("(-u)^(v - v + 0.5)"), id="negative-base"),
     pytest.param(ex.parse("u^(v - v + 800.5)"), id="exp-overflow"),
+    # at v = 0.5 the exponent's third partial dvvv alone is not 0
+    pytest.param(ex.parse("u^(2 + (v - 0.5)^3)"), id="exponent-third-partial"),
 ]
 
 
