@@ -49,9 +49,9 @@ from .errors import (
 from .isotropy import SpaceKind
 from .surface import (
     CURVATURE_GLOBALS,
-    CURVATURE_LINES,
     CurvatureClass,
     SurfacePatch,
+    curvature_lines,
     graph_patch,
     grid_values,
     parametric_patch,
@@ -205,20 +205,20 @@ def _row_kernel(patch: SurfacePatch):
     equals, and is not zero, the value it last wrote in the row writes
     that text again instead of a new repr, and the bytes are those of a
     repr per value."""
-    prelude, namespace = point_lines(patch)
-    point = [
-        "V = float(v)",
-        *prelude,
-        *CURVATURE_LINES,
-        "if not (isfinite(px) and isfinite(py) and isfinite(pz)):",
+    w, namespace = point_lines(patch)
+    curvature_lines(w)
+    px, py, pz = w.get("px py pz")
+    w.line(
+        f"if not (isfinite({px}) and isfinite({py}) and isfinite({pz})):",
         "    raise DomainError(f'position not finite at ({u!r}, {v!r})')",
-    ]
+    )
     # column k keeps the value it last wrote in c{k} and its text in s{k}
     texts = [
         line
-        for k, name in enumerate(_ROW_FLOATS)
-        for line in (f"if {name} != c{k} or not {name}:", f"    c{k} = {name}", f"    s{k} = f'{{{name}!r}}'")
+        for k, x in enumerate(w.get(" ".join(_ROW_FLOATS)))
+        for line in (f"if {x} != c{k} or not {x}:", f"    c{k} = {x}", f"    s{k} = f'{{{x}!r}}'")
     ]
+    point = ["V = float(v)", *w.lines(*texts)]
     body = [
         "U = float(u)",
         f"{' = '.join(f'c{k}' for k in range(len(_ROW_FLOATS)))} = NAN",

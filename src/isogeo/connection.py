@@ -47,6 +47,7 @@ from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import expr as ex
+from . import surface as srf
 from .errors import LightlikePoint
 from .isotropy import SpaceKind
 from .surface import (
@@ -57,8 +58,6 @@ from .surface import (
     _read_only,
     by_kind,
     frame_at,
-    frame_of_jet,
-    gaussian_curvature,
 )
 
 np = _LazyNumpy(globals())
@@ -112,16 +111,18 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
     return coeffs_of_frame(frame_at(s, u, v))
 
 
-# The connections' arithmetic as source lines, from the frame lines' names
+# The connections' arithmetic as templates over the frame lines' names
 # (``surface.frame_lines``); the only copy, run by the functions below and
-# by the compiled geodesic stages.  Levi-Civita: the top-view solve
+# by the geodesic stage kernels.  Levi-Civita: the top-view solve
 # [x1_top x2_top] @ (ga_ij^1, ga_ij^2) = (x_ij)_top, regular even at
 # lightlike points
-GAMMA_LINES = (
-    "ga111, ga112 = (xuu * yv - yuu * xv) / m12, (xu * yuu - yu * xuu) / m12",
-    "ga121, ga122 = (xuv * yv - yuv * xv) / m12, (xu * yuv - yu * xuv) / m12",
-    "ga221, ga222 = (xvv * yv - yvv * xv) / m12, (xu * yvv - yu * xvv) / m12",
-)
+def gamma_lines(w: ex.Lines) -> None:
+    xu, xv, yu, yv, m12 = w.get("xu xv yu yv m12")
+    for ij, d in (("11", "uu"), ("12", "uv"), ("22", "vv")):
+        xij, yij = w.get(f"x{d} y{d}")
+        w.let(f"ga{ij}1, ga{ij}2", (xij * yv - yij * xv) / m12, (xu * yij - yu * xij) / m12)
+
+
 # d_k denom, for k = 1, 2, from the formulas of the module docstring: with
 # S^2 = 1 these are the same lines in both spaces, over the frame's a and b
 DENOM_GRADIENT_LINES = (
@@ -131,26 +132,29 @@ DENOM_GRADIENT_LINES = (
 RELATIVE_GLOBALS = {"LIGHTLIKE_HARD_TOL": LIGHTLIKE_HARD_TOL, "LightlikePoint": LightlikePoint}
 
 
-def denom_lines(kind: SpaceKind) -> tuple[str, ...]:
+def denom_lines(w: ex.Lines, kind: SpaceKind) -> None:
     """denom = |xi_top|^2 + xi_z."""
-    return (f"denom = a * a {'+' if kind is SpaceKind.SIMPLY_ISOTROPIC else '-'} b * b + xi_z",)
+    a, b, xi_z = w.get("a b xi_z")
+    w.let("denom", (a * a + b * b if kind is SpaceKind.SIMPLY_ISOTROPIC else a * a - b * b) + xi_z)
 
 
-def relative_lines(kind: SpaceKind) -> tuple[str, ...]:
+def relative_lines(w: ex.Lines, kind: SpaceKind) -> None:
     """rho, denom and the relative coefficients xi111 ... xi222, after
-    ``GAMMA_LINES``; LightlikePoint where denom vanishes."""
-    return (
-        *denom_lines(kind),
-        "if abs(denom) <= LIGHTLIKE_HARD_TOL:",
+    ``gamma_lines``; LightlikePoint where denom vanishes."""
+    denom_lines(w, kind)
+    denom, h11, h12, h22, g11, g12, g22, det_g, zu, zv = w.get("denom h11 h12 h22 g11 g12 g22 det_g zu zv")
+    w.line(
+        f"if abs({denom}) <= LIGHTLIKE_HARD_TOL:",
         "    raise LightlikePoint(f'relative connection singular at (u={u!r}, v={v!r})')",
-        "r11, r12, r22 = h11 / denom, h12 / denom, h22 / denom",
-        # g^{kl} (x_l)_z
-        "inv11, inv12, inv22 = g22 / det_g, -g12 / det_g, g11 / det_g",
-        "c1 = inv11 * zu + inv12 * zv",
-        "c2 = inv12 * zu + inv22 * zv",
-        "xi111, xi121, xi221 = ga111 + c1 * r11, ga121 + c1 * r12, ga221 + c1 * r22",
-        "xi112, xi122, xi222 = ga112 + c2 * r11, ga122 + c2 * r12, ga222 + c2 * r22",
     )
+    r11, r12, r22 = w.let("r11, r12, r22", h11 / denom, h12 / denom, h22 / denom)
+    # g^{kl} (x_l)_z
+    inv11, inv12, inv22 = w.let("inv11, inv12, inv22", g22 / det_g, -g12 / det_g, g11 / det_g)
+    (c1,) = w.let("c1", inv11 * zu + inv12 * zv)
+    (c2,) = w.let("c2", inv12 * zu + inv22 * zv)
+    ga111, ga112, ga121, ga122, ga221, ga222 = w.get("ga111 ga112 ga121 ga122 ga221 ga222")
+    w.let("xi111, xi121, xi221", ga111 + c1 * r11, ga121 + c1 * r12, ga221 + c1 * r22)
+    w.let("xi112, xi122, xi222", ga112 + c2 * r11, ga122 + c2 * r12, ga222 + c2 * r22)
 
 
 def _of_frame(doc: str, signature: str, *lines: str) -> Callable:
@@ -173,7 +177,7 @@ denom_gradient_of_frame = _of_frame(
 coeffs_of_frame = _of_frame(
     "Both connections at a frame; raises LightlikePoint where the relative\n"
     "one is singular (denom vanishes).",
-    "coeffs_of_frame(f)", *GAMMA_LINES, *by_kind(relative_lines),
+    "coeffs_of_frame(f)", *ex.template_lines(gamma_lines), *by_kind(relative_lines),
     "return ConnectionCoeffs((ga111, ga112, ga121, ga122, ga221, ga222),"
     " (xi111, xi112, xi121, xi122, xi221, xi222), (r11, r12, r22), denom,"
     " abs(denom) < LIGHTLIKE_GUARD_BAND, f)",
@@ -258,7 +262,7 @@ def coeff_derivatives(sampled: Iterable[tuple[PointFrame, Sequence[float]]]) -> 
 def _sampled_at(s: SurfacePatch, u: float, v: float) -> tuple[PointFrame, tuple]:
     """The (frame, order-3 jet) pair of ``coeff_derivatives`` at (u, v)."""
     jet = s.jet3_kernel(u, v)
-    return frame_of_jet(s.kind, u, v, jet[:18]), jet
+    return srf.frame_of_jet(s.kind, u, v, jet[:18]), jet
 
 
 def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
@@ -313,7 +317,7 @@ def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
     right the extrinsic forms."""
     r_lowered = _relative_tensors(b)[1]
     for k_tensor, c in zip((b.denom * r_lowered[:, 1, 0, 0, 1] / b.det_g).tolist(), b.coeffs):
-        k_ext = gaussian_curvature(c.frame)
+        k_ext = srf.gaussian_curvature(c.frame)
         abs_err = abs(k_tensor - k_ext)
         yield EgregiumResult(k_tensor, k_ext, abs_err / abs(k_ext) if k_ext != 0.0 else math.inf, abs_err)
 

@@ -22,6 +22,7 @@ offending token, and nesting past ``MAX_DEPTH`` is such an error.  Trees are imm
 from __future__ import annotations
 
 import math
+import re
 import struct
 from typing import Callable, NamedTuple, Union
 
@@ -249,29 +250,34 @@ def parse(source: str) -> Expr:
 # give the same bits.  A kernel calls no helper: only ``math`` functions,
 # the builtins float, int and abs, and DomainError.
 # Constants are bound by name in the kernel's namespace, never written as
-# source literals; the source holds only generated identifiers.
+# source literals; the source holds only generated identifiers.  The fused
+# point kernels write their lines after the jet's from templates over the
+# jet's slots (``Lines``), with the same structural rule.
 
 # Per elementary function: statements, then the chain-rule factors
 # (f0, f1, f2, f3) at the argument value {x}; f3 is read at order 3 only.
-# {p} prefixes the node's temporaries.
+# {p} prefixes the node's temporaries, {q} those of its statements: sin and
+# cos of one argument share one block of statements, and so do sinh and
+# cosh, the block of the first of them, whose message it keeps.
 _OVERFLOW = (
     "try:",
-    "    {p}s = sinh({x})",
-    "    {p}c = cosh({x})",
+    "    {q}s = sinh({x})",
+    "    {q}c = cosh({x})",
     "except OverflowError as exc:",
     "    raise DomainError('overflow in {fn}') from exc",
 )
 _NON_FINITE = ("if not isfinite({x}):", "    raise DomainError(f'{fn} of non-finite value {{{x}!r}}')")
-_SIN_COS = (*_NON_FINITE, "{p}s = sin({x})", "{p}c = cos({x})")
+_SIN_COS = (*_NON_FINITE, "{q}s = sin({x})", "{q}c = cos({x})")
+_SHARED = (_OVERFLOW, _SIN_COS)
 _CHAIN_SRC = {
-    "sin": (_SIN_COS, ("{p}s", "{p}c", "-{p}s", "-{p}c")),
-    "cos": (_SIN_COS, ("{p}c", "-{p}s", "-{p}c", "{p}s")),
+    "sin": (_SIN_COS, ("{q}s", "{q}c", "-{q}s", "-{q}c")),
+    "cos": (_SIN_COS, ("{q}c", "-{q}s", "-{q}c", "{q}s")),
     "tan": (
         (*_NON_FINITE, "{p}t = tan({x})", "{p}d = 1.0 + {p}t * {p}t"),
         ("{p}t", "{p}d", "2.0 * {p}t * {p}d", "2.0 * {p}d * ({p}d + 2.0 * ({p}t * {p}t))"),
     ),
-    "sinh": (_OVERFLOW, ("{p}s", "{p}c", "{p}s", "{p}c")),
-    "cosh": (_OVERFLOW, ("{p}c", "{p}s", "{p}c", "{p}s")),
+    "sinh": (_OVERFLOW, ("{q}s", "{q}c", "{q}s", "{q}c")),
+    "cosh": (_OVERFLOW, ("{q}c", "{q}s", "{q}c", "{q}s")),
     "tanh": (
         ("{p}t = tanh({x})", "{p}d = 1.0 - {p}t * {p}t"),
         ("{p}t", "{p}d", "-2.0 * {p}t * {p}d", "2.0 * {p}d * (2.0 * ({p}t * {p}t) - {p}d)"),
@@ -336,7 +342,8 @@ class _Src:
     groups as Python does.  The names ZERO and ONE are structural: they
     hold a slot known to be 0 or 1 when the kernel is written.  A product
     with ZERO is ZERO, a factor ONE is dropped, and so is a term ZERO of a
-    sum or difference; ``tests/jets.py`` keeps the same rule on floats."""
+    sum or difference; ZERO / x is ZERO and x / ONE is x.  ``tests/jets.py``
+    keeps the same rule on floats."""
 
     __slots__ = ("text", "prec")  # prec: 1 sum, 2 product, 3 atom
 
@@ -363,6 +370,12 @@ class _Src:
     def __rmul__(self, other) -> "_Src":
         return _src(other) * self
 
+    def __truediv__(self, other) -> "_Src":
+        other = _src(other)
+        if self.text == "ZERO" or other.text == "ONE":
+            return self
+        return _Src(f"{self._operand(2)} / {other._operand(3)}", 2)
+
     def __add__(self, other) -> "_Src":
         other = _src(other)
         if self.text == "ZERO":
@@ -370,6 +383,12 @@ class _Src:
         if other.text == "ZERO":
             return self
         return _Src(f"{self.text} + {other._operand(2)}", 1)
+
+    def __radd__(self, other) -> "_Src":
+        return _src(other) + self
+
+    def __rsub__(self, other) -> "_Src":
+        return _src(other) - self
 
     def __sub__(self, other) -> "_Src":
         other = _src(other)
@@ -385,6 +404,63 @@ class _Src:
 
 def _src(x) -> _Src:
     return x if isinstance(x, _Src) else _Src(x)
+
+
+_NAME = r"[A-Za-z_]\w*"  # compiled on first use, by the re module's cache
+
+
+class Lines:
+    """Kernel lines written from templates over slots: the ``_Src`` that
+    holds a named quantity, such as xu or h11, where that is not the name
+    itself, so that a template over no slots writes plain source.  ``let``
+    writes a template's arithmetic and ``line`` its guards, blocks and
+    returns, into which the template formats the slots it reads."""
+
+    def __init__(self, slots=()) -> None:
+        self.slots, self.body = dict(slots), []  # lines, and the (name, value) pairs of each let
+
+    def get(self, names: str) -> list[_Src]:
+        return [self.slots.get(n) or _Src(n) for n in names.replace(",", " ").split()]
+
+    def let(self, names: str, *values, bind: bool = False) -> list[_Src]:
+        """``names = values``; returns the names' slots.  A value that is a
+        name already (ZERO, ONE or a slot) becomes the name's slot, and
+        writes no line unless ``bind`` asks for a name of its own."""
+        pairs = []
+        for name, value in zip(names.split(", "), map(_src, values)):
+            slot = value.text == name or value.text.isidentifier() and not bind
+            self.slots[name] = value if slot else _Src(name)
+            pairs += [] if slot else [(name, value.text)]
+        self.body += [pairs] if pairs else []
+        return self.get(names)
+
+    def line(self, *lines: str) -> None:
+        self.body += lines
+
+    def lines(self, *after: str, prune: bool = True) -> list[str]:
+        """The lines written; with ``prune``, each let keeps only the names
+        that a later line reads, the lines ``after`` them included."""
+        # the lines before the first let, such as a kernel's jet lines, are
+        # written as they are, and what they read is not asked
+        first = next((i for i, x in enumerate(self.body) if not isinstance(x, str)), len(self.body))
+        live, out = set(re.findall(_NAME, " ".join(after))), []
+        for x in reversed(self.body[first:]):
+            if not isinstance(x, str):
+                x = [(n, v) for n, v in x if n in live or not prune]
+                if not x:
+                    continue
+                x = f"{', '.join(n for n, _ in x)} = {', '.join(v for _, v in x)}"
+            if prune:
+                live.update(re.findall(_NAME, x))
+            out.append(x)
+        return self.body[:first] + out[::-1]
+
+
+def template_lines(template, *args) -> list[str]:
+    """The lines of ``template(w, *args)`` over plain names, all of them."""
+    w = Lines()
+    template(w, *args)
+    return w.lines(prune=False)
 
 
 def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
@@ -409,21 +485,21 @@ def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
     return [str(t) for t in terms]
 
 
-class _KernelWriter:
-    """Emits the lines of one kernel of the given order; a jet is the tuple
-    of the names holding (val, du, dv, duu, duv, dvv), followed at order 3
-    by (duuu, duuv, duvv, dvvv).  A slot may be the structural name ZERO
-    or ONE (see ``_Src``): a constant's partials, a variable's, and what
-    the jet rules make of them."""
+class _KernelWriter(Lines):
+    """Writes the jet lines of one kernel of the given order; a jet is the
+    tuple of the names holding (val, du, dv, duu, duv, dvv), followed at
+    order 3 by (duuu, duuv, duvv, dvvv).  A slot may be the structural name
+    ZERO or ONE (see ``_Src``): a constant's partials, a variable's, and
+    what the jet rules make of them."""
 
     def __init__(self, order: int, namespace: dict | None = None, prefix: str = "j") -> None:
+        super().__init__()
         self.order = order
         self.ZERO = zeros = ("ZERO",) * (4 * order - 3)  # 5 at order 2, 9 at order 3
         self.ONE = ("ONE",) + zeros
         self.U = ("U", "ONE") + zeros[1:]
         self.V = ("V", "ZERO", "ONE") + zeros[2:]
         self.prefix = prefix
-        self.lines: list[str] = []
         self.namespace: dict[str, object] = namespace if namespace is not None else {
             "ZERO": 0.0,
             "ONE": 1.0,
@@ -448,7 +524,7 @@ class _KernelWriter:
         names = []
         for k, x in enumerate(map(str, exprs)):
             if not x.isidentifier():
-                self.lines.append(f"{p}{k} = {x}")
+                self.line(f"{p}{k} = {x}")
                 x = f"{p}{k}"
             names.append(x)
         return tuple(names)
@@ -503,15 +579,24 @@ class _KernelWriter:
         statements, factors = _CHAIN_SRC[fn]
 
         def emit(p: str) -> tuple[str, ...]:
-            fill = {"p": p, "x": a[0], "fn": fn}
-            self.lines.extend(s.format(**fill) for s in statements)
+            fill = {"p": p, "q": p, "x": a[0], "fn": fn}
+
+            def block(q: str) -> str:
+                self.line(*(s.format(**{**fill, "q": q}) for s in statements))
+                return q
+
+            if statements in _SHARED:
+                fill["q"] = self.node(("block", statements, a[0]), block)
+            else:
+                block(p)
             f0, *fs = (f.format(**fill) for f in factors[: self.order + 1])
-            # f1, f2 (and f3) are evaluated once each, before any term uses them
-            for k, fk in enumerate(fs):
-                if not fk.isidentifier():
-                    self.lines.append(f"{p}f{k + 1} = {fk}")
-                    fs[k] = f"{p}f{k + 1}"
-            return self.lines_for(p, [f0, *_chain_terms(a, *fs)])
+            # f1, f2 (and f3) are evaluated once each, before any term uses
+            # them, and only where a term does
+            names = [fk if fk.isidentifier() else f"{p}f{k + 1}" for k, fk in enumerate(fs)]
+            terms = _chain_terms(a, *names)
+            read = set(re.findall(_NAME, " ".join(terms)))
+            self.line(*(f"{n} = {fk}" for n, fk in zip(names, fs) if n != fk and n in read))
+            return self.lines_for(p, [f0, *terms])
 
         return self.node((fn, a), emit)
 
@@ -543,9 +628,9 @@ class _KernelWriter:
                 # a writer of its own, so that no temporary leaves the step
                 sub = _KernelWriter(self.order, self.namespace, f"{p}{tag}")
                 names = op(sub)
-                return [*sub.lines, f"{', '.join(target)} = {', '.join(names)}"]
+                return [*sub.lines(), f"{', '.join(target)} = {', '.join(names)}"]
 
-            self.lines += [
+            self.line(
                 f"{p}m = -{n} if {n} < 0 else {n}",
                 f"{', '.join(r)} = {', '.join(self.ONE)}",
                 f"{', '.join(q)} = {', '.join(a)}",
@@ -557,18 +642,18 @@ class _KernelWriter:
                 *(f"        {x}" for x in step("b", q, lambda w: w.mul(q, q))),
                 f"if {n} < 0:",
                 *(f"    {x}" for x in step("c", r, lambda w: w.chain("recip", r))),
-            ]
+            )
             return r
 
         return self.node(("pow_int", a, n), emit)
 
     def real_power(self, a, b) -> tuple[str, ...]:
         """exp(b * log(a)), which needs a positive base."""
-        self.lines += [
+        self.line(
             f"if {a[0]} <= 0.0:",
             "    raise DomainError("
             f"f'power with non-integer exponent needs a positive base, got {{{a[0]}!r}}')",
-        ]
+        )
         return self.chain("exp", self.mul(b, self.chain("log", a)))
 
     def powj(self, a, b) -> tuple[str, ...]:
@@ -590,17 +675,17 @@ class _KernelWriter:
             # a structural zero passes the test, and adds nothing, by construction
             tests = [f"{x} == 0.0" for x in b[1:6] if x != "ZERO"]
             third = [(o, x) for o, x in zip(out[6:], b[6:]) if x != "ZERO"]
-            self.lines += [
+            self.line(
                 f"if {' and '.join(tests + [f'float({b[0]}).is_integer()'])} and abs({b[0]}) <= 1024:",
                 f"    {n} = int({b[0]})",
-                *(f"    {x}" for x in integral.lines),
+                *(f"    {x}" for x in integral.lines()),
                 f"    {', '.join(out)} = {', '.join(power)}",
                 *([f"    {p}l = {out[0]} * log({a[0]}) if {a[0]} > 0.0 else nan"] if third else []),
                 *(f"    {o} = {o} + {p}l * {x} if {x} != 0.0 else {o}" for o, x in third),
                 "else:",
-                *(f"    {x}" for x in real.lines),
+                *(f"    {x}" for x in real.lines()),
                 f"    {', '.join(out)} = {', '.join(e)}",
-            ]
+            )
             return out
 
         return self.node(("^", a, b), emit)
@@ -641,20 +726,20 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     one after the other, each in post-order.  At order 3 the same floats
     are followed by the third partials (duuu, duuv, duvv, dvvv) of each
     tree in order."""
-    lines, outputs, namespace = jet_lines(exprs, order)
-    body = ["U = float(u)", "V = float(v)", *lines, f"return ({''.join(f'{name}, ' for name in outputs)})"]
-    return compile_function("kernel(u, v)", body, namespace)
+    writer, outputs = jet_writer(exprs, order)
+    body = ["U = float(u)", "V = float(v)", *writer.lines(), f"return ({''.join(f'{name}, ' for name in outputs)})"]
+    return compile_function("kernel(u, v)", body, writer.namespace)
 
 
-def jet_lines(exprs, order: int) -> tuple[list[str], list[str], dict]:
-    """The jet lines of ``compile_jet``'s kernel, which read the floats U
-    and V of u and v and raise what the kernel raises; the names of the
-    floats it returns, in its order; and the namespace the lines read.
-    ``surface.point_lines`` writes them into the fused point kernels."""
+def jet_writer(exprs, order: int) -> tuple[_KernelWriter, list[str]]:
+    """The writer that holds the jet lines of ``compile_jet``'s kernel,
+    which read the floats U and V of u and v and raise what the kernel
+    raises, with its ``namespace``; and the names of the floats the kernel
+    returns, in its order.  ``surface.point_lines`` writes the fused point
+    kernels' frame lines into the same writer."""
     writer = _KernelWriter(order)
     results = [writer.expr(e) for e in exprs]
-    outputs = [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
-    return writer.lines, outputs, writer.namespace
+    return writer, [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
 
 
 def compile_function(signature: str, lines, namespace: dict) -> Callable:

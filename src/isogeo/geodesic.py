@@ -43,7 +43,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, RELATIVE_GLOBALS, relative_lines
+from .connection import LIGHTLIKE_GUARD_BAND, RELATIVE_GLOBALS, gamma_lines, relative_lines
 from .errors import (
     DegenerateBranch,
     DomainError,
@@ -112,31 +112,39 @@ def _outside(u: float, v: float) -> _Halt:
     return _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
 
 
-def _accel_lines(relative: bool) -> tuple[str, ...]:
+def _accel_lines(w: ex.Lines, relative: bool) -> None:
     """(u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter order, from
     the coefficients C_ij^k in the frame's order: the relative ones xi_ijk
     or the Levi-Civita ones ga_ijk.  With ``sample``, also the position, the
     parallel residual of gamma'' against xi or (0, 0, 1) and, for the
     relative connection, denom (None for Levi-Civita)."""
     c = "xi" if relative else "ga"
-    return (
-        "w1, w2 = (dv, du) if swapped else (du, dv)",
-        f"a1 = -({c}111 * w1 * w1 + 2.0 * {c}121 * w1 * w2 + {c}221 * w2 * w2)",
-        f"a2 = -({c}112 * w1 * w1 + 2.0 * {c}122 * w1 * w2 + {c}222 * w2 * w2)",
-        "au, av = (a2, a1) if swapped else (a1, a2)",
-        "if not sample:",
-        "    return au, av",
-        # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
-        # component summed left to right
-        "s11, s12, s22 = w1 * w1, 2.0 * w1 * w2, w2 * w2",
-        "residual = _parallel_residual(",
-        "    a1 * xu + a2 * xv + s11 * xuu + s12 * xuv + s22 * xvv,",
-        "    a1 * yu + a2 * yv + s11 * yuu + s12 * yuv + s22 * yvv,",
-        "    a1 * zu + a2 * zv + s11 * zuu + s12 * zuv + s22 * zvv,",
-        f"    {'a, b, xi_z' if relative else '0.0, 0.0, 1.0'},",
-        ")",
-        f"return au, av, px, py, pz, residual, {'denom' if relative else 'None'}",
+    c111, c112, c121, c122, c221, c222 = w.get(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222")
+    # where the frame lines wrote no swap, the frame's order is the caller's
+    swap = str(w.get("swapped")[0]) != "False"
+    if swap:
+        w.line("w1, w2 = (dv, du) if swapped else (du, dv)")
+    w1, w2 = w.get("w1 w2") if swap else w.let("w1, w2", "du", "dv")
+    a1, a2 = w.let(
+        "a1, a2",
+        -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2),
+        -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2),
     )
+    if swap:
+        w.line(f"au, av = ({a2}, {a1}) if swapped else ({a1}, {a2})")
+    au, av = w.get("au av") if swap else (a1, a2)
+    w.line("if not sample:", f"    return {au}, {av}")
+    # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
+    # component summed left to right
+    s11, s12, s22 = w.let("s11, s12, s22", w1 * w1, 2.0 * w1 * w2, w2 * w2)
+    gamma = [
+        a1 * x1 + a2 * x2 + s11 * x11 + s12 * x12 + s22 * x22
+        for x1, x2, x11, x12, x22 in (w.get(f"{x}u {x}v {x}uu {x}uv {x}vv") for x in "xyz")
+    ]
+    normal = w.get("a b xi_z") if relative else ("0.0", "0.0", "1.0")
+    w.let("residual", ex._Src(f"_parallel_residual({', '.join(map(str, [*gamma, *normal]))})"))
+    px, py, pz, denom = w.get("px py pz denom") if relative else [*w.get("px py pz"), "None"]
+    w.line(f"return {au}, {av}, {px}, {py}, {pz}, residual, {denom}")
 
 
 def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
@@ -149,15 +157,18 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
-        prelude, namespace = point_lines(s)
-        tail = (*GAMMA_LINES, *(relative_lines(s.kind) if relative else ()), *_accel_lines(relative))
+        w, namespace = point_lines(s)
+        gamma_lines(w)
+        if relative:
+            relative_lines(w, s.kind)
+        _accel_lines(w, relative)
         u0, u1, v0, v1 = s.domain
         kernel = s.accel_kernels[gkind] = ex.compile_function(
             "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
             ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)",
-             "U = float(u)", "V = float(v)", *prelude, *tail],
+             "U = float(u)", "V = float(v)", *w.lines()],
             {
                 **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
                 "_parallel_residual": _parallel_residual,
@@ -230,8 +241,11 @@ def integrate(
             au, av, px, py, pz, residual, denom = accel(u, v, du, dv, True)
             # once per step: a non-finite velocity or coefficient at any stage
             # reaches this step's state, so the next check here sees it; a
-            # sample is written only with a finite position
-            if not (isfinite(au) and isfinite(av) and isfinite(px) and isfinite(py) and isfinite(pz)):
+            # sample is written only with a finite velocity and position (an
+            # acceleration known to be 0 does not carry a velocity's inf or
+            # NaN into the check)
+            if not (isfinite(au) and isfinite(av) and isfinite(du) and isfinite(dv)
+                    and isfinite(px) and isfinite(py) and isfinite(pz)):
                 raise _Halt("non_finite")
             if watch_lightlike:
                 # the connection is singular on the lightlike locus; stop when
@@ -271,8 +285,8 @@ def integrate(
                 ) from None
             if stopped_reason == "non_finite":
                 raise NonFiniteStart(
-                    f"geodesic equation not finite at the start ({u0!r}, {v0!r}): "
-                    f"acceleration ({au!r}, {av!r}), position ({px!r}, {py!r}, {pz!r})"
+                    f"geodesic equation not finite at the start ({u0!r}, {v0!r}): velocity "
+                    f"({du!r}, {dv!r}), acceleration ({au!r}, {av!r}), position ({px!r}, {py!r}, {pz!r})"
                 ) from None
             raise halt from None  # the jet's DomainError or the frame's NotAdmissible
         stop_time = t

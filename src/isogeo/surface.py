@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .errors import DomainError, LightlikeDirection, NotAdmissible, WrongSpace
-from .isotropy import Motion, SpaceKind, Vec3
+from .errors import DomainError, NotAdmissible
+from .isotropy import SpaceKind, Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
 CURVATURE_TOL = 1e-9  # the class boundaries' width in disc and in h - H g
@@ -283,18 +284,29 @@ class CurvatureReport(NamedTuple):
     umbilic_factor: Optional[float] = None
 
 
-class AdmissibilityReport(NamedTuple):
-    admissible_everywhere: bool
-    min_abs_m12: float
-    points: int
-    inadmissible: list[tuple[float, float]]
-    # pseudo only, None in simply isotropic; always True, since det g =
-    # -m12^2 < 0 at every admissible point
-    timelike_everywhere: Optional[bool]
+# the patch queries that no command runs, which load on first use, and the
+# functions of a jet or frame that run the templates' plain lines, compiled
+# on the first read of the module's attribute (frame_at reads it so): the
+# commands that run the fused kernels need neither
+_QUERIES = ("AdmissibilityReport", "is_admissible", "lightlike_condition", "lightlike_points",
+            "normal_curvature", "transform_patch")
+_FRAME_FUNCTIONS = ("frame_of_jet", "gaussian_curvature", "curvatures_of_frame")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name in _FRAME_FUNCTIONS:
+        globals().update(_frame_functions())
+        return globals()[name]
+    if name in _QUERIES:
+        from . import queries
+
+        return getattr(queries, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
-    return frame_of_jet(s.kind, u, v, s.jet_kernel(u, v))
+    return _module.frame_of_jet(s.kind, u, v, s.jet_kernel(u, v))
 
 
 # the 18 floats of ``jet_kernel``, and PointFrame's fields, as the frame
@@ -307,70 +319,79 @@ FRAME_NAMES = (
 FRAME_GLOBALS = {"math": math, "ADMISSIBILITY_RTOL": ADMISSIBILITY_RTOL, "NotAdmissible": NotAdmissible}
 
 
-def frame_lines(kind: SpaceKind) -> tuple[str, ...]:
-    """The frame's arithmetic in ``kind``'s space, as source lines from the
-    ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only copy:
-    ``frame_of_jet`` runs these lines, and so do the fused point kernels,
-    through ``point_lines``."""
-    pm = "+" if kind is SpaceKind.SIMPLY_ISOTROPIC else "-"
-    return (
-        "swapped = False",
-        "m12 = xu * yv - xv * yu",
-        "if m12 < 0.0:",
-        "    xu, xv, yu, yv, zu, zv = xv, xu, yv, yu, zv, zu",
-        "    xuu, xvv, yuu, yvv, zuu, zvv = xvv, xuu, yvv, yuu, zvv, zuu",
-        "    swapped = True",
-        "    m12 = -m12",
-        # m12 is a minor of the top views alone, so it is judged against
-        # their lengths; z-derivatives (and isotropic shears z -> z + c1 x)
-        # do not enter.  A zero minor fails at any scale, also at the nan
-        # scale inf * 0 of a top view whose length overflows and a zero one
-        "scale = 1.0 + math.hypot(xu, yu) * math.hypot(xv, yv)",
-        "if m12 == 0.0 or abs(m12) <= ADMISSIBILITY_RTOL * scale:",
-        "    raise NotAdmissible(u, v, m12)",
-        "m23 = yu * zv - zu * yv",
-        "m31 = zu * xv - xu * zv",
-        # A = m23/m12; B = m31/m12 (simply isotropic) or m13/m12
-        f"a, b = m23 / m12, {'' if pm == '+' else '-'}m31 / m12",
-        f"g11, g12, g22 = xu * xu {pm} yu * yu, xu * xv {pm} yu * yv, xv * xv {pm} yv * yv",
-        # det g = g11 g22 - g12^2 = +/- m12^2 by the Lagrange identity; the
-        # square is exact to one rounding where the Gram form cancels, and
-        # never 0 at an admissible point (so the pseudo-isotropic metric is
-        # timelike by construction)
-        f"det_g = {'m12 * m12' if pm == '+' else '-(m12 * m12)'}",
-        f"xi_z = 0.5 * (1.0 - (a * a {pm} b * b))",
-        # h_ij = <n_h, x_ij>, Euclidean or Lorentzian, with n_h = (a, b, 1)
-        f"h11 = a * xuu {pm} b * yuu + zuu",
-        f"h12 = a * xuv {pm} b * yuv + zuv",
-        f"h22 = a * xvv {pm} b * yvv + zvv",
-    )
+# the slots that the parameter swap exchanges, pair by pair: the first
+# partials, then the second
+_SWAP_PAIRS = (("xu xv", "yu yv", "zu zv"), ("xuu xvv", "yuu yvv", "zuu zvv"))
 
 
-def point_lines(s: SurfacePatch) -> tuple[list[str], dict]:
+def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
+    """The frame's arithmetic in ``kind``'s space, written into ``w`` from
+    the ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only
+    copy: ``frame_of_jet`` runs its lines over plain names, and the fused
+    point kernels over the jet's slots, through ``point_lines``.  The
+    parameter swap is written only where m12 is not the structural ONE,
+    and a pair it exchanges stays ZERO or ONE only where both hold it."""
+    simply = kind is SpaceKind.SIMPLY_ISOTROPIC
+
+    def dot(p, q):  # the background product of two top views
+        return p[0] * q[0] + p[1] * q[1] if simply else p[0] * q[0] - p[1] * q[1]
+
+    xu, xv, yu, yv = w.get("xu xv yu yv")
+    if str(xu * yv - xv * yu) == "ONE":
+        w.let("swapped, m12", "False", "ONE")
+    else:
+        # a pair gets names, unless both hold the same ZERO or ONE
+        same = lambda p, q: str(w.get(p)[0]) == str(w.get(q)[0]) in ("ZERO", "ONE")
+        pairs = [[(p, q) for p, q in map(str.split, order) if not same(p, q)] for order in _SWAP_PAIRS]
+        names = [n for order in pairs for pq in order for n in pq]
+        w.line("swapped = False")
+        w.let(", ".join(names), *w.get(" ".join(names)), bind=True)
+        xu, xv, yu, yv = w.get("xu xv yu yv")
+        w.let("m12", xu * yv - xv * yu, bind=True)
+        swaps = [", ".join(f"{p}, {q}" for p, q in o) + " = " + ", ".join(f"{q}, {p}" for p, q in o) for o in pairs if o]
+        w.line("if m12 < 0.0:", *(f"    {x}" for x in swaps), "    swapped = True", "    m12 = -m12")
+    xu, xv, yu, yv, zu, zv, m12 = w.get("xu xv yu yv zu zv m12")
+    # m12 is a minor of the top views alone, so it is judged against their
+    # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
+    # enter.  A zero minor fails at any scale, also at the nan scale inf * 0
+    # of a top view whose length overflows and a zero one
+    w.let("scale", 1.0 + ex._Src(f"math.hypot({xu}, {yu})") * ex._Src(f"math.hypot({xv}, {yv})"))
+    w.line(f"if {m12} == 0.0 or abs({m12}) <= ADMISSIBILITY_RTOL * scale:", f"    raise NotAdmissible(u, v, {m12})")
+    (m23,) = w.let("m23", yu * zv - zu * yv)
+    (m31,) = w.let("m31", zu * xv - xu * zv)
+    # A = m23/m12; B = m31/m12 (simply isotropic) or m13/m12
+    a, b = w.let("a, b", m23 / m12, (m31 if simply else -m31) / m12)
+    w.let("g11, g12, g22", dot((xu, yu), (xu, yu)), dot((xu, yu), (xv, yv)), dot((xv, yv), (xv, yv)))
+    # det g = g11 g22 - g12^2 = +/- m12^2 by the Lagrange identity; the
+    # square is exact to one rounding where the Gram form cancels, and never
+    # 0 at an admissible point (so the pseudo-isotropic metric is timelike
+    # by construction)
+    w.let("det_g", m12 * m12 if simply else -(m12 * m12))
+    w.let("xi_z", 0.5 * (1.0 - dot((a, b), (a, b))))
+    # h_ij = <n_h, x_ij>, Euclidean or Lorentzian, with n_h = (a, b, 1)
+    for ij, x in (("11", "uu"), ("12", "uv"), ("22", "vv")):
+        xij, yij, zij = w.get(f"x{x} y{x} z{x}")
+        w.let(f"h{ij}", dot((a, b), (xij, yij)) + zij)
+
+
+def point_lines(s: SurfacePatch) -> tuple[ex.Lines, dict]:
     """The prelude of the fused point kernels, the ``curvature`` row kernel
-    and the geodesic stage kernel: ``s``'s order-2 jet lines, which read the
-    floats U and V of u and v, the ``JET_NAMES`` bound to the jet, and
-    ``frame_lines(s.kind)``; with the namespace they read, ``FRAME_GLOBALS``
-    included.  Each kernel adds only its own head and tail lines."""
-    lines, outputs, namespace = ex.jet_lines((s.x_expr, s.y_expr, s.z_expr), 2)
-    binds = [f"{name} = {out}" for name, out in zip(JET_NAMES, outputs, strict=True)]
-    return [*lines, *binds, *frame_lines(s.kind)], {**namespace, **FRAME_GLOBALS}
+    and the geodesic stage kernel: the writer ``w`` of ``s``'s order-2 jet
+    lines, which read the floats U and V of u and v, with
+    ``frame_lines(w, s.kind)`` written into it over the jet's slots; and
+    the namespace they read, ``FRAME_GLOBALS`` included.  Each kernel
+    writes its own lines into ``w`` and takes its body from ``w.lines``,
+    which writes a quantity only where a later line reads it."""
+    w, outputs = ex.jet_writer((s.x_expr, s.y_expr, s.z_expr), 2)
+    w.slots.update(zip(JET_NAMES, map(ex._Src, outputs), strict=True))
+    frame_lines(w, s.kind)
+    return w, {**w.namespace, **FRAME_GLOBALS}
 
 
-def by_kind(lines_of) -> list[str]:
-    """Lines that run ``lines_of(kind)`` for the run-time ``kind``."""
-    i3, ip3 = (lines_of(kind) for kind in (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC))
+def by_kind(template) -> list[str]:
+    """The plain lines of ``template(w, kind)`` for the run-time ``kind``."""
+    i3, ip3 = (ex.template_lines(template, kind) for kind in (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC))
     return ["if kind is SpaceKind.SIMPLY_ISOTROPIC:", *(f"    {x}" for x in i3), "else:", *(f"    {x}" for x in ip3)]
-
-
-frame_of_jet = ex.compile_function(
-    "frame_of_jet(kind, u, v, jet)",
-    [
-        '"""The frame at (u, v) in ``kind``\'s space from the 18 floats of ``jet_kernel`` there."""',
-        f"{', '.join(JET_NAMES)} = jet", *by_kind(frame_lines), f"return PointFrame({FRAME_NAMES})",
-    ],
-    {**FRAME_GLOBALS, "SpaceKind": SpaceKind, "PointFrame": PointFrame},
-)
 
 
 def curvatures_at(
@@ -380,86 +401,84 @@ def curvatures_at(
     of the shape operator (read off the characteristic polynomial
     lambda^2 - 2H lambda + K)."""
     f = frame_at(s, u, v)
-    return curvatures_of_frame(f, tol)
+    return _module.curvatures_of_frame(f, tol)
 
 
-# The curvatures' arithmetic as source lines, from the frame lines' names
-# to k, h_mean, disc, label, kappa1, kappa2 and umbilic_factor; the only
-# copy, run by the two functions below and by the CLI's compiled
-# curvature rows.  ``label`` is bound to the global named after the
-# CurvatureClass member: the member itself in ``curvatures_of_frame``,
-# its value where a row is written.  K = det h / det g.
-GAUSSIAN_LINES = (
-    "try:",
-    # libm's pow, which does not always round like h12 * h12
-    "    h12_sq = h12**2",
-    "except OverflowError:",
-    "    h12_sq = math.inf",
-    "k = (h11 * h22 - h12_sq) / det_g",
-)
-CURVATURE_LINES = (
-    *GAUSSIAN_LINES,
-    "h_mean = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g)",
+# The curvatures' arithmetic as a template, from the frame lines' names to
+# k, h_mean, disc, label, kappa1, kappa2 and umbilic_factor; the only copy,
+# run by the two functions below and by the CLI's curvature row kernel.
+# ``label`` is bound to the global named after the CurvatureClass member:
+# the member itself in ``curvatures_of_frame``, its value where a row is
+# written.  K = det h / det g.
+def gaussian_lines(w: ex.Lines) -> None:
+    h11, h12, h22, det_g = w.get("h11 h12 h22 det_g")
+    if str(h12) in ("ZERO", "ONE"):  # its own square
+        w.let("h12_sq", h12)
+    else:  # libm's pow, which does not always round like h12 * h12
+        w.line("try:", f"    h12_sq = {h12}**2", "except OverflowError:", "    h12_sq = math.inf")
+    w.let("k", (h11 * h22 - w.get("h12_sq")[0]) / det_g)
+
+
+def curvature_lines(w: ex.Lines) -> None:
+    gaussian_lines(w)
+    k, h11, h12, h22, g11, g12, g22, det_g, xi_z = w.get("k h11 h12 h22 g11 g12 g22 det_g xi_z")
+    (h,) = w.let("h_mean", (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g))
     # NaN fails every comparison below and would land in some class;
     # xi.z = (1 - (A^2 +/- B^2)) / 2 is finite only where A and B are
-    "if not (math.isfinite(k) and math.isfinite(h_mean) and math.isfinite(xi_z)):",
-    "    raise DomainError(f'K={k!r}, H={h_mean!r} or xi not finite at ({u!r}, {v!r})')",
-    "disc = h_mean * h_mean - k",
-    "kappa1 = kappa2 = umbilic_factor = None",
-    "if disc > tol:",
-    "    root = math.sqrt(disc)",
-    "    label, kappa1, kappa2 = DIAGONALIZABLE, h_mean + root, h_mean - root",
-    "elif disc < -tol:",
-    "    label = COMPLEX_PRINCIPAL",
-    "else:",
-    # umbilic iff h = H g up to tol, relative to the size of g; a NaN
-    # entry fails every comparison and so is never umbilic
-    "    bound = tol * max(1.0, abs(g11), abs(g12), abs(g22))",
-    "    if (abs(h11 - h_mean * g11) <= bound and abs(h12 - h_mean * g12) <= bound",
-    "            and abs(h22 - h_mean * g22) <= bound):",
-    "        label, kappa1, kappa2, umbilic_factor = UMBILIC, h_mean, h_mean, h_mean",
-    "    else:",
-    "        label = NON_DIAGONALIZABLE_REAL",
-)
+    w.line(
+        f"if not (math.isfinite({k}) and math.isfinite({h}) and math.isfinite({xi_z})):",
+        f"    raise DomainError(f'K={{{k}!r}}, H={{{h}!r}} or xi not finite at ({{u!r}}, {{v!r}})')",
+    )
+    (disc,) = w.let("disc", h * h - k)
+    root = ex._Src("root")
+    w.line(
+        "kappa1 = kappa2 = umbilic_factor = None",
+        f"if {disc} > tol:",
+        f"    root = math.sqrt({disc})",
+        f"    label, kappa1, kappa2 = DIAGONALIZABLE, {h + root}, {h - root}",
+        f"elif {disc} < -tol:",
+        "    label = COMPLEX_PRINCIPAL",
+        "else:",
+        # umbilic iff h = H g up to tol, relative to the size of g; a NaN
+        # entry fails every comparison and so is never umbilic
+        f"    bound = tol * max(1.0, abs({g11}), abs({g12}), abs({g22}))",
+        f"    if (abs({h11 - h * g11}) <= bound and abs({h12 - h * g12}) <= bound",
+        f"            and abs({h22 - h * g22}) <= bound):",
+        f"        label, kappa1, kappa2, umbilic_factor = UMBILIC, {h}, {h}, {h}",
+        "    else:",
+        "        label = NON_DIAGONALIZABLE_REAL",
+    )
+
+
 # ``tol`` is the default, which a ``tol`` argument shadows
 CURVATURE_GLOBALS = {"math": math, "DomainError": DomainError, "tol": CURVATURE_TOL}
 
-gaussian_curvature = ex.compile_function(
-    "gaussian_curvature(f)",
-    ['"""K = det h / det g."""', f"{FRAME_NAMES} = f", *GAUSSIAN_LINES, "return k"],
-    {**CURVATURE_GLOBALS},
-)
-curvatures_of_frame = ex.compile_function(
-    f"curvatures_of_frame(f, tol={CURVATURE_TOL!r})",
-    [
-        '"""K, H, disc and the class at a frame; DomainError where K, H or xi is not finite."""',
-        f"{FRAME_NAMES} = f", *CURVATURE_LINES,
-        "return CurvatureReport(k, h_mean, disc, label, kappa1, kappa2, umbilic_factor)",
-    ],
-    {
-        **CURVATURE_GLOBALS, "CurvatureReport": CurvatureReport, **{c.name: c for c in CurvatureClass},
-    },
-)
 
-
-def normal_curvature(
-    s: SurfacePatch, u: float, v: float, w: tuple[float, float]
-) -> float:
-    """Second fundamental form on a unit tangent direction w = (w1, w2)
-    given in the caller's parameter order."""
-    f = frame_at(s, u, v)
-    w1, w2 = (w[1], w[0]) if f.swapped else (w[0], w[1])
-    wv = np.array([w1, w2])
-    speed2 = float(wv @ f.g @ wv)
-    if abs(speed2) <= 1e-12:
-        if s.kind is SpaceKind.PSEUDO_ISOTROPIC:
-            raise LightlikeDirection(f"direction {w!r} is lightlike at ({u}, {v})")
-        raise ValueError(f"direction {w!r} has zero induced length")
-    if abs(abs(speed2) - 1.0) > 1e-8:
-        raise ValueError(
-            f"direction must be unit in the induced metric, got |I(w,w)|={abs(speed2)!r}"
-        )
-    return float(wv @ f.h @ wv)
+def _frame_functions() -> dict:
+    return {
+        "frame_of_jet": ex.compile_function(
+            "frame_of_jet(kind, u, v, jet)",
+            [
+                '"""The frame at (u, v) in ``kind``\'s space from the 18 floats of ``jet_kernel`` there."""',
+                f"{', '.join(JET_NAMES)} = jet", *by_kind(frame_lines), f"return PointFrame({FRAME_NAMES})",
+            ],
+            {**FRAME_GLOBALS, "SpaceKind": SpaceKind, "PointFrame": PointFrame},
+        ),
+        "gaussian_curvature": ex.compile_function(
+            "gaussian_curvature(f)",
+            ['"""K = det h / det g."""', f"{FRAME_NAMES} = f", *ex.template_lines(gaussian_lines), "return k"],
+            {**CURVATURE_GLOBALS},
+        ),
+        "curvatures_of_frame": ex.compile_function(
+            f"curvatures_of_frame(f, tol={CURVATURE_TOL!r})",
+            [
+                '"""K, H, disc and the class at a frame; DomainError where K, H or xi is not finite."""',
+                f"{FRAME_NAMES} = f", *ex.template_lines(curvature_lines),
+                "return CurvatureReport(k, h_mean, disc, label, kappa1, kappa2, umbilic_factor)",
+            ],
+            {**CURVATURE_GLOBALS, "CurvatureReport": CurvatureReport, **{c.name: c for c in CurvatureClass}},
+        ),
+    }
 
 
 def grid_values(lo: float, hi: float, n: int) -> list[float]:
@@ -467,107 +486,3 @@ def grid_values(lo: float, hi: float, n: int) -> list[float]:
     the CLI's grids; the last value is lo + (hi - lo), which may differ
     from hi in its last bit."""
     return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
-
-
-def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityReport:
-    """Scan a grid of frames for the minimum |m12| and the inadmissible
-    points."""
-    u0, u1, v0, v1 = s.domain
-    vs = grid_values(v0, v1, nv)
-    min_abs = math.inf
-    bad: list[tuple[float, float]] = []
-    for uu in grid_values(u0, u1, nu):
-        for vv in vs:
-            try:
-                m12 = frame_at(s, uu, vv).m12
-            except NotAdmissible as err:
-                m12 = abs(err.minor)
-                bad.append((uu, vv))
-            min_abs = min(min_abs, m12)
-    return AdmissibilityReport(
-        admissible_everywhere=not bad,
-        min_abs_m12=min_abs,
-        points=nu * nv,
-        inadmissible=bad,
-        timelike_everywhere=True if s.kind is SpaceKind.PSEUDO_ISOTROPIC else None,
-    )
-
-
-def lightlike_condition(s: SurfacePatch, u: float, v: float) -> float:
-    """(m23)^2 - (m13)^2 + (m12)^2; zero exactly at lightlike points.
-    Read from the jet, not the frame: it is defined where m12 = 0 too."""
-    jet = s.jet_kernel(u, v)
-    xu, xv, yu, yv, zu, zv = jet[1], jet[2], jet[7], jet[8], jet[13], jet[14]
-    m12 = xu * yv - xv * yu
-    m23 = yu * zv - zu * yv
-    m13 = xu * zv - zu * xv
-    return m23 * m23 - m13 * m13 + m12 * m12
-
-
-def lightlike_points(
-    s: SurfacePatch, nu: int = 20, nv: int = 20, tol: float = 1e-9
-) -> list[tuple[float, float]]:
-    """Locate lightlike points on a grid.  Grid nodes within tolerance are
-    reported directly; sign changes along grid edges are refined by
-    bisection, so any locus crossing the grid is detected."""
-    if s.kind is not SpaceKind.PSEUDO_ISOTROPIC:
-        raise WrongSpace("lightlike points exist only in pseudo-isotropic space")
-    u0, u1, v0, v1 = s.domain
-    us = grid_values(u0, u1, nu)
-    vs = grid_values(v0, v1, nv)
-    vals = [[lightlike_condition(s, uu, vv) for vv in vs] for uu in us]
-    found: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def record(uu: float, vv: float) -> None:
-        key = (round(uu, 9), round(vv, 9))
-        found.setdefault(key, (uu, vv))
-
-    def bisect(pa, pb, fa, fb) -> None:
-        for _ in range(80):
-            mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
-            fm = lightlike_condition(s, *mid)
-            if abs(fm) <= tol:
-                record(*mid)
-                return
-            if (fa < 0.0) != (fm < 0.0):
-                pb, fb = mid, fm
-            else:
-                pa, fa = mid, fm
-        record(*mid)
-
-    for i, uu in enumerate(us):
-        for j, vv in enumerate(vs):
-            fij = vals[i][j]
-            if abs(fij) <= tol:
-                record(uu, vv)
-                continue
-            if i + 1 < nu and (fij < 0.0) != (vals[i + 1][j] < 0.0):
-                bisect((uu, vv), (us[i + 1], vv), fij, vals[i + 1][j])
-            if j + 1 < nv and (fij < 0.0) != (vals[i][j + 1] < 0.0):
-                bisect((uu, vv), (uu, vs[j + 1]), fij, vals[i][j + 1])
-    return sorted(found.values())
-
-
-def _linear_combo(k0: float, terms: list[tuple[float, ex.Expr]]) -> ex.Expr:
-    node: ex.Expr = ex.Const(k0)
-    for coef, e in terms:
-        node = ex.Binary("+", node, ex.Binary("*", ex.Const(coef), e))
-    return node
-
-
-def transform_patch(s: SurfacePatch, m: Motion) -> SurfacePatch:
-    """Patch obtained by moving the surface rigidly; parameters are kept,
-    so corresponding points share (u, v)."""
-    if m.kind is not s.kind:
-        raise WrongSpace("motion and surface live in different spaces")
-    m11, m12c, m21, m22 = m.linear_xy()
-    x, y, z = s.x_expr, s.y_expr, s.z_expr
-    return SurfacePatch(
-        kind=s.kind,
-        x_expr=_linear_combo(m.a, [(m11, x), (m12c, y)]),
-        y_expr=_linear_combo(m.b, [(m21, x), (m22, y)]),
-        z_expr=_linear_combo(m.c, [(m.c1, x), (m.c2, y), (1.0, z)]),
-        domain=s.domain,
-        name=f"{s.name}+motion",
-        params=dict(s.params),
-    )

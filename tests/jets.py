@@ -24,8 +24,9 @@ A partial known to be 0 or 1 before any value is, such as a constant's
 or a seed's, is the structural ``ZERO`` or ``ONE``.  Arithmetic skips
 it as the kernels' writer does: a product with ``ZERO`` is ``ZERO``, a
 factor ``ONE`` is dropped, and so is a term ``ZERO`` of a sum or a
-difference.  So ``0 * u`` has the partial 0.0 even at u = inf, and a
-skipped zero never decides the sign of a zero.
+difference; ``ZERO / x`` is ``ZERO``, ``x / ONE`` is ``x``, and the
+square of ``ZERO`` or ``ONE`` is itself.  So ``0 * u`` has the partial
+0.0 even at u = inf, and a skipped zero never decides the sign of a zero.
 """
 
 from __future__ import annotations
@@ -66,6 +67,17 @@ class _Structural(float):
 
     def __neg__(self):
         return ZERO if self is ZERO else -1.0
+
+    def __truediv__(self, other):
+        if self is ZERO or other is ONE:
+            return self
+        return float.__truediv__(self, other)
+
+    def __rtruediv__(self, other):
+        return other if self is ONE else float.__rtruediv__(self, other)
+
+    def __pow__(self, other):
+        return self if other == 2 else float.__pow__(self, other)
 
 
 ZERO = _Structural(0.0)

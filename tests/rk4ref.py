@@ -5,22 +5,26 @@ on named floats: the state is a 4-tuple, every stage goes through
 ``eval_point`` and then ``rhs``, and ``rk4_step`` forms the shifted
 states with a closure and generator expressions.  ``trace`` repeats
 ``integrate``'s sample loop (the start checks are left out), so on a
-valid start the two must agree bit for bit.
+valid start the two must agree bit for bit.  A point's frame is
+``jet2ref.frame``'s, whose structural ZERO and ONE reach the coefficients
+and the acceleration as they reach the stage kernel's lines; the kernel
+returns floats, so the structure ends at the acceleration it returns.
 """
 
 from __future__ import annotations
 
 import math
 
-from isogeo.connection import GAMMA_LINES, LIGHTLIKE_GUARD_BAND, _of_frame, coeffs_of_frame, denom_of_frame
+from isogeo.connection import LIGHTLIKE_GUARD_BAND, _of_frame, coeffs_of_frame, denom_of_frame, gamma_lines
+from isogeo.expr import template_lines
 from isogeo.errors import DomainError, LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import E3, SpaceKind, Vec3, cross_euclid, cross_lorentz
-from isogeo.surface import frame_at
+from jet2ref import frame
 
 gamma6_of_frame = _of_frame(
     "Levi-Civita coefficients alone; regular even at lightlike points.",
-    "gamma6_of_frame(f)", *GAMMA_LINES, "return (ga111, ga112, ga121, ga122, ga221, ga222)",
+    "gamma6_of_frame(f)", *template_lines(gamma_lines), "return (ga111, ga112, ga121, ga122, ga221, ga222)",
 )
 
 
@@ -40,7 +44,7 @@ def eval_point(s, gkind, u, v):
     if not s.contains(u, v):
         raise Halt("left_domain")
     try:
-        f = frame_at(s, u, v)
+        f = frame(s, u, v)
     except DomainError:
         raise Halt("undefined")
     except NotAdmissible:
@@ -60,16 +64,16 @@ def rhs(s, gkind, state):
     a1 = -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2)
     a2 = -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2)
     au, av = (a2, a1) if f.swapped else (a1, a2)
-    return (du, dv, au, av), f
+    return (du, dv, float(au), float(av)), f, (w1, w2, a1, a2)
 
 
 def rk4_step(s, gkind, y, h, k1):
     def shifted(base, slope, scale):
         return tuple(base[i] + scale * slope[i] for i in range(4))
 
-    k2, _ = rhs(s, gkind, shifted(y, k1, 0.5 * h))
-    k3, _ = rhs(s, gkind, shifted(y, k2, 0.5 * h))
-    k4, _ = rhs(s, gkind, shifted(y, k3, h))
+    k2 = rhs(s, gkind, shifted(y, k1, 0.5 * h))[0]
+    k3 = rhs(s, gkind, shifted(y, k2, 0.5 * h))[0]
+    k4 = rhs(s, gkind, shifted(y, k3, h))[0]
     return tuple(
         y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
         for i in range(4)
@@ -107,7 +111,7 @@ def trace(s, gkind, u0, v0, du0, dv0, t_end, step):
     t = 0.0
     for k in range(n_steps + 1):
         try:
-            deriv, f = rhs(s, gkind, state)
+            deriv, f, (w1, w2, a1, a2) = rhs(s, gkind, state)
         except Halt as halt:
             return rows, residuals, halt.reason, t
         if watch_lightlike:
@@ -119,8 +123,6 @@ def trace(s, gkind, u0, v0, du0, dv0, t_end, step):
             prev_denom = denom
         u, v, du, dv = state
         rows.append((t, u, v, du, dv, f.p_x, f.p_y, f.p_z))
-        w1, w2 = (dv, du) if f.swapped else (du, dv)
-        a1, a2 = (deriv[3], deriv[2]) if f.swapped else (deriv[2], deriv[3])
         gdd = ambient_acceleration(f, w1, w2, a1, a2)
         ref = f.xi if gkind is GeodesicKind.RELATIVE else E3
         residuals.append(parallel_residual(s.kind, gdd, ref))

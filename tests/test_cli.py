@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isogeo
+import jet2ref
 from genexpr import random_expr_full
 from isogeo import catalog, cli, expr, geodesic, verify
 from isogeo import connection as con
@@ -1092,13 +1093,14 @@ _ROOT_TOL = math.sqrt(_TOL)
 
 def reference_rows(patch, u, vs):
     """The rows of the points (u, v), (v, sv) in ``vs``, one repr per value,
-    from the frame and the curvature report; the class row of the error
-    they raise, or ``undefined`` where the position is not finite."""
+    from the structural frame of ``jet2ref`` and its curvature report; the
+    class row of the error they raise, or ``undefined`` where the position
+    is not finite."""
     su = repr(u)
     rows = []
     for v, sv in vs:
         try:
-            f = srf.frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+            f = jet2ref.frame(patch, u, v)
             rep = srf.curvatures_of_frame(f)
         except NotAdmissible:
             rows.append(f"{su},{sv},,,,,,,inadmissible,,,\n")

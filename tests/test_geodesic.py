@@ -433,18 +433,25 @@ def test_parallel_residual_scales_before_it_multiplies():
 
 
 def test_a_gamma_dd_that_overflows_reads_an_infinite_residual():
-    # (v')^2 overflows where x22 = 0, so gamma'' = 0 * inf has no direction;
-    # the acceleration itself is finite (its coefficients are 0)
-    steep = srf.graph_patch(I3, "exp(u)", (0.0, 1.0, 0.0, 1.0))
+    # (v')^2 overflows where x22 = 0 at run time, so gamma'' = 0 * inf has no
+    # direction; the acceleration itself is finite (its coefficients are 0)
+    steep = srf.parametric_patch(I3, "u + 0*v^2", "v", "exp(u)", (0.0, 1.0, 0.0, 1.0))
     trace = geo.integrate(steep, RELATIVE, 0.0, 0.0, 0.0, 1.3407807929942597e154, 1.0, 1.0)
     assert trace.stopped_reason == "left_domain" and trace.residuals["parallel"] == [math.inf]
+    # on the graph x22 is the structural 0: its product is never formed,
+    # and gamma'' = 0 has no direction to be off by
+    graph = srf.graph_patch(I3, "exp(u)", (0.0, 1.0, 0.0, 1.0))
+    trace = geo.integrate(graph, RELATIVE, 0.0, 0.0, 0.0, 1.3407807929942597e154, 1.0, 1.0)
+    assert trace.stopped_reason == "left_domain" and trace.residuals["parallel"] == [0.0]
 
 
 def test_non_finite_start_velocity_is_rejected():
+    # the plane's Levi-Civita acceleration is the structural 0, which no
+    # velocity makes NaN: the velocity is checked itself
     plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
     for velocity in ((math.inf, 0.0), (0.0, math.nan)):
         for gkind in (RELATIVE, LEVI_CIVITA):
-            with pytest.raises(NonFiniteStart):
+            with pytest.raises(NonFiniteStart, match=rf"velocity \({velocity[0]!r}, {velocity[1]!r}\)"):
                 geo.integrate(plane, gkind, 0.1, 0.2, *velocity, 1.0, 1e-2)
 
 

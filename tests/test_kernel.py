@@ -176,13 +176,13 @@ def test_catalog_kernel_shares_structurally_identical_subtrees():
     )
     kernel = patch.jet_kernel
     assert bits(kernel(1.7, 0.3)) == bits(walk([patch.x_expr, patch.y_expr, patch.z_expr], 1.7, 0.3))
-    # the cosh and sinh nodes each call math.cosh once; the second
+    # the cosh and sinh nodes of v share one call of math.cosh; the second
     # cosh(v) reuses the first
     calls = [
         ins for ins in dis.get_instructions(kernel)
         if ins.opname == "LOAD_GLOBAL" and ins.argval == "cosh"
     ]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_kernel_compiled_once_per_patch_and_not_at_construction(monkeypatch):
@@ -386,7 +386,7 @@ def test_constant_non_integral_exponent_writes_the_real_branch_only(exponent):
     for order in (2, 3):
         writer = ex._KernelWriter(order)
         writer.expr(e)
-        assert not any("is_integer" in line or "while" in line for line in writer.lines)
+        assert not any("is_integer" in line or "while" in line for line in writer.lines())
     exprs = [e, Binary("*", U, V), V]
     for u in (1.5, 0.25, 0.0, -0.75, -2.0):
         assert_same(exprs, u, 0.5)
@@ -422,8 +422,11 @@ CATALOG_CASES = [
     pytest.param(name, kind, id=f"{name}[{kind.value}]")
     for name, entry in catalog.CATALOG.items() for kind in entry.kinds
 ]
-# a product with ZERO or ONE, or a sum or difference with ZERO
-STRUCTURAL_ARITHMETIC = re.compile(r"\b(ZERO|ONE)\s*\*|\*\s*(ZERO|ONE)\b|[-+]\s*ZERO\b|\bZERO\s*[-+]")
+# a product or power of ZERO or ONE, a sum or difference with ZERO, ZERO
+# divided or a division by ONE
+STRUCTURAL_ARITHMETIC = re.compile(
+    r"\b(ZERO|ONE)\s*\*|\*\s*(ZERO|ONE)\b|[-+]\s*ZERO\b|\bZERO\s*[-+/]|/\s*ONE\b"
+)
 
 
 @pytest.mark.parametrize("name, kind", CATALOG_CASES)
@@ -459,18 +462,79 @@ def _stored_names(lines) -> set:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
+# what a fused kernel assigns to: a jet temporary, a jet name or a frame name
+_JET_TEMPORARY = re.compile(r"j\d+_")
+_FRAME_NAMES = set(srf.FRAME_NAMES.split(", ")) - {"kind", "u", "v"}
+
+
+def _point_names(names) -> set:
+    return {n for n in names if n in _FRAME_NAMES or n in srf.JET_NAMES or _JET_TEMPORARY.match(n)}
+
+
 @pytest.mark.parametrize("name, kind", [
     pytest.param("minimal_harmonic", SpaceKind.SIMPLY_ISOTROPIC, id="minimal_harmonic[i3]"),
     pytest.param("revolution", SpaceKind.PSEUDO_ISOTROPIC, id="revolution[ip3]"),
+    pytest.param("ruled_nondiag", SpaceKind.PSEUDO_ISOTROPIC, id="ruled_nondiag[ip3]"),
 ])
 def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
-    # the row kernel and both stage kernels each run surface.point_lines
-    # once, as one contiguous run of their body at one indent, and bind no
-    # jet name outside it
+    # the row kernel and both stage kernels each call surface.point_lines
+    # once, and it alone writes the jet and frame lines: each body holds the
+    # lines of its writer as one contiguous run at one indent, those begin
+    # with the jet lines, and no line outside them assigns a jet or frame name
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    prelude, namespace = srf.point_lines(patch)
-    assert srf.FRAME_GLOBALS.items() <= namespace.items()
-    assert set(srf.JET_NAMES) <= _stored_names(prelude)
+    jet = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines()
+    calls = {"jet_writer": 0, "frame_lines": 0}
+    writers, outputs, bodies = [], [], []
+
+    def counted(fn_name, fn):
+        def call(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        return call
+
+    def recording_point_lines(s):
+        w, namespace = real_point_lines(s)
+        assert srf.FRAME_GLOBALS.items() <= namespace.items()
+        writers.append(w)
+        return w, namespace
+
+    def recording_lines(self, *after, prune=True):
+        out = real_lines(self, *after, prune=prune)
+        outputs.append((self, out))
+        return out
+
+    def recording_compile(signature, lines, namespace):
+        bodies.append(list(lines))
+        return real_compile(signature, lines, namespace)
+
+    real_point_lines, real_lines, real_compile = srf.point_lines, ex.Lines.lines, ex.compile_function
+    monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
+    monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
+    for module in (cli, geo):
+        monkeypatch.setattr(module, "point_lines", recording_point_lines)
+    monkeypatch.setattr(ex.Lines, "lines", recording_lines)
+    monkeypatch.setattr(ex, "compile_function", recording_compile)
+    cli._row_kernel(patch)
+    geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
+    geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
+    assert calls == {"jet_writer": 3, "frame_lines": 3} and len(bodies) == 3
+    assert [w for w, _ in outputs] == writers
+    for body, (_, prelude) in zip(bodies, outputs):
+        assert prelude[: len(jet)] == jet
+        n = len(prelude)
+        runs = [
+            (i, line[: -len(prelude[0])]) for i, line in enumerate(body)
+            if line.endswith(prelude[0]) and not line[: -len(prelude[0])].strip()
+            and body[i:i + n] == [line[: -len(prelude[0])] + x for x in prelude]
+        ]
+        ((start, indent),) = runs
+        rest = [*body[:start], f"{indent}pass", *body[start + n:]]
+        assert _point_names(_stored_names(rest)) == set()
+
+
+def _kernel_bodies(monkeypatch, patch) -> dict:
+    """The body lines of the row kernel and both stage kernels of ``patch``."""
     bodies = []
     real = ex.compile_function
 
@@ -482,17 +546,61 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     cli._row_kernel(patch)
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
     geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    assert len(bodies) == 3
-    n = len(prelude)
-    for body in bodies:
-        runs = [
-            (i, line[: -len(prelude[0])]) for i, line in enumerate(body)
-            if line.endswith(prelude[0]) and not line[: -len(prelude[0])].strip()
-            and body[i:i + n] == [line[: -len(prelude[0])] + x for x in prelude]
-        ]
-        ((start, indent),) = runs
-        rest = [*body[:start], f"{indent}pass", *body[start + n:]]
-        assert not _stored_names(rest) & set(srf.JET_NAMES)
+    return dict(zip(("row", "r", "lc"), bodies))
+
+
+def _is_graph(name, kind) -> bool:
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    return (patch.x_expr, patch.y_expr) == (U, V)
+
+
+GRAPH_CASES = [case for case in CATALOG_CASES if _is_graph(*case.values)]
+
+
+@pytest.mark.parametrize("name, kind", GRAPH_CASES)
+def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
+    # x = u and y = v: m12 is the structural ONE, so no kernel swaps or binds
+    # a jet name; and every Levi-Civita coefficient is ZERO, so the Levi-Civita
+    # stage kernel writes no coefficient and no second fundamental form
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    for label, body in _kernel_bodies(monkeypatch, patch).items():
+        assert not any("m12" in line or "swapped" in line for line in body), label
+        assert not _stored_names(body) & set(srf.JET_NAMES), label
+        if label == "lc":
+            stored = _stored_names(body)
+            assert not {x for x in stored if re.fullmatch(r"ga\d{3}|h\d\d", x)}, stored
+            assert "    return ZERO, ZERO" in body
+
+
+def test_sin_and_cos_of_one_argument_share_one_block():
+    # the helicoid's sinh(v) and cosh(v) take both functions from one block
+    patch = catalog.make("helicoid", SpaceKind.PSEUDO_ISOTROPIC, {"c": 1.0})
+    for order in (2, 3):
+        source = "\n".join(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)[0].lines())
+        assert source.count("sinh(") == 1 and source.count("cosh(") == 1, source
+    source = "\n".join(ex.jet_writer([ex.parse("sin(u) * cos(u) + cos(u + v)")], 2)[0].lines())
+    assert source.count("sin(") == 2 and source.count("cos(") == 2, source
+    # the first node's block raises first, with its own message
+    for src, message in (("cosh(v) + sinh(v)", "overflow in cosh"), ("sin(1e308*10*v) * cos(1e308*10*v)", "sin of")):
+        with pytest.raises(DomainError, match=message):
+            ex.compile_jet([ex.parse(src), U, V], 2)(0.5, 1000.0)
+
+
+@pytest.mark.parametrize("name, kind", CATALOG_CASES)
+def test_catalog_jet_kernels_assign_no_unread_name(name, kind):
+    # no chain-rule factor, or any other name, is written where no later
+    # line reads it or the kernel returns it
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    for order in (2, 3):
+        writer, outputs = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)
+        lines = writer.lines()
+        body = [*lines, f"return ({', '.join(outputs)},)"]
+        tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in body))
+        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+        for store in (n for n in names if isinstance(n.ctx, ast.Store)):
+            assert any(
+                n.id == store.id and isinstance(n.ctx, ast.Load) and n.lineno > store.lineno for n in names
+            ), (order, store.id)
 
 
 def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
