@@ -35,16 +35,16 @@ and S = diag(1, +/-1):
 
 These formulas, the tensors, the Codazzi residuals and the Gauss sides
 are one numpy call each on arrays with a leading point axis: at the
-points of one patch (``coeff_derivatives``, from the frame and order-3
-jet the sampler of ``verify`` built at each), or at one point as a batch
-of one.  The bits of a point do not depend on the batch around it.
+records (``sample_at``) that ``verify``'s sampler kept on one patch
+(``coeff_derivatives``), or at one point as a batch of one.  The bits of
+a point do not depend on the batch around it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import expr as ex
 from . import surface as srf
@@ -132,16 +132,12 @@ DENOM_GRADIENT_LINES = (
 RELATIVE_GLOBALS = {"LIGHTLIKE_HARD_TOL": LIGHTLIKE_HARD_TOL, "LightlikePoint": LightlikePoint}
 
 
-def denom_lines(w: ex.Lines, kind: SpaceKind) -> None:
-    """denom = |xi_top|^2 + xi_z."""
+def relative_lines(w: ex.Lines, kind: SpaceKind) -> None:
+    """denom = |xi_top|^2 + xi_z, rho and the relative coefficients
+    xi111 ... xi222, after ``gamma_lines``; LightlikePoint where denom
+    vanishes."""
     a, b, xi_z = w.get("a b xi_z")
     w.let("denom", (a * a + b * b if kind is SpaceKind.SIMPLY_ISOTROPIC else a * a - b * b) + xi_z)
-
-
-def relative_lines(w: ex.Lines, kind: SpaceKind) -> None:
-    """rho, denom and the relative coefficients xi111 ... xi222, after
-    ``gamma_lines``; LightlikePoint where denom vanishes."""
-    denom_lines(w, kind)
     denom, h11, h12, h22, g11, g12, g22, det_g, zu, zv = w.get("denom h11 h12 h22 g11 g12 g22 det_g zu zv")
     w.line(
         f"if abs({denom}) <= LIGHTLIKE_HARD_TOL:",
@@ -166,10 +162,6 @@ def _of_frame(doc: str, signature: str, *lines: str) -> Callable:
     return ex.compile_function(signature, [repr(doc), f"{FRAME_NAMES} = f", *lines], namespace)
 
 
-denom_of_frame = _of_frame(
-    "|xi_top|^2 + xi_z without solving for the coefficients.",
-    "denom_of_frame(f)", *by_kind(denom_lines), "return denom",
-)
 denom_gradient_of_frame = _of_frame(
     "Exact gradient (d1 denom, d2 denom) in the frame's own coordinates.",
     "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
@@ -201,7 +193,7 @@ _THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
 # Both connections with exact partials in frame coordinates, at one point
 # or, behind a leading point axis, at each point of a batch, whose
-# ``coeffs`` is a list: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
+# ``coeffs`` is a tuple: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
 # d_rho and d_h [i, j, k] = d_k F_ij, gamma and xi [i, j, k] = C_ij^k, rho,
 # h, g and g_inv [i, j], and det_g and denom have no index.
 CoeffDerivatives = namedtuple(
@@ -209,16 +201,21 @@ CoeffDerivatives = namedtuple(
 )
 
 
-def coeff_derivatives(sampled: Iterable[tuple[PointFrame, Sequence[float]]]) -> CoeffDerivatives:
-    """The coefficients at each (frame, order-3 jet) pair of one patch, as
-    floats and in point order, so the first lightlike point raises as it
-    would alone; then each formula of the module docstring as one numpy
-    call for all the points."""
-    coeffs, thirds, grads = [], [], []
-    for f, jet in sampled:
-        coeffs.append(coeffs_of_frame(f))
-        thirds.append(jet[18:])
-        grads.append(denom_gradient_of_frame(f))
+def sample_at(s: SurfacePatch, u: float, v: float) -> tuple[ConnectionCoeffs, tuple, tuple]:
+    """The record at (u, v), each part evaluated once: the coefficients at
+    the frame of the order-3 jet, (d1 denom, d2 denom) and the third
+    partials (uuu, uuv, uvv, vvv) of x, y and z.  Raises what the jet, the
+    frame and the relative connection raise, in that order."""
+    jet = s.jet3_kernel(u, v)
+    coeffs = coeffs_of_frame(srf.frame_of_jet(s.kind, u, v, jet[:18]))
+    return coeffs, denom_gradient_of_frame(coeffs.frame), jet[18:]
+
+
+def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
+    """Each formula of the module docstring as one numpy call, at the
+    records of one patch in point order; the records are read, not
+    evaluated again."""
+    coeffs, grads, thirds = zip(*records)
     frames = np.array([c.frame[1:] for c in coeffs])
 
     def fields(first: str, last: str) -> np.ndarray:
@@ -259,15 +256,9 @@ def coeff_derivatives(sampled: Iterable[tuple[PointFrame, Sequence[float]]]) -> 
     return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom)
 
 
-def _sampled_at(s: SurfacePatch, u: float, v: float) -> tuple[PointFrame, tuple]:
-    """The (frame, order-3 jet) pair of ``coeff_derivatives`` at (u, v)."""
-    jet = s.jet3_kernel(u, v)
-    return srf.frame_of_jet(s.kind, u, v, jet[:18]), jet
-
-
 def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
     """``coeff_derivatives`` at the one point (u, v)."""
-    return CoeffDerivatives(*(field[0] for field in coeff_derivatives([_sampled_at(s, u, v)])))
+    return CoeffDerivatives(*(field[0] for field in coeff_derivatives([sample_at(s, u, v)])))
 
 
 def _point_max(a: np.ndarray, rank: int) -> np.ndarray:
@@ -323,7 +314,7 @@ def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
 
 
 def egregium_check(s: SurfacePatch, u: float, v: float) -> EgregiumResult:
-    return next(egregium_checks(coeff_derivatives([_sampled_at(s, u, v)])))
+    return next(egregium_checks(coeff_derivatives([sample_at(s, u, v)])))
 
 
 class CodazziResiduals(NamedTuple):

@@ -354,9 +354,12 @@ def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
     # m12 is a minor of the top views alone, so it is judged against their
     # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
     # enter.  A zero minor fails at any scale, also at the nan scale inf * 0
-    # of a top view whose length overflows and a zero one
-    w.let("scale", 1.0 + ex._Src(f"math.hypot({xu}, {yu})") * ex._Src(f"math.hypot({xv}, {yv})"))
-    w.line(f"if {m12} == 0.0 or abs({m12}) <= ADMISSIBILITY_RTOL * scale:", f"    raise NotAdmissible(u, v, {m12})")
+    # of a top view whose length overflows and a zero one.  Only the top
+    # views (1, 0) and (0, 1) of a graph make a test that cannot fire; a
+    # structural m12 of 1 does not (x = u, y = v + 1e13 u: scale ~ 1e13)
+    if [str(x) for x in (xu, yv, xv, yu)] != ["ONE", "ONE", "ZERO", "ZERO"]:
+        w.let("scale", 1.0 + ex._Src(f"math.hypot({xu}, {yu})") * ex._Src(f"math.hypot({xv}, {yv})"))
+        w.line(f"if {m12} == 0.0 or abs({m12}) <= ADMISSIBILITY_RTOL * scale:", f"    raise NotAdmissible(u, v, {m12})")
     (m23,) = w.let("m23", yu * zv - zu * yv)
     (m31,) = w.let("m31", zu * xv - xu * zv)
     # A = m23/m12; B = m31/m12 (simply isotropic) or m13/m12

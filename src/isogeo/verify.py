@@ -24,8 +24,9 @@ Closeness to the locus is measured in gradient units,
 |denom| / max(1, |grad denom|), since a small denom with a steep
 gradient means the singular set is a short parameter distance away; the
 gradient is exact, from the 2-jet at the candidate point.  Each draw is
-evaluated once: the suites take the frame and jet the sampler built.
-Every check's default tolerance is in ``TOLERANCES``.
+evaluated once: a guarded draw is the record of ``connection.sample_at``,
+whose coefficients and gradient the guard reads and the tensor suites
+take as they are.  Every check's default tolerance is in ``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -33,22 +34,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
     codazzi_residuals,
     coeff_derivatives,
-    denom_gradient_of_frame,
-    denom_of_frame,
     egregium_checks,
     flatness_residuals,
     gauss_residuals,
+    sample_at,
 )
 from .errors import IsoGeoError, SpecError
 from .isotropy import SpaceKind
 from .rng import SplitMix64
-from .surface import CurvatureClass, PointFrame, SurfacePatch, curvatures_of_frame, frame_of_jet
+from .surface import CurvatureClass, SurfacePatch, curvatures_of_frame, frame_of_jet
 
 # The ``fd_step`` of every suite and of the report.  It only widens the
 # sampler's border margin (see ``_sample``), so it decides which
@@ -150,12 +150,11 @@ def _sample(
     rng: SplitMix64,
     border: float,
     denom_guard: Optional[float],
-    kernel: Callable,
-) -> Iterator[tuple[PointFrame, tuple]]:
-    """``count`` seeded points, ``_margin`` inside each side of the domain,
-    as (frame, jet) pairs: one ``kernel`` call and one frame per draw.  A
-    draw is redrawn where the jet is undefined, the frame is not
-    admissible, a float of either is not finite, or |denom| < denom_guard,
+) -> Iterator:
+    """``count`` seeded points, ``_margin`` inside each side of the domain:
+    the frames of the order-2 jet, or with a ``denom_guard`` the records of
+    ``sample_at``.  A draw is redrawn where its evaluation raises, a float
+    of the frame or third partials is not finite, or |denom| < denom_guard,
     in units of max(1, |grad denom|) for a guard above BASIC_DENOM_GUARD.
     Gives up after 200 * count + 200 draws, or after 400 if none was
     accepted."""
@@ -170,18 +169,22 @@ def _sample(
         u = rng.uniform(u0 + mu, u1 - mu)
         v = rng.uniform(v0 + mv, v1 - mv)
         try:
-            jet = kernel(u, v)
-            f = frame_of_jet(patch.kind, u, v, jet[:18])
+            if denom_guard is None:
+                record = f = frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+                floats = f[4:]
+            else:
+                record = coeffs, grad, thirds = sample_at(patch, u, v)
+                floats = (*coeffs.frame[4:], *thirds)
         except IsoGeoError:
             continue
-        if not all(map(math.isfinite, (*f[4:], *jet[18:]))):
+        if not all(map(math.isfinite, floats)):
             continue
         if denom_guard is not None:
-            grad = math.hypot(*denom_gradient_of_frame(f)) if denom_guard > BASIC_DENOM_GUARD else 0.0
-            if not abs(denom_of_frame(f)) >= denom_guard * max(1.0, grad):
+            slope = math.hypot(*grad) if denom_guard > BASIC_DENOM_GUARD else 0.0
+            if not abs(coeffs.denom) >= denom_guard * max(1.0, slope):
                 continue
         accepted += 1
-        yield f, jet
+        yield record
 
 
 def _per_patch(total: int, n_patches: int) -> int:
@@ -189,18 +192,17 @@ def _per_patch(total: int, n_patches: int) -> int:
 
 
 def _sampled(
-    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64,
-    border: float, denom_guard: Optional[float], order: int,
+    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: Optional[float],
 ) -> Iterator[tuple[SurfacePatch, Iterator]]:
-    """Each patch with the stream of its ``n`` draws from ``rng``: at
-    order 2 the (frame, jet) pairs of ``_sample``, at order 3 their
-    ``coeff_derivatives``, POINT_BLOCK points at a time.  The patches
-    share ``rng``, so a patch's stream is used up before the next patch."""
+    """Each patch with the stream of its ``n`` draws from ``rng``: without
+    ``denom_guard`` the frames of ``_sample``, with one the
+    ``coeff_derivatives`` of its records, POINT_BLOCK points at a time.
+    The patches share ``rng``, so a patch's stream is used up before the
+    next patch."""
     for patch in patches:
-        kernel = patch.jet_kernel if order == 2 else patch.jet3_kernel
-        stream = _sample(patch, n, rng, border, denom_guard, kernel)
-        if order == 3:
-            blocks = iter(lambda pairs=stream: list(itertools.islice(pairs, POINT_BLOCK)), [])
+        stream = _sample(patch, n, rng, border, denom_guard)
+        if denom_guard is not None:
+            blocks = iter(lambda records=stream: list(itertools.islice(records, POINT_BLOCK)), [])
             stream = map(coeff_derivatives, blocks)
         yield patch, stream
 
@@ -214,7 +216,7 @@ def suite_flatness(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD, 3):
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
         worst = 0.0
         for b in blocks:
             worst = max(worst, *flatness_residuals(b).tolist())
@@ -227,7 +229,7 @@ def suite_egregium(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD, 3):
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
         worst_rel = worst_abs = 0.0
         n_rel = n_abs = 0
         for res in (res for b in blocks for res in egregium_checks(b)):
@@ -248,7 +250,7 @@ def suite_codazzi(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD, 3):
+    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
         worst_rel = worst_lc = worst_gauss = 0.0
         for b in blocks:
             relative, levi_civita = codazzi_residuals(b)
@@ -273,8 +275,8 @@ def suite_umbilic(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     out = []
-    for patch, pairs in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, None, 2):
-        umbilic_count = sum(curvatures_of_frame(f).label is CurvatureClass.UMBILIC for f, _ in pairs)
+    for patch, frames in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, None):
+        umbilic_count = sum(curvatures_of_frame(f).label is CurvatureClass.UMBILIC for f in frames)
         expected = UMBILIC_EXPECTATION.get(patch.name)
         if expected is None:  # informational for user-supplied surfaces
             finding = {n: "totally umbilical", 0: "not totally umbilical"}.get(umbilic_count, "mixed")
@@ -303,9 +305,9 @@ def suite_minimal(
         waves = {"f": _random_cubic(rng), "g": _random_cubic(rng)}
         targets.append(catalog.make("minimal_wave", SpaceKind.PSEUDO_ISOTROPIC, waves))
     out = []
-    for idx, (patch, pairs) in enumerate(_sampled(targets, n, rng, 2.0 * fd_step, None, 2)):
+    for idx, (patch, frames) in enumerate(_sampled(targets, n, rng, 2.0 * fd_step, None)):
         worst = 0.0
-        for f, _ in pairs:
+        for f in frames:
             worst = max(worst, abs(curvatures_of_frame(f).H))
         out.append(_check("minimal", f"{_label(patch)}#{idx}", n, worst, tolerances[patch.name]))
     return out

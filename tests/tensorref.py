@@ -24,7 +24,6 @@ from isogeo.connection import (
     coeffs_at,
     coeffs_of_frame,
     denom_gradient_of_frame,
-    denom_of_frame,
 )
 from isogeo.isotropy import SpaceKind
 from isogeo.surface import PointFrame, frame_at, frame_of_jet, gaussian_curvature
@@ -37,6 +36,13 @@ def _frame_arrays(f):
     x12 = (f.x12_x, f.x12_y, f.x12_z)
     x_ij = np.array([[(f.x11_x, f.x11_y, f.x11_z), x12], [x12, (f.x22_x, f.x22_y, f.x22_z)]])
     return np.array([(f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)]), x_ij
+
+
+def denom_of_frame(f: PointFrame) -> float:
+    """|xi_top|^2 + xi_z, as ``connection.relative_lines`` computes it
+    before it solves for the coefficients."""
+    a, b = f.xi_x, f.xi_y
+    return (a * a + b * b if f.kind is SpaceKind.SIMPLY_ISOTROPIC else a * a - b * b) + f.xi_z
 
 
 def denom_at(s, u: float, v: float) -> float:

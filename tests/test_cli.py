@@ -72,6 +72,16 @@ def test_curvature_cylinder_inadmissible(tmp_path):
     assert all(row["K"] == "" for row in rows)
 
 
+def test_a_structural_minor_of_one_keeps_the_admissibility_guard(tmp_path):
+    # x = u, y = v + 1e13 u: m12 is the structural ONE, but the top view of
+    # x_u is 1e13 long, so m12 = 1 is below 1e-12 times the guard's scale
+    surface = {"kind": "parametric", "x": "u", "y": "v + 1e13*u", "z": "u*v"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 0
+    assert [row["class"] for row in read_rows(out)] == ["inadmissible"] * 9
+
+
 def test_curvature_helicoid_value(tmp_path):
     spec = write_spec(
         tmp_path,
@@ -170,6 +180,19 @@ def test_verify_deterministic_output(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_bytes_do_not_depend_on_the_process_or_its_hash_seed():
+    # the in-process determinism tests share one hash seed; a set or dict
+    # order that leaked into a report would differ between these processes
+    argv = [sys.executable, "-m", "isogeo", "verify", "--all-catalog", "--suite", "all", "--samples", "20", "--seed", "7"]
+    outs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] != ""
 
 
 def test_verify_spec_umbilic_negative(tmp_path, capsys):
@@ -317,15 +340,17 @@ def test_sampler_redraws_non_finite_draws(tmp_path, capsys, suite):
     assert captured.err == "error: could not sample 3 guarded points on graph[i3]\n"
 
 
-def test_sampler_redraws_draws_whose_third_partials_are_not_finite():
+def test_sampler_redraws_draws_whose_third_partials_are_not_finite(monkeypatch):
     patch = verify.verification_patches()[0]
+    jet3 = patch.jet3_kernel
 
     def kernel(u, v):
-        jet = patch.jet3_kernel(u, v)
+        jet = jet3(u, v)
         return (*jet[:18], math.inf, *jet[19:])
 
+    monkeypatch.setitem(patch.__dict__, "jet3_kernel", kernel)
     with pytest.raises(IsoGeoError, match="could not sample 1 guarded points"):
-        next(verify._sample(patch, 1, SplitMix64(1), 0.0, None, kernel))
+        next(verify._sample(patch, 1, SplitMix64(1), 0.0, verify.BASIC_DENOM_GUARD))
 
 
 def test_sampler_draws_inside_a_domain_narrower_than_its_border(tmp_path, monkeypatch, capsys):
@@ -334,11 +359,11 @@ def test_sampler_draws_inside_a_domain_narrower_than_its_border(tmp_path, monkey
     # interval that reaches outside the domain
     drawn = []
 
-    def recording(kind, u, v, jet):
+    def recording(patch, u, v):
         drawn.append((u, v))
-        return srf.frame_of_jet(kind, u, v, jet)
+        return con.sample_at(patch, u, v)
 
-    monkeypatch.setattr(verify, "frame_of_jet", recording)
+    monkeypatch.setattr(verify, "sample_at", recording)
     surface = {"kind": "graph", "f": "u*v + u^2"}
     spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [0, 1e-4, 0, 1e-4]})
     out = tmp_path / "report.json"

@@ -203,8 +203,8 @@ def test_fd_convergence_is_fourth_order():
 
 def _guarded_points(patch, rng, n):
     """Interior points where the relative suites would sample."""
-    sampled = verify._sample(patch, n, rng, 0.0, verify.RELATIVE_DENOM_GUARD, patch.jet_kernel)
-    return [(f.u, f.v) for f, _ in sampled]
+    sampled = verify._sample(patch, n, rng, 0.0, verify.RELATIVE_DENOM_GUARD)
+    return [(c.frame.u, c.frame.v) for c, _, _ in sampled]
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -374,6 +374,23 @@ def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
     assert all(c.passed for c in checks)
 
 
+def test_a_tensor_draw_evaluates_its_coefficients_and_gradient_once(monkeypatch):
+    # a guarded draw is one record: the guard reads its denom and gradient,
+    # and the batch reads the record, so neither is evaluated twice
+    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    counts = dict.fromkeys(("coeffs_of_frame", "denom_gradient_of_frame"), 0)
+    for name in counts:
+        def counted(f, name=name, real=getattr(con, name)):
+            counts[name] += 1
+            return real(f)
+
+        for module in (con, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    verify.suite_codazzi([patch], 30, 3, verify.DEFAULT_FD_STEP)
+    assert counts["coeffs_of_frame"] == counts["denom_gradient_of_frame"] > 0
+
+
 # ---------------------------------------------------------------- batches
 # The batched tensor code against tests/tensorref.py, its per-point
 # reference, point by point and bit for bit.
@@ -402,7 +419,7 @@ def _bits(result):
 def _assert_batch_matches_reference(patch, points):
     expected = _per_point(patch, points)
     try:
-        b = con.coeff_derivatives(con._sampled_at(patch, u, v) for u, v in points)
+        b = con.coeff_derivatives(con.sample_at(patch, u, v) for u, v in points)
     except IsoGeoError as err:
         assert (type(err), str(err)) == expected
         return None

@@ -560,11 +560,14 @@ GRAPH_CASES = [case for case in CATALOG_CASES if _is_graph(*case.values)]
 @pytest.mark.parametrize("name, kind", GRAPH_CASES)
 def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
     # x = u and y = v: m12 is the structural ONE, so no kernel swaps or binds
-    # a jet name; and every Levi-Civita coefficient is ZERO, so the Levi-Civita
-    # stage kernel writes no coefficient and no second fundamental form
+    # a jet name, and the top views are (1, 0) and (0, 1), so no kernel writes
+    # the admissibility guard, which could not fire; and every Levi-Civita
+    # coefficient is ZERO, so the Levi-Civita stage kernel writes no
+    # coefficient and no second fundamental form
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
     for label, body in _kernel_bodies(monkeypatch, patch).items():
         assert not any("m12" in line or "swapped" in line for line in body), label
+        assert not any("hypot" in line or "raise NotAdmissible" in line for line in body), label
         assert not _stored_names(body) & set(srf.JET_NAMES), label
         if label == "lc":
             stored = _stored_names(body)
