@@ -212,13 +212,17 @@ def _row_kernel(patch: SurfacePatch):
         f"if not (isfinite({px}) and isfinite({py}) and isfinite({pz})):",
         "    raise DomainError(f'position not finite at ({u!r}, {v!r})')",
     )
-    # column k keeps the value it last wrote in c{k} and its text in s{k}
+    # column k keeps the value it last wrote in c{k} and its text in s{k};
+    # a column that holds U or V (x and y on a graph) writes su or sv
+    floats = w.get(" ".join(_ROW_FLOATS))
+    cells = [{"U": "su", "V": "sv"}.get(str(x), f"s{k}") for k, x in enumerate(floats)]
     texts = [
         line
-        for k, x in enumerate(w.get(" ".join(_ROW_FLOATS)))
+        for k, x in enumerate(floats) if cells[k] == f"s{k}"
         for line in (f"if {x} != c{k} or not {x}:", f"    c{k} = {x}", f"    s{k} = f'{{{x}!r}}'")
     ]
     point = ["V = float(v)", *w.lines(*texts)]
+    row = ",".join(f"{{{x}}}" for x in ["su", "sv", *cells[:6], "label", *cells[6:]])
     body = [
         "U = float(u)",
         f"{' = '.join(f'c{k}' for k in range(len(_ROW_FLOATS)))} = NAN",
@@ -234,7 +238,7 @@ def _row_kernel(patch: SurfacePatch):
         "        row(f'{su},{sv},,,,,,,undefined,,,\\n')",
         "        continue",
         *(f"    {x}" for x in texts),
-        '    row(f"{su},{sv},{s0},{s1},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")',
+        f'    row(f"{row}\\n")',
         "return ''.join(rows)",
     ]
     env = {**CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}, "NAN": math.nan}
@@ -282,8 +286,20 @@ def cmd_geodesic(
         patch, GeodesicKind(gtype), start[0], start[1], velocity[0], velocity[1], t_end, step
     )
     lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
+    # the row kernel's rule: equal floats that are not zeros have the same
+    # bits, so x and y write the text of u and v where they equal them, and
+    # du, dv and the residual their previous row's text where they repeat
+    ldu = ldv = lres = math.nan
     for (t, u, v, du, dv, x, y, z), res in zip(trace.samples, trace.residuals["parallel"]):
-        lines.append(f"{t!r},{u!r},{v!r},{du!r},{dv!r},{x!r},{y!r},{z!r},{res!r}")
+        su, sv = repr(u), repr(v)
+        if du != ldu or not du:
+            ldu, sdu = du, repr(du)
+        if dv != ldv or not dv:
+            ldv, sdv = dv, repr(dv)
+        if res != lres or not res:
+            lres, sres = res, repr(res)
+        sx = su if x == u and x else repr(x)
+        lines.append(f"{t!r},{su},{sv},{sdu},{sdv},{sx},{sv if y == v and y else repr(y)},{z!r},{sres}")
     _write_text(out_path, "\n".join(lines) + "\n")
     if not trace.completed:
         print(

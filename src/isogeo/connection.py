@@ -43,6 +43,7 @@ a point do not depend on the batch around it.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -61,6 +62,7 @@ from .surface import (
 )
 
 np = _LazyNumpy(globals())
+_module = sys.modules[__name__]
 
 LIGHTLIKE_HARD_TOL = 1e-10
 LIGHTLIKE_GUARD_BAND = 1e-6
@@ -108,7 +110,7 @@ class ConnectionCoeffs(NamedTuple):
 
 
 def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
-    return coeffs_of_frame(frame_at(s, u, v))
+    return _module.coeffs_of_frame(frame_at(s, u, v))
 
 
 # The connections' arithmetic as templates over the frame lines' names
@@ -162,18 +164,26 @@ def _of_frame(doc: str, signature: str, *lines: str) -> Callable:
     return ex.compile_function(signature, [repr(doc), f"{FRAME_NAMES} = f", *lines], namespace)
 
 
-denom_gradient_of_frame = _of_frame(
-    "Exact gradient (d1 denom, d2 denom) in the frame's own coordinates.",
-    "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
-)
-coeffs_of_frame = _of_frame(
-    "Both connections at a frame; raises LightlikePoint where the relative\n"
-    "one is singular (denom vanishes).",
-    "coeffs_of_frame(f)", *ex.template_lines(gamma_lines), *by_kind(relative_lines),
-    "return ConnectionCoeffs((ga111, ga112, ga121, ga122, ga221, ga222),"
-    " (xi111, xi112, xi121, xi122, xi221, xi222), (r11, r12, r22), denom,"
-    " abs(denom) < LIGHTLIKE_GUARD_BAND, f)",
-)
+# compiled on the first read of the module's attribute, as surface's
+# frame_of_jet: a geodesic process reads only the templates
+def __getattr__(name: str):
+    if name not in ("coeffs_of_frame", "denom_gradient_of_frame"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals().update(
+        denom_gradient_of_frame=_of_frame(
+            "Exact gradient (d1 denom, d2 denom) in the frame's own coordinates.",
+            "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
+        ),
+        coeffs_of_frame=_of_frame(
+            "Both connections at a frame; raises LightlikePoint where the relative\n"
+            "one is singular (denom vanishes).",
+            "coeffs_of_frame(f)", *ex.template_lines(gamma_lines), *by_kind(relative_lines),
+            "return ConnectionCoeffs((ga111, ga112, ga121, ga122, ga221, ga222),"
+            " (xi111, xi112, xi121, xi122, xi221, xi222), (r11, r12, r22), denom,"
+            " abs(denom) < LIGHTLIKE_GUARD_BAND, f)",
+        ),
+    )
+    return globals()[name]
 
 
 # column of each PointFrame field in an array of frames, which drops ``kind``
@@ -207,8 +217,8 @@ def sample_at(s: SurfacePatch, u: float, v: float) -> tuple[ConnectionCoeffs, tu
     partials (uuu, uuv, uvv, vvv) of x, y and z.  Raises what the jet, the
     frame and the relative connection raise, in that order."""
     jet = s.jet3_kernel(u, v)
-    coeffs = coeffs_of_frame(srf.frame_of_jet(s.kind, u, v, jet[:18]))
-    return coeffs, denom_gradient_of_frame(coeffs.frame), jet[18:]
+    coeffs = _module.coeffs_of_frame(srf.frame_of_jet(s.kind, u, v, jet[:18]))
+    return coeffs, _module.denom_gradient_of_frame(coeffs.frame), jet[18:]
 
 
 def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:

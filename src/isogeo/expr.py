@@ -10,10 +10,11 @@ Grammar, lowest to highest binding:
              | FUNC "(" expr ")" | "(" expr ")"
 
 FUNC is one of sin cos tan sinh cosh tanh exp log sqrt abs; u and v are
-the only variables.  ``^`` with an exponent whose first and second
-partials vanish and whose value is an integer n, |n| <= 1024, is
-evaluated by repeated squaring so negative bases work; any other
-exponent goes through exp(b*log(a)) and requires a positive base.
+the only variables.  ``^`` with an exponent that is an integer n,
+|n| <= 1024, by its structure (2, v/v, v - v + 3) or where its first and
+second partials vanish, is evaluated by repeated squaring so negative
+bases work; any other exponent goes through exp(b*log(a)) and requires a
+positive base.
 
 Parsing is total: the first error aborts with the byte offset of the
 offending token, and nesting past ``MAX_DEPTH`` is such an error.  Trees are immutable; evaluation is pure.
@@ -330,10 +331,30 @@ _CHAIN_SRC = {
 
 def _integer_exponent(value) -> int | None:
     """The n for which a ** value is the integer power a^n, else None: an
-    integral value with |n| <= 1024.  ``_KernelWriter.powj`` writes the
-    same test out for an exponent known only at run time, which also needs
-    the exponent's first and second partials to be 0."""
-    return int(value) if float(value).is_integer() and abs(value) <= 1024 else None
+    integral value with |n| <= 1024, not None.  ``_KernelWriter.powj`` writes
+    the same test out for an exponent known only at run time, which also
+    needs the exponent's first and second partials to be 0."""
+    return int(value) if value is not None and float(value).is_integer() and abs(value) <= 1024 else None
+
+
+def _folded(e: Expr) -> float | None:
+    """The value of a tree that is constant by its structure, else None:
+    literals, x - x = 0 and x / x = 1 for equal subtrees, 0 * x = 0, and what
+    negation, +, -, * and / make of such values, rounded as the jet rounds."""
+    match e:
+        case Const(value):
+            return value
+        case Unary("neg", arg) if (x := _folded(arg)) is not None:
+            return -x
+        case Binary("-" | "/" as op, left, right) if left == right:
+            return 0.0 if op == "-" else 1.0
+        case Binary("+" | "-" | "*" | "/" as op, left, right):
+            x, y = _folded(left), _folded(right)
+            if op == "*" and 0.0 in (x, y):
+                return 0.0
+            if x is not None and y is not None and (op != "/" or y != 0.0):
+                return x + y if op == "+" else x - y if op == "-" else x * (y if op == "*" else 1.0 / y)
+    return None
 
 
 class _Src:
@@ -656,20 +677,27 @@ class _KernelWriter(Lines):
         )
         return self.chain("exp", self.mul(b, self.chain("log", a)))
 
-    def powj(self, a, b) -> tuple[str, ...]:
+    def powj(self, a, b, folded: int | None = None) -> tuple[str, ...]:
         """a ** b with the branch taken at run time: an exponent whose first
         and second partials vanish and whose value passes
         ``_integer_exponent``'s test takes the integer power, any other
         ``real_power``.  At order 3 the integer power adds a^n ln(a) b_ijk,
-        NaN for a <= 0, to each third partial whose b_ijk is not 0.  Each
-        branch has a writer of its own, so that no name defined inside a
-        branch is shared outside it, and the result holds no structural slot."""
+        NaN for a <= 0, to each third partial whose b_ijk is not 0.  With the
+        int ``folded``, the ``_folded`` value of an exponent such as v/v, whose
+        rounding (v * (1/v) = 1 - 2^-53) fails that test, only that integer
+        power is written.  Each branch has a writer of its own, so that no
+        name defined inside a branch is shared outside it, and the result
+        holds no structural slot."""
 
         def emit(p: str) -> tuple[str, ...]:
             out = tuple(f"{p}{k}" for k in range(len(a)))
             n = f"{p}n"
             integral = _KernelWriter(self.order, self.namespace, f"{p}i")
             power = integral.pow_int_loop(a, n)
+            if folded is not None:
+                self.namespace[n] = folded
+                self.line(*integral.lines(), f"{', '.join(out)} = {', '.join(power)}")
+                return out
             real = _KernelWriter(self.order, self.namespace, f"{p}x")
             e = real.real_power(a, b)
             # a structural zero passes the test, and adds nothing, by construction
@@ -688,7 +716,7 @@ class _KernelWriter(Lines):
             )
             return out
 
-        return self.node(("^", a, b), emit)
+        return self.node(("^", a, b, folded), emit)
 
     def expr(self, e: Expr) -> tuple[str, ...]:
         match e:
@@ -711,11 +739,12 @@ class _KernelWriter(Lines):
                 if op == "/":
                     return self.mul(a, self.chain("recip", b))
                 # a constant exponent's branch is known when the kernel is
-                # written; any other waits for the values at run time
+                # written, and so is that of one that folds to an integer; any
+                # other waits for the values at run time
+                n = _integer_exponent(_folded(right))
                 if isinstance(right, Const):
-                    n = _integer_exponent(right.value)
                     return self.real_power(a, b) if n is None else self.pow_int(a, n)
-                return self.powj(a, b)
+                return self.powj(a, b, n)
         raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -39,6 +39,7 @@ straight lines.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -167,8 +168,8 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
             "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
-            ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)",
-             "U = float(u)", "V = float(v)", *w.lines()],
+            _sample_last(["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)",
+                          "U = float(u)", "V = float(v)", *w.lines()]),
             {
                 **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
                 "_parallel_residual": _parallel_residual,
@@ -176,6 +177,33 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
             },
         )
     return kernel
+
+
+# a kernel line's names; the indent, targets and operator of the assignment
+# it is, if any
+_NAMES = re.compile(ex._NAME).findall
+_ASSIGNMENT = re.compile(r"( *)(\w+(?:, \w+)*) (\S*)= ").match
+
+
+def _sample_last(body: list[str]) -> list[str]:
+    """``body`` with each one-line assignment before its ``if not sample:``
+    return moved behind the return, in order, where neither the return nor
+    a line kept before it reads its targets and no kept line after it
+    assigns a name it reads: the position, and the jet lines only it reads.
+    Every other line stays, the guards that raise among them, so a stage
+    raises what it raised, and a moved line reads the values it read."""
+    cut = body.index("if not sample:")
+    live, assigned, kept, moved = set(_NAMES(body[cut + 1])), set(), [], []
+    for line in reversed(body[:cut]):
+        names, match = _NAMES(line), _ASSIGNMENT(line)
+        targets = match[2].split(", ") if match else ()
+        if match and not match[1] + match[3] and live.isdisjoint(targets) and assigned.isdisjoint(names):
+            moved.append(line)
+        else:
+            kept.append(line)
+            live.update(names)
+            assigned.update(targets)
+    return [*kept[::-1], *body[cut:cut + 2], *moved[::-1], *body[cut + 2:]]
 
 
 def _parallel_residual(gx: float, gy: float, gz: float, rx: float, ry: float, rz: float) -> float:
@@ -232,7 +260,7 @@ def integrate(
     )
     prev_denom: Optional[float] = None
     accel = _accel_kernel(s, gkind)
-    isfinite = math.isfinite
+    isfinite, new = math.isfinite, tuple.__new__
     u, v, du, dv = u0, v0, du0, dv0
     half, sixth = 0.5 * step, step / 6.0
     t = 0.0
@@ -243,9 +271,9 @@ def integrate(
             # reaches this step's state, so the next check here sees it; a
             # sample is written only with a finite velocity and position (an
             # acceleration known to be 0 does not carry a velocity's inf or
-            # NaN into the check)
-            if not (isfinite(au) and isfinite(av) and isfinite(du) and isfinite(dv)
-                    and isfinite(px) and isfinite(py) and isfinite(pz)):
+            # NaN into the check).  x * 0.0 is NaN where x is inf or NaN and
+            # a zero elsewhere, so one test covers all seven
+            if not isfinite(au * 0.0 + av * 0.0 + du * 0.0 + dv * 0.0 + px * 0.0 + py * 0.0 + pz * 0.0):
                 raise _Halt("non_finite")
             if watch_lightlike:
                 # the connection is singular on the lightlike locus; stop when
@@ -255,7 +283,8 @@ def integrate(
                 ):
                     raise _Halt("lightlike")
                 prev_denom = denom
-            samples.append(TraceSample(t, u, v, du, dv, px, py, pz))
+            # built at C level: a NamedTuple's own __new__ is Python code
+            samples.append(new(TraceSample, (t, u, v, du, dv, px, py, pz)))
             residuals.append(residual)
             if k == n_steps:
                 break

@@ -67,7 +67,8 @@ def random_expr_full(rng: SplitMix64, depth: int) -> Expr:
         if q < 0.6:
             exponent = Const(_EXPONENTS[rng.randint(len(_EXPONENTS))])
         elif q < 0.8:
-            # as the parser spells "a^-2": decided when the jets are known
+            # as the parser spells "a^-2": it folds to -2 when the kernel is
+            # written, and takes the run-time branch's integer power
             exponent = Unary("neg", Const(float(1 + rng.randint(3))))
         else:
             exponent = random_expr_full(rng, depth - 1)

@@ -62,5 +62,39 @@ def _eval(e: Expr, ju: Jet2, jv: Jet2) -> Jet2:
             if isinstance(right, Const):
                 n = jets.integer_exponent(b)
                 return jets.real_power(a, b) if n is None else jets.pow_int(a, n)
-            return jets.powj(a, b)
+            return jets.powj(a, b, folded_integer(right))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fold(e: Expr):
+    match e:
+        case Const(value):
+            return value
+        case Unary("neg", arg):
+            x = _fold(arg)
+            return None if x is None else -x
+        case Binary(op, left, right) if op in ("-", "/") and left == right:
+            return 0.0 if op == "-" else 1.0
+        case Binary(op, left, right) if op != "^":
+            x, y = _fold(left), _fold(right)
+            if op == "*" and (x == 0.0 or y == 0.0):
+                return 0.0
+            if x is None or y is None:
+                return None
+            if op == "/":
+                return None if y == 0.0 else x * (1.0 / y)
+            return {"+": x + y, "-": x - y, "*": x * y}[op]
+    return None
+
+
+def folded_integer(e: Expr):
+    """The integer that a kernel takes a non-literal exponent ``e`` to be
+    when it is written, else None: the value of a tree that is constant by
+    its structure (a literal; x - x = 0 and x / x = 1 for equal subtrees;
+    0 * x = 0; and negations, sums, differences, products and quotients of
+    such values, x / y as x * (1 / y)), where it is an integer n with
+    |n| <= 1024."""
+    value = _fold(e)
+    if value is not None and float(value).is_integer() and abs(value) <= 1024:
+        return int(value)
+    return None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import jets
+from jet2ref import folded_integer
 from jets import ONE, ZERO, Jet2
 from isogeo.expr import Binary, Const, Expr, Unary, Var
 
@@ -126,15 +127,19 @@ def real_power(a, b):
     return low + chain("exp", mul(b, chain("log", a)))[6:]
 
 
-def powj(a, b):
+def powj(a, b, folded=None):
     """a ** b with the branch taken at run time, as ``jets.powj``: the
     integer power multiplies plain floats from a plain 1, and the result
     holds no structural slot.  Each third partial of the exponent that is
-    not 0 adds a^n ln(a) b_ijk, NaN where a <= 0."""
-    n = jets.integer_exponent(Jet2(*b[:6]))
+    not 0 adds a^n ln(a) b_ijk, NaN where a <= 0.  An exponent that folds
+    to the integer ``folded`` when the kernel is written takes its integer
+    power with no such term."""
+    n = jets.integer_exponent(Jet2(*b[:6])) if folded is None else folded
     if n is None:
         return tuple(map(float, real_power(a, b)))
     power = pow_int(tuple(map(float, a)), n, (1.0,) + (0.0,) * 9)
+    if folded is not None:
+        return power
     term = power[0] * math.log(a[0]) if a[0] > 0.0 else math.nan
     return power[:6] + tuple(x + term * y if y != 0.0 else x for x, y in zip(power[6:], b[6:]))
 
@@ -162,7 +167,7 @@ def eval_jet3(e: Expr, u: float, v: float) -> tuple:
             if isinstance(right, Const):
                 n = jets.integer_exponent(Jet2(right.value))
                 return real_power(a, b) if n is None else pow_int(a, n)
-            return powj(a, b)
+            return powj(a, b, folded_integer(right))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -308,11 +308,13 @@ def real_power(a: Jet2, b: Jet2) -> Jet2:
     return exp(b * log(a))
 
 
-def powj(a: Jet2, b: Jet2) -> Jet2:
+def powj(a: Jet2, b: Jet2, folded: int | None = None) -> Jet2:
     """a ** b with the branch taken on the values, as a kernel takes it at
-    run time: its integer power multiplies plain floats from a plain 1, and
-    the result holds no structural slot."""
-    n = integer_exponent(b)
+    run time, or the integer power of ``folded`` where that is given (the
+    exponent folds to it when the kernel is written): its integer power
+    multiplies plain floats from a plain 1, and the result holds no
+    structural slot."""
+    n = integer_exponent(b) if folded is None else folded
     if n is not None:
         return pow_int(a.plain(), n, Jet2(1.0).plain())
     return real_power(a, b).plain()

@@ -1341,3 +1341,125 @@ def test_curvature_builds_no_frame(tmp_path, monkeypatch):
     assert out.read_bytes() == before
     classes = {row["class"] for row in read_rows(out)}
     assert {"inadmissible", "undefined"} < classes and len(classes) >= 3
+
+
+# ------------------------------------------------------------ geodesic text
+
+
+def _reference_geodesic_csv(trace):
+    """The CSV of a trace with one repr per value, joined by commas."""
+    rows = ["t,u,v,du,dv,x,y,z,parallel_residual"]
+    rows += [",".join(map(repr, (*smp, res))) for smp, res in zip(trace.samples, trace.residuals["parallel"])]
+    return "\n".join(rows) + "\n"
+
+
+HELICOID_SPEC = {"space": "ip3", "surface": {"kind": "builtin", "name": "helicoid", "params": {"c": 0.6}}}
+# x = u + 0*v is 0.0 where u is -0.0: equal, but a zero, so its text is its own
+SIGNED_ZERO_SPEC = {
+    "space": "i3", "surface": {"kind": "parametric", "x": "u + 0*v", "y": "v", "z": "0.3*u + 0.2*v"},
+    "domain": [-1, 1, -1, 1],
+}
+PLANE_SPEC = {"space": "i3", "surface": {"kind": "graph", "f": "0.3*u + 0.2*v"}, "domain": [-1, 1, -1, 1]}
+
+
+@pytest.mark.parametrize("spec, gtype, start, velocity, t_end", [
+    pytest.param(SPHERE_SPEC, "r", "0.3,-0.2", "0.7,0.4", "1", id="graph-r"),
+    # du and dv keep their value in every row, and every residual is 0.0
+    pytest.param(SPHERE_SPEC, "lc", "0.3,-0.2", "0.7,0.4", "1", id="graph-lc"),
+    pytest.param(HELICOID_SPEC, "r", "2.0,0.1", "0.3,-0.25", "1", id="parametric-r"),
+    pytest.param(HELICOID_SPEC, "lc", "2.0,0.1", "0.3,-0.25", "1", id="parametric-lc"),
+    # the first step turns du = -0.0 into 0.0, which equals it
+    pytest.param(PLANE_SPEC, "lc", "0.5,-0.5", "-0.0,1.0", "0.1", id="velocity-minus-zero"),
+    pytest.param(SIGNED_ZERO_SPEC, "lc", "-0.0,0.5", "0.0,0.25", "0.1", id="x-minus-zero"),
+    # leaves the domain u <= 1 and stops early
+    pytest.param(PLANE_SPEC, "r", "0.5,0.5", "1.0,0.0", "1", id="stops-early"),
+])
+def test_geodesic_rows_are_the_repr_of_each_float(tmp_path, capsys, spec, gtype, start, velocity, t_end):
+    # a value whose text a row takes from u, v or the row before is that
+    # value's own repr, byte for byte
+    path = write_spec(tmp_path, spec)
+    out = tmp_path / "g.csv"
+    argv = ["geodesic", path, "--type", gtype, f"--start={start}", f"--velocity={velocity}", "--t-end", t_end]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    pair = lambda text: tuple(map(float, text.split(",")))
+    trace = geodesic.integrate(
+        cli.load_spec_file(path), geodesic.GeodesicKind(gtype), *pair(start), *pair(velocity), float(t_end), 1e-3
+    )
+    assert out.read_text() == _reference_geodesic_csv(trace)
+    rows = read_rows(out)
+    if velocity.startswith("-0.0"):
+        assert rows[0]["du"] == "-0.0" and rows[1]["du"] == "0.0"
+    if start.startswith("-0.0"):
+        assert (rows[0]["u"], rows[0]["x"]) == ("-0.0", "0.0")
+    assert trace.completed == (capsys.readouterr().err == "")
+
+
+def test_geodesic_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    for gtype in ("r", "lc"):
+        outs = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"{gtype}-{hash_seed}.csv"
+            argv = [sys.executable, "-m", "isogeo", "geodesic", spec, "--type", gtype, "--start=0.3,-0.2",
+                    "--velocity=0.7,0.4", "--t-end", "1", "--out", str(out)]
+            env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]), PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1002
+
+
+def test_a_graph_row_writes_the_text_of_u_and_v_as_x_and_y(monkeypatch):
+    # x and y of a graph are U and V themselves: their columns write su and
+    # sv, with no compare and no repr of their own
+    bodies = []
+    real = expr.compile_function
+    monkeypatch.setattr(expr, "compile_function", lambda *args: bodies.append(args[1]) or real(*args))
+    cli._row_kernel(catalog.make("parabolic_sphere", SpaceKind.SIMPLY_ISOTROPIC, {"p": 2.0}))
+    (body,) = bodies
+    assert '    row(f"{su},{sv},{su},{sv},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")' in body
+    assert not [line for line in body if "{U!r}" in line or "{V!r}" in line or "!= c0" in line or "!= c1" in line]
+
+
+VV_SPEC = {"space": "i3", "surface": {"kind": "graph", "f": "u^(v/v) + v^2"}, "domain": [-2, -0.1, 0.1, 2]}
+
+
+def test_an_exponent_constant_by_structure_takes_its_integer_power(tmp_path, capsys):
+    # u^(v/v) + v^2 is z = u + v^2 with a negative base: v * (1/v), the
+    # jet's v/v, rounds to 1 - 2^-53 at about half the points, where the
+    # run-time test alone found no integer exponent and the power no value
+    path = write_spec(tmp_path, VV_SPEC)
+    same = write_spec(tmp_path, dict(VV_SPEC, surface={"kind": "graph", "f": "u + v^2"}), "same.json")
+    for name, args in (("c", ["curvature", "--grid", "10x10"]),
+                       ("g", ["geodesic", "--start=-1,1", "--velocity=0.1,0.1", "--t-end", "1"])):
+        for spec, out in ((path, tmp_path / f"{name}.csv"), (same, tmp_path / f"{name}-same.csv")):
+            assert cli.main([args[0], spec, *args[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""  # a completed trace
+        rows, want = read_rows(tmp_path / f"{name}.csv"), read_rows(tmp_path / f"{name}-same.csv")
+        assert len(rows) == (100 if name == "c" else 1001)
+        assert not [row for row in rows if row.get("class") == "undefined"]
+        # the same numbers as z = u + v^2, up to the signs of zeros
+        numbers = lambda r: [float(x) if x else x for k, x in r.items() if k != "class"]
+        assert [numbers(r) for r in rows] == [numbers(r) for r in want]
+
+
+def test_a_geodesic_process_compiles_no_generic_frame_function(tmp_path):
+    # the stage kernels read connection's and surface's templates only; the
+    # generic functions over plain names compile on the first read of their
+    # module attribute, which no geodesic command makes
+    spec = write_spec(tmp_path, SPHERE_SPEC)
+    script = (
+        "import sys\nimport isogeo.cli as cli\n"
+        "for gtype in ('r', 'lc'):\n"
+        "    assert cli.main(['geodesic', sys.argv[1], '--type', gtype, '--start=0.3,-0.2', '--velocity=0.7,0.4',"
+        " '--t-end', '0.1', '--out', sys.argv[2]]) == 0\n"
+        "from isogeo import connection, surface\n"
+        "names = ('coeffs_of_frame', 'denom_gradient_of_frame', 'frame_of_jet', 'curvatures_of_frame')\n"
+        "print(sorted(n for n in names if n in vars(connection) or n in vars(surface)))\n"
+        "connection.coeffs_of_frame\n"
+        "print(sorted(n for n in names if n in vars(connection)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path / "g.csv")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[]", "['coeffs_of_frame', 'denom_gradient_of_frame']"]

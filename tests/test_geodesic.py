@@ -378,7 +378,24 @@ def _rk4_cases():
     # the step from u = 0.01 has a stage at u < 0, where log(u) has no value
     undefined = srf.graph_patch(I3, "log(u) + v", (-1.0, 1.0, 0.0, 1.0))
     cases.append(("undefined", undefined, LEVI_CIVITA, (0.5, 0.5, -1.0, 0.0, 1.0, 1e-2), "undefined"))
+    # a stage of the last step lands past u = 1, where sqrt(1 - u) has no
+    # value; the position reads the square root, the Levi-Civita return not
+    for gkind in (RELATIVE, LEVI_CIVITA):
+        cases.append(("undefined-stage", SQRT_GRAPH, gkind, (0.5, 0.25, 2.0, 0.0, 1.0, 1e-2), "undefined"))
     return cases
+
+
+SQRT_GRAPH = srf.graph_patch(I3, "sqrt(1 - u) + v*v", (-1.0, 2.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("gkind, stop_time, samples", [(RELATIVE, 0.67, 68), (LEVI_CIVITA, 0.24, 25)])
+def test_a_stage_where_the_jet_has_no_value_halts_the_trace_where_it_did(gkind, stop_time, samples):
+    # the stop times and sample counts of the kernels that computed the
+    # position at every stage: the sample point of the last step has a
+    # value, a stage point of that step has none
+    trace = geo.integrate(SQRT_GRAPH, gkind, 0.5, 0.25, 2.0, 0.0, 1.0, 1e-2)
+    assert (trace.stopped_reason, repr(trace.stop_time), len(trace.samples)) == ("undefined", repr(stop_time), samples)
+    assert trace.samples[-1].u < 1.0
 
 
 @pytest.mark.parametrize(
@@ -605,3 +622,64 @@ def test_compiled_stages_match_the_tuple_form_reference(case):
     values = [(smp.t, smp.u, smp.v, smp.du, smp.dv) + smp.position.as_tuple() for smp in got.samples]
     assert [list(map(repr, row)) for row in values] == [list(map(repr, row)) for row in rows]
     assert list(map(repr, got.residuals["parallel"])) == list(map(repr, residuals))
+
+
+def _stage_outcome(kernel, *args):
+    try:
+        return "ok", list(map(repr, kernel(*args)))
+    except geo._Halt as halt:
+        return "halt", halt.reason
+    except (DomainError, NotAdmissible, LightlikePointHit, con.LightlikePoint) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.make("parabolic_sphere", I3, {"p": 2.0}, (-2.0, 2.0, -2.0, 2.0)),
+    lambda: catalog.make("parabolic_sphere", IP3, {"p": 1.0}, (-2.0, 2.0, -2.0, 2.0)),
+    lambda: catalog.make("helicoid", IP3, {"c": 0.6}),
+    lambda: catalog.make("minimal_harmonic", I3, {"f": "exp(u) * sin(v)"}),
+    lambda: srf.graph_patch(I3, "sqrt(1 - u) + v*v", (-1.0, 2.0, -1.0, 1.0)),
+    lambda: srf.graph_patch(IP3, "log(u) * (u - v)^(v/v + 1) + u^(v - u)", (-1.0, 2.0, -1.0, 1.0)),
+    lambda: srf.parametric_patch(I3, "v + 0.3*u", "u^3", "sqrt(u + 1) * v", (-1.5, 1.5, -1.5, 1.5)),
+], ids=["sphere-i3", "sphere-ip3", "helicoid", "harmonic", "sqrt", "powers", "swapped-fold"])
+def test_a_stage_returns_and_raises_what_its_whole_body_does(monkeypatch, build):
+    # the stage kernel with its sample-only lines behind the return against
+    # the same body compiled in order: the same floats, halts and errors,
+    # with and without the sample, inside and outside the domain
+    split = {g: geo._accel_kernel(build(), g) for g in GeodesicKind}
+    monkeypatch.setattr(geo, "_sample_last", lambda body: body)
+    whole = {g: geo._accel_kernel(build(), g) for g in GeodesicKind}
+    rng = SplitMix64(27)
+    seen = set()
+    for _ in range(400):
+        u, v = rng.uniform(-2.2, 3.2), rng.uniform(-2.2, 2.2)
+        if rng.random() < 0.2:  # exact zeros of log, sqrt and the minors
+            u, v = rng.randint(5) * 0.5 - 1.0, rng.randint(5) * 0.5 - 1.0
+        args = (u, v, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.random() < 0.3)
+        for g in GeodesicKind:
+            got = _stage_outcome(split[g], *args)
+            assert got == _stage_outcome(whole[g], *args), (g, args)
+            seen.add(got[0] if got[0] in ("ok", "halt") else "error")
+    assert "ok" in seen and "halt" in seen
+
+
+def test_the_sample_only_lines_move_behind_the_return_in_order():
+    # a one-line assignment moves where neither the return nor a kept line
+    # reads it, unless a kept line after it assigns a name it reads (y reads
+    # the x that the block then changes); blocks and guards stay, with the
+    # lines they read
+    body = [
+        "x = u * 2.0", "g = v - 1.0", "y = x + 1.0", "p = x * g", "if g <= 0.0:", "    raise DomainError('g')",
+        "if u < 0.0:", "    x = -x", "a = x * x", "q = p + 1.0",
+        "if not sample:", "    return a", "return a, y, q",
+    ]
+    assert geo._sample_last(body) == [
+        "x = u * 2.0", "g = v - 1.0", "y = x + 1.0", "p = x * g", "if g <= 0.0:", "    raise DomainError('g')",
+        "if u < 0.0:", "    x = -x", "a = x * x",
+        "if not sample:", "    return a", "q = p + 1.0", "return a, y, q",
+    ]
+    body[6:8] = []  # with no block after it, y moves too
+    assert geo._sample_last(body) == [
+        "x = u * 2.0", "g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')", "a = x * x",
+        "if not sample:", "    return a", "y = x + 1.0", "p = x * g", "q = p + 1.0", "return a, y, q",
+    ]

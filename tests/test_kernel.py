@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genexpr import random_expr, random_expr_full
+import jet2ref
 from jet2ref import eval_jet2
 from jet3 import walk3
 from isogeo import catalog, cli
@@ -315,8 +316,9 @@ def test_runtime_integer_power_raises_only_where_order_2_does():
 
 
 def test_third_partials_of_a_runtime_integer_power():
-    # "u ^ -2" parses with a negated constant exponent, which the kernel
-    # decides at run time; negative bases stay legal on that branch
+    # "u ^ -2" parses with a negated constant exponent, which folds to -2
+    # when the kernel is written and takes the run-time branch's integer
+    # power; negative bases stay legal on that branch
     e = ex.parse("(u*v) ^ -2 + v ^ (1 + 1)")
     for u, v in ((-1.25, 0.5), (0.75, -2.0)):
         got = ex.compile_jet([e], 3)(u, v)[6:]
@@ -330,9 +332,11 @@ def test_third_partials_of_a_runtime_integer_power():
 
 RUNTIME_POWERS = [
     pytest.param(ex.parse("u^-2"), id="u^-2"),
-    # exponents whose partials vanish only at run time
+    # exponents that fold to an integer when the kernel is written (v - v),
+    # and exponents whose partials vanish only at run time (sin(v - v))
     *(pytest.param(ex.parse(f"u^(v - v + {n})"), id=f"u^(v-v{n:+d})")
       for n in (-1025, -1024, -3, -1, 0, 1, 2, 1024, 1025)),
+    *(pytest.param(ex.parse(f"u^(sin(v - v) + {n})"), id=f"u^(sin(v-v){n:+d})") for n in (-1025, -3, 0, 2, 1024)),
     pytest.param(ex.parse("(u - u)^(v - v - 1)"), id="zero-base"),
     pytest.param(ex.parse("(-u)^(v - v + 0.5)"), id="negative-base"),
     pytest.param(ex.parse("u^(v - v + 800.5)"), id="exp-overflow"),
@@ -480,7 +484,9 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # the row kernel and both stage kernels each call surface.point_lines
     # once, and it alone writes the jet and frame lines: each body holds the
     # lines of its writer as one contiguous run at one indent, those begin
-    # with the jet lines, and no line outside them assigns a jet or frame name
+    # with the jet lines, and no line outside them assigns a jet or frame name.
+    # A stage kernel's body is that body after geodesic._sample_last, which
+    # moves the sample-only lines behind the stage's return
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
     jet = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines()
     calls = {"jet_writer": 0, "frame_lines": 0}
@@ -505,10 +511,19 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
         return out
 
     def recording_compile(signature, lines, namespace):
-        bodies.append(list(lines))
+        bodies.append(split.pop() if split else list(lines))
         return real_compile(signature, lines, namespace)
 
+    def recording_sample_last(body):
+        out = real_sample_last(body)
+        split.append(list(body))
+        assert sorted(out) == sorted(body)
+        return out
+
+    split = []
     real_point_lines, real_lines, real_compile = srf.point_lines, ex.Lines.lines, ex.compile_function
+    real_sample_last = geo._sample_last
+    monkeypatch.setattr(geo, "_sample_last", recording_sample_last)
     monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
     monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
     for module in (cli, geo):
@@ -573,6 +588,61 @@ def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
             stored = _stored_names(body)
             assert not {x for x in stored if re.fullmatch(r"ga\d{3}|h\d\d", x)}, stored
             assert "    return ZERO, ZERO" in body
+
+
+@pytest.mark.parametrize("name, kind", GRAPH_CASES)
+def test_a_levi_civita_graph_stage_runs_only_its_guards(monkeypatch, name, kind):
+    # a graph's Levi-Civita coefficients are all ZERO, so a stage call
+    # returns ZERO, ZERO: before that return it runs the domain test, the
+    # jet's guards (the lines that raise, with their blocks) and the lines
+    # that a guard reads, and no other line; the position and the jet lines
+    # only it reads come after the return
+    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    body = _kernel_bodies(monkeypatch, patch)["lc"]
+    cut = body.index("if not sample:")
+    assert body[cut + 1] == "    return ZERO, ZERO"
+    head = body[:cut]
+    blocks = [i for i, line in enumerate(head) if not re.fullmatch(r"\w+(, \w+)* = .*", line)]
+    read = set(re.findall(r"[A-Za-z_]\w*", " ".join(head[i] for i in blocks)))
+    assert any("raise" in head[i] for i in blocks)
+    for line in reversed([line for i, line in enumerate(head) if i not in blocks]):
+        targets = line.partition(" = ")[0].split(", ")
+        assert set(targets) <= read, line
+        read |= set(re.findall(r"[A-Za-z_]\w*", line))
+    # every jet line that no guard reads, such as the position's, is written
+    # after the return
+    assert len(body) - cut > len(head)
+    if name in ("parabolic_sphere", "plane", "minimal_wave"):  # guards on constants only
+        assert not [line for line in head if " = " in line], head
+
+
+@pytest.mark.parametrize("source, value", [
+    ("2", 2.0), ("-2", -2.0), ("v/v", 1.0), ("v - v", 0.0), ("0*v", 0.0), ("v*0", 0.0),
+    ("v - v + 3", 3.0), ("2*(v/v)", 2.0), ("(u*v)/(u*v) - 4", -3.0), ("-(sin(u) - sin(u))", -0.0),
+    ("1/3*3", 1.0), ("2/(v - v)", None), ("v", None), ("2*v/v", None), ("u/v", None), ("2^1", None),
+    ("sin(0)", None),
+])
+def test_an_exponent_folds_where_it_is_constant_by_its_structure(source, value):
+    got = ex._folded(ex.parse(source))
+    assert repr(got) == repr(value)
+    if value is not None:  # the value the jet computes from the literals
+        assert repr(got) == repr(jet2ref._fold(ex.parse(source)))
+
+
+def test_an_exponent_constant_by_structure_takes_the_integer_power_at_every_order():
+    # v/v rounds to 1 - 2^-53 (v = 49), v - v is nan at v = inf: neither
+    # passes the run-time test, and a negative base has no real power; the
+    # folded exponent takes the integer power, with no log term at order 3
+    for source, u, v in (("u^(v/v)", -1.5, 49.0), ("(u - 1)^(2*(v/v))", 0.25, 49.0),
+                         ("u^(1e308*10*v - 1e308*10*v + 3)", -2.0, 0.5)):
+        e = ex.parse(source)
+        for order in (2, 3):
+            got = ex.compile_jet([e, U, V], order)(u, v)
+            assert all(math.isfinite(x) for x in got), (source, order, got)
+            assert outcome(ex.compile_jet([e, U, V], order), u, v) == (
+                outcome(walk, [e, U, V], u, v) if order == 2 else outcome(walk3, [e, U, V], u, v)
+            )
+    assert ex.compile_jet([ex.parse("u^(v/v)")], 3)(-1.5, 49.0) == (-1.5, 1.0) + (0.0,) * 8
 
 
 def test_sin_and_cos_of_one_argument_share_one_block():
