@@ -280,27 +280,12 @@ def cmd_geodesic(
     out_path: str,
 ) -> int:
     """``gtype`` is the value of ``--type``: "r" or "lc"."""
-    from .geodesic import GeodesicKind, integrate
+    from .geodesic import GeodesicKind, csv_text, integrate
 
     trace = integrate(
         patch, GeodesicKind(gtype), start[0], start[1], velocity[0], velocity[1], t_end, step
     )
-    lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
-    # the row kernel's rule: equal floats that are not zeros have the same
-    # bits, so x and y write the text of u and v where they equal them, and
-    # du, dv and the residual their previous row's text where they repeat
-    ldu = ldv = lres = math.nan
-    for (t, u, v, du, dv, x, y, z), res in zip(trace.samples, trace.residuals["parallel"]):
-        su, sv = repr(u), repr(v)
-        if du != ldu or not du:
-            ldu, sdu = du, repr(du)
-        if dv != ldv or not dv:
-            ldv, sdv = dv, repr(dv)
-        if res != lres or not res:
-            lres, sres = res, repr(res)
-        sx = su if x == u and x else repr(x)
-        lines.append(f"{t!r},{su},{sv},{sdu},{sdv},{sx},{sv if y == v and y else repr(y)},{z!r},{sres}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_text(out_path, csv_text(trace))
     if not trace.completed:
         print(
             f"warning: trace stopped at t={trace.stop_time!r} ({trace.stopped_reason})",

@@ -330,10 +330,11 @@ _CHAIN_SRC = {
 
 
 def _integer_exponent(value) -> int | None:
-    """The n for which a ** value is the integer power a^n, else None: an
-    integral value with |n| <= 1024, not None.  ``_KernelWriter.powj`` writes
-    the same test out for an exponent known only at run time, which also
-    needs the exponent's first and second partials to be 0."""
+    """The n for which a ** value is the integer power a^n, else None (also
+    for a value of None): an integral value with |n| <= 1024.
+    ``_KernelWriter.powj`` writes the same test out for an exponent known
+    only at run time, which also needs the exponent's first and second
+    partials to be 0."""
     return int(value) if value is not None and float(value).is_integer() and abs(value) <= 1024 else None
 
 

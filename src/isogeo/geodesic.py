@@ -322,6 +322,28 @@ def integrate(
     return GeodesicTrace(gkind, samples, {"parallel": residuals}, stopped_reason, stop_time)
 
 
+def csv_text(trace: GeodesicTrace) -> str:
+    """The ``geodesic`` command's CSV of ``trace``: a header, then t, u, v,
+    du, dv, x, y, z and the parallel residual of each sample, one repr per
+    value.  The curvature row kernel's rule writes each text once: equal
+    floats that are not zeros have the same bits (NaN equals nothing), so
+    x and y write the text of u and v where they equal them, and du, dv and
+    the residual their previous row's text where they repeat."""
+    lines = ["t,u,v,du,dv,x,y,z,parallel_residual"]
+    ldu = ldv = lres = math.nan
+    for (t, u, v, du, dv, x, y, z), res in zip(trace.samples, trace.residuals["parallel"]):
+        su, sv = repr(u), repr(v)
+        if du != ldu or not du:
+            ldu, sdu = du, repr(du)
+        if dv != ldv or not dv:
+            ldv, sdv = dv, repr(dv)
+        if res != lres or not res:
+            lres, sres = res, repr(res)
+        sx = su if x == u and x else repr(x)
+        lines.append(f"{t!r},{su},{sv},{sdu},{sdv},{sx},{sv if y == v and y else repr(y)},{z!r},{sres}")
+    return "\n".join(lines) + "\n"
+
+
 class SectionBranch(Enum):
     TRIG = "trig"
     HYPERBOLIC_COSH = "cosh"
