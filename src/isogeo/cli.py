@@ -221,7 +221,8 @@ def _row_kernel(patch: SurfacePatch):
         for k, x in enumerate(floats) if cells[k] == f"s{k}"
         for line in (f"if {x} != c{k} or not {x}:", f"    c{k} = {x}", f"    s{k} = f'{{{x}!r}}'")
     ]
-    point = ["V = float(v)", *w.lines(*texts)]
+    # u is the same along the row: its float is taken once per call
+    point = [x for x in w.lines(*texts) if x != "U = float(u)"]
     row = ",".join(f"{{{x}}}" for x in ["su", "sv", *cells[:6], "label", *cells[6:]])
     body = [
         "U = float(u)",

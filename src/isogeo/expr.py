@@ -253,11 +253,13 @@ def parse(source: str) -> Expr:
 # Constants are bound by name in the kernel's namespace, never written as
 # source literals; the source holds only generated identifiers.  The fused
 # point kernels write their lines after the jet's from templates over the
-# jet's slots (``Lines``), with the same structural rule.
+# jet's slots (``Lines``), with the same structural rule, and one liveness
+# pass (``Lines.lines``) writes of all of them only the lines they read.
 
 # Per elementary function: statements, then the chain-rule factors
 # (f0, f1, f2, f3) at the argument value {x}; f3 is read at order 3 only.
-# {p} prefixes the node's temporaries, {q} those of its statements: sin and
+# A statement is a guard or block line, or a let (name, value).  {p}
+# prefixes the node's temporaries, {q} those of its statements: sin and
 # cos of one argument share one block of statements, and so do sinh and
 # cosh, the block of the first of them, whose message it keeps.
 _OVERFLOW = (
@@ -268,19 +270,19 @@ _OVERFLOW = (
     "    raise DomainError('overflow in {fn}') from exc",
 )
 _NON_FINITE = ("if not isfinite({x}):", "    raise DomainError(f'{fn} of non-finite value {{{x}!r}}')")
-_SIN_COS = (*_NON_FINITE, "{q}s = sin({x})", "{q}c = cos({x})")
+_SIN_COS = (*_NON_FINITE, ("{q}s", "sin({x})"), ("{q}c", "cos({x})"))
 _SHARED = (_OVERFLOW, _SIN_COS)
 _CHAIN_SRC = {
     "sin": (_SIN_COS, ("{q}s", "{q}c", "-{q}s", "-{q}c")),
     "cos": (_SIN_COS, ("{q}c", "-{q}s", "-{q}c", "{q}s")),
     "tan": (
-        (*_NON_FINITE, "{p}t = tan({x})", "{p}d = 1.0 + {p}t * {p}t"),
+        (*_NON_FINITE, ("{p}t", "tan({x})"), ("{p}d", "1.0 + {p}t * {p}t")),
         ("{p}t", "{p}d", "2.0 * {p}t * {p}d", "2.0 * {p}d * ({p}d + 2.0 * ({p}t * {p}t))"),
     ),
     "sinh": (_OVERFLOW, ("{q}s", "{q}c", "{q}s", "{q}c")),
     "cosh": (_OVERFLOW, ("{q}c", "{q}s", "{q}c", "{q}s")),
     "tanh": (
-        ("{p}t = tanh({x})", "{p}d = 1.0 - {p}t * {p}t"),
+        (("{p}t", "tanh({x})"), ("{p}d", "1.0 - {p}t * {p}t")),
         ("{p}t", "{p}d", "-2.0 * {p}t * {p}d", "2.0 * {p}d * (2.0 * ({p}t * {p}t) - {p}d)"),
     ),
     "exp": (
@@ -296,7 +298,7 @@ _CHAIN_SRC = {
         (
             "if {x} <= 0.0:",
             "    raise DomainError(f'log of non-positive value {{{x}!r}}')",
-            "{p}i = 1.0 / {x}",
+            ("{p}i", "1.0 / {x}"),
         ),
         ("log({x})", "{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i"),
     ),
@@ -304,8 +306,8 @@ _CHAIN_SRC = {
         (
             "if {x} <= 0.0:",
             "    raise DomainError(f'sqrt of non-positive value {{{x}!r}}')",
-            "{p}r = sqrt({x})",
-            "{p}d = 0.5 / {p}r",
+            ("{p}r", "sqrt({x})"),
+            ("{p}d", "0.5 / {p}r"),
         ),
         # {x} > 0, so neither division can divide by zero
         ("{p}r", "{p}d", "-0.5 * {p}d / {x}", "0.75 * {p}d / {x} / {x}"),
@@ -314,7 +316,7 @@ _CHAIN_SRC = {
         (
             "if {x} == 0.0:",
             "    raise DomainError('abs is not differentiable at 0')",
-            "{p}s = 1.0 if {x} > 0.0 else -1.0",
+            ("{p}s", "1.0 if {x} > 0.0 else -1.0"),
         ),
         ("abs({x})", "{p}s", "0.0", "0.0"),
     ),
@@ -322,7 +324,7 @@ _CHAIN_SRC = {
         (
             "if {x} == 0.0:",
             "    raise DomainError('division by zero')",
-            "{p}i = 1.0 / {x}",
+            ("{p}i", "1.0 / {x}"),
         ),
         ("{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i", "-6.0 * {p}i * {p}i * {p}i * {p}i"),
     ),
@@ -435,8 +437,9 @@ class Lines:
     """Kernel lines written from templates over slots: the ``_Src`` that
     holds a named quantity, such as xu or h11, where that is not the name
     itself, so that a template over no slots writes plain source.  ``let``
-    writes a template's arithmetic and ``line`` its guards, blocks and
-    returns, into which the template formats the slots it reads."""
+    writes a one-line assignment, such as a template's arithmetic or a jet
+    partial, as its (name, value) pairs, and ``line`` a guard, a block or a
+    loop, into which the template formats the slots it reads."""
 
     def __init__(self, slots=()) -> None:
         self.slots, self.body = dict(slots), []  # lines, and the (name, value) pairs of each let
@@ -460,22 +463,27 @@ class Lines:
         self.body += lines
 
     def lines(self, *after: str, prune: bool = True) -> list[str]:
-        """The lines written; with ``prune``, each let keeps only the names
-        that a later line reads, the lines ``after`` them included."""
-        # the lines before the first let, such as a kernel's jet lines, are
-        # written as they are, and what they read is not asked
-        first = next((i for i, x in enumerate(self.body) if not isinstance(x, str)), len(self.body))
-        live, out = set(re.findall(_NAME, " ".join(after))), []
-        for x in reversed(self.body[first:]):
+        """The lines written.  With ``prune``, one backward liveness pass
+        from the lines ``after`` them: each let keeps only the names that a
+        later line reads, and every other line is kept, with all it reads."""
+        if not prune:
+            return [x if isinstance(x, str) else _assignment(x) for x in self.body]
+        names = re.compile(_NAME).findall
+        live, out = set(names(" ".join(after))), []
+        for x in reversed(self.body):
             if not isinstance(x, str):
-                x = [(n, v) for n, v in x if n in live or not prune]
+                x = [(n, v) for n, v in x if n in live]
                 if not x:
                     continue
-                x = f"{', '.join(n for n, _ in x)} = {', '.join(v for _, v in x)}"
-            if prune:
-                live.update(re.findall(_NAME, x))
+                x = _assignment(x)
+            live.update(names(x))
             out.append(x)
-        return self.body[:first] + out[::-1]
+        return out[::-1]
+
+
+def _assignment(pairs) -> str:
+    # most lets, every jet line among them, have one name
+    return f"{pairs[0][0]} = {pairs[0][1]}" if len(pairs) == 1 else " = ".join(map(", ".join, zip(*pairs)))
 
 
 def template_lines(template, *args) -> list[str]:
@@ -541,12 +549,12 @@ class _KernelWriter(Lines):
         return jet
 
     def lines_for(self, p: str, exprs) -> tuple[str, ...]:
-        """A name for each expression: a new line for it, unless it is a
+        """A name for each expression: a new let for it, unless it is a
         name already, such as ZERO or ONE."""
         names = []
         for k, x in enumerate(map(str, exprs)):
             if not x.isidentifier():
-                self.line(f"{p}{k} = {x}")
+                self.body.append([(f"{p}{k}", x)])
                 x = f"{p}{k}"
             names.append(x)
         return tuple(names)
@@ -604,7 +612,12 @@ class _KernelWriter(Lines):
             fill = {"p": p, "q": p, "x": a[0], "fn": fn}
 
             def block(q: str) -> str:
-                self.line(*(s.format(**{**fill, "q": q}) for s in statements))
+                fill["q"] = q
+                for s in statements:
+                    if isinstance(s, str):
+                        self.line(s.format(**fill))
+                    else:  # a let's (name, value)
+                        self.let(s[0].format(**fill), s[1].format(**fill))
                 return q
 
             if statements in _SHARED:
@@ -617,7 +630,7 @@ class _KernelWriter(Lines):
             names = [fk if fk.isidentifier() else f"{p}f{k + 1}" for k, fk in enumerate(fs)]
             terms = _chain_terms(a, *names)
             read = set(re.findall(_NAME, " ".join(terms)))
-            self.line(*(f"{n} = {fk}" for n, fk in zip(names, fs) if n != fk and n in read))
+            self.body += [[(n, fk)] for n, fk in zip(names, fs) if n != fk and n in read]
             return self.lines_for(p, [f0, *terms])
 
         return self.node((fn, a), emit)
@@ -650,12 +663,11 @@ class _KernelWriter(Lines):
                 # a writer of its own, so that no temporary leaves the step
                 sub = _KernelWriter(self.order, self.namespace, f"{p}{tag}")
                 names = op(sub)
-                return [*sub.lines(), f"{', '.join(target)} = {', '.join(names)}"]
+                return [*sub.lines(*names), f"{', '.join(target)} = {', '.join(names)}"]
 
+            # the loop's state: |n|, the result 1 and the base a
+            self.let(", ".join((f"{p}m", *r, *q)), f"-{n} if {n} < 0 else {n}", *self.ONE, *a, bind=True)
             self.line(
-                f"{p}m = -{n} if {n} < 0 else {n}",
-                f"{', '.join(r)} = {', '.join(self.ONE)}",
-                f"{', '.join(q)} = {', '.join(a)}",
                 f"while {p}m:",
                 f"    if {p}m & 1:",
                 *(f"        {x}" for x in step("a", r, lambda w: w.mul(r, q))),
@@ -695,10 +707,10 @@ class _KernelWriter(Lines):
             n = f"{p}n"
             integral = _KernelWriter(self.order, self.namespace, f"{p}i")
             power = integral.pow_int_loop(a, n)
-            if folded is not None:
+            if folded is not None:  # one branch: its lines and names are the node's
                 self.namespace[n] = folded
-                self.line(*integral.lines(), f"{', '.join(out)} = {', '.join(power)}")
-                return out
+                self.body += integral.body
+                return power
             real = _KernelWriter(self.order, self.namespace, f"{p}x")
             e = real.real_power(a, b)
             # a structural zero passes the test, and adds nothing, by construction
@@ -707,12 +719,12 @@ class _KernelWriter(Lines):
             self.line(
                 f"if {' and '.join(tests + [f'float({b[0]}).is_integer()'])} and abs({b[0]}) <= 1024:",
                 f"    {n} = int({b[0]})",
-                *(f"    {x}" for x in integral.lines()),
+                *(f"    {x}" for x in integral.lines(*power)),
                 f"    {', '.join(out)} = {', '.join(power)}",
                 *([f"    {p}l = {out[0]} * log({a[0]}) if {a[0]} > 0.0 else nan"] if third else []),
                 *(f"    {o} = {o} + {p}l * {x} if {x} != 0.0 else {o}" for o, x in third),
                 "else:",
-                *(f"    {x}" for x in real.lines()),
+                *(f"    {x}" for x in real.lines(*e)),
                 f"    {', '.join(out)} = {', '.join(e)}",
             )
             return out
@@ -757,17 +769,20 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     are followed by the third partials (duuu, duuv, duvv, dvvv) of each
     tree in order."""
     writer, outputs = jet_writer(exprs, order)
-    body = ["U = float(u)", "V = float(v)", *writer.lines(), f"return ({''.join(f'{name}, ' for name in outputs)})"]
+    # it returns every slot, so a liveness pass would cost more than it drops
+    body = [*writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
     return compile_function("kernel(u, v)", body, writer.namespace)
 
 
 def jet_writer(exprs, order: int) -> tuple[_KernelWriter, list[str]]:
     """The writer that holds the jet lines of ``compile_jet``'s kernel,
-    which read the floats U and V of u and v and raise what the kernel
+    from the floats U and V of u and v on, which raise what the kernel
     raises, with its ``namespace``; and the names of the floats the kernel
     returns, in its order.  ``surface.point_lines`` writes the fused point
     kernels' frame lines into the same writer."""
     writer = _KernelWriter(order)
+    writer.let("U", "float(u)")
+    writer.let("V", "float(v)")
     results = [writer.expr(e) for e in exprs]
     return writer, [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]
 

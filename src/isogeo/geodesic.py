@@ -39,7 +39,6 @@ straight lines.
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -113,28 +112,24 @@ def _outside(u: float, v: float) -> _Halt:
     return _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
 
 
-def _accel_lines(w: ex.Lines, relative: bool) -> None:
-    """(u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter order, from
-    the coefficients C_ij^k in the frame's order: the relative ones xi_ijk
-    or the Levi-Civita ones ga_ijk.  With ``sample``, also the position, the
-    parallel residual of gamma'' against xi or (0, 0, 1) and, for the
-    relative connection, denom (None for Levi-Civita)."""
+def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
+    """The lets of (u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter
+    order, from the coefficients C_ij^k in the frame's order (the relative
+    xi_ijk or the Levi-Civita ga_ijk), and of the sample's position, parallel
+    residual of gamma'' against xi or (0, 0, 1) and, for the relative
+    connection, denom (None for Levi-Civita); returns both return lines."""
     c = "xi" if relative else "ga"
     c111, c112, c121, c122, c221, c222 = w.get(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222")
-    # where the frame lines wrote no swap, the frame's order is the caller's
+    # (x, y) in the caller's order, the frame's where its lines wrote no swap
     swap = str(w.get("swapped")[0]) != "False"
-    if swap:
-        w.line("w1, w2 = (dv, du) if swapped else (du, dv)")
-    w1, w2 = w.get("w1 w2") if swap else w.let("w1, w2", "du", "dv")
+    caller = lambda x, y: (f"({y} if swapped else {x})", f"({x} if swapped else {y})") if swap else (x, y)
+    w1, w2 = w.let("w1, w2", *caller("du", "dv"))
     a1, a2 = w.let(
         "a1, a2",
         -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2),
         -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2),
     )
-    if swap:
-        w.line(f"au, av = ({a2}, {a1}) if swapped else ({a1}, {a2})")
-    au, av = w.get("au av") if swap else (a1, a2)
-    w.line("if not sample:", f"    return {au}, {av}")
+    au, av = w.let("au, av", *caller(a1, a2))
     # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
     # component summed left to right
     s11, s12, s22 = w.let("s11, s12, s22", w1 * w1, 2.0 * w1 * w2, w2 * w2)
@@ -145,7 +140,7 @@ def _accel_lines(w: ex.Lines, relative: bool) -> None:
     normal = w.get("a b xi_z") if relative else ("0.0", "0.0", "1.0")
     w.let("residual", ex._Src(f"_parallel_residual({', '.join(map(str, [*gamma, *normal]))})"))
     px, py, pz, denom = w.get("px py pz denom") if relative else [*w.get("px py pz"), "None"]
-    w.line(f"return {au}, {av}, {px}, {py}, {pz}, residual, {denom}")
+    return f"return {au}, {av}", f"return {au}, {av}, {px}, {py}, {pz}, residual, {denom}"
 
 
 def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
@@ -154,7 +149,12 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     coefficient and acceleration lines as one function, which builds no
     frame.  Raises _Halt outside the domain, the jet's DomainError, the
     frame's NotAdmissible and the relative connection's LightlikePoint, in
-    that order.  Compiled on first use, once per patch and connection."""
+    that order.  Compiled on first use, once per patch and connection.
+    What (u'', v'') reads, and every guard and block, comes before the
+    ``if not sample:`` return, and what only the sample reads after it.  A
+    block that re-assigns names (the frame's swap, a run-time integer
+    power's loop) reads each line before it that reads one of them, such as
+    m12, so a line after the return reads what it read in place."""
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
@@ -162,14 +162,16 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
         gamma_lines(w)
         if relative:
             relative_lines(w, s.kind)
-        _accel_lines(w, relative)
+        early, final = _accel_lines(w, relative)
+        head = w.lines(early)
+        before = set(head)
         u0, u1, v0, v1 = s.domain
         kernel = s.accel_kernels[gkind] = ex.compile_function(
             "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
-            _sample_last(["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)",
-                          "U = float(u)", "V = float(v)", *w.lines()]),
+            ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)", *head,
+             "if not sample:", f"    {early}", *(x for x in w.lines(final) if x not in before), final],
             {
                 **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
                 "_parallel_residual": _parallel_residual,
@@ -177,33 +179,6 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
             },
         )
     return kernel
-
-
-# a kernel line's names; the indent, targets and operator of the assignment
-# it is, if any
-_NAMES = re.compile(ex._NAME).findall
-_ASSIGNMENT = re.compile(r"( *)(\w+(?:, \w+)*) (\S*)= ").match
-
-
-def _sample_last(body: list[str]) -> list[str]:
-    """``body`` with each one-line assignment before its ``if not sample:``
-    return moved behind the return, in order, where neither the return nor
-    a line kept before it reads its targets and no kept line after it
-    assigns a name it reads: the position, and the jet lines only it reads.
-    Every other line stays, the guards that raise among them, so a stage
-    raises what it raised, and a moved line reads the values it read."""
-    cut = body.index("if not sample:")
-    live, assigned, kept, moved = set(_NAMES(body[cut + 1])), set(), [], []
-    for line in reversed(body[:cut]):
-        names, match = _NAMES(line), _ASSIGNMENT(line)
-        targets = match[2].split(", ") if match else ()
-        if match and not match[1] + match[3] and live.isdisjoint(targets) and assigned.isdisjoint(names):
-            moved.append(line)
-        else:
-            kept.append(line)
-            live.update(names)
-            assigned.update(targets)
-    return [*kept[::-1], *body[cut:cut + 2], *moved[::-1], *body[cut + 2:]]
 
 
 def _parallel_residual(gx: float, gy: float, gz: float, rx: float, ry: float, rz: float) -> float:
@@ -645,11 +620,18 @@ def cross_check_sphere_geodesic(
     )
 
 
-def induced_speed_profile(kind: SpaceKind, trace: GeodesicTrace) -> list[float]:
-    """sqrt(|I(gamma', gamma')|) along a trace; the relative connection is
-    not metric, so this need not be constant on relative geodesics."""
+def induced_speed_profile(
+    kind: SpaceKind, trace: GeodesicTrace, patch: Optional[SurfacePatch] = None
+) -> list[float]:
+    """sqrt(|I(gamma', gamma')|) along a trace, from the top view of gamma'
+    = x_u u' + x_v v' (``patch.jet_kernel``), or (u', v') itself without a
+    patch, as on a graph.  The relative connection is not metric, so this
+    need not be constant on relative geodesics."""
     sign = 1.0 if kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
-    return [
-        math.sqrt(abs(smp.du * smp.du + sign * smp.dv * smp.dv))
-        for smp in trace.samples
-    ]
+    speeds = []
+    for _, u, v, du, dv, *_ in trace.samples:
+        if patch is not None:
+            _, xu, xv, _, _, _, _, yu, yv, *_ = patch.jet_kernel(u, v)
+            du, dv = xu * du + xv * dv, yu * du + yv * dv
+        speeds.append(math.sqrt(abs(du * du + sign * dv * dv)))
+    return speeds

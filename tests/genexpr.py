@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 
 from jet2ref import eval_jet2
+from isogeo import surface as srf
 from isogeo.errors import DomainError
 from isogeo.expr import Binary, Const, Expr, Unary, Var
+from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
 
 _UNARY = ("sin", "cos", "exp", "sinh", "cosh", "tanh")
@@ -75,6 +77,23 @@ def random_expr_full(rng: SplitMix64, depth: int) -> Expr:
         return Binary("^", random_expr_full(rng, depth - 1), exponent)
     op = _BINARY_FULL[rng.randint(len(_BINARY_FULL))]
     return Binary(op, random_expr_full(rng, depth - 1), random_expr_full(rng, depth - 1))
+
+
+def random_patches(seed: int, count: int) -> list[srf.SurfacePatch]:
+    """``count`` patches over [-2, 2]^2, in simply isotropic and
+    pseudo-isotropic space by turns: graphs of ``random_expr_full`` trees
+    of depth 4, and parametric patches x = tree + u, y = tree + v (depth
+    2) with z of depth 4, also by turns."""
+    patches = []
+    for i in range(count):
+        rng = SplitMix64(seed + i)
+        kind = (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC)[i % 2]
+        if i % 4 < 2:
+            patches.append(srf.graph_patch(kind, random_expr_full(rng, 4), (-2.0, 2.0, -2.0, 2.0)))
+        else:
+            x, y = (Binary("+", random_expr_full(rng, 2), Var(t)) for t in "uv")
+            patches.append(srf.parametric_patch(kind, x, y, random_expr_full(rng, 4), (-2.0, 2.0, -2.0, 2.0)))
+    return patches
 
 
 def _leaf(rng: SplitMix64) -> Expr:

@@ -1409,6 +1409,25 @@ def test_geodesic_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1002
 
 
+def test_curvature_and_sample_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the kernels' liveness pass keeps its names in sets: fresh processes
+    # under two hash seeds write the same bytes, on a graph, the swapped
+    # helicoid and a graph with a folded power and undefined points
+    specs = {"sphere": SPHERE_SPEC, "helicoid": HELICOID_SPEC, "power": VV_SPEC}
+    for name, spec in specs.items():
+        path = write_spec(tmp_path, spec, f"{name}.json")
+        for command, *options in (("curvature",), ("sample", "--format", "csv"), ("sample", "--format", "obj")):
+            outs = []
+            for hash_seed in ("0", "4242"):
+                out = tmp_path / f"{name}-{command}-{options[-1:]}-{hash_seed}.txt"
+                argv = [sys.executable, "-m", "isogeo", command, path, "--grid", "15x12", *options, "--out", str(out)]
+                env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]), PYTHONHASHSEED=hash_seed)
+                proc = subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outs.append((out.read_bytes(), proc.stdout, proc.stderr))
+            assert outs[0] == outs[1] and len(outs[0][0].splitlines()) > 100, (name, command)
+
+
 def test_a_graph_row_writes_the_text_of_u_and_v_as_x_and_y(monkeypatch):
     # x and y of a graph are U and V themselves: their columns write su and
     # sv, with no compare and no repr of their own

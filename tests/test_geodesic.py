@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 import genexpr
 import rk4ref
 import sectionref
+import stageref
 from isogeo import catalog
+from isogeo import expr as ex
 from isogeo import connection as con
 from isogeo import geodesic as geo
 from isogeo import surface as srf
@@ -275,6 +278,22 @@ def test_speed_constant_on_centershifted_circle():
     grid = [k * 1e-2 for k in range(101)]
     speeds = geo.induced_speed_profile(I3, geo.plane_section(ps, grid))
     assert max(speeds) - min(speeds) < 1e-12
+
+
+def test_speed_constant_on_a_levi_civita_geodesic_of_the_helicoid():
+    # the Levi-Civita connection is metric: with the patch, the speed is
+    # that of the start, 0.2598076211353..., at every sample; read off
+    # (du, dv) alone, it drifted from 0.2828 to 0.2799
+    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    trace = geo.integrate(patch, LEVI_CIVITA, 1.5, 0.1, 0.3, 0.1, 1.0, 1e-3)
+    assert trace.completed and len(trace.samples) == 1001
+    speeds = geo.induced_speed_profile(IP3, trace, patch)
+    assert all(abs(s - 0.2598076211353) <= 1e-12 * 0.2598076211353 for s in speeds), (min(speeds), max(speeds))
+    # a graph's top view is (du, dv): the patch leaves the numbers as they were
+    ps = geo.make_plane_section(I3, 1.0, 1.0, 0.0)
+    section = geo.plane_section(ps, [k * 1e-2 for k in range(101)])
+    plain = geo.induced_speed_profile(I3, section)
+    assert list(map(repr, geo.induced_speed_profile(I3, section, geo.section_sphere_patch(ps)))) == list(map(repr, plain))
 
 
 def test_integration_guards():
@@ -633,6 +652,25 @@ def _stage_outcome(kernel, *args):
         return type(err), str(err)
 
 
+def _split_against_whole(patch, rng, points):
+    """The outcomes of ``patch``'s stage kernels, each against its whole
+    body (``stageref.stage``), at ``points`` random stage arguments with
+    and without the sample, inside and outside the domain; returns what
+    kinds of outcome were seen."""
+    kernels = {g: stageref.stage(patch, g) for g in GeodesicKind}
+    seen = set()
+    for _ in range(points):
+        u, v = rng.uniform(-2.2, 3.2), rng.uniform(-2.2, 2.2)
+        if rng.random() < 0.2:  # exact zeros of log, sqrt and the minors
+            u, v = rng.randint(5) * 0.5 - 1.0, rng.randint(5) * 0.5 - 1.0
+        args = (u, v, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.random() < 0.3)
+        for g, (split, _, _, whole, _) in kernels.items():
+            got = _stage_outcome(split, *args)
+            assert got == _stage_outcome(whole, *args), (patch, g, args)
+            seen.add(got[0] if got[0] in ("ok", "halt") else "error")
+    return seen
+
+
 @pytest.mark.parametrize("build", [
     lambda: catalog.make("parabolic_sphere", I3, {"p": 2.0}, (-2.0, 2.0, -2.0, 2.0)),
     lambda: catalog.make("parabolic_sphere", IP3, {"p": 1.0}, (-2.0, 2.0, -2.0, 2.0)),
@@ -642,44 +680,75 @@ def _stage_outcome(kernel, *args):
     lambda: srf.graph_patch(IP3, "log(u) * (u - v)^(v/v + 1) + u^(v - u)", (-1.0, 2.0, -1.0, 1.0)),
     lambda: srf.parametric_patch(I3, "v + 0.3*u", "u^3", "sqrt(u + 1) * v", (-1.5, 1.5, -1.5, 1.5)),
 ], ids=["sphere-i3", "sphere-ip3", "helicoid", "harmonic", "sqrt", "powers", "swapped-fold"])
-def test_a_stage_returns_and_raises_what_its_whole_body_does(monkeypatch, build):
-    # the stage kernel with its sample-only lines behind the return against
-    # the same body compiled in order: the same floats, halts and errors,
-    # with and without the sample, inside and outside the domain
-    split = {g: geo._accel_kernel(build(), g) for g in GeodesicKind}
-    monkeypatch.setattr(geo, "_sample_last", lambda body: body)
-    whole = {g: geo._accel_kernel(build(), g) for g in GeodesicKind}
-    rng = SplitMix64(27)
+def test_a_stage_returns_and_raises_what_its_whole_body_does(build):
+    # the stage kernel, whose lines that only the sample reads come after
+    # its return, against its writer's lines compiled in order with both
+    # returns after them: the same floats, halts and errors
+    assert {"ok", "halt"} <= _split_against_whole(build(), SplitMix64(27), 400)
+
+
+def test_a_genexpr_stage_returns_and_raises_what_its_whole_body_does():
+    # the same on 32 random graph and parametric patches in both spaces:
+    # the split rests on no block re-assigning a name that a line before
+    # it reads, which no template may break
     seen = set()
-    for _ in range(400):
-        u, v = rng.uniform(-2.2, 3.2), rng.uniform(-2.2, 2.2)
-        if rng.random() < 0.2:  # exact zeros of log, sqrt and the minors
-            u, v = rng.randint(5) * 0.5 - 1.0, rng.randint(5) * 0.5 - 1.0
-        args = (u, v, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.random() < 0.3)
-        for g in GeodesicKind:
-            got = _stage_outcome(split[g], *args)
-            assert got == _stage_outcome(whole[g], *args), (g, args)
-            seen.add(got[0] if got[0] in ("ok", "halt") else "error")
-    assert "ok" in seen and "halt" in seen
+    for patch in genexpr.random_patches(2800, 32):
+        seen |= _split_against_whole(patch, SplitMix64(28), 100)
+    assert seen == {"ok", "halt", "error"}
 
 
 def test_the_sample_only_lines_move_behind_the_return_in_order():
-    # a one-line assignment moves where neither the return nor a kept line
-    # reads it, unless a kept line after it assigns a name it reads (y reads
-    # the x that the block then changes); blocks and guards stay, with the
-    # lines they read
-    body = [
-        "x = u * 2.0", "g = v - 1.0", "y = x + 1.0", "p = x * g", "if g <= 0.0:", "    raise DomainError('g')",
-        "if u < 0.0:", "    x = -x", "a = x * x", "q = p + 1.0",
-        "if not sample:", "    return a", "return a, y, q",
-    ]
-    assert geo._sample_last(body) == [
-        "x = u * 2.0", "g = v - 1.0", "y = x + 1.0", "p = x * g", "if g <= 0.0:", "    raise DomainError('g')",
-        "if u < 0.0:", "    x = -x", "a = x * x",
-        "if not sample:", "    return a", "q = p + 1.0", "return a, y, q",
-    ]
-    body[6:8] = []  # with no block after it, y moves too
-    assert geo._sample_last(body) == [
-        "x = u * 2.0", "g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')", "a = x * x",
-        "if not sample:", "    return a", "y = x + 1.0", "p = x * g", "q = p + 1.0", "return a, y, q",
-    ]
+    # the two liveness passes that place a stage kernel's lines, on a
+    # writer of lets and guards: the pass from the early return keeps every
+    # guard and block, with the lets that they and the return read; the
+    # pass from the final return adds, in order, the lets only it reads;
+    # a let keeps the names of its pairs that a later line reads
+    w = ex.Lines()
+    w.let("x", "u * 2.0")
+    w.let("g", "v - 1.0")
+    w.let("y, p", "x + 1.0", "x * g")
+    w.line("if g <= 0.0:", "    raise DomainError('g')")
+    w.let("a", "x * x")
+    w.let("q, unread", "p + 1.0", "q + 1.0")
+    head = w.lines("return a")
+    assert head == ["x = u * 2.0", "g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')", "a = x * x"]
+    full = w.lines("return a, y, q")
+    assert [x for x in full if x not in head] == ["y, p = x + 1.0, x * g", "q = p + 1.0"]
+    assert w.lines("return a, p")[2] == "p = x * g"
+    assert w.lines(prune=False)[-1] == "q, unread = p + 1.0, q + 1.0"
+    assert w.lines() == ["g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')"]
+
+
+CATALOG_PARAMS = {
+    "parabolic_sphere": {"p": 2.0}, "cylindrical_sphere": {"r": 1.0}, "plane": {"a": 0.3, "b": -0.2, "c": 0.7},
+    "ruled_nondiag": {"b": 2.0}, "helicoid": {"c": 1.0}, "revolution": {"z": "log(u)"},
+    "minimal_wave": {"f": "0.3*u^3 - 0.2*u", "g": "0.25*u^3 + 0.1*u^2"}, "minimal_harmonic": {"f": "exp(u) * sin(v)"},
+}
+
+
+def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_reference():
+    # on the catalog and 200 random patches: the lines before the
+    # ``if not sample:`` return are at most those that the reference pass
+    # leaves there on the kernel's whole body, and no name is assigned on
+    # both sides of the return.  The split rests on this: a let that reads
+    # a name which a later block re-assigns (m12, before the frame's swap)
+    # stays before the return, where it reads what it read in place
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, entry in catalog.CATALOG.items()
+               for kind in entry.kinds]
+    for patch in patches + genexpr.random_patches(3000, 200):
+        for g in GeodesicKind:
+            _, body, w, _, whole_body = stageref.stage(patch, g)
+            cut, ref = body.index("if not sample:"), stageref.sample_last(whole_body).index("if not sample:")
+            assert cut <= ref, (patch, g)
+            before = {n for line in body[2:cut] for n in stageref.assigned(line)}
+            after = {n for line in body[cut + 2:-1] for n in stageref.assigned(line)}
+            assert not before & after, (patch, g)
+            readers = {}  # a name, and the names of the lets that read it
+            for x in w.body:
+                if isinstance(x, str):
+                    for name in stageref.assigned(x.strip()):
+                        assert not readers.get(name, set()) & after, (patch, g, x)
+                else:
+                    for target, value in x:
+                        for name in re.findall(r"[A-Za-z_]\w*", value):
+                            readers.setdefault(name, set()).add(target)

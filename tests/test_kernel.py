@@ -19,8 +19,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genexpr import random_expr, random_expr_full
+from genexpr import random_expr, random_expr_full, random_patches
 import jet2ref
+import stageref
 from jet2ref import eval_jet2
 from jet3 import walk3
 from isogeo import catalog, cli
@@ -483,12 +484,14 @@ def _point_names(names) -> set:
 def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # the row kernel and both stage kernels each call surface.point_lines
     # once, and it alone writes the jet and frame lines: each body holds the
-    # lines of its writer as one contiguous run at one indent, those begin
-    # with the jet lines, and no line outside them assigns a jet or frame name.
-    # A stage kernel's body is that body after geodesic._sample_last, which
-    # moves the sample-only lines behind the stage's return
+    # lines of its writer's liveness passes as contiguous runs at one indent
+    # (the row kernel its pass, less the conversion of u that it takes out
+    # of its loop; a stage kernel the pass from its early return before that
+    # return, and the other lines of the pass from its final return after
+    # it), each pass begins with the jet lines it keeps, in the jet writer's
+    # order, and no line outside the runs assigns a jet or frame name
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    jet = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines()
+    jet = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines(prune=False)
     calls = {"jet_writer": 0, "frame_lines": 0}
     writers, outputs, bodies = [], [], []
 
@@ -511,19 +514,10 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
         return out
 
     def recording_compile(signature, lines, namespace):
-        bodies.append(split.pop() if split else list(lines))
+        bodies.append(list(lines))
         return real_compile(signature, lines, namespace)
 
-    def recording_sample_last(body):
-        out = real_sample_last(body)
-        split.append(list(body))
-        assert sorted(out) == sorted(body)
-        return out
-
-    split = []
     real_point_lines, real_lines, real_compile = srf.point_lines, ex.Lines.lines, ex.compile_function
-    real_sample_last = geo._sample_last
-    monkeypatch.setattr(geo, "_sample_last", recording_sample_last)
     monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
     monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
     for module in (cli, geo):
@@ -534,17 +528,30 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
     geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
     assert calls == {"jet_writer": 3, "frame_lines": 3} and len(bodies) == 3
-    assert [w for w, _ in outputs] == writers
-    for body, (_, prelude) in zip(bodies, outputs):
-        assert prelude[: len(jet)] == jet
-        n = len(prelude)
-        runs = [
-            (i, line[: -len(prelude[0])]) for i, line in enumerate(body)
-            if line.endswith(prelude[0]) and not line[: -len(prelude[0])].strip()
-            and body[i:i + n] == [line[: -len(prelude[0])] + x for x in prelude]
-        ]
-        ((start, indent),) = runs
-        rest = [*body[:start], f"{indent}pass", *body[start + n:]]
+    row = [line.strip() for line in bodies[0]]  # the row kernel converts u once, before its loop
+    assert row.count("U = float(u)") == 1 and row.index("U = float(u)") < row.index("for v, sv in vs:")
+    assert [w for w, _ in outputs] == [writers[0], writers[1], writers[1], writers[2], writers[2]]
+    passes = [[outputs[0][1]], [outputs[1][1], outputs[2][1]], [outputs[3][1], outputs[4][1]]]
+    for body, outs in zip(bodies, passes):
+        for out in outs:
+            k = next((i for i, line in enumerate(out) if line not in jet), len(out))
+            remaining = iter(jet)
+            assert all(line in remaining for line in out[:k])
+            assert not [line for line in out[k:] if _point_names(stageref.assigned(line.strip())) - _FRAME_NAMES]
+        if len(outs) == 1:
+            runs = [[line for line in outs[0] if line != "U = float(u)"]]
+        else:
+            runs = [outs[0], [line for line in outs[1] if line not in outs[0]]]
+        rest = body
+        for run in runs:
+            n = len(run)
+            found = [
+                (i, line[: -len(run[0])]) for i, line in enumerate(rest)
+                if line.endswith(run[0]) and not line[: -len(run[0])].strip()
+                and rest[i:i + n] == [line[: -len(run[0])] + x for x in run]
+            ]
+            ((start, indent),) = found
+            rest = [*rest[:start], f"{indent}pass", *rest[start + n:]]
         assert _point_names(_stored_names(rest)) == set()
 
 
@@ -649,9 +656,9 @@ def test_sin_and_cos_of_one_argument_share_one_block():
     # the helicoid's sinh(v) and cosh(v) take both functions from one block
     patch = catalog.make("helicoid", SpaceKind.PSEUDO_ISOTROPIC, {"c": 1.0})
     for order in (2, 3):
-        source = "\n".join(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)[0].lines())
+        source = "\n".join(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)[0].lines(prune=False))
         assert source.count("sinh(") == 1 and source.count("cosh(") == 1, source
-    source = "\n".join(ex.jet_writer([ex.parse("sin(u) * cos(u) + cos(u + v)")], 2)[0].lines())
+    source = "\n".join(ex.jet_writer([ex.parse("sin(u) * cos(u) + cos(u + v)")], 2)[0].lines(prune=False))
     assert source.count("sin(") == 2 and source.count("cos(") == 2, source
     # the first node's block raises first, with its own message
     for src, message in (("cosh(v) + sinh(v)", "overflow in cosh"), ("sin(1e308*10*v) * cos(1e308*10*v)", "sin of")):
@@ -659,21 +666,58 @@ def test_sin_and_cos_of_one_argument_share_one_block():
             ex.compile_jet([ex.parse(src), U, V], 2)(0.5, 1000.0)
 
 
+def _unread_lets(monkeypatch, patch) -> list:
+    """(kernel, name) for each name that a let of one of ``patch``'s
+    kernels stores and no later line of the kernel reads: ``compile_jet``'s
+    at orders 2 and 3, the row kernel's and each path of both stage
+    kernels', the early return's and the sample's."""
+    bodies, lets = [], set()
+    real_compile, real_lines = ex.compile_function, ex.Lines.lines
+
+    def lines(self, *after, prune=True):  # a let is a line that is not in the body as text
+        out = real_lines(self, *after, prune=prune)
+        lets.update(set(out) - {x for x in self.body if isinstance(x, str)})
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ex, "compile_function", lambda *args: bodies.append(list(args[1])) or real_compile(*args))
+        m.setattr(ex.Lines, "lines", lines)
+        exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
+        ex.compile_jet(exprs, 2)
+        ex.compile_jet(exprs, 3)
+        cli._row_kernel(patch)
+        for g in geo.GeodesicKind:
+            patch.accel_kernels.pop(g, None)
+            geo._accel_kernel(patch, g)
+    jet2, jet3, row, r, lc = bodies
+    paths = {"jet2": jet2, "jet3": jet3, "row": row}
+    for label, body in (("r", r), ("lc", lc)):
+        cut = body.index("if not sample:")
+        paths[label], paths[f"{label} sample"] = body[: cut + 2], [*body[:cut], *body[cut + 2:]]
+    unread = []
+    for label, lines in paths.items():
+        tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in lines))
+        loads = [(n.lineno, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        for i, line in enumerate(lines, start=2):  # the line number of lines[0]
+            if line.strip() in lets:
+                unread += [(label, t) for t in stageref.assigned(line.strip()) if (t not in {n for k, n in loads if k > i})]
+    return unread
+
+
 @pytest.mark.parametrize("name, kind", CATALOG_CASES)
-def test_catalog_jet_kernels_assign_no_unread_name(name, kind):
-    # no chain-rule factor, or any other name, is written where no later
-    # line reads it or the kernel returns it
-    patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    for order in (2, 3):
-        writer, outputs = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)
-        lines = writer.lines()
-        body = [*lines, f"return ({', '.join(outputs)},)"]
-        tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in body))
-        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
-        for store in (n for n in names if isinstance(n.ctx, ast.Store)):
-            assert any(
-                n.id == store.id and isinstance(n.ctx, ast.Load) and n.lineno > store.lineno for n in names
-            ), (order, store.id)
+def test_catalog_jet_kernels_assign_no_unread_name(monkeypatch, name, kind):
+    # no let of any kernel, a jet partial, a chain-rule factor or a
+    # template's quantity, writes a name that no later line of the kernel
+    # reads or returns, on either path of a stage kernel
+    assert _unread_lets(monkeypatch, catalog.make(name, kind, CATALOG_PARAMS[name])) == []
+
+
+def test_genexpr_kernels_assign_no_unread_name(monkeypatch):
+    # the same for the fused kernels of 60 random patches.  compile_jet
+    # writes every line unpruned, since it returns every slot: there, the
+    # jet of an exponent that folds to an integer, such as -3, goes unread
+    for patch in random_patches(4100, 60):
+        assert [(k, n) for k, n in _unread_lets(monkeypatch, patch) if not k.startswith("jet")] == [], patch
 
 
 def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
