@@ -1,7 +1,6 @@
 import itertools
 import math
 import pickle
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -717,38 +716,3 @@ def test_the_sample_only_lines_move_behind_the_return_in_order():
     assert w.lines("return a, p")[2] == "p = x * g"
     assert w.lines(prune=False)[-1] == "q, unread = p + 1.0, q + 1.0"
     assert w.lines() == ["g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')"]
-
-
-CATALOG_PARAMS = {
-    "parabolic_sphere": {"p": 2.0}, "cylindrical_sphere": {"r": 1.0}, "plane": {"a": 0.3, "b": -0.2, "c": 0.7},
-    "ruled_nondiag": {"b": 2.0}, "helicoid": {"c": 1.0}, "revolution": {"z": "log(u)"},
-    "minimal_wave": {"f": "0.3*u^3 - 0.2*u", "g": "0.25*u^3 + 0.1*u^2"}, "minimal_harmonic": {"f": "exp(u) * sin(v)"},
-}
-
-
-def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_reference():
-    # on the catalog and 200 random patches: the lines before the
-    # ``if not sample:`` return are at most those that the reference pass
-    # leaves there on the kernel's whole body, and no name is assigned on
-    # both sides of the return.  The split rests on this: a let that reads
-    # a name which a later block re-assigns (m12, before the frame's swap)
-    # stays before the return, where it reads what it read in place
-    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, entry in catalog.CATALOG.items()
-               for kind in entry.kinds]
-    for patch in patches + genexpr.random_patches(3000, 200):
-        for g in GeodesicKind:
-            _, body, w, _, whole_body = stageref.stage(patch, g)
-            cut, ref = body.index("if not sample:"), stageref.sample_last(whole_body).index("if not sample:")
-            assert cut <= ref, (patch, g)
-            before = {n for line in body[2:cut] for n in stageref.assigned(line)}
-            after = {n for line in body[cut + 2:-1] for n in stageref.assigned(line)}
-            assert not before & after, (patch, g)
-            readers = {}  # a name, and the names of the lets that read it
-            for x in w.body:
-                if isinstance(x, str):
-                    for name in stageref.assigned(x.strip()):
-                        assert not readers.get(name, set()) & after, (patch, g, x)
-                else:
-                    for target, value in x:
-                        for name in re.findall(r"[A-Za-z_]\w*", value):
-                            readers.setdefault(name, set()).add(target)

@@ -597,6 +597,33 @@ def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
             assert "    return ZERO, ZERO" in body
 
 
+def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_reference():
+    # on the catalog and 200 random patches: the lines before the
+    # ``if not sample:`` return are at most those that the reference pass
+    # leaves there on the kernel's whole body, and no name is assigned on
+    # both sides of the return.  The split rests on this: a let that reads
+    # a name which a later block re-assigns (m12, before the frame's swap)
+    # stays before the return, where it reads what it read in place
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
+    for patch in patches + random_patches(3000, 200):
+        for g in geo.GeodesicKind:
+            _, body, w, _, whole_body = stageref.stage(patch, g)
+            cut, ref = body.index("if not sample:"), stageref.sample_last(whole_body).index("if not sample:")
+            assert cut <= ref, (patch, g)
+            before = {n for line in body[2:cut] for n in stageref.assigned(line)}
+            after = {n for line in body[cut + 2:-1] for n in stageref.assigned(line)}
+            assert not before & after, (patch, g)
+            readers = {}  # a name, and the names of the lets that read it
+            for x in w.body:
+                if isinstance(x, str):
+                    for name in stageref.assigned(x.strip()):
+                        assert not readers.get(name, set()) & after, (patch, g, x)
+                else:
+                    for target, value in x:
+                        for name in re.findall(r"[A-Za-z_]\w*", value):
+                            readers.setdefault(name, set()).add(target)
+
+
 @pytest.mark.parametrize("name, kind", GRAPH_CASES)
 def test_a_levi_civita_graph_stage_runs_only_its_guards(monkeypatch, name, kind):
     # a graph's Levi-Civita coefficients are all ZERO, so a stage call
@@ -700,7 +727,8 @@ def _unread_lets(monkeypatch, patch) -> list:
         loads = [(n.lineno, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
         for i, line in enumerate(lines, start=2):  # the line number of lines[0]
             if line.strip() in lets:
-                unread += [(label, t) for t in stageref.assigned(line.strip()) if (t not in {n for k, n in loads if k > i})]
+                later = {n for k, n in loads if k > i}
+                unread += [(label, t) for t in stageref.assigned(line.strip()) if t not in later]
     return unread
 
 
