@@ -617,7 +617,7 @@ class _KernelWriter(Lines):
                     if isinstance(s, str):
                         self.line(s.format(**fill))
                     else:  # a let's (name, value)
-                        self.let(s[0].format(**fill), s[1].format(**fill))
+                        self.body.append([(s[0].format(**fill), s[1].format(**fill))])
                 return q
 
             if statements in _SHARED:
@@ -666,7 +666,7 @@ class _KernelWriter(Lines):
                 return [*sub.lines(*names), f"{', '.join(target)} = {', '.join(names)}"]
 
             # the loop's state: |n|, the result 1 and the base a
-            self.let(", ".join((f"{p}m", *r, *q)), f"-{n} if {n} < 0 else {n}", *self.ONE, *a, bind=True)
+            self.body.append([(f"{p}m", f"-{n} if {n} < 0 else {n}"), *zip(r, self.ONE), *zip(q, a)])
             self.line(
                 f"while {p}m:",
                 f"    if {p}m & 1:",
