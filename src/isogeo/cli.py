@@ -221,11 +221,10 @@ def _row_kernel(patch: SurfacePatch):
         for k, x in enumerate(floats) if cells[k] == f"s{k}"
         for line in (f"if {x} != c{k} or not {x}:", f"    c{k} = {x}", f"    s{k} = f'{{{x}!r}}'")
     ]
-    # u is the same along the row: its float is taken once per call
-    point = [x for x in w.lines(*texts) if x != "U = float(u)"]
+    point = w.lines(*texts)
     row = ",".join(f"{{{x}}}" for x in ["su", "sv", *cells[:6], "label", *cells[6:]])
     body = [
-        "U = float(u)",
+        "U = float(u)",  # u is the same along the row: its float is taken once per call
         f"{' = '.join(f'c{k}' for k in range(len(_ROW_FLOATS)))} = NAN",
         "rows = []",
         "row = rows.append",

@@ -482,8 +482,7 @@ class Lines:
 
 
 def _assignment(pairs) -> str:
-    # most lets, every jet line among them, have one name
-    return f"{pairs[0][0]} = {pairs[0][1]}" if len(pairs) == 1 else " = ".join(map(", ".join, zip(*pairs)))
+    return " = ".join(map(", ".join, zip(*pairs)))
 
 
 def template_lines(template, *args) -> list[str]:
@@ -770,18 +769,18 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     tree in order."""
     writer, outputs = jet_writer(exprs, order)
     # it returns every slot, so a liveness pass would cost more than it drops
-    body = [*writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
+    body = ["U = float(u)", *writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
     return compile_function("kernel(u, v)", body, writer.namespace)
 
 
 def jet_writer(exprs, order: int) -> tuple[_KernelWriter, list[str]]:
     """The writer that holds the jet lines of ``compile_jet``'s kernel,
-    from the floats U and V of u and v on, which raise what the kernel
-    raises, with its ``namespace``; and the names of the floats the kernel
-    returns, in its order.  ``surface.point_lines`` writes the fused point
-    kernels' frame lines into the same writer."""
+    from the float V of v on, which read the float U of u that the caller
+    defines and raise what the kernel raises, with its ``namespace``; and
+    the names of the floats the kernel returns, in its order.
+    ``surface.point_lines`` writes the fused point kernels' frame lines
+    into the same writer."""
     writer = _KernelWriter(order)
-    writer.let("U", "float(u)")
     writer.let("V", "float(v)")
     results = [writer.expr(e) for e in exprs]
     return writer, [name for r in results for name in r[:6]] + [name for r in results for name in r[6:]]

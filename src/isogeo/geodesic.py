@@ -159,6 +159,7 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
         w, namespace = point_lines(s)
+        w.body.insert(0, [("U", "float(u)")])  # a let, so that only a line that reads U writes it
         gamma_lines(w)
         if relative:
             relative_lines(w, s.kind)

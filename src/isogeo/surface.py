@@ -380,7 +380,7 @@ def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
 def point_lines(s: SurfacePatch) -> tuple[ex.Lines, dict]:
     """The prelude of the fused point kernels, the ``curvature`` row kernel
     and the geodesic stage kernel: the writer ``w`` of ``s``'s order-2 jet
-    lines, which read the floats U and V of u and v, with
+    lines, which read the float U of u that the kernel defines, with
     ``frame_lines(w, s.kind)`` written into it over the jet's slots; and
     the namespace they read, ``FRAME_GLOBALS`` included.  Each kernel
     writes its own lines into ``w`` and takes its body from ``w.lines``,

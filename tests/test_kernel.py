@@ -485,13 +485,13 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # the row kernel and both stage kernels each call surface.point_lines
     # once, and it alone writes the jet and frame lines: each body holds the
     # lines of its writer's liveness passes as contiguous runs at one indent
-    # (the row kernel its pass, less the conversion of u that it takes out
-    # of its loop; a stage kernel the pass from its early return before that
-    # return, and the other lines of the pass from its final return after
-    # it), each pass begins with the jet lines it keeps, in the jet writer's
-    # order, and no line outside the runs assigns a jet or frame name
+    # (the row kernel its pass, in its loop; a stage kernel the pass from
+    # its early return before that return, and the other lines of the pass
+    # from its final return after it), each pass begins with the jet lines
+    # it keeps, in the jet writer's order after a stage kernel's conversion
+    # of u, and no line outside the runs assigns a jet or frame name
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    jet = ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines(prune=False)
+    jet = ["U = float(u)", *ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines(prune=False)]
     calls = {"jet_writer": 0, "frame_lines": 0}
     writers, outputs, bodies = [], [], []
 
@@ -539,7 +539,7 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
             assert all(line in remaining for line in out[:k])
             assert not [line for line in out[k:] if _point_names(stageref.assigned(line.strip())) - _FRAME_NAMES]
         if len(outs) == 1:
-            runs = [[line for line in outs[0] if line != "U = float(u)"]]
+            runs = outs
         else:
             runs = [outs[0], [line for line in outs[1] if line not in outs[0]]]
         rest = body
@@ -694,10 +694,11 @@ def test_sin_and_cos_of_one_argument_share_one_block():
 
 
 def _unread_lets(monkeypatch, patch) -> list:
-    """(kernel, name) for each name that a let of one of ``patch``'s
-    kernels stores and no later line of the kernel reads: ``compile_jet``'s
-    at orders 2 and 3, the row kernel's and each path of both stage
-    kernels', the early return's and the sample's."""
+    """(kernel, name) for each name that no later line of one of
+    ``patch``'s kernels reads: every name stored in ``compile_jet``'s
+    kernels at orders 2 and 3, and every name a let stores in the row
+    kernel and in each path of both stage kernels, the early return's and
+    the sample's."""
     bodies, lets = [], set()
     real_compile, real_lines = ex.compile_function, ex.Lines.lines
 
@@ -724,19 +725,22 @@ def _unread_lets(monkeypatch, patch) -> list:
     unread = []
     for label, lines in paths.items():
         tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in lines))
-        loads = [(n.lineno, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
-        for i, line in enumerate(lines, start=2):  # the line number of lines[0]
-            if line.strip() in lets:
-                later = {n for k, n in loads if k > i}
-                unread += [(label, t) for t in stageref.assigned(line.strip()) if t not in later]
+        names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+        loads = [(n.lineno, n.id) for n in names if isinstance(n.ctx, ast.Load)]
+        for store in (n for n in names if isinstance(n.ctx, ast.Store)):
+            # lines[0] is line 2; of compile_jet's kernels every name stored
+            if label.startswith("jet") or lines[store.lineno - 2].strip() in lets:
+                if not any(k > store.lineno and n == store.id for k, n in loads):
+                    unread.append((label, store.id))
     return unread
 
 
 @pytest.mark.parametrize("name, kind", CATALOG_CASES)
 def test_catalog_jet_kernels_assign_no_unread_name(monkeypatch, name, kind):
-    # no let of any kernel, a jet partial, a chain-rule factor or a
-    # template's quantity, writes a name that no later line of the kernel
-    # reads or returns, on either path of a stage kernel
+    # no line of compile_jet's kernels, and no let of a fused kernel (a jet
+    # partial, a chain-rule factor or a template's quantity), writes a name
+    # that no later line of the kernel reads or returns, on either path of
+    # a stage kernel
     assert _unread_lets(monkeypatch, catalog.make(name, kind, CATALOG_PARAMS[name])) == []
 
 
