@@ -344,12 +344,13 @@ def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
         same = lambda p, q: str(w.get(p)[0]) == str(w.get(q)[0]) in ("ZERO", "ONE")
         pairs = [[(p, q) for p, q in map(str.split, order) if not same(p, q)] for order in _SWAP_PAIRS]
         names = [n for order in pairs for pq in order for n in pq]
-        w.line("swapped = False")
         w.let(", ".join(names), *w.get(" ".join(names)), bind=True)
         xu, xv, yu, yv = w.get("xu xv yu yv")
-        w.let("m12", xu * yv - xv * yu, bind=True)
+        # the minor before the swap, which no line re-assigns
+        w.let("m12_0", xu * yv - xv * yu, bind=True)
         swaps = [", ".join(f"{p}, {q}" for p, q in o) + " = " + ", ".join(f"{q}, {p}" for p, q in o) for o in pairs if o]
-        w.line("if m12 < 0.0:", *(f"    {x}" for x in swaps), "    swapped = True", "    m12 = -m12")
+        w.line(*(["if m12_0 < 0.0:", *(f"    {x}" for x in swaps)] if swaps else []))
+        w.let("swapped, m12", "m12_0 < 0.0", "-m12_0 if m12_0 < 0.0 else m12_0")
     xu, xv, yu, yv, zu, zv, m12 = w.get("xu xv yu yv zu zv m12")
     # m12 is a minor of the top views alone, so it is judged against their
     # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
@@ -433,12 +434,9 @@ def curvature_lines(w: ex.Lines) -> None:
         f"    raise DomainError(f'K={{{k}!r}}, H={{{h}!r}} or xi not finite at ({{u!r}}, {{v!r}})')",
     )
     (disc,) = w.let("disc", h * h - k)
-    root = ex._Src("root")
     w.line(
-        "kappa1 = kappa2 = umbilic_factor = None",
         f"if {disc} > tol:",
-        f"    root = math.sqrt({disc})",
-        f"    label, kappa1, kappa2 = DIAGONALIZABLE, {h + root}, {h - root}",
+        "    label = DIAGONALIZABLE",
         f"elif {disc} < -tol:",
         "    label = COMPLEX_PRINCIPAL",
         "else:",
@@ -447,10 +445,15 @@ def curvature_lines(w: ex.Lines) -> None:
         f"    bound = tol * max(1.0, abs({g11}), abs({g12}), abs({g22}))",
         f"    if (abs({h11 - h * g11}) <= bound and abs({h12 - h * g12}) <= bound",
         f"            and abs({h22 - h * g22}) <= bound):",
-        f"        label, kappa1, kappa2, umbilic_factor = UMBILIC, {h}, {h}, {h}",
+        "        label = UMBILIC",
         "    else:",
         "        label = NON_DIAGONALIZABLE_REAL",
     )
+    # h +- sqrt(disc) where real and distinct, H at an umbilic, else None:
+    # lets, which a kernel that reads none of them does not write
+    root, umbilic = ex._Src(f"math.sqrt({disc})"), f"{h} if label is UMBILIC else None"
+    kappas = (f"{x} if label is DIAGONALIZABLE else {umbilic}" for x in (h + root, h - root))
+    w.let("kappa1, kappa2, umbilic_factor", *kappas, umbilic)
 
 
 # ``tol`` is the default, which a ``tol`` argument shadows

@@ -1116,6 +1116,18 @@ _TOL = srf.CURVATURE_TOL
 _ROOT_TOL = math.sqrt(_TOL)
 
 
+def row_text(patch, u, vs):
+    """The rows of the points (u, v), (v, sv) in ``vs``, as ``curvature``
+    writes them: the row kernel over the table of ``vs``, or every line at
+    every point where a line of the table raises."""
+    columns, kernel, everywhere = cli._row_kernel(patch)
+    try:
+        table = columns(vs)
+    except Exception:
+        kernel, table = everywhere, ((), vs)
+    return kernel(u, repr(u), *table)
+
+
 def reference_rows(patch, u, vs):
     """The rows of the points (u, v), (v, sv) in ``vs``, one repr per value,
     from the structural frame of ``jet2ref`` and its curvature report; the
@@ -1210,7 +1222,7 @@ def row_cases(draw):
 def test_row_kernel_matches_the_frame_and_report_rows(case):
     patch, u, v, allowed = case
     vs = [(v, repr(v))]
-    row = cli._row_kernel(patch)(u, repr(u), vs)
+    row = row_text(patch, u, vs)
     assert row == reference_rows(patch, u, vs), (patch, u, v)
     if allowed is not None:
         assert row.split(",")[8] in allowed, (patch, row)
@@ -1246,7 +1258,7 @@ def test_a_row_kernel_call_writes_the_rows_of_its_points(data):
         patch = data.draw(row_cases())[0]
     u = data.draw(_ROW_VALUES)
     vs = [(v, repr(v)) for v in data.draw(st.lists(_ROW_VALUES, min_size=1, max_size=12))]
-    assert cli._row_kernel(patch)(u, repr(u), vs) == reference_rows(patch, u, vs), (patch, u, vs)
+    assert row_text(patch, u, vs) == reference_rows(patch, u, vs), (patch, u, vs)
 
 
 def test_curvature_compiles_once_and_calls_the_kernel_once_per_u_row(tmp_path, monkeypatch):
@@ -1254,13 +1266,13 @@ def test_curvature_compiles_once_and_calls_the_kernel_once_per_u_row(tmp_path, m
     real_row_kernel, real_compile = cli._row_kernel, expr.compile_function
 
     def counting_row_kernel(patch):
-        kernel = real_row_kernel(patch)
+        columns, kernel, everywhere = real_row_kernel(patch)
 
-        def counted(u, su, vs):
-            calls.append((u, su, vs))
-            return kernel(u, su, vs)
+        def counted(u, su, consts, cols):
+            calls.append((u, su, consts, cols))
+            return kernel(u, su, consts, cols)
 
-        return counted
+        return columns, counted, everywhere
 
     def counting_compile(*args):
         compiled.append(args[0])
@@ -1273,8 +1285,9 @@ def test_curvature_compiles_once_and_calls_the_kernel_once_per_u_row(tmp_path, m
     out = tmp_path / "curv.csv"
     assert cli.main(["curvature", spec, "--grid", "7x5", "--out", str(out)]) == 0
     vs = [(v, repr(v)) for v in srf.grid_values(-3.0, 3.0, 5)]
-    assert calls == [(u, repr(u), vs) for u in srf.grid_values(-3.0, 3.0, 7)]
-    assert compiled == ["kernel(u, su, vs)"]
+    assert compiled == ["kernel(u, su, consts, cols)", "columns(vs)"]
+    table = real_row_kernel(cli.load_spec_file(spec))[0](vs)
+    assert calls == [(u, repr(u), *table) for u in srf.grid_values(-3.0, 3.0, 7)]
 
 
 def test_curvature_keeps_the_admissibility_guard_of_an_overflowing_cylinder(tmp_path, capsys):
@@ -1435,9 +1448,9 @@ def test_a_graph_row_writes_the_text_of_u_and_v_as_x_and_y(monkeypatch):
     real = expr.compile_function
     monkeypatch.setattr(expr, "compile_function", lambda *args: bodies.append(args[1]) or real(*args))
     cli._row_kernel(catalog.make("parabolic_sphere", SpaceKind.SIMPLY_ISOTROPIC, {"p": 2.0}))
-    (body,) = bodies
-    assert '    row(f"{su},{sv},{su},{sv},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")' in body
-    assert not [line for line in body if "{U!r}" in line or "{V!r}" in line or "!= c0" in line or "!= c1" in line]
+    kernel, columns = bodies
+    assert '    row(f"{su},{sv},{su},{sv},{s2},{s3},{s4},{s5},{label},{s6},{s7},{s8}\\n")' in kernel
+    assert not [line for line in kernel + columns if "{U!r}" in line or "{V!r}" in line or "!= c0" in line or "!= c1" in line]
 
 
 VV_SPEC = {"space": "i3", "surface": {"kind": "graph", "f": "u^(v/v) + v^2"}, "domain": [-2, -0.1, 0.1, 2]}

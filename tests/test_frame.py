@@ -93,6 +93,13 @@ def reference(patch, u, v, tol=1e-9):
         label = srf.CurvatureClass.UMBILIC
     else:
         label = srf.CurvatureClass.NON_DIAGONALIZABLE_REAL
+    # the principal curvatures H +- sqrt(disc) where real and distinct, H at
+    # an umbilic (kappa1, kappa2 and the umbilic factor)
+    kappas = [None] * 3
+    if label is srf.CurvatureClass.DIAGONALIZABLE:
+        kappas[:2] = h_mean + math.sqrt(disc), h_mean - math.sqrt(disc)
+    elif label is srf.CurvatureClass.UMBILIC:
+        kappas = [h_mean] * 3
     return {
         "swapped": swapped,
         "minors": bits((m12, m23, m31)),
@@ -102,6 +109,7 @@ def reference(patch, u, v, tol=1e-9):
         "h": bits(h.ravel()),
         "xi": bits(xi),
         "curvature": bits((k, h_mean, disc)) + [label],
+        "kappas": [x if x is None else repr(float(x)) for x in kappas],
         "coeffs": coeffs,
     }
 
@@ -124,6 +132,7 @@ def from_frame(patch, u, v):
         "h": bits((f.h11, f.h12, f.h12, f.h22)),
         "xi": bits(f.xi.as_tuple()),
         "curvature": bits((rep.K, rep.H, rep.discriminant)) + [rep.label],
+        "kappas": [x if x is None else repr(x) for x in (rep.kappa1, rep.kappa2, rep.umbilic_factor)],
         "coeffs": coeffs,
     }
 

@@ -14,6 +14,7 @@ import dis
 import math
 import pickle
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -456,8 +457,8 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
     for label, build in compilers.items():
         sources.clear()
         build()
-        (lines,) = sources
-        folded = [line for line in lines if STRUCTURAL_ARITHMETIC.search(line)]
+        assert len(sources) == (2 if label == "row" else 1), label  # the row kernel and its columns
+        folded = [line for lines in sources for line in lines if STRUCTURAL_ARITHMETIC.search(line)]
         assert folded == [], (label, folded)
 
 
@@ -527,23 +528,39 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     cli._row_kernel(patch)
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
     geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    assert calls == {"jet_writer": 3, "frame_lines": 3} and len(bodies) == 3
-    row = [line.strip() for line in bodies[0]]  # the row kernel converts u once, before its loop
-    assert row.count("U = float(u)") == 1 and row.index("U = float(u)") < row.index("for v, sv in vs:")
+    assert calls == {"jet_writer": 3, "frame_lines": 3} and len(bodies) == 4
+    kernel, columns, *stages = bodies
+    row = [line.strip() for line in kernel]  # the row kernel converts u once, before its loop
+    loop = next(i for i, line in enumerate(row) if line.startswith("for v, sv, "))
+    assert row.count("U = float(u)") == 1 and row.index("U = float(u)") < loop
     assert [w for w, _ in outputs] == [writers[0], writers[1], writers[1], writers[2], writers[2]]
-    passes = [[outputs[0][1]], [outputs[1][1], outputs[2][1]], [outputs[3][1], outputs[4][1]]]
-    for body, outs in zip(bodies, passes):
+    passes = [[outputs[1][1], outputs[2][1]], [outputs[3][1], outputs[4][1]]]
+    # the row pass's lines in its four places: once per grid, once per v,
+    # once per row and at each point, each run in the pass's order and the
+    # texts of the columns after it; the kernel's unpacking of the consts and
+    # of each table entry assigns the names that the columns computed
+    (row_pass,) = [out for w, out in outputs if w is writers[0]]
+    runs = _row_runs(kernel, columns)
+    assert Counter(row_pass) == Counter(line for run in runs for line in run)
+    for run in runs:
+        remaining = iter(row_pass)
+        assert all(line in remaining for line in run)
+    # apart from the kernel's unpacking of the consts and of each table
+    # entry, which assigns the names that its columns computed
+    unpacked = set(re.findall(r"\w+", row[loop].removesuffix(" in cols:")))
+    unpacked |= set(re.findall(r"\w+", row[0].removesuffix(" = consts"))) if row[0].endswith(" = consts") else set()
+    for body, outs, runs, allowed in [
+        (kernel + columns, [row_pass], runs, unpacked),
+        *((stage, outs, [outs[0], [line for line in outs[1] if line not in outs[0]]], set())
+          for stage, outs in zip(stages, passes)),
+    ]:
         for out in outs:
             k = next((i for i, line in enumerate(out) if line not in jet), len(out))
             remaining = iter(jet)
             assert all(line in remaining for line in out[:k])
             assert not [line for line in out[k:] if _point_names(stageref.assigned(line.strip())) - _FRAME_NAMES]
-        if len(outs) == 1:
-            runs = outs
-        else:
-            runs = [outs[0], [line for line in outs[1] if line not in outs[0]]]
         rest = body
-        for run in runs:
+        for run in filter(None, runs):
             n = len(run)
             found = [
                 (i, line[: -len(run[0])]) for i, line in enumerate(rest)
@@ -552,11 +569,31 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
             ]
             ((start, indent),) = found
             rest = [*rest[:start], f"{indent}pass", *rest[start + n:]]
-        assert _point_names(_stored_names(rest)) == set()
+        assert _point_names(_stored_names(rest)) <= allowed
+
+
+def _row_runs(kernel, columns) -> list:
+    """The lines of the row kernel's liveness pass in their four places,
+    with the indent of their place removed: in ``columns`` before and in
+    its loop over v, and in ``kernel`` in the try before its loop and in
+    the try of its loop over v; the texts of the columns are left out."""
+
+    def run(body, start, end, indent):
+        return [x[indent:] for x in body[start:end] if not re.match(r" *s\d+ = f'", x)]
+
+    prelude = (kernel.index("try:") + 1, kernel.index("except Exception:")) if "try:" in kernel else (0, 0)
+    loop = kernel.index("    try:", next(i for i, x in enumerate(kernel) if x.startswith("for v, sv, ")))
+    return [
+        run(columns, 0, columns.index("cols = []"), 0),
+        run(columns, columns.index("for v, sv in vs:") + 1, len(columns) - 2, 4),
+        run(kernel, *prelude, 4),
+        run(kernel, loop + 1, kernel.index("    except NotAdmissible:", loop), 8),
+    ]
 
 
 def _kernel_bodies(monkeypatch, patch) -> dict:
-    """The body lines of the row kernel and both stage kernels of ``patch``."""
+    """The body lines of the row kernel, its columns and both stage kernels
+    of ``patch``."""
     bodies = []
     real = ex.compile_function
 
@@ -568,7 +605,7 @@ def _kernel_bodies(monkeypatch, patch) -> dict:
     cli._row_kernel(patch)
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
     geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    return dict(zip(("row", "r", "lc"), bodies))
+    return dict(zip(("row", "columns", "r", "lc"), bodies, strict=True))
 
 
 def _is_graph(name, kind) -> bool:
@@ -717,8 +754,8 @@ def _unread_lets(monkeypatch, patch) -> list:
         for g in geo.GeodesicKind:
             patch.accel_kernels.pop(g, None)
             geo._accel_kernel(patch, g)
-    jet2, jet3, row, r, lc = bodies
-    paths = {"jet2": jet2, "jet3": jet3, "row": row}
+    jet2, jet3, row, columns, r, lc = bodies
+    paths = {"jet2": jet2, "jet3": jet3, "row": row, "columns": columns}
     for label, body in (("r", r), ("lc", lc)):
         cut = body.index("if not sample:")
         paths[label], paths[f"{label} sample"] = body[: cut + 2], [*body[:cut], *body[cut + 2:]]

@@ -61,17 +61,22 @@ def inject(monkeypatch, fault):
     """Make every u row of the curvature grid call ``fault(u)`` before its
     rows are computed, in whichever process computes them: the row kernel
     is wrapped where it is built, before the fork, so the children inherit
-    the wrapper."""
+    the wrapper.  So is the kernel that runs every line at every point,
+    which computes the rows where a line of the column table raises, as
+    on this grid's undefined columns."""
     real_row_kernel = cli._row_kernel
 
     def faulty_row_kernel(patch):
-        kernel = real_row_kernel(patch)
+        columns, *kernels = real_row_kernel(patch)
 
-        def faulty(u, su, vs):
-            fault(u)
-            return kernel(u, su, vs)
+        def wrap(kernel):
+            def faulty(u, *args):
+                fault(u)
+                return kernel(u, *args)
 
-        return faulty
+            return faulty
+
+        return columns, *map(wrap, kernels)
 
     monkeypatch.setattr(cli, "_row_kernel", faulty_row_kernel)
 
