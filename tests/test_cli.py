@@ -838,7 +838,7 @@ def test_each_command_loads_only_the_modules_it_runs(import_paths):
         for loaded in ([set(modules) for *_, modules in path] for path in import_paths)
     )
     cli_modules = {"catalog", "cli", "errors", "expr", "isotropy", "surface"}
-    assert commands[:4] == [set(), cli_modules, set(), {"forkmap"}]  # import isogeo, cli, sample, curvature
+    assert commands[:4] == [set(), cli_modules, set(), {"forkmap", "rows"}]  # import isogeo, cli, sample, curvature
     assert commands[4:] == [{"connection", "geodesic"}, set(), set()]
     assert verify_commands[:2] == [set(), cli_modules]
     assert verify_commands[2:] == [{"connection", "rng", "verify"}, set(), {"geodesic"}, set()]

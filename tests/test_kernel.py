@@ -25,7 +25,7 @@ import jet2ref
 import stageref
 from jet2ref import eval_jet2
 from jet3 import walk3
-from isogeo import catalog, cli
+from isogeo import catalog, cli, rows
 from isogeo import expr as ex
 from isogeo import geodesic as geo
 from isogeo import surface as srf
@@ -521,7 +521,7 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     real_point_lines, real_lines, real_compile = srf.point_lines, ex.Lines.lines, ex.compile_function
     monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
     monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
-    for module in (cli, geo):
+    for module in (rows, geo):
         monkeypatch.setattr(module, "point_lines", recording_point_lines)
     monkeypatch.setattr(ex.Lines, "lines", recording_lines)
     monkeypatch.setattr(ex, "compile_function", recording_compile)
