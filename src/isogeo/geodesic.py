@@ -154,7 +154,7 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     ``if not sample:`` return, and what only the sample reads after it.  A
     block that re-assigns names (the frame's swap, a run-time integer
     power's loop) reads each line before it that reads one of them, such as
-    m12, so a line after the return reads what it read in place."""
+    m12_0, so a line after the return reads what it read in place."""
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE

@@ -25,8 +25,8 @@ def row_kernel(patch: SurfacePatch):
     only v; once per row, before the row's loop, if only u; else at each
     point, in their order.  Where a statement run before the loop raises,
     ``columns`` raises, or the row's call returns ``everywhere(u, su,
-    consts, cols)``, which runs each statement at each point, in their
-    order, and is compiled on first use: so the bytes are the same.
+    consts, cols)``, which runs each statement at each point in their order
+    (compiled on first use), so the rows never depend on the placement.
 
     Every value written is a Python float, so repr is its shortest
     round-trip form, and two equal floats that are not zeros (0.0 == -0.0;
@@ -46,10 +46,9 @@ def row_kernel(patch: SurfacePatch):
     cells = [{"U": "su", "V": "sv"}.get(str(x), f"s{k}") for k, x in enumerate(floats)]
     own = {cell: str(x) for cell, x in zip(cells, floats) if cell not in ("su", "sv")}
     row = 'row(f"' + ",".join(f"{{{x}}}" for x in ["su", "sv", *cells[:6], "label", *cells[6:]]) + '\\n")'
-    # the statements of the one liveness pass (each let, and each guard or
-    # block with its lines), the names each reads and those it assigns (also
-    # m >>= 1); a guard goes where what it tests does, as a raise line's
-    # names make only the message, which no row writes
+    # the statements of the one liveness pass (each let, or guard or block with
+    # its lines), and the names each reads and assigns (also m >>= 1); a raise
+    # line only makes a message, so a guard goes where the names it tests go
     statements = []
     for x in w.lines(*own.values()):
         if x[0] == " " or x.startswith(("elif ", "else:", "except")):

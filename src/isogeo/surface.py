@@ -348,9 +348,10 @@ def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
         xu, xv, yu, yv = w.get("xu xv yu yv")
         # the minor before the swap, which no line re-assigns
         w.let("m12_0", xu * yv - xv * yu, bind=True)
+        w.let("m12", "m12_0", bind=True)
         swaps = [", ".join(f"{p}, {q}" for p, q in o) + " = " + ", ".join(f"{q}, {p}" for p, q in o) for o in pairs if o]
-        w.line(*(["if m12_0 < 0.0:", *(f"    {x}" for x in swaps)] if swaps else []))
-        w.let("swapped, m12", "m12_0 < 0.0", "-m12_0 if m12_0 < 0.0 else m12_0")
+        w.line("if m12_0 < 0.0:", *(f"    {x}" for x in swaps), "    m12 = -m12_0")
+        w.let("swapped", "m12_0 < 0.0")
     xu, xv, yu, yv, zu, zv, m12 = w.get("xu xv yu yv zu zv m12")
     # m12 is a minor of the top views alone, so it is judged against their
     # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not

@@ -639,7 +639,7 @@ def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_refe
     # ``if not sample:`` return are at most those that the reference pass
     # leaves there on the kernel's whole body, and no name is assigned on
     # both sides of the return.  The split rests on this: a let that reads
-    # a name which a later block re-assigns (m12, before the frame's swap)
+    # a name which a later block re-assigns (m12_0, before the frame's swap)
     # stays before the return, where it reads what it read in place
     patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
     for patch in patches + random_patches(3000, 200):
