@@ -486,7 +486,8 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # the row kernel and both stage kernels each call surface.point_lines
     # once, and it alone writes the jet and frame lines: each body holds the
     # lines of its writer's liveness passes as contiguous runs at one indent
-    # (the row kernel its pass, in its loop; a stage kernel the pass from
+    # (the row kernel its pass, in the places of its statements, see
+    # _row_runs; a stage kernel the pass from
     # its early return before that return, and the other lines of the pass
     # from its final return after it), each pass begins with the jet lines
     # it keeps, in the jet writer's order after a stage kernel's conversion
@@ -536,17 +537,16 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     assert [w for w, _ in outputs] == [writers[0], writers[1], writers[1], writers[2], writers[2]]
     passes = [[outputs[1][1], outputs[2][1]], [outputs[3][1], outputs[4][1]]]
     # the row pass's lines in its four places: once per grid, once per v,
-    # once per row and at each point, each run in the pass's order and the
-    # texts of the columns after it; the kernel's unpacking of the consts and
-    # of each table entry assigns the names that the columns computed
+    # once per row and at each point, each run in the pass's order
     (row_pass,) = [out for w, out in outputs if w is writers[0]]
     runs = _row_runs(kernel, columns)
     assert Counter(row_pass) == Counter(line for run in runs for line in run)
     for run in runs:
         remaining = iter(row_pass)
         assert all(line in remaining for line in run)
-    # apart from the kernel's unpacking of the consts and of each table
-    # entry, which assigns the names that its columns computed
+    # no line outside the runs assigns a jet or frame name, apart from the
+    # kernel's unpacking of the consts and of each table entry, which
+    # assigns the names that its columns computed
     unpacked = set(re.findall(r"\w+", row[loop].removesuffix(" in cols:")))
     unpacked |= set(re.findall(r"\w+", row[0].removesuffix(" = consts"))) if row[0].endswith(" = consts") else set()
     for body, outs, runs, allowed in [
