@@ -35,9 +35,9 @@ and S = diag(1, +/-1):
 
 These formulas, the tensors, the Codazzi residuals and the Gauss sides
 are one numpy call each on arrays with a leading point axis: at the
-records (``sample_at``) that ``verify``'s sampler kept on one patch
-(``coeff_derivatives``), or at one point as a batch of one.  The bits of
-a point do not depend on the batch around it.
+records (``sample_at``) that ``verify``'s sampler kept, of one patch or
+of many in either space (``coeff_derivatives``), or at one point as a
+batch of one.  The bits of a point do not depend on the batch around it.
 """
 
 from __future__ import annotations
@@ -197,6 +197,9 @@ def _frame_arrays(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., :2, :], x[..., [[2, 3], [3, 4]], :]
 
 
+# the diagonal of S = diag(1, +/-1) in each space
+_S = {SpaceKind.SIMPLY_ISOTROPIC: (1.0, 1.0), SpaceKind.PSEUDO_ISOTROPIC: (1.0, -1.0)}
+
 # [i, j, k] -> position of x_ijk among the third partials (uuu, uuv, uvv, vvv)
 _THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
@@ -223,8 +226,8 @@ def sample_at(s: SurfacePatch, u: float, v: float) -> tuple[ConnectionCoeffs, tu
 
 def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
     """Each formula of the module docstring as one numpy call, at the
-    records of one patch in point order; the records are read, not
-    evaluated again."""
+    records in their order, which may come from any patches of either
+    space; the records are read, not evaluated again."""
     coeffs, grads, thirds = zip(*records)
     frames = np.array([c.frame[1:] for c in coeffs])
 
@@ -259,8 +262,9 @@ def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
     # a stacked matmul, not an einsum: it rounds as the product at one point does
     w = (m_inv @ fields("xi_x", "xi_y")[..., None])[..., 0]
     # (n_h)_k is (d_k xi_top, 0) and <n_h, x_l> = 0, so <(n_h)_k, x_l> = -h_lk
-    sign = 1.0 if coeffs[0].frame.kind is SpaceKind.SIMPLY_ISOTROPIC else -1.0
-    d_xi_top = -np.einsum("...lm,...lk->...km", m_inv, h) * (1.0, sign)
+    # times S of each point's space, by 1.0 or -1.0: exact, as at one point
+    s_diag = np.array([_S[c.frame.kind] for c in coeffs])[:, None]
+    d_xi_top = -np.einsum("...lm,...lk->...km", m_inv, h) * s_diag
     d_w = np.einsum("...lm,...km->...kl", m_inv, d_xi_top - np.einsum("...m,...mkn->...kn", w, x2[..., :2]))
     d_xi = d_gamma - d_rho[..., None] * w[:, None, None, None] - rho[..., None, None] * d_w[:, None, None]
     return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom)

@@ -38,6 +38,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
+    CoeffDerivatives,
     codazzi_residuals,
     coeff_derivatives,
     egregium_checks,
@@ -64,8 +65,9 @@ RELATIVE_DENOM_GUARD = 0.3
 # Light guard for suites that only need the coefficients to exist.
 BASIC_DENOM_GUARD = 1e-3
 
-# Points per batch of the tensor suites: their memory does not grow with
-# --samples, and their bits do not depend on it.
+# Records per batch of the tensor suites.  The blocks run across patches
+# and end wherever a patch's records do; the suites' memory grows with
+# neither --samples nor the number of patches, and no bit depends on it.
 POINT_BLOCK = 256
 
 # Random wave-form graphs the minimal suite adds to the catalog's; a
@@ -192,19 +194,33 @@ def _per_patch(total: int, n_patches: int) -> int:
 
 
 def _sampled(
-    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: Optional[float],
-) -> Iterator[tuple[SurfacePatch, Iterator]]:
-    """Each patch with the stream of its ``n`` draws from ``rng``: without
-    ``denom_guard`` the frames of ``_sample``, with one the
-    ``coeff_derivatives`` of its records, POINT_BLOCK points at a time.
-    The patches share ``rng``, so a patch's stream is used up before the
-    next patch."""
-    for patch in patches:
-        stream = _sample(patch, n, rng, border, denom_guard)
-        if denom_guard is not None:
-            blocks = iter(lambda records=stream: list(itertools.islice(records, POINT_BLOCK)), [])
-            stream = map(coeff_derivatives, blocks)
-        yield patch, stream
+    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: float,
+) -> Iterator[tuple[CoeffDerivatives, list[tuple[int, int, int]]]]:
+    """The ``coeff_derivatives`` of the ``n`` guarded records of
+    ``_sample`` per patch, as one stream over ``patches`` cut into blocks
+    of POINT_BLOCK records without regard to where a patch ends.  Each
+    block comes with its runs ``(p, lo, hi)``: rows lo to hi of the block
+    are records of ``patches[p]``.  The patches draw from the shared
+    ``rng`` in order, each patch's draws before the next patch's, and
+    only as the blocks need them, so one block of records is held at a
+    time."""
+    records = itertools.chain.from_iterable(_sample(p, n, rng, border, denom_guard) for p in patches)
+    start = 0
+    for block in iter(lambda: list(itertools.islice(records, POINT_BLOCK)), []):
+        stop = start + len(block)
+        runs = [
+            (p, max(start, p * n) - start, min(stop, (p + 1) * n) - start)
+            for p in range(start // n, (stop - 1) // n + 1)
+        ]
+        yield coeff_derivatives(block), runs
+        start = stop
+
+
+def _fold(worst: list[float], runs: list[tuple[int, int, int]], values: list, width: int = 1) -> None:
+    """Fold each run's values, ``width`` per record, into the running
+    maximum of its patch."""
+    for p, lo, hi in runs:
+        worst[p] = max(worst[p], *values[lo * width:hi * width])
 
 
 def _check(name: str, label: str, points: int, worst: float, tol: float) -> CheckResult:
@@ -215,51 +231,48 @@ def suite_flatness(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
-    out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
-        worst = 0.0
-        for b in blocks:
-            worst = max(worst, *flatness_residuals(b).tolist())
-        out.append(_check("flatness", _label(patch), n, worst, TOLERANCES["flatness"]))
-    return out
+    worst = [0.0] * len(patches)
+    for b, runs in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
+        _fold(worst, runs, flatness_residuals(b).tolist())
+    return [_check("flatness", _label(patch), n, w, TOLERANCES["flatness"]) for patch, w in zip(patches, worst)]
 
 
 def suite_egregium(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
-    out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-        worst_rel = worst_abs = 0.0
-        n_rel = n_abs = 0
-        for res in (res for b in blocks for res in egregium_checks(b)):
-            if abs(res.k_extrinsic) > 1e-6:
-                worst_rel = max(worst_rel, res.rel_err)
-                n_rel += 1
-            else:
-                worst_abs = max(worst_abs, res.abs_err)
-                n_abs += 1
-        for name, count, worst in (("egregium", n_rel, worst_rel), ("egregium_flat", n_abs, worst_abs)):
-            if count:
-                out.append(_check(name, _label(patch), count, worst, TOLERANCES[name]))
-    return out
+    worst = {name: [0.0] * len(patches) for name in ("egregium", "egregium_flat")}
+    count = {name: [0] * len(patches) for name in worst}
+    for b, runs in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
+        results = list(egregium_checks(b))
+        for p, lo, hi in runs:
+            for res in results[lo:hi]:
+                # the relative error where K is not 0, else the absolute one
+                name, err = ("egregium", res.rel_err) if abs(res.k_extrinsic) > 1e-6 else ("egregium_flat", res.abs_err)
+                worst[name][p] = max(worst[name][p], err)
+                count[name][p] += 1
+    return [
+        _check(name, _label(patch), count[name][p], worst[name][p], TOLERANCES[name])
+        for p, patch in enumerate(patches) for name in worst if count[name][p]
+    ]
 
 
 def suite_codazzi(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
-    out = []
-    for patch, blocks in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-        worst_rel = worst_lc = worst_gauss = 0.0
-        for b in blocks:
-            relative, levi_civita = codazzi_residuals(b)
-            worst_rel = max(worst_rel, *relative.tolist())
-            worst_lc = max(worst_lc, *levi_civita.tolist())
-            worst_gauss = max(worst_gauss, *gauss_residuals(b).ravel().tolist())
-        for name, worst in (("codazzi", worst_rel), ("codazzi_lc", worst_lc), ("gauss_rhs", worst_gauss)):
-            out.append(_check(name, _label(patch), n, worst, TOLERANCES[name]))
-    return out
+    names = ("codazzi", "codazzi_lc", "gauss_rhs")
+    worst = {name: [0.0] * len(patches) for name in names}
+    for b, runs in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
+        relative, levi_civita = codazzi_residuals(b)
+        _fold(worst["codazzi"], runs, relative.tolist())
+        _fold(worst["codazzi_lc"], runs, levi_civita.tolist())
+        # the three pairs of Gauss sides per record
+        _fold(worst["gauss_rhs"], runs, gauss_residuals(b).ravel().tolist(), 3)
+    return [
+        _check(name, _label(patch), n, worst[name][p], TOLERANCES[name])
+        for p, patch in enumerate(patches) for name in names
+    ]
 
 
 UMBILIC_EXPECTATION = {
@@ -275,7 +288,9 @@ def suite_umbilic(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     out = []
-    for patch, frames in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, None):
+    rng = SplitMix64(seed)
+    for patch in patches:
+        frames = _sample(patch, n, rng, 2.0 * fd_step, None)
         umbilic_count = sum(curvatures_of_frame(f).label is CurvatureClass.UMBILIC for f in frames)
         expected = UMBILIC_EXPECTATION.get(patch.name)
         if expected is None:  # informational for user-supplied surfaces
@@ -305,9 +320,9 @@ def suite_minimal(
         waves = {"f": _random_cubic(rng), "g": _random_cubic(rng)}
         targets.append(catalog.make("minimal_wave", SpaceKind.PSEUDO_ISOTROPIC, waves))
     out = []
-    for idx, (patch, frames) in enumerate(_sampled(targets, n, rng, 2.0 * fd_step, None)):
+    for idx, patch in enumerate(targets):
         worst = 0.0
-        for f in frames:
+        for f in _sample(patch, n, rng, 2.0 * fd_step, None):
             worst = max(worst, abs(curvatures_of_frame(f).H))
         out.append(_check("minimal", f"{_label(patch)}#{idx}", n, worst, tolerances[patch.name]))
     return out

@@ -1,6 +1,18 @@
 import os
 
 import pytest
+from hypothesis import Phase, settings
+
+# A failing property test reports its first failure, shrunk, and nothing
+# more.  Errors raised in generated kernels carry line numbers that vary
+# with the example; Hypothesis would count each line as a distinct bug and
+# shrink each in turn, for up to five minutes, while its explain phase
+# traced every step.  A defect in the row kernel so grew one test process
+# past a gigabyte instead of failing in seconds.
+settings.register_profile(
+    "fail-fast", report_multiple_bugs=False, phases=[p for p in Phase if p is not Phase.explain]
+)
+settings.load_profile("fail-fast")
 
 
 @pytest.fixture(autouse=True)

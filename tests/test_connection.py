@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,36 @@ def test_batch_raises_as_the_per_point_loop(patch, bad):
     assert _assert_batch_matches_reference(patch, good) is not None
 
 
+def _point_values(b):
+    """Every value of the batch ``b`` at each point, by ``repr``: the
+    coefficients and their partials, and every identity function."""
+    relative, levi_civita = con.codazzi_residuals(b)
+    arrays = [
+        *(getattr(b, name) for name in b._fields[1:]), con.flatness_residuals(b), relative, levi_civita,
+        con.gauss_residuals(b), *con.gauss_rhs(b),
+    ]
+    egregium = list(con.egregium_checks(b))
+    return [
+        [repr(c), *(repr(a[i].tolist()) for a in arrays), _bits(egregium[i])] for i, c in enumerate(b.coeffs)
+    ]
+
+
+def test_a_block_of_many_patches_gives_each_point_its_own_patch_s_bits():
+    # the records of the catalog and of two random surfaces, one of them
+    # mostly swapped, interleaved so that no two neighbours share a patch
+    rng = SplitMix64(31)
+    patches = [*verify.verification_patches(), _random_patch(3, IP3, False, True), _random_patch(4, I3, True, False)]
+    n = 5
+    records = [list(verify._sample(p, n, rng, 0.0, verify.BASIC_DENOM_GUARD)) for p in patches]
+    order = [(p, i) for i in range(n) for p in range(len(patches))]
+    mixed = con.coeff_derivatives([records[p][i] for p, i in order])
+    assert {c.frame.kind for c in mixed.coeffs} == {I3, IP3}
+    assert any(c.frame.swapped for c in mixed.coeffs)
+    own = [_point_values(con.coeff_derivatives(r)) for r in records]
+    for got, (p, i) in zip(_point_values(mixed), order):
+        assert got == own[p][i]
+
+
 def _count_einsums(monkeypatch):
     calls = []
     einsum = np.einsum
@@ -535,16 +566,31 @@ def _count_einsums(monkeypatch):
 EINSUMS_PER_BLOCK = 12
 
 
-def test_codazzi_suite_calls_einsum_a_fixed_number_of_times_per_patch(monkeypatch, capsys):
+def test_codazzi_suite_calls_einsum_a_fixed_number_of_times_per_block(monkeypatch, capsys):
+    # the blocks run over all patches: 9 and 90 samples are one block of 9
+    # and 90 records, 1000 samples four blocks of the 9 * 112 records
     calls = _count_einsums(monkeypatch)
-    counts = []
-    for samples in (9, 90):
+    n_patches = len(verify.verification_patches())
+    for samples in (9, 90, 1000):
         calls.clear()
         argv = ["verify", "--all-catalog", "--suite", "codazzi", "--samples", str(samples), "--seed", "3"]
         assert cli.main(argv) == cli.EXIT_OK
-        counts.append(len(calls))
+        points = verify._per_patch(samples, n_patches) * n_patches
+        assert len(calls) == EINSUMS_PER_BLOCK * math.ceil(points / verify.POINT_BLOCK)
     capsys.readouterr()
-    assert counts[0] == counts[1] <= EINSUMS_PER_BLOCK * len(verify.verification_patches())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reports_do_not_depend_on_where_a_block_cuts_a_patch(monkeypatch, capsys, seed):
+    # 12 records per patch: one block of all 108, blocks of 7 that end
+    # inside patches, and a batch of one per record
+    reports = []
+    for block in (256, 7, 1):
+        monkeypatch.setattr(verify, "POINT_BLOCK", block)
+        for suite in ("flatness", "egregium", "codazzi"):
+            argv = ["verify", "--all-catalog", "--suite", suite, "--samples", "100", "--seed", str(seed)]
+            reports.append((cli.main(argv), capsys.readouterr().out))
+    assert reports[:3] == reports[3:6] == reports[6:]
 
 
 def test_batches_stay_within_the_block(monkeypatch):
@@ -573,15 +619,20 @@ def test_batches_stay_within_the_block(monkeypatch):
 
 
 def test_suite_memory_does_not_grow_with_the_samples(monkeypatch):
-    # the sampler streams its pairs into the blocks, so no list of a
-    # patch's points is built; a small block keeps the traced runs short
-    patch = catalog.make("helicoid", IP3, {"c": 1.0})
+    # the sampler streams the records of every patch into the blocks, so
+    # no list of the points is built; a small block keeps the traced runs
+    # short, and its blocks end inside patches
+    patches = [
+        catalog.make("helicoid", IP3, {"c": 1.0}),
+        catalog.make("parabolic_sphere", I3, {"p": 2.0}),
+        catalog.make("ruled_nondiag", IP3, {"b": 2.0}),
+    ]
     monkeypatch.setattr(verify, "POINT_BLOCK", 32)
-    verify.suite_flatness([patch], 50, 5, verify.DEFAULT_FD_STEP)  # compiles the kernel
+    verify.suite_flatness(patches, 50, 5, verify.DEFAULT_FD_STEP)  # compiles the kernels
     peaks = []
     for samples in (200, 2000):
         tracemalloc.start()
-        verify.suite_flatness([patch], samples, 5, verify.DEFAULT_FD_STEP)
+        verify.suite_flatness(patches, samples, 5, verify.DEFAULT_FD_STEP)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0]
