@@ -195,32 +195,19 @@ def _per_patch(total: int, n_patches: int) -> int:
 
 def _sampled(
     patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: float,
-) -> Iterator[tuple[CoeffDerivatives, list[tuple[int, int, int]]]]:
+) -> Iterator[tuple[CoeffDerivatives, list[int]]]:
     """The ``coeff_derivatives`` of the ``n`` guarded records of
     ``_sample`` per patch, as one stream over ``patches`` cut into blocks
     of POINT_BLOCK records without regard to where a patch ends.  Each
-    block comes with its runs ``(p, lo, hi)``: rows lo to hi of the block
-    are records of ``patches[p]``.  The patches draw from the shared
-    ``rng`` in order, each patch's draws before the next patch's, and
-    only as the blocks need them, so one block of records is held at a
-    time."""
+    block comes with the index in ``patches`` of each record's patch.
+    The patches draw from the shared ``rng`` in order, each patch's draws
+    before the next patch's, and only as the blocks need them, so one
+    block of records is held at a time."""
     records = itertools.chain.from_iterable(_sample(p, n, rng, border, denom_guard) for p in patches)
     start = 0
     for block in iter(lambda: list(itertools.islice(records, POINT_BLOCK)), []):
-        stop = start + len(block)
-        runs = [
-            (p, max(start, p * n) - start, min(stop, (p + 1) * n) - start)
-            for p in range(start // n, (stop - 1) // n + 1)
-        ]
-        yield coeff_derivatives(block), runs
-        start = stop
-
-
-def _fold(worst: list[float], runs: list[tuple[int, int, int]], values: list, width: int = 1) -> None:
-    """Fold each run's values, ``width`` per record, into the running
-    maximum of its patch."""
-    for p, lo, hi in runs:
-        worst[p] = max(worst[p], *values[lo * width:hi * width])
+        yield coeff_derivatives(block), [i // n for i in range(start, start + len(block))]
+        start += len(block)
 
 
 def _check(name: str, label: str, points: int, worst: float, tol: float) -> CheckResult:
@@ -232,8 +219,9 @@ def suite_flatness(
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
     worst = [0.0] * len(patches)
-    for b, runs in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
-        _fold(worst, runs, flatness_residuals(b).tolist())
+    for b, owners in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
+        for p, residual in zip(owners, flatness_residuals(b).tolist()):
+            worst[p] = max(worst[p], residual)
     return [_check("flatness", _label(patch), n, w, TOLERANCES["flatness"]) for patch, w in zip(patches, worst)]
 
 
@@ -243,14 +231,12 @@ def suite_egregium(
     n = _per_patch(samples, len(patches))
     worst = {name: [0.0] * len(patches) for name in ("egregium", "egregium_flat")}
     count = {name: [0] * len(patches) for name in worst}
-    for b, runs in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-        results = list(egregium_checks(b))
-        for p, lo, hi in runs:
-            for res in results[lo:hi]:
-                # the relative error where K is not 0, else the absolute one
-                name, err = ("egregium", res.rel_err) if abs(res.k_extrinsic) > 1e-6 else ("egregium_flat", res.abs_err)
-                worst[name][p] = max(worst[name][p], err)
-                count[name][p] += 1
+    for b, owners in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
+        for p, res in zip(owners, egregium_checks(b)):
+            # the relative error where K is not 0, else the absolute one
+            name, err = ("egregium", res.rel_err) if abs(res.k_extrinsic) > 1e-6 else ("egregium_flat", res.abs_err)
+            worst[name][p] = max(worst[name][p], err)
+            count[name][p] += 1
     return [
         _check(name, _label(patch), count[name][p], worst[name][p], TOLERANCES[name])
         for p, patch in enumerate(patches) for name in worst if count[name][p]
@@ -261,17 +247,15 @@ def suite_codazzi(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
-    names = ("codazzi", "codazzi_lc", "gauss_rhs")
-    worst = {name: [0.0] * len(patches) for name in names}
-    for b, runs in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
+    worst = [(0.0, 0.0, 0.0)] * len(patches)
+    for b, owners in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
         relative, levi_civita = codazzi_residuals(b)
-        _fold(worst["codazzi"], runs, relative.tolist())
-        _fold(worst["codazzi_lc"], runs, levi_civita.tolist())
-        # the three pairs of Gauss sides per record
-        _fold(worst["gauss_rhs"], runs, gauss_residuals(b).ravel().tolist(), 3)
+        for p, rel, lc, gauss in zip(owners, relative.tolist(), levi_civita.tolist(), gauss_residuals(b).tolist()):
+            w = worst[p]
+            worst[p] = max(w[0], rel), max(w[1], lc), max(w[2], *gauss)
     return [
-        _check(name, _label(patch), n, worst[name][p], TOLERANCES[name])
-        for p, patch in enumerate(patches) for name in names
+        _check(name, _label(patch), n, w, TOLERANCES[name])
+        for patch, ws in zip(patches, worst) for name, w in zip(("codazzi", "codazzi_lc", "gauss_rhs"), ws)
     ]
 
 

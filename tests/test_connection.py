@@ -593,6 +593,40 @@ def test_reports_do_not_depend_on_where_a_block_cuts_a_patch(monkeypatch, capsys
     assert reports[:3] == reports[3:6] == reports[6:]
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
+    # the reference evaluates each patch's records as a batch of their own,
+    # drawn in the same order from the same generator
+    patches, fd_step = verify.verification_patches(), verify.DEFAULT_FD_STEP
+    n = verify._per_patch(100, len(patches))
+
+    def batches(border, guard):
+        rng = SplitMix64(seed)
+        return [(p, con.coeff_derivatives(list(verify._sample(p, n, rng, border, guard)))) for p in patches]
+
+    expected = {"flatness": [], "egregium": [], "codazzi": []}
+    for p, b in batches(2.0 * fd_step, verify.BASIC_DENOM_GUARD):
+        expected["flatness"].append(("flatness", p, n, max(0.0, *con.flatness_residuals(b).tolist())))
+    for p, b in batches(0.5 * fd_step, verify.RELATIVE_DENOM_GUARD):
+        results = list(con.egregium_checks(b))
+        for name, errs in (
+            ("egregium", [r.rel_err for r in results if abs(r.k_extrinsic) > 1e-6]),
+            ("egregium_flat", [r.abs_err for r in results if not abs(r.k_extrinsic) > 1e-6]),
+        ):
+            if errs:
+                expected["egregium"].append((name, p, len(errs), max(0.0, *errs)))
+        relative, levi_civita = con.codazzi_residuals(b)
+        for name, values in (
+            ("codazzi", relative), ("codazzi_lc", levi_civita), ("gauss_rhs", con.gauss_residuals(b).ravel()),
+        ):
+            expected["codazzi"].append((name, p, n, max(0.0, *values.tolist())))
+    for suite, want in expected.items():
+        got = getattr(verify, f"suite_{suite}")(patches, 100, seed, fd_step)
+        assert [(c.name, c.surface, c.points, repr(c.max_residual)) for c in got] == [
+            (name, verify._label(p), points, repr(worst)) for name, p, points, worst in want
+        ]
+
+
 def test_batches_stay_within_the_block(monkeypatch):
     patch = catalog.make("helicoid", IP3, {"c": 1.0})
     suites = (verify.suite_flatness, verify.suite_egregium, verify.suite_codazzi)
