@@ -54,6 +54,8 @@ EXIT_IO = 3
 EXIT_BAD_START = 4
 EXIT_VERIFY_FAIL = 5
 
+COMMANDS = ("curvature", "geodesic", "verify", "sample")
+
 # upper bounds on the grid points of curvature and sample and on verify's
 # --samples, checked before any point is evaluated
 MAX_GRID_POINTS = 1_000_000
@@ -309,50 +311,53 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: its usage line
+    still lists every command, so its help and error text keep their bytes."""
     top = argparse.ArgumentParser(
         prog="isogeo",
         description="Curvature, connections and geodesics for admissible "
         "surfaces in simply and pseudo isotropic 3-space.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    cur = sub.add_parser("curvature", help="curvature grid to CSV")
-    cur.add_argument("spec")
-    cur.add_argument("--grid", default="20x20")
-    cur.add_argument("--out", required=True)
-
-    geo = sub.add_parser("geodesic", help="integrate a geodesic to CSV")
-    geo.add_argument("spec")
-    geo.add_argument("--type", choices=["r", "lc"], default="r")
-    # argparse reads "-1,0" as an option, not as a value
-    geo.add_argument("--start", required=True, help="u,v; write --start=-1,0 where u < 0")
-    geo.add_argument("--velocity", required=True, help="du,dv; write --velocity=-1,0 where du < 0")
-    geo.add_argument("--t-end", type=float, required=True)
-    geo.add_argument("--step", type=float, default=1e-3)
-    geo.add_argument("--out", required=True)
-
-    ver = sub.add_parser("verify", help="run identity-verification suites")
-    ver.add_argument("spec", nargs="?")
-    ver.add_argument("--all-catalog", action="store_true")
-    # checked by verify.run_verify, so that the parser does not load verify
-    ver.add_argument("--suite", default="all")
-    ver.add_argument("--samples", type=int, default=100)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=None)
-    ver.add_argument("--out", default=None)
-
-    smp = sub.add_parser("sample", help="export a grid mesh (OBJ or CSV)")
-    smp.add_argument("spec")
-    smp.add_argument("--grid", default="20x20")
-    smp.add_argument("--format", choices=["obj", "csv"], default="obj")
-    smp.add_argument("--out", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    if command in (None, "curvature"):
+        cur = sub.add_parser("curvature", help="curvature grid to CSV")
+        cur.add_argument("spec")
+        cur.add_argument("--grid", default="20x20")
+        cur.add_argument("--out", required=True)
+    if command in (None, "geodesic"):
+        geo = sub.add_parser("geodesic", help="integrate a geodesic to CSV")
+        geo.add_argument("spec")
+        geo.add_argument("--type", choices=["r", "lc"], default="r")
+        # argparse reads "-1,0" as an option, not as a value
+        geo.add_argument("--start", required=True, help="u,v; write --start=-1,0 where u < 0")
+        geo.add_argument("--velocity", required=True, help="du,dv; write --velocity=-1,0 where du < 0")
+        geo.add_argument("--t-end", type=float, required=True)
+        geo.add_argument("--step", type=float, default=1e-3)
+        geo.add_argument("--out", required=True)
+    if command in (None, "verify"):
+        ver = sub.add_parser("verify", help="run identity-verification suites")
+        ver.add_argument("spec", nargs="?")
+        ver.add_argument("--all-catalog", action="store_true")
+        # checked by verify.run_verify, so that the parser does not load verify
+        ver.add_argument("--suite", default="all")
+        ver.add_argument("--samples", type=int, default=100)
+        ver.add_argument("--seed", type=int, default=0)
+        ver.add_argument("--tol", type=float, default=None)
+        ver.add_argument("--out", default=None)
+    if command in (None, "sample"):
+        smp = sub.add_parser("sample", help="export a grid mesh (OBJ or CSV)")
+        smp.add_argument("spec")
+        smp.add_argument("--grid", default="20x20")
+        smp.add_argument("--format", choices=["obj", "csv"], default="obj")
+        smp.add_argument("--out", required=True)
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.command == "curvature":
             patch = load_spec_file(args.spec)

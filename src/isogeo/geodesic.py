@@ -55,7 +55,7 @@ from .errors import (
     StepNotPositive,
     TooManySteps,
 )
-from .isotropy import SpaceKind, Vec3, cross_xyz
+from .isotropy import SpaceKind, Vec3
 from .surface import SurfacePatch, graph_patch, point_lines
 
 
@@ -137,8 +137,8 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
         a1 * x1 + a2 * x2 + s11 * x11 + s12 * x12 + s22 * x22
         for x1, x2, x11, x12, x22 in (w.get(f"{x}u {x}v {x}uu {x}uv {x}vv") for x in "xyz")
     ]
-    normal = w.get("a b xi_z") if relative else ("0.0", "0.0", "1.0")
-    w.let("residual", ex._Src(f"_parallel_residual({', '.join(map(str, [*gamma, *normal]))})"))
+    normal = w.get("a b xi_z") if relative else ("ZERO", "ZERO", "ONE")
+    _residual_lines(w, gamma, normal)
     px, py, pz, denom = w.get("px py pz denom") if relative else [*w.get("px py pz"), "None"]
     return f"return {au}, {av}", f"return {au}, {av}, {px}, {py}, {pz}, residual, {denom}"
 
@@ -175,26 +175,39 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
              "if not sample:", f"    {early}", *(x for x in w.lines(final) if x not in before), final],
             {
                 **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
-                "_parallel_residual": _parallel_residual,
                 "u0": u0, "u1": u1, "v0": v0, "v1": v1,
             },
         )
     return kernel
 
 
-def _parallel_residual(gx: float, gy: float, gz: float, rx: float, ry: float, rz: float) -> float:
-    """|gamma'' x r| / |gamma''| for gamma'' = (gx, gy, gz) and r = (rx, ry,
-    rz).  The Lorentzian product differs from the Euclidean one only in the
-    sign of its middle component, so one length serves both spaces."""
+def _residual_lines(w: ex.Lines, gamma=("gx", "gy", "gz"), r=("rx", "ry", "rz")) -> None:
+    """The lets of residual = |gamma'' x r| / |gamma''|.  The Lorentzian
+    product differs from the Euclidean one only in the sign of its middle
+    component, so one length serves both spaces."""
+    gx, gy, gz = w.let("gx, gy, gz", *gamma)
+    rx, ry, rz = w.let("rx, ry, rz", *r)
     # gamma'' is scaled to unit length before the product, and both lengths
     # are hypots, so neither overflows where |gamma''| |r| would; a gamma''
-    # that overflowed itself has no direction, and reads inf
-    mag = math.hypot(gx, gy, gz)
-    if mag <= 1e-10:
-        return 0.0
-    if not math.isfinite(mag):
-        return math.inf
-    return math.hypot(*cross_xyz(gx / mag, gy / mag, gz / mag, rx, ry, rz))
+    # that overflowed itself has no direction, and reads inf.  A gamma'' of
+    # length at most 1e-10 reads 0.0, and its unit vector, unread, divides by 1.0
+    (mag,) = w.let("mag", f"math.hypot({gx}, {gy}, {gz})")
+    (unit,) = w.let("unit", f"{mag} if {mag} > 1e-10 else 1.0")
+    nx, ny, nz = w.let("nx, ny, nz", gx / unit, gy / unit, gz / unit)
+    cross = (ny * rz - nz * ry, nz * rx - nx * rz, nx * ry - ny * rx)
+    w.let(
+        "residual",
+        f"0.0 if {mag} <= 1e-10 else math.inf if not isfinite({mag}) "
+        f"else math.hypot({', '.join(map(str, cross))})",
+    )
+
+
+# the residual of one sample, from the lines the stage kernels run
+_parallel_residual = ex.compile_function(
+    "_parallel_residual(gx, gy, gz, rx, ry, rz)",
+    [*ex.template_lines(_residual_lines), "return residual"],
+    {"math": math, "isfinite": math.isfinite},
+)
 
 
 def _step_count(t_end: float, step: float) -> int:

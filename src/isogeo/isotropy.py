@@ -81,14 +81,8 @@ def norm_euclid(u: Vec3) -> float:
     return math.sqrt(u.x * u.x + u.y * u.y + u.z * u.z)
 
 
-def cross_xyz(ux: float, uy: float, uz: float, vx: float, vy: float, vz: float):
-    """The Euclidean vector product of (ux, uy, uz) and (vx, vy, vz), as
-    three floats."""
-    return (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-
-
 def cross_euclid(u: Vec3, v: Vec3) -> Vec3:
-    return Vec3(*cross_xyz(u.x, u.y, u.z, v.x, v.y, v.z))
+    return Vec3(u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
 
 
 def cross_lorentz(u: Vec3, v: Vec3) -> Vec3:

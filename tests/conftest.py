@@ -1,7 +1,11 @@
+import importlib
 import os
+import pkgutil
 
 import pytest
 from hypothesis import Phase, settings
+
+import isogeo
 
 # A failing property test reports its first failure, shrunk, and nothing
 # more.  Errors raised in generated kernels carry line numbers that vary
@@ -13,6 +17,15 @@ settings.register_profile(
     "fail-fast", report_multiple_bugs=False, phases=[p for p in Phase if p is not Phase.explain]
 )
 settings.load_profile("fail-fast")
+
+# Hypothesis draws a share of its values from the constants in the source of
+# the project's modules loaded at the time, and a derandomized test so drew
+# other examples after a test that had loaded more of them.  Every module of
+# the package is loaded here, so that each test draws the same examples
+# whatever ran before it.
+for module in pkgutil.iter_modules(isogeo.__path__):
+    if module.name != "__main__":
+        importlib.import_module(f"isogeo.{module.name}")
 
 
 @pytest.fixture(autouse=True)

@@ -1495,3 +1495,49 @@ def test_a_geodesic_process_compiles_no_generic_frame_function(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path / "g.csv")],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.splitlines() == ["[]", "['coeffs_of_frame', 'denom_gradient_of_frame']"]
+
+
+# argv on which the parser exits: help, usage errors at the top level and in
+# each command, and "unrecognized arguments", which the top level reports
+# after a command has parsed the rest
+_COMMAND_ARGS = {
+    "curvature": ["s.json", "--out", "o.csv"],
+    "geodesic": ["s.json", "--start", "0,0", "--velocity", "1,0", "--t-end", "1", "--out", "o.csv"],
+    "verify": ["--all-catalog"],
+    "sample": ["s.json", "--out", "o.obj"],
+}
+_EXITING_ARGVS = [
+    [], ["-h"], ["bogus"], ["bogus", "--out", "o.csv"], ["--suite", "all"],
+    *([command, "-h"] for command in _COMMAND_ARGS),
+    *([command, "--bogus"] for command in _COMMAND_ARGS),
+    *([command, *args, "--bogus", "x"] for command, args in _COMMAND_ARGS.items()),
+    ["geodesic", *_COMMAND_ARGS["geodesic"], "--type", "x"],
+    ["sample", *_COMMAND_ARGS["sample"], "--format", "stl"],
+    ["curvature", "s.json"],
+    ["geodesic", "s.json", "--start", "0,0", "--velocity", "-1,0", "--t-end", "1", "--out", "o.csv"],
+    ["verify", "--samples", "many"],
+]
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _EXITING_ARGVS, ids=" ".join)
+def test_main_exits_as_the_parser_of_every_command(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _exit_of(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert want[0] in (0, 2) and (want[1] or want[2])
+    assert _exit_of(cli.main, argv, capsys) == want
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--all-catalog", "--bogus"]], ids=" ".join)
+def test_the_module_entry_point_parses_the_process_arguments(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_of(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "isogeo", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
