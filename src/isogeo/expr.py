@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import types
 from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExprSyntaxError
@@ -734,6 +735,9 @@ class _KernelWriter(Lines):
         match e:
             case Const(value):
                 return self.const(value)
+            case Unary("neg", Const(value)) if type(value) is float:
+                # negation is exact: the constant -c has the bits of the jet's -c
+                return self.const(-value)
             case Var(name):
                 return self.U if name == "u" else self.V
             case Unary(op, arg):
@@ -766,11 +770,61 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     and raises the DomainError of the first failing node, the trees taken
     one after the other, each in post-order.  At order 3 the same floats
     are followed by the third partials (duuu, duuv, duvv, dvvv) of each
-    tree in order."""
-    writer, outputs = jet_writer(exprs, order)
-    # it returns every slot, so a liveness pass would cost more than it drops
-    body = ["U = float(u)", *writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
-    return compile_function("kernel(u, v)", body, writer.namespace)
+    tree in order.  Trees of one shape (see ``_shape``) share one compiled
+    code object, each kernel binding its own floats."""
+    key, values = _shape(exprs, order)
+    entry = _JET_KERNELS.get(key)
+    if entry is None:
+        writer, outputs = jet_writer(exprs, order)
+        # it returns every slot, so a liveness pass would cost more than it drops
+        body = ["U = float(u)", *writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
+        kernel = compile_function("kernel(u, v)", body, writer.namespace)
+        names = [writer.emitted["const", struct.pack("<d", x)][0] for x in values]
+        if len(_JET_KERNELS) >= _MAX_JET_KERNELS:
+            del _JET_KERNELS[next(iter(_JET_KERNELS))]  # the oldest
+        entry = _JET_KERNELS[key] = kernel.__code__, writer.namespace, names
+    code, namespace, names = entry
+    return types.FunctionType(code, {**namespace, **dict(zip(names, values))})
+
+
+# compile_jet's kernels by shape: (code, namespace, the name of each slot)
+_JET_KERNELS: dict = {}
+_MAX_JET_KERNELS = 32
+
+
+def _shape(exprs, order: int) -> tuple[tuple, list[float]]:
+    """The key under which trees share one kernel, and the float of each
+    slot in it.  A float literal becomes a slot, one per bit pattern (0.0
+    and -0.0 differ), as the writer shares them, and so does the negation
+    of one, the slot of -c, as the writer folds it; a literal under an
+    exponent also keeps its bits, from which the writer picks the branch
+    (``_folded``).  Any other constant keeps its type and ``repr``."""
+    slots: dict[bytes, int] = {}
+    values: list[float] = []
+
+    def slot(value: float, exponent: bool):
+        bits = struct.pack("<d", value)
+        if bits not in slots:
+            slots[bits] = len(values)
+            values.append(value)
+        return (slots[bits], bits) if exponent else slots[bits]
+
+    def walk(e, exponent: bool):
+        match e:
+            case Const(value) if type(value) is float:
+                return slot(value, exponent)
+            case Const(value):  # by repr, which tells numpy's -0.0 from 0.0
+                return type(value), repr(value)
+            case Unary("neg", Const(value)) if type(value) is float:
+                # the literal -c, which only an exponent tells from Const(-c)
+                return ("neg", slot(-value, True)) if exponent else slot(-value, False)
+            case Unary(op, arg):
+                return op, walk(arg, exponent)
+            case Binary(op, left, right):
+                return op, walk(left, exponent), walk(right, exponent or op == "^")
+        return e
+
+    return (order, *(walk(e, False) for e in exprs)), values
 
 
 def jet_writer(exprs, order: int) -> tuple[_KernelWriter, list[str]]:

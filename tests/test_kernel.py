@@ -11,11 +11,15 @@ change sign between two calls of the same function.
 
 import ast
 import dis
+import itertools
 import math
 import pickle
 import re
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +29,7 @@ import jet2ref
 import stageref
 from jet2ref import eval_jet2
 from jet3 import walk3
-from isogeo import catalog, cli, rows
+from isogeo import catalog, cli, rows, verify
 from isogeo import expr as ex
 from isogeo import geodesic as geo
 from isogeo import surface as srf
@@ -446,6 +450,7 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
 
     monkeypatch.setattr(ex, "compile_function", recording)
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: compile_jet writes both kernels
     exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
     compilers = {
         "jet2": lambda: ex.compile_jet(exprs, 2),
@@ -747,6 +752,7 @@ def _unread_lets(monkeypatch, patch) -> list:
     with monkeypatch.context() as m:
         m.setattr(ex, "compile_function", lambda *args: bodies.append(list(args[1])) or real_compile(*args))
         m.setattr(ex.Lines, "lines", lines)
+        m.setattr(ex, "_JET_KERNELS", {})  # a cold cache: compile_jet writes both kernels
         exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
         ex.compile_jet(exprs, 2)
         ex.compile_jet(exprs, 3)
@@ -784,7 +790,7 @@ def test_catalog_jet_kernels_assign_no_unread_name(monkeypatch, name, kind):
 def test_genexpr_kernels_assign_no_unread_name(monkeypatch):
     # the same for the fused kernels of 60 random patches.  compile_jet
     # writes every line unpruned, since it returns every slot: there, the
-    # jet of an exponent that folds to an integer, such as -3, goes unread
+    # jet of an exponent that folds to an integer, such as v/v, goes unread
     for patch in random_patches(4100, 60):
         assert [(k, n) for k, n in _unread_lets(monkeypatch, patch) if not k.startswith("jet")] == [], patch
 
@@ -795,3 +801,91 @@ def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
     # has the finite partials of a plane with a saddle, not NaN
     jet = ex.compile_jet([ex.parse("log(5e-324) * u + u*v"), U, V], 2)(1.0, -1.0)
     assert bits(jet[:6]) == bits([math.log(5e-324) - 1.0, math.log(5e-324) - 1.0, 1.0, 0.0, 1.0, 0.0])
+
+
+# ------------------------------------------------------------ one kernel per shape
+
+PROBES = ((0.7, -0.3), (-1.5, 0.5), (2.0, 1.25), (0.0, 0.5), (-0.25, -2.0))
+
+
+def _cached_against_fresh(monkeypatch, groups, order) -> dict:
+    """Compiles each tree list of ``groups`` in turn into one cache and
+    checks each kernel against a fresh compile of its trees on a cold
+    cache: the same floats by ``repr``, or the same DomainError and
+    message, at every probe point.  Returns the cache."""
+    cache = {}
+    for exprs in groups:
+        monkeypatch.setattr(ex, "_JET_KERNELS", {})
+        fresh = ex.compile_jet(exprs, order)
+        monkeypatch.setattr(ex, "_JET_KERNELS", cache)
+        cached = ex.compile_jet(exprs, order)
+        for u, v in PROBES:
+            assert outcome(cached, u, v) == outcome(fresh, u, v), (exprs, order, u, v)
+    return cache
+
+
+def _negated_literals(e, exponent=False):
+    """``e`` with every float literal outside an exponent negated: the same
+    shape, with other floats."""
+    match e:
+        case Const(value) if not exponent:
+            return Const(-value)
+        case Unary(op, arg):
+            return Unary(op, _negated_literals(arg, exponent))
+        case Binary(op, left, right):
+            return Binary(op, _negated_literals(left, exponent), _negated_literals(right, exponent or op == "^"))
+    return e
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_every_sign_pattern_of_a_random_wave_shares_one_kernel(monkeypatch, order):
+    # a negative coefficient parses to the negation of a literal, which the
+    # writer folds into the literal -c: the 64 waves of 8 sign patterns of
+    # f and of g are one shape
+    def cubics(magnitudes):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            draws = iter(s * c for s, c in zip(signs, magnitudes))
+            yield verify._random_cubic(SimpleNamespace(uniform=lambda lo, hi: next(draws)))
+
+    waves = [catalog.make("minimal_wave", SpaceKind.PSEUDO_ISOTROPIC, {"f": f, "g": g})
+             for f, g in itertools.product(cubics((0.375, 0.125, 0.4375)), cubics((0.25, 0.0625, 0.3125)))]
+    assert len({ex.to_source(p.z_expr) for p in waves}) == 64
+    assert len(_cached_against_fresh(monkeypatch, [(p.x_expr, p.y_expr, p.z_expr) for p in waves], order)) == 1
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_cached_kernel_computes_what_a_fresh_compile_does(monkeypatch, order):
+    # trees that share a shape, and trees that differ from such a one only
+    # where the key must tell them apart: 0.0 against -0.0, a constant used
+    # as a coefficient and as an exponent, exponents that pick the integer
+    # power, the real power or the run-time test, and constants that are
+    # not floats; then random trees, each followed by its literals negated
+    zeros = [Const(0.0), Const(-0.0), Binary("+", Const(-0.0), Const(0.0))]
+    special = [
+        zeros, [zeros[1], zeros[0], Binary("+", Const(0.0), Const(-0.0))], [zeros[0], *zeros[:2]],
+        *([ex.parse(s), U, V] for s in (
+            "3.0*u^3", "2.5*u^3", "2.0*u^2", "u^2.0", "u^2.5", "u^3.0", "u^-3", "u^-2.5", "-u^-3",
+            "u^(v/v)", "1.5*u^(v/v)", "u^(v/v*2.0)", "u^(v/v*2.5)",
+        )),
+        [Binary("*", Const(2), U), V], [Binary("*", Const(3), U), V], [Binary("^", U, Const(2)), V],
+        [Binary("^", U, Const(3)), V], [Binary("+", Const(Fraction(1, 3)), U), Binary("*", Const(2.0), V)],
+        [Binary("*", Const(numpy.float64(0.0)), U), V], [Binary("*", Const(numpy.float64(-0.0)), U), V],
+    ]
+    trees = [(p.x_expr, p.y_expr, p.z_expr) for p in random_patches(5200, 40)]
+    siblings = [tuple(map(_negated_literals, t)) for t in trees]
+    groups = special + [t for pair in zip(trees, siblings) for t in pair]
+    # more shapes than the cache holds, so the oldest were dropped; and the
+    # shapes repeat: each random tree's sibling, and 0.0 against -0.0
+    assert len(_cached_against_fresh(monkeypatch, groups, order)) == ex._MAX_JET_KERNELS
+    shapes = {ex._shape(exprs, order)[0] for exprs in groups}
+    assert ex._MAX_JET_KERNELS < len(shapes) <= len(groups) - 41, (len(shapes), len(groups))
+
+
+def test_suite_minimal_compiles_one_kernel_for_its_random_waves(monkeypatch):
+    signatures = []
+    real = ex.compile_function
+    monkeypatch.setattr(ex, "compile_function", lambda *args: signatures.append(args[0]) or real(*args))
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})
+    checks = verify.suite_minimal([], 100, 7, 1e-3)
+    assert len(checks) == verify.RANDOM_WAVES == 5 and all(c.passed for c in checks)
+    assert signatures == ["kernel(u, v)"]
