@@ -254,23 +254,24 @@ def parse(source: str) -> Expr:
 # Constants are bound by name in the kernel's namespace, never written as
 # source literals; the source holds only generated identifiers.  The fused
 # point kernels write their lines after the jet's from templates over the
-# jet's slots (``Lines``), with the same structural rule, and one liveness
-# pass (``Lines.lines``) writes of all of them only the lines they read.
+# jet's slots (``Lines``), with the same structural rule.  In every kernel,
+# one liveness pass (``Lines.statements``) from its return writes a let
+# only where a later statement reads it.
 
 # Per elementary function: statements, then the chain-rule factors
 # (f0, f1, f2, f3) at the argument value {x}; f3 is read at order 3 only.
-# A statement is a guard or block line, or a let (name, value).  {p}
-# prefixes the node's temporaries, {q} those of its statements: sin and
-# cos of one argument share one block of statements, and so do sinh and
-# cosh, the block of the first of them, whose message it keeps.
+# A statement is a guard or block, one string of lines, or a let (name,
+# value).  {p} prefixes the node's temporaries, {q} those of its
+# statements: sin and cos of one argument share one block of them, and so
+# do sinh and cosh, the block of the first of them, whose message it keeps.
 _OVERFLOW = (
-    "try:",
-    "    {q}s = sinh({x})",
-    "    {q}c = cosh({x})",
-    "except OverflowError as exc:",
+    "try:\n"
+    "    {q}s = sinh({x})\n"
+    "    {q}c = cosh({x})\n"
+    "except OverflowError as exc:\n"
     "    raise DomainError('overflow in {fn}') from exc",
 )
-_NON_FINITE = ("if not isfinite({x}):", "    raise DomainError(f'{fn} of non-finite value {{{x}!r}}')")
+_NON_FINITE = ("if not isfinite({x}):\n    raise DomainError(f'{fn} of non-finite value {{{x}!r}}')",)
 _SIN_COS = (*_NON_FINITE, ("{q}s", "sin({x})"), ("{q}c", "cos({x})"))
 _SHARED = (_OVERFLOW, _SIN_COS)
 _CHAIN_SRC = {
@@ -287,26 +288,16 @@ _CHAIN_SRC = {
         ("{p}t", "{p}d", "-2.0 * {p}t * {p}d", "2.0 * {p}d * (2.0 * ({p}t * {p}t) - {p}d)"),
     ),
     "exp": (
-        (
-            "try:",
-            "    {p}e = exp({x})",
-            "except OverflowError as exc:",
-            "    raise DomainError('overflow in exp') from exc",
-        ),
+        ("try:\n    {p}e = exp({x})\nexcept OverflowError as exc:\n    raise DomainError('overflow in exp') from exc",),
         ("{p}e", "{p}e", "{p}e", "{p}e"),
     ),
     "log": (
-        (
-            "if {x} <= 0.0:",
-            "    raise DomainError(f'log of non-positive value {{{x}!r}}')",
-            ("{p}i", "1.0 / {x}"),
-        ),
+        ("if {x} <= 0.0:\n    raise DomainError(f'log of non-positive value {{{x}!r}}')", ("{p}i", "1.0 / {x}")),
         ("log({x})", "{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i"),
     ),
     "sqrt": (
         (
-            "if {x} <= 0.0:",
-            "    raise DomainError(f'sqrt of non-positive value {{{x}!r}}')",
+            "if {x} <= 0.0:\n    raise DomainError(f'sqrt of non-positive value {{{x}!r}}')",
             ("{p}r", "sqrt({x})"),
             ("{p}d", "0.5 / {p}r"),
         ),
@@ -315,18 +306,13 @@ _CHAIN_SRC = {
     ),
     "abs": (
         (
-            "if {x} == 0.0:",
-            "    raise DomainError('abs is not differentiable at 0')",
+            "if {x} == 0.0:\n    raise DomainError('abs is not differentiable at 0')",
             ("{p}s", "1.0 if {x} > 0.0 else -1.0"),
         ),
         ("abs({x})", "{p}s", "0.0", "0.0"),
     ),
     "recip": (
-        (
-            "if {x} == 0.0:",
-            "    raise DomainError('division by zero')",
-            ("{p}i", "1.0 / {x}"),
-        ),
+        ("if {x} == 0.0:\n    raise DomainError('division by zero')", ("{p}i", "1.0 / {x}")),
         ("{p}i", "-{p}i * {p}i", "2.0 * {p}i * {p}i * {p}i", "-6.0 * {p}i * {p}i * {p}i * {p}i"),
     ),
 }
@@ -431,19 +417,32 @@ def _src(x) -> _Src:
     return x if isinstance(x, _Src) else _Src(x)
 
 
-_NAME = r"[A-Za-z_]\w*"  # compiled on first use, by the re module's cache
+# a name, and the targets of each assignment of a block (also m >>= 1);
+# compiled on first use, by the re module's cache
+_NAME, _TARGETS = r"[A-Za-z_]\w*", r"^ *(?:(?:\w+, )*\w+ (?:>>)?= )+"
+
+
+class Statement(NamedTuple):
+    """A kernel statement: its lines, the names they read outside its raise
+    lines, the names it assigns, in order, and the names its raise lines read."""
+    lines: tuple[str, ...]
+    reads: set[str]
+    writes: tuple[str, ...]
+    message: frozenset[str]
 
 
 class Lines:
-    """Kernel lines written from templates over slots: the ``_Src`` that
-    holds a named quantity, such as xu or h11, where that is not the name
-    itself, so that a template over no slots writes plain source.  ``let``
-    writes a one-line assignment, such as a template's arithmetic or a jet
-    partial, as its (name, value) pairs, and ``line`` a guard, a block or a
-    loop, into which the template formats the slots it reads."""
+    """Kernel statements written from templates over slots: the ``_Src``
+    that holds a named quantity, such as xu or h11, where that is not the
+    name itself, so that a template over no slots writes plain source.
+    ``let`` writes a one-line assignment as its (name, value) pairs, and
+    ``line`` a guard, a block or a loop, into which the template formats
+    the slots it reads, as one ``Statement``.  A let reads its own targets
+    too, as its text does: m12 = m12_0, which the frame's swap re-assigns,
+    reads m12, so the row kernel places it no earlier than the swap."""
 
     def __init__(self, slots=()) -> None:
-        self.slots, self.body = dict(slots), []  # lines, and the (name, value) pairs of each let
+        self.slots, self.body = dict(slots), []  # statements, and the (name, value) pairs of each let
 
     def get(self, names: str) -> list[_Src]:
         return [self.slots.get(n) or _Src(n) for n in names.replace(",", " ").split()]
@@ -461,36 +460,42 @@ class Lines:
         return self.get(names)
 
     def line(self, *lines: str) -> None:
-        self.body += lines
+        """One guard, block or loop; a raise line only makes a message."""
+        names, message = re.compile(_NAME).findall, [x for x in lines if x.lstrip().startswith("raise ")]
+        test = [x for x in lines if x not in message]
+        writes = tuple(names("".join(re.findall(_TARGETS, "\n".join(lines), re.M))))
+        self.body.append(Statement(lines, set(names(" ".join(test))), writes, frozenset(names(" ".join(message)))))
 
-    def lines(self, *after: str, prune: bool = True) -> list[str]:
-        """The lines written.  With ``prune``, one backward liveness pass
-        from the lines ``after`` them: each let keeps only the names that a
-        later line reads, and every other line is kept, with all it reads."""
-        if not prune:
-            return [x if isinstance(x, str) else _assignment(x) for x in self.body]
+    def statements(self, *after: str) -> list[Statement]:
+        """The statements written, by one backward liveness pass from the
+        lines ``after`` them: each let keeps only the names that a later
+        statement or message reads, and every other statement is kept."""
         names = re.compile(_NAME).findall
         live, out = set(names(" ".join(after))), []
         for x in reversed(self.body):
-            if not isinstance(x, str):
+            if type(x) is list:
                 x = [(n, v) for n, v in x if n in live]
                 if not x:
                     continue
-                x = _assignment(x)
-            live.update(names(x))
+                targets, values = zip(*x)
+                text = f"{', '.join(targets)} = {', '.join(values)}"
+                x = Statement((text,), set(names(text)), targets, frozenset())
+            live |= x.reads
+            live |= x.message
             out.append(x)
         return out[::-1]
 
-
-def _assignment(pairs) -> str:
-    return " = ".join(map(", ".join, zip(*pairs)))
+    def lines(self, *after: str) -> list[str]:
+        """The lines of ``statements(*after)``."""
+        return [line for x in self.statements(*after) for line in x.lines]
 
 
 def template_lines(template, *args) -> list[str]:
-    """The lines of ``template(w, *args)`` over plain names, all of them."""
+    """The lines of ``template(w, *args)`` over plain names, all of them:
+    the pass runs from a line that reads every name a let assigns."""
     w = Lines()
     template(w, *args)
-    return w.lines(prune=False)
+    return w.lines(*(n for x in w.body if type(x) is list for n, _ in x))
 
 
 def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
@@ -615,7 +620,7 @@ class _KernelWriter(Lines):
                 fill["q"] = q
                 for s in statements:
                     if isinstance(s, str):
-                        self.line(s.format(**fill))
+                        self.line(*s.format(**fill).split("\n"))
                     else:  # a let's (name, value)
                         self.body.append([(s[0].format(**fill), s[1].format(**fill))])
                 return q
@@ -625,13 +630,10 @@ class _KernelWriter(Lines):
             else:
                 block(p)
             f0, *fs = (f.format(**fill) for f in factors[: self.order + 1])
-            # f1, f2 (and f3) are evaluated once each, before any term uses
-            # them, and only where a term does
+            # f1, f2 (and f3) are evaluated once each, before any term uses them
             names = [fk if fk.isidentifier() else f"{p}f{k + 1}" for k, fk in enumerate(fs)]
-            terms = _chain_terms(a, *names)
-            read = set(re.findall(_NAME, " ".join(terms)))
-            self.body += [[(n, fk)] for n, fk in zip(names, fs) if n != fk and n in read]
-            return self.lines_for(p, [f0, *terms])
+            self.body += [[(n, fk)] for n, fk in zip(names, fs) if n != fk]
+            return self.lines_for(p, [f0, *_chain_terms(a, *names)])
 
         return self.node((fn, a), emit)
 
@@ -674,9 +676,8 @@ class _KernelWriter(Lines):
                 f"    {p}m >>= 1",
                 f"    if {p}m:",
                 *(f"        {x}" for x in step("b", q, lambda w: w.mul(q, q))),
-                f"if {n} < 0:",
-                *(f"    {x}" for x in step("c", r, lambda w: w.chain("recip", r))),
             )
+            self.line(f"if {n} < 0:", *(f"    {x}" for x in step("c", r, lambda w: w.chain("recip", r))))
             return r
 
         return self.node(("pow_int", a, n), emit)
@@ -776,9 +777,8 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     entry = _JET_KERNELS.get(key)
     if entry is None:
         writer, outputs = jet_writer(exprs, order)
-        # it returns every slot, so a liveness pass would cost more than it drops
-        body = ["U = float(u)", *writer.lines(prune=False), f"return ({''.join(f'{name}, ' for name in outputs)})"]
-        kernel = compile_function("kernel(u, v)", body, writer.namespace)
+        ret = f"return ({''.join(f'{name}, ' for name in outputs)})"
+        kernel = compile_function("kernel(u, v)", ["U = float(u)", *writer.lines(ret), ret], writer.namespace)
         names = [writer.emitted["const", struct.pack("<d", x)][0] for x in values]
         if len(_JET_KERNELS) >= _MAX_JET_KERNELS:
             del _JET_KERNELS[next(iter(_JET_KERNELS))]  # the oldest

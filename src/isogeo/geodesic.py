@@ -164,15 +164,17 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
         if relative:
             relative_lines(w, s.kind)
         early, final = _accel_lines(w, relative)
-        head = w.lines(early)
-        before = set(head)
+        statements = w.statements(early)
+        before = {x.lines for x in statements}
+        head = [y for x in statements for y in x.lines]
+        tail = [y for x in w.statements(final) if x.lines not in before for y in x.lines]
         u0, u1, v0, v1 = s.domain
         kernel = s.accel_kernels[gkind] = ex.compile_function(
             "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does
             ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)", *head,
-             "if not sample:", f"    {early}", *(x for x in w.lines(final) if x not in before), final],
+             "if not sample:", f"    {early}", *tail, final],
             {
                 **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
                 "u0": u0, "u1": u1, "v0": v0, "v1": v1,

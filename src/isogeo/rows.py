@@ -1,7 +1,6 @@
 """The row kernel of the ``curvature`` command, which only that command imports."""
 
 import math
-import re
 
 from . import expr as ex
 from .surface import CURVATURE_GLOBALS, CurvatureClass, SurfacePatch, curvature_lines, point_lines
@@ -46,43 +45,37 @@ def row_kernel(patch: SurfacePatch):
     cells = [{"U": "su", "V": "sv"}.get(str(x), f"s{k}") for k, x in enumerate(floats)]
     own = {cell: str(x) for cell, x in zip(cells, floats) if cell not in ("su", "sv")}
     row = 'row(f"' + ",".join(f"{{{x}}}" for x in ["su", "sv", *cells[:6], "label", *cells[6:]]) + '\\n")'
-    # the statements of the one liveness pass (each let, or guard or block with
-    # its lines), and the names each reads and assigns (also m >>= 1); a raise
-    # line only makes a message, so a guard goes where the names it tests go
-    statements = []
-    for x in w.lines(*own.values()):
-        if x[0] == " " or x.startswith(("elif ", "else:", "except")):
-            statements[-1].append(x)
-        else:
-            statements.append([x])
-    names, targets = re.compile(ex._NAME).findall, re.compile(r"^ *(?:(?:\w+, )*\w+ (?:>>)?= )+", re.M).findall
-    reads = [set(names(" ".join(x for x in s if not x.lstrip().startswith("raise ")))) for s in statements]
-    writes = [names("".join(targets("\n".join(s)))) for s in statements]
+    # the statements of the one liveness pass; a guard goes where the names
+    # it tests go, not those of its message
+    statements = w.statements(*own.values())
     # a statement's level is 1 where it reads u, 2 where v and 3 where both,
     # through the names it reads; a name's, the highest of its writers'
     level, last, at = {"u": 1, "U": 1, "v": 2}, None, []
     while at != last:
         last, at = at, []
-        for read, wrote in zip(reads, writes):
+        for x in statements:
             a = 0
-            for name in read:
+            for name in x.reads:
                 a |= level.get(name, 0)
-            level.update(dict.fromkeys(wrote, a))
+            level.update(dict.fromkeys(x.writes, a))
             at.append(a)
     level.update({s: level.get(x, 0) for s, x in own.items()})
-    named = [*dict.fromkeys(n for wrote in writes for n in wrote), *own]
+    named = [*dict.fromkeys(n for x in statements for n in x.writes), *own]
     env = {**namespace, **CURVATURE_GLOBALS, **{c.name: c.value for c in CurvatureClass}, "NAN": math.nan}
 
     def place(at, lev, env):
         """The ``columns`` and ``kernel`` that run each statement at its
         level in ``at``, and each text at ``lev`` of its name."""
-        lines, texts = [[y for x, a in zip(statements, at) if a == b for y in x] for b in range(4)], [[], [], [], []]
+        lines = [[y for x, a in zip(statements, at) if a == b for y in x.lines] for b in range(4)]
+        texts = [[], [], [], []]
         for s, x in own.items():
             text = f"{s} = f'{{{x}!r}}'"
             loop = [f"if {x} != c{s[1:]} or not {x}:", f"    c{s[1:]} = {x}", f"    {text}"]
             texts[lev(s)] += loop if lev(s) == 3 else [text]
         prelude = lines[1] + texts[1]
-        read = set(names(" ".join([*prelude, *lines[3], *texts[3], row])))
+        # what the kernel reads: its statements, messages too, and the row;
+        # a text reads its column's value, at the value's own level
+        read = {"label", *cells}.union(*(x.reads | x.message for x, a in zip(statements, at) if a in (1, 3)))
         consts, per_v = ([n for n in named if n in read and lev(n) == b] for b in (0, 2))
         kernel = ex.compile_function("kernel(u, su, consts, cols)", [
             *([f"{', '.join(consts)}, = consts"] if consts else []),

@@ -385,8 +385,8 @@ def point_lines(s: SurfacePatch) -> tuple[ex.Lines, dict]:
     lines, which read the float U of u that the kernel defines, with
     ``frame_lines(w, s.kind)`` written into it over the jet's slots; and
     the namespace they read, ``FRAME_GLOBALS`` included.  Each kernel
-    writes its own lines into ``w`` and takes its body from ``w.lines``,
-    which writes a quantity only where a later line reads it."""
+    writes its own lines into ``w`` and takes its body from
+    ``w.statements``, which writes a quantity only where a later line reads it."""
     w, outputs = ex.jet_writer((s.x_expr, s.y_expr, s.z_expr), 2)
     w.slots.update(zip(JET_NAMES, map(ex._Src, outputs), strict=True))
     frame_lines(w, s.kind)

@@ -2,7 +2,7 @@
 parts of a stage kernel that tests compare with it.
 
 ``sample_last`` is the pass that placed a stage kernel's lines before two
-liveness passes of ``expr.Lines.lines`` did, kept as it was, on kernel
+liveness passes of ``expr.Lines.statements`` did, kept as it was, on kernel
 text.  Tests run it on a stage kernel's whole body (``stage``): the
 writer's lines in its order, with the ``if not sample:`` return last
 before the final one.

@@ -714,5 +714,15 @@ def test_the_sample_only_lines_move_behind_the_return_in_order():
     full = w.lines("return a, y, q")
     assert [x for x in full if x not in head] == ["y, p = x + 1.0, x * g", "q = p + 1.0"]
     assert w.lines("return a, p")[2] == "p = x * g"
-    assert w.lines(prune=False)[-1] == "q, unread = p + 1.0, q + 1.0"
+    assert w.lines("return q, unread")[-1] == "q, unread = p + 1.0, q + 1.0"
     assert w.lines() == ["g = v - 1.0", "if g <= 0.0:", "    raise DomainError('g')"]
+    # each statement's record: a guard reads what it tests, and its message
+    # what its raise line names; a let reads its own targets too
+    guard = ex.Statement(("if g <= 0.0:", "    raise DomainError('g')"), {"if", "g"}, (), {"raise", "DomainError", "g"})
+    assert w.statements("return q") == [
+        ex.Statement(("x = u * 2.0",), {"x", "u"}, ("x",), set()),
+        ex.Statement(("g = v - 1.0",), {"g", "v"}, ("g",), set()),
+        ex.Statement(("p = x * g",), {"p", "x", "g"}, ("p",), set()),
+        guard,
+        ex.Statement(("q = p + 1.0",), {"q", "p"}, ("q",), set()),
+    ]

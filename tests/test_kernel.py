@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from genexpr import random_expr, random_expr_full, random_patches
 import jet2ref
 import stageref
+import statementref
 from jet2ref import eval_jet2
 from jet3 import walk3
 from isogeo import catalog, cli, rows, verify
@@ -467,6 +468,12 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
         assert folded == [], (label, folded)
 
 
+def _every_line(w) -> list[str]:
+    """Every line of the writer ``w``: its pass from a line that reads each
+    name a let assigns."""
+    return w.lines(*(n for x in w.body if isinstance(x, list) for n, _ in x))
+
+
 def _stored_names(lines) -> set:
     """The names that the body ``lines`` of a function assign to."""
     tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in lines))
@@ -498,7 +505,7 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # it keeps, in the jet writer's order after a stage kernel's conversion
     # of u, and no line outside the runs assigns a jet or frame name
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    jet = ["U = float(u)", *ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0].lines(prune=False)]
+    jet = ["U = float(u)", *_every_line(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0])]
     calls = {"jet_writer": 0, "frame_lines": 0}
     writers, outputs, bodies = [], [], []
 
@@ -515,21 +522,21 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
         writers.append(w)
         return w, namespace
 
-    def recording_lines(self, *after, prune=True):
-        out = real_lines(self, *after, prune=prune)
-        outputs.append((self, out))
+    def recording_statements(self, *after):
+        out = real_statements(self, *after)
+        outputs.append((self, [line for x in out for line in x.lines]))
         return out
 
     def recording_compile(signature, lines, namespace):
         bodies.append(list(lines))
         return real_compile(signature, lines, namespace)
 
-    real_point_lines, real_lines, real_compile = srf.point_lines, ex.Lines.lines, ex.compile_function
+    real_point_lines, real_statements, real_compile = srf.point_lines, ex.Lines.statements, ex.compile_function
     monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
     monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
     for module in (rows, geo):
         monkeypatch.setattr(module, "point_lines", recording_point_lines)
-    monkeypatch.setattr(ex.Lines, "lines", recording_lines)
+    monkeypatch.setattr(ex.Lines, "statements", recording_statements)
     monkeypatch.setattr(ex, "compile_function", recording_compile)
     cli._row_kernel(patch)
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
@@ -657,8 +664,8 @@ def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_refe
             assert not before & after, (patch, g)
             readers = {}  # a name, and the names of the lets that read it
             for x in w.body:
-                if isinstance(x, str):
-                    for name in stageref.assigned(x.strip()):
+                if isinstance(x, ex.Statement):
+                    for name in (n for line in x.lines for n in stageref.assigned(line.strip())):
                         assert not readers.get(name, set()) & after, (patch, g, x)
                 else:
                     for target, value in x:
@@ -725,9 +732,9 @@ def test_sin_and_cos_of_one_argument_share_one_block():
     # the helicoid's sinh(v) and cosh(v) take both functions from one block
     patch = catalog.make("helicoid", SpaceKind.PSEUDO_ISOTROPIC, {"c": 1.0})
     for order in (2, 3):
-        source = "\n".join(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)[0].lines(prune=False))
+        source = "\n".join(_every_line(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), order)[0]))
         assert source.count("sinh(") == 1 and source.count("cosh(") == 1, source
-    source = "\n".join(ex.jet_writer([ex.parse("sin(u) * cos(u) + cos(u + v)")], 2)[0].lines(prune=False))
+    source = "\n".join(_every_line(ex.jet_writer([ex.parse("sin(u) * cos(u) + cos(u + v)")], 2)[0]))
     assert source.count("sin(") == 2 and source.count("cos(") == 2, source
     # the first node's block raises first, with its own message
     for src, message in (("cosh(v) + sinh(v)", "overflow in cosh"), ("sin(1e308*10*v) * cos(1e308*10*v)", "sin of")):
@@ -736,22 +743,23 @@ def test_sin_and_cos_of_one_argument_share_one_block():
 
 
 def _unread_lets(monkeypatch, patch) -> list:
-    """(kernel, name) for each name that no later line of one of
+    """(kernel, name, let) for each name that no later line of one of
     ``patch``'s kernels reads: every name stored in ``compile_jet``'s
     kernels at orders 2 and 3, and every name a let stores in the row
     kernel and in each path of both stage kernels, the early return's and
-    the sample's."""
+    the sample's; ``let`` tells whether a let stores it."""
     bodies, lets = [], set()
-    real_compile, real_lines = ex.compile_function, ex.Lines.lines
+    real_compile, real_statements = ex.compile_function, ex.Lines.statements
 
-    def lines(self, *after, prune=True):  # a let is a line that is not in the body as text
-        out = real_lines(self, *after, prune=prune)
-        lets.update(set(out) - {x for x in self.body if isinstance(x, str)})
+    def statements(self, *after):  # a let is a line that is no line of a block of the body
+        out = real_statements(self, *after)
+        blocks = {line for x in self.body if isinstance(x, ex.Statement) for line in x.lines}
+        lets.update({line for x in out for line in x.lines} - blocks)
         return out
 
     with monkeypatch.context() as m:
         m.setattr(ex, "compile_function", lambda *args: bodies.append(list(args[1])) or real_compile(*args))
-        m.setattr(ex.Lines, "lines", lines)
+        m.setattr(ex.Lines, "statements", statements)
         m.setattr(ex, "_JET_KERNELS", {})  # a cold cache: compile_jet writes both kernels
         exprs = (patch.x_expr, patch.y_expr, patch.z_expr)
         ex.compile_jet(exprs, 2)
@@ -772,9 +780,10 @@ def _unread_lets(monkeypatch, patch) -> list:
         loads = [(n.lineno, n.id) for n in names if isinstance(n.ctx, ast.Load)]
         for store in (n for n in names if isinstance(n.ctx, ast.Store)):
             # lines[0] is line 2; of compile_jet's kernels every name stored
-            if label.startswith("jet") or lines[store.lineno - 2].strip() in lets:
+            let = lines[store.lineno - 2].strip() in lets
+            if label.startswith("jet") or let:
                 if not any(k > store.lineno and n == store.id for k, n in loads):
-                    unread.append((label, store.id))
+                    unread.append((label, store.id, let))
     return unread
 
 
@@ -788,11 +797,35 @@ def test_catalog_jet_kernels_assign_no_unread_name(monkeypatch, name, kind):
 
 
 def test_genexpr_kernels_assign_no_unread_name(monkeypatch):
-    # the same for the fused kernels of 60 random patches.  compile_jet
-    # writes every line unpruned, since it returns every slot: there, the
-    # jet of an exponent that folds to an integer, such as v/v, goes unread
+    # the same for every let of compile_jet's kernels and of the fused
+    # kernels of 60 random patches: compile_jet's kernels, too, are written
+    # by the liveness pass from their return, so the jet of an exponent that
+    # folds to an integer, such as v/v, is not written.  A block is kept
+    # for what it raises, also where nothing reads what it stores: the loop
+    # of a run-time power under an exponent 0.0, whose reciprocal may still
+    # divide by zero, or the cosh of a sinh of a constant
     for patch in random_patches(4100, 60):
-        assert [(k, n) for k, n in _unread_lets(monkeypatch, patch) if not k.startswith("jet")] == [], patch
+        assert [(k, n) for k, n, let in _unread_lets(monkeypatch, patch) if let] == [], patch
+
+
+def test_the_statement_records_match_a_parse_of_their_text(monkeypatch):
+    # each record of every liveness pass that writes the row kernel and both
+    # stage kernels (its lines, the names it reads but in its raise lines,
+    # the names it assigns and those of its messages) equals what
+    # statementref reads from the text of the pass, on the catalog and 200
+    # random patches
+    passes, real = [], ex.Lines.statements
+    monkeypatch.setattr(ex.Lines, "statements", lambda self, *after: passes.append(real(self, *after)) or passes[-1])
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
+    for patch in patches + random_patches(3000, 200):
+        passes.clear()
+        cli._row_kernel(patch)
+        for g in geo.GeodesicKind:
+            patch.accel_kernels.pop(g, None)
+            geo._accel_kernel(patch, g)
+        assert len(passes) >= 5, patch
+        for out in passes:
+            assert [tuple(x) for x in out] == statementref.statements([y for x in out for y in x.lines]), patch
 
 
 def test_a_constant_keeps_its_structural_partials_where_a_factor_overflows():
