@@ -27,11 +27,11 @@ invocations produce byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import catalog
 from .errors import (
@@ -48,18 +48,67 @@ from .errors import (
 from .isotropy import SpaceKind
 from .surface import SurfacePatch, graph_patch, grid_values, parametric_patch
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_IO = 3
 EXIT_BAD_START = 4
 EXIT_VERIFY_FAIL = 5
 
-COMMANDS = ("curvature", "geodesic", "verify", "sample")
-
 # upper bounds on the grid points of curvature and sample and on verify's
 # --samples, checked before any point is evaluated
 MAX_GRID_POINTS = 1_000_000
 MAX_SAMPLES = 1_000_000
+
+
+class Option(NamedTuple):
+    """One option of a command: ``--name VALUE``, the value converted by
+    ``type`` (kept as text where None) and checked against ``choices``; or,
+    where ``flag``, a bare ``--name`` that stores True."""
+
+    name: str
+    default: object = None
+    type: Optional[Callable[[str], object]] = None
+    choices: Optional[tuple[str, ...]] = None
+    required: bool = False
+    flag: bool = False
+    help: Optional[str] = None
+
+
+# every command: its help line, the nargs of its SPEC (None: required, "?":
+# optional) and its options, in the order of the help.  The recognizer and
+# the parser both read this table
+COMMANDS: dict[str, tuple[str, Optional[str], tuple[Option, ...]]] = {
+    "curvature": ("curvature grid to CSV", None, (
+        Option("--grid", "20x20"),
+        Option("--out", required=True),
+    )),
+    "geodesic": ("integrate a geodesic to CSV", None, (
+        Option("--type", "r", choices=("r", "lc")),
+        # a token "-1,0" reads as an option, not as a value
+        Option("--start", required=True, help="u,v; write --start=-1,0 where u < 0"),
+        Option("--velocity", required=True, help="du,dv; write --velocity=-1,0 where du < 0"),
+        Option("--t-end", type=float, required=True),
+        Option("--step", 1e-3, float),
+        Option("--out", required=True),
+    )),
+    "verify": ("run identity-verification suites", "?", (
+        Option("--all-catalog", False, flag=True),
+        # checked by verify.run_verify, so that reading argv loads no verify
+        Option("--suite", "all"),
+        Option("--samples", 100, int),
+        Option("--seed", 0, int),
+        Option("--tol", type=float),
+        Option("--out"),
+    )),
+    "sample": ("export a grid mesh (OBJ or CSV)", None, (
+        Option("--grid", "20x20"),
+        Option("--format", "obj", choices=("obj", "csv")),
+        Option("--out", required=True),
+    )),
+}
 
 
 def __getattr__(name: str):
@@ -151,7 +200,9 @@ def load_spec_file(path: str) -> SurfacePatch:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    # ValueError: bytes that are not UTF-8, malformed JSON or an integer
+    # literal longer than int() reads; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as err:
         raise SpecError(f"cannot read spec {path!r}: {err}") from err
     return parse_surface_spec(data)
 
@@ -311,53 +362,84 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone: its usage line
-    still lists every command, so its help and error text keep their bytes."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from ``COMMANDS``.  ``main`` runs
+    it only on the argv that ``recognize`` declines: help and usage errors."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="isogeo",
         description="Curvature, connections and geodesics for admissible "
         "surfaces in simply and pseudo isotropic 3-space.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    if command in (None, "curvature"):
-        cur = sub.add_parser("curvature", help="curvature grid to CSV")
-        cur.add_argument("spec")
-        cur.add_argument("--grid", default="20x20")
-        cur.add_argument("--out", required=True)
-    if command in (None, "geodesic"):
-        geo = sub.add_parser("geodesic", help="integrate a geodesic to CSV")
-        geo.add_argument("spec")
-        geo.add_argument("--type", choices=["r", "lc"], default="r")
-        # argparse reads "-1,0" as an option, not as a value
-        geo.add_argument("--start", required=True, help="u,v; write --start=-1,0 where u < 0")
-        geo.add_argument("--velocity", required=True, help="du,dv; write --velocity=-1,0 where du < 0")
-        geo.add_argument("--t-end", type=float, required=True)
-        geo.add_argument("--step", type=float, default=1e-3)
-        geo.add_argument("--out", required=True)
-    if command in (None, "verify"):
-        ver = sub.add_parser("verify", help="run identity-verification suites")
-        ver.add_argument("spec", nargs="?")
-        ver.add_argument("--all-catalog", action="store_true")
-        # checked by verify.run_verify, so that the parser does not load verify
-        ver.add_argument("--suite", default="all")
-        ver.add_argument("--samples", type=int, default=100)
-        ver.add_argument("--seed", type=int, default=0)
-        ver.add_argument("--tol", type=float, default=None)
-        ver.add_argument("--out", default=None)
-    if command in (None, "sample"):
-        smp = sub.add_parser("sample", help="export a grid mesh (OBJ or CSV)")
-        smp.add_argument("spec")
-        smp.add_argument("--grid", default="20x20")
-        smp.add_argument("--format", choices=["obj", "csv"], default="obj")
-        smp.add_argument("--out", required=True)
+    sub = top.add_subparsers(dest="command", required=True)
+    for command, (help_line, spec_nargs, options) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_line)
+        parser.add_argument("spec", nargs=spec_nargs)
+        for opt in options:
+            if opt.flag:
+                parser.add_argument(opt.name, action="store_true", help=opt.help)
+            else:
+                parser.add_argument(
+                    opt.name, type=opt.type, default=opt.default, choices=opt.choices,
+                    required=opt.required, help=opt.help,
+                )
     return top
+
+
+def recognize(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace that ``build_parser`` gives ``argv``, where argv is a
+    command, then at most one SPEC and options by their exact names, as
+    ``--name value`` (a value that does not start with "-") or
+    ``--name=value``, every value converted by the option's type and among
+    its choices, and every required argument present.  None for any other
+    argv: the parser reads it, and writes its help and error text."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, spec_nargs, options = COMMANDS[argv[0]]
+    by_name = {opt.name: opt for opt in options}
+    spec, values = None, {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if spec is not None:
+                return None
+            spec = token
+            continue
+        name, eq, value = token.partition("=")
+        opt = by_name.get(name)
+        if opt is None:
+            return None
+        if opt.flag:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            if opt.type is not None:
+                try:
+                    value = opt.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if opt.choices is not None and value not in opt.choices:
+                return None
+        values[opt.name] = value
+    if spec is None and spec_nargs is None:
+        return None
+    args = {"command": argv[0], "spec": spec}
+    for opt in options:
+        if opt.name not in values and opt.required:
+            return None
+        args[opt.name[2:].replace("-", "_")] = values.get(opt.name, opt.default)
+    return SimpleNamespace(**args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = recognize(argv) or build_parser().parse_args(argv)
     try:
         if args.command == "curvature":
             patch = load_spec_file(args.spec)

@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -764,12 +766,28 @@ def test_huge_json_integers_are_spec_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"space": "i3", "domain": [0, ' + b"9" * 5000 + b', 0, 1]}', "Exceeds the limit"),
+], ids=["not-utf-8", "nested-too-deep", "integer-too-long"])
+def test_a_spec_file_json_cannot_read_is_a_spec_error(tmp_path, capsys, data, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    out = tmp_path / "out.csv"
+    assert cli.main(["curvature", str(path), "--grid", "3x3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read spec {str(path)!r}: ") and message in err
+    assert not out.exists()
+
+
 _IMPORT_PATH_SCRIPT = """\
 import contextlib, io, json, sys
 steps = []
 def step(name, code):
     loaded = sorted(m[len("isogeo."):] for m in sys.modules if m.startswith("isogeo."))
-    steps.append([name, code, "numpy" in sys.modules, loaded])
+    parser = [m for m in ("argparse", "gettext") if m in sys.modules]
+    steps.append([name, code, "numpy" in sys.modules, parser, loaded])
 import isogeo
 step("import isogeo", 0)
 import isogeo.cli as cli
@@ -783,7 +801,8 @@ print(json.dumps(steps))
 
 
 def _import_path(argvs):
-    """[step, exit code, numpy loaded, isogeo modules loaded] after
+    """[step, exit code, numpy loaded, argparse and gettext if loaded,
+    isogeo modules loaded] after
     ``import isogeo``, ``import isogeo.cli`` and each of ``argvs``, run in
     order in one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
@@ -793,7 +812,7 @@ def _import_path(argvs):
     )
     steps = json.loads(proc.stdout)
     assert len(steps) == 2 + len(argvs)
-    assert all(code == 0 for _, code, _, _ in steps), steps
+    assert all(code == 0 for _, code, *_ in steps), steps
     return steps
 
 
@@ -827,8 +846,14 @@ def import_paths(tmp_path_factory):
 
 def test_float_commands_never_import_numpy(import_paths):
     steps = [step for path in import_paths for step in path]
-    assert not any(numpy for _, _, numpy, _ in steps[:-1]), steps
+    assert not any(numpy for _, _, numpy, *_ in steps[:-1]), steps
     assert steps[-1][2]  # the tensor suites build arrays
+
+
+def test_well_formed_argv_never_imports_argparse(import_paths):
+    # the parser is built only for help and usage errors
+    steps = [step for path in import_paths for step in path]
+    assert not any(parser for _, _, _, parser, _ in steps), steps
 
 
 def test_each_command_loads_only_the_modules_it_runs(import_paths):
@@ -1516,6 +1541,14 @@ _EXITING_ARGVS = [
     ["curvature", "s.json"],
     ["geodesic", "s.json", "--start", "0,0", "--velocity", "-1,0", "--t-end", "1", "--out", "o.csv"],
     ["verify", "--samples", "many"],
+    # argv that ``cli.recognize`` declines: a flag given a value, a second
+    # SPEC, an option without its value, a value its type rejects and one
+    # outside the choices
+    ["verify", "--all-catalog=yes"],
+    ["curvature", "s.json", "t.json", "--out", "o.csv"],
+    ["verify", "--all-catalog", "--out"],
+    ["geodesic", "s.json", "--start", "0,0", "--velocity", "1,0", "--t-end", "x", "--out", "o.csv"],
+    ["geodesic", *_COMMAND_ARGS["geodesic"], "--type=x"],
 ]
 
 
@@ -1541,3 +1574,80 @@ def test_the_module_entry_point_parses_the_process_arguments(argv, capsys, monke
     proc = subprocess.run([sys.executable, "-m", "isogeo", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# values for the recognizer's property: each option's valid values, drawn
+# most often, and values any option may get: text int() or float() reads
+# that a reader might not expect, values that start with "-", the empty
+# string and tokens of the parser itself
+_VALID_VALUES = {
+    int: ("0", "7", "100", "1_0", " 5"),
+    float: ("0.5", "1e-3", "nan", "inf", "1_0", " 5", "7"),
+    None: ("s.json", "2x2", "0,0", "1,0", "all", "a=b", ""),
+}
+_ARGV_VALUES = (
+    "x", "", "1.5", "2x2", "-1", "-1,0", "r", "lc", "obj", "csv", "stl", "-h", "--", "--out",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command's argv: its SPEC and options, each absent, once or
+    repeated, as ``--name value`` or ``--name=value``, in any order.  At a
+    drawn rate, a token goes wrong: a second SPEC or none, an option
+    missing, a prefix of its name, a value that is not valid or not there,
+    a flag given a value, a stray token.  At rate 0 the argv is well formed."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, options = cli.COMMANDS[command]
+    rate = draw(st.sampled_from([0, 0, 1, 2, 4]))
+
+    def wrong():
+        return draw(st.integers(0, 9)) < rate
+
+    groups = [["s.json"]] + [[draw(st.sampled_from(["", "a b"]))] for _ in range(wrong())]
+    if wrong():
+        groups.pop(0)
+    for opt in options:
+        for _ in range(draw(st.sampled_from([1, 1, 2] if opt.required else [0, 1, 2]))):
+            if wrong():
+                continue
+            name = draw(st.sampled_from([opt.name[:n] for n in (-1, 3, 4)])) if wrong() else opt.name
+            values = _ARGV_VALUES if wrong() else opt.choices or _VALID_VALUES[opt.type]
+            value = draw(st.sampled_from(values))
+            if opt.flag != wrong():
+                groups.append([name])
+            else:
+                groups.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    if wrong():
+        groups.append([draw(st.sampled_from(["-h", "--help", "--", "--bogus", "-1", "x"]))])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_recognize_reads_argv_as_the_parser_of_every_command(argv):
+    args = cli.recognize(argv)
+    if args is None:  # the parser reads it
+        return
+    try:
+        want = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"recognized {argv!r}, on which the parser exits")
+    assert repr(vars(args)) == repr(vars(want))
+
+
+def test_recognize_reads_every_argv_of_the_benchmark_and_the_readme(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    argvs = [call.argv for build in workloads.WORKLOADS.values() for call in build(1, tmp_path).calls]
+    # the argv of every isogeo command in the README's examples
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n    ", "")
+    readme = [shlex.split(command) for command in re.findall(r"^isogeo (.+)$", text, re.M)]
+    assert len(argvs) == 11 and len(readme) == 6
+    for argv in argvs + readme:
+        args = cli.recognize(argv)
+        assert args is not None, argv
+        assert repr(vars(args)) == repr(vars(cli.build_parser().parse_args(argv)))
