@@ -166,15 +166,14 @@ def _build_minimal_harmonic(kind, params, domain):
         kind, f_expr, domain, "minimal_harmonic", {"f": ex.to_source(f_expr)}
     )
     u0, u1, v0, v1 = domain
-    worst = 0.0
     for uu in grid_values(u0, u1, 15):
         for vv in grid_values(v0, v1, 15):
             jet = patch.jet_kernel(uu, vv)
-            worst = max(worst, abs(jet[15] + jet[17]))  # f_uu + f_vv
-    if worst > 1e-8:
-        raise BadParam(
-            f"minimal_harmonic profile is not harmonic: max |laplacian| = {worst!r}"
-        )
+            lap = jet[15] + jet[17]  # f_uu + f_vv
+            if not abs(lap) <= 1e-8:  # NaN fails too
+                raise BadParam(
+                    f"minimal_harmonic profile is not harmonic: laplacian {lap!r} at ({uu!r}, {vv!r})"
+                )
     return patch
 
 

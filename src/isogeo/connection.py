@@ -171,7 +171,7 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals().update(
         denom_gradient_of_frame=_of_frame(
-            "Exact gradient (d1 denom, d2 denom) in the frame's own coordinates.",
+            "Exact gradient (d1 denom, d2 denom) along u and v.",
             "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
         ),
         coeffs_of_frame=_of_frame(
@@ -186,13 +186,14 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-# column of each PointFrame field in an array of frames, which drops ``kind``
-_COLUMN = {name: i for i, name in enumerate(PointFrame._fields[1:])}
+# column of each PointFrame field in an array of frames, which drops ``kind``,
+# u and v
+_COLUMN = {name: i for i, name in enumerate(PointFrame._fields[3:])}
 
 
 def _frame_arrays(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x_l as [..., l, component] and x_ij as [..., i, j, component], from
-    PointFrame fields after ``kind`` along the last axis."""
+    PointFrame fields after ``kind``, u and v along the last axis."""
     x = frames[..., _COLUMN["x1_x"]:_COLUMN["x22_z"] + 1].reshape(*frames.shape[:-1], 5, 3)
     return x[..., :2, :], x[..., [[2, 3], [3, 4]], :]
 
@@ -204,7 +205,7 @@ _S = {SpaceKind.SIMPLY_ISOTROPIC: (1.0, 1.0), SpaceKind.PSEUDO_ISOTROPIC: (1.0, 
 _THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
 
-# Both connections with exact partials in frame coordinates, at one point
+# Both connections with exact partials along u and v, at one point
 # or, behind a leading point axis, at each point of a batch, whose
 # ``coeffs`` is a tuple: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
 # d_rho and d_h [i, j, k] = d_k F_ij, gamma and xi [i, j, k] = C_ij^k, rho,
@@ -229,14 +230,12 @@ def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
     records in their order, which may come from any patches of either
     space; the records are read, not evaluated again."""
     coeffs, grads, thirds = zip(*records)
-    frames = np.array([c.frame[1:] for c in coeffs])
+    frames = np.array([c.frame[3:] for c in coeffs])
 
     def fields(first: str, last: str) -> np.ndarray:
         return frames[:, _COLUMN[first]:_COLUMN[last] + 1]
 
     third = np.array(thirds).reshape(-1, 3, 4)  # [point, component, number of v's]
-    swapped = [c.frame.swapped for c in coeffs]  # whose first coordinate is v
-    third[swapped] = third[swapped, :, ::-1]
     x3 = np.moveaxis(third[..., _THIRD_INDEX], -4, -1)  # [point, i, j, k, component]
     x1, x2 = _frame_arrays(frames)
     g, h = fields("g11", "g22")[:, _RHO_INDEX], fields("h11", "h22")[:, _RHO_INDEX]

@@ -438,8 +438,9 @@ class Lines:
     ``let`` writes a one-line assignment as its (name, value) pairs, and
     ``line`` a guard, a block or a loop, into which the template formats
     the slots it reads, as one ``Statement``.  A let reads its own targets
-    too, as its text does: m12 = m12_0, which the frame's swap re-assigns,
-    reads m12, so the row kernel places it no earlier than the swap."""
+    too, as its text does, though no kernel needs that: the one let that a
+    later statement re-assigns, a run-time integer power's loop state, is
+    read by that loop itself, which keeps the let in its place."""
 
     def __init__(self, slots=()) -> None:
         self.slots, self.body = dict(slots), []  # statements, and the (name, value) pairs of each let
@@ -447,13 +448,13 @@ class Lines:
     def get(self, names: str) -> list[_Src]:
         return [self.slots.get(n) or _Src(n) for n in names.replace(",", " ").split()]
 
-    def let(self, names: str, *values, bind: bool = False) -> list[_Src]:
+    def let(self, names: str, *values) -> list[_Src]:
         """``names = values``; returns the names' slots.  A value that is a
         name already (ZERO, ONE or a slot) becomes the name's slot, and
-        writes no line unless ``bind`` asks for a name of its own."""
+        writes no line."""
         pairs = []
         for name, value in zip(names.split(", "), map(_src, values)):
-            slot = value.text == name or value.text.isidentifier() and not bind
+            slot = value.text.isidentifier()
             self.slots[name] = value if slot else _Src(name)
             pairs += [] if slot else [(name, value.text)]
         self.body += [pairs] if pairs else []

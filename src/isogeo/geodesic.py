@@ -113,23 +113,19 @@ def _outside(u: float, v: float) -> _Halt:
 
 
 def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
-    """The lets of (u'', v'') = -C_ij^k u'^i u'^j in the caller's parameter
-    order, from the coefficients C_ij^k in the frame's order (the relative
-    xi_ijk or the Levi-Civita ga_ijk), and of the sample's position, parallel
-    residual of gamma'' against xi or (0, 0, 1) and, for the relative
-    connection, denom (None for Levi-Civita); returns both return lines."""
+    """The lets of (u'', v'') = -C_ij^k u'^i u'^j, from the coefficients
+    C_ij^k (the relative xi_ijk or the Levi-Civita ga_ijk), and of the
+    sample's position, parallel residual of gamma'' against xi or (0, 0, 1)
+    and, for the relative connection, denom (None for Levi-Civita); returns
+    both return lines."""
     c = "xi" if relative else "ga"
     c111, c112, c121, c122, c221, c222 = w.get(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222")
-    # (x, y) in the caller's order, the frame's where its lines wrote no swap
-    swap = str(w.get("swapped")[0]) != "False"
-    caller = lambda x, y: (f"({y} if swapped else {x})", f"({x} if swapped else {y})") if swap else (x, y)
-    w1, w2 = w.let("w1, w2", *caller("du", "dv"))
+    w1, w2 = w.get("du dv")
     a1, a2 = w.let(
         "a1, a2",
         -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2),
         -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2),
     )
-    au, av = w.let("au, av", *caller(a1, a2))
     # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
     # component summed left to right
     s11, s12, s22 = w.let("s11, s12, s22", w1 * w1, 2.0 * w1 * w2, w2 * w2)
@@ -140,7 +136,7 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
     normal = w.get("a b xi_z") if relative else ("ZERO", "ZERO", "ONE")
     _residual_lines(w, gamma, normal)
     px, py, pz, denom = w.get("px py pz denom") if relative else [*w.get("px py pz"), "None"]
-    return f"return {au}, {av}", f"return {au}, {av}, {px}, {py}, {pz}, residual, {denom}"
+    return f"return {a1}, {a2}", f"return {a1}, {a2}, {px}, {py}, {pz}, residual, {denom}"
 
 
 def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
@@ -151,10 +147,11 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     frame's NotAdmissible and the relative connection's LightlikePoint, in
     that order.  Compiled on first use, once per patch and connection.
     What (u'', v'') reads, and every guard and block, comes before the
-    ``if not sample:`` return, and what only the sample reads after it.  A
-    block that re-assigns names (the frame's swap, a run-time integer
-    power's loop) reads each line before it that reads one of them, such as
-    m12_0, so a line after the return reads what it read in place."""
+    ``if not sample:`` return, and what only the sample reads after it.  The
+    only blocks that re-assign names, a run-time integer power's loop and
+    its reciprocal, re-assign their own node's names, which no line before
+    them outside the node reads, so a line after the return reads what it
+    read in place."""
     kernel = s.accel_kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE

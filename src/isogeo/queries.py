@@ -29,11 +29,9 @@ class AdmissibilityReport(NamedTuple):
 def normal_curvature(
     s: SurfacePatch, u: float, v: float, w: tuple[float, float]
 ) -> float:
-    """Second fundamental form on a unit tangent direction w = (w1, w2)
-    given in the caller's parameter order."""
+    """Second fundamental form on a unit tangent direction w = (w1, w2)."""
     f = frame_at(s, u, v)
-    w1, w2 = (w[1], w[0]) if f.swapped else (w[0], w[1])
-    wv = np.array([w1, w2])
+    wv = np.array([w[0], w[1]])
     speed2 = float(wv @ f.g @ wv)
     if abs(speed2) <= 1e-12:
         if s.kind is SpaceKind.PSEUDO_ISOTROPIC:
@@ -56,7 +54,7 @@ def is_admissible(s: SurfacePatch, nu: int = 20, nv: int = 20) -> AdmissibilityR
     for uu in grid_values(u0, u1, nu):
         for vv in vs:
             try:
-                m12 = frame_at(s, uu, vv).m12
+                m12 = abs(frame_at(s, uu, vv).m12)
             except NotAdmissible as err:
                 m12 = abs(err.minor)
                 bad.append((uu, vv))

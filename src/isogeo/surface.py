@@ -9,19 +9,19 @@ i and j, so that
     x1 x x2   = (m23, m31, m12)        (Euclidean product)
     x1 x1 x2  = (m23, m13, m12)        (Lorentzian product)
 
-A point is admissible iff m12 != 0 there; the sign convention m12 > 0
-is restored by swapping the roles of the two parameters, and the swap
-is recorded on the frame so downstream index bookkeeping stays
-consistent.  With A = m23/m12 and B = m31/m12 (simply isotropic) or
-B = m13/m12 (pseudo-isotropic), the normalized normal and the Gauss
-map are
+A point is admissible iff m12 != 0 there.  With A = m23/m12 and
+B = m31/m12 (simply isotropic) or B = m13/m12 (pseudo-isotropic), the
+normalized normal and the Gauss map are
 
     n_h = (A, B, 1)
     xi  = (A, B, (1 - (A^2 +/- B^2)) / 2)
 
 xi lands on the unit sphere of parabolic type; it shares its top view
 with n_h and differs from it only by the vertical shift that keeps
-{x1, x2, xi} a basis at every admissible point.  Second-fundamental
+{x1, x2, xi} a basis at every admissible point.  Exchanging u and v
+negates m12, m23 and m31 alike, so A, B, xi, K, H and the class need no
+sign convention on m12: every quantity is in the caller's (u, v) order,
+and m12 keeps its own sign.  Second-fundamental
 coefficients are h_ij = <n_h, x_ij> with the background (Euclidean or
 Lorentzian) product.  The shape-operator coefficient matrix ``a_mat``
 follows L(x_i) = -a_mat[i, k] x_k, equivalently h = -(a_mat @ g); the
@@ -162,7 +162,7 @@ class PointFrame(NamedTuple):
     """Everything pointwise at one admissible point, as Python floats.
 
     Vectors are stored as their three components (``x1_x, x1_y, x1_z``
-    for x1, and so on), in the frame's own parameter order; ``position``,
+    for x1, and so on), in the caller's (u, v) order; ``position``,
     ``x1``, ``x2``, ``x11``, ``x12``, ``x22``, ``xi`` and ``n_h`` build a
     ``Vec3`` from them on each access.  The metric and the second
     fundamental form are stored as their three independent entries (both
@@ -175,7 +175,6 @@ class PointFrame(NamedTuple):
     kind: SpaceKind
     u: float
     v: float
-    swapped: bool  # parameters were exchanged to make m12 > 0
     p_x: float  # position
     p_y: float
     p_z: float
@@ -313,46 +312,25 @@ def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
 # lines name them
 JET_NAMES = "px xu xv xuu xuv xvv py yu yv yuu yuv yvv pz zu zv zuu zuv zvv".split()
 FRAME_NAMES = (
-    "kind, u, v, swapped, px, py, pz, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, "
+    "kind, u, v, px, py, pz, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, "
     "xuv, yuv, zuv, xvv, yvv, zvv, m12, m23, m31, g11, g12, g22, det_g, a, b, xi_z, h11, h12, h22"
 )
 FRAME_GLOBALS = {"math": math, "ADMISSIBILITY_RTOL": ADMISSIBILITY_RTOL, "NotAdmissible": NotAdmissible}
-
-
-# the slots that the parameter swap exchanges, pair by pair: the first
-# partials, then the second
-_SWAP_PAIRS = (("xu xv", "yu yv", "zu zv"), ("xuu xvv", "yuu yvv", "zuu zvv"))
 
 
 def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
     """The frame's arithmetic in ``kind``'s space, written into ``w`` from
     the ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only
     copy: ``frame_of_jet`` runs its lines over plain names, and the fused
-    point kernels over the jet's slots, through ``point_lines``.  The
-    parameter swap is written only where m12 is not the structural ONE,
-    and a pair it exchanges stays ZERO or ONE only where both hold it."""
+    point kernels over the jet's slots, through ``point_lines``.  Every
+    line reads the jet in the caller's (u, v) order, and m12 keeps its sign."""
     simply = kind is SpaceKind.SIMPLY_ISOTROPIC
 
     def dot(p, q):  # the background product of two top views
         return p[0] * q[0] + p[1] * q[1] if simply else p[0] * q[0] - p[1] * q[1]
 
-    xu, xv, yu, yv = w.get("xu xv yu yv")
-    if str(xu * yv - xv * yu) == "ONE":
-        w.let("swapped, m12", "False", "ONE")
-    else:
-        # a pair gets names, unless both hold the same ZERO or ONE
-        same = lambda p, q: str(w.get(p)[0]) == str(w.get(q)[0]) in ("ZERO", "ONE")
-        pairs = [[(p, q) for p, q in map(str.split, order) if not same(p, q)] for order in _SWAP_PAIRS]
-        names = [n for order in pairs for pq in order for n in pq]
-        w.let(", ".join(names), *w.get(" ".join(names)), bind=True)
-        xu, xv, yu, yv = w.get("xu xv yu yv")
-        # the minor before the swap, which no line re-assigns
-        w.let("m12_0", xu * yv - xv * yu, bind=True)
-        w.let("m12", "m12_0", bind=True)
-        swaps = [", ".join(f"{p}, {q}" for p, q in o) + " = " + ", ".join(f"{q}, {p}" for p, q in o) for o in pairs if o]
-        w.line("if m12_0 < 0.0:", *(f"    {x}" for x in swaps), "    m12 = -m12_0")
-        w.let("swapped", "m12_0 < 0.0")
-    xu, xv, yu, yv, zu, zv, m12 = w.get("xu xv yu yv zu zv m12")
+    xu, xv, yu, yv, zu, zv = w.get("xu xv yu yv zu zv")
+    (m12,) = w.let("m12", xu * yv - xv * yu)
     # m12 is a minor of the top views alone, so it is judged against their
     # lengths; z-derivatives (and isotropic shears z -> z + c1 x) do not
     # enter.  A zero minor fails at any scale, also at the nan scale inf * 0

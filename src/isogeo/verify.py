@@ -173,10 +173,10 @@ def _sample(
         try:
             if denom_guard is None:
                 record = f = frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
-                floats = f[4:]
+                floats = f[3:]
             else:
                 record = coeffs, grad, thirds = sample_at(patch, u, v)
-                floats = (*coeffs.frame[4:], *thirds)
+                floats = (*coeffs.frame[3:], *thirds)
         except IsoGeoError:
             continue
         if not all(map(math.isfinite, floats)):

@@ -6,30 +6,18 @@ included; and the frames of the fused point kernels, from those jets."""
 from __future__ import annotations
 
 import jets
-from jets import ONE, ZERO, Jet2
+from jets import Jet2
 from isogeo.expr import Binary, Const, Expr, Unary, Var
 from isogeo.surface import PointFrame, SurfacePatch, frame_of_jet
 
-# the positions, in the 18 jet floats, of the pairs of partials that the
-# parameter swap exchanges
-_SWAP_PAIRS = ((1, 2), (7, 8), (13, 14), (3, 5), (9, 11), (15, 17))
-
-
 def frame(s: SurfacePatch, u: float, v: float) -> PointFrame:
     """The frame at (u, v) that the fused point kernels compute: the
-    structural jets of x, y and z, with the kernels' parameter swap, run
-    through ``frame_of_jet``, whose floats skip what the jets' ZERO and ONE
-    skip.  Where m12 is not the structural ONE the swap is written, and a
-    pair it exchanges keeps its ZERO or ONE only where both hold the same;
-    any other becomes a plain float before m12 is formed."""
+    structural jets of x, y and z run through ``frame_of_jet``, whose
+    floats skip what the jets' ZERO and ONE skip."""
     jet = [
         x for e in (s.x_expr, s.y_expr, s.z_expr)
         for j in (eval_jet2(e, u, v),) for x in (j.val, j.du, j.dv, j.duu, j.duv, j.dvv)
     ]
-    if jet[1] * jet[8] - jet[2] * jet[7] is not ONE:
-        for i, k in _SWAP_PAIRS:
-            if not (jet[i] is jet[k] and (jet[i] is ZERO or jet[i] is ONE)):
-                jet[i], jet[k] = float(jet[i]), float(jet[k])
     return frame_of_jet(s.kind, u, v, jet)
 
 

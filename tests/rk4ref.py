@@ -61,11 +61,9 @@ def eval_point(s, gkind, u, v):
 def rhs(s, gkind, state):
     u, v, du, dv = state
     f, (c111, c112, c121, c122, c221, c222) = eval_point(s, gkind, u, v)
-    w1, w2 = (dv, du) if f.swapped else (du, dv)
-    a1 = -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2)
-    a2 = -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2)
-    au, av = (a2, a1) if f.swapped else (a1, a2)
-    return (du, dv, float(au), float(av)), f, (w1, w2, a1, a2)
+    a1 = -(c111 * du * du + 2.0 * c121 * du * dv + c221 * dv * dv)
+    a2 = -(c112 * du * du + 2.0 * c122 * du * dv + c222 * dv * dv)
+    return (du, dv, float(a1), float(a2)), f, (du, dv, a1, a2)
 
 
 def rk4_step(s, gkind, y, h, k1):

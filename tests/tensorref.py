@@ -50,8 +50,8 @@ def denom_at(s, u: float, v: float) -> float:
 
 
 def denom_gradient_by_minors(f: PointFrame) -> tuple[float, float]:
-    """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 in the frame's own
-    coordinates.  A = m23/m12 and B = +/-m31/m12, so only the minors'
+    """Exact gradient of denom = (1 + A^2 +/- B^2) / 2 along u and v.
+    A = m23/m12 and B = +/-m31/m12, so only the minors'
     derivatives are needed, and the 2-jet gives those."""
     x1, x2 = (f.x1_x, f.x1_y, f.x1_z), (f.x2_x, f.x2_y, f.x2_z)
 
@@ -90,8 +90,6 @@ def coeff_derivatives_at(s, u: float, v: float) -> CoeffDerivatives:
     f = frame_of_jet(s.kind, u, v, jet[:18])
     c = coeffs_of_frame(f)
     third = np.array(jet[18:]).reshape(3, 4)  # [component, number of v's]
-    if f.swapped:
-        third = third[:, ::-1]
     x3 = np.moveaxis(third[:, _THIRD_INDEX], 0, -1)  # [i, j, k, component]
     x1, x2 = _frame_arrays(f)
     m_inv = np.array([[f.x2_y, -f.x2_x], [-f.x1_y, f.x1_x]]) / f.m12

@@ -126,6 +126,15 @@ def test_bad_params():
         catalog.make("plane", I3, {"a": 0, "b": 0, "c": 0}, domain=(2.0, 1.0, 0.0, 1.0))
 
 
+# f_uu + f_vv overflows to inf - inf = NaN at every grid point
+NAN_LAPLACIAN = "1e300*1e300*(u*u - v*v) + u*u"
+
+
+def test_minimal_harmonic_rejects_a_laplacian_that_is_not_finite():
+    with pytest.raises(BadParam, match="not harmonic: laplacian nan at"):
+        catalog.make("minimal_harmonic", I3, {"f": NAN_LAPLACIAN})
+
+
 def test_domain_override():
     patch = catalog.make("parabolic_sphere", I3, {"p": 1.0}, domain=(-1, 1, -1, 1))
     assert patch.domain == (-1.0, 1.0, -1.0, 1.0)

@@ -1315,18 +1315,30 @@ def test_curvature_compiles_once_and_calls_the_kernel_once_per_u_row(tmp_path, m
     assert calls == [(u, repr(u), *table) for u in srf.grid_values(-3.0, 3.0, 7)]
 
 
+def test_a_minimal_harmonic_profile_with_a_nan_laplacian_is_a_spec_error(tmp_path, capsys):
+    # f_uu + f_vv is inf - inf = NaN at every grid point: not harmonic
+    f = "1e300*1e300*(u*u - v*v) + u*u"
+    spec = write_spec(tmp_path, {"space": "i3", "surface": {"kind": "builtin", "name": "minimal_harmonic", "params": {"f": f}}})
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == cli.EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not harmonic" in err, err
+    assert not out.exists()
+
+
 def test_curvature_keeps_the_admissibility_guard_of_an_overflowing_cylinder(tmp_path, capsys):
     # r = 1e308: the jet's structural zeros meet partials near overflow;
-    # the frame lines' guard still decides u = 0, and K is undefined at
-    # u = +-2, as before the jet lines skipped them
+    # x_v and y_v are the structural 0, so m12 is 0 at every u, also at
+    # u = +-2 where x_u overflows, and every row is inadmissible, as the
+    # catalog's "nowhere admissible" says
     surface = {"kind": "builtin", "name": "cylindrical_sphere", "params": {"r": 1e308}}
     spec = write_spec(tmp_path, {"space": "ip3", "surface": surface})
     out = tmp_path / "curv.csv"
     assert cli.main(["curvature", spec, "--grid", "3x3", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rows = [cli.CURVATURE_HEADER]
-    for u, label in ((-2.0, "undefined"), (0.0, "inadmissible"), (2.0, "undefined")):
-        rows += [f"{u!r},{v!r},,,,,,,{label},,," for v in (-1.0, 0.0, 1.0)]
+    for u in (-2.0, 0.0, 2.0):
+        rows += [f"{u!r},{v!r},,,,,,,inadmissible,,," for v in (-1.0, 0.0, 1.0)]
     assert out.read_text() == "\n".join(rows) + "\n"
 
 
@@ -1334,14 +1346,14 @@ def test_a_zero_minor_is_inadmissible_where_a_top_view_length_overflows(tmp_path
     # r = 1e308: at u = +-1 the top view of x_u is finite but its length is
     # not, and x_v's is 0, so the guard's scale is inf * 0 = nan; the minor
     # m12 = 0 must fail the guard there, as it does at r = 1, rather than
-    # divide by zero (u = +-2 stay undefined: there m12 itself is nan)
+    # divide by zero; at u = +-2, where x_u overflows, m12 is still the
+    # structural 0 (x_v and y_v are), so those rows are inadmissible too
     surface = {"kind": "builtin", "name": "cylindrical_sphere", "params": {"r": 1e308}}
     spec = write_spec(tmp_path, {"space": "ip3", "surface": surface})
     out = tmp_path / "curv.csv"
     assert cli.main(["curvature", spec, "--grid", "5x3", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    labels = ["undefined"] + ["inadmissible"] * 3 + ["undefined"]
-    assert [row["class"] for row in read_rows(out)] == [label for label in labels for _ in range(3)]
+    assert [row["class"] for row in read_rows(out)] == ["inadmissible"] * 15
 
     trace = str(tmp_path / "trace.csv")
     argv = ["geodesic", spec, "--start=1.0,0.0", "--velocity=0.0,1.0", "--t-end", "0.1", "--out", trace]
@@ -1449,7 +1461,7 @@ def test_geodesic_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 
 def test_curvature_and_sample_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # the kernels' liveness pass keeps its names in sets: fresh processes
-    # under two hash seeds write the same bytes, on a graph, the swapped
+    # under two hash seeds write the same bytes, on a graph, the parametric
     # helicoid and a graph with a folded power and undefined points
     specs = {"sphere": SPHERE_SPEC, "helicoid": HELICOID_SPEC, "power": VV_SPEC}
     for name, spec in specs.items():

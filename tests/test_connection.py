@@ -212,7 +212,7 @@ def _guarded_points(patch, rng, n):
 def test_exact_partials_match_the_reference_stencil(seed):
     rng = SplitMix64(seed)
     patches = list(verify.verification_patches()) + [
-        srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1 + u^3/9", (-4, 4, -4, 4)),  # swapped
+        srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1 + u^3/9", (-4, 4, -4, 4)),  # m12 = -1
     ]
     for patch in patches:
         for u, v in _guarded_points(patch, rng, 4):
@@ -277,14 +277,12 @@ def test_tensors_exact_beside_a_fold():
 def test_denom_gradient_matches_central_differences(seed):
     rng = SplitMix64(seed)
     patches = catalog_patches() + [
-        srf.parametric_patch(IP3, "v", "u", "u^3/3 + u*v^2", (-2, 2, -2, 2)),  # swapped
+        srf.parametric_patch(IP3, "v", "u", "u^3/3 + u*v^2", (-2, 2, -2, 2)),  # m12 = -1
     ]
     h = 1e-5
     for patch in patches:
         for u, v in _interior_points(patch, rng, 4):
-            f = srf.frame_at(patch, u, v)
-            g1, g2 = con.denom_gradient_of_frame(f)
-            gu, gv = (g2, g1) if f.swapped else (g1, g2)
+            gu, gv = con.denom_gradient_of_frame(srf.frame_at(patch, u, v))
             fd_u = (tensorref.denom_at(patch, u + h, v) - tensorref.denom_at(patch, u - h, v)) / (2 * h)
             fd_v = (tensorref.denom_at(patch, u, v + h) - tensorref.denom_at(patch, u, v - h)) / (2 * h)
             scale = 1.0 + abs(fd_u) + abs(fd_v)
@@ -292,27 +290,28 @@ def test_denom_gradient_matches_central_differences(seed):
 
 
 @pytest.mark.parametrize("kind", [I3, IP3])
-@pytest.mark.parametrize("graph, swap", [(True, False), (False, False), (False, True)])
-def test_denom_gradient_matches_the_minor_derivatives(kind, graph, swap):
+@pytest.mark.parametrize("graph, reverse", [(True, False), (False, False), (False, True)])
+def test_denom_gradient_matches_the_minor_derivatives(kind, graph, reverse):
     # the gradient read off the Gauss map's derivative against the
     # derivatives of the minors, on random surfaces
     rng = SplitMix64(41)
-    frames = swapped = 0
+    frames = negative = 0
     for seed in range(40):
-        patch = _random_patch(1000 + seed, kind, graph, swap)
+        patch = _random_patch(1000 + seed, kind, graph, reverse)
         for _ in range(30):
             try:
                 f = srf.frame_at(patch, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             except IsoGeoError:
                 continue
-            if not all(map(np.isfinite, f[4:])):
+            if not all(map(np.isfinite, f[3:])):
                 continue
             got, want = con.denom_gradient_of_frame(f), tensorref.denom_gradient_by_minors(f)
             err = max(abs(g - w) / (1.0 + np.hypot(*want)) for g, w in zip(got, want))
             assert err <= 1e-12, (patch.name, f.u, f.v, got, want)
             frames += 1
-            swapped += f.swapped
-    assert frames >= 300 and (swapped > frames // 2 if swap else swapped < frames // 2)
+            negative += f.m12 < 0.0
+    # m12 < 0 on more than half the frames of the reversed charts only
+    assert frames >= 300 and (negative > frames // 2 if reverse else negative < frames // 2)
 
 
 def test_lightlike_point_raises():
@@ -340,10 +339,10 @@ def test_tensors_exact_at_domain_edge():
 
 
 def test_swapped_parameterization_keeps_identities():
-    # reversed parameter roles force the orientation swap; all identities
-    # must survive the index relabeling, including the FD direction map
+    # reversed parameter roles make m12 = -1; all identities hold in the
+    # caller's order with the minor's own sign
     swapped = srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1", (-4, 4, -4, 4))
-    assert srf.frame_at(swapped, 1.0, -0.7).swapped
+    assert srf.frame_at(swapped, 1.0, -0.7).m12 == -1.0
     res = con.egregium_check(swapped, 1.0, -0.7)
     assert abs(res.k_extrinsic - 0.25) < 1e-12
     assert res.rel_err <= 1e-5
@@ -456,16 +455,16 @@ def _assert_batch_matches_reference(patch, points):
     return b
 
 
-def _random_patch(seed, kind, graph, swap):
+def _random_patch(seed, kind, graph, reverse):
     """``tests/genexpr.py`` surfaces as in test_frame.py: the graph of a
     random expression, or x = e1 + s, y = e2 + t with (s, t) = (v, u)
-    when ``swap``, which makes most frames swapped."""
+    when ``reverse``, which makes m12 < 0 at most points."""
     rng = SplitMix64(seed)
     term = lambda: Binary("*", random_expr(rng, 2), random_expr(rng, 2))
     z = Binary("+", term(), random_expr(rng, 3))
     if graph:
         return srf.graph_patch(kind, z, (-1.5, 1.5, -1.5, 1.5))
-    s, t = (Var("v"), Var("u")) if swap else (Var("u"), Var("v"))
+    s, t = (Var("v"), Var("u")) if reverse else (Var("u"), Var("v"))
     x, y = Binary("+", term(), s), Binary("+", term(), t)
     return srf.parametric_patch(kind, x, y, z, (-1.5, 1.5, -1.5, 1.5))
 
@@ -493,12 +492,12 @@ def test_batch_one_past_the_block_matches_the_per_point_reference():
             if not isinstance(_per_point(patch, [(u, v)]), tuple):
                 points.append((u, v))
         cases.append((patch, points))
-    swapped = 0
+    negative = 0
     for patch, points in cases:
         b = _assert_batch_matches_reference(patch, points)
         assert b.d_xi.shape == (n, 2, 2, 2, 2)
-        swapped += sum(c.frame.swapped for c in b.coeffs)
-    assert swapped > 0
+        negative += sum(c.frame.m12 < 0.0 for c in b.coeffs)
+    assert negative > 0
 
 
 @pytest.mark.parametrize(
@@ -535,7 +534,8 @@ def _point_values(b):
 
 def test_a_block_of_many_patches_gives_each_point_its_own_patch_s_bits():
     # the records of the catalog and of two random surfaces, one of them
-    # mostly swapped, interleaved so that no two neighbours share a patch
+    # with m12 < 0 at most points, interleaved so that no two neighbours
+    # share a patch
     rng = SplitMix64(31)
     patches = [*verify.verification_patches(), _random_patch(3, IP3, False, True), _random_patch(4, I3, True, False)]
     n = 5
@@ -543,7 +543,7 @@ def test_a_block_of_many_patches_gives_each_point_its_own_patch_s_bits():
     order = [(p, i) for i in range(n) for p in range(len(patches))]
     mixed = con.coeff_derivatives([records[p][i] for p, i in order])
     assert {c.frame.kind for c in mixed.coeffs} == {I3, IP3}
-    assert any(c.frame.swapped for c in mixed.coeffs)
+    assert any(c.frame.m12 < 0.0 for c in mixed.coeffs)
     own = [_point_values(con.coeff_derivatives(r)) for r in records]
     for got, (p, i) in zip(_point_values(mixed), order):
         assert got == own[p][i]

@@ -39,9 +39,6 @@ def reference(patch, u, v, tol=1e-9):
     # rows x, y, z; columns val, du, dv, duu, duv, dvv
     jet = np.array([j[0:6], j[6:12], j[12:18]])
     x1, x2, x11, x12, x22 = (jet[:, k] for k in range(1, 6))
-    swapped = bool(np.cross(x1, x2)[2] < 0.0)
-    if swapped:
-        x1, x2, x11, x22 = x2, x1, x22, x11
     m23, m31, m12 = np.cross(x1, x2)
     # m12 is judged against the lengths of the top views only
     scale = 1.0 + math.hypot(float(x1[0]), float(x1[1])) * math.hypot(float(x2[0]), float(x2[1]))
@@ -101,7 +98,6 @@ def reference(patch, u, v, tol=1e-9):
     elif label is srf.CurvatureClass.UMBILIC:
         kappas = [h_mean] * 3
     return {
-        "swapped": swapped,
         "minors": bits((m12, m23, m31)),
         "g": bits(g.ravel()),
         "g_inv": bits(g_inv.ravel()),
@@ -124,7 +120,6 @@ def from_frame(patch, u, v):
     except LightlikePoint:
         coeffs = "lightlike"
     return {
-        "swapped": f.swapped,
         "minors": bits((f.m12, f.m23, f.m31)),
         "g": bits((f.g11, f.g12, f.g12, f.g22)),
         "g_inv": bits(f.g_inv.ravel()),
@@ -163,7 +158,7 @@ def random_patches(seed, count):
 
 def test_float_frame_matches_numpy_reference_on_random_patches():
     rng = SplitMix64(20261018)
-    seen = {"swapped": 0, "plain": 0, "inadmissible": 0}
+    seen = {"reversed": 0, "plain": 0, "inadmissible": 0}
     for patch in random_patches(5, 150):
         for _ in range(4):
             u, v = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
@@ -172,13 +167,13 @@ def test_float_frame_matches_numpy_reference_on_random_patches():
             assert got == want, (patch, u, v)
             # the arrays of the frame are its scalars
             if isinstance(got, dict):
-                seen["swapped" if got["swapped"] else "plain"] += 1
+                seen["reversed" if float(got["minors"][0]) < 0.0 else "plain"] += 1
                 f = srf.frame_at(patch, u, v)
                 assert bits(f.g.ravel()) == got["g"] and bits(f.h.ravel()) == got["h"]
             else:
                 seen["inadmissible"] += 1
-    # both orientations occur in earnest
-    assert seen["swapped"] >= 100 and seen["plain"] >= 300, seen
+    # both orientations occur in earnest: m12 < 0 and m12 > 0
+    assert seen["reversed"] >= 100 and seen["plain"] >= 300, seen
 
 
 @pytest.mark.parametrize(
@@ -320,27 +315,26 @@ def test_per_point_path_builds_no_ndarray(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [I3, IP3])
-@pytest.mark.parametrize("swapped", [False, True])
-def test_vector_properties_are_the_stored_floats(kind, swapped):
+@pytest.mark.parametrize("reversed_chart", [False, True])
+def test_vector_properties_are_the_stored_floats(kind, reversed_chart):
     x, y = "u + 0.1*v^2", "v - 0.2*u*v"
-    if swapped:  # m12 < 0, so the frame exchanges u and v
+    if reversed_chart:  # m12 < 0, and the frame keeps the caller's u and v
         x, y = y, x
     patch = srf.parametric_patch(kind, x, y, "u^3*v + cos(u*v)", (0.1, 1.0, 0.1, 1.0))
     f = srf.frame_at(patch, 0.4, 0.7)
-    assert f.swapped is swapped
+    assert (f.m12 < 0.0) is reversed_chart
     jet = patch.jet_kernel(0.4, 0.7)  # (val, du, dv, duu, duv, dvv) of x, y, z
 
     def partial(i):
         return tuple(jet[6 * c + i] for c in range(3))
 
-    d1, d2, d11, d22 = (2, 1, 5, 3) if swapped else (1, 2, 3, 5)
     expected = {
         "position": ("p", partial(0)),
-        "x1": ("x1", partial(d1)),
-        "x2": ("x2", partial(d2)),
-        "x11": ("x11", partial(d11)),
+        "x1": ("x1", partial(1)),
+        "x2": ("x2", partial(2)),
+        "x11": ("x11", partial(3)),
         "x12": ("x12", partial(4)),
-        "x22": ("x22", partial(d22)),
+        "x22": ("x22", partial(5)),
         "xi": ("xi", (f.m23 / f.m12, (1.0 if kind is I3 else -1.0) * f.m31 / f.m12, f.xi_z)),
     }
     for name, (prefix, floats) in expected.items():

@@ -382,7 +382,7 @@ def _rk4_cases():
             ("sphere", sphere, gkind, (0.3, -0.2, 0.7, 0.4, 1.0, 1e-2), None),
             ("sheared-i3", srf.parametric_patch(I3, *sheared, box), gkind, walk, None),
             ("sheared-ip3", srf.parametric_patch(IP3, *sheared, box), gkind, walk, None),
-            # m12 = -1, so the frame swaps the parameters; g12 = 0.3
+            # m12 = -1, which the frame keeps with its sign; g12 = 0.3
             ("swapped", srf.parametric_patch(I3, "v + 0.3*u", "u", "u^2/3 + u*v/5", box), gkind, walk, None),
             # the fourth stage of the step from u = 0.95 lands on u = 1.05
             ("left", srf.graph_patch(I3, "0.1*u", (0.0, 1.0, 0.0, 1.0)), gkind,

@@ -31,6 +31,7 @@ import statementref
 from jet2ref import eval_jet2
 from jet3 import walk3
 from isogeo import catalog, cli, rows, verify
+from isogeo import connection as con
 from isogeo import expr as ex
 from isogeo import geodesic as geo
 from isogeo import surface as srf
@@ -646,13 +647,61 @@ def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
             assert "    return ZERO, ZERO" in body
 
 
+def _every_body(monkeypatch, patch) -> dict:
+    """The body lines of every function compiled for ``patch``: its jet
+    kernels of orders 2 and 3 (from a cold cache), the row kernel, its
+    columns, ``everywhere`` and both stage kernels."""
+    bodies = {}
+    real = ex.compile_function
+
+    def recording(signature, lines, namespace):
+        bodies[f"{signature.partition('(')[0]} #{len(bodies)}"] = list(lines)
+        return real(signature, lines, namespace)
+
+    monkeypatch.setattr(ex, "compile_function", recording)
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})
+    for order in (2, 3):
+        ex.compile_jet((patch.x_expr, patch.y_expr, patch.z_expr), order)
+    everywhere = rows.row_kernel(patch)[2]
+    everywhere(0.0, "0.0", (), [])  # compiled on its first call
+    for g in geo.GeodesicKind:
+        geo._accel_kernel(patch, g)
+    return bodies
+
+
+def test_no_kernel_binds_or_swaps(monkeypatch):
+    # every frame and coefficient is in the caller's (u, v) order, so no
+    # body names a jet quantity of its own: no line assigns a jet name (the
+    # frame lines read the jet's slots, structural ZERO and ONE included),
+    # and none names swapped or m12_0.  The generic functions of a jet or a
+    # frame assign jet names only where they unpack their argument, before
+    # the lines of their templates
+    generic = {
+        "frame_of_jet": srf.by_kind(srf.frame_lines),
+        "gaussian_curvature": ex.template_lines(srf.gaussian_lines),
+        "curvatures_of_frame": ex.template_lines(srf.curvature_lines),
+        "coeffs_of_frame": [*ex.template_lines(con.gamma_lines), *srf.by_kind(con.relative_lines)],
+        "denom_gradient_of_frame": list(con.DENOM_GRADIENT_LINES),
+    }
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
+    bodies = list(generic.items())
+    with monkeypatch.context() as m:
+        for k, patch in enumerate(patches + random_patches(3000, 150)):
+            bodies += [((k, label), body) for label, body in _every_body(m, patch).items()]
+    assert len(bodies) == 5 + 8 * (len(patches) + 150)
+    for label, body in bodies:
+        assert not _stored_names(body) & set(srf.JET_NAMES), label
+        assert not re.search(r"\b(swapped|m12_0)\b", "\n".join(body)), label
+
+
 def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_reference():
     # on the catalog and 200 random patches: the lines before the
     # ``if not sample:`` return are at most those that the reference pass
     # leaves there on the kernel's whole body, and no name is assigned on
     # both sides of the return.  The split rests on this: a let that reads
-    # a name which a later block re-assigns (m12_0, before the frame's swap)
-    # stays before the return, where it reads what it read in place
+    # a name which a later block re-assigns (the state of a run-time integer
+    # power, before its loop) stays before the return, where it reads what
+    # it read in place
     patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
     for patch in patches + random_patches(3000, 200):
         for g in geo.GeodesicKind:

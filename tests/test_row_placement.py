@@ -21,17 +21,18 @@ I3, IP3 = SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC
 BOX = (-1.0, 1.0, -1.0, 1.0)
 
 # grids through u = 0 and v = 0, where these surfaces are undefined,
-# inadmissible or swapped on part of the grid
+# inadmissible or of negative m12 on part of the grid
 HAND_WRITTEN = {
     # log(u): a guard that reads u only, undefined on the rows u <= 0, which
-    # the kernel runs before the row's loop; m12 = 3 v^2 is 0 on v = 0,
-    # inadmissible there in the other rows
+    # the kernel runs before the row's loop; m12 = 3 v^2 reads v only, so
+    # the column table runs its guard, which raises on v = 0 (inadmissible
+    # there in the rows u > 0), and every row falls back
     "u-guard": srf.parametric_patch(I3, "u", "v^3", "log(u) + u*v", BOX),
     # log(v): a guard that reads v only, undefined on the columns v <= 0,
     # which the column table runs
     "v-guard": srf.graph_patch(I3, "log(v) + u*v", BOX),
-    # m12 = u + 3 v^2: the parameters swap where it is negative, on part of
-    # the grid, and the points where it is 0 are inadmissible
+    # m12 = u + 3 v^2: negative on part of the grid, and the points where it
+    # is 0 are inadmissible
     "swap": srf.parametric_patch(IP3, "u", "u*v + v^3", "u^2 - v^2 + u*v", BOX),
     # z = inf * u: the position is not finite, and the points where m12 =
     # u + 3 v^2 is 0 are inadmissible first, by the earlier admissibility test
@@ -77,7 +78,7 @@ def test_the_placed_rows_are_those_of_every_statement_at_every_point():
 
 
 @pytest.mark.parametrize("name, ran, classes", [
-    ("u-guard", "row", {"inadmissible", "undefined", "diagonalizable"}),
+    ("u-guard", "grid", {"inadmissible", "undefined", "diagonalizable"}),
     ("v-guard", "grid", {"undefined", "diagonalizable"}),
     ("swap", "placed", {"inadmissible", "diagonalizable", "complex_principal", "umbilic"}),
     ("position", "placed", {"inadmissible", "undefined"}),
@@ -90,8 +91,8 @@ def test_the_hand_written_grids_cross_their_regions(name, ran, classes):
     assert classes <= {row.split(",")[8] for row in "".join(placed).splitlines()}
     if name == "swap":
         grid = srf.grid_values(-1.0, 1.0, 9)
-        swapped = {srf.frame_at(HAND_WRITTEN[name], u, v).swapped for u in grid for v in grid if u + 3 * v * v}
-        assert swapped == {False, True}
+        negative = {srf.frame_at(HAND_WRITTEN[name], u, v).m12 < 0.0 for u in grid for v in grid if u + 3 * v * v}
+        assert negative == {False, True}
 
 
 def curvature_bytes(monkeypatch, tmp_path, patch, cpus, everywhere):

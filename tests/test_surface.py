@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from genexpr import random_patches
 from jet2ref import eval_jet2
 from isogeo import catalog
+from isogeo import expr as ex
 from isogeo import isotropy as iso
 from isogeo import surface as srf
 from isogeo import verify
-from isogeo.errors import LightlikeDirection, NotAdmissible, WrongSpace
+from isogeo.errors import IsoGeoError, LightlikeDirection, NotAdmissible, WrongSpace
 from isogeo.isotropy import Motion, SpaceKind, Vec3
 from isogeo.rng import SplitMix64
+from test_kernel import CATALOG_CASES, CATALOG_PARAMS
 
 I3 = SpaceKind.SIMPLY_ISOTROPIC
 IP3 = SpaceKind.PSEUDO_ISOTROPIC
@@ -26,7 +29,7 @@ def test_sphere_apex_frame():
     assert np.allclose(f.g, np.eye(2))
     assert np.allclose(f.h, 0.5 * np.eye(2))
     assert f.n_h == Vec3(0.0, 0.0, 1.0)
-    assert not f.swapped
+    assert f.m12 == 1.0
 
 
 def test_sphere_offcenter_gauss_map():
@@ -222,17 +225,78 @@ def test_lightlike_points_wrong_space():
         srf.lightlike_points(sphere_i3(), 5, 5)
 
 
-def test_parameter_swap_restores_orientation():
-    # same sphere with the parameter roles reversed: m12 = -1 before the swap
-    swapped_def = srf.parametric_patch(I3, "v", "u", "(v^2 + u^2)/4 - 1", (-4, 4, -4, 4))
-    f = srf.frame_at(swapped_def, 1.0, -0.7)
-    assert f.swapped and f.m12 > 0.0
-    rep = srf.curvatures_at(swapped_def, 1.0, -0.7)
-    assert abs(rep.K - 0.25) < 1e-12
-    assert abs(rep.H - 0.5) < 1e-12
-    assert rep.label is srf.CurvatureClass.UMBILIC
-    reference = srf.frame_at(sphere_i3(), -0.7, 1.0)
-    assert iso.norm_euclid(f.xi - reference.xi) < 1e-14
+def bits(values):
+    return [repr(x) for x in values]
+
+
+_EXCHANGE = {"u": ex.Var("v"), "v": ex.Var("u")}
+
+
+def reversed_chart(p):
+    """q(u, v) = p(v, u): the same surface with the parameters exchanged."""
+    u0, u1, v0, v1 = p.domain
+    x, y, z = (ex.substitute(e, _EXCHANGE) for e in (p.x_expr, p.y_expr, p.z_expr))
+    return srf.parametric_patch(p.kind, x, y, z, (v0, v1, u0, u1))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IsoGeoError as err:
+        return type(err).__name__
+
+
+def test_chart_reversal_is_an_exact_invariant():
+    # exchanging u and v negates m12, m23 and m31 alike and exchanges the
+    # indices of g and h, so the Gauss map, K and the class do not move; H
+    # sums the terms of its numerator in the other order.  The jets are
+    # mirror images bit for bit, but for the mixed third partials: the chain
+    # rule forms a_u a_u a_v and a_u a_v a_v with different groupings
+    rng = SplitMix64(35)
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
+    frames = 0
+    for p in patches + random_patches(3000, 150):
+        q = reversed_chart(p)
+        u0, u1, v0, v1 = p.domain
+        for _ in range(25):
+            u, v = rng.uniform(u0, u1), rng.uniform(v0, v1)
+            jp, jq = _outcome(p.jet3_kernel, u, v), _outcome(q.jet3_kernel, v, u)
+            if isinstance(jp, str):
+                assert jq == jp, (p, u, v)
+                continue
+            for c in range(3):
+                val, du, dv, duu, duv, dvv = jp[6 * c:6 * c + 6]
+                uuu, uuv, uvv, vvv = jp[18 + 4 * c:22 + 4 * c]
+                assert bits(jq[6 * c:6 * c + 6]) == bits((val, dv, du, dvv, duv, duu)), (p, u, v)
+                got = jq[18 + 4 * c:22 + 4 * c]
+                assert bits(got[::3]) == bits((vvv, uuu)), (p, u, v)
+                scale = 1e-11 * (1.0 + max(map(abs, (val, du, dv, duu, duv, dvv, uuu, uuv, uvv, vvv))))
+                for x, y in zip(got[1:3], (uvv, uuv)):
+                    assert bits([x]) == bits([y]) or abs(x - y) <= scale, (p, u, v, x, y)
+            fp, fq = _outcome(srf.frame_at, p, u, v), _outcome(srf.frame_at, q, v, u)
+            if isinstance(fp, str):
+                assert fq == fp, (p, u, v)
+                continue
+            assert fq.m12 == -fp.m12 or math.isnan(fp.m12) and math.isnan(fq.m12), (p, u, v)
+            frames += 1
+            cp, cq = _outcome(srf.curvatures_of_frame, fp), _outcome(srf.curvatures_of_frame, fq)
+            if isinstance(cp, str):
+                assert cq == cp, (p, u, v)
+                continue
+            assert (fq.xi_x, fq.xi_y, fq.xi_z) == (fp.xi_x, fp.xi_y, fp.xi_z), (p, u, v)
+            assert (cq.K, cq.label) == (cp.K, cp.label), (p, u, v)
+            # within a few roundings of the largest term of H's numerator
+            terms = abs(fp.g11 * fp.h22) + abs(2.0 * fp.g12 * fp.h12) + abs(fp.g22 * fp.h11)
+            assert abs(cq.H - cp.H) <= 8.0 * 2.0**-52 * terms / abs(2.0 * fp.det_g), (p, u, v)
+        ap, aq = _outcome(srf.is_admissible, p), _outcome(srf.is_admissible, q)
+        if isinstance(ap, str):
+            assert aq == ap, p
+        else:
+            assert repr(aq.min_abs_m12) == repr(ap.min_abs_m12), p
+            assert sorted((v, u) for u, v in aq.inadmissible) == sorted(ap.inadmissible), p
+    assert frames >= 2500
+    # the catalog sphere's reversed chart has m12 = -1 everywhere
+    assert srf.frame_at(reversed_chart(sphere_i3()), 1.0, -0.7).m12 == -1.0
 
 
 def _random_motion(rng, kind):
