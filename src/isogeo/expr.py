@@ -515,7 +515,7 @@ def _chain_terms(a, f1: str, f2: str, f3: str = "") -> list[str]:
         terms += [
             f3 * (a1 * a1 * a1) + 3.0 * f2 * (a1 * a3) + f1 * a6,
             f3 * (a1 * a1 * a2) + f2 * (a3 * a2 + 2.0 * (a1 * a4)) + f1 * a7,
-            f3 * (a1 * a2 * a2) + f2 * (a5 * a1 + 2.0 * (a2 * a4)) + f1 * a8,
+            f3 * (a2 * a2 * a1) + f2 * (a5 * a1 + 2.0 * (a2 * a4)) + f1 * a8,
             f3 * (a2 * a2 * a2) + 3.0 * f2 * (a2 * a5) + f1 * a9,
         ]
     return [str(t) for t in terms]

@@ -26,15 +26,18 @@ gradient means the singular set is a short parameter distance away; the
 gradient is exact, from the 2-jet at the candidate point.  Each draw is
 evaluated once: a guarded draw is the record of ``connection.sample_at``,
 whose coefficients and gradient the guard reads and the tensor suites
-take as they are.  Every check's default tolerance is in ``TOLERANCES``.
+take as they are, and an unguarded draw is the curvature report of its
+frame.  Every sampled suite folds its records' residuals in ``_fold``,
+and every check's default tolerance is in ``TOLERANCES``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
@@ -154,12 +157,12 @@ def _sample(
     denom_guard: Optional[float],
 ) -> Iterator:
     """``count`` seeded points, ``_margin`` inside each side of the domain:
-    the frames of the order-2 jet, or with a ``denom_guard`` the records of
-    ``sample_at``.  A draw is redrawn where its evaluation raises, a float
-    of the frame or third partials is not finite, or |denom| < denom_guard,
-    in units of max(1, |grad denom|) for a guard above BASIC_DENOM_GUARD.
-    Gives up after 200 * count + 200 draws, or after 400 if none was
-    accepted."""
+    the curvature reports of the order-2 frames, or with a ``denom_guard``
+    the records of ``sample_at``.  A draw is redrawn where its evaluation,
+    curvatures included, raises, a float of the frame or third partials is
+    not finite, or |denom| < denom_guard, in units of max(1, |grad denom|)
+    for a guard above BASIC_DENOM_GUARD.  Gives up after 200 * count + 200
+    draws, or after 400 if none was accepted."""
     u0, u1, v0, v1 = patch.domain
     mu = _margin(u0, u1, border)
     mv = _margin(v0, v1, border)
@@ -172,8 +175,8 @@ def _sample(
         v = rng.uniform(v0 + mv, v1 - mv)
         try:
             if denom_guard is None:
-                record = f = frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
-                floats = f[3:]
+                f = frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+                record, floats = curvatures_of_frame(f), f[3:]
             else:
                 record = coeffs, grad, thirds = sample_at(patch, u, v)
                 floats = (*coeffs.frame[3:], *thirds)
@@ -193,70 +196,67 @@ def _per_patch(total: int, n_patches: int) -> int:
     return max(1, math.ceil(total / n_patches))
 
 
-def _sampled(
-    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: float,
-) -> Iterator[tuple[CoeffDerivatives, list[int]]]:
-    """The ``coeff_derivatives`` of the ``n`` guarded records of
-    ``_sample`` per patch, as one stream over ``patches`` cut into blocks
-    of POINT_BLOCK records without regard to where a patch ends.  Each
-    block comes with the index in ``patches`` of each record's patch.
-    The patches draw from the shared ``rng`` in order, each patch's draws
-    before the next patch's, and only as the blocks need them, so one
-    block of records is held at a time."""
+def _fold(
+    patches: Sequence[SurfacePatch], n: int, rng: SplitMix64, border: float, denom_guard: Optional[float],
+    residuals: Callable[[list], Iterable],
+) -> dict[str, list[list]]:
+    """[worst residual, number of residuals] per check name and patch of
+    the (check name, residual) pairs ``residuals(block)`` gives each record.
+    The ``n`` records per patch of ``_sample`` are one stream, drawn from
+    the shared ``rng`` patch after patch as the blocks of POINT_BLOCK
+    records need them (a block may end inside a patch), so one block of
+    records is held at a time."""
     records = itertools.chain.from_iterable(_sample(p, n, rng, border, denom_guard) for p in patches)
+    folds = collections.defaultdict(lambda: [[0.0, 0] for _ in patches])
     start = 0
     for block in iter(lambda: list(itertools.islice(records, POINT_BLOCK)), []):
-        yield coeff_derivatives(block), [i // n for i in range(start, start + len(block))]
+        for i, pairs in enumerate(residuals(block), start):
+            p = i // n
+            for name, residual in pairs:
+                fold = folds[name][p]
+                if residual > fold[0]:  # max(worst, residual)
+                    fold[0] = residual
+                fold[1] += 1
         start += len(block)
+    return folds
 
 
 def _check(name: str, label: str, points: int, worst: float, tol: float) -> CheckResult:
     return CheckResult(name, label, points, worst, tol, worst <= tol)
 
 
-def suite_flatness(
-    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
-) -> list[CheckResult]:
-    n = _per_patch(samples, len(patches))
-    worst = [0.0] * len(patches)
-    for b, owners in _sampled(patches, n, SplitMix64(seed), 2.0 * fd_step, BASIC_DENOM_GUARD):
-        for p, residual in zip(owners, flatness_residuals(b).tolist()):
-            worst[p] = max(worst[p], residual)
-    return [_check("flatness", _label(patch), n, w, TOLERANCES["flatness"]) for patch, w in zip(patches, worst)]
+def _tensor_suite(border: float, denom_guard: float, names: tuple[str, ...], pairs: Callable) -> Callable:
+    """The suite that folds ``pairs(coeff_derivatives(block))`` of records
+    guarded by ``denom_guard``, drawn ``border`` * fd_step inside the
+    domain: a check per patch and name in ``names`` that a record gave."""
+
+    def suite(patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float) -> list[CheckResult]:
+        n = _per_patch(samples, len(patches))
+        rng = SplitMix64(seed)
+        folds = _fold(patches, n, rng, border * fd_step, denom_guard, lambda block: pairs(coeff_derivatives(block)))
+        return [
+            _check(name, _label(patch), count, worst, TOLERANCES[name])
+            for p, patch in enumerate(patches) for name in names for worst, count in [folds[name][p]] if count
+        ]
+
+    return suite
 
 
-def suite_egregium(
-    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
-) -> list[CheckResult]:
-    n = _per_patch(samples, len(patches))
-    worst = {name: [0.0] * len(patches) for name in ("egregium", "egregium_flat")}
-    count = {name: [0] * len(patches) for name in worst}
-    for b, owners in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-        for p, res in zip(owners, egregium_checks(b)):
-            # the relative error where K is not 0, else the absolute one
-            name, err = ("egregium", res.rel_err) if abs(res.k_extrinsic) > 1e-6 else ("egregium_flat", res.abs_err)
-            worst[name][p] = max(worst[name][p], err)
-            count[name][p] += 1
-    return [
-        _check(name, _label(patch), count[name][p], worst[name][p], TOLERANCES[name])
-        for p, patch in enumerate(patches) for name in worst if count[name][p]
-    ]
+def _codazzi_pairs(b: CoeffDerivatives) -> Iterator[tuple]:
+    relative, levi_civita = codazzi_residuals(b)
+    for rel, lc, gauss in zip(relative.tolist(), levi_civita.tolist(), gauss_residuals(b).tolist()):
+        yield ("codazzi", rel), ("codazzi_lc", lc), ("gauss_rhs", max(0.0, *gauss))
 
 
-def suite_codazzi(
-    patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
-) -> list[CheckResult]:
-    n = _per_patch(samples, len(patches))
-    worst = [(0.0, 0.0, 0.0)] * len(patches)
-    for b, owners in _sampled(patches, n, SplitMix64(seed), 0.5 * fd_step, RELATIVE_DENOM_GUARD):
-        relative, levi_civita = codazzi_residuals(b)
-        for p, rel, lc, gauss in zip(owners, relative.tolist(), levi_civita.tolist(), gauss_residuals(b).tolist()):
-            w = worst[p]
-            worst[p] = max(w[0], rel), max(w[1], lc), max(w[2], *gauss)
-    return [
-        _check(name, _label(patch), n, w, TOLERANCES[name])
-        for patch, ws in zip(patches, worst) for name, w in zip(("codazzi", "codazzi_lc", "gauss_rhs"), ws)
-    ]
+suite_flatness = _tensor_suite(
+    2.0, BASIC_DENOM_GUARD, ("flatness",), lambda b: ((("flatness", r),) for r in flatness_residuals(b).tolist())
+)
+# the relative error where K is not 0, else the absolute one
+suite_egregium = _tensor_suite(0.5, RELATIVE_DENOM_GUARD, ("egregium", "egregium_flat"), lambda b: (
+    (("egregium", c.rel_err) if abs(c.k_extrinsic) > 1e-6 else ("egregium_flat", c.abs_err),)
+    for c in egregium_checks(b)
+))
+suite_codazzi = _tensor_suite(0.5, RELATIVE_DENOM_GUARD, ("codazzi", "codazzi_lc", "gauss_rhs"), _codazzi_pairs)
 
 
 UMBILIC_EXPECTATION = {
@@ -271,11 +271,12 @@ def suite_umbilic(
     patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float
 ) -> list[CheckResult]:
     n = _per_patch(samples, len(patches))
+    # a pair per umbilic record, so that a patch's count is its umbilic records
+    folds = _fold(patches, n, SplitMix64(seed), 2.0 * fd_step, None, lambda block: [
+        (("umbilic", 0.0),) if r.label is CurvatureClass.UMBILIC else () for r in block
+    ])
     out = []
-    rng = SplitMix64(seed)
-    for patch in patches:
-        frames = _sample(patch, n, rng, 2.0 * fd_step, None)
-        umbilic_count = sum(curvatures_of_frame(f).label is CurvatureClass.UMBILIC for f in frames)
+    for patch, (_, umbilic_count) in zip(patches, folds["umbilic"]):
         expected = UMBILIC_EXPECTATION.get(patch.name)
         if expected is None:  # informational for user-supplied surfaces
             finding = {n: "totally umbilical", 0: "not totally umbilical"}.get(umbilic_count, "mixed")
@@ -303,13 +304,11 @@ def suite_minimal(
     for _ in range(n_random_waves):
         waves = {"f": _random_cubic(rng), "g": _random_cubic(rng)}
         targets.append(catalog.make("minimal_wave", SpaceKind.PSEUDO_ISOTROPIC, waves))
-    out = []
-    for idx, patch in enumerate(targets):
-        worst = 0.0
-        for f in _sample(patch, n, rng, 2.0 * fd_step, None):
-            worst = max(worst, abs(curvatures_of_frame(f).H))
-        out.append(_check("minimal", f"{_label(patch)}#{idx}", n, worst, tolerances[patch.name]))
-    return out
+    folds = _fold(targets, n, rng, 2.0 * fd_step, None, lambda block: [(("minimal", abs(r.H)),) for r in block])
+    return [
+        _check("minimal", f"{_label(patch)}#{idx}", count, worst, tolerances[patch.name])
+        for idx, (patch, (worst, count)) in enumerate(zip(targets, folds["minimal"]))
+    ]
 
 
 SPHERE_GEODESIC_CONFIGS = (

@@ -327,19 +327,37 @@ def test_sampler_gives_up_after_a_fixed_number_of_empty_draws(tmp_path, monkeypa
     assert counts == [800, 800]  # 400 draws of (u, v)
 
 
-@pytest.mark.parametrize("suite", ["flatness", "umbilic"])
-def test_sampler_redraws_non_finite_draws(tmp_path, capsys, suite):
+@pytest.mark.parametrize(
+    "suite, f, side",
+    [
+        pytest.param("flatness", "1e200*1e200*u*v", 1.0, id="flatness"),
+        pytest.param("umbilic", "1e200*1e200*u*v", 1.0, id="umbilic"),
+        pytest.param("umbilic", "1e160*(u^2 + v^2)", 1e-12, id="umbilic-curvatures"),
+    ],
+)
+def test_sampler_redraws_non_finite_draws(tmp_path, capsys, suite, f, side):
     # 1e200 * 1e200 is inf, so every frame holds inf or nan: no draw is a
     # point, where flatness used to pass on nan residuals and umbilic to
-    # abort at the first one
-    surface = {"kind": "graph", "f": "1e200*1e200*u*v"}
-    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]})
+    # abort at the first one.  On 1e160*(u^2 + v^2) the frames are finite
+    # but K = 4e320 is not, where umbilic used to abort at the first draw
+    surface = {"kind": "graph", "f": f}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-side, side, -side, side]})
     out = tmp_path / "report.json"
     argv = ["verify", spec, "--suite", suite, "--samples", "3", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_SPEC
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "error: could not sample 3 guarded points on graph[i3]\n"
+
+
+def test_a_draw_whose_curvatures_overflow_is_redrawn(tmp_path, capsys):
+    # K overflows where u > about -2 only: umbilic and minimal redraw those
+    # points, as the tensor suites do, instead of ending the run
+    surface = {"kind": "graph", "f": "5e154*(u^2 + v^2)*exp(u)"}
+    spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [-3, 0.05, -0.05, 0.05]})
+    assert cli.main(["verify", spec, "--suite", "all", "--samples", "20", "--seed", "1"]) == cli.EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["points"] for c in checks if c["name"].startswith("umbilic(")] == [20]
 
 
 def test_sampler_redraws_draws_whose_third_partials_are_not_finite(monkeypatch):

@@ -593,10 +593,25 @@ def test_reports_do_not_depend_on_where_a_block_cuts_a_patch(monkeypatch, capsys
     assert reports[:3] == reports[3:6] == reports[6:]
 
 
+def _umbilic_patches():
+    """The catalog, a user surface for each informational finding, and a
+    sphere named as the helicoid, which expects no umbilic record."""
+    sphere = catalog.make("parabolic_sphere", I3, {"p": 2.0})
+    square = (-1.0, 1.0, -1.0, 1.0)
+    return [
+        *verify.verification_patches(),
+        srf.graph_patch(I3, "u^2 + v^2", square),  # totally umbilical
+        srf.graph_patch(I3, "u*v", square),  # not totally umbilical
+        srf.graph_patch(I3, "u^2 + v^2 + (u + abs(u))^3", square),  # umbilic where u < 0
+        srf.SurfacePatch(sphere.kind, sphere.x_expr, sphere.y_expr, sphere.z_expr, sphere.domain, "helicoid"),
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
     # the reference evaluates each patch's records as a batch of their own,
-    # drawn in the same order from the same generator
+    # or one record at a time, drawn in the same order from the same
+    # generator
     patches, fd_step = verify.verification_patches(), verify.DEFAULT_FD_STEP
     n = verify._per_patch(100, len(patches))
 
@@ -604,9 +619,9 @@ def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
         rng = SplitMix64(seed)
         return [(p, con.coeff_derivatives(list(verify._sample(p, n, rng, border, guard)))) for p in patches]
 
-    expected = {"flatness": [], "egregium": [], "codazzi": []}
+    expected = {"flatness": [], "egregium": [], "codazzi": [], "umbilic": [], "minimal": []}
     for p, b in batches(2.0 * fd_step, verify.BASIC_DENOM_GUARD):
-        expected["flatness"].append(("flatness", p, n, max(0.0, *con.flatness_residuals(b).tolist())))
+        expected["flatness"].append(("flatness", verify._label(p), n, max(0.0, *con.flatness_residuals(b).tolist())))
     for p, b in batches(0.5 * fd_step, verify.RELATIVE_DENOM_GUARD):
         results = list(con.egregium_checks(b))
         for name, errs in (
@@ -614,17 +629,53 @@ def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
             ("egregium_flat", [r.abs_err for r in results if not abs(r.k_extrinsic) > 1e-6]),
         ):
             if errs:
-                expected["egregium"].append((name, p, len(errs), max(0.0, *errs)))
+                expected["egregium"].append((name, verify._label(p), len(errs), max(0.0, *errs)))
         relative, levi_civita = con.codazzi_residuals(b)
         for name, values in (
             ("codazzi", relative), ("codazzi_lc", levi_civita), ("gauss_rhs", con.gauss_residuals(b).ravel()),
         ):
-            expected["codazzi"].append((name, p, n, max(0.0, *values.tolist())))
+            expected["codazzi"].append((name, verify._label(p), n, max(0.0, *values.tolist())))
+    umbilic_patches = _umbilic_patches()
+    m = verify._per_patch(100, len(umbilic_patches))
+    rng = SplitMix64(seed)
+    findings = {m: "totally umbilical", 0: "not totally umbilical"}
+    for p in umbilic_patches:
+        umbilic = 0
+        for f in verify._sample(p, m, rng, 2.0 * fd_step, None):
+            umbilic += f.label is srf.CurvatureClass.UMBILIC
+        want = verify.UMBILIC_EXPECTATION.get(p.name)
+        if want is None:
+            name, mismatches = f"umbilic({findings.get(umbilic, 'mixed')})", 0
+        elif want:
+            name, mismatches = "umbilic(expected)", m - umbilic
+        else:
+            name, mismatches = "umbilic(expected-negative)", umbilic
+        expected["umbilic"].append((name, verify._label(p), m, float(mismatches)))
+    rng = SplitMix64(seed)
+    waves = [{"f": verify._random_cubic(rng), "g": verify._random_cubic(rng)} for _ in range(verify.RANDOM_WAVES)]
+    targets = [p for p in patches if p.name.startswith("minimal")]
+    targets += [catalog.make("minimal_wave", IP3, w) for w in waves]
+    k = verify._per_patch(100, verify.RANDOM_WAVES)
+    for idx, p in enumerate(targets):
+        worst = 0.0
+        for f in verify._sample(p, k, rng, 2.0 * fd_step, None):
+            worst = max(worst, abs(f.H))
+        expected["minimal"].append(("minimal", f"{verify._label(p)}#{idx}", k, worst))
+    got = {}
     for suite, want in expected.items():
-        got = getattr(verify, f"suite_{suite}")(patches, 100, seed, fd_step)
-        assert [(c.name, c.surface, c.points, repr(c.max_residual)) for c in got] == [
-            (name, verify._label(p), points, repr(worst)) for name, p, points, worst in want
+        got[suite] = getattr(verify, f"suite_{suite}")(
+            umbilic_patches if suite == "umbilic" else patches, 100, seed, fd_step
+        )
+        assert [(c.name, c.surface, c.points, repr(c.max_residual)) for c in got[suite]] == [
+            (name, label, points, repr(worst)) for name, label, points, worst in want
         ]
+    assert [(c.name, c.max_residual, c.passed) for c in got["umbilic"][-4:]] == [
+        ("umbilic(totally umbilical)", 0.0, True),
+        ("umbilic(not totally umbilical)", 0.0, True),
+        ("umbilic(mixed)", 0.0, True),
+        # every record of the sphere named as the helicoid is a mismatch
+        ("umbilic(expected-negative)", float(m), False),
+    ]
 
 
 def test_batches_stay_within_the_block(monkeypatch):

@@ -250,8 +250,8 @@ def test_chart_reversal_is_an_exact_invariant():
     # exchanging u and v negates m12, m23 and m31 alike and exchanges the
     # indices of g and h, so the Gauss map, K and the class do not move; H
     # sums the terms of its numerator in the other order.  The jets are
-    # mirror images bit for bit, but for the mixed third partials: the chain
-    # rule forms a_u a_u a_v and a_u a_v a_v with different groupings
+    # mirror images bit for bit, the mixed third partials too: the chain
+    # rule forms a_v a_v a_u as the mirror of a_u a_u a_v
     rng = SplitMix64(35)
     patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
     frames = 0
@@ -268,11 +268,7 @@ def test_chart_reversal_is_an_exact_invariant():
                 val, du, dv, duu, duv, dvv = jp[6 * c:6 * c + 6]
                 uuu, uuv, uvv, vvv = jp[18 + 4 * c:22 + 4 * c]
                 assert bits(jq[6 * c:6 * c + 6]) == bits((val, dv, du, dvv, duv, duu)), (p, u, v)
-                got = jq[18 + 4 * c:22 + 4 * c]
-                assert bits(got[::3]) == bits((vvv, uuu)), (p, u, v)
-                scale = 1e-11 * (1.0 + max(map(abs, (val, du, dv, duu, duv, dvv, uuu, uuv, uvv, vvv))))
-                for x, y in zip(got[1:3], (uvv, uuv)):
-                    assert bits([x]) == bits([y]) or abs(x - y) <= scale, (p, u, v, x, y)
+                assert bits(jq[18 + 4 * c:22 + 4 * c]) == bits((vvv, uvv, uuv, uuu)), (p, u, v)
             fp, fq = _outcome(srf.frame_at, p, u, v), _outcome(srf.frame_at, q, v, u)
             if isinstance(fp, str):
                 assert fq == fp, (p, u, v)
