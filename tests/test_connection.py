@@ -641,8 +641,8 @@ def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
     findings = {m: "totally umbilical", 0: "not totally umbilical"}
     for p in umbilic_patches:
         umbilic = 0
-        for f in verify._sample(p, m, rng, 2.0 * fd_step, None):
-            umbilic += f.label is srf.CurvatureClass.UMBILIC
+        for report in verify._sample(p, m, rng, 2.0 * fd_step, None):  # curvatures_of_frame's
+            umbilic += report.label is srf.CurvatureClass.UMBILIC
         want = verify.UMBILIC_EXPECTATION.get(p.name)
         if want is None:
             name, mismatches = f"umbilic({findings.get(umbilic, 'mixed')})", 0
@@ -658,8 +658,8 @@ def test_each_check_is_the_worst_of_its_own_patch_s_records(seed):
     k = verify._per_patch(100, verify.RANDOM_WAVES)
     for idx, p in enumerate(targets):
         worst = 0.0
-        for f in verify._sample(p, k, rng, 2.0 * fd_step, None):
-            worst = max(worst, abs(f.H))
+        for report in verify._sample(p, k, rng, 2.0 * fd_step, None):
+            worst = max(worst, abs(report.H))
         expected["minimal"].append(("minimal", f"{verify._label(p)}#{idx}", k, worst))
     got = {}
     for suite, want in expected.items():
