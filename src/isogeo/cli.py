@@ -237,11 +237,11 @@ CURVATURE_HEADER = "u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"
 
 def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
     # imported here, so that only this command loads the fork machinery
-    from .forkmap import fork_map, worker_count
+    from .forkmap import fork_write, worker_count
 
     # the u rows are split into one contiguous block per worker process;
-    # every block runs the same row loop, so the bytes do not depend on
-    # the number of workers
+    # every block runs the same row loop, one text per u row, so the bytes
+    # do not depend on the number of workers
     u0, u1, v0, v1 = patch.domain
     us = grid_values(u0, u1, nu)
     vs = [(v, repr(v)) for v in grid_values(v0, v1, nv)]
@@ -255,14 +255,12 @@ def cmd_curvature(patch: SurfacePatch, nu: int, nv: int, out_path: str) -> int:
         table = columns(vs)
     except Exception:
         kernel, table = everywhere, ((), vs)
-    texts = fork_map(
-        lambda block: "".join([kernel(u, repr(u), *table) for u in block]),
+    # out_path is opened once every row is computed, so an error leaves no file
+    fork_write(
+        lambda block: (kernel(u, repr(u), *table) for u in block),
         [us[a:b] for a, b in zip(bounds, bounds[1:])],
+        out_path, CURVATURE_HEADER + "\n",
     )
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CURVATURE_HEADER + "\n")
-        for text in texts:
-            fh.write(text)
     return EXIT_OK
 
 

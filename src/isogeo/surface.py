@@ -127,6 +127,22 @@ class SurfacePatch:
         return u0 <= u <= u1 and v0 <= v <= v1
 
 
+def _tree(name: str, e) -> ex.Expr:
+    """The tree of argument ``name``, parsed where it is text; a TypeError
+    that names the argument where it is neither a tree nor text."""
+    if isinstance(e, str):
+        return ex.parse(e)
+    if not isinstance(e, ex.Expr):
+        raise TypeError(f"{name} must be an expression or its text, got {e!r}")
+    return e
+
+
+def _checked_kind(kind) -> SpaceKind:
+    if not isinstance(kind, SpaceKind):
+        raise TypeError(f"kind must be a SpaceKind, got {kind!r}")
+    return kind
+
+
 def graph_patch(
     kind: SpaceKind,
     f: ex.Expr | str,
@@ -134,9 +150,8 @@ def graph_patch(
     name: str = "graph",
     params: Optional[dict] = None,
 ) -> SurfacePatch:
-    f_expr = ex.parse(f) if isinstance(f, str) else f
     return SurfacePatch(
-        kind, ex.Var("u"), ex.Var("v"), f_expr, domain, name, params or {}
+        _checked_kind(kind), ex.Var("u"), ex.Var("v"), _tree("f", f), domain, name, params or {}
     )
 
 
@@ -149,8 +164,8 @@ def parametric_patch(
     name: str = "parametric",
     params: Optional[dict] = None,
 ) -> SurfacePatch:
-    conv = lambda e: ex.parse(e) if isinstance(e, str) else e
-    return SurfacePatch(kind, conv(x), conv(y), conv(z), domain, name, params or {})
+    kind, x, y, z = _checked_kind(kind), _tree("x", x), _tree("y", y), _tree("z", z)
+    return SurfacePatch(kind, x, y, z, domain, name, params or {})
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -214,7 +214,7 @@ def _fold(
             p = i // n
             for name, residual in pairs:
                 fold = folds[name][p]
-                if residual > fold[0]:  # max(worst, residual)
+                if residual > fold[0] or residual != residual:  # max(worst, residual); a NaN stays worst
                     fold[0] = residual
                 fold[1] += 1
         start += len(block)

@@ -580,6 +580,41 @@ def test_codazzi_suite_calls_einsum_a_fixed_number_of_times_per_block(monkeypatc
     capsys.readouterr()
 
 
+def test_a_nan_residual_is_the_sticky_worst_of_its_fold():
+    patch = verify.verification_patches()[:1]
+    nan = math.nan
+
+    def fold(values):
+        # the k-th record of each block gives values[k]
+        return verify._fold(patch, len(values), SplitMix64(0), 2e-4, None, lambda block: [
+            (("x", values[k]),) for k in range(len(block))
+        ])["x"]
+
+    (worst, count), = fold([nan, nan, nan])
+    assert math.isnan(worst) and count == 3
+    # a NaN before or after finite residuals stays the worst
+    for values in ([nan, 1.0, 2.0], [1.0, 2.0, nan], [1.0, nan, 0.5]):
+        (worst, count), = fold(values)
+        assert math.isnan(worst) and count == 3
+    assert fold([1.0, 3.0, 2.0]) == [[3.0, 3]]
+    assert not verify._check("x", "p", 3, nan, 1.0).passed
+
+
+def test_a_nan_residual_fails_its_suite(monkeypatch):
+    real = con.flatness_residuals
+
+    def nan_at_the_third_record(b):  # of the first patch: 100 samples are one block
+        residuals = real(b).copy()
+        residuals[2] = np.nan
+        return residuals
+
+    monkeypatch.setattr(verify, "flatness_residuals", nan_at_the_third_record)
+    report = verify.run_verify(None, ["flatness"], 100, 7)
+    assert report["overall"] == "fail"
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert len(failed) == 1 and math.isnan(failed[0]["max_residual"])
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_reports_do_not_depend_on_where_a_block_cuts_a_patch(monkeypatch, capsys, seed):
     # 12 records per patch: one block of all 108, blocks of 7 that end

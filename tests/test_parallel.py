@@ -81,6 +81,20 @@ def inject(monkeypatch, fault):
     monkeypatch.setattr(cli, "_row_kernel", faulty_row_kernel)
 
 
+def record_files(monkeypatch):
+    """The set that every in-memory block file gets added to when it is made."""
+    files = set()
+    real_memfd_create = os.memfd_create
+
+    def memfd_create(*args):
+        fd = real_memfd_create(*args)
+        files.add(fd)
+        return fd
+
+    monkeypatch.setattr(os, "memfd_create", memfd_create)
+    return files
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -254,4 +268,121 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp
     assert time.monotonic() - start < 30.0
     assert len(forks) == 2
     assert not out.exists()
+    assert_no_children()
+
+
+def test_no_fork_without_memfd(monkeypatch, tmp_path, spec_path):
+    serial = serial_bytes(monkeypatch, spec_path, tmp_path)
+    force_cpus(monkeypatch, 7)
+    monkeypatch.delattr(os, "memfd_create")
+    assert forkmap.worker_count(100) == 1
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "parallel.csv"
+    assert curvature(spec_path, out) == 0
+    assert out.read_bytes() == serial and forks == []
+
+
+@pytest.mark.parametrize("failing", [[5], [8], [5, 8]], ids=["middle", "last", "both"])
+def test_a_child_that_fails_after_streaming_part_of_its_block_has_it_recomputed(
+    monkeypatch, tmp_path, spec_path, failing
+):
+    serial = serial_bytes(monkeypatch, spec_path, tmp_path)
+    parent = os.getpid()
+    us = cli.grid_values(-1.0, 1.0, 9)
+    # with 3 workers the children run rows 3-5 and 6-8, and fail at their last
+    failing_us = [us[i] for i in failing]
+
+    def failing_in_children(u):
+        if os.getpid() != parent and u in failing_us:
+            raise RuntimeError("injected after two streamed rows")
+
+    inject(monkeypatch, failing_in_children)
+    # the size of each child's file as the parent closes it
+    files, sizes, real_close = record_files(monkeypatch), [], os.close
+
+    def close(fd):
+        if fd in files and os.getpid() == parent:
+            sizes.append(os.fstat(fd).st_size)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "close", close)
+    force_cpus(monkeypatch, 3)
+    out = tmp_path / "parallel.csv"
+    assert curvature(spec_path, out) == 0
+    assert out.read_bytes() == serial
+    # a failed child's file holds the first two of its three u rows, of 8 lines each
+    lines = [len(line) + 1 for line in serial.decode().splitlines()[1:]]
+    ends = [last if last in failing else last + 1 for last in (5, 8)]
+    assert sizes == [sum(lines[8 * first: 8 * end]) for first, end in zip((3, 6), ends)]
+    assert_no_children()
+
+
+def _fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["run", "failing child", "parent interrupt"])
+def test_no_descriptor_is_left_open(monkeypatch, tmp_path, spec_path, case):
+    parent = os.getpid()
+
+    def fault(u):
+        if case == "failing child" and os.getpid() != parent:
+            raise RuntimeError("injected in a worker")
+        if case == "parent interrupt" and os.getpid() == parent:
+            raise KeyboardInterrupt
+
+    inject(monkeypatch, fault)
+    force_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "parallel.csv"
+    before = _fds()
+    if case == "parent interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            curvature(spec_path, out)
+    else:
+        assert curvature(spec_path, out) == 0
+    assert _fds() == before
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_children_s_files_are_copied_into_a_pipe(monkeypatch, tmp_path, spec_path):
+    serial = serial_bytes(monkeypatch, spec_path, tmp_path)
+    force_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    # the grid's CSV fits the pipe's buffer, so no reader thread is needed
+    # (a running thread would make worker_count return 1)
+    read_fd, write_fd = os.pipe()
+    try:
+        assert curvature(spec_path, f"/dev/fd/{write_fd}") == 0
+        os.close(write_fd)
+        write_fd = None
+        with open(read_fd, "rb", closefd=False) as pipe:
+            got = pipe.read()
+    finally:
+        os.close(read_fd)
+        if write_fd is not None:
+            os.close(write_fd)
+    assert got == serial
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_a_child_s_short_write_has_its_block_recomputed(monkeypatch, tmp_path, spec_path):
+    # each child writes only half of every row's bytes into its file, and
+    # sends the size the whole rows would have: its file is the shorter
+    serial = serial_bytes(monkeypatch, spec_path, tmp_path)
+    files, real_write = record_files(monkeypatch), os.write
+
+    def short_write(fd, data):
+        return real_write(fd, data[: len(data) // 2] if fd in files else data)
+
+    monkeypatch.setattr(os, "write", short_write)
+    force_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "parallel.csv"
+    assert curvature(spec_path, out) == 0
+    assert out.read_bytes() == serial
+    assert len(forks) == 2 and len(files) == 2
     assert_no_children()

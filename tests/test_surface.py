@@ -345,6 +345,20 @@ def test_transform_patch_wrong_space():
         srf.transform_patch(sphere_i3(), Motion(IP3))
 
 
+def test_patch_arguments_of_the_wrong_type_are_named_at_construction():
+    square = (-1.0, 1.0, -1.0, 1.0)
+    with pytest.raises(TypeError, match="^kind must be a SpaceKind, got 'u\\^2\\+v\\^2'$"):
+        srf.graph_patch("u^2+v^2", I3, square)
+    with pytest.raises(TypeError, match="^f must be an expression or its text, got <SpaceKind"):
+        srf.graph_patch(I3, I3, square)
+    with pytest.raises(TypeError, match="^z must be an expression or its text, got 1.0$"):
+        srf.parametric_patch(IP3, "u", ex.Var("v"), 1.0, square)
+    with pytest.raises(TypeError, match="^kind must be a SpaceKind, got 'i3'$"):
+        srf.parametric_patch("i3", "u", "v", "u*v", square)
+    # trees and their text give the same patch
+    assert srf.parametric_patch(IP3, ex.Var("u"), "v", "u*v", square) == srf.parametric_patch(IP3, "u", "v", "u*v", square)
+
+
 def test_umbilic_classification_split():
     rng = SplitMix64(777)
     positives = [
