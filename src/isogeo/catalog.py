@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 from . import expr as ex
 from .errors import BadParam
 from .isotropy import SpaceKind
-from .surface import SurfacePatch, graph_patch, grid_values, parametric_patch
+from .surface import SurfacePatch, checked_domain, graph_patch, grid_values, parametric_patch
 
 BOTH = (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC)
 PSEUDO_ONLY = (SpaceKind.PSEUDO_ISOTROPIC,)
@@ -237,10 +237,7 @@ def make(
     unknown = [key for key in params if key not in entry.required]
     if unknown:
         raise BadParam(f"unknown {name} parameter {unknown[0]!r}; known: {list(entry.required)}")
-    dom = entry.default_domain(kind) if domain is None else tuple(domain)
-    if not (dom[0] < dom[1] and dom[2] < dom[3]):
-        raise BadParam(f"empty domain {dom!r}")
-    return entry.build(kind, params, dom)
+    return entry.build(kind, params, checked_domain(entry.default_domain(kind) if domain is None else domain))
 
 
 def oracles_for(patch: SurfacePatch) -> Optional[CurvatureOracles]:

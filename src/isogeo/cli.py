@@ -46,7 +46,7 @@ from .errors import (
     SpecError,
 )
 from .isotropy import SpaceKind
-from .surface import SurfacePatch, graph_patch, grid_values, parametric_patch
+from .surface import SurfacePatch, checked_domain, graph_patch, grid_values, parametric_patch
 
 if TYPE_CHECKING:
     import argparse
@@ -141,27 +141,10 @@ def parse_surface_spec(spec: dict) -> SurfacePatch:
         raise SpecError("spec field 'surface' must be an object with a 'kind'")
 
     domain = spec.get("domain")
-    if domain is not None:
-        if (
-            not isinstance(domain, (list, tuple))
-            or len(domain) != 4
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)
-        ):
-            raise SpecError("'domain' must be [u0, u1, v0, v1]")
-        try:
-            domain = tuple(float(x) for x in domain)
-        except OverflowError:  # an int beyond the float range
-            raise SpecError("'domain' entries must fit in a float") from None
-        if not all(map(math.isfinite, domain)):
-            raise SpecError(f"'domain' must be finite, got {domain!r}")
-        # grid values are u0 + (u1 - u0) * i / (n - 1)
-        if not (math.isfinite(domain[1] - domain[0]) and math.isfinite(domain[3] - domain[2])):
-            raise SpecError(f"'domain' widths must be finite, got {domain!r}")
-        if not (domain[0] < domain[1] and domain[2] < domain[3]):
-            raise SpecError(f"empty domain {domain!r}")
-
     skind = surface["kind"]
     try:
+        if domain is not None:
+            domain = checked_domain(domain)
         if skind == "graph":
             if domain is None:
                 raise SpecError("graph surfaces need an explicit 'domain'")

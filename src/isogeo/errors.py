@@ -11,8 +11,8 @@ class DomainError(IsoGeoError):
 
 
 class ExprSyntaxError(IsoGeoError):
-    """Expression source could not be parsed.  Carries the byte offset of
-    the offending token; there is no error recovery."""
+    """Expression source could not be parsed.  Carries the offset of the offending
+    token, a code-point index into the ``str``, not a byte offset; no error recovery."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -69,7 +69,8 @@ class TooManySteps(IsoGeoError):
 
 
 class BadParam(IsoGeoError):
-    """Catalog constructor received an out-of-range or missing parameter."""
+    """A patch or catalog constructor received an out-of-range or missing
+    parameter, or a domain that is not a finite, non-empty rectangle."""
 
 
 class DegenerateBranch(IsoGeoError):

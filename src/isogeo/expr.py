@@ -16,12 +16,14 @@ second partials vanish, is evaluated by repeated squaring so negative
 bases work; any other exponent goes through exp(b*log(a)) and requires a
 positive base.
 
-Parsing is total: the first error aborts with the byte offset of the
-offending token, and nesting past ``MAX_DEPTH`` is such an error.  Trees are immutable; evaluation is pure.
+Parsing is total: the first error aborts with the offset of the
+offending token, a code-point index into the source ``str``, and nesting
+past ``MAX_DEPTH`` is such an error.  Trees are immutable; evaluation is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
@@ -154,19 +156,13 @@ class _Parser:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
         return depth
 
-    def expr(self, level: int) -> tuple[Expr, int]:
-        node, height = self.term(level)
-        while self.peek().kind == "op" and self.peek().text in "+-":
+    def expr(self, level: int, ops: str = "+-") -> tuple[Expr, int]:
+        """The left-associative levels: ``+ -`` over terms, and ``* /`` over factors."""
+        operand = functools.partial(self.expr, ops="*/") if ops == "+-" else self.factor
+        node, height = operand(level)
+        while self.peek().kind == "op" and self.peek().text in ops:
             tok = self.advance()
-            right, h = self.term(level)
-            node, height = Binary(tok.text, node, right), self.bounded(1 + max(height, h), tok)
-        return node, height
-
-    def term(self, level: int) -> tuple[Expr, int]:
-        node, height = self.factor(level)
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            right, h = self.factor(level)
+            right, h = operand(level)
             node, height = Binary(tok.text, node, right), self.bounded(1 + max(height, h), tok)
         return node, height
 

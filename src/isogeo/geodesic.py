@@ -56,7 +56,7 @@ from .errors import (
     TooManySteps,
 )
 from .isotropy import SpaceKind, Vec3
-from .surface import SurfacePatch, graph_patch, point_lines
+from .surface import SurfacePatch, point_lines
 
 
 # upper bound on the RK4 steps of one trace; each step keeps a sample
@@ -550,11 +550,11 @@ def line_pair(ps: PlaneSection, t_grid: list[float]) -> tuple[GeodesicTrace, Geo
 
 
 def section_sphere_patch(ps: PlaneSection) -> SurfacePatch:
-    """Graph patch of the sphere carrying the section; callers size the
-    domain to the curve they intend to trace."""
+    """Graph patch of the sphere carrying the section, on the unchecked placeholder
+    domain (0, 0, 0, 0); callers size the domain to the curve they intend to trace."""
     pm = "+" if ps.kind is SpaceKind.SIMPLY_ISOTROPIC else "-"
-    f_src = f"{ps.p / 2.0!r} - (u^2 {pm} v^2)/{2.0 * ps.p!r}"
-    return graph_patch(ps.kind, f_src, (0.0, 0.0, 0.0, 0.0), name="section_sphere")
+    f = ex.parse(f"{ps.p / 2.0!r} - (u^2 {pm} v^2)/{2.0 * ps.p!r}")
+    return SurfacePatch(ps.kind, ex.Var("u"), ex.Var("v"), f, (0.0, 0.0, 0.0, 0.0), "section_sphere")
 
 
 class SphereGeodesicCheck(NamedTuple):

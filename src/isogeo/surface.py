@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .errors import DomainError, NotAdmissible
+from .errors import BadParam, DomainError, NotAdmissible
 from .isotropy import SpaceKind, Vec3
 
 ADMISSIBILITY_RTOL = 1e-12
@@ -143,6 +143,26 @@ def _checked_kind(kind) -> SpaceKind:
     return kind
 
 
+def checked_domain(domain) -> tuple[float, float, float, float]:
+    """The rectangle (u0, u1, v0, v1) as four floats; a BadParam unless its four real numbers
+    (not bools) fit in a float and are finite, with finite widths, u0 < u1 and v0 < v1."""
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 4
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)):
+        raise BadParam("'domain' must be [u0, u1, v0, v1]")
+    try:
+        u0, u1, v0, v1 = domain = tuple(map(float, domain))
+    except OverflowError:  # an int beyond the float range
+        raise BadParam("'domain' entries must fit in a float") from None
+    if not all(map(math.isfinite, domain)):
+        raise BadParam(f"'domain' must be finite, got {domain!r}")
+    # grid values are u0 + (u1 - u0) * i / (n - 1)
+    if not (math.isfinite(u1 - u0) and math.isfinite(v1 - v0)):
+        raise BadParam(f"'domain' widths must be finite, got {domain!r}")
+    if not (u0 < u1 and v0 < v1):
+        raise BadParam(f"empty domain {domain!r}")
+    return domain
+
+
 def graph_patch(
     kind: SpaceKind,
     f: ex.Expr | str,
@@ -151,7 +171,7 @@ def graph_patch(
     params: Optional[dict] = None,
 ) -> SurfacePatch:
     return SurfacePatch(
-        _checked_kind(kind), ex.Var("u"), ex.Var("v"), _tree("f", f), domain, name, params or {}
+        _checked_kind(kind), ex.Var("u"), ex.Var("v"), _tree("f", f), checked_domain(domain), name, params or {}
     )
 
 
@@ -165,7 +185,7 @@ def parametric_patch(
     params: Optional[dict] = None,
 ) -> SurfacePatch:
     kind, x, y, z = _checked_kind(kind), _tree("x", x), _tree("y", y), _tree("z", z)
-    return SurfacePatch(kind, x, y, z, domain, name, params or {})
+    return SurfacePatch(kind, x, y, z, checked_domain(domain), name, params or {})
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .connection import (
     egregium_checks,
     flatness_residuals,
     gauss_residuals,
+    np,
     sample_at,
 )
 from .errors import IsoGeoError, SpecError
@@ -233,7 +234,9 @@ def _tensor_suite(border: float, denom_guard: float, names: tuple[str, ...], pai
     def suite(patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float) -> list[CheckResult]:
         n = _per_patch(samples, len(patches))
         rng = SplitMix64(seed)
-        folds = _fold(patches, n, rng, border * fd_step, denom_guard, lambda block: pairs(coeff_derivatives(block)))
+        # a NaN or inf in a block's tensors fails the checks that read it (see _fold), with no warning
+        with np.errstate(all="ignore"):
+            folds = _fold(patches, n, rng, border * fd_step, denom_guard, lambda block: pairs(coeff_derivatives(block)))
         return [
             _check(name, _label(patch), count, worst, TOLERANCES[name])
             for p, patch in enumerate(patches) for name in names for worst, count in [folds[name][p]] if count

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import signal
 
 import pytest
 from hypothesis import Phase, settings
@@ -26,6 +27,30 @@ settings.load_profile("fail-fast")
 for module in pkgutil.iter_modules(isogeo.__path__):
     if module.name != "__main__":
         importlib.import_module(f"isogeo.{module.name}")
+
+
+# Far above the slowest test, about 5 s on a 2-vCPU VM.
+TEST_TIME_LIMIT = 120.0
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TEST_TIME_LIMIT seconds, such as one
+    that waits for a pipe no process will close, and go on with the next.
+    The limit is a real-time interval timer (SIGALRM), which forked children
+    do not inherit.  Not faulthandler's timeout: its watchdog thread would
+    make ``forkmap.worker_count`` return 1, so the fork tests would not fork."""
+
+    def expired(signum, frame):
+        pytest.fail(f"the test ran longer than {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,11 @@
+import json
+import math
+
 import pytest
 
-from isogeo import catalog
+from isogeo import catalog, cli
 from isogeo import surface as srf
-from isogeo.errors import BadParam
+from isogeo.errors import BadParam, SpecError
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
 
@@ -135,9 +138,75 @@ def test_minimal_harmonic_rejects_a_laplacian_that_is_not_finite():
         catalog.make("minimal_harmonic", I3, {"f": NAN_LAPLACIAN})
 
 
+# one patch constructor per entry, each given only the domain
+CONSTRUCTORS = {
+    "graph_patch": lambda domain: srf.graph_patch(I3, "u^2 + v^2", domain),
+    "parametric_patch": lambda domain: srf.parametric_patch(IP3, "u", "v", "u*v", domain),
+    "catalog.make": lambda domain: catalog.make("parabolic_sphere", I3, {"p": 1.0}, domain),
+}
+
+
 def test_domain_override():
     patch = catalog.make("parabolic_sphere", I3, {"p": 1.0}, domain=(-1, 1, -1, 1))
     assert patch.domain == (-1.0, 1.0, -1.0, 1.0)
+    # every constructor stores four floats, from a list or a tuple of ints
+    for make in CONSTRUCTORS.values():
+        for domain in ([-1, 1, -1, 1], (-1, 1.0, -1, 1)):
+            patch = make(domain)
+            assert patch.domain == (-1.0, 1.0, -1.0, 1.0) and all(type(x) is float for x in patch.domain)
+
+
+# each fault of the domain rule, with the message a spec with it gets
+DOMAIN_FAULTS = [
+    ((0.0, math.nan, 0.0, 1.0), "'domain' must be finite, got (0.0, nan, 0.0, 1.0)"),
+    ((0, math.inf, 0, 1), "'domain' must be finite, got (0.0, inf, 0.0, 1.0)"),
+    ((-math.inf, 1, 0, 1), "'domain' must be finite, got (-inf, 1.0, 0.0, 1.0)"),
+    ((0, 10**400, 0, 1), "'domain' entries must fit in a float"),
+    ((0, 1, -(10**400), 1), "'domain' entries must fit in a float"),
+    ((1, 0, 0, 1), "empty domain (1.0, 0.0, 0.0, 1.0)"),
+    ((0, 1, 1, 1), "empty domain (0.0, 1.0, 1.0, 1.0)"),
+    ((-1e308, 1e308, 0, 1), "'domain' widths must be finite, got (-1e+308, 1e+308, 0.0, 1.0)"),
+    ((0, 1, -1e308, 1e308), "'domain' widths must be finite, got (0.0, 1.0, -1e+308, 1e+308)"),
+    ((False, True, 0, 1), "'domain' must be [u0, u1, v0, v1]"),
+    ((0, 1, 0), "'domain' must be [u0, u1, v0, v1]"),
+    ((0, 1, 0, "1"), "'domain' must be [u0, u1, v0, v1]"),
+    ("0101", "'domain' must be [u0, u1, v0, v1]"),
+]
+
+
+@pytest.mark.parametrize("domain, message", DOMAIN_FAULTS, ids=[
+    "nan", "inf", "-inf", "huge", "-huge", "u1<u0", "v1=v0", "u-width", "v-width", "bools", "three", "text-entry", "text"
+])
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS)
+def test_a_bad_domain_is_a_bad_param_of_every_constructor(make, domain, message):
+    with pytest.raises(BadParam) as err:
+        make(domain)
+    assert str(err.value) == message
+    # a spec file with this domain gets the same message
+    spec = json.loads(json.dumps({"space": "i3", "surface": {"kind": "graph", "f": "u"}, "domain": domain}))
+    with pytest.raises(SpecError) as err:
+        cli.parse_surface_spec(spec)
+    assert str(err.value) == message
+
+
+def test_a_builtin_reports_its_domain_before_its_parameters():
+    with pytest.raises(BadParam, match=r"^'domain' must be finite"):
+        catalog.make("parabolic_sphere", I3, {"p": 0.0}, (0, math.nan, 0, 1))
+    with pytest.raises(BadParam, match=r"^empty domain"):
+        catalog.make("helicoid", IP3, {"c": 1.0}, (-1, -2, -1, 1))
+
+
+def test_a_domain_that_is_not_finite_no_longer_builds_a_patch():
+    nan = math.nan
+    # every frame of the scan was taken at u = nan and none was inadmissible
+    with pytest.raises(BadParam, match="must be finite"):
+        srf.is_admissible(srf.graph_patch(I3, "u^2+v^2", (0, nan, 0, 1)), 3, 3)
+    # the helicoid's lightlike locus u = 1 lies inside, yet none was found
+    with pytest.raises(BadParam, match="must be finite"):
+        srf.lightlike_points(srf.parametric_patch(IP3, "u * cosh(v)", "u * sinh(v)", "1.0 * v", (0.5, nan, -1, 1)))
+    # verify then failed with "could not sample 10 guarded points"
+    with pytest.raises(BadParam, match="must be finite"):
+        catalog.make("parabolic_sphere", I3, {"p": 2.0}, (0, math.inf, 0, 1))
 
 
 def test_catalog_names():

@@ -520,6 +520,21 @@ def test_an_expression_the_parser_cannot_take_is_a_spec_error(tmp_path, f, messa
     assert not out.exists()
 
 
+def test_verify_lets_no_numpy_warning_out_of_the_process(tmp_path):
+    # d_rho reads inf * 0 at every draw of this patch; under -W error a
+    # warning that reached the user would end the process with a traceback
+    spec = write_spec(tmp_path, {
+        "space": "i3", "surface": {"kind": "graph", "f": "1e160*(u^2 + v^2)"}, "domain": [-1e-12, 1e-12, -1e-12, 1e-12]
+    })
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "isogeo", "verify", spec, "--suite", "flatness", "--samples", "3"],
+        env=dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1])),
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["overall"] == "pass"
+
+
 def test_output_io_error(tmp_path):
     spec = write_spec(tmp_path, SPHERE_SPEC)
     missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"

@@ -615,6 +615,20 @@ def test_a_nan_residual_fails_its_suite(monkeypatch):
     assert len(failed) == 1 and math.isnan(failed[0]["max_residual"])
 
 
+# d_rho reads inf * 0 at every draw: the flatness check, which reads no d_rho, passes
+OVERFLOWING_D_RHO = {
+    "space": "i3", "surface": {"kind": "graph", "f": "1e160*(u^2 + v^2)"}, "domain": [-1e-12, 1e-12, -1e-12, 1e-12]
+}
+
+
+def test_a_tensor_block_that_overflows_gives_no_numpy_warning():
+    # pytest turns a RuntimeWarning into an error (filterwarnings in pyproject.toml)
+    report = verify.run_verify([cli.parse_surface_spec(OVERFLOWING_D_RHO)], ["flatness"], 3, 0)
+    assert [(c["name"], c["points"], c["max_residual"], c["pass"]) for c in report["checks"]] == [
+        ("flatness", 3, 0.0, True)
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_reports_do_not_depend_on_where_a_block_cuts_a_patch(monkeypatch, capsys, seed):
     # 12 records per patch: one block of all 108, blocks of 7 that end

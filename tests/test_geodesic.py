@@ -240,6 +240,14 @@ def test_a_trig_section_far_from_theta_zero_is_traced():
     assert max(trace.residuals["plane"]) <= 1e-9 and max(trace.residuals["sphere"]) <= 1e-9
 
 
+@pytest.mark.parametrize("kind, sign", [(I3, "+"), (IP3, "-")])
+def test_the_section_sphere_patch_keeps_its_fields(kind, sign):
+    # (0, 0, 0, 0) is a placeholder, which no patch constructor would take
+    patch = geo.section_sphere_patch(geo.make_plane_section(kind, 2.0, 1.0, 0.5))
+    f = ex.parse(f"1.0 - (u^2 {sign} v^2)/4.0")
+    assert patch == srf.SurfacePatch(kind, ex.Var("u"), ex.Var("v"), f, (0.0, 0.0, 0.0, 0.0), "section_sphere", {})
+
+
 def _sphere_patch_for(ps, pad=6.0):
     base = geo.section_sphere_patch(ps)
     return srf.SurfacePatch(

@@ -105,6 +105,9 @@ def test_surface_patch_keeps_a_fresh_params_dict_and_rejects_new_attributes():
     assert a == b and a != (SpaceKind.SIMPLY_ISOTROPIC, *"uvw", (), "parametric", {})
     with pytest.raises(TypeError):
         hash(a)
+    # the record checks no field: the domain is kept as given
+    placeholder = (0, float("nan"), "v0")
+    assert SurfacePatch(SpaceKind.SIMPLY_ISOTROPIC, *"uvw", placeholder).domain is placeholder
 
 
 def test_expr_nodes_compare_by_type_and_fields():
