@@ -43,26 +43,15 @@ batch of one.  The bits of a point do not depend on the batch around it.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import expr as ex
-from . import surface as srf
 from .errors import LightlikePoint
 from .isotropy import SpaceKind
-from .surface import (
-    FRAME_NAMES,
-    PointFrame,
-    SurfacePatch,
-    _LazyNumpy,
-    _read_only,
-    by_kind,
-    frame_at,
-)
+from .surface import FRAME_NAMES, THIRD_NAMES, PointFrame, SurfacePatch, _LazyNumpy, _read_only, gaussian_lines, point_kernel
 
 np = _LazyNumpy(globals())
-_module = sys.modules[__name__]
 
 LIGHTLIKE_HARD_TOL = 1e-10
 LIGHTLIKE_GUARD_BAND = 1e-6
@@ -110,11 +99,11 @@ class ConnectionCoeffs(NamedTuple):
 
 
 def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
-    return _module.coeffs_of_frame(frame_at(s, u, v))
+    return sample_at(s, u, v)[0]
 
 
 # The connections' arithmetic as templates over the frame lines' names
-# (``surface.frame_lines``); the only copy, run by the functions below and
+# (``surface.frame_lines``); the only copy, run by ``guarded_record`` and
 # by the geodesic stage kernels.  Levi-Civita: the top-view solve
 # [x1_top x2_top] @ (ga_ij^1, ga_ij^2) = (x_ij)_top, regular even at
 # lightlike points
@@ -125,12 +114,6 @@ def gamma_lines(w: ex.Lines) -> None:
         w.let(f"ga{ij}1, ga{ij}2", (xij * yv - yij * xv) / m12, (xu * yij - yu * xij) / m12)
 
 
-# d_k denom, for k = 1, 2, from the formulas of the module docstring: with
-# S^2 = 1 these are the same lines in both spaces, over the frame's a and b
-DENOM_GRADIENT_LINES = (
-    "dd1 = -(a * (yv * h11 - yu * h12) + b * (xu * h12 - xv * h11)) / m12",
-    "dd2 = -(a * (yv * h12 - yu * h22) + b * (xu * h22 - xv * h12)) / m12",
-)
 RELATIVE_GLOBALS = {"LIGHTLIKE_HARD_TOL": LIGHTLIKE_HARD_TOL, "LightlikePoint": LightlikePoint}
 
 
@@ -155,35 +138,27 @@ def relative_lines(w: ex.Lines, kind: SpaceKind) -> None:
     w.let("xi112, xi122, xi222", ga112 + c2 * r11, ga122 + c2 * r12, ga222 + c2 * r22)
 
 
-def _of_frame(doc: str, signature: str, *lines: str) -> Callable:
-    """A function of the frame ``f`` that runs ``lines`` on its fields."""
-    namespace = {
-        **RELATIVE_GLOBALS, "SpaceKind": SpaceKind, "ConnectionCoeffs": ConnectionCoeffs,
-        "LIGHTLIKE_GUARD_BAND": LIGHTLIKE_GUARD_BAND,
-    }
-    return ex.compile_function(signature, [repr(doc), f"{FRAME_NAMES} = f", *lines], namespace)
+# d_k denom, for k = 1, 2, from the formulas of the module docstring: with
+# S^2 = 1 these are the same lines in both spaces, over the frame's a and b
+def denom_gradient_lines(w: ex.Lines) -> None:
+    a, b, m12, xu, xv, yu, yv, h11, h12, h22 = w.get("a b m12 xu xv yu yv h11 h12 h22")
+    rows = ((h11, h12), (h12, h22))  # (h_k1, h_k2)
+    w.let("dd1, dd2", *(-(a * (yv * p - yu * q) + b * (xu * q - xv * p)) / m12 for p, q in rows))
 
 
-# compiled on the first read of the module's attribute, as surface's
-# frame_of_jet: a geodesic process reads only the templates
-def __getattr__(name: str):
-    if name not in ("coeffs_of_frame", "denom_gradient_of_frame"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals().update(
-        denom_gradient_of_frame=_of_frame(
-            "Exact gradient (d1 denom, d2 denom) along u and v.",
-            "denom_gradient_of_frame(f)", *DENOM_GRADIENT_LINES, "return dd1, dd2",
-        ),
-        coeffs_of_frame=_of_frame(
-            "Both connections at a frame; raises LightlikePoint where the relative\n"
-            "one is singular (denom vanishes).",
-            "coeffs_of_frame(f)", *ex.template_lines(gamma_lines), *by_kind(relative_lines),
-            "return ConnectionCoeffs((ga111, ga112, ga121, ga122, ga221, ga222),"
-            " (xi111, xi112, xi121, xi122, xi221, xi222), (r11, r12, r22), denom,"
-            " abs(denom) < LIGHTLIKE_GUARD_BAND, f)",
-        ),
-    )
-    return globals()[name]
+def guarded_record(w: ex.Lines, kind: SpaceKind) -> tuple[str, str, dict]:
+    """The kernel ``(u, v) ->`` the record of ``sample_at``, whose K runs
+    no curvature guard."""
+    gamma_lines(w)
+    relative_lines(w, kind)
+    denom_gradient_lines(w)
+    gaussian_lines(w)
+    ga, xi = (w.values(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222") for c in ("ga", "xi"))
+    (denom,) = w.get("denom")  # a name, or the slot xi_z where |xi_top|^2 is ZERO
+    frame = f"PointFrame({w.values(FRAME_NAMES)})"
+    coeffs = f"ConnectionCoeffs(({ga}), ({xi}), ({w.values('r11 r12 r22')}), {denom}, abs({denom}) < BAND, {frame})"
+    ret = f"return {coeffs}, ({w.values('dd1 dd2')}), ({w.values(' '.join(THIRD_NAMES))}), {w.values('k')}"
+    return "kernel(u, v)", ret, {**RELATIVE_GLOBALS, "ConnectionCoeffs": ConnectionCoeffs, "BAND": LIGHTLIKE_GUARD_BAND}
 
 
 # column of each PointFrame field in an array of frames, which drops ``kind``,
@@ -205,53 +180,66 @@ _S = {SpaceKind.SIMPLY_ISOTROPIC: (1.0, 1.0), SpaceKind.PSEUDO_ISOTROPIC: (1.0, 
 _THIRD_INDEX = [[[0, 1], [1, 2]], [[1, 2], [2, 3]]]
 
 
-# Both connections with exact partials along u and v, at one point
-# or, behind a leading point axis, at each point of a batch, whose
-# ``coeffs`` is a tuple: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
+# The Levi-Civita part of ``CoeffDerivatives``, all that flatness reads,
+# with the arrays of the frames that the rest builds on
+LeviCivita = namedtuple("LeviCivita", "coeffs frames x1 x2 x3 m_inv gamma d_gamma")
+
+# Both connections with exact partials along u and v, at one point or,
+# behind a leading point axis, at each point of a batch, whose ``coeffs``
+# is a tuple, and K as ``k``: d_gamma and d_xi are [i, j, k, l] = d_k C_ij^l,
 # d_rho and d_h [i, j, k] = d_k F_ij, gamma and xi [i, j, k] = C_ij^k, rho,
 # h, g and g_inv [i, j], and det_g and denom have no index.
 CoeffDerivatives = namedtuple(
-    "CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h gamma xi rho h g g_inv det_g denom"
+    "CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h gamma xi rho h g g_inv det_g denom k"
 )
 
 
-def sample_at(s: SurfacePatch, u: float, v: float) -> tuple[ConnectionCoeffs, tuple, tuple]:
-    """The record at (u, v), each part evaluated once: the coefficients at
-    the frame of the order-3 jet, (d1 denom, d2 denom) and the third
-    partials (uuu, uuv, uvv, vvv) of x, y and z.  Raises what the jet, the
-    frame and the relative connection raise, in that order."""
-    jet = s.jet3_kernel(u, v)
-    coeffs = _module.coeffs_of_frame(srf.frame_of_jet(s.kind, u, v, jet[:18]))
-    return coeffs, _module.denom_gradient_of_frame(coeffs.frame), jet[18:]
+def sample_at(s: SurfacePatch, u: float, v: float) -> tuple[ConnectionCoeffs, tuple, tuple, float]:
+    """The record at (u, v): the coefficients at the frame of the order-3
+    jet, (d1 denom, d2 denom), the third partials (uuu, uuv, uvv, vvv) of
+    x, y and z, and K.  Raises what the jet, the frame and the relative
+    connection raise, in that order."""
+    return point_kernel(s, 3, guarded_record)(u, v)
 
 
-def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
-    """Each formula of the module docstring as one numpy call, at the
+def levi_civita(records: Iterable[tuple]) -> LeviCivita:
+    """``d_k gamma_ij`` of the module docstring as one numpy call, at the
     records in their order, which may come from any patches of either
     space; the records are read, not evaluated again."""
-    coeffs, grads, thirds = zip(*records)
+    coeffs, _, thirds, _ = zip(*records)
     frames = np.array([c.frame[3:] for c in coeffs])
-
-    def fields(first: str, last: str) -> np.ndarray:
-        return frames[:, _COLUMN[first]:_COLUMN[last] + 1]
-
     third = np.array(thirds).reshape(-1, 3, 4)  # [point, component, number of v's]
     x3 = np.moveaxis(third[..., _THIRD_INDEX], -4, -1)  # [point, i, j, k, component]
     x1, x2 = _frame_arrays(frames)
-    g, h = fields("g11", "g22")[:, _RHO_INDEX], fields("h11", "h22")[:, _RHO_INDEX]
-    det_g, m12 = frames[:, _COLUMN["det_g"]], frames[:, _COLUMN["m12"]]
-    # the adjugates [[x2_y, -x2_x], [-x1_y, x1_x]] and [[g22, -g12], [-g12, g11]]
+    m12 = frames[:, _COLUMN["m12"]]
+    # the adjugate [[x2_y, -x2_x], [-x1_y, x1_x]]
     m_inv = x1[:, ::-1, 1::-1] * [[1.0, -1.0], [-1.0, 1.0]] / m12[:, None, None]
-    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det_g[:, None, None]
     gamma = np.array([c.gamma6 for c in coeffs])[:, _COEFF_INDEX]
-    xi = np.array([c.xi6 for c in coeffs])[:, _COEFF_INDEX]
-    rho = np.array([c.rho3 for c in coeffs])[:, _RHO_INDEX]
-    denom = np.array([c.denom for c in coeffs])
-
     d_gamma = np.einsum(
         "...lm,...ijkm->...ijkl",
         m_inv, x3[..., :2] - np.einsum("...ijm,...mkn->...ijkn", gamma, x2[..., :2]),
     )
+    return LeviCivita(coeffs, frames, x1, x2, x3, m_inv, gamma, d_gamma)
+
+
+def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
+    """Each formula of the module docstring as one numpy call, at the
+    records in their order, as ``levi_civita`` reads them."""
+    records = list(records)
+    coeffs, frames, x1, x2, x3, m_inv, gamma, d_gamma = levi_civita(records)
+    _, grads, _, k = zip(*records)
+
+    def fields(first: str, last: str) -> np.ndarray:
+        return frames[:, _COLUMN[first]:_COLUMN[last] + 1]
+
+    g, h = fields("g11", "g22")[:, _RHO_INDEX], fields("h11", "h22")[:, _RHO_INDEX]
+    det_g = frames[:, _COLUMN["det_g"]]
+    # the adjugate [[g22, -g12], [-g12, g11]]
+    g_inv = g[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det_g[:, None, None]
+    xi = np.array([c.xi6 for c in coeffs])[:, _COEFF_INDEX]
+    rho = np.array([c.rho3 for c in coeffs])[:, _RHO_INDEX]
+    denom, k = np.array([c.denom for c in coeffs]), np.array(k)
+
     d_h = (
         x3[..., 2]
         - np.einsum("...ijkl,...l->...ijk", d_gamma, x1[..., 2])
@@ -266,7 +254,7 @@ def coeff_derivatives(records: Iterable[tuple]) -> CoeffDerivatives:
     d_xi_top = -np.einsum("...lm,...lk->...km", m_inv, h) * s_diag
     d_w = np.einsum("...lm,...km->...kl", m_inv, d_xi_top - np.einsum("...m,...mkn->...kn", w, x2[..., :2]))
     d_xi = d_gamma - d_rho[..., None] * w[:, None, None, None] - rho[..., None, None] * d_w[:, None, None]
-    return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom)
+    return CoeffDerivatives(coeffs, d_gamma, d_xi, d_rho, d_h, gamma, xi, rho, h, g, g_inv, det_g, denom, k)
 
 
 def coeff_derivatives_at(s: SurfacePatch, u: float, v: float) -> CoeffDerivatives:
@@ -291,7 +279,7 @@ def _relative_tensors(b: CoeffDerivatives) -> tuple[np.ndarray, np.ndarray]:
     return r_rel, np.einsum("...ed,...eabc->...dabc", b.g, r_rel)
 
 
-def flatness_residuals(b: CoeffDerivatives) -> np.ndarray:
+def flatness_residuals(b: LeviCivita | CoeffDerivatives) -> np.ndarray:
     """max |R^l_ijk| of the Levi-Civita curvature tensor at each point."""
     return _point_max(_curvature_tensor(b.gamma, b.d_gamma), 4)
 
@@ -320,8 +308,7 @@ def egregium_checks(b: CoeffDerivatives) -> Iterator[EgregiumResult]:
     ``b``: the left uses only the relative connection and Gauss map, the
     right the extrinsic forms."""
     r_lowered = _relative_tensors(b)[1]
-    for k_tensor, c in zip((b.denom * r_lowered[:, 1, 0, 0, 1] / b.det_g).tolist(), b.coeffs):
-        k_ext = srf.gaussian_curvature(c.frame)
+    for k_tensor, k_ext in zip((b.denom * r_lowered[:, 1, 0, 0, 1] / b.det_g).tolist(), b.k.tolist()):
         abs_err = abs(k_tensor - k_ext)
         yield EgregiumResult(k_tensor, k_ext, abs_err / abs(k_ext) if k_ext != 0.0 else math.inf, abs_err)
 

@@ -444,6 +444,10 @@ class Lines:
     def get(self, names: str) -> list[_Src]:
         return [self.slots.get(n) or _Src(n) for n in names.replace(",", " ").split()]
 
+    def values(self, names: str) -> str:
+        """The slots of ``names`` as the text of a tuple's items."""
+        return ", ".join(map(str, self.get(names)))
+
     def let(self, names: str, *values) -> list[_Src]:
         """``names = values``; returns the names' slots.  A value that is a
         name already (ZERO, ONE or a slot) becomes the name's slot, and
@@ -770,21 +774,35 @@ def compile_jet(exprs, order: int) -> Callable[[float, float], tuple[float, ...]
     are followed by the third partials (duuu, duuv, duvv, dvvv) of each
     tree in order.  Trees of one shape (see ``_shape``) share one compiled
     code object, each kernel binding its own floats."""
-    key, values = _shape(exprs, order)
-    entry = _JET_KERNELS.get(key)
-    if entry is None:
+
+    def write() -> tuple[_KernelWriter, Callable]:
         writer, outputs = jet_writer(exprs, order)
         ret = f"return ({''.join(f'{name}, ' for name in outputs)})"
-        kernel = compile_function("kernel(u, v)", ["U = float(u)", *writer.lines(ret), ret], writer.namespace)
+        return writer, compile_function("kernel(u, v)", ["U = float(u)", *writer.lines(ret), ret], writer.namespace)
+
+    return compile_shaped(exprs, order, None, write)
+
+
+def compile_shaped(exprs, order: int, tag, write: Callable) -> Callable:
+    """The function that ``write()`` compiles, returning it with the writer
+    that holds the ``jet_writer`` lines of ``exprs`` at ``order`` which it
+    runs: one code object for all trees of one shape (see ``_shape``) and
+    one hashable ``tag``, kept in ``_JET_KERNELS``, each function binding
+    its own floats."""
+    key, values = _shape(exprs, order)
+    entry = _JET_KERNELS.get((key, tag))
+    if entry is None:
+        writer, kernel = write()
         names = [writer.emitted["const", struct.pack("<d", x)][0] for x in values]
         if len(_JET_KERNELS) >= _MAX_JET_KERNELS:
             del _JET_KERNELS[next(iter(_JET_KERNELS))]  # the oldest
-        entry = _JET_KERNELS[key] = kernel.__code__, writer.namespace, names
-    code, namespace, names = entry
-    return types.FunctionType(code, {**namespace, **dict(zip(names, values))})
+        entry = _JET_KERNELS[key, tag] = kernel.__code__, kernel.__globals__, names, kernel.__defaults__
+    code, namespace, names, defaults = entry
+    return types.FunctionType(code, {**namespace, **dict(zip(names, values))}, None, defaults)
 
 
-# compile_jet's kernels by shape: (code, namespace, the name of each slot)
+# compile_shaped's functions by shape and tag: (code, namespace, the name of
+# each slot, the defaults)
 _JET_KERNELS: dict = {}
 _MAX_JET_KERNELS = 32
 

@@ -152,7 +152,7 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
     its reciprocal, re-assign their own node's names, which no line before
     them outside the node reads, so a line after the return reads what it
     read in place."""
-    kernel = s.accel_kernels.get(gkind)
+    kernel = s.kernels.get(gkind)
     if kernel is None:
         relative = gkind is GeodesicKind.RELATIVE
         w, namespace = point_lines(s)
@@ -166,7 +166,7 @@ def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
         head = [y for x in statements for y in x.lines]
         tail = [y for x in w.statements(final) if x.lines not in before for y in x.lines]
         u0, u1, v0, v1 = s.domain
-        kernel = s.accel_kernels[gkind] = ex.compile_function(
+        kernel = s.kernels[gkind] = ex.compile_function(
             "kernel(u, v, du, dv, sample=False)",
             # SurfacePatch.contains, inlined: a method call would cost each
             # stage more than the comparison does

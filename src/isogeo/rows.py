@@ -14,7 +14,7 @@ def row_kernel(patch: SurfacePatch):
     the CSV rows of the grid points (u, v), su the repr of u and (v, sv) in
     ``vs`` with sv the repr of v, as one text with a newline after each
     row.  Each point runs the jet, frame and curvature lines of ``surface``,
-    which raise what ``frame_at`` and ``curvatures_of_frame`` raise there:
+    which raise what ``frame_at`` and ``curvatures_at`` raise there:
     NotAdmissible gives the point an ``inadmissible`` row, DomainError an
     ``undefined`` one, and so does a position that is not finite; any other
     error propagates.

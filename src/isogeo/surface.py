@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import expr as ex
 from .errors import BadParam, DomainError, NotAdmissible
@@ -104,22 +103,15 @@ class SurfacePatch:
         return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 2)
 
     @functools.cached_property
-    def jet3_kernel(self):
-        """``(u, v) ->`` the 18 floats of ``jet_kernel``, bit for bit,
-        followed by the third partials (duuu, duuv, duvv, dvvv) of x, y
-        and z; compiled on first use, by the curvature-tensor code only."""
-        return ex.compile_jet((self.x_expr, self.y_expr, self.z_expr), 3)
-
-    @functools.cached_property
-    def accel_kernels(self) -> dict:
-        """The geodesic stage kernels of this patch by connection, which
-        ``geodesic`` compiles on first use."""
+    def kernels(self) -> dict:
+        """The fused kernels of this patch, each compiled on first use: the
+        geodesic stage kernels by connection, the point kernels by record."""
         return {}
 
     def __getstate__(self) -> dict:
         # kernels are generated code that pickle cannot name; a copy
         # compiles its own on first use
-        kernels = ("jet_kernel", "jet3_kernel", "accel_kernels")
+        kernels = ("jet_kernel", "kernels")
         return {k: v for k, v in self.__dict__.items() if k not in kernels}
 
     def contains(self, u: float, v: float) -> bool:
@@ -318,20 +310,12 @@ class CurvatureReport(NamedTuple):
     umbilic_factor: Optional[float] = None
 
 
-# the patch queries that no command runs, which load on first use, and the
-# functions of a jet or frame that run the templates' plain lines, compiled
-# on the first read of the module's attribute (frame_at reads it so): the
-# commands that run the fused kernels need neither
+# the patch queries that no command runs, which load on first use
 _QUERIES = ("AdmissibilityReport", "is_admissible", "lightlike_condition", "lightlike_points",
             "normal_curvature", "transform_patch")
-_FRAME_FUNCTIONS = ("frame_of_jet", "gaussian_curvature", "curvatures_of_frame")
-_module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name in _FRAME_FUNCTIONS:
-        globals().update(_frame_functions())
-        return globals()[name]
     if name in _QUERIES:
         from . import queries
 
@@ -340,12 +324,13 @@ def __getattr__(name: str):
 
 
 def frame_at(s: SurfacePatch, u: float, v: float) -> PointFrame:
-    return _module.frame_of_jet(s.kind, u, v, s.jet_kernel(u, v))
+    return point_kernel(s, 2, frame_record)(u, v)
 
 
-# the 18 floats of ``jet_kernel``, and PointFrame's fields, as the frame
-# lines name them
+# the 18 floats of ``jet_kernel``, the third partials that follow them at
+# order 3, and PointFrame's fields, as the frame lines name them
 JET_NAMES = "px xu xv xuu xuv xvv py yu yv yuu yuv yvv pz zu zv zuu zuv zvv".split()
+THIRD_NAMES = [f"{c}{d}" for c in "xyz" for d in ("uuu", "uuv", "uvv", "vvv")]
 FRAME_NAMES = (
     "kind, u, v, px, py, pz, xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, "
     "xuv, yuv, zuv, xvv, yvv, zvv, m12, m23, m31, g11, g12, g22, det_g, a, b, xi_z, h11, h12, h22"
@@ -356,9 +341,9 @@ FRAME_GLOBALS = {"math": math, "ADMISSIBILITY_RTOL": ADMISSIBILITY_RTOL, "NotAdm
 def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
     """The frame's arithmetic in ``kind``'s space, written into ``w`` from
     the ``JET_NAMES`` at (u, v) to the other ``FRAME_NAMES``.  The only
-    copy: ``frame_of_jet`` runs its lines over plain names, and the fused
-    point kernels over the jet's slots, through ``point_lines``.  Every
-    line reads the jet in the caller's (u, v) order, and m12 keeps its sign."""
+    copy, which every point kernel runs over the jet's slots, through
+    ``point_lines``.  Every line reads the jet in the caller's (u, v)
+    order, and m12 keeps its sign."""
     simply = kind is SpaceKind.SIMPLY_ISOTROPIC
 
     def dot(p, q):  # the background product of two top views
@@ -392,24 +377,53 @@ def frame_lines(w: ex.Lines, kind: SpaceKind) -> None:
         w.let(f"h{ij}", dot((a, b), (xij, yij)) + zij)
 
 
-def point_lines(s: SurfacePatch) -> tuple[ex.Lines, dict]:
-    """The prelude of the fused point kernels, the ``curvature`` row kernel
-    and the geodesic stage kernel: the writer ``w`` of ``s``'s order-2 jet
-    lines, which read the float U of u that the kernel defines, with
-    ``frame_lines(w, s.kind)`` written into it over the jet's slots; and
-    the namespace they read, ``FRAME_GLOBALS`` included.  Each kernel
-    writes its own lines into ``w`` and takes its body from
-    ``w.statements``, which writes a quantity only where a later line reads it."""
-    w, outputs = ex.jet_writer((s.x_expr, s.y_expr, s.z_expr), 2)
-    w.slots.update(zip(JET_NAMES, map(ex._Src, outputs), strict=True))
+def point_lines(s: SurfacePatch, order: int = 2) -> tuple[ex.Lines, dict]:
+    """The prelude of every point kernel: the writer ``w`` of ``s``'s jet
+    lines at ``order``, which read the float U of u that the kernel
+    defines, with ``frame_lines(w, s.kind)`` written into it over the jet's
+    slots (``JET_NAMES``, and ``THIRD_NAMES`` at order 3), and the
+    namespace they read.  Each kernel writes its own lines into ``w`` and
+    takes its body from ``w.statements``, which writes a quantity only
+    where a later line reads it."""
+    w, outputs = ex.jet_writer((s.x_expr, s.y_expr, s.z_expr), order)
+    w.slots.update(zip(JET_NAMES + THIRD_NAMES[:len(outputs) - 18], map(ex._Src, outputs), strict=True))
     frame_lines(w, s.kind)
     return w, {**w.namespace, **FRAME_GLOBALS}
 
 
-def by_kind(template) -> list[str]:
-    """The plain lines of ``template(w, kind)`` for the run-time ``kind``."""
-    i3, ip3 = (ex.template_lines(template, kind) for kind in (SpaceKind.SIMPLY_ISOTROPIC, SpaceKind.PSEUDO_ISOTROPIC))
-    return ["if kind is SpaceKind.SIMPLY_ISOTROPIC:", *(f"    {x}" for x in i3), "else:", *(f"    {x}" for x in ip3)]
+def point_kernel(s: SurfacePatch, order: int, record) -> Callable:
+    """``s``'s kernel of ``record``, compiled on first use and kept on
+    ``s``: the lines of ``point_lines(s, order)``, then those that
+    ``record(w, s.kind)`` writes into their writer ``w``, which returns the
+    kernel's signature, its return line and the globals they read besides
+    the frame lines' and PointFrame's.  Patches of one shape share the
+    compiled code, by space and record (see ``ex.compile_shaped``)."""
+    kernel = s.kernels.get(record)
+    if kernel is None:
+        def write() -> tuple[ex.Lines, Callable]:
+            w, namespace = point_lines(s, order)
+            w.body.insert(0, [("U", "float(u)")])  # a let, so that only a line that reads U writes it
+            signature, ret, names = record(w, s.kind)
+            namespace.update(names, kind=s.kind, PointFrame=PointFrame)
+            return w, ex.compile_function(signature, [*w.lines(ret), ret], namespace)
+
+        exprs = (s.x_expr, s.y_expr, s.z_expr)
+        kernel = s.kernels[record] = ex.compile_shaped(exprs, order, (s.kind, record), write)
+    return kernel
+
+
+def frame_record(w: ex.Lines, kind: SpaceKind) -> tuple[str, str, dict]:
+    """``frame_at``'s kernel: ``(u, v) ->`` the frame."""
+    return "kernel(u, v)", f"return PointFrame({w.values(FRAME_NAMES)})", {}
+
+
+def curvature_record(w: ex.Lines, kind: SpaceKind) -> tuple[str, str, dict]:
+    """The kernel ``(u, v, tol) ->`` the frame and its CurvatureReport, of
+    ``curvatures_at`` and the sampler's unguarded draws."""
+    curvature_lines(w)
+    report = f"CurvatureReport({w.values('k h_mean disc label kappa1 kappa2 umbilic_factor')})"
+    namespace = {**CURVATURE_GLOBALS, "CurvatureReport": CurvatureReport, **{c.name: c for c in CurvatureClass}}
+    return f"kernel(u, v, tol={CURVATURE_TOL!r})", f"return PointFrame({w.values(FRAME_NAMES)}), {report}", namespace
 
 
 def curvatures_at(
@@ -417,17 +431,17 @@ def curvatures_at(
 ) -> CurvatureReport:
     """Gaussian and mean curvature plus the diagonalizability trichotomy
     of the shape operator (read off the characteristic polynomial
-    lambda^2 - 2H lambda + K)."""
-    f = frame_at(s, u, v)
-    return _module.curvatures_of_frame(f, tol)
+    lambda^2 - 2H lambda + K); DomainError where K, H or xi is not finite."""
+    return point_kernel(s, 2, curvature_record)(u, v, tol)[1]
 
 
 # The curvatures' arithmetic as a template, from the frame lines' names to
 # k, h_mean, disc, label, kappa1, kappa2 and umbilic_factor; the only copy,
-# run by the two functions below and by the CLI's curvature row kernel.
-# ``label`` is bound to the global named after the CurvatureClass member:
-# the member itself in ``curvatures_of_frame``, its value where a row is
-# written.  K = det h / det g.
+# run by ``curvature_record`` and by the CLI's curvature row kernel, and
+# its first part, K, by the sampler's guarded record.  ``label`` is bound
+# to the global named after the CurvatureClass member: the member itself
+# in ``curvature_record``, its value where a row is written.
+# K = det h / det g.
 def gaussian_lines(w: ex.Lines) -> None:
     h11, h12, h22, det_g = w.get("h11 h12 h22 det_g")
     if str(h12) in ("ZERO", "ONE"):  # its own square
@@ -472,33 +486,6 @@ def curvature_lines(w: ex.Lines) -> None:
 
 # ``tol`` is the default, which a ``tol`` argument shadows
 CURVATURE_GLOBALS = {"math": math, "DomainError": DomainError, "tol": CURVATURE_TOL}
-
-
-def _frame_functions() -> dict:
-    return {
-        "frame_of_jet": ex.compile_function(
-            "frame_of_jet(kind, u, v, jet)",
-            [
-                '"""The frame at (u, v) in ``kind``\'s space from the 18 floats of ``jet_kernel`` there."""',
-                f"{', '.join(JET_NAMES)} = jet", *by_kind(frame_lines), f"return PointFrame({FRAME_NAMES})",
-            ],
-            {**FRAME_GLOBALS, "SpaceKind": SpaceKind, "PointFrame": PointFrame},
-        ),
-        "gaussian_curvature": ex.compile_function(
-            "gaussian_curvature(f)",
-            ['"""K = det h / det g."""', f"{FRAME_NAMES} = f", *ex.template_lines(gaussian_lines), "return k"],
-            {**CURVATURE_GLOBALS},
-        ),
-        "curvatures_of_frame": ex.compile_function(
-            f"curvatures_of_frame(f, tol={CURVATURE_TOL!r})",
-            [
-                '"""K, H, disc and the class at a frame; DomainError where K, H or xi is not finite."""',
-                f"{FRAME_NAMES} = f", *ex.template_lines(curvature_lines),
-                "return CurvatureReport(k, h_mean, disc, label, kappa1, kappa2, umbilic_factor)",
-            ],
-            {**CURVATURE_GLOBALS, "CurvatureReport": CurvatureReport, **{c.name: c for c in CurvatureClass}},
-        ),
-    }
 
 
 def grid_values(lo: float, hi: float, n: int) -> list[float]:

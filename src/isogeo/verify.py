@@ -24,11 +24,13 @@ Closeness to the locus is measured in gradient units,
 |denom| / max(1, |grad denom|), since a small denom with a steep
 gradient means the singular set is a short parameter distance away; the
 gradient is exact, from the 2-jet at the candidate point.  Each draw is
-evaluated once: a guarded draw is the record of ``connection.sample_at``,
-whose coefficients and gradient the guard reads and the tensor suites
-take as they are, and an unguarded draw is the curvature report of its
-frame.  Every sampled suite folds its records' residuals in ``_fold``,
-and every check's default tolerance is in ``TOLERANCES``.
+one call of a point kernel of its patch (``surface.point_kernel``): a
+guarded draw is the record of ``connection.guarded_record``, whose
+coefficients and gradient the guard reads and the tensor suites take as
+they are, K included, and an unguarded draw is the curvature report of
+``surface.curvature_record``.  Every sampled suite folds its records'
+residuals in ``_fold``, and every check's default tolerance is in
+``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -41,19 +43,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import catalog
 from .connection import (
-    CoeffDerivatives,
     codazzi_residuals,
     coeff_derivatives,
     egregium_checks,
     flatness_residuals,
     gauss_residuals,
+    guarded_record,
+    levi_civita,
     np,
-    sample_at,
 )
 from .errors import IsoGeoError, SpecError
 from .isotropy import SpaceKind
 from .rng import SplitMix64
-from .surface import CurvatureClass, SurfacePatch, curvatures_of_frame, frame_of_jet
+from .surface import CurvatureClass, SurfacePatch, curvature_record, point_kernel
 
 # The ``fd_step`` of every suite and of the report.  It only widens the
 # sampler's border margin (see ``_sample``), so it decides which
@@ -158,12 +160,14 @@ def _sample(
     denom_guard: Optional[float],
 ) -> Iterator:
     """``count`` seeded points, ``_margin`` inside each side of the domain:
-    the curvature reports of the order-2 frames, or with a ``denom_guard``
-    the records of ``sample_at``.  A draw is redrawn where its evaluation,
-    curvatures included, raises, a float of the frame or third partials is
+    the curvature reports of ``curvature_record``'s kernel, or with a
+    ``denom_guard`` the records of ``guarded_record``'s.  A draw is redrawn
+    where its kernel raises (an unguarded draw's curvatures included, a
+    guarded draw's never run), a float of the frame or third partials is
     not finite, or |denom| < denom_guard, in units of max(1, |grad denom|)
     for a guard above BASIC_DENOM_GUARD.  Gives up after 200 * count + 200
     draws, or after 400 if none was accepted."""
+    kernel = point_kernel(patch, 2, curvature_record) if denom_guard is None else point_kernel(patch, 3, guarded_record)
     u0, u1, v0, v1 = patch.domain
     mu = _margin(u0, u1, border)
     mv = _margin(v0, v1, border)
@@ -176,10 +180,10 @@ def _sample(
         v = rng.uniform(v0 + mv, v1 - mv)
         try:
             if denom_guard is None:
-                f = frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
-                record, floats = curvatures_of_frame(f), f[3:]
+                f, record = kernel(u, v)
+                floats = f[3:]
             else:
-                record = coeffs, grad, thirds = sample_at(patch, u, v)
+                record = coeffs, grad, thirds, _ = kernel(u, v)
                 floats = (*coeffs.frame[3:], *thirds)
         except IsoGeoError:
             continue
@@ -227,16 +231,16 @@ def _check(name: str, label: str, points: int, worst: float, tol: float) -> Chec
 
 
 def _tensor_suite(border: float, denom_guard: float, names: tuple[str, ...], pairs: Callable) -> Callable:
-    """The suite that folds ``pairs(coeff_derivatives(block))`` of records
-    guarded by ``denom_guard``, drawn ``border`` * fd_step inside the
-    domain: a check per patch and name in ``names`` that a record gave."""
+    """The suite that folds ``pairs(block)`` of records guarded by
+    ``denom_guard``, drawn ``border`` * fd_step inside the domain: a check
+    per patch and name in ``names`` that a record gave."""
 
     def suite(patches: Sequence[SurfacePatch], samples: int, seed: int, fd_step: float) -> list[CheckResult]:
         n = _per_patch(samples, len(patches))
         rng = SplitMix64(seed)
         # a NaN or inf in a block's tensors fails the checks that read it (see _fold), with no warning
         with np.errstate(all="ignore"):
-            folds = _fold(patches, n, rng, border * fd_step, denom_guard, lambda block: pairs(coeff_derivatives(block)))
+            folds = _fold(patches, n, rng, border * fd_step, denom_guard, pairs)
         return [
             _check(name, _label(patch), count, worst, TOLERANCES[name])
             for p, patch in enumerate(patches) for name in names for worst, count in [folds[name][p]] if count
@@ -245,19 +249,21 @@ def _tensor_suite(border: float, denom_guard: float, names: tuple[str, ...], pai
     return suite
 
 
-def _codazzi_pairs(b: CoeffDerivatives) -> Iterator[tuple]:
-    relative, levi_civita = codazzi_residuals(b)
-    for rel, lc, gauss in zip(relative.tolist(), levi_civita.tolist(), gauss_residuals(b).tolist()):
+def _codazzi_pairs(block: list) -> Iterator[tuple]:
+    b = coeff_derivatives(block)
+    relative, lc_residuals = codazzi_residuals(b)
+    for rel, lc, gauss in zip(relative.tolist(), lc_residuals.tolist(), gauss_residuals(b).tolist()):
         yield ("codazzi", rel), ("codazzi_lc", lc), ("gauss_rhs", max(0.0, *gauss))
 
 
-suite_flatness = _tensor_suite(
-    2.0, BASIC_DENOM_GUARD, ("flatness",), lambda b: ((("flatness", r),) for r in flatness_residuals(b).tolist())
-)
+# flatness reads the Levi-Civita part alone
+suite_flatness = _tensor_suite(2.0, BASIC_DENOM_GUARD, ("flatness",), lambda block: (
+    (("flatness", r),) for r in flatness_residuals(levi_civita(block)).tolist()
+))
 # the relative error where K is not 0, else the absolute one
-suite_egregium = _tensor_suite(0.5, RELATIVE_DENOM_GUARD, ("egregium", "egregium_flat"), lambda b: (
+suite_egregium = _tensor_suite(0.5, RELATIVE_DENOM_GUARD, ("egregium", "egregium_flat"), lambda block: (
     (("egregium", c.rel_err) if abs(c.k_extrinsic) > 1e-6 else ("egregium_flat", c.abs_err),)
-    for c in egregium_checks(b)
+    for c in egregium_checks(coeff_derivatives(block))
 ))
 suite_codazzi = _tensor_suite(0.5, RELATIVE_DENOM_GUARD, ("codazzi", "codazzi_lc", "gauss_rhs"), _codazzi_pairs)
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 import jets
 from jets import Jet2
 from isogeo.expr import Binary, Const, Expr, Unary, Var
-from isogeo.surface import PointFrame, SurfacePatch, frame_of_jet
+from isogeo.surface import PointFrame, SurfacePatch
+from plainref import frame_of_jet
 
 def frame(s: SurfacePatch, u: float, v: float) -> PointFrame:
     """The frame at (u, v) that the fused point kernels compute: the
-    structural jets of x, y and z run through ``frame_of_jet``, whose
+    structural jets of x, y and z run through ``plainref.frame_of_jet``, whose
     floats skip what the jets' ZERO and ONE skip."""
     jet = [
         x for e in (s.x_expr, s.y_expr, s.z_expr)

@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import math
 
-from isogeo.connection import LIGHTLIKE_GUARD_BAND, _of_frame, coeffs_of_frame, gamma_lines
-from isogeo.expr import template_lines
+from isogeo.connection import LIGHTLIKE_GUARD_BAND
 from isogeo.errors import DomainError, LightlikePoint, NotAdmissible
 from isogeo.geodesic import GeodesicKind
 from isogeo.isotropy import E3, SpaceKind, Vec3, cross_euclid, cross_lorentz
 from jet2ref import frame
+from plainref import coeffs_of_frame, gamma6_of_frame
 from tensorref import denom_of_frame
-
-gamma6_of_frame = _of_frame(
-    "Levi-Civita coefficients alone; regular even at lightlike points.",
-    "gamma6_of_frame(f)", *template_lines(gamma_lines), "return (ga111, ga112, ga121, ga122, ga221, ga222)",
-)
 
 
 def cross_background(kind: SpaceKind, u: Vec3, v: Vec3) -> Vec3:

@@ -68,7 +68,7 @@ def stage(patch, gkind):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(geo, "_accel_lines", accel_lines)
         m.setattr(ex, "compile_function", compile_function)
-        patch.accel_kernels.pop(gkind, None)
+        patch.kernels.pop(gkind, None)
         kernel = geo._accel_kernel(patch, gkind)
     early, final = seen["returns"]
     body, w = seen["body"], seen["writer"]

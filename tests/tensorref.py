@@ -16,17 +16,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from isogeo.connection import (
-    _THIRD_INDEX,
-    CodazziResiduals,
-    CurvatureTensorSample,
-    EgregiumResult,
-    coeffs_at,
-    coeffs_of_frame,
-    denom_gradient_of_frame,
-)
+from isogeo.connection import _THIRD_INDEX, CodazziResiduals, CurvatureTensorSample, EgregiumResult, coeffs_at
 from isogeo.isotropy import SpaceKind
-from isogeo.surface import PointFrame, frame_at, frame_of_jet, gaussian_curvature
+from isogeo.surface import PointFrame, frame_at
+from jet3 import walk3
+from plainref import coeffs_of_frame, denom_gradient_of_frame, frame_of_jet, gaussian_curvature
 
 CoeffDerivatives = namedtuple("CoeffDerivatives", "coeffs d_gamma d_xi d_rho d_h")
 
@@ -86,7 +80,9 @@ def reassemble_second_derivatives(c) -> tuple[float, float]:
 
 
 def coeff_derivatives_at(s, u: float, v: float) -> CoeffDerivatives:
-    jet = s.jet3_kernel(u, v)
+    # the structural jet, so that the coefficients skip what the package's
+    # kernel skips
+    jet = walk3((s.x_expr, s.y_expr, s.z_expr), u, v)
     f = frame_of_jet(s.kind, u, v, jet[:18])
     c = coeffs_of_frame(f)
     third = np.array(jet[18:]).reshape(3, 4)  # [component, number of v's]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import isogeo
 import jet2ref
+import plainref
 from genexpr import random_expr_full
 from isogeo import catalog, cli, expr, geodesic, verify
 from isogeo import connection as con
@@ -22,6 +24,7 @@ from isogeo.errors import DomainError, IsoGeoError, NotAdmissible
 from isogeo.expr import Binary, Var
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
+from test_kernel import CATALOG_CASES, CATALOG_PARAMS
 
 SPHERE_SPEC = {
     "space": "i3",
@@ -197,6 +200,19 @@ def test_verify_bytes_do_not_depend_on_the_process_or_its_hash_seed():
     assert outs[0] == outs[1] != ""
 
 
+# sha256 of the stdout of verify --all-catalog --suite all --samples 100
+# --seed 7.  The value depends on libm's exp, sin and log, which the
+# catalog's expressions and the random waves' draws run through; a libm
+# that rounds one of them differently changes it.  CI checks the same value
+SEED_7_REPORT_SHA256 = "e18b6bf67d3f11fff3d37854e0dda9cac79f85cf6010d196c6916e3aa864708d"
+
+
+def test_the_seed_7_report_keeps_its_bytes(capsys):
+    argv = ["verify", "--all-catalog", "--suite", "all", "--samples", "100", "--seed", "7"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEED_7_REPORT_SHA256
+
+
 def test_verify_spec_umbilic_negative(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -362,13 +378,13 @@ def test_a_draw_whose_curvatures_overflow_is_redrawn(tmp_path, capsys):
 
 def test_sampler_redraws_draws_whose_third_partials_are_not_finite(monkeypatch):
     patch = verify.verification_patches()[0]
-    jet3 = patch.jet3_kernel
+    record = srf.point_kernel(patch, 3, con.guarded_record)
 
     def kernel(u, v):
-        jet = jet3(u, v)
-        return (*jet[:18], math.inf, *jet[19:])
+        coeffs, grad, thirds, k = record(u, v)
+        return coeffs, grad, (math.inf, *thirds[1:]), k
 
-    monkeypatch.setitem(patch.__dict__, "jet3_kernel", kernel)
+    monkeypatch.setitem(patch.kernels, con.guarded_record, kernel)
     with pytest.raises(IsoGeoError, match="could not sample 1 guarded points"):
         next(verify._sample(patch, 1, SplitMix64(1), 0.0, verify.BASIC_DENOM_GUARD))
 
@@ -379,11 +395,11 @@ def test_sampler_draws_inside_a_domain_narrower_than_its_border(tmp_path, monkey
     # interval that reaches outside the domain
     drawn = []
 
-    def recording(patch, u, v):
-        drawn.append((u, v))
-        return con.sample_at(patch, u, v)
+    def recording(patch, order, record):
+        kernel = srf.point_kernel(patch, order, record)
+        return lambda u, v: drawn.append((u, v)) or kernel(u, v)
 
-    monkeypatch.setattr(verify, "sample_at", recording)
+    monkeypatch.setattr(verify, "point_kernel", recording)
     surface = {"kind": "graph", "f": "u*v + u^2"}
     spec = write_spec(tmp_path, {"space": "i3", "surface": surface, "domain": [0, 1e-4, 0, 1e-4]})
     out = tmp_path / "report.json"
@@ -399,8 +415,9 @@ def test_sampler_draws_inside_a_domain_narrower_than_its_border(tmp_path, monkey
 
 @pytest.mark.parametrize("suite", ["codazzi", "umbilic"])
 def test_verify_evaluates_each_draw_once(monkeypatch, capsys, suite):
-    # one jet kernel call and one frame per sampler draw: the tensor suites
-    # take the sampler's frames and order-3 jets, and no frame_at runs
+    # one kernel call per sampler draw, which builds its frame: the tensor
+    # suites take the sampler's records as they are, and no jet kernel and
+    # no frame_at runs
     counts = {"kernel": 0, "uniform": 0, "frame_at": 0}
 
     def counted(name, fn):
@@ -410,8 +427,10 @@ def test_verify_evaluates_each_draw_once(monkeypatch, capsys, suite):
         return call
 
     for patch in verify.verification_patches():
-        for kernel in ("jet_kernel", "jet3_kernel"):
-            monkeypatch.setitem(patch.__dict__, kernel, counted("kernel", getattr(patch, kernel)))
+        monkeypatch.setitem(patch.__dict__, "jet_kernel", counted("kernel", patch.jet_kernel))
+        for order, record in ((2, srf.curvature_record), (3, con.guarded_record)):
+            kernel = counted("kernel", srf.point_kernel(patch, order, record))
+            monkeypatch.setitem(patch.kernels, record, kernel)
     monkeypatch.setattr(SplitMix64, "uniform", counted("uniform", SplitMix64.uniform))
     frame_at = counted("frame_at", srf.frame_at)
     for module in (srf, con, verify):
@@ -769,13 +788,13 @@ def test_verify_builds_the_catalog_patches_once(monkeypatch):
     args = (None, ["flatness", "egregium", "codazzi", "minimal"], 18, 4)
     first = verify.run_verify(*args)
     compiled = []
-    real = expr.compile_jet
+    real = expr.compile_shaped
 
-    def counting(exprs, order):
+    def counting(exprs, *args):
         compiled.append(exprs)
-        return real(exprs, order)
+        return real(exprs, *args)
 
-    monkeypatch.setattr(expr, "compile_jet", counting)
+    monkeypatch.setattr(expr, "compile_shaped", counting)
     assert verify.run_verify(*args) == first
     catalog_exprs = {
         id(e) for p in verify.verification_patches() for e in (p.x_expr, p.y_expr, p.z_expr)
@@ -988,21 +1007,16 @@ def _repr_row(values):
     return ",".join(repr(float(x)) for x in values)
 
 
-def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
-    # m12 = u + 1 vanishes on u = -1 (inadmissible) and log(v + 0.5) has
-    # no value for v <= -0.5 (undefined); x = u and g12 = u (u + 1) v
-    surface = {"kind": "parametric", "x": "u", "y": "u*v + v", "z": "log(v + 0.5) + u*v"}
-    spec = {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]}
-    path = write_spec(tmp_path, spec)
-    patch = cli.load_spec_file(path)
-    out = tmp_path / "curv.csv"
-    assert cli.main(["curvature", path, "--grid", "9x8", "--out", str(out)]) == 0
+def _one_point_rows(patch, nu: int, nv: int) -> list[str]:
+    """The ``curvature`` CSV of an nu x nv grid on ``patch``, from
+    ``frame_at`` and ``curvatures_at`` at each point."""
+    u0, u1, v0, v1 = patch.domain
     expected = ["u,v,x,y,z,K,H,disc,class,xi1,xi2,xi3"]
-    for u in srf.grid_values(-1.0, 1.0, 9):
-        for v in srf.grid_values(-1.0, 1.0, 8):
+    for u in srf.grid_values(u0, u1, nu):
+        for v in srf.grid_values(v0, v1, nv):
             try:
                 f = srf.frame_at(patch, u, v)
-                rep = srf.curvatures_of_frame(f)
+                rep = srf.curvatures_at(patch, u, v)
             except NotAdmissible:
                 expected.append(_repr_row((u, v)) + ",,,,,,,inadmissible,,,")
                 continue
@@ -1016,9 +1030,30 @@ def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
                     _repr_row(f.xi.as_tuple()),
                 ])
             )
+    return expected
+
+
+def test_curvature_and_sample_rows_are_the_repr_of_each_float(tmp_path):
+    # m12 = u + 1 vanishes on u = -1 (inadmissible) and log(v + 0.5) has
+    # no value for v <= -0.5 (undefined); x = u and g12 = u (u + 1) v
+    surface = {"kind": "parametric", "x": "u", "y": "u*v + v", "z": "log(v + 0.5) + u*v"}
+    spec = {"space": "i3", "surface": surface, "domain": [-1, 1, -1, 1]}
+    path = write_spec(tmp_path, spec)
+    patch = cli.load_spec_file(path)
+    out = tmp_path / "curv.csv"
+    assert cli.main(["curvature", path, "--grid", "9x8", "--out", str(out)]) == 0
+    expected = _one_point_rows(patch, 9, 8)
     assert out.read_text() == "\n".join(expected) + "\n"
     classes = {line.split(",")[8] for line in expected[1:]}
     assert {"inadmissible", "undefined"} < classes and len(classes) >= 3
+    # the one-point API writes the CSV's cells on every catalog surface, in
+    # both spaces, zeros' signs included (K = -0.0 on the ip3 plane)
+    for name, kind in (c.values for c in CATALOG_CASES):
+        builtin = {"kind": "builtin", "name": name, "params": CATALOG_PARAMS[name]}
+        path = write_spec(tmp_path, {"space": kind.value, "surface": builtin})
+        assert cli.main(["curvature", path, "--grid", "7x7", "--out", str(out)]) == 0
+        expected = _one_point_rows(cli.load_spec_file(path), 7, 7)
+        assert out.read_text() == "\n".join(expected) + "\n", (name, kind)
 
     path = write_spec(tmp_path, dict(spec, domain=[-1, 1, -0.25, 1]))
     patch = cli.load_spec_file(path)
@@ -1196,7 +1231,7 @@ def reference_rows(patch, u, vs):
     for v, sv in vs:
         try:
             f = jet2ref.frame(patch, u, v)
-            rep = srf.curvatures_of_frame(f)
+            rep = plainref.curvatures_of_frame(f)
         except NotAdmissible:
             rows.append(f"{su},{sv},,,,,,,inadmissible,,,\n")
             continue
@@ -1419,7 +1454,9 @@ def test_curvature_builds_no_frame(tmp_path, monkeypatch):
     def no_frame(*args):
         raise AssertionError("a frame was built")
 
-    monkeypatch.setattr(srf, "frame_of_jet", no_frame)
+    # every PointFrame the package builds comes from a point kernel
+    monkeypatch.setattr(srf, "point_kernel", no_frame)
+    monkeypatch.setattr(con, "point_kernel", no_frame)
     assert cli.main(argv) == 0
     assert out.read_bytes() == before
     classes = {row["class"] for row in read_rows(out)}
@@ -1545,26 +1582,27 @@ def test_an_exponent_constant_by_structure_takes_its_integer_power(tmp_path, cap
         assert [numbers(r) for r in rows] == [numbers(r) for r in want]
 
 
-def test_a_geodesic_process_compiles_no_generic_frame_function(tmp_path):
-    # the stage kernels read connection's and surface's templates only; the
-    # generic functions over plain names compile on the first read of their
-    # module attribute, which no geodesic command makes
+def test_geodesic_and_curvature_processes_compile_no_sample_kernel(tmp_path):
+    # the stage and row kernels write the templates into kernels of their
+    # own; the sample kernels of verify and the one-point API, the shape
+    # cache's entries with a tag, compile on first use, which neither
+    # command makes.  The frame_at that follows is the first
     spec = write_spec(tmp_path, SPHERE_SPEC)
     script = (
-        "import sys\nimport isogeo.cli as cli\n"
+        "import sys\nimport isogeo.cli as cli\nfrom isogeo import expr, surface\n"
         "for gtype in ('r', 'lc'):\n"
         "    assert cli.main(['geodesic', sys.argv[1], '--type', gtype, '--start=0.3,-0.2', '--velocity=0.7,0.4',"
         " '--t-end', '0.1', '--out', sys.argv[2]]) == 0\n"
-        "from isogeo import connection, surface\n"
-        "names = ('coeffs_of_frame', 'denom_gradient_of_frame', 'frame_of_jet', 'curvatures_of_frame')\n"
-        "print(sorted(n for n in names if n in vars(connection) or n in vars(surface)))\n"
-        "connection.coeffs_of_frame\n"
-        "print(sorted(n for n in names if n in vars(connection)))\n"
+        "assert cli.main(['curvature', sys.argv[1], '--grid', '5x5', '--out', sys.argv[2]]) == 0\n"
+        "tags = lambda: [tag[1].__name__ for _, tag in expr._JET_KERNELS if tag is not None]\n"
+        "print(tags())\n"
+        "surface.frame_at(cli.load_spec_file(sys.argv[1]), 0.3, -0.2)\n"
+        "print(tags())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path / "g.csv")],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines() == ["[]", "['coeffs_of_frame', 'denom_gradient_of_frame']"]
+    assert proc.stdout.splitlines() == ["[]", "['frame_record']"]
 
 
 # argv on which the parser exits: help, usage errors at the top level and in

@@ -205,7 +205,7 @@ def test_fd_convergence_is_fourth_order():
 def _guarded_points(patch, rng, n):
     """Interior points where the relative suites would sample."""
     sampled = verify._sample(patch, n, rng, 0.0, verify.RELATIVE_DENOM_GUARD)
-    return [(c.frame.u, c.frame.v) for c, _, _ in sampled]
+    return [(c.frame.u, c.frame.v) for c, *_ in sampled]
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -282,7 +282,7 @@ def test_denom_gradient_matches_central_differences(seed):
     h = 1e-5
     for patch in patches:
         for u, v in _interior_points(patch, rng, 4):
-            gu, gv = con.denom_gradient_of_frame(srf.frame_at(patch, u, v))
+            gu, gv = con.sample_at(patch, u, v)[1]
             fd_u = (tensorref.denom_at(patch, u + h, v) - tensorref.denom_at(patch, u - h, v)) / (2 * h)
             fd_v = (tensorref.denom_at(patch, u, v + h) - tensorref.denom_at(patch, u, v - h)) / (2 * h)
             scale = 1.0 + abs(fd_u) + abs(fd_v)
@@ -300,12 +300,13 @@ def test_denom_gradient_matches_the_minor_derivatives(kind, graph, reverse):
         patch = _random_patch(1000 + seed, kind, graph, reverse)
         for _ in range(30):
             try:
-                f = srf.frame_at(patch, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                coeffs, got, *_ = con.sample_at(patch, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             except IsoGeoError:
                 continue
+            f = coeffs.frame
             if not all(map(np.isfinite, f[3:])):
                 continue
-            got, want = con.denom_gradient_of_frame(f), tensorref.denom_gradient_by_minors(f)
+            want = tensorref.denom_gradient_by_minors(f)
             err = max(abs(g - w) / (1.0 + np.hypot(*want)) for g, w in zip(got, want))
             assert err <= 1e-12, (patch.name, f.u, f.v, got, want)
             frames += 1
@@ -358,8 +359,7 @@ def test_swapped_parameterization_keeps_identities():
 def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
     patch = catalog.make("helicoid", IP3, {"c": 1.0})
     u, v = 1.3, 0.2
-    # the order-3 jet's first 18 floats are the order-2 jet's, so the
-    # batch's Gauss sides are those of the frame from ``frame_at``
+    # the batch's Gauss sides are those of the record's own frame
     expected = [arr.tolist() for arr in tensorref.gauss_equation_rhs(patch, u, v)]
     d = con.coeff_derivatives_at(patch, u, v)
     assert [arr.tolist() for arr in con.gauss_rhs(d)] == expected
@@ -368,27 +368,32 @@ def test_codazzi_suite_builds_one_frame_per_point(monkeypatch):
     def second_frame(*args):
         raise AssertionError("the codazzi suite built a second frame")
 
-    monkeypatch.setattr(con, "frame_at", second_frame)
+    monkeypatch.setattr(srf, "frame_at", second_frame)
+    monkeypatch.setattr(con, "sample_at", second_frame)
     checks = verify.suite_codazzi([patch], 6, 7, verify.DEFAULT_FD_STEP)
     assert [c.points for c in checks] == [6, 6, 6]
     assert all(c.passed for c in checks)
 
 
-def test_a_tensor_draw_evaluates_its_coefficients_and_gradient_once(monkeypatch):
-    # a guarded draw is one record: the guard reads its denom and gradient,
-    # and the batch reads the record, so neither is evaluated twice
+def test_a_tensor_draw_is_one_kernel_call(monkeypatch):
+    # a guarded draw is one record, from one call of the patch's kernel: the
+    # guard reads its denom and gradient, and the batch reads the record, K
+    # included, so nothing is evaluated twice
     patch = catalog.make("helicoid", IP3, {"c": 1.0})
-    counts = dict.fromkeys(("coeffs_of_frame", "denom_gradient_of_frame"), 0)
-    for name in counts:
-        def counted(f, name=name, real=getattr(con, name)):
-            counts[name] += 1
-            return real(f)
+    counts = {"kernel": 0, "uniform": 0}
 
-        for module in (con, verify):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    verify.suite_codazzi([patch], 30, 3, verify.DEFAULT_FD_STEP)
-    assert counts["coeffs_of_frame"] == counts["denom_gradient_of_frame"] > 0
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    kernel = srf.point_kernel(patch, 3, con.guarded_record)
+    monkeypatch.setitem(patch.kernels, con.guarded_record, counted("kernel", kernel))
+    monkeypatch.setattr(SplitMix64, "uniform", counted("uniform", SplitMix64.uniform))
+    checks = verify.suite_codazzi([patch], 30, 3, verify.DEFAULT_FD_STEP)
+    assert [c.points for c in checks] == [30, 30, 30]
+    assert counts["kernel"] == counts["uniform"] // 2 >= 30
 
 
 # ---------------------------------------------------------------- batches
@@ -734,14 +739,17 @@ def test_batches_stay_within_the_block(monkeypatch):
     plain = [suite([patch], samples, 5, verify.DEFAULT_FD_STEP) for suite in suites]
     calls = _count_einsums(monkeypatch)
     sizes = []
-    batch = verify.coeff_derivatives
 
-    def recorded(sampled):
-        b = batch(sampled)
-        sizes.extend(len(a) for a in b)
-        return b
+    def recorded(batch):
+        def call(sampled):
+            b = batch(sampled)
+            sizes.extend(len(a) for a in b)
+            return b
+        return call
 
-    monkeypatch.setattr(verify, "coeff_derivatives", recorded)
+    # flatness builds the Levi-Civita part alone, the other suites both parts
+    for name in ("levi_civita", "coeff_derivatives"):
+        monkeypatch.setattr(verify, name, recorded(getattr(verify, name)))
     for block in (verify.POINT_BLOCK, 7):
         monkeypatch.setattr(verify, "POINT_BLOCK", block)
         calls.clear()

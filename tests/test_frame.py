@@ -2,7 +2,10 @@
 numpy construction, bit for bit, and the connection arrays against their
 six-float tuples.
 
-The reference below builds the tangent vectors as arrays from the same
+The frame, curvature and connection templates are compared over the jet
+kernel's plain floats, as ``plainref`` compiles them; the package runs
+the same lines over its jet slots, whose floats test_kernel.py compares
+with those of ``plainref`` over structural jets.  The reference below builds the tangent vectors as arrays from the same
 jet, the minors with ``np.cross``, and g, g^-1, h and the coefficients
 as arrays with elementwise products; it never calls a matrix product,
 whose rounding depends on the BLAS kernel.  Values are compared by ``repr`` (see
@@ -14,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-import rk4ref
+import jet2ref
+import plainref
 from genexpr import random_expr
 from isogeo import catalog
 from isogeo import connection as con
@@ -111,10 +115,10 @@ def reference(patch, u, v, tol=1e-9):
 
 
 def from_frame(patch, u, v):
-    f = srf.frame_at(patch, u, v)
-    rep = srf.curvatures_of_frame(f)
+    f = plainref.frame_of_jet(patch.kind, u, v, patch.jet_kernel(u, v))
+    rep = plainref.curvatures_of_frame(f)
     try:
-        c = con.coeffs_of_frame(f)
+        c = plainref.coeffs_of_frame(f)
         arrays = (c.gamma, c.xi_coeffs, c.rho)
         coeffs = [bits(arr.ravel()) for arr in arrays] + [bits((c.denom,))]
     except LightlikePoint:
@@ -169,7 +173,8 @@ def test_float_frame_matches_numpy_reference_on_random_patches():
             if isinstance(got, dict):
                 seen["reversed" if float(got["minors"][0]) < 0.0 else "plain"] += 1
                 f = srf.frame_at(patch, u, v)
-                assert bits(f.g.ravel()) == got["g"] and bits(f.h.ravel()) == got["h"]
+                assert bits(f.g.ravel()) == bits((f.g11, f.g12, f.g12, f.g22))
+                assert bits(f.h.ravel()) == bits((f.h11, f.h12, f.h12, f.h22))
             else:
                 seen["inadmissible"] += 1
     # both orientations occur in earnest: m12 < 0 and m12 > 0
@@ -230,7 +235,7 @@ def test_det_g_is_exact_where_the_gram_determinant_cancels(kind, sign, eps):
     assert f.det_g == sign * (f.m12 * f.m12)
     # h = [[0, 1], [1, 0]] exactly, so K = -1/det g: -1/m12^2 in I3, the
     # Hessian of z = uv carried to top-view coordinates
-    assert srf.curvatures_of_frame(f).K == -1.0 / f.det_g
+    assert srf.curvatures_at(patch, 0.3, 0.2).K == -1.0 / f.det_g
     if kind is I3:
         assert f.g11 * f.g22 - f.g12 * f.g12 <= 0.0 < f.det_g
 
@@ -250,14 +255,14 @@ def _coefficient_points():
         for _ in range(3):
             u, v = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
             try:
-                yield con.coeffs_at(patch, u, v)
+                yield patch, u, v, con.coeffs_at(patch, u, v)
             except IsoGeoError:
                 continue
 
 
 def test_coefficient_arrays_equal_their_tuples_and_are_symmetric():
     count = 0
-    for c in _coefficient_points():
+    for patch, u, v, c in _coefficient_points():
         count += 1
         order = ((0, 0), (0, 1), (1, 1))
         for arr, six in ((c.gamma, c.gamma6), (c.xi_coeffs, c.xi6)):
@@ -266,7 +271,7 @@ def test_coefficient_arrays_equal_their_tuples_and_are_symmetric():
             assert bits(arr[0, 1]) == bits(arr[1, 0])
         assert bits(c.rho[i, j] for i, j in order) == bits(c.rho3)
         assert bits(c.rho[0, 1:]) == bits(c.rho[1, :1])
-        assert bits(rk4ref.gamma6_of_frame(c.frame)) == bits(c.gamma6)
+        assert bits(plainref.gamma6_of_frame(jet2ref.frame(patch, u, v))) == bits(c.gamma6)
         for arr in (c.gamma, c.xi_coeffs, c.rho):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
@@ -290,9 +295,9 @@ def test_frame_scalars_are_python_floats():
     scalars = [f.m12, f.m23, f.m31, f.g11, f.g12, f.g22, f.det_g, f.h11, f.h12, f.h22]
     for vec in (f.position, f.x1, f.x2, f.x11, f.x12, f.x22, f.xi):
         scalars += vec.as_tuple()
-    rep = srf.curvatures_of_frame(f)
+    rep = srf.curvatures_at(patch, 1.7, 0.4)
     scalars += [rep.K, rep.H, rep.discriminant]
-    c = con.coeffs_of_frame(f)
+    c = con.coeffs_at(patch, 1.7, 0.4)
     scalars += list(c.gamma6) + list(c.xi6) + list(c.rho3) + [c.denom]
     assert all(type(x) is float for x in scalars)
 
@@ -308,7 +313,9 @@ def test_per_point_path_builds_no_ndarray(monkeypatch):
     monkeypatch.setattr(con, "np", _NoNumpy())
     patch = catalog.make("helicoid", IP3, {"c": 0.6})
     for u, v in ((2.0, 0.1), (1.1, -0.4)):
-        srf.curvatures_of_frame(srf.frame_at(patch, u, v))
+        srf.frame_at(patch, u, v)
+        srf.curvatures_at(patch, u, v)
+        con.coeffs_at(patch, u, v)
     for gkind in geo.GeodesicKind:
         trace = geo.integrate(patch, gkind, 2.0, 0.1, 0.3, -0.25, 0.1, 1e-2)
         assert trace.completed

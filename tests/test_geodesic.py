@@ -586,7 +586,7 @@ def test_a_trace_calls_the_stage_kernel_4n_plus_1_times(monkeypatch, gkind):
     assert trace.completed and len(trace.samples) == 1001
     assert len(stages) == 4 * 1000 + 1 and sum(sample for _, _, sample in stages) == 1000 + 1
     assert frames == [] and stages[0] == (2.0, 0.1, True)
-    assert "accel_kernels" not in vars(pickle.loads(pickle.dumps(helicoid)))
+    assert "kernels" not in vars(pickle.loads(pickle.dumps(helicoid)))
 
 
 _SHAPES = {

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from genexpr import random_expr, random_expr_full, random_patches
 import jet2ref
+import plainref
 import stageref
 import statementref
 from jet2ref import eval_jet2
@@ -35,7 +36,7 @@ from isogeo import connection as con
 from isogeo import expr as ex
 from isogeo import geodesic as geo
 from isogeo import surface as srf
-from isogeo.errors import DomainError
+from isogeo.errors import DomainError, IsoGeoError
 from isogeo.expr import Binary, Const, Unary, Var
 from isogeo.isotropy import SpaceKind
 from isogeo.rng import SplitMix64
@@ -382,7 +383,7 @@ def test_kernels_call_nothing_but_math_functions():
         "sinh(u)^cosh(v) - tanh(v) * exp(u) + abs(u - v)",
     )]
     patch = srf.graph_patch(SpaceKind.SIMPLY_ISOTROPIC, "u^(v - v - 1) + v^2.5", (0.5, 2.0, 0.5, 2.0))
-    kernels = [ex.compile_jet(exprs, order) for order in (2, 3)] + [patch.jet_kernel, patch.jet3_kernel]
+    kernels = [ex.compile_jet(exprs, order) for order in (2, 3)] + [patch.jet_kernel]
     for kernel in kernels:
         kernel(1.25, 0.75)
         for name, value in kernel.__globals__.items():
@@ -419,6 +420,9 @@ def test_a_constant_and_a_run_time_exponent_do_not_share_a_node():
 
 
 # ------------------------------------------------------------ structural zeros and ones
+
+# the sample kernels of a patch: (order, record)
+SAMPLE_RECORDS = ((2, srf.frame_record), (2, srf.curvature_record), (3, con.guarded_record))
 
 CATALOG_PARAMS = {
     "parabolic_sphere": {"p": 2.0},
@@ -460,6 +464,8 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
         "stage r": lambda: geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE),
         "stage lc": lambda: geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA),
         "row": lambda: cli._row_kernel(patch),
+        **{record.__name__: lambda order=order, record=record: srf.point_kernel(patch, order, record)
+           for order, record in SAMPLE_RECORDS},
     }
     for label, build in compilers.items():
         sources.clear()
@@ -605,8 +611,8 @@ def _row_runs(kernel, columns) -> list:
 
 
 def _kernel_bodies(monkeypatch, patch) -> dict:
-    """The body lines of the row kernel, its columns and both stage kernels
-    of ``patch``."""
+    """The body lines of the row kernel, its columns, both stage kernels
+    and the sample kernels of ``patch``."""
     bodies = []
     real = ex.compile_function
 
@@ -618,7 +624,11 @@ def _kernel_bodies(monkeypatch, patch) -> dict:
     cli._row_kernel(patch)
     geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
     geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    return dict(zip(("row", "columns", "r", "lc"), bodies, strict=True))
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: each sample kernel is written
+    for order, record in SAMPLE_RECORDS:
+        srf.point_kernel(patch, order, record)
+    labels = ("row", "columns", "r", "lc", *(record.__name__ for _, record in SAMPLE_RECORDS))
+    return dict(zip(labels, bodies, strict=True))
 
 
 def _is_graph(name, kind) -> bool:
@@ -649,8 +659,8 @@ def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
 
 def _every_body(monkeypatch, patch) -> dict:
     """The body lines of every function compiled for ``patch``: its jet
-    kernels of orders 2 and 3 (from a cold cache), the row kernel, its
-    columns, ``everywhere`` and both stage kernels."""
+    kernels of orders 2 and 3 and its sample kernels (from a cold cache),
+    the row kernel, its columns, ``everywhere`` and both stage kernels."""
     bodies = {}
     real = ex.compile_function
 
@@ -666,6 +676,8 @@ def _every_body(monkeypatch, patch) -> dict:
     everywhere(0.0, "0.0", (), [])  # compiled on its first call
     for g in geo.GeodesicKind:
         geo._accel_kernel(patch, g)
+    for order, record in SAMPLE_RECORDS:
+        srf.point_kernel(patch, order, record)
     return bodies
 
 
@@ -673,22 +685,21 @@ def test_no_kernel_binds_or_swaps(monkeypatch):
     # every frame and coefficient is in the caller's (u, v) order, so no
     # body names a jet quantity of its own: no line assigns a jet name (the
     # frame lines read the jet's slots, structural ZERO and ONE included),
-    # and none names swapped or m12_0.  The generic functions of a jet or a
-    # frame assign jet names only where they unpack their argument, before
-    # the lines of their templates
-    generic = {
-        "frame_of_jet": srf.by_kind(srf.frame_lines),
-        "gaussian_curvature": ex.template_lines(srf.gaussian_lines),
-        "curvatures_of_frame": ex.template_lines(srf.curvature_lines),
-        "coeffs_of_frame": [*ex.template_lines(con.gamma_lines), *srf.by_kind(con.relative_lines)],
-        "denom_gradient_of_frame": list(con.DENOM_GRADIENT_LINES),
+    # and none names swapped or m12_0.  The templates' plain lines, which
+    # the tests' reference functions run, assign no jet name either
+    templates = {
+        "frame_lines": plainref.by_kind(srf.frame_lines),
+        "gaussian_lines": ex.template_lines(srf.gaussian_lines),
+        "curvature_lines": ex.template_lines(srf.curvature_lines),
+        "connection lines": [*ex.template_lines(con.gamma_lines), *plainref.by_kind(con.relative_lines)],
+        "denom_gradient_lines": ex.template_lines(con.denom_gradient_lines),
     }
     patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
-    bodies = list(generic.items())
+    bodies = list(templates.items())
     with monkeypatch.context() as m:
         for k, patch in enumerate(patches + random_patches(3000, 150)):
             bodies += [((k, label), body) for label, body in _every_body(m, patch).items()]
-    assert len(bodies) == 5 + 8 * (len(patches) + 150)
+    assert len(bodies) == 5 + 11 * (len(patches) + 150)
     for label, body in bodies:
         assert not _stored_names(body) & set(srf.JET_NAMES), label
         assert not re.search(r"\b(swapped|m12_0)\b", "\n".join(body)), label
@@ -815,7 +826,7 @@ def _unread_lets(monkeypatch, patch) -> list:
         ex.compile_jet(exprs, 3)
         cli._row_kernel(patch)
         for g in geo.GeodesicKind:
-            patch.accel_kernels.pop(g, None)
+            patch.kernels.pop(g, None)
             geo._accel_kernel(patch, g)
     jet2, jet3, row, columns, r, lc = bodies
     paths = {"jet2": jet2, "jet3": jet3, "row": row, "columns": columns}
@@ -870,7 +881,7 @@ def test_the_statement_records_match_a_parse_of_their_text(monkeypatch):
         passes.clear()
         cli._row_kernel(patch)
         for g in geo.GeodesicKind:
-            patch.accel_kernels.pop(g, None)
+            patch.kernels.pop(g, None)
             geo._accel_kernel(patch, g)
         assert len(passes) >= 5, patch
         for out in passes:
@@ -964,10 +975,84 @@ def test_a_cached_kernel_computes_what_a_fresh_compile_does(monkeypatch, order):
 
 
 def test_suite_minimal_compiles_one_kernel_for_its_random_waves(monkeypatch):
+    # the waves are one shape, so their sample kernel, the curvature
+    # record's, is one compile; no jet kernel is compiled
     signatures = []
     real = ex.compile_function
     monkeypatch.setattr(ex, "compile_function", lambda *args: signatures.append(args[0]) or real(*args))
     monkeypatch.setattr(ex, "_JET_KERNELS", {})
     checks = verify.suite_minimal([], 100, 7, 1e-3)
     assert len(checks) == verify.RANDOM_WAVES == 5 and all(c.passed for c in checks)
-    assert signatures == ["kernel(u, v)"]
+    assert signatures == [f"kernel(u, v, tol={srf.CURVATURE_TOL!r})"]
+    assert [tag for _, tag in ex._JET_KERNELS] == [(SpaceKind.PSEUDO_ISOTROPIC, srf.curvature_record)]
+
+
+def test_a_second_verify_round_compiles_nothing(monkeypatch):
+    # the catalog's patches keep their sample kernels, and the minimal
+    # suite's new random waves find theirs in the shape cache
+    suites = ["flatness", "egregium", "codazzi", "umbilic", "minimal"]
+    first = verify.run_verify(None, suites, 100, 7)
+    signatures = []
+    real = ex.compile_function
+    monkeypatch.setattr(ex, "compile_function", lambda *args: signatures.append(args[0]) or real(*args))
+    assert verify.run_verify(None, suites, 100, 7) == first
+    assert signatures == []
+
+
+def _api(patch, u, v) -> list:
+    """frame_at, curvatures_at, coeffs_at and sample_at at (u, v), each by
+    ``repr`` or as the type and message of what it raises."""
+    out = []
+    for fn in (srf.frame_at, srf.curvatures_at, con.coeffs_at, con.sample_at):
+        try:
+            out.append(repr(fn(patch, u, v)))
+        except IsoGeoError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+def _reference_api(patch, u, v) -> list:
+    """``_api`` from the templates' plain lines over the structural jets of
+    ``jet2ref`` and ``jet3``: the frame, the curvatures and the
+    coefficients of the order-2 jet, and the record of the order-3 jet."""
+
+    def frame3():
+        jet = walk3((patch.x_expr, patch.y_expr, patch.z_expr), u, v)
+        return plainref.frame_of_jet(patch.kind, u, v, jet[:18]), tuple(jet[18:])
+
+    def record():
+        f, thirds = frame3()
+        c = plainref.coeffs_of_frame(f)
+        return c, plainref.denom_gradient_of_frame(f), thirds, plainref.gaussian_curvature(f)
+
+    calls = (
+        lambda: jet2ref.frame(patch, u, v),
+        lambda: plainref.curvatures_of_frame(jet2ref.frame(patch, u, v)),
+        lambda: plainref.coeffs_of_frame(jet2ref.frame(patch, u, v)),
+        record,
+    )
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except IsoGeoError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+def test_the_one_point_api_is_the_templates_over_structural_jets():
+    # each sample kernel's values by repr, zeros' signs included, and its
+    # errors by type and message, in the order the jet, the frame, the
+    # curvatures and the relative connection raise them
+    rng = SplitMix64(41)
+    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
+    seen = Counter()
+    for patch in patches + random_patches(3000, 150):
+        u0, u1, v0, v1 = patch.domain
+        points = [(u0 + (u1 - u0) * i / 4, v0 + (v1 - v0) * j / 4) for i in range(5) for j in range(5)]
+        points += [(rng.uniform(u0, u1), rng.uniform(v0, v1)) for _ in range(8)]
+        for u, v in points:
+            got = _api(patch, u, v)
+            assert got == _reference_api(patch, u, v), (patch, u, v)
+            seen.update(x[0].__name__ if isinstance(x, tuple) else "value" for x in got)
+    assert seen["value"] >= 10000 and {"NotAdmissible", "DomainError", "LightlikePoint"} <= set(seen), seen
