@@ -213,6 +213,33 @@ def test_the_seed_7_report_keeps_its_bytes(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SEED_7_REPORT_SHA256
 
 
+# sha256 of the CSV and the exact stderr of four geodesic traces on the
+# helicoid of ip3 with c = 1, each with --t-end 1 and the default step: both
+# connections, a Levi-Civita trace that leaves the domain in a step's
+# second stage (its last row is at u = 2.999999999999989) and a relative
+# one that reaches the lightlike band.  The values depend on libm's cosh
+# and sinh, which the helicoid's expressions run through; a libm that
+# rounds one of them differently changes them.  CI checks the same values
+UNIT_HELICOID_SPEC = {"space": "ip3", "surface": {"kind": "builtin", "name": "helicoid", "params": {"c": 1.0}}}
+GEODESIC_PINS = [
+    ("r", "2.0,0.0", "0.3,0.4", "34161b7fedbc5d00f4a924467fa7f8c6500322a5be697d2cf47ea44e7cfcca85", ""),
+    ("lc", "2.0,0.0", "0.3,0.4", "1644383c7d0280df35cf300a3887f68fa61e49ba6ed1cd2cde75f77e272029da", ""),
+    ("lc", "2.9,0.0", "1.0,0.0", "08d27f9b1caf3237bd2d47847ea2cda37d8e3fac0d3a2c91f7a1da9bc5c67c33",
+     "warning: trace stopped at t=0.1 (left_domain)\n"),
+    ("r", "1.2,0.0", "-1.0,0.0", "374424787daa94ace61bae20f08ec8c16254682a3ee25f92fc43f5f7088688f7",
+     "warning: trace stopped at t=0.199 (lightlike)\n"),
+]
+
+
+@pytest.mark.parametrize("gtype, start, velocity, sha256, stderr", GEODESIC_PINS)
+def test_the_helicoid_geodesics_keep_their_bytes(tmp_path, capsys, gtype, start, velocity, sha256, stderr):
+    spec, out = write_spec(tmp_path, UNIT_HELICOID_SPEC), tmp_path / "trace.csv"
+    argv = ["geodesic", spec, "--type", gtype, f"--start={start}", f"--velocity={velocity}", "--t-end", "1"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_verify_spec_umbilic_negative(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
