@@ -104,7 +104,7 @@ def coeffs_at(s: SurfacePatch, u: float, v: float) -> ConnectionCoeffs:
 
 # The connections' arithmetic as templates over the frame lines' names
 # (``surface.frame_lines``); the only copy, run by ``guarded_record`` and
-# by the geodesic stage kernels.  Levi-Civita: the top-view solve
+# by the geodesic stage and sample records.  Levi-Civita: the top-view solve
 # [x1_top x2_top] @ (ga_ij^1, ga_ij^2) = (x_ij)_top, regular even at
 # lightlike points
 def gamma_lines(w: ex.Lines) -> None:

@@ -6,7 +6,9 @@ Autoparallel curves of either connection satisfy
 
 with C the Levi-Civita or the relative coefficients.  The system is
 integrated by classic fixed-step RK4 on (u, v, u', v'); fixed steps keep
-convergence-order tests clean.  Integration halts with a flagged trace
+convergence-order tests clean.  Each connection has a stage and a sample
+record of ``surface.point_kernel``; ``integrate`` checks the domain before
+each kernel call, so patches of one shape share them.  Integration halts with a flagged trace
 (rather than extrapolating) when the trajectory leaves the parameter
 domain, reaches a point where a coordinate expression has no value, an
 inadmissible point or, for the relative connection in pseudo-isotropic
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import expr as ex
 from .connection import LIGHTLIKE_GUARD_BAND, RELATIVE_GLOBALS, gamma_lines, relative_lines
@@ -56,7 +58,7 @@ from .errors import (
     TooManySteps,
 )
 from .isotropy import SpaceKind, Vec3
-from .surface import SurfacePatch, point_lines
+from .surface import SurfacePatch, point_kernel
 
 
 # upper bound on the RK4 steps of one trace; each step keeps a sample
@@ -117,7 +119,7 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
     C_ij^k (the relative xi_ijk or the Levi-Civita ga_ijk), and of the
     sample's position, parallel residual of gamma'' against xi or (0, 0, 1)
     and, for the relative connection, denom (None for Levi-Civita); returns
-    both return lines."""
+    the return lines of the stage and of the sample."""
     c = "xi" if relative else "ga"
     c111, c112, c121, c122, c221, c222 = w.get(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222")
     w1, w2 = w.get("du dv")
@@ -139,45 +141,25 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
     return f"return {a1}, {a2}", f"return {a1}, {a2}, {px}, {py}, {pz}, residual, {denom}"
 
 
-def _accel_kernel(s: SurfacePatch, gkind: GeodesicKind):
-    """``(u, v, du, dv, sample=False) -> (u'', v'')`` of the geodesic ODE,
-    or with ``sample`` the tuple of ``_accel_lines``: the jet, frame,
-    coefficient and acceleration lines as one function, which builds no
-    frame.  Raises _Halt outside the domain, the jet's DomainError, the
-    frame's NotAdmissible and the relative connection's LightlikePoint, in
-    that order.  Compiled on first use, once per patch and connection.
-    What (u'', v'') reads, and every guard and block, comes before the
-    ``if not sample:`` return, and what only the sample reads after it.  The
-    only blocks that re-assign names, a run-time integer power's loop and
-    its reciprocal, re-assign their own node's names, which no line before
-    them outside the node reads, so a line after the return reads what it
-    read in place."""
-    kernel = s.kernels.get(gkind)
-    if kernel is None:
-        relative = gkind is GeodesicKind.RELATIVE
-        w, namespace = point_lines(s)
-        w.body.insert(0, [("U", "float(u)")])  # a let, so that only a line that reads U writes it
+def _accel_record(gkind: GeodesicKind, sample: bool) -> Callable:
+    """The ``surface.point_kernel`` record of ``gkind``'s stage, ``(u, v,
+    du, dv) -> (u'', v'')`` of the geodesic ODE, or with ``sample`` the
+    tuple of ``_accel_lines``; either raises the jet's DomainError, the
+    frame's NotAdmissible and the relative connection's LightlikePoint."""
+    relative = gkind is GeodesicKind.RELATIVE
+
+    def record(w: ex.Lines, kind: SpaceKind) -> tuple[str, str, dict]:
         gamma_lines(w)
         if relative:
-            relative_lines(w, s.kind)
-        early, final = _accel_lines(w, relative)
-        statements = w.statements(early)
-        before = {x.lines for x in statements}
-        head = [y for x in statements for y in x.lines]
-        tail = [y for x in w.statements(final) if x.lines not in before for y in x.lines]
-        u0, u1, v0, v1 = s.domain
-        kernel = s.kernels[gkind] = ex.compile_function(
-            "kernel(u, v, du, dv, sample=False)",
-            # SurfacePatch.contains, inlined: a method call would cost each
-            # stage more than the comparison does
-            ["if not (u0 <= u <= u1 and v0 <= v <= v1):", "    raise _outside(u, v)", *head,
-             "if not sample:", f"    {early}", *tail, final],
-            {
-                **namespace, **RELATIVE_GLOBALS, "_outside": _outside,
-                "u0": u0, "u1": u1, "v0": v0, "v1": v1,
-            },
-        )
-    return kernel
+            relative_lines(w, kind)
+        return "kernel(u, v, du, dv)", _accel_lines(w, relative)[sample], RELATIVE_GLOBALS
+
+    record.__name__ = record.__qualname__ = f"{'sample' if sample else 'stage'}_record_{gkind.value}"
+    return record
+
+
+# the stage and sample records of each connection
+_RECORDS = {g: (_accel_record(g, False), _accel_record(g, True)) for g in GeodesicKind}
 
 
 def _residual_lines(w: ex.Lines, gamma=("gx", "gy", "gz"), r=("rx", "ry", "rz")) -> None:
@@ -201,7 +183,7 @@ def _residual_lines(w: ex.Lines, gamma=("gx", "gy", "gz"), r=("rx", "ry", "rz"))
     )
 
 
-# the residual of one sample, from the lines the stage kernels run
+# the residual of one sample, from the lines the sample kernels run
 _parallel_residual = ex.compile_function(
     "_parallel_residual(gx, gy, gz, rx, ry, rz)",
     [*ex.template_lines(_residual_lines), "return residual"],
@@ -247,14 +229,19 @@ def integrate(
         gkind is GeodesicKind.RELATIVE and s.kind is SpaceKind.PSEUDO_ISOTROPIC
     )
     prev_denom: Optional[float] = None
-    accel = _accel_kernel(s, gkind)
+    stage, sample = (point_kernel(s, 2, record) for record in _RECORDS[gkind])
+    u_lo, u_hi, v_lo, v_hi = s.domain
     isfinite, new = math.isfinite, tuple.__new__
     u, v, du, dv = u0, v0, du0, dv0
     half, sixth = 0.5 * step, step / 6.0
     t = 0.0
     try:
         for k in range(n_steps + 1):
-            au, av, px, py, pz, residual, denom = accel(u, v, du, dv, True)
+            # SurfacePatch.contains before each of the four kernel calls, inlined:
+            # a method call would cost each stage more than the comparison does
+            if not (u_lo <= u <= u_hi and v_lo <= v <= v_hi):
+                raise _outside(u, v)
+            au, av, px, py, pz, residual, denom = sample(u, v, du, dv)
             # once per step: a non-finite velocity or coefficient at any stage
             # reaches this step's state, so the next check here sees it; a
             # sample is written only with a finite velocity and position (an
@@ -278,12 +265,18 @@ def integrate(
                 break
             # classic RK4: stage n has the state derivative (dun, dvn, aun,
             # avn), and each sum keeps the operation order of the 4-vector form
-            du2, dv2 = du + half * au, dv + half * av
-            au2, av2 = accel(u + half * du, v + half * dv, du2, dv2)
-            du3, dv3 = du + half * au2, dv + half * av2
-            au3, av3 = accel(u + half * du2, v + half * dv2, du3, dv3)
-            du4, dv4 = du + step * au3, dv + step * av3
-            au4, av4 = accel(u + step * du3, v + step * dv3, du4, dv4)
+            u2, v2, du2, dv2 = u + half * du, v + half * dv, du + half * au, dv + half * av
+            if not (u_lo <= u2 <= u_hi and v_lo <= v2 <= v_hi):
+                raise _outside(u2, v2)
+            au2, av2 = stage(u2, v2, du2, dv2)
+            u3, v3, du3, dv3 = u + half * du2, v + half * dv2, du + half * au2, dv + half * av2
+            if not (u_lo <= u3 <= u_hi and v_lo <= v3 <= v_hi):
+                raise _outside(u3, v3)
+            au3, av3 = stage(u3, v3, du3, dv3)
+            u4, v4, du4, dv4 = u + step * du3, v + step * dv3, du + step * au3, dv + step * av3
+            if not (u_lo <= u4 <= u_hi and v_lo <= v4 <= v_hi):
+                raise _outside(u4, v4)
+            au4, av4 = stage(u4, v4, du4, dv4)
             u, v, du, dv = (
                 u + sixth * (du + 2.0 * du2 + 2.0 * du3 + du4),
                 v + sixth * (dv + 2.0 * dv2 + 2.0 * dv3 + dv4),

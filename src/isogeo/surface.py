@@ -104,8 +104,8 @@ class SurfacePatch:
 
     @functools.cached_property
     def kernels(self) -> dict:
-        """The fused kernels of this patch, each compiled on first use: the
-        geodesic stage kernels by connection, the point kernels by record."""
+        """The point kernels of this patch by record, each compiled on
+        first use (``point_kernel``)."""
         return {}
 
     def __getstate__(self) -> dict:

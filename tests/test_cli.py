@@ -715,7 +715,7 @@ def _no_points(*args):
 def test_geodesic_rejects_unbounded_step_count(tmp_path, capsys, monkeypatch, step):
     # 1/1e-320 overflows to inf; 1e7 steps is finite but above the bound.
     # The count is checked before the first point is evaluated.
-    monkeypatch.setattr(geodesic, "_accel_kernel", _no_points)
+    monkeypatch.setattr(geodesic, "point_kernel", _no_points)
     spec = write_spec(tmp_path, SPHERE_SPEC)
     out = tmp_path / "geo.csv"
     argv = [
@@ -1457,9 +1457,10 @@ def test_a_zero_minor_is_inadmissible_where_a_top_view_length_overflows(tmp_path
         "error: surface not admissible at (u=1.0, v=0.0): top-view minor 0.0\n"
     )
     patch = cli.load_spec_file(spec)
-    for gkind in geodesic.GeodesicKind:  # the RK4 stage kernels run the same guard
-        with pytest.raises(NotAdmissible):
-            geodesic._accel_kernel(patch, gkind)(-1.0, 0.5, 0.0, 1.0)
+    for gkind in geodesic.GeodesicKind:  # the RK4 stage and sample kernels run the same guard
+        for record in geodesic._RECORDS[gkind]:
+            with pytest.raises(NotAdmissible):
+                srf.point_kernel(patch, 2, record)(-1.0, 0.5, 0.0, 1.0)
 
     assert cli.main(["verify", spec, "--suite", "umbilic", "--samples", "5"]) == cli.EXIT_SPEC
     assert capsys.readouterr().err == (
@@ -1610,18 +1611,26 @@ def test_an_exponent_constant_by_structure_takes_its_integer_power(tmp_path, cap
 
 
 def test_geodesic_and_curvature_processes_compile_no_sample_kernel(tmp_path):
-    # the stage and row kernels write the templates into kernels of their
-    # own; the sample kernels of verify and the one-point API, the shape
-    # cache's entries with a tag, compile on first use, which neither
-    # command makes.  The frame_at that follows is the first
+    # the shape cache's entries with a tag are the point kernels' records:
+    # a geodesic process holds its stage and sample records, compiled on
+    # first use, and a second geodesic call, on a patch of its own, finds
+    # them there and compiles nothing (geodesic is imported before the count,
+    # as its import compiles _parallel_residual).  The row kernel writes the templates
+    # into kernels of its own, and the frame_at that follows is the first
+    # of the sample kernels of verify and the one-point API
     spec = write_spec(tmp_path, SPHERE_SPEC)
     script = (
-        "import sys\nimport isogeo.cli as cli\nfrom isogeo import expr, surface\n"
-        "for gtype in ('r', 'lc'):\n"
-        "    assert cli.main(['geodesic', sys.argv[1], '--type', gtype, '--start=0.3,-0.2', '--velocity=0.7,0.4',"
-        " '--t-end', '0.1', '--out', sys.argv[2]]) == 0\n"
-        "assert cli.main(['curvature', sys.argv[1], '--grid', '5x5', '--out', sys.argv[2]]) == 0\n"
+        "import sys\nimport isogeo.cli as cli\nfrom isogeo import expr, geodesic, surface\n"
+        "compiled, real = [], expr.compile_function\n"
+        "expr.compile_function = lambda *args: compiled.append(args[0]) or real(*args)\n"
         "tags = lambda: [tag[1].__name__ for _, tag in expr._JET_KERNELS if tag is not None]\n"
+        "for _ in range(2):\n"
+        "    compiled.clear()\n"
+        "    for gtype in ('r', 'lc'):\n"
+        "        assert cli.main(['geodesic', sys.argv[1], '--type', gtype, '--start=0.3,-0.2',"
+        " '--velocity=0.7,0.4', '--t-end', '0.1', '--out', sys.argv[2]]) == 0\n"
+        "    print(tags(), compiled)\n"
+        "assert cli.main(['curvature', sys.argv[1], '--grid', '5x5', '--out', sys.argv[2]]) == 0\n"
         "print(tags())\n"
         "surface.frame_at(cli.load_spec_file(sys.argv[1]), 0.3, -0.2)\n"
         "print(tags())\n"
@@ -1629,7 +1638,10 @@ def test_geodesic_and_curvature_processes_compile_no_sample_kernel(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(isogeo.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, spec, str(tmp_path / "g.csv")],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines() == ["[]", "['frame_record']"]
+    records = ["stage_record_r", "sample_record_r", "stage_record_lc", "sample_record_lc"]
+    assert proc.stdout.splitlines() == [
+        f"{records} {['kernel(u, v, du, dv)'] * 4}", f"{records} []", f"{records}", f"{[*records, 'frame_record']}",
+    ]
 
 
 # argv on which the parser exits: help, usage errors at the top level and in

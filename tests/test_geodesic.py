@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import genexpr
 import rk4ref
 import sectionref
-import stageref
 from isogeo import catalog
 from isogeo import expr as ex
 from isogeo import connection as con
@@ -511,17 +510,40 @@ def test_a_position_that_overflows_halts_the_trace():
         geo.integrate(steep, LEVI_CIVITA, 0.95, 0.5, 1.0, 0.0, 1.0, 1e-2)
 
 
-def test_a_stage_that_overflows_the_position_halts_as_non_finite():
-    # a stage position of inf or nan is outside the domain, but says more;
-    # the stage kernel halts alike at a step's sample (sample=True) and at
-    # its other three stages
+def _kernels(patch, gkind):
+    """``patch``'s stage and sample kernels of ``gkind``."""
+    return [srf.point_kernel(patch, 2, record) for record in geo._RECORDS[gkind]]
+
+
+def test_patches_of_one_shape_and_two_domains_share_the_geodesic_kernels():
+    # integrate checks the domain itself, so no kernel holds a bound: the
+    # kernels of two spheres that differ in their domain only are one code
+    # object with equal globals, and each trace stops at its own domain's
+    # edge (a Levi-Civita trace on a graph is straight: u = t, up to the
+    # rounding of the steps' sums, so a step's last stage passes u = r)
+    spheres = [catalog.make("parabolic_sphere", I3, {"p": 2.0}, (-r, r, -r, r)) for r in (1.0, 2.0)]
+    for gkind in GeodesicKind:
+        for one, two in zip(*(_kernels(sphere, gkind) for sphere in spheres)):
+            assert one.__code__ is two.__code__ and one.__globals__ == two.__globals__
+    traces = [geo.integrate(sphere, LEVI_CIVITA, 0.0, 0.0, 1.0, 0.0, 3.0, 1e-2) for sphere in spheres]
+    assert [(x.stopped_reason, x.stop_time, x.samples[-1].u) for x in traces] == [
+        ("left_domain", 0.99, 0.9900000000000007), ("left_domain", 1.99, 1.9900000000000015)]
+
+
+@pytest.mark.parametrize("gkind", [RELATIVE, LEVI_CIVITA])
+def test_a_stage_that_overflows_the_position_halts_as_non_finite(gkind):
+    # a stage position of inf or nan is outside the domain, but says more.
+    # integrate checks each stage's position before its kernel call: on the
+    # plane, where u'' = v'' = 0, half a step of 1e155 at a velocity of 1e154
+    # (squared, 1e308) puts the second stage at inf, and a step of 1e3 at a
+    # velocity of 1 puts it outside the domain
     plane = catalog.make("plane", I3, {"a": 0.4, "b": -0.7, "c": 1.0})
-    for gkind, sample in itertools.product((RELATIVE, LEVI_CIVITA), (True, False)):
-        kernel = geo._accel_kernel(plane, gkind)
-        for u, reason in [(math.nan, "non_finite"), (1e300, "left_domain")]:
-            with pytest.raises(geo._Halt) as halt:
-                kernel(u, 0.2, 1.0, 0.0, sample)
-            assert halt.value.reason == reason
+    for du, dv, step, reason in [
+        (1e154, 0.0, 1e155, "non_finite"), (0.0, -1e154, 1e155, "non_finite"), (1.0, 0.0, 1e3, "left_domain"),
+    ]:
+        trace = geo.integrate(plane, gkind, 0.5, 0.2, du, dv, step, step)
+        assert (trace.stopped_reason, trace.stop_time, len(trace.samples)) == (reason, 0.0, 1)
+    assert [geo._outside(u, 0.2).reason for u in (math.nan, math.inf, 1e300)] == ["non_finite"] * 2 + ["left_domain"]
 
 
 def test_inadmissible_start_reports_the_frame_minor():
@@ -541,7 +563,7 @@ def test_a_non_finite_stage_acceleration_halts_before_its_sample():
     # acceleration, is nan.  The last stage of the step from u = 0.55
     # reaches u = 0.56: u stays finite, u' does not
     plane = srf.graph_patch(I3, "0.4*u - 0.7*v + 1 + 0*((u/0.538)^1000)^20", (0.0, 1.0, 0.0, 1.0))
-    stage = geo._accel_kernel(plane, RELATIVE)
+    stage, _ = _kernels(plane, RELATIVE)
     assert stage(0.555, 0.2, 1.0, 0.0) == (-0.0, -0.0)
     assert all(math.isnan(a) for a in stage(0.56, 0.2, 1.0, 0.0))
     trace = geo.integrate(plane, RELATIVE, 0.1, 0.2, 1.0, 0.0, 1.0, 1e-2)
@@ -559,33 +581,34 @@ def test_a_start_inside_the_guard_band_is_a_lightlike_start():
 
 @pytest.mark.parametrize("gkind", [RELATIVE, LEVI_CIVITA])
 def test_a_trace_calls_the_stage_kernel_4n_plus_1_times(monkeypatch, gkind):
-    # four stage kernel calls per step and one more (the start point is the
-    # first stage of the first step, evaluated once); the first stage of
-    # each step, and the end point, also return the sample.  No frame is built
+    # four kernel calls per step and one more (the start point is the first
+    # stage of the first step, evaluated once): the first stage of each
+    # step, and the end point, call the sample kernel, the other three the
+    # stage kernel.  No frame is built
     helicoid = catalog.make("helicoid", IP3, {"c": 0.6})
-    frames, stages = [], []
-    real_frame_at, real_kernel = srf.frame_at, geo._accel_kernel
+    frames, calls = [], []
+    real_frame_at, real_kernel = srf.frame_at, geo.point_kernel
 
     def counting_frame_at(s, u, v):
         frames.append((u, v))
         return real_frame_at(s, u, v)
 
-    def counting_kernel(s, g):
-        kernel = real_kernel(s, g)
+    def counting_kernel(s, order, record):
+        kernel, label = real_kernel(s, order, record), record.__name__.partition("_")[0]
 
-        def stage(u, v, du, dv, sample=False):
-            stages.append((u, v, sample))
-            return kernel(u, v, du, dv, sample)
+        def call(u, v, du, dv):
+            calls.append((label, u, v))
+            return kernel(u, v, du, dv)
 
-        return stage
+        return call
 
     for module in (srf, con, geo):
         monkeypatch.setattr(module, "frame_at", counting_frame_at, raising=False)
-    monkeypatch.setattr(geo, "_accel_kernel", counting_kernel)
+    monkeypatch.setattr(geo, "point_kernel", counting_kernel)
     trace = geo.integrate(helicoid, gkind, 2.0, 0.1, 0.3, -0.25, 1.0, 1e-3)
     assert trace.completed and len(trace.samples) == 1001
-    assert len(stages) == 4 * 1000 + 1 and sum(sample for _, _, sample in stages) == 1000 + 1
-    assert frames == [] and stages[0] == (2.0, 0.1, True)
+    assert len(calls) == 4 * 1000 + 1 and [label for label, _, _ in calls].count("sample") == 1000 + 1
+    assert frames == [] and calls[0] == ("sample", 2.0, 0.1)
     assert "kernels" not in vars(pickle.loads(pickle.dumps(helicoid)))
 
 
@@ -653,28 +676,26 @@ def test_compiled_stages_match_the_tuple_form_reference(case):
 def _stage_outcome(kernel, *args):
     try:
         return "ok", list(map(repr, kernel(*args)))
-    except geo._Halt as halt:
-        return "halt", halt.reason
-    except (DomainError, NotAdmissible, LightlikePointHit, con.LightlikePoint) as err:
+    except (DomainError, NotAdmissible, con.LightlikePoint) as err:
         return type(err), str(err)
 
 
-def _split_against_whole(patch, rng, points):
-    """The outcomes of ``patch``'s stage kernels, each against its whole
-    body (``stageref.stage``), at ``points`` random stage arguments with
-    and without the sample, inside and outside the domain; returns what
-    kinds of outcome were seen."""
-    kernels = {g: stageref.stage(patch, g) for g in GeodesicKind}
+def _stage_against_sample(patch, rng, points):
+    """The outcomes of ``patch``'s stage kernels, each against the first two
+    floats of its sample kernel, whose body is the kernel writer's whole
+    body, at ``points`` random stage arguments, inside and outside the
+    domain; returns what kinds of outcome were seen."""
+    kernels = [_kernels(patch, g) for g in GeodesicKind]
     seen = set()
     for _ in range(points):
         u, v = rng.uniform(-2.2, 3.2), rng.uniform(-2.2, 2.2)
         if rng.random() < 0.2:  # exact zeros of log, sqrt and the minors
             u, v = rng.randint(5) * 0.5 - 1.0, rng.randint(5) * 0.5 - 1.0
-        args = (u, v, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.random() < 0.3)
-        for g, (split, _, _, whole, _) in kernels.items():
-            got = _stage_outcome(split, *args)
-            assert got == _stage_outcome(whole, *args), (patch, g, args)
-            seen.add(got[0] if got[0] in ("ok", "halt") else "error")
+        args = (u, v, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        for stage, sample in kernels:
+            got = _stage_outcome(stage, *args)
+            assert got == _stage_outcome(lambda *a: sample(*a)[:2], *args), (patch, args)
+            seen.add(got[0] if got[0] == "ok" else "error")
     return seen
 
 
@@ -688,28 +709,29 @@ def _split_against_whole(patch, rng, points):
     lambda: srf.parametric_patch(I3, "v + 0.3*u", "u^3", "sqrt(u + 1) * v", (-1.5, 1.5, -1.5, 1.5)),
 ], ids=["sphere-i3", "sphere-ip3", "helicoid", "harmonic", "sqrt", "powers", "swapped-fold"])
 def test_a_stage_returns_and_raises_what_its_whole_body_does(build):
-    # the stage kernel, whose lines that only the sample reads come after
-    # its return, against its writer's lines compiled in order with both
-    # returns after them: the same floats, halts and errors
-    assert {"ok", "halt"} <= _split_against_whole(build(), SplitMix64(27), 400)
+    # the stage kernel, whose liveness pass starts from (u'', v'') alone,
+    # against the sample kernel, which runs every line of the same writer:
+    # the same two floats by repr, and the same errors with the same
+    # messages, in the same order
+    assert "ok" in _stage_against_sample(build(), SplitMix64(27), 400)
 
 
 def test_a_genexpr_stage_returns_and_raises_what_its_whole_body_does():
     # the same on 32 random graph and parametric patches in both spaces:
-    # the split rests on no block re-assigning a name that a line before
-    # it reads, which no template may break
+    # every guard and block of the sample's pass is in the stage's, which
+    # no template may break
     seen = set()
     for patch in genexpr.random_patches(2800, 32):
-        seen |= _split_against_whole(patch, SplitMix64(28), 100)
-    assert seen == {"ok", "halt", "error"}
+        seen |= _stage_against_sample(patch, SplitMix64(28), 100)
+    assert seen == {"ok", "error"}
 
 
 def test_the_sample_only_lines_move_behind_the_return_in_order():
-    # the two liveness passes that place a stage kernel's lines, on a
-    # writer of lets and guards: the pass from the early return keeps every
-    # guard and block, with the lets that they and the return read; the
-    # pass from the final return adds, in order, the lets only it reads;
-    # a let keeps the names of its pairs that a later line reads
+    # the liveness passes of a stage kernel and of its sample kernel, on a
+    # writer of lets and guards: the pass from the stage's return keeps
+    # every guard and block, with the lets that they and the return read;
+    # the pass from the sample's return adds, in order, the lets only it
+    # reads; a let keeps the names of its pairs that a later line reads
     w = ex.Lines()
     w.let("x", "u * 2.0")
     w.let("g", "v - 1.0")

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from genexpr import random_expr, random_expr_full, random_patches
 import jet2ref
 import plainref
-import stageref
 import statementref
 from jet2ref import eval_jet2
 from jet3 import walk3
@@ -423,6 +422,8 @@ def test_a_constant_and_a_run_time_exponent_do_not_share_a_node():
 
 # the sample kernels of a patch: (order, record)
 SAMPLE_RECORDS = ((2, srf.frame_record), (2, srf.curvature_record), (3, con.guarded_record))
+# the geodesic kernels of a patch, a stage and a sample record per connection
+GEODESIC_RECORDS = tuple((2, record) for records in geo._RECORDS.values() for record in records)
 
 CATALOG_PARAMS = {
     "parabolic_sphere": {"p": 2.0},
@@ -461,11 +462,9 @@ def test_catalog_kernels_skip_structural_zeros_and_ones(monkeypatch, name, kind)
     compilers = {
         "jet2": lambda: ex.compile_jet(exprs, 2),
         "jet3": lambda: ex.compile_jet(exprs, 3),
-        "stage r": lambda: geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE),
-        "stage lc": lambda: geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA),
         "row": lambda: cli._row_kernel(patch),
         **{record.__name__: lambda order=order, record=record: srf.point_kernel(patch, order, record)
-           for order, record in SAMPLE_RECORDS},
+           for order, record in GEODESIC_RECORDS + SAMPLE_RECORDS},
     }
     for label, build in compilers.items():
         sources.clear()
@@ -487,6 +486,18 @@ def _stored_names(lines) -> set:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
+# a kernel line's indent, targets and the operator of the assignment it is,
+# if any
+_ASSIGNMENT = re.compile(r"( *)(\w+(?:, \w+)*) (\S*)= ").match
+
+
+def _assigned(line: str) -> list[str]:
+    """The names that a kernel line assigns at its own indent, if it is an
+    assignment (augmented ones included); else none."""
+    match = _ASSIGNMENT(line)
+    return match[2].split(", ") if match else []
+
+
 # what a fused kernel assigns to: a jet temporary, a jet name or a frame name
 _JET_TEMPORARY = re.compile(r"j\d+_")
 _FRAME_NAMES = set(srf.FRAME_NAMES.split(", ")) - {"kind", "u", "v"}
@@ -502,15 +513,14 @@ def _point_names(names) -> set:
     pytest.param("ruled_nondiag", SpaceKind.PSEUDO_ISOTROPIC, id="ruled_nondiag[ip3]"),
 ])
 def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
-    # the row kernel and both stage kernels each call surface.point_lines
-    # once, and it alone writes the jet and frame lines: each body holds the
-    # lines of its writer's liveness passes as contiguous runs at one indent
-    # (the row kernel its pass, in the places of its statements, see
-    # _row_runs; a stage kernel the pass from
-    # its early return before that return, and the other lines of the pass
-    # from its final return after it), each pass begins with the jet lines
-    # it keeps, in the jet writer's order after a stage kernel's conversion
-    # of u, and no line outside the runs assigns a jet or frame name
+    # the row kernel and the four geodesic kernels each call
+    # surface.point_lines once, and it alone writes the jet and frame lines:
+    # each body holds the lines of its writer's liveness pass as contiguous
+    # runs at one indent (the row kernel its pass, in the places of its
+    # statements, see _row_runs; a geodesic kernel its pass, before its
+    # return), each pass begins with the jet lines it keeps, in the jet
+    # writer's order after the kernel's conversion of u, and no line outside
+    # the runs assigns a jet or frame name
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
     jet = ["U = float(u)", *_every_line(ex.jet_writer((patch.x_expr, patch.y_expr, patch.z_expr), 2)[0])]
     calls = {"jet_writer": 0, "frame_lines": 0}
@@ -523,8 +533,8 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
 
         return call
 
-    def recording_point_lines(s):
-        w, namespace = real_point_lines(s)
+    def recording_point_lines(s, order=2):
+        w, namespace = real_point_lines(s, order)
         assert srf.FRAME_GLOBALS.items() <= namespace.items()
         writers.append(w)
         return w, namespace
@@ -541,23 +551,23 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     real_point_lines, real_statements, real_compile = srf.point_lines, ex.Lines.statements, ex.compile_function
     monkeypatch.setattr(ex, "jet_writer", counted("jet_writer", ex.jet_writer))
     monkeypatch.setattr(srf, "frame_lines", counted("frame_lines", srf.frame_lines))
-    for module in (rows, geo):
+    for module in (rows, srf):
         monkeypatch.setattr(module, "point_lines", recording_point_lines)
     monkeypatch.setattr(ex.Lines, "statements", recording_statements)
     monkeypatch.setattr(ex, "compile_function", recording_compile)
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: each geodesic kernel is written
     cli._row_kernel(patch)
-    geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
-    geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    assert calls == {"jet_writer": 3, "frame_lines": 3} and len(bodies) == 4
-    kernel, columns, *stages = bodies
+    for order, record in GEODESIC_RECORDS:
+        srf.point_kernel(patch, order, record)
+    assert calls == {"jet_writer": 5, "frame_lines": 5} and len(bodies) == 6
+    kernel, columns, *points = bodies
     row = [line.strip() for line in kernel]  # the row kernel converts u once, before its loop
     loop = next(i for i, line in enumerate(row) if line.startswith("for v, sv, "))
     assert row.count("U = float(u)") == 1 and row.index("U = float(u)") < loop
-    assert [w for w, _ in outputs] == [writers[0], writers[1], writers[1], writers[2], writers[2]]
-    passes = [[outputs[1][1], outputs[2][1]], [outputs[3][1], outputs[4][1]]]
+    assert [w for w, _ in outputs] == writers  # one pass of each writer
+    (row_pass, *passes) = [out for _, out in outputs]
     # the row pass's lines in its four places: once per grid, once per v,
     # once per row and at each point, each run in the pass's order
-    (row_pass,) = [out for w, out in outputs if w is writers[0]]
     runs = _row_runs(kernel, columns)
     assert Counter(row_pass) == Counter(line for run in runs for line in run)
     for run in runs:
@@ -568,16 +578,13 @@ def test_the_fused_kernels_share_one_point_prelude(monkeypatch, name, kind):
     # assigns the names that its columns computed
     unpacked = set(re.findall(r"\w+", row[loop].removesuffix(" in cols:")))
     unpacked |= set(re.findall(r"\w+", row[0].removesuffix(" = consts"))) if row[0].endswith(" = consts") else set()
-    for body, outs, runs, allowed in [
-        (kernel + columns, [row_pass], runs, unpacked),
-        *((stage, outs, [outs[0], [line for line in outs[1] if line not in outs[0]]], set())
-          for stage, outs in zip(stages, passes)),
+    for body, out, runs, allowed in [
+        (kernel + columns, row_pass, runs, unpacked), *((body, out, [out], set()) for body, out in zip(points, passes)),
     ]:
-        for out in outs:
-            k = next((i for i, line in enumerate(out) if line not in jet), len(out))
-            remaining = iter(jet)
-            assert all(line in remaining for line in out[:k])
-            assert not [line for line in out[k:] if _point_names(stageref.assigned(line.strip())) - _FRAME_NAMES]
+        k = next((i for i, line in enumerate(out) if line not in jet), len(out))
+        remaining = iter(jet)
+        assert all(line in remaining for line in out[:k])
+        assert not [line for line in out[k:] if _point_names(_assigned(line.strip())) - _FRAME_NAMES]
         rest = body
         for run in filter(None, runs):
             n = len(run)
@@ -611,8 +618,8 @@ def _row_runs(kernel, columns) -> list:
 
 
 def _kernel_bodies(monkeypatch, patch) -> dict:
-    """The body lines of the row kernel, its columns, both stage kernels
-    and the sample kernels of ``patch``."""
+    """The body lines of the row kernel, its columns, and the geodesic and
+    sample kernels of ``patch``, by record name."""
     bodies = []
     real = ex.compile_function
 
@@ -622,12 +629,10 @@ def _kernel_bodies(monkeypatch, patch) -> dict:
 
     monkeypatch.setattr(ex, "compile_function", recording)
     cli._row_kernel(patch)
-    geo._accel_kernel(patch, geo.GeodesicKind.RELATIVE)
-    geo._accel_kernel(patch, geo.GeodesicKind.LEVI_CIVITA)
-    monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: each sample kernel is written
-    for order, record in SAMPLE_RECORDS:
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: each point kernel is written
+    for order, record in GEODESIC_RECORDS + SAMPLE_RECORDS:
         srf.point_kernel(patch, order, record)
-    labels = ("row", "columns", "r", "lc", *(record.__name__ for _, record in SAMPLE_RECORDS))
+    labels = ("row", "columns", *(record.__name__ for _, record in GEODESIC_RECORDS + SAMPLE_RECORDS))
     return dict(zip(labels, bodies, strict=True))
 
 
@@ -644,23 +649,23 @@ def test_graph_kernels_write_no_swap_and_no_bind(monkeypatch, name, kind):
     # x = u and y = v: m12 is the structural ONE, so no kernel swaps or binds
     # a jet name, and the top views are (1, 0) and (0, 1), so no kernel writes
     # the admissibility guard, which could not fire; and every Levi-Civita
-    # coefficient is ZERO, so the Levi-Civita stage kernel writes no
-    # coefficient and no second fundamental form
+    # coefficient is ZERO, so neither Levi-Civita kernel writes a
+    # coefficient or the second fundamental form
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
     for label, body in _kernel_bodies(monkeypatch, patch).items():
         assert not any("m12" in line or "swapped" in line for line in body), label
         assert not any("scale" in line or "raise NotAdmissible" in line for line in body), label
         assert not _stored_names(body) & set(srf.JET_NAMES), label
-        if label == "lc":
+        if label.endswith("_lc"):
             stored = _stored_names(body)
             assert not {x for x in stored if re.fullmatch(r"ga\d{3}|h\d\d", x)}, stored
-            assert "    return ZERO, ZERO" in body
+            assert body[-1].startswith("return ZERO, ZERO"), body[-1]
 
 
 def _every_body(monkeypatch, patch) -> dict:
     """The body lines of every function compiled for ``patch``: its jet
-    kernels of orders 2 and 3 and its sample kernels (from a cold cache),
-    the row kernel, its columns, ``everywhere`` and both stage kernels."""
+    kernels of orders 2 and 3 and its geodesic and sample kernels (from a
+    cold cache), the row kernel, its columns and ``everywhere``."""
     bodies = {}
     real = ex.compile_function
 
@@ -674,9 +679,7 @@ def _every_body(monkeypatch, patch) -> dict:
         ex.compile_jet((patch.x_expr, patch.y_expr, patch.z_expr), order)
     everywhere = rows.row_kernel(patch)[2]
     everywhere(0.0, "0.0", (), [])  # compiled on its first call
-    for g in geo.GeodesicKind:
-        geo._accel_kernel(patch, g)
-    for order, record in SAMPLE_RECORDS:
+    for order, record in GEODESIC_RECORDS + SAMPLE_RECORDS:
         srf.point_kernel(patch, order, record)
     return bodies
 
@@ -699,62 +702,36 @@ def test_no_kernel_binds_or_swaps(monkeypatch):
     with monkeypatch.context() as m:
         for k, patch in enumerate(patches + random_patches(3000, 150)):
             bodies += [((k, label), body) for label, body in _every_body(m, patch).items()]
-    assert len(bodies) == 5 + 11 * (len(patches) + 150)
+    assert len(bodies) == 5 + 13 * (len(patches) + 150)
     for label, body in bodies:
         assert not _stored_names(body) & set(srf.JET_NAMES), label
         assert not re.search(r"\b(swapped|m12_0)\b", "\n".join(body)), label
 
 
-def test_a_stage_keeps_no_more_lines_before_its_return_than_the_sample_last_reference():
-    # on the catalog and 200 random patches: the lines before the
-    # ``if not sample:`` return are at most those that the reference pass
-    # leaves there on the kernel's whole body, and no name is assigned on
-    # both sides of the return.  The split rests on this: a let that reads
-    # a name which a later block re-assigns (the state of a run-time integer
-    # power, before its loop) stays before the return, where it reads what
-    # it read in place
-    patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
-    for patch in patches + random_patches(3000, 200):
-        for g in geo.GeodesicKind:
-            _, body, w, _, whole_body = stageref.stage(patch, g)
-            cut, ref = body.index("if not sample:"), stageref.sample_last(whole_body).index("if not sample:")
-            assert cut <= ref, (patch, g)
-            before = {n for line in body[2:cut] for n in stageref.assigned(line)}
-            after = {n for line in body[cut + 2:-1] for n in stageref.assigned(line)}
-            assert not before & after, (patch, g)
-            readers = {}  # a name, and the names of the lets that read it
-            for x in w.body:
-                if isinstance(x, ex.Statement):
-                    for name in (n for line in x.lines for n in stageref.assigned(line.strip())):
-                        assert not readers.get(name, set()) & after, (patch, g, x)
-                else:
-                    for target, value in x:
-                        for name in re.findall(r"[A-Za-z_]\w*", value):
-                            readers.setdefault(name, set()).add(target)
-
-
 @pytest.mark.parametrize("name, kind", GRAPH_CASES)
 def test_a_levi_civita_graph_stage_runs_only_its_guards(monkeypatch, name, kind):
-    # a graph's Levi-Civita coefficients are all ZERO, so a stage call
-    # returns ZERO, ZERO: before that return it runs the domain test, the
-    # jet's guards (the lines that raise, with their blocks) and the lines
-    # that a guard reads, and no other line; the position and the jet lines
-    # only it reads come after the return
+    # a graph's Levi-Civita coefficients are all ZERO, so its stage kernel
+    # returns ZERO, ZERO: it runs the jet's guards (the lines that raise,
+    # with their blocks) and the lines that a guard reads, and no other
+    # line; the position and the jet lines only it reads are the sample
+    # kernel's
     patch = catalog.make(name, kind, CATALOG_PARAMS[name])
-    body = _kernel_bodies(monkeypatch, patch)["lc"]
-    cut = body.index("if not sample:")
-    assert body[cut + 1] == "    return ZERO, ZERO"
-    head = body[:cut]
+    bodies = _kernel_bodies(monkeypatch, patch)
+    body, sample = bodies["stage_record_lc"], bodies["sample_record_lc"]
+    assert body[-1] == "return ZERO, ZERO"
+    head = body[:-1]
     blocks = [i for i, line in enumerate(head) if not re.fullmatch(r"\w+(, \w+)* = .*", line)]
     read = set(re.findall(r"[A-Za-z_]\w*", " ".join(head[i] for i in blocks)))
-    assert any("raise" in head[i] for i in blocks)
+    # a plane's and the waves' polynomials raise nothing, and run no line
+    assert any("raise" in head[i] for i in blocks) == (name not in ("plane", "minimal_wave"))
     for line in reversed([line for i, line in enumerate(head) if i not in blocks]):
         targets = line.partition(" = ")[0].split(", ")
         assert set(targets) <= read, line
         read |= set(re.findall(r"[A-Za-z_]\w*", line))
-    # the position's z, which no guard reads, is computed after the return
-    pz = body[-1].split(", ")[4]
-    assert [line for line in body[cut:] if line.startswith(f"{pz} = ")], pz
+    # the position's z, which no guard reads, is computed by the sample kernel only
+    pz = sample[-1].split(", ")[4]
+    assert [line for line in sample if line.startswith(f"{pz} = ")], pz
+    assert not [line for line in head if line.startswith(f"{pz} = ")], pz
     if name in ("parabolic_sphere", "plane", "minimal_wave"):  # guards on constants only
         assert not [line for line in head if " = " in line], head
 
@@ -806,8 +783,8 @@ def _unread_lets(monkeypatch, patch) -> list:
     """(kernel, name, let) for each name that no later line of one of
     ``patch``'s kernels reads: every name stored in ``compile_jet``'s
     kernels at orders 2 and 3, and every name a let stores in the row
-    kernel and in each path of both stage kernels, the early return's and
-    the sample's; ``let`` tells whether a let stores it."""
+    kernel and in each geodesic kernel; ``let`` tells whether a let stores
+    it."""
     bodies, lets = [], set()
     real_compile, real_statements = ex.compile_function, ex.Lines.statements
 
@@ -825,14 +802,11 @@ def _unread_lets(monkeypatch, patch) -> list:
         ex.compile_jet(exprs, 2)
         ex.compile_jet(exprs, 3)
         cli._row_kernel(patch)
-        for g in geo.GeodesicKind:
-            patch.kernels.pop(g, None)
-            geo._accel_kernel(patch, g)
-    jet2, jet3, row, columns, r, lc = bodies
-    paths = {"jet2": jet2, "jet3": jet3, "row": row, "columns": columns}
-    for label, body in (("r", r), ("lc", lc)):
-        cut = body.index("if not sample:")
-        paths[label], paths[f"{label} sample"] = body[: cut + 2], [*body[:cut], *body[cut + 2:]]
+        for order, record in GEODESIC_RECORDS:
+            patch.kernels.pop(record, None)
+            srf.point_kernel(patch, order, record)
+    labels = ("jet2", "jet3", "row", "columns", *(record.__name__ for _, record in GEODESIC_RECORDS))
+    paths = dict(zip(labels, bodies, strict=True))
     unread = []
     for label, lines in paths.items():
         tree = ast.parse("def f():\n" + "".join(f"    {line}\n" for line in lines))
@@ -851,8 +825,7 @@ def _unread_lets(monkeypatch, patch) -> list:
 def test_catalog_jet_kernels_assign_no_unread_name(monkeypatch, name, kind):
     # no line of compile_jet's kernels, and no let of a fused kernel (a jet
     # partial, a chain-rule factor or a template's quantity), writes a name
-    # that no later line of the kernel reads or returns, on either path of
-    # a stage kernel
+    # that no later line of the kernel reads or returns
     assert _unread_lets(monkeypatch, catalog.make(name, kind, CATALOG_PARAMS[name])) == []
 
 
@@ -869,9 +842,9 @@ def test_genexpr_kernels_assign_no_unread_name(monkeypatch):
 
 
 def test_the_statement_records_match_a_parse_of_their_text(monkeypatch):
-    # each record of every liveness pass that writes the row kernel and both
-    # stage kernels (its lines, the names it reads but in its raise lines,
-    # the names it assigns and those of its messages) equals what
+    # each record of every liveness pass that writes the row kernel and the
+    # four geodesic kernels (its lines, the names it reads but in its raise
+    # lines, the names it assigns and those of its messages) equals what
     # statementref reads from the text of the pass, on the catalog and 200
     # random patches
     passes, real = [], ex.Lines.statements
@@ -879,10 +852,10 @@ def test_the_statement_records_match_a_parse_of_their_text(monkeypatch):
     patches = [catalog.make(name, kind, CATALOG_PARAMS[name]) for name, kind in (c.values for c in CATALOG_CASES)]
     for patch in patches + random_patches(3000, 200):
         passes.clear()
+        monkeypatch.setattr(ex, "_JET_KERNELS", {})  # a cold cache: each geodesic kernel is written
         cli._row_kernel(patch)
-        for g in geo.GeodesicKind:
-            patch.kernels.pop(g, None)
-            geo._accel_kernel(patch, g)
+        for order, record in GEODESIC_RECORDS:
+            srf.point_kernel(patch, order, record)
         assert len(passes) >= 5, patch
         for out in passes:
             assert [tuple(x) for x in out] == statementref.statements([y for x in out for y in x.lines]), patch
@@ -989,13 +962,26 @@ def test_suite_minimal_compiles_one_kernel_for_its_random_waves(monkeypatch):
 
 def test_a_second_verify_round_compiles_nothing(monkeypatch):
     # the catalog's patches keep their sample kernels, and the minimal
-    # suite's new random waves find theirs in the shape cache
+    # suite's new random waves find theirs in the shape cache; so do the
+    # sphere-geodesics suite's new sphere patches, whose first round, on a
+    # cold cache, compiles a stage and a sample kernel per space and shape.
+    # The five spheres are three shapes: the 2.0 = 2p of p = 1 shares its
+    # slot with the exponent 2, which that of p = 2 does not
     suites = ["flatness", "egregium", "codazzi", "umbilic", "minimal"]
+    monkeypatch.setattr(ex, "_JET_KERNELS", {})
     first = verify.run_verify(None, suites, 100, 7)
     signatures = []
     real = ex.compile_function
     monkeypatch.setattr(ex, "compile_function", lambda *args: signatures.append(args[0]) or real(*args))
+    geodesics = verify.run_verify(None, ["sphere-geodesics"], 100, 7)
+    spheres = [geo.section_sphere_patch(geo.make_plane_section(kind, p, a, b))
+               for p, a, b, kind in verify.SPHERE_GEODESIC_CONFIGS]
+    shapes = {(s.kind, ex._shape((s.x_expr, s.y_expr, s.z_expr), 2)[0]) for s in spheres}
+    assert len(spheres) == 5 and len(shapes) == 3
+    assert signatures == ["kernel(u, v, du, dv)"] * 2 * len(shapes)
+    signatures.clear()
     assert verify.run_verify(None, suites, 100, 7) == first
+    assert verify.run_verify(None, ["sphere-geodesics"], 100, 7) == geodesics
     assert signatures == []
 
 
