@@ -8,12 +8,12 @@ with C the Levi-Civita or the relative coefficients.  The system is
 integrated by classic fixed-step RK4 on (u, v, u', v'); fixed steps keep
 convergence-order tests clean.  Each connection has a stage and a sample
 record of ``surface.point_kernel``; ``integrate`` checks the domain before
-each kernel call, so patches of one shape share them.  Integration halts with a flagged trace
-(rather than extrapolating) when the trajectory leaves the parameter
-domain, reaches a point where a coordinate expression has no value, an
-inadmissible point or, for the relative connection in pseudo-isotropic
-space, a lightlike point, or when its state or connection coefficients
-stop being finite.
+each kernel call, so patches of one shape share them.  Integration halts
+with a flagged trace (rather than extrapolating) when the trajectory
+leaves the parameter domain, reaches a point where a coordinate
+expression has no value, an inadmissible point or, for the relative
+connection in pseudo-isotropic space, a lightlike point, or when its
+state or connection coefficients stop being finite.
 
 Every sample carries a parallelism residual: for relative geodesics the
 ambient acceleration must be parallel to the Gauss map, measured as
@@ -114,12 +114,12 @@ def _outside(u: float, v: float) -> _Halt:
     return _Halt("left_domain" if math.isfinite(u) and math.isfinite(v) else "non_finite")
 
 
-def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
+def _accel_lines(w: ex.Lines, relative: bool, sample: bool) -> str:
     """The lets of (u'', v'') = -C_ij^k u'^i u'^j, from the coefficients
-    C_ij^k (the relative xi_ijk or the Levi-Civita ga_ijk), and of the
-    sample's position, parallel residual of gamma'' against xi or (0, 0, 1)
-    and, for the relative connection, denom (None for Levi-Civita); returns
-    the return lines of the stage and of the sample."""
+    C_ij^k (the relative xi_ijk or the Levi-Civita ga_ijk), and with
+    ``sample`` of the sample's position, parallel residual of gamma''
+    against xi or (0, 0, 1) and, for the relative connection, denom (None
+    for Levi-Civita); returns the return line of what it wrote."""
     c = "xi" if relative else "ga"
     c111, c112, c121, c122, c221, c222 = w.get(f"{c}111 {c}112 {c}121 {c}122 {c}221 {c}222")
     w1, w2 = w.get("du dv")
@@ -128,6 +128,8 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
         -(c111 * w1 * w1 + 2.0 * c121 * w1 * w2 + c221 * w2 * w2),
         -(c112 * w1 * w1 + 2.0 * c122 * w1 * w2 + c222 * w2 * w2),
     )
+    if not sample:
+        return f"return {a1}, {a2}"
     # gamma'' = x1 a1 + x2 a2 + x11 w1^2 + x12 2 w1 w2 + x22 w2^2, each
     # component summed left to right
     s11, s12, s22 = w.let("s11, s12, s22", w1 * w1, 2.0 * w1 * w2, w2 * w2)
@@ -138,21 +140,22 @@ def _accel_lines(w: ex.Lines, relative: bool) -> tuple[str, str]:
     normal = w.get("a b xi_z") if relative else ("ZERO", "ZERO", "ONE")
     _residual_lines(w, gamma, normal)
     px, py, pz, denom = w.get("px py pz denom") if relative else [*w.get("px py pz"), "None"]
-    return f"return {a1}, {a2}", f"return {a1}, {a2}, {px}, {py}, {pz}, residual, {denom}"
+    return f"return {a1}, {a2}, {px}, {py}, {pz}, residual, {denom}"
 
 
 def _accel_record(gkind: GeodesicKind, sample: bool) -> Callable:
     """The ``surface.point_kernel`` record of ``gkind``'s stage, ``(u, v,
-    du, dv) -> (u'', v'')`` of the geodesic ODE, or with ``sample`` the
-    tuple of ``_accel_lines``; either raises the jet's DomainError, the
-    frame's NotAdmissible and the relative connection's LightlikePoint."""
+    du, dv) -> (u'', v'')`` of the geodesic ODE, or with ``sample`` that of
+    its sample, the tuple of ``_accel_lines``.  Either kernel raises the
+    jet's DomainError, the frame's NotAdmissible and the relative
+    connection's LightlikePoint, in that order."""
     relative = gkind is GeodesicKind.RELATIVE
 
     def record(w: ex.Lines, kind: SpaceKind) -> tuple[str, str, dict]:
         gamma_lines(w)
         if relative:
             relative_lines(w, kind)
-        return "kernel(u, v, du, dv)", _accel_lines(w, relative)[sample], RELATIVE_GLOBALS
+        return "kernel(u, v, du, dv)", _accel_lines(w, relative, sample), RELATIVE_GLOBALS
 
     record.__name__ = record.__qualname__ = f"{'sample' if sample else 'stage'}_record_{gkind.value}"
     return record
